@@ -13,8 +13,7 @@ from .report import CheckReport, LawResult, Verdict
 from .jet import (
     AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
     NewtonDiverged, STANDARD_STRUCTS, StackMap, StructSet, TruncElem,
-    apply_map, axiom_ids, check_all_axioms, check_axiom, jac_batch,
-    jac_point, naturality_square, prolong_implicit, push, pushforward,
+    apply_map, axiom_ids, check_all_axioms, check_axiom, jac_point, naturality_square, prolong_implicit, push, pushforward,
     solve_least_norm, struct_map, tangent_map, tangent_of,
 )
 from .bundle import (

@@ -16,14 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (
-    Box, CheckConfig, Const, DEFAULT_CONFIG, EqVerdict, ExprError,
-    SmoothMap, Var, compose, con, cube, equal_maps, eval_batch, eval_map,
-    identity_map, normalize, projection, simplify_map, smooth_map,
-    substitute_vars, sum_of, symbolic_derivative_expr, to_source,
+    Box, CheckConfig, Const, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
+    compose, con, equal_maps, eval_batch, identity_map, normalize,
+    projection, simplify_map, smooth_map, substitute_vars, sum_of,
+    symbolic_derivative_expr,
 )
 from .jet import (
-    Composite, ImplicitMap, NewtonDiverged, apply_map, jac_point,
-    solve_least_norm, struct_map, tangent_map, tangent_of,
+    ImplicitMap, NewtonDiverged, apply_map, solve_least_norm, struct_map,
+    tangent_map,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 

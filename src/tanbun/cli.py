@@ -298,20 +298,6 @@ def _law_dict(e) -> dict:
     }
 
 
-def _reduce(reports) -> Verdict:
-    order = (Verdict.FAIL, Verdict.UNKNOWN, Verdict.PASS_NUMERIC,
-             Verdict.PASS_EXACT)
-    seen = [rep.aggregate for rep in reports
-            if rep.aggregate is not Verdict.SKIPPED]
-    if not seen:
-        return Verdict.SKIPPED
-    for v in order[:2]:
-        if v in seen:
-            return v
-    return Verdict.PASS_EXACT if all(
-        v is Verdict.PASS_EXACT for v in seen) else Verdict.PASS_NUMERIC
-
-
 def _exit_code(aggregate: Verdict) -> int:
     if aggregate.ok:
         return 0
@@ -391,7 +377,7 @@ def run_check(target: str, args) -> tuple:
         suites.append((sid, trusted, rep))
         if rep.aggregate is Verdict.FAIL:
             failed_before = True
-    aggregate = _reduce(reports.values())
+    aggregate = Verdict.reduce(rep.aggregate for rep in reports.values())
     report = RunReport(
         tool=_version(), source=target, digest=digest, suite=suite,
         seed=cfg.seed, samples=cfg.count, tol=cfg.tol, depth=cfg.t_depth,

@@ -472,21 +472,6 @@ def corpus_entry(name: str) -> CorpusEntry:
                              f"known entries: {known}")
 
 
-def _reduce_verdicts(verdicts) -> Verdict:
-    # Same dominance order as a single report: fail, then unknown, then
-    # exact only when everything is exact.
-    seen = [v for v in verdicts if v is not Verdict.SKIPPED]
-    if not seen:
-        return Verdict.SKIPPED
-    if Verdict.FAIL in seen:
-        return Verdict.FAIL
-    if Verdict.UNKNOWN in seen:
-        return Verdict.UNKNOWN
-    if all(v is Verdict.PASS_EXACT for v in seen):
-        return Verdict.PASS_EXACT
-    return Verdict.PASS_NUMERIC
-
-
 def corpus_run(name: str, cfg: CheckConfig = DEFAULT_CONFIG) -> CorpusResult:
     """Run one corpus entry and compare the outcome with its
     expectation."""
@@ -502,7 +487,7 @@ def corpus_run(name: str, cfg: CheckConfig = DEFAULT_CONFIG) -> CorpusResult:
             verdicts.append(e.verdict)
             if e.verdict is Verdict.FAIL:
                 failed.add(e.law_id)
-    aggregate = _reduce_verdicts(verdicts)
+    aggregate = Verdict.reduce(verdicts)
     met = aggregate.ok == (entry.expected == "pass")
     if entry.expected_failed is not None:
         met = met and failed == set(entry.expected_failed)

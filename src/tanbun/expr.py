@@ -3,9 +3,12 @@
 A SmoothMap is a vector of expression ASTs over positional variables
 x0..x{m-1}.  The module provides a small DSL parser, a pretty printer
 that round-trips, an exact polynomial normal form over the rationals,
-numeric evaluation (float64 batches and mpmath high precision), and
-symbolic differentiation.  Symbolic differentiation is deliberately
-independent of the jet engine so the two can cross-check each other.
+evaluation, and symbolic differentiation.  One interpreter, `_evaluate`,
+evaluates an AST over any of four number kinds: float64 arrays (one
+value per sample point), exact `Fraction`s (polynomials only), mpmath
+high precision, and the truncated jet algebra of `jet.TruncElem`.
+Symbolic differentiation is deliberately independent of the jet engine
+so the two can cross-check each other.
 
 Builtins: exp, sin, cos and the smooth step pair bump/dbump, where
 bump(y) = s(y)/(s(y)+s(1-y)) with s(t) = exp(-1/t) for t > 0 and 0
@@ -16,14 +19,14 @@ d2bump, d3bump, ... evaluated through truncated Taylor series of s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Expr", "Const", "Var", "Sum", "Product", "Pow", "Quot", "Neg", "Call",
+    "Expr", "Const", "Var", "Sum", "Product", "Pow", "Quot", "Call",
     "SmoothMap", "Box", "CheckConfig", "EqVerdict",
     "ExprError", "ParseError", "DimensionMismatch", "DenominatorNearZero",
     "parse_map", "to_source", "normalize",
@@ -33,7 +36,7 @@ __all__ = [
     "poly_normalize", "poly_to_expr", "simplify_map",
     "symbolic_derivative", "jacobian_exprs", "jac_eval_batch",
     "equal_maps",
-    "bump_coeffs", "bump_coeffs_mp", "bump_value", "bump_batch",
+    "bump_coeffs", "bump_coeffs_mp", "bump_batch",
     "BUILTINS", "MAX_BUMP_ORDER",
 ]
 
@@ -138,11 +141,6 @@ class Quot(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Call(Expr):
     name: str
     arg: Expr
@@ -167,8 +165,8 @@ def con(x) -> Const:
 
 # --------------------------------------------------------------------------
 # Smart constructors; these keep ASTs in a light normal form:
-# flattened sums/products, folded constants, no Neg nodes (signs are
-# absorbed into constants), no constant quotients.
+# flattened sums/products, folded constants, negation as a product with
+# the constant -1, no constant quotients.
 
 
 def _iter_sum_terms(e: Expr):
@@ -272,8 +270,6 @@ def normalize(e: Expr) -> Expr:
     """Idempotent structural normalization (not polynomial expansion)."""
     if isinstance(e, (Const, Var)):
         return e
-    if isinstance(e, Neg):
-        return neg(e.arg)
     if isinstance(e, Sum):
         return sum_of(e.terms)
     if isinstance(e, Product):
@@ -308,10 +304,10 @@ def _bump_order(name: str) -> int:
     return int(name[1:-4])
 
 
+_ANALYTIC = ("exp", "sin", "cos")   # same names in numpy and mpmath
 BUILTINS = frozenset(
-    {"exp", "sin", "cos"} | {_bump_name(k) for k in range(MAX_BUMP_ORDER + 1)}
+    {*_ANALYTIC} | {_bump_name(k) for k in range(MAX_BUMP_ORDER + 1)}
 )
-PUBLIC_BUILTINS = ("exp", "sin", "cos", "bump", "dbump")
 
 
 def _derivative_of_builtin(name: str, arg: Expr) -> Expr:
@@ -392,11 +388,6 @@ def bump_coeffs_mp(y, order: int):
     return _series_mul(sa, _series_recip(den, order), order)
 
 
-def bump_value(y: float, k: int) -> float:
-    """Value of the k-th derivative of bump at y."""
-    return bump_coeffs(y, k)[k] * math.factorial(k)
-
-
 def _s_series_batch(a: np.ndarray, order: int):
     mask = a >= SEAM_GUARD
     safe = np.where(mask, a, 1.0)
@@ -471,8 +462,8 @@ def _free_vars(e: Expr, acc=None) -> set:
     elif isinstance(e, Quot):
         _free_vars(e.num, acc)
         _free_vars(e.den, acc)
-    elif isinstance(e, (Neg, Call)):
-        _free_vars(e.arg if isinstance(e, Neg) else e.arg, acc)
+    elif isinstance(e, Call):
+        _free_vars(e.arg, acc)
     return acc
 
 
@@ -583,7 +574,7 @@ class _Parser:
         while self.lex.peek()[1] in ("+", "-"):
             op = self.lex.next()[1]
             t = self.parse_term()
-            terms.append(t if op == "+" else Neg(t))
+            terms.append(t if op == "+" else neg(t))
         return sum_of(terms) if len(terms) > 1 else terms[0]
 
     def parse_term(self):
@@ -699,8 +690,6 @@ def _print(e: Expr, prec: int) -> str:
         return _wrap(f"{_print(e.base, 4)}^{e.exponent}", 3, prec)
     if isinstance(e, Quot):
         return _wrap(f"{_print(e.num, 2)}/{_print(e.den, 4)}", 1, prec)
-    if isinstance(e, Neg):
-        return _wrap("-" + _print(e.arg, 2), 2, prec)
     if isinstance(e, Call):
         return f"{e.name}({_print(e.arg, 0)})"
     raise TypeError(f"not an Expr: {e!r}")
@@ -738,40 +727,101 @@ def _check_point(f: SmoothMap, x) -> np.ndarray:
     return x
 
 
-def _eval_array(e: Expr, cols: list) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full_like(cols[0] if cols else np.zeros(1), float(e.value))
-    if isinstance(e, Var):
-        return cols[e.index]
-    if isinstance(e, Sum):
-        acc = _eval_array(e.terms[0], cols)
-        for t in e.terms[1:]:
-            acc = acc + _eval_array(t, cols)
+def _evaluate(e: Expr, env, num):
+    """Value of e with Var(i) bound to env[i], in the number kind `num`.
+
+    Sums and products fold left to right, Pow uses `**`, and a
+    quotient's denominator is evaluated and guarded before its
+    numerator.  `num` supplies the rest: `const(Fraction)`,
+    `guard(den, quot)` and `call(name, arg)`.  Constants are tested
+    first: most entries of a Jacobian are constant.
+    """
+    t = type(e)
+    if t is Const:
+        return num.const(e.value)
+    if t is Var:
+        return env[e.index]
+    if t is Sum:
+        acc = _evaluate(e.terms[0], env, num)
+        for u in e.terms[1:]:
+            acc = acc + _evaluate(u, env, num)
         return acc
-    if isinstance(e, Product):
-        acc = _eval_array(e.factors[0], cols)
-        for t in e.factors[1:]:
-            acc = acc * _eval_array(t, cols)
+    if t is Product:
+        acc = _evaluate(e.factors[0], env, num)
+        for u in e.factors[1:]:
+            acc = acc * _evaluate(u, env, num)
         return acc
-    if isinstance(e, Pow):
-        return _eval_array(e.base, cols) ** e.exponent
-    if isinstance(e, Quot):
-        den = _eval_array(e.den, cols)
+    if t is Pow:
+        return _evaluate(e.base, env, num) ** e.exponent
+    if t is Quot:
+        den = _evaluate(e.den, env, num)
+        num.guard(den, e)
+        return _evaluate(e.num, env, num) / den
+    if t is Call:
+        return num.call(e.name, _evaluate(e.arg, env, num))
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+class _Floats:
+    """float64 arrays shaped like `like`: one value per sample point."""
+
+    def __init__(self, like: np.ndarray):
+        self.like = like
+
+    def const(self, c: Fraction) -> np.ndarray:
+        return np.full_like(self.like, float(c))
+
+    @staticmethod
+    def guard(den, e):
         if np.any(np.abs(den) < DENOM_GUARD):
             raise DenominatorNearZero(f"denominator near zero in {_print(e, 0)}")
-        return _eval_array(e.num, cols) / den
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, cols)
-    if isinstance(e, Call):
-        arg = _eval_array(e.arg, cols)
-        if e.name == "exp":
-            return np.exp(arg)
-        if e.name == "sin":
-            return np.sin(arg)
-        if e.name == "cos":
-            return np.cos(arg)
-        return _bump_deriv_batch(arg, _bump_order(e.name))
-    raise TypeError(f"not an Expr: {e!r}")
+
+    @staticmethod
+    def call(name, a):
+        if name in _ANALYTIC:
+            return getattr(np, name)(a)
+        return _bump_deriv_batch(a, _bump_order(name))
+
+
+class _Exact:
+    """Fractions; quotients and builtins have no exact value here."""
+
+    @staticmethod
+    def const(c: Fraction) -> Fraction:
+        return c
+
+    @staticmethod
+    def guard(*_):
+        raise ExprError("eval_exact requires a polynomial expression")
+
+    call = guard
+
+
+class _Mp:
+    """mpmath numbers at the working precision of the caller."""
+
+    def __init__(self, mp):
+        self.mp = mp
+
+    def const(self, c: Fraction):
+        return self.mp.mpf(c.numerator) / c.denominator
+
+    @staticmethod
+    def guard(den, e):
+        if abs(den) < DENOM_GUARD:
+            raise DenominatorNearZero("denominator near zero")
+
+    def call(self, name, a):
+        if name in _ANALYTIC:
+            return getattr(self.mp, name)(a)
+        k = _bump_order(name)
+        return bump_coeffs_mp(a, k)[k] * self.mp.factorial(k)
+
+
+def _float_env(X: np.ndarray, arity: int):
+    """The columns of X as a Var environment, and their number kind."""
+    cols = [X[:, i] for i in range(arity)] or [np.zeros(X.shape[0])]
+    return cols, _Floats(cols[0])
 
 
 def eval_batch(f: SmoothMap, X) -> np.ndarray:
@@ -781,12 +831,10 @@ def eval_batch(f: SmoothMap, X) -> np.ndarray:
         raise DimensionMismatch(
             f"batch of shape {X.shape} fed to map of arity {f.arity}"
         )
-    cols = [X[:, i] for i in range(f.arity)]
-    if not cols:
-        cols = [np.zeros(X.shape[0])]
+    cols, num = _float_env(X, f.arity)
     out = np.empty((X.shape[0], f.coarity))
     for j, c in enumerate(f.components):
-        out[:, j] = _eval_array(c, cols)
+        out[:, j] = _evaluate(c, cols, num)
     return out
 
 
@@ -798,28 +846,10 @@ def eval_map(f: SmoothMap, x) -> np.ndarray:
 
 def eval_exact(f: SmoothMap, x: Sequence[Fraction]) -> list:
     """Exact rational evaluation; rejects builtins and quotients."""
-
-    def go(e: Expr) -> Fraction:
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Var):
-            return Fraction(x[e.index])
-        if isinstance(e, Sum):
-            return sum((go(t) for t in e.terms), Fraction(0))
-        if isinstance(e, Product):
-            acc = Fraction(1)
-            for t in e.factors:
-                acc *= go(t)
-            return acc
-        if isinstance(e, Pow):
-            return go(e.base) ** e.exponent
-        if isinstance(e, Neg):
-            return -go(e.arg)
-        raise ExprError("eval_exact requires a polynomial expression")
-
     if len(x) != f.arity:
         raise DimensionMismatch("point length does not match arity")
-    return [go(c) for c in f.components]
+    env = [Fraction(v) for v in x]
+    return [_evaluate(c, env, _Exact) for c in f.components]
 
 
 def eval_mp(f: SmoothMap, x, dps: int = 60) -> list:
@@ -827,69 +857,13 @@ def eval_mp(f: SmoothMap, x, dps: int = 60) -> list:
     import mpmath as mp
 
     with mp.workdps(dps):
-        vals = [mp.mpf(float(v)) for v in x]
-
-        def go(e: Expr):
-            if isinstance(e, Const):
-                return mp.mpf(e.value.numerator) / e.value.denominator
-            if isinstance(e, Var):
-                return vals[e.index]
-            if isinstance(e, Sum):
-                acc = mp.mpf(0)
-                for t in e.terms:
-                    acc += go(t)
-                return acc
-            if isinstance(e, Product):
-                acc = mp.mpf(1)
-                for t in e.factors:
-                    acc *= go(t)
-                return acc
-            if isinstance(e, Pow):
-                return go(e.base) ** e.exponent
-            if isinstance(e, Quot):
-                den = go(e.den)
-                if abs(den) < DENOM_GUARD:
-                    raise DenominatorNearZero("denominator near zero")
-                return go(e.num) / den
-            if isinstance(e, Neg):
-                return -go(e.arg)
-            if isinstance(e, Call):
-                a = go(e.arg)
-                if e.name == "exp":
-                    return mp.exp(a)
-                if e.name == "sin":
-                    return mp.sin(a)
-                if e.name == "cos":
-                    return mp.cos(a)
-                k = _bump_order(e.name)
-                return bump_coeffs_mp(a, k)[k] * mp.factorial(k)
-            raise TypeError(f"not an Expr: {e!r}")
-
-        return [go(c) for c in f.components]
+        env = [mp.mpf(float(v)) for v in x]
+        num = _Mp(mp)
+        return [_evaluate(c, env, num) for c in f.components]
 
 
 # --------------------------------------------------------------------------
 # Composition and combinators
-
-
-def _substitute(e: Expr, repl: Sequence[Expr]) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return repl[e.index]
-    if isinstance(e, Sum):
-        return sum_of([_substitute(t, repl) for t in e.terms])
-    if isinstance(e, Product):
-        return product_of([_substitute(t, repl) for t in e.factors])
-    if isinstance(e, Pow):
-        return power(_substitute(e.base, repl), e.exponent)
-    if isinstance(e, Quot):
-        return quotient(_substitute(e.num, repl), _substitute(e.den, repl))
-    if isinstance(e, Neg):
-        return neg(_substitute(e.arg, repl))
-    if isinstance(e, Call):
-        return call(e.name, _substitute(e.arg, repl))
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 def substitute_vars(e: Expr, mapping: dict) -> Expr:
@@ -907,8 +881,6 @@ def substitute_vars(e: Expr, mapping: dict) -> Expr:
     if isinstance(e, Quot):
         return quotient(substitute_vars(e.num, mapping),
                         substitute_vars(e.den, mapping))
-    if isinstance(e, Neg):
-        return neg(substitute_vars(e.arg, mapping))
     if isinstance(e, Call):
         return call(e.name, substitute_vars(e.arg, mapping))
     raise TypeError(f"not an Expr: {e!r}")
@@ -920,7 +892,8 @@ def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
         raise DimensionMismatch(
             f"compose: inner coarity {g.coarity} != outer arity {f.arity}"
         )
-    comps = tuple(_substitute(c, g.components) for c in f.components)
+    inner = dict(enumerate(g.components))
+    comps = tuple(substitute_vars(c, inner) for c in f.components)
     return SmoothMap(g.arity, comps)
 
 
@@ -950,9 +923,9 @@ def concat_maps(*maps: SmoothMap) -> SmoothMap:
 
 def juxtapose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """(f x g)(x, y) = (f(x), g(y)) on disjoint inputs."""
-    shift = [Var(i + f.arity) for i in range(g.arity)]
+    shift = {i: Var(i + f.arity) for i in range(g.arity)}
     comps = tuple(f.components) + tuple(
-        _substitute(c, shift) for c in g.components
+        substitute_vars(c, shift) for c in g.components
     )
     return SmoothMap(f.arity + g.arity, comps)
 
@@ -1003,11 +976,6 @@ def _poly_of(e: Expr, arity: int):
         for _ in range(e.exponent):
             acc = _poly_mul(acc, base)
         return acc
-    if isinstance(e, Neg):
-        p = _poly_of(e.arg, arity)
-        if p is None:
-            return None
-        return {k: -v for k, v in p.items()}
     return None
 
 
@@ -1093,8 +1061,6 @@ def _ddx(e: Expr, var: int) -> Expr:
         dn, dd = _ddx(e.num, var), _ddx(e.den, var)
         num = sum_of([product_of([dn, e.den]), neg(product_of([e.num, dd]))])
         return quotient(num, power(e.den, 2))
-    if isinstance(e, Neg):
-        return neg(_ddx(e.arg, var))
     if isinstance(e, Call):
         outer = _derivative_of_builtin(e.name, e.arg)
         return product_of([outer, _ddx(e.arg, var)])
@@ -1134,14 +1100,12 @@ def _jac_rows_cached(f: SmoothMap):
 def jac_eval_batch(f: SmoothMap, X) -> np.ndarray:
     """Jacobians at a batch of points, shape (n, coarity, arity)."""
     X = np.asarray(X, dtype=float)
-    cols = [X[:, i] for i in range(f.arity)]
-    if not cols:
-        cols = [np.zeros(X.shape[0])]
+    cols, num = _float_env(X, f.arity)
     J = np.empty((X.shape[0], f.coarity, f.arity))
     rows = _jac_rows_cached(f)
     for i in range(f.coarity):
         for j in range(f.arity):
-            J[:, i, j] = _eval_array(rows[i][j], cols)
+            J[:, i, j] = _evaluate(rows[i][j], cols, num)
     return J
 
 

@@ -26,13 +26,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (
-    Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
-    SmoothMap, Sum, Var, bump_coeffs, compose, con, concat_maps, cube,
-    eval_batch, eval_map, equal_maps, identity_map, jac_eval_batch,
-    jacobian_exprs, product_of, projection, simplify_map, smooth_map,
-    substitute_vars, sum_of, _bump_order, _eval_array,
+    CheckConfig, DEFAULT_CONFIG, DENOM_GUARD, DenominatorNearZero,
+    DimensionMismatch, ExprError, SmoothMap, Var, bump_coeffs, compose,
+    con, concat_maps, cube, eval_map, equal_maps, identity_map,
+    jac_eval_batch, jacobian_exprs, neg, product_of, projection,
+    simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
+    _evaluate,
 )
-from .expr import Call, Const, Neg, Pow, Product, Quot
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
     "StructSet", "STANDARD_STRUCTS", "STRUCT_KINDS",
     "ImplicitMap", "JetView", "Composite", "StackMap", "NewtonDiverged",
     "push", "apply_map", "tangent_of", "prolong_implicit", "jac_point",
-    "jac_batch", "solve_least_norm",
+    "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
-    "naturality_square", "NATURAL_TRANSFORMS",
+    "naturality_square",
 ]
 
 STRUCT_KINDS = ("proj", "zero", "add", "neg", "lift", "flip")
@@ -125,11 +125,8 @@ class TruncElem:
         return TruncElem(self.order, out)
 
     def recip(self) -> "TruncElem":
-        from .expr import DENOM_GUARD, DenominatorNearZero
-
+        # the base value is guarded where quotients are evaluated (_Jets)
         a = self.coeffs
-        if abs(a[0]) < DENOM_GUARD:
-            raise DenominatorNearZero("jet division by near-zero base value")
         out = np.zeros_like(a)
         out[0] = 1.0 / a[0]
         for s in range(1, len(a)):
@@ -144,7 +141,10 @@ class TruncElem:
             out[s] = -out[0] * acc
         return TruncElem(self.order, out)
 
-    def intpow(self, k: int) -> "TruncElem":
+    def __truediv__(self, other):
+        return self * other.recip()
+
+    def __pow__(self, k: int) -> "TruncElem":
         acc = TruncElem.const(self.order, 1.0)
         for _ in range(k):
             acc = acc * self
@@ -179,30 +179,23 @@ class TruncElem:
         return out
 
 
-def _eval_trunc(e, env: list, order: int) -> TruncElem:
-    if isinstance(e, Const):
-        return TruncElem.const(order, float(e.value))
-    if isinstance(e, Var):
-        return env[e.index]
-    if isinstance(e, Sum):
-        acc = _eval_trunc(e.terms[0], env, order)
-        for t in e.terms[1:]:
-            acc = acc + _eval_trunc(t, env, order)
-        return acc
-    if isinstance(e, Product):
-        acc = _eval_trunc(e.factors[0], env, order)
-        for t in e.factors[1:]:
-            acc = acc * _eval_trunc(t, env, order)
-        return acc
-    if isinstance(e, Pow):
-        return _eval_trunc(e.base, env, order).intpow(e.exponent)
-    if isinstance(e, Quot):
-        return _eval_trunc(e.num, env, order) * _eval_trunc(e.den, env, order).recip()
-    if isinstance(e, Neg):
-        return -_eval_trunc(e.arg, env, order)
-    if isinstance(e, Call):
-        return _eval_trunc(e.arg, env, order).apply_builtin(e.name)
-    raise TypeError(f"not an Expr: {e!r}")
+class _Jets:
+    """TruncElem of one order as a number kind for expr._evaluate."""
+
+    def __init__(self, order: int):
+        self.order = order
+
+    def const(self, c) -> TruncElem:
+        return TruncElem.const(self.order, float(c))
+
+    @staticmethod
+    def guard(den: TruncElem, e):
+        if abs(den.coeffs[0]) < DENOM_GUARD:
+            raise DenominatorNearZero("jet division by near-zero base value")
+
+    @staticmethod
+    def call(name: str, a: TruncElem) -> TruncElem:
+        return a.apply_builtin(name)
 
 
 def pushforward(f: SmoothMap, n: int, jp: JetPoint) -> JetPoint:
@@ -214,9 +207,10 @@ def pushforward(f: SmoothMap, n: int, jp: JetPoint) -> JetPoint:
     if jp.order != n:
         raise DimensionMismatch(f"jet order {jp.order} does not match n={n}")
     env = [TruncElem(n, jp.blocks[:, i]) for i in range(f.arity)]
+    num = _Jets(n)
     out = np.empty((1 << n, f.coarity))
     for j, comp in enumerate(f.components):
-        out[:, j] = _eval_trunc(comp, env, n).coeffs
+        out[:, j] = _evaluate(comp, env, num).coeffs
     return JetPoint(n, f.coarity, out)
 
 
@@ -265,7 +259,7 @@ def _add_formula(k: int) -> SmoothMap:
 
 def _neg_formula(k: int) -> SmoothMap:
     comps = [Var(i) for i in range(k)]
-    comps += [Neg(Var(k + i)) for i in range(k)]
+    comps += [neg(Var(k + i)) for i in range(k)]
     return smooth_map(2 * k, comps)
 
 
@@ -399,11 +393,12 @@ class ImplicitMap:
         out = np.zeros((1 << n, self.coarity))
         out[0] = y0
         env_x = [TruncElem(n, jp.blocks[:, i]) for i in range(self.arity)]
+        num = _Jets(n)
         masks = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
         for mask in masks:
             env_y = [TruncElem(n, out[:, j]) for j in range(self.coarity)]
             resid = [
-                _eval_trunc(c, env_x + env_y, n).coeffs[mask]
+                _evaluate(c, env_x + env_y, num).coeffs[mask]
                 for c in self.residual.components
             ]
             delta, *_ = np.linalg.lstsq(J, -np.asarray(resid), rcond=None)
@@ -597,13 +592,6 @@ def jac_point(f, x) -> np.ndarray:
         blocks = np.vstack([x, np.eye(f.arity)[j]])
         J[:, j] = push(f, 1, JetPoint(1, f.arity, blocks)).blocks[1]
     return J
-
-
-def jac_batch(f, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if isinstance(f, SmoothMap):
-        return jac_eval_batch(f, X)
-    return np.stack([jac_point(f, x) for x in X])
 
 
 # --------------------------------------------------------------------------
@@ -823,6 +811,3 @@ def naturality_square(kind: str, f: SmoothMap,
         return compose(struct_map("flip", 0, n, structs), T2f), \
             compose(T2f, struct_map("flip", 0, m, structs))
     raise KeyError(f"unknown structure map kind {kind!r}")
-
-
-NATURAL_TRANSFORMS = ("proj", "zero", "add", "neg", "lift", "flip")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Verdict", "LawResult", "CheckReport"]
+__all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict"]
 
 
 class Verdict(enum.Enum):
@@ -26,6 +26,22 @@ class Verdict(enum.Enum):
     @property
     def ok(self) -> bool:
         return self in (Verdict.PASS_EXACT, Verdict.PASS_NUMERIC)
+
+    @staticmethod
+    def reduce(verdicts) -> "Verdict":
+        """One verdict for many.  Skips are ignored; a single failure
+        dominates, unknown dominates passes, and exact survives only
+        when every verdict is exact."""
+        seen = [v for v in verdicts if v is not Verdict.SKIPPED]
+        if not seen:
+            return Verdict.SKIPPED
+        if Verdict.FAIL in seen:
+            return Verdict.FAIL
+        if Verdict.UNKNOWN in seen:
+            return Verdict.UNKNOWN
+        if all(v is Verdict.PASS_EXACT for v in seen):
+            return Verdict.PASS_EXACT
+        return Verdict.PASS_NUMERIC
 
 
 @dataclass(frozen=True)
@@ -74,18 +90,7 @@ class CheckReport:
 
     @property
     def aggregate(self) -> Verdict:
-        # A single failure dominates; unknown dominates passes; exact
-        # survives only when every law is exact.
-        seen = [e.verdict for e in self.entries if e.verdict is not Verdict.SKIPPED]
-        if not seen:
-            return Verdict.SKIPPED
-        if Verdict.FAIL in seen:
-            return Verdict.FAIL
-        if Verdict.UNKNOWN in seen:
-            return Verdict.UNKNOWN
-        if all(v is Verdict.PASS_EXACT for v in seen):
-            return Verdict.PASS_EXACT
-        return Verdict.PASS_NUMERIC
+        return Verdict.reduce(e.verdict for e in self.entries)
 
     @property
     def ok(self) -> bool:
@@ -121,7 +126,3 @@ def law_from_verdict(law_id: str, anchor: str, verdict_kind, *, exact_ok=True,
         law_id, anchor, Verdict.UNKNOWN, max_residual=v.max_residual,
         note=v.reason, provenance=provenance or {},
     )
-
-
-CheckReport.law_from_verdict = staticmethod(law_from_verdict)
-__all__.append("law_from_verdict")

@@ -12,23 +12,23 @@ evidence, not proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, compose,
-    concat_maps, con, cube, eval_map, projection, simplify_map, smooth_map,
-    sum_of,
+    concat_maps, con, cube, projection, simplify_map, smooth_map, sum_of,
+    _eval_any,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
-    induce_addition, lambda_base, vert_lambda,
+    induce_addition, vert_lambda,
 )
 from .jet import (
-    Composite, JetPoint, StackMap, apply_map, jac_point, push,
-    solve_least_norm, struct_map, tangent_map, tangent_of,
+    Composite, StackMap, jac_point, solve_least_norm, struct_map,
+    tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -277,12 +277,13 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         Z, discarded = _sample_apex(sq, depth, cfg, count)
         total_discard += discarded
 
-        B_img = _batch(top_t, Z)
-        C_img = _batch(left_t, Z)
+        B_img = _eval_any(top_t, Z)
+        C_img = _eval_any(left_t, Z)
         F_img = np.hstack([B_img, C_img])
 
         # (pre) commutation of the square itself
-        comm_res = np.abs(_batch(right_t, B_img) - _batch(bottom_t, C_img))
+        comm_res = np.abs(_eval_any(right_t, B_img)
+                          - _eval_any(bottom_t, C_img))
         worst = float(np.max(comm_res))
         if worst > max(cfg.tol, 1e-8):
             i = int(np.unravel_index(np.argmax(comm_res), comm_res.shape)[0])
@@ -330,22 +331,11 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         if surj.verdict in (Verdict.FAIL, Verdict.UNKNOWN):
             break
 
-    entries = (comm, inj, rank, surj)
-    if any(e.verdict is Verdict.FAIL for e in entries):
-        agg = Verdict.FAIL
-    elif any(e.verdict is Verdict.UNKNOWN for e in entries):
-        agg = Verdict.UNKNOWN
-    else:
-        agg = Verdict.PASS_NUMERIC
+    agg = Verdict.reduce(e.verdict for e in (comm, inj, rank, surj))
     return PullbackVerdict(
         square=sq.name, commutation=comm, injectivity=inj, rank=rank,
         surjectivity=surj, depth_checked=depth_cap, aggregate=agg,
         discarded=total_discard, cospan_outliers=total_outliers)
-
-
-def _batch(f, X: np.ndarray) -> np.ndarray:
-    from .expr import _eval_any
-    return _eval_any(f, X)
 
 
 def _collision(Z: np.ndarray, F: np.ndarray):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanbun.expr import (
-    Box, CheckConfig, DimensionMismatch, ParseError, SmoothMap, Var,
-    compose, con, concat_maps, cube, equal_maps, eval_batch, eval_exact,
+    Box, CheckConfig, DenominatorNearZero, DimensionMismatch, ExprError,
+    ParseError, SmoothMap, Var, compose, con, concat_maps, cube, equal_maps, eval_batch, eval_exact,
     eval_map, eval_mp, fanout, identity_map, jac_eval_batch,
     jacobian_exprs, juxtapose, parse_map, projection, simplify_map,
     smooth_map, to_source,
 )
+from tanbun.jet import JetPoint, pushforward
 
 CFG = CheckConfig(count=40, seed=7)
 
@@ -94,7 +95,7 @@ def test_eval_exact_matches_float():
 
 def test_eval_exact_refuses_builtins():
     f = parse_map("sin(x0)", 1)
-    with pytest.raises(Exception):
+    with pytest.raises(ExprError):
         eval_exact(f, [Fraction(0)])
 
 
@@ -103,6 +104,44 @@ def test_eval_mp_matches_numpy_to_high_precision():
     x = [0.3, -0.8]
     hi = [float(v) for v in eval_mp(f, x, dps=50)]
     assert np.allclose(hi, eval_map(f, x), rtol=1e-14, atol=1e-14)
+
+
+# (DSL source, exact value at (1/2, -2/3) or None, a point where a
+# denominator vanishes or None)
+EVAL_CASES = {
+    "polynomial": ("x0^3 - 2*x1 + 1/3, x0*x1^2 - x1",
+                   [Fraction(43, 24), Fraction(8, 9)], None),
+    "quotient": ("(x0 - x1^2)/(2 + x0*x1)", None, (2.0, -1.0)),
+    "analytic": ("exp(x0) - sin(x1)*cos(x0)", None, None),
+    "bump": ("bump(x0)/(1 - x1) - dbump(x1)^2, dbump(x0)", None, (0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_number_kinds_agree_on_every_node_kind(case):
+    src, exact, pole = EVAL_CASES[case]
+    f = parse_map(src, 2)
+    X = np.array([[0.25, 0.75], [0.6, 0.3], [0.9, 0.1]])
+    batch = eval_batch(f, X)
+    for x, row in zip(X, batch):
+        jet = pushforward(f, 0, JetPoint(0, 2, x[None, :])).blocks[0]
+        hi = [float(v) for v in eval_mp(f, x)]
+        assert np.allclose(jet, row, rtol=0, atol=1e-12)
+        assert np.allclose(hi, row, rtol=0, atol=1e-12)
+    point = [Fraction(1, 2), Fraction(-2, 3)]
+    if exact is None:
+        with pytest.raises(ExprError):
+            eval_exact(f, point)
+    else:
+        assert eval_exact(f, point) == exact
+    if pole is not None:
+        x = np.array(pole)
+        with pytest.raises(DenominatorNearZero):
+            eval_batch(f, x[None, :])
+        with pytest.raises(DenominatorNearZero):
+            eval_mp(f, x)
+        with pytest.raises(DenominatorNearZero):
+            pushforward(f, 0, JetPoint(0, 2, x[None, :]))
 
 
 def test_eval_batch_matches_pointwise():

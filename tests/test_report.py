@@ -22,6 +22,16 @@ def test_aggregate_is_the_worst_entry():
     rep.add(_law("d", Verdict.FAIL))
     assert rep.aggregate is Verdict.FAIL
     assert not rep.ok
+    # the same rule, called on bare verdicts
+    assert Verdict.reduce(e.verdict for e in rep.entries) is Verdict.FAIL
+    assert Verdict.reduce([Verdict.PASS_EXACT, Verdict.SKIPPED,
+                           Verdict.UNKNOWN]) is Verdict.UNKNOWN
+    assert Verdict.reduce([Verdict.SKIPPED, Verdict.PASS_EXACT]) \
+        is Verdict.PASS_EXACT
+    assert Verdict.reduce([Verdict.PASS_EXACT, Verdict.PASS_NUMERIC]) \
+        is Verdict.PASS_NUMERIC
+    assert Verdict.reduce([Verdict.SKIPPED]) is Verdict.SKIPPED
+    assert Verdict.reduce([]) is Verdict.SKIPPED
 
 
 def test_all_exact_aggregates_exact():
