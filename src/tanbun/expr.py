@@ -7,6 +7,8 @@ evaluation, and symbolic differentiation.  One interpreter, `_evaluate`,
 evaluates an AST over any of four number kinds: float64 arrays (one
 value per sample point), exact `Fraction`s (polynomials only), mpmath
 high precision, and the truncated jet algebra of `jet.TruncElem`.
+Each map compiles its float Jacobian once, on first use: constant
+entries go into a template and only the others are evaluated per batch.
 Symbolic differentiation is deliberately independent of the jet engine
 so the two can cross-check each other.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -445,6 +448,21 @@ class SmoothMap:
     def __call__(self, x):
         return eval_map(self, x)
 
+    @cached_property
+    def _jac_plan(self):
+        """The float Jacobian, compiled once on first use: a (coarity,
+        arity) template holding every constant entry, and the other
+        entries as (i, j, expr) in row-major order."""
+        template = np.zeros((self.coarity, self.arity))
+        live = []
+        for i, row in enumerate(jacobian_exprs(self)):
+            for j, e in enumerate(row):
+                if type(e) is Const:
+                    template[i, j] = float(e.value)
+                else:
+                    live.append((i, j, e))
+        return template, tuple(live)
+
 
 def _free_vars(e: Expr, acc=None) -> set:
     if acc is None:
@@ -763,21 +781,29 @@ def _evaluate(e: Expr, env, num):
 
 
 class _Floats:
-    """float64 arrays shaped like `like`: one value per sample point."""
+    """float64 arrays, one value per each of n sample points.
 
-    def __init__(self, like: np.ndarray):
-        self.like = like
+    A constant is a float scalar, which numpy broadcasts and rounds as it
+    would a filled array.  A builtin fills a constant argument to n
+    values first, so every other value is an array: numpy's scalar `**`
+    rounds differently from its array `**`.
+    """
 
-    def const(self, c: Fraction) -> np.ndarray:
-        return np.full_like(self.like, float(c))
+    def __init__(self, n: int):
+        self.n = n
+
+    @staticmethod
+    def const(c: Fraction) -> float:
+        return float(c)
 
     @staticmethod
     def guard(den, e):
         if np.any(np.abs(den) < DENOM_GUARD):
             raise DenominatorNearZero(f"denominator near zero in {_print(e, 0)}")
 
-    @staticmethod
-    def call(name, a):
+    def call(self, name, a):
+        if np.ndim(a) == 0:
+            a = np.full(self.n, a)
         if name in _ANALYTIC:
             return getattr(np, name)(a)
         return _bump_deriv_batch(a, _bump_order(name))
@@ -818,21 +844,20 @@ class _Mp:
         return bump_coeffs_mp(a, k)[k] * self.mp.factorial(k)
 
 
-def _float_env(X: np.ndarray, arity: int):
-    """The columns of X as a Var environment, and their number kind."""
-    cols = [X[:, i] for i in range(arity)] or [np.zeros(X.shape[0])]
-    return cols, _Floats(cols[0])
-
-
-def eval_batch(f: SmoothMap, X) -> np.ndarray:
-    """Evaluate f at a batch of points, shape (n, arity) -> (n, coarity)."""
+def _check_batch(f: SmoothMap, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != f.arity:
         raise DimensionMismatch(
             f"batch of shape {X.shape} fed to map of arity {f.arity}"
         )
-    cols, num = _float_env(X, f.arity)
-    out = np.empty((X.shape[0], f.coarity))
+    return X
+
+
+def eval_batch(f: SmoothMap, X) -> np.ndarray:
+    """Evaluate f at a batch of points, shape (n, arity) -> (n, coarity)."""
+    X = _check_batch(f, X)
+    cols, num = list(X.T), _Floats(len(X))
+    out = np.empty((len(X), f.coarity))
     for j, c in enumerate(f.components):
         out[:, j] = _evaluate(c, cols, num)
     return out
@@ -1081,31 +1106,17 @@ def jacobian_exprs(f: SmoothMap) -> list:
     ]
 
 
-_JAC_CACHE: dict = {}
-
-
-def _jac_rows_cached(f: SmoothMap):
-    """Derivative ASTs are pure functions of the map; keep them around so
-    repeated Jacobian evaluation does not re-differentiate."""
-    entry = _JAC_CACHE.get(id(f))
-    if entry is not None and entry[0] is f:
-        return entry[1]
-    rows = jacobian_exprs(f)
-    if len(_JAC_CACHE) > 512:
-        _JAC_CACHE.clear()
-    _JAC_CACHE[id(f)] = (f, rows)
-    return rows
-
-
 def jac_eval_batch(f: SmoothMap, X) -> np.ndarray:
-    """Jacobians at a batch of points, shape (n, coarity, arity)."""
-    X = np.asarray(X, dtype=float)
-    cols, num = _float_env(X, f.arity)
-    J = np.empty((X.shape[0], f.coarity, f.arity))
-    rows = _jac_rows_cached(f)
-    for i in range(f.coarity):
-        for j in range(f.arity):
-            J[:, i, j] = _evaluate(rows[i][j], cols, num)
+    """Jacobians at a batch of points, shape (n, arity) -> (n, coarity,
+    arity).  Constant entries come from the map's compiled template; only
+    the others are evaluated, in row-major order."""
+    X = _check_batch(f, X)
+    template, live = f._jac_plan
+    J = np.empty((len(X), f.coarity, f.arity))
+    J[:] = template
+    cols, num = list(X.T), _Floats(len(X))
+    for i, j, e in live:
+        J[:, i, j] = _evaluate(e, cols, num)
     return J
 
 

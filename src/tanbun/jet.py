@@ -158,18 +158,23 @@ class TruncElem:
     def apply_builtin(self, name: str) -> "TruncElem":
         n = self.order
         a0 = float(self.coeffs[0])
-        if name == "exp":
-            derivs = [math.exp(a0)] * (n + 1)
-        elif name == "sin":
-            cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
-            derivs = [cyc[m % 4] for m in range(n + 1)]
-        elif name == "cos":
-            cyc = [math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)]
-            derivs = [cyc[m % 4] for m in range(n + 1)]
-        else:
-            k = _bump_order(name)
-            coeffs = bump_coeffs(a0, k + n)
-            derivs = [coeffs[k + m] * math.factorial(k + m) for m in range(n + 1)]
+        try:
+            if name == "exp":
+                derivs = [math.exp(a0)] * (n + 1)
+            elif name == "sin":
+                cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
+                derivs = [cyc[m % 4] for m in range(n + 1)]
+            elif name == "cos":
+                cyc = [math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)]
+                derivs = [cyc[m % 4] for m in range(n + 1)]
+            else:
+                k = _bump_order(name)
+                coeffs = bump_coeffs(a0, k + n)
+                derivs = [coeffs[k + m] * math.factorial(k + m)
+                          for m in range(n + 1)]
+        except (OverflowError, ValueError) as err:
+            # math.exp(1000.0) and math.sin(inf) raise where numpy gives inf, nan
+            raise ExprError(f"{name}({a0!r}) in a jet: {err}") from None
         nil = self.nilpotent_part()
         out = TruncElem.const(n, derivs[0])
         power = TruncElem.const(n, 1.0)

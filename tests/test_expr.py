@@ -13,6 +13,7 @@ from tanbun.expr import (
     jacobian_exprs, juxtapose, parse_map, projection, simplify_map,
     smooth_map, to_source,
 )
+from tanbun import expr
 from tanbun.jet import JetPoint, pushforward
 
 CFG = CheckConfig(count=40, seed=7)
@@ -114,6 +115,7 @@ EVAL_CASES = {
     "quotient": ("(x0 - x1^2)/(2 + x0*x1)", None, (2.0, -1.0)),
     "analytic": ("exp(x0) - sin(x1)*cos(x0)", None, None),
     "bump": ("bump(x0)/(1 - x1) - dbump(x1)^2, dbump(x0)", None, (0.5, 1.0)),
+    "constant": ("3/4, exp(1), exp(1)*x0 - x1", None, None),
 }
 
 
@@ -123,6 +125,7 @@ def test_number_kinds_agree_on_every_node_kind(case):
     f = parse_map(src, 2)
     X = np.array([[0.25, 0.75], [0.6, 0.3], [0.9, 0.1]])
     batch = eval_batch(f, X)
+    assert batch.dtype == np.float64 and batch.shape == (len(X), f.coarity)
     for x, row in zip(X, batch):
         jet = pushforward(f, 0, JetPoint(0, 2, x[None, :])).blocks[0]
         hi = [float(v) for v in eval_mp(f, x)]
@@ -191,6 +194,65 @@ def test_jac_eval_batch_matches_finite_differences():
             e[j] = h
             fd = (eval_map(f, x + e) - eval_map(f, x - e)) / (2 * h)
             assert np.allclose(J[i][:, j], fd, atol=1e-7)
+    for bad in ([[1.0, 2.0, 99.0]], [[1.0]], [1.0, 2.0]):
+        for evaluate in (eval_batch, jac_eval_batch):
+            with pytest.raises(DimensionMismatch):
+                evaluate(f, bad)
+
+
+class _FilledFloats(expr._Floats):
+    """The float kind with every constant filled to an array."""
+
+    def const(self, c):
+        return np.full(self.n, float(c))
+
+
+# Jacobians with zero and non-zero constant entries, quotients, builtins,
+# bumps and builtins of constants; numpy's scalar power differs from its
+# array power at exp(9/8)^4.
+PLAN_MAPS = (
+    "x0*x1 + 3*x0, 2*x1, x0^2 - 5",
+    "(x0 - x1^2)/(2 + x0*x1), sin(x0)*x1, bump(x0) + dbump(x1)",
+    "exp(1)*x0 + exp(9/8)^4*x1^2, cos(2)/(x0^2 + 1), 1/exp(x1)",
+)
+
+
+@pytest.mark.parametrize("src", PLAN_MAPS)
+def test_jacobian_plan_matches_entrywise_evaluation(src, monkeypatch):
+    differentiated = []
+
+    def counting_jacobian_exprs(f):
+        differentiated.append(f)
+        return jacobian_exprs(f)
+
+    monkeypatch.setattr(expr, "jacobian_exprs", counting_jacobian_exprs)
+    f = parse_map(src, 2)
+    X = cube(2).sample(CFG.rng("plan"), 7)
+    num, cols = _FilledFloats(len(X)), list(X.T)
+    ref = np.empty((len(X), f.coarity, f.arity))
+    for i, row in enumerate(jacobian_exprs(f)):
+        for j, e in enumerate(row):
+            ref[:, i, j] = expr._evaluate(e, cols, num)
+    for _ in range(3):
+        assert np.array_equal(jac_eval_batch(f, X), ref)
+        assert np.array_equal(jac_eval_batch(f, X[:1]), ref[:1])
+    assert differentiated == [f]
+    values = [expr._evaluate(c, cols, num) for c in f.components]
+    assert np.array_equal(eval_batch(f, X), np.stack(values, axis=1))
+
+
+def test_jacobian_plan_guards_live_quotients():
+    # entries (0, 1) and (1, 0) are quotients with poles at (2, -2); the
+    # message prints the quotient, so it names the entry that raised first
+    f = parse_map("x0^2 + 1/(2 + x1), 1/(x0 - 2) + x1", 2)
+    X = np.array([[0.5, 0.5], [2.0, -2.0]])
+    with pytest.raises(DenominatorNearZero) as ref:
+        for row in jacobian_exprs(f):
+            for e in row:
+                expr._evaluate(e, list(X.T), _FilledFloats(len(X)))
+    with pytest.raises(DenominatorNearZero) as got:
+        jac_eval_batch(f, X)
+    assert str(got.value) == str(ref.value)
 
 
 # --------------------------------------------------------------------------

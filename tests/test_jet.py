@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanbun.expr import (
-    CheckConfig, Var, compose, con, cube, equal_maps, eval_batch, eval_map,
-    parse_map, smooth_map,
+    CheckConfig, ExprError, Var, compose, con, cube, equal_maps, eval_batch,
+    eval_map, parse_map, smooth_map,
 )
 from tanbun.jet import (
     AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
@@ -208,6 +208,15 @@ def test_newton_divergence_is_reported():
                       name="empty")
     with pytest.raises(NewtonDiverged):
         imp.eval_point(np.array([0.0]))
+
+
+def test_jet_builtin_overflow_is_an_expr_error():
+    # the float kind gives inf here; math.exp in the jet algebra raises
+    f = parse_map("exp(x0)", 1)
+    with pytest.raises(ExprError, match=r"exp\(1000\.0\)"):
+        pushforward(f, 1, JetPoint(1, 1, [[1000.0], [1.0]]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(eval_batch(f, [[1000.0]])[0, 0])
 
 
 # --------------------------------------------------------------------------
