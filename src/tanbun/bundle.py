@@ -22,7 +22,7 @@ from .expr import (
     symbolic_derivative_expr,
 )
 from .jet import (
-    ImplicitMap, NewtonDiverged, apply_map, solve_least_norm, struct_map,
+    ImplicitMap, NewtonDiverged, apply_map, solve_batch, struct_map,
     tangent_map,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
@@ -177,27 +177,25 @@ def fibre_matched_tuples(q: SmoothMap, total_box: Box, cfg: CheckConfig,
     rest_raw = [total_box.sample(rng, n) for _ in range(width - 1)]
     base_targets = eval_batch(q, first)
 
-    keep = []
-    cols = [[] for _ in range(width)]
-    discarded = 0
-    for i in range(n):
-        members = [first[i]]
-        ok = True
-        for raw in rest_raw:
-            z = solve_least_norm(q, base_targets[i], raw[i])
-            if z is None or not total_box.contains(z, slack=0.5):
-                ok = False
-                break
-            members.append(z)
-        if ok:
-            keep.append(i)
-            for j, m in enumerate(members):
-                cols[j].append(m)
-        else:
-            discarded += 1
-    if not keep:
+    # one batched solve per member, on the rows whose earlier members
+    # were all found inside the box
+    alive = np.arange(n)
+    members = [first]
+    errors = {}
+    for raw in rest_raw:
+        Z, ok, errs = solve_batch(q, base_targets[alive], raw[alive])
+        errors.update((int(alive[k]), err) for k, err in errs.items())
+        inside = [ok[k] and total_box.contains(z, slack=0.5)
+                  for k, z in enumerate(Z)]
+        member = np.empty_like(raw)
+        member[alive] = Z
+        members.append(member)
+        alive = alive[np.asarray(inside, dtype=bool)]
+    if errors:
+        raise errors[min(errors)]   # the first row a row-by-row loop meets
+    if not alive.size:
         raise NotWellTyped(f"{tag}: no well-typed {width}-tuples found")
-    return [np.asarray(c) for c in cols], discarded
+    return [m[alive] for m in members], n - len(alive)
 
 
 # --------------------------------------------------------------------------

@@ -115,6 +115,11 @@ class Const(Expr):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
+    @cached_property
+    def as_float(self) -> float:
+        """float(value), converted once per node."""
+        return float(self.value)
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -458,7 +463,7 @@ class SmoothMap:
         for i, row in enumerate(jacobian_exprs(self)):
             for j, e in enumerate(row):
                 if type(e) is Const:
-                    template[i, j] = float(e.value)
+                    template[i, j] = e.as_float
                 else:
                     live.append((i, j, e))
         return template, tuple(live)
@@ -750,13 +755,13 @@ def _evaluate(e: Expr, env, num):
 
     Sums and products fold left to right, Pow uses `**`, and a
     quotient's denominator is evaluated and guarded before its
-    numerator.  `num` supplies the rest: `const(Fraction)`,
+    numerator.  `num` supplies the rest: `const(Const)`,
     `guard(den, quot)` and `call(name, arg)`.  Constants are tested
     first: most entries of a Jacobian are constant.
     """
     t = type(e)
     if t is Const:
-        return num.const(e.value)
+        return num.const(e)
     if t is Var:
         return env[e.index]
     if t is Sum:
@@ -793,8 +798,8 @@ class _Floats:
         self.n = n
 
     @staticmethod
-    def const(c: Fraction) -> float:
-        return float(c)
+    def const(c: Const) -> float:
+        return c.as_float
 
     @staticmethod
     def guard(den, e):
@@ -813,8 +818,8 @@ class _Exact:
     """Fractions; quotients and builtins have no exact value here."""
 
     @staticmethod
-    def const(c: Fraction) -> Fraction:
-        return c
+    def const(c: Const) -> Fraction:
+        return c.value
 
     @staticmethod
     def guard(*_):
@@ -829,8 +834,8 @@ class _Mp:
     def __init__(self, mp):
         self.mp = mp
 
-    def const(self, c: Fraction):
-        return self.mp.mpf(c.numerator) / c.denominator
+    def const(self, c: Const):
+        return self.mp.mpf(c.value.numerator) / c.value.denominator
 
     @staticmethod
     def guard(den, e):

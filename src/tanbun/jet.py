@@ -31,7 +31,7 @@ from .expr import (
     con, concat_maps, cube, eval_map, equal_maps, identity_map,
     jac_eval_batch, jacobian_exprs, neg, product_of, projection,
     simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
-    _evaluate,
+    _eval_any, _evaluate,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
@@ -39,8 +39,8 @@ __all__ = [
     "JetPoint", "TruncElem", "pushforward", "tangent_map", "struct_map",
     "StructSet", "STANDARD_STRUCTS", "STRUCT_KINDS",
     "ImplicitMap", "JetView", "Composite", "StackMap", "NewtonDiverged",
-    "push", "apply_map", "tangent_of", "prolong_implicit", "jac_point",
-    "solve_least_norm",
+    "push", "apply_map", "apply_batch", "tangent_of", "prolong_implicit",
+    "jac_point", "jac_batch", "solve_batch", "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
     "naturality_square",
 ]
@@ -191,7 +191,7 @@ class _Jets:
         self.order = order
 
     def const(self, c) -> TruncElem:
-        return TruncElem.const(self.order, float(c))
+        return TruncElem.const(self.order, c.as_float)
 
     @staticmethod
     def guard(den: TruncElem, e):
@@ -548,28 +548,99 @@ def apply_map(f, x) -> np.ndarray:
     return np.asarray(f.eval_point(np.asarray(x, dtype=float)), dtype=float)
 
 
+def apply_batch(f, X) -> np.ndarray:
+    """Values of any map-like object at a batch of points, (n, coarity):
+    a SmoothMap in one vectorised call, a StackMap part by part, any
+    other map point by point."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(f, StackMap):
+        return np.hstack([apply_batch(p, X) for p in f.parts])
+    return _eval_any(f, X)
+
+
+def _each_row(fn, f, X):
+    """fn(f, X) over the batch X, or over its rows one at a time when the
+    batch raises an ExprError, so that only the failing rows are lost.
+    Returns (kept, values, errors): the indices of the rows that
+    evaluated, their values, and the error of each other row."""
+    try:
+        return np.arange(len(X)), fn(f, X), {}
+    except ExprError as err:
+        if len(X) == 1:
+            return np.arange(0), np.empty(0), {0: err}
+    kept, vals, errors = [], [], {}
+    for k in range(len(X)):
+        try:
+            vals.append(fn(f, X[k:k + 1]))
+        except ExprError as err:
+            errors[k] = err
+        else:
+            kept.append(k)
+    return (np.array(kept, dtype=int),
+            np.concatenate(vals) if vals else np.empty(0), errors)
+
+
+def solve_batch(f, targets, starts, tol: float = 1e-11, max_iter: int = 40):
+    """Gauss-Newton with least-norm steps, one row per (target, start).
+
+    Every row follows the iteration a one-row solve would: each step
+    evaluates only the rows still running, with one apply_batch and one
+    jac_batch call, and solves each row's own lstsq (a stacked solve
+    would round differently).  Returns (Z, ok, errors).  ok[k] is False
+    where row k's value could not be evaluated, a step was not finite or
+    the iterations ran out; errors maps each row whose Jacobian or step
+    raised to that exception, which a one-row solve raises, so a caller
+    that solves in sample order raises the one of the first such row.
+    """
+    Z = np.array(starts, dtype=float)
+    T = np.asarray(targets, dtype=float)
+    ok = np.zeros(len(Z), dtype=bool)
+    errors = {}
+    live = np.arange(len(Z))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        kept, F, _ = _each_row(apply_batch, f, Z[live])
+        live = live[kept]
+        if not live.size:
+            break
+        R = F - T[live]
+        done = np.max(np.abs(R), axis=1) < tol
+        ok[live[done]] = True
+        live, R = live[~done], R[~done]
+        if not live.size:
+            break
+        kept, J, errs = _each_row(jac_batch, f, Z[live])
+        errors.update((int(live[k]), err) for k, err in errs.items())
+        running = []
+        for Jk, pos in zip(J, kept):
+            k = int(live[pos])
+            try:
+                step, *_ = np.linalg.lstsq(Jk, -R[pos], rcond=None)
+            except np.linalg.LinAlgError as err:
+                errors[k] = err
+                continue
+            if np.all(np.isfinite(step)):
+                Z[k] = Z[k] + step
+                running.append(k)
+        live = np.array(running, dtype=int)
+    return Z, ok, errors
+
+
 def solve_least_norm(f, target, z0, tol: float = 1e-11,
                      max_iter: int = 40) -> np.ndarray | None:
-    """Drive f(z) to target by Gauss-Newton with least-norm steps.
+    """Drive f(z) to target by Gauss-Newton with least-norm steps: the
+    one-row case of solve_batch.
 
     Returns the solution nearest-ish to z0, or None when the iteration
     fails to converge (callers discard and count such samples).
     """
-    z = np.asarray(z0, dtype=float).copy()
-    target = np.asarray(target, dtype=float)
-    for _ in range(max_iter):
-        try:
-            r = apply_map(f, z) - target
-        except ExprError:
-            return None
-        if np.max(np.abs(r)) < tol:
-            return z
-        J = jac_point(f, z)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        z = z + step
-    return None
+    Z, ok, errors = solve_batch(
+        f, np.asarray(target, dtype=float)[None, :],
+        np.asarray(z0, dtype=float)[None, :], tol, max_iter)
+    if errors:
+        raise errors[0]
+    return Z[0] if ok[0] else None
 
 
 def tangent_of(f, n: int):
@@ -596,6 +667,21 @@ def jac_point(f, x) -> np.ndarray:
     for j in range(f.arity):
         blocks = np.vstack([x, np.eye(f.arity)[j]])
         J[:, j] = push(f, 1, JetPoint(1, f.arity, blocks)).blocks[1]
+    return J
+
+
+def jac_batch(f, X) -> np.ndarray:
+    """Jacobians of any map-like object at a batch of points, (n,
+    coarity, arity): a SmoothMap in one vectorised call, a StackMap part
+    by part, any other map point by point."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(f, SmoothMap):
+        return jac_eval_batch(f, X)
+    if isinstance(f, StackMap):
+        return np.concatenate([jac_batch(p, X) for p in f.parts], axis=1)
+    J = np.empty((len(X), f.coarity, f.arity))
+    for k, x in enumerate(X):
+        J[k] = jac_point(f, x)
     return J
 
 

@@ -27,8 +27,8 @@ from .bundle import (
     induce_addition, vert_lambda,
 )
 from .jet import (
-    Composite, StackMap, jac_point, solve_least_norm, struct_map,
-    tangent_map, tangent_of,
+    Composite, StackMap, jac_batch, solve_batch, solve_least_norm,
+    struct_map, tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -215,13 +215,6 @@ def _numeric_rank(s: np.ndarray) -> int:
     return int(np.sum(s >= RANK_TOL * top))
 
 
-def _kernel_basis(J: np.ndarray) -> np.ndarray:
-    """Columns spanning ker J, by SVD."""
-    _, s, vh = np.linalg.svd(J)
-    r = _numeric_rank(s)
-    return vh[r:].T
-
-
 def _sample_apex(sq: CommutingSquare, depth: int, cfg: CheckConfig,
                  count: int):
     """Flat jet samples on the depth-level apex, constraint-projected."""
@@ -233,16 +226,12 @@ def _sample_apex(sq: CommutingSquare, depth: int, cfg: CheckConfig,
     if sq.constraint is None:
         return raw, 0
     g_t = tangent_map(sq.constraint, depth)
-    kept, discarded = [], 0
-    for z in raw:
-        zz = solve_least_norm(g_t, np.zeros(g_t.coarity), z)
-        if zz is None:
-            discarded += 1
-        else:
-            kept.append(zz)
-    if not kept:
+    Zp, ok, errors = solve_batch(g_t, np.zeros((count, g_t.coarity)), raw)
+    if errors:
+        raise errors[min(errors)]
+    if not ok.any():
         raise RankDeficientCospan(f"{sq.name}: apex projection found no samples")
-    return np.asarray(kept), discarded
+    return Zp[ok], count - int(ok.sum())
 
 
 def _prov(cfg, depth, extra=None):
@@ -338,46 +327,69 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         discarded=total_discard, cospan_outliers=total_outliers)
 
 
+def _pairwise_max(X: np.ndarray) -> np.ndarray:
+    """(n, n) max-norm distances between the rows of X, one coordinate
+    at a time."""
+    d = np.zeros((len(X), len(X)))
+    for col in X.T:
+        np.maximum(d, np.abs(col[None, :] - col[:, None]), out=d)
+    return d
+
+
 def _collision(Z: np.ndarray, F: np.ndarray):
-    n = len(Z)
-    for i in range(n):
-        d_img = np.max(np.abs(F[i + 1:] - F[i]), axis=1)
-        d_dom = np.max(np.abs(Z[i + 1:] - Z[i]), axis=1)
-        bad = np.nonzero((d_img < MATCH_TOL) & (d_dom > DISTINCT_TOL))[0]
-        if bad.size:
-            return i, i + 1 + int(bad[0])
-    return None
+    """The first pair i < j, in lexicographic order, of distinct apex
+    points with the same image."""
+    bad = (_pairwise_max(F) < MATCH_TOL) & (_pairwise_max(Z) > DISTINCT_TOL)
+    i, j = np.nonzero(np.triu(bad, 1))
+    return (int(i[0]), int(j[0])) if i.size else None
 
 
-def _apex_basis(g_t, z: np.ndarray, apex_flat: int):
-    if g_t is None:
-        return np.eye(apex_flat)
-    return _kernel_basis(jac_point(g_t, z))
-
-
-def _fp_tangent_dim(right_t, bottom_t, b: np.ndarray, c: np.ndarray) -> int:
-    Jr = jac_point(right_t, b)
-    Jb = jac_point(bottom_t, c)
-    M = np.hstack([Jr, -Jb])
+def _fp_tangent_dims(right_t, bottom_t, B_img, C_img) -> list:
+    """Fibre-product tangent dimension at each sample: the nullity of
+    [J_right | -J_bottom], from one stacked SVD."""
+    try:
+        Jr, Jb = jac_batch(right_t, B_img), jac_batch(bottom_t, C_img)
+    except ExprError:
+        for b, c in zip(B_img, C_img):   # raise the first sample's error
+            jac_batch(right_t, b[None])
+            jac_batch(bottom_t, c[None])
+        raise
+    M = np.concatenate([Jr, -Jb], axis=2)
     s = np.linalg.svd(M, compute_uv=False)
-    return M.shape[1] - _numeric_rank(s)
+    return [M.shape[2] - _numeric_rank(si) for si in s]
 
 
-def _restricted_sv(top_t, left_t, g_t, z: np.ndarray, apex_flat: int):
-    """Singular values of the cone Jacobian restricted to the apex
-    tangent space, plus the apex tangent dimension."""
-    B = _apex_basis(g_t, z, apex_flat)
-    k = B.shape[1]
-    if k == 0:
-        return np.empty(0), 0
-    JF = np.vstack([jac_point(top_t, z), jac_point(left_t, z)])
-    return np.linalg.svd(JF @ B, compute_uv=False), k
+def _restricted_svs(top_t, left_t, g_t, Zs: np.ndarray, apex_flat: int):
+    """Per row of Zs: the singular values of the cone Jacobian restricted
+    to the apex tangent space (ker of the constraint's Jacobian), and
+    that space's dimension.  Stacked SVDs, one per shape."""
+    if not len(Zs):
+        return []
+    if g_t is None:
+        bases = [np.eye(apex_flat)] * len(Zs)
+    else:
+        _, s, vh = np.linalg.svd(jac_batch(g_t, Zs))
+        bases = [v[_numeric_rank(si):].T for si, v in zip(s, vh)]
+    out = [(np.empty(0), 0)] * len(Zs)
+    live = [k for k, B in enumerate(bases) if B.shape[1]]
+    if not live:
+        return out
+    JF = np.concatenate([jac_batch(top_t, Zs[live]),
+                         jac_batch(left_t, Zs[live])], axis=1)
+    by_dim = {}
+    for J, k in zip(JF, live):
+        by_dim.setdefault(bases[k].shape[1], []).append((k, J @ bases[k]))
+    for group in by_dim.values():
+        S = np.linalg.svd(np.stack([P for _, P in group]), compute_uv=False)
+        for (k, P), sk in zip(group, S):
+            out[k] = (sk, P.shape[1])
+    return out
 
 
 def _restricted_ratio(top_t, left_t, g_t, z: np.ndarray, apex_flat: int):
     """(sigma_min/sigma_max of the restricted cone Jacobian, apex tangent
     dim); the ratio is 0.0 for a collapsed direction."""
-    s, k = _restricted_sv(top_t, left_t, g_t, z, apex_flat)
+    (s, k), = _restricted_svs(top_t, left_t, g_t, z[None], apex_flat)
     if k == 0:
         return 1.0, 0
     if len(s) < k or s[0] == 0:
@@ -388,19 +400,21 @@ def _restricted_ratio(top_t, left_t, g_t, z: np.ndarray, apex_flat: int):
 def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
                g_t, cfg):
     apex_flat = Z.shape[1]
-    fp_dims = [
-        _fp_tangent_dim(right_t, bottom_t, B_img[i], C_img[i])
-        for i in range(len(Z))
-    ]
+    fp_dims = _fp_tangent_dims(right_t, bottom_t, B_img, C_img)
     vals, counts = np.unique(fp_dims, return_counts=True)
     modal = int(vals[np.argmax(counts)])
     outliers = int(np.sum(np.asarray(fp_dims) != modal))
 
+    # where the cospan is not transversal the sample is discarded
+    rows = [i for i in range(len(Z)) if fp_dims[i] == modal]
+    try:
+        svs = _restricted_svs(top_t, left_t, g_t, Z[rows], apex_flat)
+    except ExprError:
+        svs = None       # evaluated per sample below, in sample order
     scored = []      # (sigma_min, ratio, index) for the witness search
-    for i in range(len(Z)):
-        if fp_dims[i] != modal:
-            continue          # cospan not transversal here: discarded
-        s, apex_tdim = _restricted_sv(top_t, left_t, g_t, Z[i], apex_flat)
+    for pos, i in enumerate(rows):
+        s, apex_tdim = svs[pos] if svs is not None else _restricted_svs(
+            top_t, left_t, g_t, Z[i:i + 1], apex_flat)[0]
         if apex_tdim != modal:
             res = LawResult(
                 "rank", "cone Jacobian spans the fibre-product tangent",
@@ -462,11 +476,13 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
             z = solve_least_norm(g_t, np.zeros(g_t.coarity), z)
         return z
 
+    def sigma_min(sv):
+        s, k = sv
+        return 0.0 if k == 0 or len(s) < k else float(s[k - 1])
+
     def sigma_at(z):
-        s, k = _restricted_sv(top_t, left_t, g_t, z, apex_flat)
-        if k == 0 or len(s) < k:
-            return 0.0
-        return float(s[k - 1])
+        return sigma_min(
+            _restricted_svs(top_t, left_t, g_t, z[None], apex_flat)[0])
 
     deep = float(np.log(1e-10))
     state = {"val": np.inf, "z": None}
@@ -488,15 +504,24 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
     rng = cfg.rng(f"{sq.name}:witness")
     extra = rng.uniform(box_lo, box_hi, size=(40 * apex_flat, apex_flat))
     cands = [Z[i] for i in info["seeds"]]
-    pool = []
-    for z in extra:
-        z = project(z)
-        if z is None:
-            continue
-        try:
-            pool.append((sigma_at(z), z))
-        except ExprError:
-            continue
+    # the extra samples, projected in one solve and scored in one stacked
+    # SVD; one by one when that raises, skipping the samples that do
+    P = np.clip(extra, box_lo, box_hi)
+    if g_t is not None:
+        P, ok, errors = solve_batch(g_t, np.zeros((len(P), g_t.coarity)), P)
+        if errors:
+            raise errors[min(errors)]
+        P = P[ok]
+    try:
+        pool = [(sigma_min(sv), z) for sv, z in zip(
+            _restricted_svs(top_t, left_t, g_t, P, apex_flat), P)]
+    except ExprError:
+        pool = []
+        for z in P:
+            try:
+                pool.append((sigma_at(z), z))
+            except ExprError:
+                continue
     pool.sort(key=lambda t: t[0])
     cands.extend(z for _, z in pool[:2])
 
@@ -537,6 +562,47 @@ def _fp_projector(right_t, bottom_t):
     return SmoothMap(nb + nc, comps)
 
 
+def _fp_targets(fp_map, raw, apex_flat, rng):
+    """Fibre-product targets for the surjectivity tries, with the start
+    kicks drawn for them.
+
+    A try draws its target noise and, once its target is found, two
+    start kicks.  The draws here assume every target is found and solve
+    a stretch of tries in one batch; at the first try whose target
+    stalls the generator is rewound to just past that try's noise, and
+    the next stretch starts after it, so the stream is the one a
+    try-by-try loop reads.  The solves after a stall are wasted, so a
+    stretch is at most twice as long as the run of tries before it.
+    Returns (targets, found, kicks, error): error is the first try whose
+    target solve raised, with its exception, or None; the tries after
+    it are not drawn."""
+    n_try = len(raw)
+    targets = np.empty_like(raw)
+    found = np.zeros(n_try, dtype=bool)
+    kicks = np.empty((n_try, 2, apex_flat))
+    t0, size = 0, n_try
+    while t0 < n_try:
+        noisy = raw[t0:t0 + size].copy()
+        states = []
+        for k in range(len(noisy)):
+            noisy[k] += rng.normal(0.0, 0.05, raw.shape[1])
+            states.append(rng.bit_generator.state)
+            kicks[t0 + k] = rng.normal(0.0, 0.01, (2, apex_flat))
+        sol, ok, errors = solve_batch(
+            fp_map, np.zeros((len(noisy), fp_map.coarity)), noisy)
+        k = int(np.argmin(ok)) if not ok.all() else len(noisy)
+        targets[t0:t0 + k] = sol[:k]
+        found[t0:t0 + k] = True
+        if k < len(noisy):
+            if k in errors:
+                return targets, found, kicks, (t0 + k, errors[k])
+            rng.bit_generator.state = states[k]
+            k += 1          # the stalled try
+        t0 += k
+        size = 2 * k
+    return targets, found, kicks, None
+
+
 def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                   bottom_t, g_t, cfg):
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
@@ -544,36 +610,42 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     fp_map = _fp_projector(right_t, bottom_t)
     cone = StackMap(top_t, left_t) if g_t is None \
         else StackMap(top_t, left_t, g_t)
+    targets, found, kicks, fp_error = _fp_targets(
+        fp_map, np.hstack([B_img[:n_try], C_img[:n_try]]), Z.shape[1], rng)
+
+    # three Newton starts per try whose target was found: the sample and
+    # two kicked copies
+    tries = np.nonzero(found)[0]
+    full = targets[tries] if g_t is None else np.hstack(
+        [targets[tries], np.zeros((len(tries), g_t.coarity))])
+    starts = np.repeat(Z[tries], 3, axis=0)
+    starts[1::3] += kicks[tries, 0]
+    starts[2::3] += kicks[tries, 1]
+    sols, ok, errors = solve_batch(cone, np.repeat(full, 3, axis=0), starts,
+                                   tol=1e-10, max_iter=60)
+    first_row = {t: 3 * k for k, t in enumerate(tries)}
+
     stalls = 0
     for t in range(n_try):
-        i = t % len(Z)
-        target_raw = np.concatenate([B_img[i], C_img[i]])
-        target_raw += rng.normal(0.0, 0.05, target_raw.shape)
-        target = solve_least_norm(fp_map, np.zeros(fp_map.coarity),
-                                  target_raw)
-        if target is None:
+        if fp_error is not None and fp_error[0] == t:
+            raise fp_error[1]
+        if not found[t]:
             stalls += 1
             continue
-        full_target = np.concatenate([target, np.zeros(g_t.coarity)]) \
-            if g_t is not None else target
-        sols = []
-        for s in range(3):
-            z0 = Z[i] if s == 0 else Z[i] + rng.normal(0.0, 0.01, Z[i].shape)
-            z_hat = solve_least_norm(cone, full_target, z0, tol=1e-10,
-                                     max_iter=60)
-            if z_hat is not None:
-                sols.append(z_hat)
-        if len(sols) < 3:
+        r = first_row[t]
+        for row in range(r, r + 3):
+            if row in errors:
+                raise errors[row]
+        if not ok[r:r + 3].all():
             stalls += 1
             continue
-        spread = max(
-            float(np.max(np.abs(a - b)))
-            for ii, a in enumerate(sols) for b in sols[ii + 1:]
-        )
+        a, b, c = sols[r:r + 3]
+        spread = max(float(np.max(np.abs(u - v)))
+                     for u, v in ((a, b), (a, c), (b, c)))
         if spread > 1e-7:
             return LawResult(
                 "surjective", "perturbed cone points have preimages",
-                Verdict.FAIL, witness=(sols[0].tolist(), sols[1].tolist()),
+                Verdict.FAIL, witness=(a.tolist(), b.tolist()),
                 max_residual=spread,
                 note="distinct preimages of one cone point",
                 provenance=_prov(cfg, depth))

@@ -9,6 +9,7 @@ import pytest
 from tanbun.expr import (
     CheckConfig, cube, eval_batch, parse_map, to_source,
 )
+from tanbun.jet import solve_least_norm
 from tanbun.bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, Verdict,
     check_additive_laws, check_coalgebra_splitting, check_morphism,
@@ -145,6 +146,37 @@ def test_fibre_matched_tuples_work_from_a_raw_projection():
     qa, qb = eval_batch(bump.q, a), eval_batch(bump.q, b)
     assert np.allclose(qa, qb, atol=1e-7)
     assert all(bump.total_box.contains(row) for row in a)
+
+
+def _row_loop_tuples(q, box, cfg, width, tag="pairs"):
+    """fibre_matched_tuples as a loop over rows, one solve at a time: the
+    reference for the batched version."""
+    rng = cfg.rng(tag)
+    first = box.sample(rng, cfg.count)
+    rest = [box.sample(rng, cfg.count) for _ in range(width - 1)]
+    targets = eval_batch(q, first)
+    cols = [[] for _ in range(width)]
+    for i in range(cfg.count):
+        members = [first[i]]
+        for raw in rest:
+            z = solve_least_norm(q, targets[i], raw[i])
+            if z is None or not box.contains(z, slack=0.5):
+                break
+            members.append(z)
+        else:
+            for col, m in zip(cols, members):
+                col.append(m)
+    return [np.asarray(c) for c in cols], cfg.count - len(cols[0])
+
+
+@pytest.mark.parametrize("src", ["exp(x0) - x1^2", "x0*x1"])
+def test_fibre_matched_tuples_keep_the_rows_of_the_row_loop(src):
+    q = parse_map(src, 2)
+    for width in (2, 3):
+        got, discarded = fibre_matched_tuples(q, cube(2), CFG, width=width)
+        ref, ref_discarded = _row_loop_tuples(q, cube(2), CFG, width)
+        assert discarded == ref_discarded > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_affine_decomposition_found_for_polynomial_lifts():

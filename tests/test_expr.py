@@ -204,7 +204,7 @@ class _FilledFloats(expr._Floats):
     """The float kind with every constant filled to an array."""
 
     def const(self, c):
-        return np.full(self.n, float(c))
+        return np.full(self.n, float(c.value))
 
 
 # Jacobians with zero and non-zero constant entries, quotients, builtins,

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanbun.expr import (
-    CheckConfig, ExprError, Var, compose, con, cube, equal_maps, eval_batch,
-    eval_map, parse_map, smooth_map,
+    CheckConfig, DenominatorNearZero, ExprError, Var, compose, con, cube,
+    equal_maps, eval_batch, eval_map, parse_map, smooth_map,
 )
 from tanbun.jet import (
     AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
-    NewtonDiverged, STANDARD_STRUCTS, StackMap, TruncElem, apply_map,
-    check_all_axioms, check_axiom, jac_point, naturality_square,
-    prolong_implicit, pushforward, solve_least_norm, struct_map,
-    tangent_map, tangent_of,
+    NewtonDiverged, STANDARD_STRUCTS, StackMap, TruncElem, apply_batch,
+    apply_map, check_all_axioms, check_axiom, jac_batch, jac_point,
+    naturality_square, prolong_implicit, pushforward, solve_batch,
+    solve_least_norm, struct_map, tangent_map, tangent_of,
 )
 
 CFG = CheckConfig(count=30, seed=11)
@@ -250,11 +250,118 @@ def test_stack_map_concatenates_outputs_on_one_input():
     assert np.allclose(J, [[1.0 / 13.0], [1.0]], atol=1e-8)
 
 
+def test_batch_evaluation_matches_point_evaluation():
+    imp = _inverse_cubic()
+    X = np.array([[10.0], [2.0], [-3.0]])
+    for f in (StackMap(imp, parse_map("x0 - 1, x0^2", 1)),
+              Composite(parse_map("x0 + 1", 1), imp),
+              JetView(parse_map("x0^3", 1), 0)):
+        assert np.array_equal(apply_batch(f, X),
+                              np.stack([apply_map(f, x) for x in X]))
+        assert np.array_equal(jac_batch(f, X),
+                              np.stack([jac_point(f, x) for x in X]))
+
+
 def test_solve_least_norm_hits_target():
     f = parse_map("x0 + x1", 2)
     z = solve_least_norm(f, np.array([4.0]), np.zeros(2))
     assert z is not None
     assert np.allclose(z, [2.0, 2.0], atol=1e-8)
+
+
+def _one_row_newton(f, target, z0, tol=1e-11, max_iter=40):
+    """The one-point Gauss-Newton loop the batched solver replaced; its
+    rows must come out bit for bit the same."""
+    z = np.asarray(z0, dtype=float).copy()
+    target = np.asarray(target, dtype=float)
+    for _ in range(max_iter):
+        try:
+            r = apply_map(f, z) - target
+        except ExprError:
+            return None
+        if np.max(np.abs(r)) < tol:
+            return z
+        J = jac_point(f, z)
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return None
+        z = z + step
+    return None
+
+
+def _row_outcome(f, target, z0, **kw):
+    try:
+        return _one_row_newton(f, target, z0, **kw)
+    except ExprError as err:
+        return err
+
+
+# (map, targets, starts, solver options).  Rows that converge (also
+# linearly, at double roots), rows with no solution that run out of
+# iterations, a value that overflows into a non-finite step, and a start
+# on a pole (only that row is lost).
+SOLVER_CASES = (
+    ("x0^2 + x1^2, x0 - x1", [[2, 0], [-1, 0], [2, 0], [8, 0], [-1, 0]],
+     [[1.3, 0.7], [1.0, 0.5], [0.0, 0.0], [3.0, -1.0], [0.2, 0.1]], {}),
+    ("x0^2 + x1^2, x0 - x1", [[2, 0], [5, 1], [2, 0]],
+     [[1.3, 0.7], [9.0, -4.0], [50.0, 0.5]], {"max_iter": 6}),
+    ("x0^2, x1^2", [[0, 0], [0, 0], [-1, 0]],
+     [[1.483, 1.483], [0.3, 2.0], [1.0, 1.0]], {}),
+    ("x0^3", [[0], [8], [1]], [[1e103], [1.5], [-2.0]], {}),
+    ("1/(x0 - 2) + x1, x1*x0", [[1, 3], [1, 3], [0, 1], [1, 3]],
+     [[1.0, 1.0], [2.0, 1.0], [3.0, 0.5], [0.5, 0.5]], {"tol": 1e-10}),
+)
+
+
+@pytest.mark.parametrize("case", range(len(SOLVER_CASES) + 1))
+def test_batched_solver_matches_the_one_row_loop(case):
+    if case < len(SOLVER_CASES):
+        src, T, Z0, kw = SOLVER_CASES[case]
+        f = parse_map(src, len(Z0[0]))
+    else:        # a stacked map with an implicit part
+        f = StackMap(_inverse_cubic(), parse_map("x0^2", 1))
+        T, Z0, kw = [[2.0, 4.0], [3.0, 1.0], [1.0, 1.0]], [[7.0], [20.0],
+                                                           [1.5]], {}
+    T, Z0 = np.asarray(T, dtype=float), np.asarray(Z0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z, ok, errors = solve_batch(f, T, Z0, **kw)
+        ref = [_row_outcome(f, t, z0, **kw) for t, z0 in zip(T, Z0)]
+    assert not errors
+    assert list(ok) == [z is not None for z in ref]
+    assert 0 < sum(ok) < len(ok) or case == len(SOLVER_CASES)
+    for k, z in enumerate(ref):
+        if z is not None:
+            assert np.array_equal(Z[k], z), k
+    # solve_least_norm is the one-row case: arrays and None as before
+    for t, z0, z in zip(T, Z0, ref):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solve_least_norm(f, t, z0, **kw)
+        assert (got is None) == (z is None)
+        assert got is None or np.array_equal(got, z)
+
+
+def test_batched_solver_raises_jacobian_errors_in_row_order():
+    # Row 1 hits the pole of d(x1/x0) and row 3 that of d(x0/x1), while
+    # the values themselves stay away from the guard.  The batched
+    # Jacobian meets row 3's entry first; the row-by-row loop raises row
+    # 1's, and so must a caller that raises the first row's error.
+    f = parse_map("x0/x1, x1/x0", 2)
+    T = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
+    Z0 = np.array([[1.5, 1.2], [1e-7, 1.0], [1.0, 1.0], [1.0, 1e-7]])
+    Z, ok, errors = solve_batch(f, T, Z0)
+    ref = [_row_outcome(f, t, z0) for t, z0 in zip(T, Z0)]
+    assert sorted(errors) == [1, 3]
+    assert list(ok) == [True, False, True, False]
+    for k in (1, 3):
+        assert isinstance(ref[k], DenominatorNearZero)
+        assert type(errors[k]) is type(ref[k])
+        assert str(errors[k]) == str(ref[k])
+    assert str(errors[1]) != str(errors[3])
+    for k in (0, 2):
+        assert np.array_equal(Z[k], ref[k])
+    with pytest.raises(DenominatorNearZero) as got:
+        solve_least_norm(f, T[1], Z0[1])
+    assert str(got.value) == str(ref[1])
 
 
 def test_apply_map_accepts_smooth_and_procedural():
