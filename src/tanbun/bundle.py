@@ -22,7 +22,7 @@ from .expr import (
     symbolic_derivative_expr,
 )
 from .jet import (
-    ImplicitMap, NewtonDiverged, apply_map, solve_batch, struct_map,
+    ImplicitMap, NewtonDiverged, row_ordered, solve_batch, struct_map,
     tangent_map,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
@@ -358,12 +358,10 @@ def _implicit_fibre_op(spec: BundleSpec, mode: str):
         comps.append(substitute_vars(lam.components[i], e_sub) - target)
     residual = simplify_map(smooth_map(n_par + d, comps))
 
-    if mode == "add":
-        init = lambda x: x[:d]
-    elif mode == "neg":
-        init = lambda x: x[:d]
+    if mode == "scale":
+        init = lambda X: X[:, 1:]
     else:
-        init = lambda x: x[1:]
+        init = lambda X: X[:, :d]
     return ImplicitMap(residual, n_par, d, init=init, name=name)
 
 
@@ -426,10 +424,7 @@ def check_additive_laws(spec: BundleSpec, add,
 
 
 def _pairwise(add, X, Y):
-    out = np.empty_like(X)
-    for i in range(len(X)):
-        out[i] = apply_map(add, np.concatenate([X[i], Y[i]]))
-    return out
+    return row_ordered(add.eval_batch, np.hstack([X, Y]))
 
 
 def _law_from_arrays(law_id, anchor, points, lhs, rhs, cfg,

@@ -453,6 +453,12 @@ class SmoothMap:
     def __call__(self, x):
         return eval_map(self, x)
 
+    def eval_batch(self, X) -> np.ndarray:
+        return eval_batch(self, X)
+
+    def jac_batch(self, X) -> np.ndarray:
+        return jac_eval_batch(self, X)
+
     @cached_property
     def _jac_plan(self):
         """The float Jacobian, compiled once on first use: a (coarity,
@@ -1211,15 +1217,6 @@ class EqVerdict:
         return self.kind == "unknown" and self.reason.startswith("numeric pass")
 
 
-def _eval_any(f, X: np.ndarray) -> np.ndarray:
-    if isinstance(f, SmoothMap):
-        return eval_batch(f, X)
-    out = np.empty((X.shape[0], f.coarity))
-    for i in range(X.shape[0]):
-        out[i] = f.eval_point(X[i])
-    return out
-
-
 def equal_maps(f, g, box: Box, cfg: CheckConfig = DEFAULT_CONFIG) -> EqVerdict:
     """Tri-state equality: canonical polynomial comparison when both
     sides are polynomial, otherwise seeded sampling over `box`."""
@@ -1242,7 +1239,7 @@ def _sampled_compare(f, g, box, cfg, polynomial_differs):
     rng = cfg.rng("equal_maps")
     X = box.sample(rng, cfg.count)
     try:
-        F, G = _eval_any(f, X), _eval_any(g, X)
+        F, G = f.eval_batch(X), g.eval_batch(X)
     except ExprError as err:
         return EqVerdict("unknown", reason=f"evaluation failed: {err}")
     resid = np.max(np.abs(F - G), axis=1)

@@ -19,6 +19,7 @@ mechanically by iterating the tangent map, never hand-written.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -28,10 +29,10 @@ import numpy as np
 from .expr import (
     CheckConfig, DEFAULT_CONFIG, DENOM_GUARD, DenominatorNearZero,
     DimensionMismatch, ExprError, SmoothMap, Var, bump_coeffs, compose,
-    con, concat_maps, cube, eval_map, equal_maps, identity_map,
-    jac_eval_batch, jacobian_exprs, neg, product_of, projection,
-    simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
-    _eval_any, _evaluate,
+    con, concat_maps, cube, eval_batch, eval_map, equal_maps,
+    identity_map, jac_eval_batch, jacobian_exprs, neg, product_of,
+    projection, simplify_map, smooth_map, substitute_vars, sum_of,
+    _bump_order, _check_batch, _evaluate,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
@@ -40,7 +41,8 @@ __all__ = [
     "StructSet", "STANDARD_STRUCTS", "STRUCT_KINDS",
     "ImplicitMap", "JetView", "Composite", "StackMap", "NewtonDiverged",
     "push", "apply_map", "apply_batch", "tangent_of", "prolong_implicit",
-    "jac_point", "jac_batch", "solve_batch", "solve_least_norm",
+    "jac_point", "jac_batch", "row_ordered", "solve_batch",
+    "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
     "naturality_square",
 ]
@@ -322,13 +324,35 @@ def struct_map(kind: str, level: int, k: int,
 # Procedural maps: Newton-defined maps and jet views
 
 
+def row_ordered(batch, X) -> np.ndarray:
+    """batch(X) for a function of a batch of rows.  When it raises an
+    ExprError, the rows are redone one at a time, so that the error is
+    the one a row-by-row loop meets first."""
+    try:
+        return batch(X)
+    except ExprError:
+        if len(X) < 2:
+            raise
+    return np.concatenate([batch(X[k:k + 1]) for k in range(len(X))])
+
+
+def _by_rows(batch):
+    """A batch method that raises the error of its first failing row."""
+    @functools.wraps(batch)
+    def method(self, X):
+        return row_ordered(lambda Z: batch(self, Z),
+                           np.asarray(X, dtype=float))
+    return method
+
+
 class ImplicitMap:
     """A map defined implicitly by residual(params, output) = 0.
 
-    eval solves by Gauss-Newton from a caller-supplied initializer;
-    jets are lifted through the residual block by block (the implicit
-    function theorem in truncated form), so T^n of the map is available
-    without a closed form.
+    eval_batch solves by Gauss-Newton from a caller-supplied initializer,
+    which maps a batch of parameters (n, arity) to starting outputs (n,
+    coarity); jets are lifted through the residual block by block (the
+    implicit function theorem in truncated form), so T^n of the map is
+    available without a closed form.
     """
 
     def __init__(self, residual: SmoothMap, arity: int, coarity: int,
@@ -345,47 +369,110 @@ class ImplicitMap:
         self.max_iter = max_iter
         self._seen: dict = {}
 
-    def _residual_jac_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        pt = np.concatenate([x, y])[None, :]
-        J = jac_eval_batch(self.residual, pt)[0]
-        return J[:, self.arity:]
-
-    def _remember(self, key: bytes, y: np.ndarray) -> np.ndarray:
+    def _remember(self, keys, Y: np.ndarray):
+        # the last batch is kept whole, so that the Jacobians of a batch
+        # find the values it has just solved
         if len(self._seen) > 64:
             self._seen.clear()
-        self._seen[key] = y.copy()
-        return y
+        self._seen.update(zip(keys, Y.copy()))
+
+    def eval_batch(self, X) -> np.ndarray:
+        """Values at a batch of parameters, (n, arity) -> (n, coarity).
+
+        One Gauss-Newton loop over the rows not solved before: each step
+        evaluates the residual and its Jacobian once over the rows still
+        running and solves each row's own lstsq (a stacked solve would
+        round differently).  A row is solved once its residual is below
+        tol, or below 1e-9 after max_iter steps; it fails on a non-finite
+        step, on no convergence, or when its start or residual cannot be
+        evaluated.  The solved rows are remembered; then the error of the
+        first failing row is raised, as a row-by-row loop would raise it.
+        """
+        X = _check_batch(self, X)
+        keys = [x.tobytes() for x in X]
+        Y = np.empty((len(X), self.coarity))
+        first = {}      # a row repeated in the batch is solved once
+        for k, key in enumerate(keys):
+            hit = self._seen.get(key)
+            if hit is not None:
+                Y[k] = hit
+            elif key not in first:
+                first[key] = k
+        if not first:
+            return Y
+        todo = np.array(list(first.values()))
+        errors = {}
+
+        def each_row(fn, f, live, Z):
+            # fn(f, Z) for the rows `live`, keeping the errors of the others
+            kept, vals, errs = _each_row(fn, f, Z)
+            errors.update((int(live[k]), err) for k, err in errs.items())
+            return live[kept], kept, vals
+
+        def residual(fn, live):
+            return each_row(fn, self.residual, live,
+                            np.hstack([X[live], Y[live]]))
+
+        live, _, Y0 = each_row(lambda f, Z: np.asarray(f.init(Z), dtype=float),
+                               self, todo, X[todo])
+        if live.size:
+            Y[live] = Y0
+        a = self.arity
+        for _ in range(self.max_iter):
+            if not live.size:
+                break
+            live, _, R = residual(eval_batch, live)
+            if not live.size:
+                break
+            done = np.max(np.abs(R), axis=1) < self.tol
+            live, R = live[~done], R[~done]
+            if not live.size:
+                break
+            live, kept, J = residual(jac_eval_batch, live)
+            running = []
+            for k, Jk, r in zip(live, J, R[kept]):
+                try:
+                    step, *_ = np.linalg.lstsq(Jk[:, a:], -r, rcond=None)
+                except np.linalg.LinAlgError as err:
+                    errors[int(k)] = err
+                    continue
+                if not np.all(np.isfinite(step)):
+                    errors[int(k)] = NewtonDiverged(
+                        f"{self.name}: non-finite Newton step")
+                    continue
+                Y[k] = Y[k] + step
+                running.append(k)
+            live = np.array(running, dtype=int)
+        if live.size:   # out of steps: accept the loosely converged rows
+            live, _, R = residual(eval_batch, live)
+            for k, r in zip(live, R):
+                if not np.max(np.abs(r)) < 1e-9:
+                    errors[int(k)] = NewtonDiverged(
+                        f"{self.name}: no convergence at {X[k].tolist()}")
+        solved = [k for k in todo if k not in errors]
+        self._remember([keys[k] for k in solved], Y[solved])
+        if errors:
+            raise errors[min(errors)]
+        return Y[[first.get(key, k) for k, key in enumerate(keys)]]
+
+    @_by_rows
+    def jac_batch(self, X) -> np.ndarray:
+        """Derivatives from the linearized residual: the output columns of
+        each row solve J_out dY = -J_param, with the residual Jacobians of
+        the batch taken in one call and a per-row lstsq."""
+        Y = self.eval_batch(X)
+        J = jac_eval_batch(self.residual, np.hstack([X, Y]))
+        a = self.arity
+        out = np.empty((len(X), self.coarity, a))
+        for k, Jk in enumerate(J):
+            out[k] = np.linalg.lstsq(Jk[:, a:], -Jk[:, :a], rcond=None)[0]
+        return out
 
     def eval_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        hit = self._seen.get(key)
-        if hit is not None:
-            return hit.copy()
-        y = np.asarray(self.init(x), dtype=float).copy()
-        for _ in range(self.max_iter):
-            r = eval_map(self.residual, np.concatenate([x, y]))
-            if np.max(np.abs(r)) < self.tol:
-                return self._remember(key, y)
-            J = self._residual_jac_y(x, y)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            if not np.all(np.isfinite(step)):
-                raise NewtonDiverged(f"{self.name}: non-finite Newton step")
-            y = y + step
-        r = eval_map(self.residual, np.concatenate([x, y]))
-        if np.max(np.abs(r)) < 1e-9:
-            return self._remember(key, y)  # loosely converged; accept
-        raise NewtonDiverged(f"{self.name}: no convergence at {x.tolist()}")
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def jacobian(self, x) -> np.ndarray:
-        """Derivative from the linearized residual: the output columns
-        solve J_out dy = -J_param."""
-        x = np.asarray(x, dtype=float)
-        y = self.eval_point(x)
-        J = jac_eval_batch(self.residual, np.concatenate([x, y])[None, :])[0]
-        sol, *_ = np.linalg.lstsq(J[:, self.arity:], -J[:, :self.arity],
-                                  rcond=None)
-        return sol
+        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def __call__(self, x):
         return self.eval_point(x)
@@ -394,7 +481,9 @@ class ImplicitMap:
         if jp.dim != self.arity or jp.order != n:
             raise DimensionMismatch("jet does not match implicit map arity")
         y0 = self.eval_point(jp.base)
-        J = self._residual_jac_y(jp.base, y0)
+        J = jac_eval_batch(self.residual,
+                           np.concatenate([jp.base, y0])[None, :])[0]
+        J = J[:, self.arity:]
         out = np.zeros((1 << n, self.coarity))
         out[0] = y0
         env_x = [TruncElem(n, jp.blocks[:, i]) for i in range(self.arity)]
@@ -431,10 +520,10 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
     comps = tuple(substitute_vars(e, remap) for e in prol.components)
     residual = SmoothMap(blocks * (a + c), comps)
 
-    def init(xf, _imp=imp, _c=c, _blocks=blocks):
-        y = np.zeros(_blocks * _c)
-        y[:_c] = _imp.eval_point(np.asarray(xf, dtype=float)[:_imp.arity])
-        return y
+    def init(X, _imp=imp, _c=c, _blocks=blocks):
+        Y = np.zeros((len(X), _blocks * _c))
+        Y[:, :_c] = _imp.eval_batch(X[:, :_imp.arity])
+        return Y
 
     return ImplicitMap(residual, blocks * a, blocks * c, init,
                        name=f"tangent^{n} of {imp.name}",
@@ -456,6 +545,28 @@ class JetView:
     def eval_point(self, x) -> np.ndarray:
         jp = JetPoint.from_flat(x, self.order, self.base.arity)
         return push(self.base, self.order, jp).to_flat()
+
+    def jacobian(self, x) -> np.ndarray:
+        """One column per first-order jet pushed through the view."""
+        x = np.asarray(x, dtype=float)
+        J = np.empty((self.coarity, self.arity))
+        for j in range(self.arity):
+            blocks = np.vstack([x, np.eye(self.arity)[j]])
+            J[:, j] = self.push(1, JetPoint(1, self.arity, blocks)).blocks[1]
+        return J
+
+    # point by point: jets are pushed one point at a time
+    def eval_batch(self, X) -> np.ndarray:
+        out = np.empty((len(X), self.coarity))
+        for k, x in enumerate(np.asarray(X, dtype=float)):
+            out[k] = self.eval_point(x)
+        return out
+
+    def jac_batch(self, X) -> np.ndarray:
+        out = np.empty((len(X), self.coarity, self.arity))
+        for k, x in enumerate(np.asarray(X, dtype=float)):
+            out[k] = self.jacobian(x)
+        return out
 
     def __call__(self, x):
         return self.eval_point(x)
@@ -482,11 +593,34 @@ class Composite:
         self.arity = flat[-1].arity
         self.coarity = flat[0].coarity
 
-    def eval_point(self, x) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
+    @_by_rows
+    def eval_batch(self, X) -> np.ndarray:
         for s in reversed(self.stages):
-            y = s.eval_point(x=y) if not isinstance(s, SmoothMap) else eval_map(s, y)
-        return y
+            X = s.eval_batch(X)
+        return X
+
+    @_by_rows
+    def jac_batch(self, X) -> np.ndarray:
+        """The chain rule over the batch, stage by stage; each row's
+        product is taken on its own, as for a single point."""
+        J = None
+        for s in reversed(self.stages):
+            Js = s.jac_batch(X)
+            if J is None:
+                J = Js
+            else:
+                prod = np.empty((len(X), Js.shape[1], J.shape[2]))
+                for k in range(len(X)):
+                    prod[k] = Js[k] @ J[k]
+                J = prod
+            X = s.eval_batch(X)
+        return J
+
+    def eval_point(self, x) -> np.ndarray:
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jacobian(self, x) -> np.ndarray:
+        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def __call__(self, x):
         return self.eval_point(x)
@@ -495,15 +629,6 @@ class Composite:
         for s in reversed(self.stages):
             jp = push(s, n, jp)
         return jp
-
-    def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        J = None
-        for s in reversed(self.stages):
-            Js = jac_point(s, x)
-            J = Js if J is None else Js @ J
-            x = s.eval_point(x) if not isinstance(s, SmoothMap) else eval_map(s, x)
-        return J
 
 
 class StackMap:
@@ -516,12 +641,17 @@ class StackMap:
         self.arity = parts[0].arity
         self.coarity = sum(p.coarity for p in parts)
 
+    def eval_batch(self, X) -> np.ndarray:
+        return np.hstack([p.eval_batch(X) for p in self.parts])
+
+    def jac_batch(self, X) -> np.ndarray:
+        return np.concatenate([p.jac_batch(X) for p in self.parts], axis=1)
+
     def eval_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([
-            eval_map(p, x) if isinstance(p, SmoothMap) else p.eval_point(x)
-            for p in self.parts
-        ])
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jacobian(self, x) -> np.ndarray:
+        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def __call__(self, x):
         return self.eval_point(x)
@@ -529,9 +659,6 @@ class StackMap:
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         blocks = [push(p, n, jp).blocks for p in self.parts]
         return JetPoint(n, self.coarity, np.concatenate(blocks, axis=1))
-
-    def jacobian(self, x) -> np.ndarray:
-        return np.vstack([jac_point(p, x) for p in self.parts])
 
 
 def push(f, n: int, jp: JetPoint) -> JetPoint:
@@ -550,12 +677,8 @@ def apply_map(f, x) -> np.ndarray:
 
 def apply_batch(f, X) -> np.ndarray:
     """Values of any map-like object at a batch of points, (n, coarity):
-    a SmoothMap in one vectorised call, a StackMap part by part, any
-    other map point by point."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(f, StackMap):
-        return np.hstack([apply_batch(p, X) for p in f.parts])
-    return _eval_any(f, X)
+    the map's own eval_batch."""
+    return f.eval_batch(np.asarray(X, dtype=float))
 
 
 def _each_row(fn, f, X):
@@ -657,32 +780,15 @@ def tangent_of(f, n: int):
 
 
 def jac_point(f, x) -> np.ndarray:
-    """Jacobian of a map-like object at a point (jets for procedural maps)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(f, SmoothMap):
-        return jac_eval_batch(f, x[None, :])[0]
-    if hasattr(f, "jacobian"):
-        return f.jacobian(x)
-    J = np.empty((f.coarity, f.arity))
-    for j in range(f.arity):
-        blocks = np.vstack([x, np.eye(f.arity)[j]])
-        J[:, j] = push(f, 1, JetPoint(1, f.arity, blocks)).blocks[1]
-    return J
+    """Jacobian of a map-like object at a point: the one-row case of
+    jac_batch."""
+    return jac_batch(f, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def jac_batch(f, X) -> np.ndarray:
     """Jacobians of any map-like object at a batch of points, (n,
-    coarity, arity): a SmoothMap in one vectorised call, a StackMap part
-    by part, any other map point by point."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(f, SmoothMap):
-        return jac_eval_batch(f, X)
-    if isinstance(f, StackMap):
-        return np.concatenate([jac_batch(p, X) for p in f.parts], axis=1)
-    J = np.empty((len(X), f.coarity, f.arity))
-    for k, x in enumerate(X):
-        J[k] = jac_point(f, x)
-    return J
+    coarity, arity): the map's own jac_batch."""
+    return f.jac_batch(np.asarray(X, dtype=float))
 
 
 # --------------------------------------------------------------------------

@@ -19,11 +19,11 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    compose, con, concat_maps, cube, equal_maps, eval_map, identity_map,
-    jac_eval_batch, parse_map, projection, simplify_map, smooth_map,
-    substitute_vars,
+    compose, con, concat_maps, cube, equal_maps, eval_batch, eval_map,
+    identity_map, jac_eval_batch, parse_map, projection, simplify_map,
+    smooth_map, substitute_vars,
 )
-from .jet import ImplicitMap, apply_map, solve_least_norm, tangent_map
+from .jet import ImplicitMap, row_ordered, solve_least_norm, tangent_map
 from .bundle import (
     BundleMorphism, BundleSpec, check_morphism, fibre_affine_decomposition,
     vert_lambda,
@@ -215,8 +215,8 @@ def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     )
     xi = spec.xi
 
-    def init(z, _xi=xi, _k=k):
-        return np.asarray(eval_map(_xi, np.asarray(z, dtype=float)[:_k]))
+    def init(Z, _xi=xi, _k=k):
+        return eval_batch(_xi, Z[:, :_k])
 
     K = ImplicitMap(SmoothMap(k + 2 * d, resid), k + d, d, init,
                     name=f"{spec.name}:retraction")
@@ -253,20 +253,17 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     else:
         rng = cfg.rng("splitting:samples")
         X = spec.total_box.sample(rng, cfg.count)
-        worst = 0.0
-        for x in X:
-            worst = max(worst, float(np.max(np.abs(
-                apply_map(K, apply_map(section, x)) - x))))
+        worst = _worst(row_ordered(lambda X: np.max(np.abs(
+            K.eval_batch(section.eval_batch(X)) - X), axis=1), X))
         rep.add(LawResult(
             "retract-identity", "retraction after section is the identity",
             Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
             max_residual=worst, provenance={"samples": len(X)}))
 
         Z = box.sample(rng, max(20, cfg.count // 4))
-        worst = 0.0
-        for z in Z:
-            lhs = apply_map(section, apply_map(K, z))
-            worst = max(worst, float(np.max(np.abs(lhs - apply_map(ch, z)))))
+        worst = _worst(row_ordered(lambda Z: np.max(np.abs(
+            section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)), axis=1),
+            Z))
         rep.add(LawResult(
             "section-image", "section after retraction is the projector",
             Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
@@ -278,6 +275,12 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
         "equalised", "the section lands in the projector's fixed points",
         equal_maps(compose(ch, section), section, spec.total_box, cfg)))
     return rep
+
+
+def _worst(gaps) -> float:
+    """The largest gap, as a running max from 0.0 takes it: a NaN gap
+    never replaces the running value."""
+    return float(np.max(np.fmax(gaps, 0.0), initial=0.0))
 
 
 def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
@@ -298,8 +301,8 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
             }) for e in fixed.components))
         sols = []
         for trial in range(3):
-            start = np.asarray(K.init(z), dtype=float) + 0.3 * rng.standard_normal(
-                spec.total_dim) * (trial > 0)
+            start = np.asarray(K.init(z[None, :]), dtype=float)[0] \
+                + 0.3 * rng.standard_normal(spec.total_dim) * (trial > 0)
             got = solve_least_norm(fixed, np.zeros(fixed.coarity), start)
             if got is not None:
                 sols.append(got)

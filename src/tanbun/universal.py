@@ -20,15 +20,14 @@ from scipy.optimize import minimize
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, compose,
     concat_maps, con, cube, projection, simplify_map, smooth_map, sum_of,
-    _eval_any,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
     induce_addition, vert_lambda,
 )
 from .jet import (
-    Composite, StackMap, jac_batch, solve_batch, solve_least_norm,
-    struct_map, tangent_map, tangent_of,
+    Composite, StackMap, apply_batch, jac_batch, solve_batch,
+    solve_least_norm, struct_map, tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -266,13 +265,13 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         Z, discarded = _sample_apex(sq, depth, cfg, count)
         total_discard += discarded
 
-        B_img = _eval_any(top_t, Z)
-        C_img = _eval_any(left_t, Z)
+        B_img = apply_batch(top_t, Z)
+        C_img = apply_batch(left_t, Z)
         F_img = np.hstack([B_img, C_img])
 
         # (pre) commutation of the square itself
-        comm_res = np.abs(_eval_any(right_t, B_img)
-                          - _eval_any(bottom_t, C_img))
+        comm_res = np.abs(apply_batch(right_t, B_img)
+                          - apply_batch(bottom_t, C_img))
         worst = float(np.max(comm_res))
         if worst > max(cfg.tol, 1e-8):
             i = int(np.unravel_index(np.argmax(comm_res), comm_res.shape)[0])

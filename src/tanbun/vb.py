@@ -22,7 +22,10 @@ from .expr import (
     SmoothMap, Var, compose, con, cube, equal_maps, parse_map,
     simplify_map, smooth_map,
 )
-from .jet import Composite, NewtonDiverged, apply_map, tangent_map, tangent_of
+from .jet import (
+    Composite, NewtonDiverged, apply_map, row_ordered, tangent_map,
+    tangent_of,
+)
 from .bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, NotWellTyped,
     fibre_matched_tuples, induce_addition, scale_through_lambda,
@@ -218,12 +221,11 @@ def _compare(law_id, anchor, f, g, box, cfg) -> LawResult:
         return law_from_verdict(law_id, anchor, equal_maps(f, g, box, cfg))
     rng = cfg.rng(f"roundtrip:{law_id}")
     X = box.sample(rng, min(cfg.count, 100))
-    worst = 0.0
-    wit = None
-    for x in X:
-        gap = float(np.max(np.abs(apply_map(f, x) - apply_map(g, x))))
-        if gap > worst:
-            worst, wit = gap, (x.tolist(),)
+    # a NaN gap never becomes the worst, as in a running max from 0.0
+    gaps = np.fmax(row_ordered(lambda X: np.max(np.abs(
+        f.eval_batch(X) - g.eval_batch(X)), axis=1), X), 0.0)
+    worst = float(np.max(gaps, initial=0.0))
+    wit = (X[int(np.argmax(gaps))].tolist(),) if worst > 0.0 else None
     tol = max(cfg.tol, 1e-9)
     return LawResult(
         law_id, anchor,

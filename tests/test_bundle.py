@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from tanbun.expr import (
-    CheckConfig, cube, eval_batch, parse_map, to_source,
+    CheckConfig, DenominatorNearZero, cube, eval_batch, eval_map,
+    parse_map, to_source,
 )
 from tanbun.jet import solve_least_norm
 from tanbun.bundle import (
-    AdditionUnavailable, BundleMorphism, BundleSpec, Verdict,
+    AdditionUnavailable, BundleMorphism, BundleSpec, Verdict, _pairwise,
     check_additive_laws, check_coalgebra_splitting, check_morphism,
     check_predifferential, fibre_affine_decomposition, fibre_matched_tuples,
     induce_addition, induce_negation, lambda_base, scale_through_lambda,
@@ -242,3 +243,22 @@ def test_chart_change_morphism_between_presentations():
     fwd = BundleMorphism(tb, cb, parse_map("x0, x1 + x0^2", 2))
     rep = check_morphism(fwd, CFG, source_add=add_t, target_add=add_c)
     assert rep.ok
+
+
+def test_pairwise_sums_raise_the_error_of_the_first_failing_pair():
+    # Pair 1 meets the pole of its second component and pair 2 that of
+    # its first.  The whole batch meets pair 2's pole first; the
+    # pair-by-pair loop stops at pair 1, and so must the batched sums.
+    add = parse_map("x0 + 1/(x1 - 1), x1 + 1/(x0 - 2)", 2)
+    X, Y = np.array([[0.0], [2.0], [4.0]]), np.array([[3.0], [5.0], [1.0]])
+    with pytest.raises(DenominatorNearZero) as batch:
+        eval_batch(add, np.hstack([X, Y]))
+    with pytest.raises(DenominatorNearZero) as loop:
+        for x, y in zip(X, Y):
+            eval_map(add, np.concatenate([x, y]))
+    assert str(batch.value) != str(loop.value)
+    with pytest.raises(DenominatorNearZero) as got:
+        _pairwise(add, X, Y)
+    assert str(got.value) == str(loop.value)
+    assert np.array_equal(_pairwise(add, X[:1], Y[:1]),
+                          eval_map(add, [0.0, 3.0])[None, :])

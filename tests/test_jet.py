@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tanbun.expr import (
     CheckConfig, DenominatorNearZero, ExprError, Var, compose, con, cube,
-    equal_maps, eval_batch, eval_map, parse_map, smooth_map,
+    equal_maps, eval_batch, eval_map, jac_eval_batch, parse_map, smooth_map,
 )
 from tanbun.jet import (
     AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
@@ -151,7 +151,7 @@ def test_naturality_squares_commute_for_all_kinds():
 def _inverse_cubic() -> ImplicitMap:
     # y defined by y + y^3 = x; single chart, globally solvable.
     residual = parse_map("x1 + x1^3 - x0", 2)
-    return ImplicitMap(residual, 1, 1, init=lambda x: np.zeros(1),
+    return ImplicitMap(residual, 1, 1, init=lambda X: np.zeros((len(X), 1)),
                        name="inverse-cubic")
 
 
@@ -204,7 +204,7 @@ def test_jac_point_dispatches_consistently():
 def test_newton_divergence_is_reported():
     # No real solution: y^2 = -1 - x^2 has empty fibre everywhere.
     residual = parse_map("x1^2 + 1 + x0^2", 2)
-    imp = ImplicitMap(residual, 1, 1, init=lambda x: np.zeros(1),
+    imp = ImplicitMap(residual, 1, 1, init=lambda X: np.zeros((len(X), 1)),
                       name="empty")
     with pytest.raises(NewtonDiverged):
         imp.eval_point(np.array([0.0]))
@@ -217,6 +217,201 @@ def test_jet_builtin_overflow_is_an_expr_error():
         pushforward(f, 1, JetPoint(1, 1, [[1000.0], [1.0]]))
     with np.errstate(over="ignore"):
         assert np.isinf(eval_batch(f, [[1000.0]])[0, 0])
+
+
+# --------------------------------------------------------------------------
+# Implicit maps over a batch
+
+
+def _old_eval_point(imp, x, init):
+    """ImplicitMap.eval_point before batching, without its cache; init
+    takes one point.  Every row of a batch must come out of the batched
+    Newton loop with the same bits, or with the same error."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(init(x), dtype=float).copy()
+    for _ in range(imp.max_iter):
+        r = eval_map(imp.residual, np.concatenate([x, y]))
+        if np.max(np.abs(r)) < imp.tol:
+            return y
+        J = jac_eval_batch(imp.residual, np.concatenate([x, y])[None, :])[0]
+        step, *_ = np.linalg.lstsq(J[:, imp.arity:], -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            raise NewtonDiverged(f"{imp.name}: non-finite Newton step")
+        y = y + step
+    r = eval_map(imp.residual, np.concatenate([x, y]))
+    if np.max(np.abs(r)) < 1e-9:
+        return y
+    raise NewtonDiverged(f"{imp.name}: no convergence at {x.tolist()}")
+
+
+def _old_jacobian(imp, x, init):
+    x = np.asarray(x, dtype=float)
+    y = _old_eval_point(imp, x, init)
+    J = jac_eval_batch(imp.residual, np.concatenate([x, y])[None, :])[0]
+    sol, *_ = np.linalg.lstsq(J[:, imp.arity:], -J[:, :imp.arity],
+                              rcond=None)
+    return sol
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExprError as err:
+        return err
+
+
+def _same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+# (residual, arity, coarity, start or None for the parameters themselves,
+# options, rows).  y^2 = x converges quadratically at 4 and 2.25, takes
+# the loose accept at the double root 0 (repeated), has no real root at
+# -1 and overflows into a non-finite step at 1e300; the no-convergence
+# row comes first but fails last.  The third residual's value has a pole
+# at x0 = 2; in the fourth only the Jacobian -1/y^2 meets the guard, at
+# the start y = 1e-7.
+IMPLICIT_CASES = (
+    ("x1^2 - x0", 1, 1, 1.0, {"max_iter": 20},
+     [[4.0], [0.0], [-1.0], [1e300], [2.25], [0.0]]),
+    ("x2^2 + x1 - x0, x1 - x2", 1, 2, 1.0, {"max_iter": 20},
+     [[6.0], [-0.25], [-1.0], [1e300], [2.0]]),
+    ("x1 - 1/(x0 - 2)", 1, 1, 0.5, {}, [[3.0], [2.0], [1.0]]),
+    ("1/x1 - 2", 1, 1, None, {}, [[1.0], [1e-7], [0.3]]),
+)
+
+
+def _case(k):
+    src, a, c, start, kw, rows = IMPLICIT_CASES[k]
+    if start is None:
+        init, point_init = (lambda X: X.copy()), (lambda x: x)
+    else:
+        init = lambda X: np.full((len(X), c), start)
+        point_init = lambda x: np.full(c, start)
+    imp = ImplicitMap(parse_map(src, a + c), a, c, init=init, name=f"case{k}",
+                      **kw)
+    return imp, point_init, np.array(rows, dtype=float)
+
+
+def _count_solves(monkeypatch, imp) -> list:
+    """The bytes of every row the map starts a Newton solve from."""
+    rows, init = [], imp.init
+    monkeypatch.setattr(imp, "init",
+                        lambda X: rows.extend(x.tobytes() for x in X)
+                        or init(X))
+    return rows
+
+
+@pytest.mark.parametrize("case", range(len(IMPLICIT_CASES)))
+def test_implicit_batch_matches_the_point_loop(case, monkeypatch):
+    imp, point_init, X = _case(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_outcome(_old_eval_point, imp, x, point_init) for x in X]
+        ok = np.array([not isinstance(r, ExprError) for r in ref])
+        assert 0 < ok.sum() < len(X)
+        want = next(r for r in ref if isinstance(r, ExprError))
+        with pytest.raises(ExprError) as got:
+            imp.eval_batch(X)
+        _same_error(got.value, want)
+        # the failing batch solved and remembered every other row
+        solves = _count_solves(monkeypatch, imp)
+        assert np.array_equal(imp.eval_batch(X[ok]),
+                              np.stack([r for r, g in zip(ref, ok) if g]))
+        assert np.array_equal(
+            imp.jac_batch(X[ok]),
+            np.stack([_old_jacobian(imp, x, point_init) for x in X[ok]]))
+        assert solves == []
+        # Jacobians raise the first failing row's error too, and one row
+        # is the one-row case
+        fresh = _case(case)[0]
+        with pytest.raises(ExprError) as got:
+            fresh.jac_batch(X)
+        _same_error(got.value, want)
+        for x, r in zip(X, ref):
+            if isinstance(r, ExprError):
+                with pytest.raises(ExprError) as got:
+                    _case(case)[0].eval_point(x)
+                _same_error(got.value, r)
+            else:
+                assert np.array_equal(_case(case)[0].eval_point(x), r)
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_prolonged_implicit_matches_the_point_loop(order, monkeypatch):
+    imp = _inverse_cubic()
+    prol = prolong_implicit(imp, order)
+    zero = lambda x: np.zeros(1)
+
+    def point_init(xf):      # the prolonged start before batching
+        y = np.zeros(1 << order)
+        y[0] = _old_eval_point(imp, xf[:1], zero)[0]
+        return y
+
+    rows = {1: [[10.0, 13.0], [0.5, -2.0], [-3.0, 1.0], [10.0, 13.0]],
+            2: [[10.0, 1.0, 2.0, 0.0], [0.5, -2.0, 1.0, 3.0],
+                [-3.0, 1.0, 0.5, -1.0]]}
+    X = np.array(rows[order])
+    calls = []
+    batch = imp.eval_batch
+    monkeypatch.setattr(imp, "eval_batch",
+                        lambda Z: calls.append(len(Z)) or batch(Z))
+    assert np.array_equal(prol.eval_batch(X), np.stack(
+        [_old_eval_point(prol, x, point_init) for x in X]))
+    assert calls == [3]      # one start for the whole batch, repeats once
+    assert np.array_equal(prol.jac_batch(X), np.stack(
+        [_old_jacobian(prol, x, point_init) for x in X]))
+
+
+def test_composite_batch_matches_the_point_chain():
+    # h, then the square root y^2 = x (no root below 0), then g
+    sqrt = ImplicitMap(parse_map("x1^2 - x0", 2), 1, 1,
+                       init=lambda X: np.ones((len(X), 1)), name="sqrt")
+    h = parse_map("x0*x1 + 1/(x1 - 1)", 2)
+    g = parse_map("x0^2, sin(x0)*x0", 1)
+    pipe = Composite(g, sqrt, h)
+    one = lambda x: np.ones(1)
+
+    def old_chain(x):        # Composite.eval_point and .jacobian before
+        J = None
+        for s in (h, sqrt, g):
+            if s is sqrt:
+                Js, y = _old_jacobian(s, x, one), _old_eval_point(s, x, one)
+            else:
+                Js, y = jac_eval_batch(s, x[None, :])[0], eval_map(s, x)
+            J = Js if J is None else Js @ J
+            x = y
+        return x, J
+
+    X = np.array([[2.0, 3.0], [0.5, 2.5], [1.25, 2.0], [-1.0, -2.0]])
+    ref = [old_chain(x) for x in X]
+    assert np.array_equal(pipe.eval_batch(X), np.stack([v for v, _ in ref]))
+    assert np.array_equal(pipe.jac_batch(X), np.stack([J for _, J in ref]))
+    assert np.array_equal(jac_batch(pipe, X[:1])[0], jac_point(pipe, X[0]))
+    # the stages meet h's pole in row 2 first, but a row-by-row loop
+    # stops at row 1, where the square root has no real value
+    bad = np.array([[2.0, 3.0], [-2.0, 3.0], [1.0, 1.0]])
+    for fn in (pipe.eval_batch, pipe.jac_batch):
+        with pytest.raises(NewtonDiverged, match=r"sqrt: no convergence "
+                           r"at \[-5\.5\]"):
+            fn(bad)
+
+
+def test_values_then_jacobians_solve_each_row_once(monkeypatch):
+    # more rows than the cache's floor of 64: the Jacobians of a batch,
+    # and the Jacobian step of a solve, find the values just solved
+    imp = _inverse_cubic()
+    solves = _count_solves(monkeypatch, imp)
+    X = np.linspace(-5.0, 5.0, 100)[:, None]
+    apply_batch(imp, X)
+    jac_batch(imp, X)
+    assert len(solves) == 100
+    solves.clear()
+    pipe = Composite(parse_map("2*x0 + 1", 1), imp)
+    Z, ok, errors = solve_batch(pipe, np.linspace(-3.0, 5.0, 80)[:, None],
+                                np.full((80, 1), 0.5))
+    assert ok.all() and not errors
+    assert len(solves) == len(set(solves)) > 80
 
 
 # --------------------------------------------------------------------------

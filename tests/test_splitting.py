@@ -11,8 +11,9 @@ from tanbun.expr import (
 from tanbun.jet import tangent_map
 from tanbun.bundle import BundleSpec, Verdict, check_predifferential
 from tanbun.splitting import (
-    biproduct_check, check_splitting, chi, chi_checks, lift_on_pullback,
-    non_idempotent_demo, pulled_back_tangent, splitting_pair,
+    _worst, biproduct_check, check_splitting, chi, chi_checks,
+    lift_on_pullback, non_idempotent_demo, pulled_back_tangent,
+    splitting_pair,
 )
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
 
@@ -152,3 +153,11 @@ def test_demo_morphism_is_lawful_but_never_splits():
     assert got["not-idempotent"] is Verdict.PASS_EXACT
     assert got["rank-nonconstant"] is Verdict.PASS_EXACT
     assert got["splitting-refused"] is Verdict.PASS_EXACT
+
+
+def test_worst_gap_is_the_running_max_of_the_sample_loop():
+    # max(worst, gap) from 0.0 never takes a NaN gap
+    assert _worst(np.array([np.nan, 0.5, 2.0, np.nan, 1.0])) == 2.0
+    assert _worst(np.array([np.nan])) == 0.0
+    assert _worst(np.array([])) == 0.0
+    assert _worst(np.array([np.inf, 1.0])) == np.inf

@@ -5,12 +5,12 @@ import pytest
 
 from tanbun import universal
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, ExprError, _eval_any, compose, cube,
-    parse_map, simplify_map,
+    CheckConfig, DenominatorNearZero, ExprError, compose, cube, parse_map,
+    simplify_map,
 )
 from tanbun.jet import (
-    StackMap, jac_point, solve_batch, solve_least_norm, tangent_map,
-    tangent_of,
+    StackMap, apply_batch, jac_point, solve_batch, solve_least_norm,
+    tangent_map, tangent_of,
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
@@ -279,9 +279,9 @@ def _outcome(fn, *args):
 def _phase_args(sq, depth, Z):
     top_t, left_t = tangent_of(sq.top, depth), tangent_map(sq.left, depth)
     g_t = tangent_map(sq.constraint, depth) if sq.constraint else None
-    return (sq, depth, Z, _eval_any(top_t, Z), _eval_any(left_t, Z), top_t,
-            left_t, tangent_of(sq.right, depth), tangent_of(sq.bottom, depth),
-            g_t)
+    return (sq, depth, Z, apply_batch(top_t, Z), apply_batch(left_t, Z),
+            top_t, left_t, tangent_of(sq.right, depth),
+            tangent_of(sq.bottom, depth), g_t)
 
 
 def _assert_phases_match(sq, depth, cfg, Z=None):

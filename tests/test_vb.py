@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from tanbun.expr import Box, CheckConfig, cube, equal_maps, parse_map
-from tanbun.jet import apply_map
+from tanbun.jet import Composite, apply_map
 from tanbun.bundle import BundleSpec, Verdict
 from tanbun.vb import (
-    ModuleLawsFailed, TranslationRefused, VectorBundleSpec,
+    ModuleLawsFailed, TranslationRefused, VectorBundleSpec, _compare,
     check_module_laws, del_map, morphism_transport_check, phi, psi,
     roundtrip_check, transport_demo_morphisms,
 )
@@ -178,3 +178,24 @@ def test_transport_agreement_on_the_demo_morphisms():
         assert rep["transport-agreement"].verdict.ok, name
         assert lift_ok == expected, name
         assert scalar_ok == expected, name
+
+
+def test_compare_keeps_the_worst_gap_and_witness_of_the_point_loop():
+    # Both sides overflow to inf above x0 = 0.71, where their gap is NaN;
+    # below it the gap is x0^2 or rounds to 0.  The loop it replaced kept
+    # the first strict maximum above 0.0 and never took a NaN gap.
+    f = Composite(parse_map("exp(1000*x0) + x0^2", 1))
+    g = parse_map("exp(1000*x0)", 1)
+    cfg = CheckConfig(count=60, seed=3)
+    X = cube(1).sample(cfg.rng("roundtrip:probe"), 60)
+    worst, wit = 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in X:
+            gap = float(np.max(np.abs(apply_map(f, x) - apply_map(g, x))))
+            if gap > worst:
+                worst, wit = gap, (x.tolist(),)
+        res = _compare("probe", "f = g", f, g, cube(1), cfg)
+    assert np.any(X > 0.72) and worst > 1.0
+    assert res.max_residual == worst
+    assert res.witness == wit
+    assert res.verdict is Verdict.FAIL
