@@ -25,7 +25,9 @@ from .jet import (
     ImplicitMap, NewtonDiverged, row_ordered, solve_batch, struct_map,
     tangent_map,
 )
-from .report import CheckReport, LawResult, Verdict, law_from_verdict
+from .report import (
+    CheckReport, LawResult, Verdict, law_from_verdict, universality_refusal,
+)
 
 __all__ = [
     "BundleSpec", "BundleMorphism", "CheckReport", "LawResult", "Verdict",
@@ -270,14 +272,10 @@ def _pinv_beta_exprs(spec: BundleSpec, decomp):
 
 
 def _gate_universality(universality, what: str):
-    if universality is None:
-        return
-    agg = getattr(universality, "aggregate", universality)
-    if getattr(agg, "ok", False):
-        return
-    raise AdditionUnavailable(
-        f"{what} refused: universality verdict is {getattr(agg, 'value', agg)}"
-    )
+    refusal = universality_refusal(universality)
+    if refusal is not None:
+        raise AdditionUnavailable(
+            f"{what} refused: universality verdict is {refusal}")
 
 
 def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,

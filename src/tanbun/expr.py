@@ -459,6 +459,12 @@ class SmoothMap:
     def jac_batch(self, X) -> np.ndarray:
         return jac_eval_batch(self, X)
 
+    def eval_point(self, x) -> np.ndarray:
+        return eval_map(self, x)
+
+    def jacobian(self, x) -> np.ndarray:
+        return jac_eval_batch(self, np.asarray(x, dtype=float)[None, :])[0]
+
     @cached_property
     def _jac_plan(self):
         """The float Jacobian, compiled once on first use: a (coarity,

@@ -29,10 +29,10 @@ import numpy as np
 from .expr import (
     CheckConfig, DEFAULT_CONFIG, DENOM_GUARD, DenominatorNearZero,
     DimensionMismatch, ExprError, SmoothMap, Var, bump_coeffs, compose,
-    con, concat_maps, cube, eval_batch, eval_map, equal_maps,
-    identity_map, jac_eval_batch, jacobian_exprs, neg, product_of,
-    projection, simplify_map, smooth_map, substitute_vars, sum_of,
-    _bump_order, _check_batch, _evaluate,
+    con, concat_maps, cube, eval_batch, equal_maps, identity_map,
+    jac_eval_batch, jacobian_exprs, neg, product_of, projection,
+    simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
+    _check_batch, _evaluate,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
@@ -40,9 +40,8 @@ __all__ = [
     "JetPoint", "TruncElem", "pushforward", "tangent_map", "struct_map",
     "StructSet", "STANDARD_STRUCTS", "STRUCT_KINDS",
     "ImplicitMap", "JetView", "Composite", "StackMap", "NewtonDiverged",
-    "push", "apply_map", "apply_batch", "tangent_of", "prolong_implicit",
-    "jac_point", "jac_batch", "row_ordered", "solve_batch",
-    "solve_least_norm",
+    "push", "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
+    "jac_point", "row_ordered", "solve_batch", "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
     "naturality_square",
 ]
@@ -345,7 +344,94 @@ def _by_rows(batch):
     return method
 
 
-class ImplicitMap:
+def _each_row(fn, rows, errors=None):
+    """fn(rows) for an array of row indices, or fn over each row alone
+    when the batch raises an ExprError, so that only the failing rows are
+    lost.  Returns (kept, values): the positions in rows of the rows that
+    evaluated, and their values; the error of each other row goes into
+    errors under its row index, when errors is given."""
+    errors = {} if errors is None else errors
+    try:
+        return np.arange(len(rows)), fn(rows)
+    except ExprError as err:
+        if len(rows) == 1:
+            errors[int(rows[0])] = err
+            return np.arange(0), np.empty(0)
+    kept, vals = [], []
+    for k in range(len(rows)):
+        try:
+            vals.append(fn(rows[k:k + 1]))
+        except ExprError as err:
+            errors[int(rows[k])] = err
+        else:
+            kept.append(k)
+    return (np.array(kept, dtype=int),
+            np.concatenate(vals) if vals else np.empty(0))
+
+
+def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
+                  diverged=None):
+    """The row-masked Gauss-Newton loop of solve_batch and
+    ImplicitMap.eval_batch: steps the rows `live` of Z in place.
+
+    F(rows) gives the residuals at those rows of Z, J(rows) their
+    Jacobians.  Each iteration evaluates F over the rows still running,
+    stops those below tol, and steps each other row by its own lstsq on J
+    (a stacked solve would round differently).  A row also stops when F
+    or J raises for it (see _each_row), when its lstsq raises or when its
+    step is not finite.  The errors of J and lstsq go into errors, those
+    of F into value_errors when given, and a non-finite step becomes
+    NewtonDiverged(diverged) in errors when diverged is given.  Returns
+    (converged, running): the rows that fell below tol and the rows still
+    running when the iterations ran out."""
+    converged = []
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        kept, R = _each_row(F, live, value_errors)
+        live = live[kept]
+        if not live.size:
+            break
+        done = np.max(np.abs(R), axis=1) < tol
+        converged.extend(live[done])
+        live, R = live[~done], R[~done]
+        if not live.size:
+            break
+        kept, Js = _each_row(J, live, errors)
+        running = []
+        for k, Jk, r in zip(live[kept], Js, R[kept]):
+            try:
+                step, *_ = np.linalg.lstsq(Jk, -r, rcond=None)
+            except np.linalg.LinAlgError as err:
+                errors[int(k)] = err
+                continue
+            if np.all(np.isfinite(step)):
+                Z[k] = Z[k] + step
+                running.append(k)
+            elif diverged is not None:
+                errors[int(k)] = NewtonDiverged(diverged)
+        live = np.array(running, dtype=int)
+    return np.array(converged, dtype=int), live
+
+
+class _MapLike:
+    """What a procedural map derives from its eval_batch and jac_batch:
+    the one-point cases, and T^n as a JetView unless it knows better."""
+
+    def eval_point(self, x) -> np.ndarray:
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jacobian(self, x) -> np.ndarray:
+        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def __call__(self, x):
+        return self.eval_point(x)
+
+    def tangent(self, n: int):
+        return JetView(self, n)
+
+
+class ImplicitMap(_MapLike):
     """A map defined implicitly by residual(params, output) = 0.
 
     eval_batch solves by Gauss-Newton from a caller-supplied initializer,
@@ -369,6 +455,9 @@ class ImplicitMap:
         self.max_iter = max_iter
         self._seen: dict = {}
 
+    # bound in the class's own namespace, where bench/tracer.py wraps it
+    eval_point = _MapLike.eval_point
+
     def _remember(self, keys, Y: np.ndarray):
         # the last batch is kept whole, so that the Jacobians of a batch
         # find the values it has just solved
@@ -379,14 +468,12 @@ class ImplicitMap:
     def eval_batch(self, X) -> np.ndarray:
         """Values at a batch of parameters, (n, arity) -> (n, coarity).
 
-        One Gauss-Newton loop over the rows not solved before: each step
-        evaluates the residual and its Jacobian once over the rows still
-        running and solves each row's own lstsq (a stacked solve would
-        round differently).  A row is solved once its residual is below
-        tol, or below 1e-9 after max_iter steps; it fails on a non-finite
-        step, on no convergence, or when its start or residual cannot be
-        evaluated.  The solved rows are remembered; then the error of the
-        first failing row is raised, as a row-by-row loop would raise it.
+        The rows not solved before go through _gauss_newton from init.  A
+        row is solved once its residual is below tol, or below 1e-9 after
+        max_iter steps; it fails on a non-finite step, on no convergence,
+        or when its start or residual cannot be evaluated.  The solved
+        rows are remembered; then the error of the first failing row is
+        raised, as a row-by-row loop would raise it.
         """
         X = _check_batch(self, X)
         keys = [x.tobytes() for x in X]
@@ -403,49 +490,25 @@ class ImplicitMap:
         todo = np.array(list(first.values()))
         errors = {}
 
-        def each_row(fn, f, live, Z):
-            # fn(f, Z) for the rows `live`, keeping the errors of the others
-            kept, vals, errs = _each_row(fn, f, Z)
-            errors.update((int(live[k]), err) for k, err in errs.items())
-            return live[kept], kept, vals
+        def residual(rows):
+            return eval_batch(self.residual, np.hstack([X[rows], Y[rows]]))
 
-        def residual(fn, live):
-            return each_row(fn, self.residual, live,
-                            np.hstack([X[live], Y[live]]))
+        def jac(rows):
+            return jac_eval_batch(self.residual, np.hstack(
+                [X[rows], Y[rows]]))[:, :, self.arity:]
 
-        live, _, Y0 = each_row(lambda f, Z: np.asarray(f.init(Z), dtype=float),
-                               self, todo, X[todo])
+        kept, Y0 = _each_row(
+            lambda rows: np.asarray(self.init(X[rows]), dtype=float),
+            todo, errors)
+        live = todo[kept]
         if live.size:
             Y[live] = Y0
-        a = self.arity
-        for _ in range(self.max_iter):
-            if not live.size:
-                break
-            live, _, R = residual(eval_batch, live)
-            if not live.size:
-                break
-            done = np.max(np.abs(R), axis=1) < self.tol
-            live, R = live[~done], R[~done]
-            if not live.size:
-                break
-            live, kept, J = residual(jac_eval_batch, live)
-            running = []
-            for k, Jk, r in zip(live, J, R[kept]):
-                try:
-                    step, *_ = np.linalg.lstsq(Jk[:, a:], -r, rcond=None)
-                except np.linalg.LinAlgError as err:
-                    errors[int(k)] = err
-                    continue
-                if not np.all(np.isfinite(step)):
-                    errors[int(k)] = NewtonDiverged(
-                        f"{self.name}: non-finite Newton step")
-                    continue
-                Y[k] = Y[k] + step
-                running.append(k)
-            live = np.array(running, dtype=int)
+        _, live = _gauss_newton(residual, jac, Y, live, self.tol,
+                                self.max_iter, errors, errors,
+                                f"{self.name}: non-finite Newton step")
         if live.size:   # out of steps: accept the loosely converged rows
-            live, _, R = residual(eval_batch, live)
-            for k, r in zip(live, R):
+            kept, R = _each_row(residual, live, errors)
+            for k, r in zip(live[kept], R):
                 if not np.max(np.abs(r)) < 1e-9:
                     errors[int(k)] = NewtonDiverged(
                         f"{self.name}: no convergence at {X[k].tolist()}")
@@ -468,14 +531,8 @@ class ImplicitMap:
             out[k] = np.linalg.lstsq(Jk[:, a:], -Jk[:, :a], rcond=None)[0]
         return out
 
-    def eval_point(self, x) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def __call__(self, x):
-        return self.eval_point(x)
+    def tangent(self, n: int) -> "ImplicitMap":
+        return prolong_implicit(self, n)
 
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         if jp.dim != self.arity or jp.order != n:
@@ -530,7 +587,7 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
                        tol=imp.tol, max_iter=imp.max_iter)
 
 
-class JetView:
+class JetView(_MapLike):
     """T^order of an underlying map, exposed as a flat map on charts."""
 
     def __init__(self, base, order: int):
@@ -542,34 +599,22 @@ class JetView:
         self.arity = base.arity << order
         self.coarity = base.coarity << order
 
-    def eval_point(self, x) -> np.ndarray:
-        jp = JetPoint.from_flat(x, self.order, self.base.arity)
-        return push(self.base, self.order, jp).to_flat()
-
-    def jacobian(self, x) -> np.ndarray:
-        """One column per first-order jet pushed through the view."""
-        x = np.asarray(x, dtype=float)
-        J = np.empty((self.coarity, self.arity))
-        for j in range(self.arity):
-            blocks = np.vstack([x, np.eye(self.arity)[j]])
-            J[:, j] = self.push(1, JetPoint(1, self.arity, blocks)).blocks[1]
-        return J
-
     # point by point: jets are pushed one point at a time
     def eval_batch(self, X) -> np.ndarray:
         out = np.empty((len(X), self.coarity))
         for k, x in enumerate(np.asarray(X, dtype=float)):
-            out[k] = self.eval_point(x)
+            jp = JetPoint.from_flat(x, self.order, self.base.arity)
+            out[k] = push(self.base, self.order, jp).to_flat()
         return out
 
     def jac_batch(self, X) -> np.ndarray:
+        """One column per first-order jet pushed through the view."""
         out = np.empty((len(X), self.coarity, self.arity))
         for k, x in enumerate(np.asarray(X, dtype=float)):
-            out[k] = self.jacobian(x)
+            for j, e in enumerate(np.eye(self.arity)):
+                jp = JetPoint(1, self.arity, np.vstack([x, e]))
+                out[k, :, j] = self.push(1, jp).blocks[1]
         return out
-
-    def __call__(self, x):
-        return self.eval_point(x)
 
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         inner = JetPoint.from_flat(
@@ -579,7 +624,7 @@ class JetView:
         return JetPoint.from_flat(res.to_flat(), n, self.coarity)
 
 
-class Composite:
+class Composite(_MapLike):
     """Sequential composite of map-like objects, applied right to left."""
 
     def __init__(self, *stages):
@@ -616,14 +661,8 @@ class Composite:
             X = s.eval_batch(X)
         return J
 
-    def eval_point(self, x) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def __call__(self, x):
-        return self.eval_point(x)
+    def tangent(self, n: int) -> "Composite":
+        return Composite(*[tangent_of(s, n) for s in self.stages])
 
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         for s in reversed(self.stages):
@@ -631,7 +670,7 @@ class Composite:
         return jp
 
 
-class StackMap:
+class StackMap(_MapLike):
     """Concatenated outputs of several map-like objects on one input."""
 
     def __init__(self, *parts):
@@ -647,15 +686,6 @@ class StackMap:
     def jac_batch(self, X) -> np.ndarray:
         return np.concatenate([p.jac_batch(X) for p in self.parts], axis=1)
 
-    def eval_point(self, x) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def __call__(self, x):
-        return self.eval_point(x)
-
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         blocks = [push(p, n, jp).blocks for p in self.parts]
         return JetPoint(n, self.coarity, np.concatenate(blocks, axis=1))
@@ -670,83 +700,51 @@ def push(f, n: int, jp: JetPoint) -> JetPoint:
 
 def apply_map(f, x) -> np.ndarray:
     """Evaluate any map-like object at a point."""
+    return np.asarray(f.eval_point(x), dtype=float)
+
+
+def tangent_of(f, n: int):
+    """T^n of a map-like object: symbolic for a SmoothMap, otherwise the
+    map's own tangent."""
+    if n == 0:
+        return f
     if isinstance(f, SmoothMap):
-        return eval_map(f, x)
-    return np.asarray(f.eval_point(np.asarray(x, dtype=float)), dtype=float)
+        return tangent_map(f, n)
+    return f.tangent(n)
 
 
-def apply_batch(f, X) -> np.ndarray:
-    """Values of any map-like object at a batch of points, (n, coarity):
-    the map's own eval_batch."""
-    return f.eval_batch(np.asarray(X, dtype=float))
+def tangent_after(f, g):
+    """T(f) . g: simplified in closed form when f is a SmoothMap, else a
+    Composite."""
+    if isinstance(f, SmoothMap):
+        return simplify_map(compose(tangent_map(f, 1), g))
+    return Composite(tangent_of(f, 1), g)
 
 
-def _each_row(fn, f, X):
-    """fn(f, X) over the batch X, or over its rows one at a time when the
-    batch raises an ExprError, so that only the failing rows are lost.
-    Returns (kept, values, errors): the indices of the rows that
-    evaluated, their values, and the error of each other row."""
-    try:
-        return np.arange(len(X)), fn(f, X), {}
-    except ExprError as err:
-        if len(X) == 1:
-            return np.arange(0), np.empty(0), {0: err}
-    kept, vals, errors = [], [], {}
-    for k in range(len(X)):
-        try:
-            vals.append(fn(f, X[k:k + 1]))
-        except ExprError as err:
-            errors[k] = err
-        else:
-            kept.append(k)
-    return (np.array(kept, dtype=int),
-            np.concatenate(vals) if vals else np.empty(0), errors)
+def jac_point(f, x) -> np.ndarray:
+    """Jacobian of a map-like object at a point."""
+    return f.jacobian(x)
 
 
 def solve_batch(f, targets, starts, tol: float = 1e-11, max_iter: int = 40):
     """Gauss-Newton with least-norm steps, one row per (target, start).
 
-    Every row follows the iteration a one-row solve would: each step
-    evaluates only the rows still running, with one apply_batch and one
-    jac_batch call, and solves each row's own lstsq (a stacked solve
-    would round differently).  Returns (Z, ok, errors).  ok[k] is False
-    where row k's value could not be evaluated, a step was not finite or
-    the iterations ran out; errors maps each row whose Jacobian or step
-    raised to that exception, which a one-row solve raises, so a caller
-    that solves in sample order raises the one of the first such row.
+    Every row follows the iteration a one-row solve would (_gauss_newton).
+    Returns (Z, ok, errors).  ok[k] is False where row k's value could not
+    be evaluated, a step was not finite or the iterations ran out; errors
+    maps each row whose Jacobian or step raised to that exception, which
+    a one-row solve raises, so a caller that solves in sample order raises
+    the one of the first such row.
     """
     Z = np.array(starts, dtype=float)
     T = np.asarray(targets, dtype=float)
     ok = np.zeros(len(Z), dtype=bool)
     errors = {}
-    live = np.arange(len(Z))
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        kept, F, _ = _each_row(apply_batch, f, Z[live])
-        live = live[kept]
-        if not live.size:
-            break
-        R = F - T[live]
-        done = np.max(np.abs(R), axis=1) < tol
-        ok[live[done]] = True
-        live, R = live[~done], R[~done]
-        if not live.size:
-            break
-        kept, J, errs = _each_row(jac_batch, f, Z[live])
-        errors.update((int(live[k]), err) for k, err in errs.items())
-        running = []
-        for Jk, pos in zip(J, kept):
-            k = int(live[pos])
-            try:
-                step, *_ = np.linalg.lstsq(Jk, -R[pos], rcond=None)
-            except np.linalg.LinAlgError as err:
-                errors[k] = err
-                continue
-            if np.all(np.isfinite(step)):
-                Z[k] = Z[k] + step
-                running.append(k)
-        live = np.array(running, dtype=int)
+    converged, _ = _gauss_newton(
+        lambda rows: f.eval_batch(Z[rows]) - T[rows],
+        lambda rows: f.jac_batch(Z[rows]),
+        Z, np.arange(len(Z)), tol, max_iter, errors)
+    ok[converged] = True
     return Z, ok, errors
 
 
@@ -764,31 +762,6 @@ def solve_least_norm(f, target, z0, tol: float = 1e-11,
     if errors:
         raise errors[0]
     return Z[0] if ok[0] else None
-
-
-def tangent_of(f, n: int):
-    """T^n of a map-like object; symbolic or implicit when possible."""
-    if n == 0:
-        return f
-    if isinstance(f, SmoothMap):
-        return tangent_map(f, n)
-    if isinstance(f, ImplicitMap):
-        return prolong_implicit(f, n)
-    if isinstance(f, Composite):
-        return Composite(*[tangent_of(s, n) for s in f.stages])
-    return JetView(f, n)
-
-
-def jac_point(f, x) -> np.ndarray:
-    """Jacobian of a map-like object at a point: the one-row case of
-    jac_batch."""
-    return jac_batch(f, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def jac_batch(f, X) -> np.ndarray:
-    """Jacobians of any map-like object at a batch of points, (n,
-    coarity, arity): the map's own jac_batch."""
-    return f.jac_batch(np.asarray(X, dtype=float))
 
 
 # --------------------------------------------------------------------------

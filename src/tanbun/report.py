@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict"]
+__all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
+           "universality_refusal"]
 
 
 class Verdict(enum.Enum):
@@ -103,6 +104,22 @@ class CheckReport:
         lines = [f"== {self.title} [{self.aggregate.value}]"]
         lines += ["  " + e.describe() for e in self.entries]
         return "\n".join(lines)
+
+
+def universality_refusal(universality, rerun=None):
+    """None when a universality verdict (a PullbackVerdict, a CheckReport
+    or a bare Verdict) passes, else its value, for a refusal message.
+
+    universality=None means rerun() when rerun is given, and a pass
+    otherwise.  induce_addition and induce_negation let None through;
+    splitting_pair and phi rerun the rosicky square, biproduct_check the
+    strong square."""
+    if universality is None:
+        if rerun is None:
+            return None
+        universality = rerun()
+    agg = getattr(universality, "aggregate", universality)
+    return None if getattr(agg, "ok", False) else getattr(agg, "value", agg)
 
 
 def law_from_verdict(law_id: str, anchor: str, verdict_kind, *, exact_ok=True,

@@ -28,7 +28,9 @@ from .bundle import (
     BundleMorphism, BundleSpec, check_morphism, fibre_affine_decomposition,
     vert_lambda,
 )
-from .report import CheckReport, LawResult, Verdict, law_from_verdict
+from .report import (
+    CheckReport, LawResult, Verdict, law_from_verdict, universality_refusal,
+)
 
 __all__ = [
     "PulledBackTangent", "SplittingRefused", "pulled_back_tangent",
@@ -169,18 +171,6 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     return rep
 
 
-def _gate_rosicky(spec: BundleSpec, cfg: CheckConfig, universality):
-    if universality is None:
-        from .universal import check_pullback, rosicky_square
-        universality = check_pullback(rosicky_square(spec), cfg.t_depth, cfg)
-    agg = getattr(universality, "aggregate", universality)
-    if not getattr(agg, "ok", False):
-        raise SplittingRefused(
-            f"{spec.name}: splitting refused, universality verdict is "
-            f"{getattr(agg, 'value', agg)}")
-    return universality
-
-
 def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
                    universality=None):
     """The section (q, vertical lam) into the T_M(E) chart and the
@@ -189,7 +179,14 @@ def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     K inverts lam on the image of the projector: closed form when the
     lift is fibre-affine with constant matrix, otherwise a Newton solve
     of lam(e) = iota(chi(m, w))."""
-    _gate_rosicky(spec, cfg, universality)
+    from .universal import check_pullback, rosicky_square
+    refusal = universality_refusal(
+        universality,
+        lambda: check_pullback(rosicky_square(spec), cfg.t_depth, cfg))
+    if refusal is not None:
+        raise SplittingRefused(
+            f"{spec.name}: splitting refused, universality verdict is "
+            f"{refusal}")
     d, k = spec.total_dim, spec.base_dim
     section = concat_maps(spec.q, vert_lambda(spec))
     ch = chi(spec)
@@ -321,15 +318,14 @@ def biproduct_check(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     """The four projection/injection identities on the chart (e, v) plus
     the idempotent split off by the first pair."""
     rep = CheckReport(f"{spec.name}: biproduct")
-    if universality is None:
-        from .universal import check_pullback, strong_square
-        universality = check_pullback(strong_square(spec), cfg.t_depth, cfg)
-    agg = getattr(universality, "aggregate", universality)
-    if not getattr(agg, "ok", False):
+    from .universal import check_pullback, strong_square
+    refusal = universality_refusal(
+        universality,
+        lambda: check_pullback(strong_square(spec), cfg.t_depth, cfg))
+    if refusal is not None:
         rep.add(LawResult(
             "strong-gate", "biproduct chart requires the strong square",
-            Verdict.FAIL,
-            note=f"strong square verdict {getattr(agg, 'value', agg)}"))
+            Verdict.FAIL, note=f"strong square verdict {refusal}"))
         return rep
 
     d, k = spec.total_dim, spec.base_dim

@@ -26,8 +26,8 @@ from .bundle import (
     induce_addition, vert_lambda,
 )
 from .jet import (
-    Composite, StackMap, apply_batch, jac_batch, solve_batch,
-    solve_least_norm, struct_map, tangent_map, tangent_of,
+    StackMap, solve_batch, solve_least_norm, struct_map, tangent_after,
+    tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -143,14 +143,10 @@ def cockett_square(spec: BundleSpec, add) -> CommutingSquare:
         compose(vert_lambda(spec), _pi_first(spec)),
         smooth_map(2 * d, [con(0)] * d),
     )
-    if isinstance(add, SmoothMap):
-        top = simplify_map(compose(tangent_map(add, 1), pre))
-    else:
-        top = Composite(tangent_of(add, 1), pre)
     return CommutingSquare(
         name=f"{spec.name}:cockett", apex_dim=2 * d,
         apex_box=_pair_box(spec), constraint=_pair_constraint(spec),
-        top=top, left=compose(spec.q, _pi_first(spec)),
+        top=tangent_after(add, pre), left=compose(spec.q, _pi_first(spec)),
         right=tangent_map(spec.q, 1), bottom=struct_map("zero", 0, k))
 
 
@@ -240,17 +236,24 @@ def _prov(cfg, depth, extra=None):
     return p
 
 
+# the equation each pullback law checks
+_ANCHORS = {
+    "commutes": "right . top = bottom . left",
+    "injective": "cone map is one-to-one on samples",
+    "rank": "cone Jacobian spans the fibre-product tangent",
+    "surjective": "perturbed cone points have preimages",
+}
+
+
+def _law(law_id: str, verdict: Verdict, **kw) -> LawResult:
+    return LawResult(law_id, _ANCHORS[law_id], verdict, **kw)
+
+
 def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
                    cfg: CheckConfig = DEFAULT_CONFIG) -> PullbackVerdict:
     depth_cap = min(sq.max_depth, cfg.t_depth if t_depth is None else t_depth)
-    comm = LawResult("commutes", "right . top = bottom . left",
-                     Verdict.PASS_NUMERIC)
-    inj = LawResult("injective", "cone map is one-to-one on samples",
-                    Verdict.PASS_NUMERIC)
-    rank = LawResult("rank", "cone Jacobian spans the fibre-product tangent",
-                     Verdict.PASS_NUMERIC)
-    surj = LawResult("surjective", "perturbed cone points have preimages",
-                     Verdict.PASS_NUMERIC)
+    comm, inj, rank, surj = (_law(law_id, Verdict.PASS_NUMERIC)
+                             for law_id in _ANCHORS)
     total_discard = 0
     total_outliers = 0
 
@@ -265,36 +268,32 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         Z, discarded = _sample_apex(sq, depth, cfg, count)
         total_discard += discarded
 
-        B_img = apply_batch(top_t, Z)
-        C_img = apply_batch(left_t, Z)
+        B_img = top_t.eval_batch(Z)
+        C_img = left_t.eval_batch(Z)
         F_img = np.hstack([B_img, C_img])
 
         # (pre) commutation of the square itself
-        comm_res = np.abs(apply_batch(right_t, B_img)
-                          - apply_batch(bottom_t, C_img))
+        comm_res = np.abs(right_t.eval_batch(B_img)
+                          - bottom_t.eval_batch(C_img))
         worst = float(np.max(comm_res))
         if worst > max(cfg.tol, 1e-8):
             i = int(np.unravel_index(np.argmax(comm_res), comm_res.shape)[0])
-            comm = LawResult("commutes", "right . top = bottom . left",
-                             Verdict.FAIL, witness=(Z[i].tolist(),),
-                             max_residual=worst, provenance=_prov(cfg, depth))
+            comm = _law("commutes", Verdict.FAIL, witness=(Z[i].tolist(),),
+                        max_residual=worst, provenance=_prov(cfg, depth))
             break
-        comm = LawResult("commutes", "right . top = bottom . left",
-                         Verdict.PASS_NUMERIC,
-                         max_residual=max(comm.max_residual, worst),
-                         provenance=_prov(cfg, depth))
+        comm = _law("commutes", Verdict.PASS_NUMERIC,
+                    max_residual=max(comm.max_residual, worst),
+                    provenance=_prov(cfg, depth))
 
         # (a) injectivity on sample pairs
         hit = _collision(Z, F_img)
         if hit is not None:
             i, j = hit
-            inj = LawResult("injective", "cone map is one-to-one on samples",
-                            Verdict.FAIL,
-                            witness=(Z[i].tolist(), Z[j].tolist()),
-                            max_residual=float(
-                                np.max(np.abs(F_img[i] - F_img[j]))),
-                            note="distinct apex points share an image",
-                            provenance=_prov(cfg, depth))
+            inj = _law("injective", Verdict.FAIL,
+                       witness=(Z[i].tolist(), Z[j].tolist()),
+                       max_residual=float(np.max(np.abs(F_img[i] - F_img[j]))),
+                       note="distinct apex points share an image",
+                       provenance=_prov(cfg, depth))
             break
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
@@ -347,11 +346,11 @@ def _fp_tangent_dims(right_t, bottom_t, B_img, C_img) -> list:
     """Fibre-product tangent dimension at each sample: the nullity of
     [J_right | -J_bottom], from one stacked SVD."""
     try:
-        Jr, Jb = jac_batch(right_t, B_img), jac_batch(bottom_t, C_img)
+        Jr, Jb = right_t.jac_batch(B_img), bottom_t.jac_batch(C_img)
     except ExprError:
         for b, c in zip(B_img, C_img):   # raise the first sample's error
-            jac_batch(right_t, b[None])
-            jac_batch(bottom_t, c[None])
+            right_t.jac_batch(b[None])
+            bottom_t.jac_batch(c[None])
         raise
     M = np.concatenate([Jr, -Jb], axis=2)
     s = np.linalg.svd(M, compute_uv=False)
@@ -367,14 +366,14 @@ def _restricted_svs(top_t, left_t, g_t, Zs: np.ndarray, apex_flat: int):
     if g_t is None:
         bases = [np.eye(apex_flat)] * len(Zs)
     else:
-        _, s, vh = np.linalg.svd(jac_batch(g_t, Zs))
+        _, s, vh = np.linalg.svd(g_t.jac_batch(Zs))
         bases = [v[_numeric_rank(si):].T for si, v in zip(s, vh)]
     out = [(np.empty(0), 0)] * len(Zs)
     live = [k for k, B in enumerate(bases) if B.shape[1]]
     if not live:
         return out
-    JF = np.concatenate([jac_batch(top_t, Zs[live]),
-                         jac_batch(left_t, Zs[live])], axis=1)
+    JF = np.concatenate([top_t.jac_batch(Zs[live]),
+                         left_t.jac_batch(Zs[live])], axis=1)
     by_dim = {}
     for J, k in zip(JF, live):
         by_dim.setdefault(bases[k].shape[1], []).append((k, J @ bases[k]))
@@ -415,9 +414,8 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
         s, apex_tdim = svs[pos] if svs is not None else _restricted_svs(
             top_t, left_t, g_t, Z[i:i + 1], apex_flat)[0]
         if apex_tdim != modal:
-            res = LawResult(
-                "rank", "cone Jacobian spans the fibre-product tangent",
-                Verdict.FAIL, witness=(Z[i].tolist(),),
+            res = _law(
+                "rank", Verdict.FAIL, witness=(Z[i].tolist(),),
                 note=(f"apex tangent dim {apex_tdim} != fibre-product "
                       f"tangent dim {modal}"),
                 provenance=_prov(cfg, depth, {"outliers": outliers}))
@@ -427,9 +425,9 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
         else:
             sigma, ratio = float(s[apex_tdim - 1]), float(s[apex_tdim - 1] / s[0])
         if ratio < RANK_TOL:
-            res = LawResult(
-                "rank", "cone Jacobian spans the fibre-product tangent",
-                Verdict.FAIL, witness=(Z[i].tolist(),), max_residual=ratio,
+            res = _law(
+                "rank", Verdict.FAIL, witness=(Z[i].tolist(),),
+                max_residual=ratio,
                 note=f"restricted Jacobian collapse, ratio {ratio:.3g}",
                 provenance=_prov(cfg, depth, {"outliers": outliers}))
             return res, outliers, None
@@ -437,12 +435,10 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
 
     scored.sort()
     min_ratio = min((r for _, r, _ in scored), default=1.0)
-    res = LawResult("rank", "cone Jacobian spans the fibre-product tangent",
-                    Verdict.PASS_NUMERIC,
-                    max_residual=0.0,
-                    note=f"min conditioning ratio {min_ratio:.3g}" if scored
-                    else "no usable samples",
-                    provenance=_prov(cfg, depth, {"outliers": outliers}))
+    res = _law("rank", Verdict.PASS_NUMERIC, max_residual=0.0,
+               note=f"min conditioning ratio {min_ratio:.3g}" if scored
+               else "no usable samples",
+               provenance=_prov(cfg, depth, {"outliers": outliers}))
     info = {"seeds": [i for _, _, i in scored[:4]],
             "min_sigma": scored[0][0] if scored else 1.0,
             "min_ratio": min_ratio}
@@ -540,9 +536,8 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
     ratio, _ = _restricted_ratio(top_t, left_t, g_t, best_z, apex_flat)
     if ratio >= RANK_TOL:
         return None
-    return LawResult(
-        "rank", "cone Jacobian spans the fibre-product tangent",
-        Verdict.FAIL, witness=(best_z.tolist(),), max_residual=ratio,
+    return _law(
+        "rank", Verdict.FAIL, witness=(best_z.tolist(),), max_residual=ratio,
         note=f"search located Jacobian collapse, ratio {ratio:.3g}",
         provenance=_prov(cfg, 0, {"via": "witness search"}))
 
@@ -642,21 +637,18 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
         spread = max(float(np.max(np.abs(u - v)))
                      for u, v in ((a, b), (a, c), (b, c)))
         if spread > 1e-7:
-            return LawResult(
-                "surjective", "perturbed cone points have preimages",
-                Verdict.FAIL, witness=(a.tolist(), b.tolist()),
+            return _law(
+                "surjective", Verdict.FAIL, witness=(a.tolist(), b.tolist()),
                 max_residual=spread,
                 note="distinct preimages of one cone point",
                 provenance=_prov(cfg, depth))
     if stalls:
-        return LawResult(
-            "surjective", "perturbed cone points have preimages",
-            Verdict.UNKNOWN,
+        return _law(
+            "surjective", Verdict.UNKNOWN,
             note=f"{stalls}/{n_try} preimage solves stalled",
             provenance=_prov(cfg, depth, {"stalls": stalls}))
-    return LawResult(
-        "surjective", "perturbed cone points have preimages",
-        Verdict.PASS_NUMERIC,
+    return _law(
+        "surjective", Verdict.PASS_NUMERIC,
         note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
         provenance=_prov(cfg, depth))
 

@@ -23,14 +23,15 @@ from .expr import (
     simplify_map, smooth_map,
 )
 from .jet import (
-    Composite, NewtonDiverged, apply_map, row_ordered, tangent_map,
-    tangent_of,
+    NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
 )
 from .bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, NotWellTyped,
     fibre_matched_tuples, induce_addition, scale_through_lambda,
 )
-from .report import CheckReport, LawResult, Verdict, law_from_verdict
+from .report import (
+    CheckReport, LawResult, Verdict, law_from_verdict, universality_refusal,
+)
 
 __all__ = [
     "VectorBundleSpec", "ModuleLawsFailed", "TranslationRefused",
@@ -172,10 +173,7 @@ def psi(vb: VectorBundleSpec, cfg: CheckConfig = DEFAULT_CONFIG, *,
         (con(0),) + tuple(Var(i) for i in range(d))
         + (con(1),) + (con(0),) * d,
     )
-    if isinstance(vb.scalar, SmoothMap):
-        lam = simplify_map(compose(tangent_map(vb.scalar, 1), embed))
-    else:
-        lam = Composite(tangent_of(vb.scalar, 1), embed)
+    lam = tangent_after(vb.scalar, embed)
     negate = None
     if isinstance(vb.scalar, SmoothMap):
         neg_embed = SmoothMap(
@@ -196,14 +194,14 @@ def phi(db: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     Refused unless the universality verdict is a pass; the recovered
     action conjugates tangent-block scaling through the lift, and the
     addition is induced the same way."""
-    if universality is None:
-        from .universal import check_pullback, rosicky_square
-        universality = check_pullback(rosicky_square(db), cfg.t_depth, cfg)
-    agg = getattr(universality, "aggregate", universality)
-    if not getattr(agg, "ok", False):
+    from .universal import check_pullback, rosicky_square
+    refusal = universality_refusal(
+        universality,
+        lambda: check_pullback(rosicky_square(db), cfg.t_depth, cfg))
+    if refusal is not None:
         raise TranslationRefused(
             f"{db.name}: scalar recovery refused, universality verdict is "
-            f"{getattr(agg, 'value', agg)}")
+            f"{refusal}")
     add = db.add if db.add is not None else induce_addition(
         db, cfg, universality=universality)
     # The action is always recomputed from the lift; a declared action on

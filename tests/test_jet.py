@@ -11,8 +11,8 @@ from tanbun.expr import (
 )
 from tanbun.jet import (
     AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
-    NewtonDiverged, STANDARD_STRUCTS, StackMap, TruncElem, apply_batch,
-    apply_map, check_all_axioms, check_axiom, jac_batch, jac_point,
+    NewtonDiverged, STANDARD_STRUCTS, StackMap, TruncElem, apply_map,
+    check_all_axioms, check_axiom, jac_point,
     naturality_square, prolong_implicit, pushforward, solve_batch,
     solve_least_norm, struct_map, tangent_map, tangent_of,
 )
@@ -387,7 +387,7 @@ def test_composite_batch_matches_the_point_chain():
     ref = [old_chain(x) for x in X]
     assert np.array_equal(pipe.eval_batch(X), np.stack([v for v, _ in ref]))
     assert np.array_equal(pipe.jac_batch(X), np.stack([J for _, J in ref]))
-    assert np.array_equal(jac_batch(pipe, X[:1])[0], jac_point(pipe, X[0]))
+    assert np.array_equal(pipe.jac_batch(X[:1])[0], jac_point(pipe, X[0]))
     # the stages meet h's pole in row 2 first, but a row-by-row loop
     # stops at row 1, where the square root has no real value
     bad = np.array([[2.0, 3.0], [-2.0, 3.0], [1.0, 1.0]])
@@ -403,8 +403,8 @@ def test_values_then_jacobians_solve_each_row_once(monkeypatch):
     imp = _inverse_cubic()
     solves = _count_solves(monkeypatch, imp)
     X = np.linspace(-5.0, 5.0, 100)[:, None]
-    apply_batch(imp, X)
-    jac_batch(imp, X)
+    imp.eval_batch(X)
+    imp.jac_batch(X)
     assert len(solves) == 100
     solves.clear()
     pipe = Composite(parse_map("2*x0 + 1", 1), imp)
@@ -451,9 +451,9 @@ def test_batch_evaluation_matches_point_evaluation():
     for f in (StackMap(imp, parse_map("x0 - 1, x0^2", 1)),
               Composite(parse_map("x0 + 1", 1), imp),
               JetView(parse_map("x0^3", 1), 0)):
-        assert np.array_equal(apply_batch(f, X),
+        assert np.array_equal(f.eval_batch(X),
                               np.stack([apply_map(f, x) for x in X]))
-        assert np.array_equal(jac_batch(f, X),
+        assert np.array_equal(f.jac_batch(X),
                               np.stack([jac_point(f, x) for x in X]))
 
 

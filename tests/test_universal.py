@@ -9,7 +9,7 @@ from tanbun.expr import (
     simplify_map,
 )
 from tanbun.jet import (
-    StackMap, apply_batch, jac_point, solve_batch, solve_least_norm,
+    StackMap, jac_point, solve_batch, solve_least_norm,
     tangent_map, tangent_of,
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
@@ -279,7 +279,7 @@ def _outcome(fn, *args):
 def _phase_args(sq, depth, Z):
     top_t, left_t = tangent_of(sq.top, depth), tangent_map(sq.left, depth)
     g_t = tangent_map(sq.constraint, depth) if sq.constraint else None
-    return (sq, depth, Z, apply_batch(top_t, Z), apply_batch(left_t, Z),
+    return (sq, depth, Z, top_t.eval_batch(Z), left_t.eval_batch(Z),
             top_t, left_t, tangent_of(sq.right, depth),
             tangent_of(sq.bottom, depth), g_t)
 
