@@ -102,56 +102,52 @@ def check_module_laws(vb: VectorBundleSpec,
     def act(r, a):
         return apply_map(vb.scalar, np.concatenate([[r], a]))
 
-    def law(law_id, anchor, residuals, witness=None):
-        worst = float(np.max(residuals)) if len(residuals) else 0.0
+    def fibre_sum(a, b):
+        return apply_map(vb.add, np.concatenate([a, b]))
+
+    def gap(u, v):
+        return np.max(np.abs(u - v))
+
+    def law(law_id, anchor, cases):
+        # cases: (inputs, gap) per sample, the inputs in the order the law
+        # reads them, scalars first; the witness is the first gap not <= tol
+        gaps = [g for _, g in cases]
+        worst = float(np.max(gaps)) if gaps else 0.0
+        wit = next(((np.hstack(x).tolist(),) for x, g in cases
+                    if not g <= tol), None)
         rep.add(LawResult(
             law_id, anchor,
             Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
-            witness=witness if worst > tol else None, max_residual=worst,
+            witness=wit, max_residual=worst,
             provenance={"samples": n, "seed": cfg.seed}))
 
-    res, wit = [], None
-    for a in A:
-        gap = np.max(np.abs(act(1.0, a) - a))
-        if wit is None and gap > tol:
-            wit = (a.tolist(),)
-        res.append(gap)
-    law("scalar-unit", "acting by one changes nothing", res, wit)
-
-    res = [np.max(np.abs(act(r, act(s, a)) - act(r * s, a)))
-           for r, s, a in zip(R, S, A)]
-    law("scalar-assoc", "nested actions multiply the scalars", res)
-
-    res = [np.max(np.abs(act(r + s, a)
-                         - apply_map(vb.add,
-                                     np.concatenate([act(r, a), act(s, a)]))))
-           for r, s, a in zip(R, S, A)]
-    law("scalar-scalar-distrib", "a scalar sum acts as the fibre sum", res)
-
+    law("scalar-unit", "acting by one changes nothing",
+        [((a,), gap(act(1.0, a), a)) for a in A])
+    law("scalar-assoc", "nested actions multiply the scalars",
+        [((r, s, a), gap(act(r, act(s, a)), act(r * s, a)))
+         for r, s, a in zip(R, S, A)])
+    law("scalar-scalar-distrib", "a scalar sum acts as the fibre sum",
+        [((r, s, a), gap(act(r + s, a), fibre_sum(act(r, a), act(s, a))))
+         for r, s, a in zip(R, S, A)])
     try:
         (first, second), _ = fibre_matched_tuples(
             vb.q, vb.total_box, cfg, width=2, count=n,
             tag=f"{vb.name}:module-pairs")
-        res = []
-        for r, a, b in zip(R, first, second):
-            lhs = act(r, apply_map(vb.add, np.concatenate([a, b])))
-            rhs = apply_map(vb.add, np.concatenate([act(r, a), act(r, b)]))
-            res.append(np.max(np.abs(lhs - rhs)))
         law("scalar-add-distrib", "the action distributes over fibre sums",
-            res)
+            [((r, a, b), gap(act(r, fibre_sum(a, b)),
+                             fibre_sum(act(r, a), act(r, b))))
+             for r, a, b in zip(R, first, second)])
     except NotWellTyped as exc:
         rep.add(LawResult("scalar-add-distrib",
                           "the action distributes over fibre sums",
                           Verdict.UNKNOWN, note=str(exc)))
 
-    res = [np.max(np.abs(act(0.0, a)
-                         - apply_map(vb.xi, apply_map(vb.q, a))))
-           for a in A]
-    law("scalar-zero", "acting by zero lands on the zero section", res)
-
-    res = [np.max(np.abs(apply_map(vb.q, act(r, a)) - apply_map(vb.q, a)))
-           for r, a in zip(R, A)]
-    law("scalar-base", "the action preserves the fibre", res)
+    law("scalar-zero", "acting by zero lands on the zero section",
+        [((a,), gap(act(0.0, a), apply_map(vb.xi, apply_map(vb.q, a))))
+         for a in A])
+    law("scalar-base", "the action preserves the fibre",
+        [((r, a), gap(apply_map(vb.q, act(r, a)), apply_map(vb.q, a)))
+         for r, a in zip(R, A)])
     return rep
 
 

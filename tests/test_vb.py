@@ -9,6 +9,7 @@ import pytest
 from tanbun.expr import Box, CheckConfig, cube, equal_maps, parse_map
 from tanbun.jet import Composite, apply_map
 from tanbun.bundle import BundleSpec, Verdict
+from tanbun.corpus import corpus_entry
 from tanbun.vb import (
     ModuleLawsFailed, TranslationRefused, VectorBundleSpec, _compare,
     check_module_laws, del_map, morphism_transport_check, phi, psi,
@@ -85,6 +86,76 @@ def test_quadratic_scalar_action_breaks_distributivity():
         scalar=parse_map("x1, x0^2*x2", 3))
     rep = check_module_laws(bad, CFG)
     assert {e.law_id for e in rep.failures()} == {"scalar-scalar-distrib"}
+
+
+def _replay(vb, law_id, inputs):
+    """The gap of one module law at a witness, read as the law reads its
+    inputs: scalars first, then points."""
+    d = vb.total_dim
+    w = np.asarray(inputs, dtype=float)
+
+    def act(r, a):
+        return apply_map(vb.scalar, np.concatenate([[r], a]))
+
+    def add(a, b):
+        return apply_map(vb.add, np.concatenate([a, b]))
+
+    def q(a):
+        return apply_map(vb.q, a)
+
+    r, s = w[0], w[1]
+    lhs, rhs = {
+        "scalar-unit": lambda: (act(1.0, w), w),
+        "scalar-assoc": lambda: (act(r, act(s, w[2:])), act(r * s, w[2:])),
+        "scalar-scalar-distrib": lambda: (
+            act(r + s, w[2:]), add(act(r, w[2:]), act(s, w[2:]))),
+        "scalar-add-distrib": lambda: (
+            act(r, add(w[1:1 + d], w[1 + d:])),
+            add(act(r, w[1:1 + d]), act(r, w[1 + d:]))),
+        "scalar-zero": lambda: (act(0.0, w), apply_map(vb.xi, q(w))),
+        "scalar-base": lambda: (q(act(r, w[1:])), q(w[1:])),
+    }[law_id]()
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def test_every_failing_module_law_has_a_replayable_witness():
+    # an action that breaks all six laws, and the quadratic mutant
+    broken = VectorBundleSpec(
+        name="broken", base_dim=1, total_dim=2,
+        base_box=cube(1), total_box=cube(2),
+        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
+        add=parse_map("x0, x1 + x3", 4),
+        scalar=parse_map("x1 + x0, x0^2*x2 + 1", 3))
+    quadratic = corpus_entry("mutant_scalar_quadratic").build()
+    widths = {"scalar-unit": 2, "scalar-assoc": 4,
+              "scalar-scalar-distrib": 4, "scalar-add-distrib": 5,
+              "scalar-zero": 2, "scalar-base": 3}
+    for vb, n_fail in ((broken, 6), (quadratic, 1)):
+        rep = check_module_laws(vb, CFG)
+        assert len(rep.failures()) == n_fail, vb.name
+        for e in rep.failures():
+            (inputs,) = e.witness
+            assert len(inputs) == widths[e.law_id]
+            assert _replay(vb, e.law_id, inputs) > max(CFG.tol, 1e-9), \
+                (vb.name, e.law_id)
+        for e in rep.entries:
+            assert (e.witness is None) == (e.verdict is not Verdict.FAIL)
+
+
+def test_a_nan_gap_fails_its_module_law_with_a_witness():
+    # exp(1000) overflows, so acting by one gives inf - inf in the fibre
+    nan_at_one = VectorBundleSpec(
+        name="nan", base_dim=1, total_dim=2,
+        base_box=cube(1), total_box=cube(2),
+        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
+        add=parse_map("x0, x1 + x3", 4),
+        scalar=parse_map(
+            "x1, x0*x2 + exp(1000*x0) - exp(999*x0)*exp(x0)", 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = check_module_laws(nan_at_one, CFG)["scalar-unit"]
+        assert unit.verdict is Verdict.FAIL
+        (inputs,) = unit.witness
+        assert np.isnan(_replay(nan_at_one, "scalar-unit", inputs))
 
 
 # --------------------------------------------------------------------------
