@@ -32,7 +32,7 @@ from .report import Verdict
 
 __all__ = [
     "BundleFileError", "UsageError", "RunReport", "parse_bundle_file",
-    "run_check", "main",
+    "run_check", "corpus_payload", "main",
 ]
 
 SCHEMA = "tanbun-report/1"
@@ -406,6 +406,13 @@ def _corpus_result_dict(res) -> dict:
     }
 
 
+def corpus_payload(results, cfg: CheckConfig) -> dict:
+    """The JSON document of `tanbun corpus run` for these results."""
+    return {"schema": CORPUS_SCHEMA, "tool": _version(), "seed": cfg.seed,
+            "samples": cfg.count, "tol": cfg.tol, "depth": cfg.t_depth,
+            "results": [_corpus_result_dict(r) for r in results]}
+
+
 def _cmd_corpus(args) -> int:
     if args.action == "list":
         if args.format == "json":
@@ -426,12 +433,8 @@ def _cmd_corpus(args) -> int:
     names = [args.name] if args.name else [e.name for e in corpus_list()]
     results = [corpus_run(name, cfg) for name in names]
     if args.format == "json":
-        print(json.dumps(
-            {"schema": CORPUS_SCHEMA, "tool": _version(),
-             "seed": cfg.seed, "samples": cfg.count, "tol": cfg.tol,
-             "depth": cfg.t_depth,
-             "results": [_corpus_result_dict(r) for r in results]},
-            sort_keys=True, indent=2))
+        print(json.dumps(corpus_payload(results, cfg), sort_keys=True,
+                         indent=2))
     else:
         for r in results:
             flag = "ok " if r.expectation_met else "BAD"

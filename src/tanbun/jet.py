@@ -538,9 +538,8 @@ class ImplicitMap(_MapLike):
         if jp.dim != self.arity or jp.order != n:
             raise DimensionMismatch("jet does not match implicit map arity")
         y0 = self.eval_point(jp.base)
-        J = jac_eval_batch(self.residual,
-                           np.concatenate([jp.base, y0])[None, :])[0]
-        J = J[:, self.arity:]
+        J = jac_eval_batch(self.residual, np.concatenate(
+            [jp.base, y0])[None, :])[0][:, self.arity:]
         out = np.zeros((1 << n, self.coarity))
         out[0] = y0
         env_x = [TruncElem(n, jp.blocks[:, i]) for i in range(self.arity)]
@@ -567,13 +566,9 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
     a, c = imp.arity, imp.coarity
     blocks = 1 << n
     prol = tangent_map(imp.residual, n)
-    remap = {}
-    for S in range(blocks):
-        for i in range(a + c):
-            if i < a:
-                remap[S * (a + c) + i] = Var(S * a + i)
-            else:
-                remap[S * (a + c) + i] = Var(blocks * a + S * c + i - a)
+    remap = {S * (a + c) + i: Var(S * a + i if i < a
+                                  else blocks * a + S * c + i - a)
+             for S in range(blocks) for i in range(a + c)}
     comps = tuple(substitute_vars(e, remap) for e in prol.components)
     residual = SmoothMap(blocks * (a + c), comps)
 
@@ -617,9 +612,8 @@ class JetView(_MapLike):
         return out
 
     def push(self, n: int, jp: JetPoint) -> JetPoint:
-        inner = JetPoint.from_flat(
-            jp.to_flat(), n + self.order, self.base.arity
-        )
+        inner = JetPoint.from_flat(jp.to_flat(), n + self.order,
+                                   self.base.arity)
         res = push(self.base, n + self.order, inner)
         return JetPoint.from_flat(res.to_flat(), n, self.coarity)
 

@@ -414,22 +414,20 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
         s, apex_tdim = svs[pos] if svs is not None else _restricted_svs(
             top_t, left_t, g_t, Z[i:i + 1], apex_flat)[0]
         if apex_tdim != modal:
-            res = _law(
-                "rank", Verdict.FAIL, witness=(Z[i].tolist(),),
-                note=(f"apex tangent dim {apex_tdim} != fibre-product "
-                      f"tangent dim {modal}"),
-                provenance=_prov(cfg, depth, {"outliers": outliers}))
+            res = _law("rank", Verdict.FAIL, witness=(Z[i].tolist(),),
+                       note=(f"apex tangent dim {apex_tdim} != "
+                             f"fibre-product tangent dim {modal}"),
+                       provenance=_prov(cfg, depth, {"outliers": outliers}))
             return res, outliers, None
         if len(s) < apex_tdim or s[0] == 0:
             sigma, ratio = 0.0, 0.0
         else:
             sigma, ratio = float(s[apex_tdim - 1]), float(s[apex_tdim - 1] / s[0])
         if ratio < RANK_TOL:
-            res = _law(
-                "rank", Verdict.FAIL, witness=(Z[i].tolist(),),
-                max_residual=ratio,
-                note=f"restricted Jacobian collapse, ratio {ratio:.3g}",
-                provenance=_prov(cfg, depth, {"outliers": outliers}))
+            res = _law("rank", Verdict.FAIL, witness=(Z[i].tolist(),),
+                       max_residual=ratio,
+                       note=f"restricted Jacobian collapse, ratio {ratio:.3g}",
+                       provenance=_prov(cfg, depth, {"outliers": outliers}))
             return res, outliers, None
         scored.append((sigma, ratio, i))
 
@@ -637,20 +635,17 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
         spread = max(float(np.max(np.abs(u - v)))
                      for u, v in ((a, b), (a, c), (b, c)))
         if spread > 1e-7:
-            return _law(
-                "surjective", Verdict.FAIL, witness=(a.tolist(), b.tolist()),
-                max_residual=spread,
-                note="distinct preimages of one cone point",
-                provenance=_prov(cfg, depth))
+            return _law("surjective", Verdict.FAIL,
+                        witness=(a.tolist(), b.tolist()), max_residual=spread,
+                        note="distinct preimages of one cone point",
+                        provenance=_prov(cfg, depth))
     if stalls:
-        return _law(
-            "surjective", Verdict.UNKNOWN,
-            note=f"{stalls}/{n_try} preimage solves stalled",
-            provenance=_prov(cfg, depth, {"stalls": stalls}))
-    return _law(
-        "surjective", Verdict.PASS_NUMERIC,
-        note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-        provenance=_prov(cfg, depth))
+        return _law("surjective", Verdict.UNKNOWN,
+                    note=f"{stalls}/{n_try} preimage solves stalled",
+                    provenance=_prov(cfg, depth, {"stalls": stalls}))
+    return _law("surjective", Verdict.PASS_NUMERIC,
+                note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
+                provenance=_prov(cfg, depth))
 
 
 # --------------------------------------------------------------------------

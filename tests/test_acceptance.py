@@ -19,7 +19,7 @@ from tanbun.bundle import BundleSpec, Verdict
 from tanbun.submersion import is_submersion_on, jacobian
 from tanbun.universal import cross_check_equivalence
 from tanbun.vb import morphism_transport_check, transport_demo_morphisms
-from tanbun.corpus import bump_bundle, corpus_entry, corpus_run_all
+from tanbun.corpus import bump_bundle, corpus_entry
 
 POSITIVES = ("trivial_1_1", "trivial_2_3", "tangent_bundle_1",
              "tangent_bundle_2", "conjugated_1_1")
@@ -28,13 +28,6 @@ MUTANTS = ("mutant_xi_shift", "mutant_lambda_offset",
            "mutant_scalar_quadratic", "mutant_morphism_shift",
            "mutant_flip_lift")
 SQUARE_SUITES = ("rosicky", "cockett", "strong", "combined")
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    t0 = time.time()
-    results = {r.name: r for r in corpus_run_all(DEFAULT_CONFIG)}
-    return results, time.time() - t0
 
 
 @pytest.fixture(scope="module")
