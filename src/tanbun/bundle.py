@@ -79,10 +79,6 @@ class BundleSpec:
         if self.base_box.dim != k or self.total_box.dim != d:
             raise ExprError(f"{self.name}: box dims do not match chart dims")
 
-    @property
-    def fibre_dim(self) -> int:
-        return self.total_dim - self.base_dim
-
 
 def lambda_base(spec: BundleSpec) -> SmoothMap:
     """Point part of lam (first total_dim components)."""

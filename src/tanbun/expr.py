@@ -1197,9 +1197,6 @@ class CheckConfig:
         digest = sum(ord(c) * 31 ** i for i, c in enumerate(tag)) % (2 ** 31)
         return np.random.default_rng([self.seed, digest])
 
-    def with_count(self, count: int) -> "CheckConfig":
-        return CheckConfig(count, self.tol, self.seed, self.t_depth)
-
 
 DEFAULT_CONFIG = CheckConfig()
 

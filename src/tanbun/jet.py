@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .expr import (
     CheckConfig, DEFAULT_CONFIG, DENOM_GUARD, DenominatorNearZero,
@@ -369,6 +370,38 @@ def _each_row(fn, rows, errors=None):
             np.concatenate(vals) if vals else np.empty(0))
 
 
+def _lstsq_stack(A, B, errors=None):
+    """(kept, X): X[i] is np.linalg.lstsq(A[kept[i]], B[kept[i]],
+    rcond=None)[0] bit for bit, for a stack A (n, m, k) and B (n, m) or
+    (n, m, r), from one call of the LAPACK gelsd gufunc that lstsq makes
+    per matrix.  numpy fails the whole stack when one SVD fails; it is
+    then redone row by row, so that the same rows fail with the same
+    LinAlgError: into errors under the row's position, or raised when
+    errors is None."""
+    m, k = A.shape[1:]
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                         under="ignore"):
+            X = _umath_linalg.lstsq(A, B[..., None] if B.ndim == 2 else B,
+                                    np.finfo(float).eps * max(m, k),
+                                    signature="ddd->ddid")[0]
+    except FloatingPointError:
+        kept, rows = [], []
+        for p in range(len(A)):
+            try:
+                rows.append(np.linalg.lstsq(A[p], B[p], rcond=None)[0])
+                kept.append(p)
+            except np.linalg.LinAlgError as err:
+                if errors is None:
+                    raise
+                errors[p] = err
+        return (np.array(kept, dtype=int),
+                np.reshape(rows, (len(kept), k) + B.shape[2:]))
+    if m == 0:      # as np.linalg.lstsq: gelsd leaves X unset
+        X[...] = 0.0
+    return np.arange(len(A)), X[..., 0] if B.ndim == 2 else X
+
+
 def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
                   diverged=None):
     """The row-masked Gauss-Newton loop of solve_batch and
@@ -376,14 +409,14 @@ def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
 
     F(rows) gives the residuals at those rows of Z, J(rows) their
     Jacobians.  Each iteration evaluates F over the rows still running,
-    stops those below tol, and steps each other row by its own lstsq on J
-    (a stacked solve would round differently).  A row also stops when F
-    or J raises for it (see _each_row), when its lstsq raises or when its
-    step is not finite.  The errors of J and lstsq go into errors, those
-    of F into value_errors when given, and a non-finite step becomes
+    stops those below tol, and steps the others by one stacked lstsq
+    (_lstsq_stack).  A row also stops when F or J raises for it (see
+    _each_row), when its lstsq raises or when its step is not finite.
+    The errors of J and lstsq go into errors, those of F into
+    value_errors when given, and a non-finite step becomes
     NewtonDiverged(diverged) in errors when diverged is given.  Returns
-    (converged, running): the rows that fell below tol and the rows still
-    running when the iterations ran out."""
+    (converged, running): the rows that fell below tol and the rows
+    still running when the iterations ran out."""
     converged = []
     for _ in range(max_iter):
         if not live.size:
@@ -398,19 +431,19 @@ def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
         if not live.size:
             break
         kept, Js = _each_row(J, live, errors)
-        running = []
-        for k, Jk, r in zip(live[kept], Js, R[kept]):
-            try:
-                step, *_ = np.linalg.lstsq(Jk, -r, rcond=None)
-            except np.linalg.LinAlgError as err:
-                errors[int(k)] = err
-                continue
-            if np.all(np.isfinite(step)):
-                Z[k] = Z[k] + step
-                running.append(k)
-            elif diverged is not None:
-                errors[int(k)] = NewtonDiverged(diverged)
-        live = np.array(running, dtype=int)
+        live, R = live[kept], R[kept]
+        if not live.size:
+            break
+        failed = {}
+        kept, steps = _lstsq_stack(Js, -R, failed)
+        errors.update((int(live[p]), err) for p, err in failed.items())
+        live = live[kept]
+        finite = np.all(np.isfinite(steps), axis=1)
+        Z[live[finite]] += steps[finite]
+        if diverged is not None:
+            errors.update((int(k), NewtonDiverged(diverged))
+                          for k in live[~finite])
+        live = live[finite]
     return np.array(converged, dtype=int), live
 
 
@@ -522,14 +555,10 @@ class ImplicitMap(_MapLike):
     def jac_batch(self, X) -> np.ndarray:
         """Derivatives from the linearized residual: the output columns of
         each row solve J_out dY = -J_param, with the residual Jacobians of
-        the batch taken in one call and a per-row lstsq."""
+        the batch taken in one call and one stacked lstsq."""
         Y = self.eval_batch(X)
         J = jac_eval_batch(self.residual, np.hstack([X, Y]))
-        a = self.arity
-        out = np.empty((len(X), self.coarity, a))
-        for k, Jk in enumerate(J):
-            out[k] = np.linalg.lstsq(Jk[:, a:], -Jk[:, :a], rcond=None)[0]
-        return out
+        return _lstsq_stack(J[:, :, self.arity:], -J[:, :, :self.arity])[1]
 
     def tangent(self, n: int) -> "ImplicitMap":
         return prolong_implicit(self, n)
@@ -640,18 +669,12 @@ class Composite(_MapLike):
 
     @_by_rows
     def jac_batch(self, X) -> np.ndarray:
-        """The chain rule over the batch, stage by stage; each row's
-        product is taken on its own, as for a single point."""
+        """The chain rule over the batch, stage by stage, with one stacked
+        product per stage (each row has the bits of its own product)."""
         J = None
         for s in reversed(self.stages):
             Js = s.jac_batch(X)
-            if J is None:
-                J = Js
-            else:
-                prod = np.empty((len(X), Js.shape[1], J.shape[2]))
-                for k in range(len(X)):
-                    prod[k] = Js[k] @ J[k]
-                J = prod
+            J = Js if J is None else np.matmul(Js, J)
             X = s.eval_batch(X)
         return J
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
-           "universality_refusal"]
+           "sampled_law", "universality_refusal"]
 
 
 class Verdict(enum.Enum):
@@ -120,6 +120,20 @@ def universality_refusal(universality, rerun=None):
         universality = rerun()
     agg = getattr(universality, "aggregate", universality)
     return None if getattr(agg, "ok", False) else getattr(agg, "value", agg)
+
+
+def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
+                provenance: dict) -> LawResult:
+    """A law checked on samples, from the gap and the inputs of each.  It
+    fails when a gap is not <= tol, a NaN gap included, and its witness
+    is the first such sample's inputs, flat; max_residual is the largest
+    gap, NaN when a gap is NaN."""
+    gaps = np.asarray(gaps, dtype=float)
+    bad = np.flatnonzero(~(gaps <= tol))
+    return LawResult(
+        law_id, anchor, Verdict.FAIL if bad.size else Verdict.PASS_NUMERIC,
+        witness=(np.hstack(inputs[bad[0]]).tolist(),) if bad.size else None,
+        max_residual=float(np.max(gaps, initial=0.0)), provenance=provenance)
 
 
 def law_from_verdict(law_id: str, anchor: str, verdict_kind, *, exact_ok=True,

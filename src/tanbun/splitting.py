@@ -29,7 +29,8 @@ from .bundle import (
     vert_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Verdict, law_from_verdict, universality_refusal,
+    CheckReport, LawResult, Verdict, law_from_verdict, sampled_law,
+    universality_refusal,
 )
 
 __all__ = [
@@ -250,21 +251,19 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     else:
         rng = cfg.rng("splitting:samples")
         X = spec.total_box.sample(rng, cfg.count)
-        worst = _worst(row_ordered(lambda X: np.max(np.abs(
-            K.eval_batch(section.eval_batch(X)) - X), axis=1), X))
-        rep.add(LawResult(
+        rep.add(sampled_law(
             "retract-identity", "retraction after section is the identity",
-            Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
-            max_residual=worst, provenance={"samples": len(X)}))
+            row_ordered(lambda X: np.max(np.abs(
+                K.eval_batch(section.eval_batch(X)) - X), axis=1), X),
+            X, tol, {"samples": len(X)}))
 
         Z = box.sample(rng, max(20, cfg.count // 4))
-        worst = _worst(row_ordered(lambda Z: np.max(np.abs(
-            section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)), axis=1),
-            Z))
-        rep.add(LawResult(
+        rep.add(sampled_law(
             "section-image", "section after retraction is the projector",
-            Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
-            max_residual=worst, provenance={"samples": len(Z)}))
+            row_ordered(lambda Z: np.max(np.abs(
+                section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)),
+                axis=1), Z),
+            Z, tol, {"samples": len(Z)}))
 
         rep.add(_uniqueness_probe(spec, K, box, cfg))
 
@@ -272,12 +271,6 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
         "equalised", "the section lands in the projector's fixed points",
         equal_maps(compose(ch, section), section, spec.total_box, cfg)))
     return rep
-
-
-def _worst(gaps) -> float:
-    """The largest gap, as a running max from 0.0 takes it: a NaN gap
-    never replaces the running value."""
-    return float(np.max(np.fmax(gaps, 0.0), initial=0.0))
 
 
 def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,

@@ -360,27 +360,28 @@ def _fp_tangent_dims(right_t, bottom_t, B_img, C_img) -> list:
 def _restricted_svs(top_t, left_t, g_t, Zs: np.ndarray, apex_flat: int):
     """Per row of Zs: the singular values of the cone Jacobian restricted
     to the apex tangent space (ker of the constraint's Jacobian), and
-    that space's dimension.  Stacked SVDs, one per shape."""
+    that space's dimension.  Stacked products and SVDs, one per shape."""
     if not len(Zs):
         return []
     if g_t is None:
-        bases = [np.eye(apex_flat)] * len(Zs)
+        ranks = np.zeros(len(Zs), dtype=int)
     else:
         _, s, vh = np.linalg.svd(g_t.jac_batch(Zs))
-        bases = [v[_numeric_rank(si):].T for si, v in zip(s, vh)]
+        ranks = np.array([_numeric_rank(si) for si in s])
     out = [(np.empty(0), 0)] * len(Zs)
-    live = [k for k, B in enumerate(bases) if B.shape[1]]
-    if not live:
+    live = np.flatnonzero(ranks < apex_flat)
+    if not live.size:
         return out
     JF = np.concatenate([top_t.jac_batch(Zs[live]),
                          left_t.jac_batch(Zs[live])], axis=1)
-    by_dim = {}
-    for J, k in zip(JF, live):
-        by_dim.setdefault(bases[k].shape[1], []).append((k, J @ bases[k]))
-    for group in by_dim.values():
-        S = np.linalg.svd(np.stack([P for _, P in group]), compute_uv=False)
-        for (k, P), sk in zip(group, S):
-            out[k] = (sk, P.shape[1])
+    for r in dict.fromkeys(ranks[live].tolist()):   # one group per kernel
+        group = np.flatnonzero(ranks[live] == r)
+        # each row's kernel basis is v[r:].T, with the strides of a row
+        basis = np.eye(apex_flat) if g_t is None \
+            else vh[live[group], r:].transpose(0, 2, 1)
+        S = np.linalg.svd(np.matmul(JF[group], basis), compute_uv=False)
+        for k, sk in zip(live[group], S):
+            out[k] = (sk, apex_flat - r)
     return out
 
 

@@ -30,7 +30,8 @@ from .bundle import (
     fibre_matched_tuples, induce_addition, scale_through_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Verdict, law_from_verdict, universality_refusal,
+    CheckReport, LawResult, Verdict, law_from_verdict, sampled_law,
+    universality_refusal,
 )
 
 __all__ = [
@@ -110,16 +111,10 @@ def check_module_laws(vb: VectorBundleSpec,
 
     def law(law_id, anchor, cases):
         # cases: (inputs, gap) per sample, the inputs in the order the law
-        # reads them, scalars first; the witness is the first gap not <= tol
-        gaps = [g for _, g in cases]
-        worst = float(np.max(gaps)) if gaps else 0.0
-        wit = next(((np.hstack(x).tolist(),) for x, g in cases
-                    if not g <= tol), None)
-        rep.add(LawResult(
-            law_id, anchor,
-            Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
-            witness=wit, max_residual=worst,
-            provenance={"samples": n, "seed": cfg.seed}))
+        # reads them, scalars first
+        rep.add(sampled_law(law_id, anchor, [g for _, g in cases],
+                            [x for x, _ in cases], tol,
+                            {"samples": n, "seed": cfg.seed}))
 
     law("scalar-unit", "acting by one changes nothing",
         [((a,), gap(act(1.0, a), a)) for a in A])
@@ -215,17 +210,10 @@ def _compare(law_id, anchor, f, g, box, cfg) -> LawResult:
         return law_from_verdict(law_id, anchor, equal_maps(f, g, box, cfg))
     rng = cfg.rng(f"roundtrip:{law_id}")
     X = box.sample(rng, min(cfg.count, 100))
-    # a NaN gap never becomes the worst, as in a running max from 0.0
-    gaps = np.fmax(row_ordered(lambda X: np.max(np.abs(
-        f.eval_batch(X) - g.eval_batch(X)), axis=1), X), 0.0)
-    worst = float(np.max(gaps, initial=0.0))
-    wit = (X[int(np.argmax(gaps))].tolist(),) if worst > 0.0 else None
-    tol = max(cfg.tol, 1e-9)
-    return LawResult(
-        law_id, anchor,
-        Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL,
-        witness=wit if worst > tol else None, max_residual=worst,
-        provenance={"samples": len(X), "seed": cfg.seed})
+    gaps = row_ordered(lambda X: np.max(np.abs(
+        f.eval_batch(X) - g.eval_batch(X)), axis=1), X)
+    return sampled_law(law_id, anchor, gaps, X, max(cfg.tol, 1e-9),
+                       {"samples": len(X), "seed": cfg.seed})
 
 
 def _identical(law_id, anchor, a, b) -> LawResult:
@@ -308,8 +296,7 @@ def morphism_transport_check(mor: BundleMorphism,
     n = min(cfg.count, 100)
     X = src.total_box.sample(rng, n)
     R = rng.uniform(-2.0, 2.0, n)
-    tol = max(cfg.tol, 1e-9)
-    worst, wit, unknown = 0.0, None, None
+    gaps, unknown = [], None
     for r, a in zip(R, X):
         try:
             lhs = apply_map(mor.f, apply_map(s_src, np.concatenate([[r], a])))
@@ -318,9 +305,7 @@ def morphism_transport_check(mor: BundleMorphism,
         except NewtonDiverged as exc:
             unknown = str(exc)
             break
-        gap = float(np.max(np.abs(lhs - rhs)))
-        if gap > worst:
-            worst, wit = gap, ([float(r)] + a.tolist(),)
+        gaps.append(np.max(np.abs(lhs - rhs)))
     if unknown is not None:
         rep.add(LawResult("scalar-preserving",
                           "the morphism commutes with the actions",
@@ -329,12 +314,12 @@ def morphism_transport_check(mor: BundleMorphism,
                           "lift compatibility matches scalar compatibility",
                           Verdict.UNKNOWN, note="scalar side inconclusive"))
         return rep
-    scalar_ok = worst <= tol
-    rep.add(LawResult(
+    scalar = sampled_law(
         "scalar-preserving", "the morphism commutes with the actions",
-        Verdict.PASS_NUMERIC if scalar_ok else Verdict.FAIL,
-        witness=wit if not scalar_ok else None, max_residual=worst,
-        provenance={"samples": n, "seed": cfg.seed}))
+        gaps, list(zip(R, X)), max(cfg.tol, 1e-9),
+        {"samples": n, "seed": cfg.seed})
+    rep.add(scalar)
+    scalar_ok = scalar.verdict.ok
 
     agree = lift_ok == scalar_ok
     rep.add(LawResult(

@@ -16,6 +16,8 @@ from tanbun.jet import (
     naturality_square, prolong_implicit, pushforward, solve_batch,
     solve_least_norm, struct_map, tangent_map, tangent_of,
 )
+from tanbun.jet import _each_row, _gauss_newton, _lstsq_stack
+from numpy.linalg import _umath_linalg
 
 CFG = CheckConfig(count=30, seed=11)
 
@@ -557,6 +559,192 @@ def test_batched_solver_raises_jacobian_errors_in_row_order():
     with pytest.raises(DenominatorNearZero) as got:
         solve_least_norm(f, T[1], Z0[1])
     assert str(got.value) == str(ref[1])
+
+
+# --------------------------------------------------------------------------
+# One stacked least-squares call per Newton iteration
+
+
+def _lstsq_loop(A, B):
+    """np.linalg.lstsq per row: each row's solution or its LinAlgError."""
+    out = []
+    for a, b in zip(A, B):
+        try:
+            out.append(np.linalg.lstsq(a, b, rcond=None)[0])
+        except np.linalg.LinAlgError as err:
+            out.append(err)
+    return out
+
+
+def _assert_stack_matches_the_loop(A, B):
+    errors = {}
+    kept, X = _lstsq_stack(A, B, errors)
+    ref = _lstsq_loop(A, B)
+    assert list(kept) == [k for k, r in enumerate(ref)
+                          if not isinstance(r, Exception)]
+    assert sorted(errors) == [k for k, r in enumerate(ref)
+                              if isinstance(r, Exception)]
+    assert X.shape == (len(kept), A.shape[2]) + B.shape[2:]
+    for k, x in zip(kept, X):
+        assert np.array_equal(x, ref[k], equal_nan=True), k
+    for k, err in errors.items():
+        assert type(err) is type(ref[k]) and str(err) == str(ref[k])
+    return kept, X, errors
+
+
+def test_the_gelsd_gufunc_keeps_its_signature():
+    # _lstsq_stack calls numpy's private gufunc: an upgrade that changes
+    # it must fail here, not round differently
+    assert _umath_linalg.lstsq.signature == \
+        "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
+    assert "ddd->ddid" in _umath_linalg.lstsq.types
+
+
+@pytest.mark.parametrize("shape", [(500, 2, 3), (500, 4, 4), (300, 6, 3),
+                                   (300, 3, 8), (200, 1, 5)])
+def test_stacked_lstsq_has_the_bits_of_the_per_row_call(shape):
+    rng = np.random.default_rng(sum(shape))
+    n, m, k = shape
+    A = rng.normal(size=shape)
+    # every fifth row rank-deficient: a repeated column, or all zero
+    A[::5, :, -1] = A[::5, :, 0]
+    A[3::50] = 0.0
+    B = rng.normal(size=(n, m))
+    kept, _, _ = _assert_stack_matches_the_loop(A, B)
+    assert len(kept) == n
+    # a matrix right-hand side, and a non-contiguous stack
+    _assert_stack_matches_the_loop(A, rng.normal(size=(n, m, 3)))
+    _assert_stack_matches_the_loop(A[::2, :, ::-1], B[::2])
+
+
+def test_stacked_lstsq_of_an_empty_stack_or_matrix():
+    kept, X = _lstsq_stack(np.empty((0, 3, 2)), np.empty((0, 3)))
+    assert kept.size == 0 and X.shape == (0, 2)
+    # no equations: np.linalg.lstsq returns zeros
+    _assert_stack_matches_the_loop(np.empty((4, 0, 2)), np.empty((4, 0)))
+
+
+def test_stacked_lstsq_redoes_a_failing_stack_row_by_row():
+    rng = np.random.default_rng(7)
+    A, B = rng.normal(size=(6, 3, 2)), rng.normal(size=(6, 3))
+    A[2, 1, 1], A[4, 0, 0] = np.nan, np.inf
+    _, X, errors = _assert_stack_matches_the_loop(A, B)
+    assert sorted(errors) == [2, 4] and len(X) == 4
+    assert all(isinstance(e, np.linalg.LinAlgError) for e in errors.values())
+    # without an errors dict, the first failing row raises
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _lstsq_stack(A, B)
+    # a NaN on the right-hand side alone does not fail the SVD
+    B[1, 0] = np.nan
+    _, X, errors = _assert_stack_matches_the_loop(A, B)
+    assert np.isnan(X[1]).all()
+
+
+def _ref_gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
+                      diverged=None):
+    """jet._gauss_newton as it was with one np.linalg.lstsq per row."""
+    converged = []
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        kept, R = _each_row(F, live, value_errors)
+        live = live[kept]
+        if not live.size:
+            break
+        done = np.max(np.abs(R), axis=1) < tol
+        converged.extend(live[done])
+        live, R = live[~done], R[~done]
+        if not live.size:
+            break
+        kept, Js = _each_row(J, live, errors)
+        running = []
+        for k, Jk, r in zip(live[kept], Js, R[kept]):
+            try:
+                step, *_ = np.linalg.lstsq(Jk, -r, rcond=None)
+            except np.linalg.LinAlgError as err:
+                errors[int(k)] = err
+                continue
+            if np.all(np.isfinite(step)):
+                Z[k] = Z[k] + step
+                running.append(k)
+            elif diverged is not None:
+                errors[int(k)] = NewtonDiverged(diverged)
+        live = np.array(running, dtype=int)
+    return np.array(converged, dtype=int), live
+
+
+@pytest.mark.parametrize("diverged", [None, "non-finite step"])
+def test_gauss_newton_matches_the_per_row_loop(diverged):
+    # x0^2 + x1^2 = t0, x0*x1 = t1: converging rows, rows with no
+    # solution, a start at the singular origin, a start whose step
+    # overflows, a Jacobian with a NaN (its SVD fails) and a row whose
+    # Jacobian raises
+    f = parse_map("x0^2 + x1^2, x0*x1", 2)
+    T = np.array([[2.0, 1.0], [5.0, 2.0], [-1.0, 0.0], [2.0, 1.0],
+                  [1e308, 0.0], [2.0, 1.0], [2.0, 0.5], [3.0, 1.0]])
+    Z0 = np.array([[1.5, 0.5], [3.0, 1.0], [1.0, 0.5], [0.0, 0.0],
+                   [1e200, 1.0], [1.2, 0.9], [0.4, 0.3], [2.0, 0.1]])
+
+    def J(Z, rows):
+        if 7 in rows:
+            raise DenominatorNearZero("row 7")
+        Js = f.jac_batch(Z[rows])
+        Js[rows == 5] = np.nan
+        return Js
+
+    outs = []
+    for gn in (_gauss_newton, _ref_gauss_newton):
+        Z, errors, value_errors = Z0.copy(), {}, {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            conv, live = gn(lambda rows: f.eval_batch(Z[rows]) - T[rows],
+                            lambda rows: J(Z, rows), Z, np.arange(len(Z)),
+                            1e-11, 30, errors, value_errors, diverged)
+        outs.append((Z, conv, live, errors, value_errors))
+    (Z, conv, live, errors, v_err), (Z_r, conv_r, live_r, err_r, v_r) = outs
+    assert np.array_equal(Z, Z_r, equal_nan=True)
+    assert list(conv) == list(conv_r) and list(live) == list(live_r)
+    assert len(conv) and len(live)
+    assert sorted(errors) == sorted(err_r) and {5, 7} <= set(errors)
+    for k in errors:
+        assert type(errors[k]) is type(err_r[k])
+        assert str(errors[k]) == str(err_r[k])
+    assert list(v_err) == list(v_r)
+    assert (4 in errors) == (diverged is not None)
+
+
+class _Strided:
+    """A map-like whose Jacobians are non-contiguous views: x -> A x."""
+
+    def __init__(self, arity, coarity, seed):
+        self.arity, self.coarity = arity, coarity
+        self.big = np.random.default_rng(seed).normal(
+            size=(2 * coarity, arity + 1))
+
+    def eval_batch(self, X):
+        return X @ self.big[::2, 1:].T
+
+    def jac_batch(self, X):
+        return np.broadcast_to(self.big[::2, 1:],
+                               (len(X), self.coarity, self.arity))[:, :, ::-1]
+
+
+def test_stacked_jacobians_have_the_bits_of_the_row_loops():
+    X = np.random.default_rng(3).uniform(0.5, 2.0, (40, 2))
+    imp = ImplicitMap(parse_map("x2^3 + x2 - x0*x1, x3 - x2*x0", 4), 2, 2,
+                      init=lambda X: np.ones((len(X), 2)))
+    J = jac_eval_batch(imp.residual, np.hstack([X, imp.eval_batch(X)]))
+    assert np.array_equal(imp.jac_batch(X), np.stack(
+        [np.linalg.lstsq(Jk[:, 2:], -Jk[:, :2], rcond=None)[0] for Jk in J]))
+    h = parse_map("x0*x1, x0 - x1^2, sin(x0)", 2)
+    pipe = Composite(_Strided(3, 2, 1), parse_map("x0^2, x1*x2, x0 + x2", 3),
+                     _Strided(3, 3, 2), h, imp)
+    Xs, J = X[::3], None     # Composite.jac_batch with a product per row
+    for s in reversed(pipe.stages):
+        Js = s.jac_batch(Xs)
+        if J is not None:
+            Js = np.stack([Js[k] @ J[k] for k in range(len(Xs))])
+        J, Xs = Js, s.eval_batch(Xs)
+    assert np.array_equal(pipe.jac_batch(X[::3]), J)
 
 
 def test_apply_map_accepts_smooth_and_procedural():

@@ -1,10 +1,11 @@
 """Verdict lattice and report aggregation."""
 
+import numpy as np
 import pytest
 
 from tanbun.expr import EqVerdict
 from tanbun.report import (
-    CheckReport, LawResult, Verdict, law_from_verdict,
+    CheckReport, LawResult, Verdict, law_from_verdict, sampled_law,
 )
 
 
@@ -85,3 +86,22 @@ def test_describe_mentions_every_law():
     rep.add(_law("second", Verdict.FAIL))
     text = rep.describe()
     assert "first" in text and "second" in text
+
+
+def test_sampled_law_fails_at_the_first_gap_not_within_tol():
+    inputs = [(0.5, [1.0, 2.0]), (1.5, [3.0, 4.0]), (2.5, [5.0, 6.0])]
+    ok = sampled_law("a", "", [0.0, 1e-12, 0.0], inputs, 1e-9, {"n": 3})
+    assert ok.verdict is Verdict.PASS_NUMERIC and ok.witness is None
+    assert ok.max_residual == 1e-12 and ok.provenance == {"n": 3}
+    # a NaN gap fails the law: the largest gap is NaN, and the witness is
+    # the first sample outside tol, its inputs flat
+    for gaps, first in (([0.0, np.nan, 2.0], 1), ([np.nan] * 3, 0),
+                        ([0.0, 2.0, np.nan], 1)):
+        res = sampled_law("a", "", gaps, inputs, 1e-9, {})
+        assert res.verdict is Verdict.FAIL
+        assert np.isnan(res.max_residual)
+        assert res.witness == (np.hstack(inputs[first]).tolist(),)
+    res = sampled_law("a", "", [np.inf, 1.0], inputs, 1e-9, {})
+    assert res.max_residual == np.inf and res.witness == ([0.5, 1.0, 2.0],)
+    empty = sampled_law("a", "", [], [], 1e-9, {})
+    assert empty.verdict is Verdict.PASS_NUMERIC and empty.max_residual == 0.0

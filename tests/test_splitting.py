@@ -8,10 +8,12 @@ from tanbun.expr import (
     CheckConfig, compose, cube, eval_map, parse_map, simplify_map,
     to_source,
 )
-from tanbun.jet import tangent_map
+from tanbun import splitting
+from tanbun.jet import Composite, tangent_map
 from tanbun.bundle import BundleSpec, Verdict, check_predifferential
+from tanbun.report import LawResult
 from tanbun.splitting import (
-    _worst, biproduct_check, check_splitting, chi, chi_checks,
+    biproduct_check, chart_box, check_splitting, chi, chi_checks,
     lift_on_pullback, non_idempotent_demo, pulled_back_tangent,
     splitting_pair,
 )
@@ -155,9 +157,24 @@ def test_demo_morphism_is_lawful_but_never_splits():
     assert got["splitting-refused"] is Verdict.PASS_EXACT
 
 
-def test_worst_gap_is_the_running_max_of_the_sample_loop():
-    # max(worst, gap) from 0.0 never takes a NaN gap
-    assert _worst(np.array([np.nan, 0.5, 2.0, np.nan, 1.0])) == 2.0
-    assert _worst(np.array([np.nan])) == 0.0
-    assert _worst(np.array([])) == 0.0
-    assert _worst(np.array([np.inf, 1.0])) == np.inf
+def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
+    # a retraction that is inf - inf everywhere: both sampled triangle
+    # laws fail, with their first sample as witness
+    spec = conjugated_bundle()
+    section, K = splitting_pair(spec, CFG)
+    nan = "exp(1000*(x0^2 + 1)) - exp(999*(x0^2 + 1))*exp(x0^2 + 1)"
+    poison = parse_map(", ".join(
+        [f"x0 + {nan}"] + [f"x{i}" for i in range(1, K.arity)]), K.arity)
+    monkeypatch.setattr(splitting, "splitting_pair",
+                        lambda *a: (section, Composite(K, poison)))
+    monkeypatch.setattr(splitting, "_uniqueness_probe", lambda *a: LawResult(
+        "uniqueness", "not probed here", Verdict.PASS_NUMERIC))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_splitting(spec, CFG)
+    rng = CFG.rng("splitting:samples")
+    X = spec.total_box.sample(rng, CFG.count)
+    Z = chart_box(spec).sample(rng, max(20, CFG.count // 4))
+    for law, first in (("retract-identity", X[0]), ("section-image", Z[0])):
+        assert rep[law].verdict is Verdict.FAIL, law
+        assert np.isnan(rep[law].max_residual)
+        assert rep[law].witness == (first.tolist(),)

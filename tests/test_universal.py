@@ -311,6 +311,24 @@ def test_batched_phases_match_the_sample_loops(which):
     sq, depth = _squares()[which]
     for d in range(depth + 1):
         _assert_phases_match(sq, d, CFG)
+        Z, _ = universal._sample_apex(sq, d, CFG, max(20, CFG.count >> d))
+        _assert_restricted_svs_match(sq, d, Z)
+    # a constraint whose rank drops at the origin: two kernel dimensions
+    sq = _toy_square("kernels", 2, "x0, x1", "x0, x1", "x0, x1", "x0, x1",
+                     constraint="x0*x1")
+    _assert_restricted_svs_match(sq, 0, np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.3, 0.2], [0.0, 0.0], [0.0, 0.5]]))
+
+
+def _assert_restricted_svs_match(sq, depth, Z):
+    """The stacked restricted singular values have each row's bits."""
+    args = _phase_args(sq, depth, Z)
+    top_t, left_t, g_t = args[5], args[6], args[-1]
+    got = universal._restricted_svs(top_t, left_t, g_t, Z, Z.shape[1])
+    assert len(got) == len(Z)
+    for z, (s, k) in zip(Z, got):
+        s_ref, k_ref = _ref_restricted_sv(top_t, left_t, g_t, z, Z.shape[1])
+        assert k == k_ref and np.array_equal(s, s_ref)
 
 
 def _toy_square(name, apex_dim, top, left, right, bottom, constraint=None):

@@ -8,7 +8,7 @@ import pytest
 
 from tanbun.expr import Box, CheckConfig, cube, equal_maps, parse_map
 from tanbun.jet import Composite, apply_map
-from tanbun.bundle import BundleSpec, Verdict
+from tanbun.bundle import BundleMorphism, BundleSpec, Verdict
 from tanbun.corpus import corpus_entry
 from tanbun.vb import (
     ModuleLawsFailed, TranslationRefused, VectorBundleSpec, _compare,
@@ -251,22 +251,55 @@ def test_transport_agreement_on_the_demo_morphisms():
         assert scalar_ok == expected, name
 
 
-def test_compare_keeps_the_worst_gap_and_witness_of_the_point_loop():
+# exp(1000*x0) overflows above x0 = 0.71, where this map is inf - inf
+NAN_ABOVE = "x0 + exp(1000*x0) - exp(999*x0)*exp(x0)"
+
+
+def test_compare_fails_at_the_first_gap_not_within_tol():
     # Both sides overflow to inf above x0 = 0.71, where their gap is NaN;
-    # below it the gap is x0^2 or rounds to 0.  The loop it replaced kept
-    # the first strict maximum above 0.0 and never took a NaN gap.
+    # below it the gap is x0^2 or rounds to 0.  The witness is the first
+    # sample whose gap is not within tol, and a NaN gap makes the largest
+    # gap NaN, as in the module laws.
     f = Composite(parse_map("exp(1000*x0) + x0^2", 1))
     g = parse_map("exp(1000*x0)", 1)
     cfg = CheckConfig(count=60, seed=3)
     X = cube(1).sample(cfg.rng("roundtrip:probe"), 60)
-    worst, wit = 0.0, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in X:
-            gap = float(np.max(np.abs(apply_map(f, x) - apply_map(g, x))))
-            if gap > worst:
-                worst, wit = gap, (x.tolist(),)
+        gaps = [float(np.max(np.abs(apply_map(f, x) - apply_map(g, x))))
+                for x in X]
         res = _compare("probe", "f = g", f, g, cube(1), cfg)
-    assert np.any(X > 0.72) and worst > 1.0
-    assert res.max_residual == worst
-    assert res.witness == wit
+    first = next(k for k, gap in enumerate(gaps) if not gap <= 1e-9)
+    assert np.any(X > 0.72) and np.isnan(gaps).any()
     assert res.verdict is Verdict.FAIL
+    assert np.isnan(res.max_residual)
+    assert res.witness == (X[first].tolist(),)
+
+
+def test_an_all_nan_comparison_fails():
+    cfg = CheckConfig(count=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _compare("t", "a", Composite(parse_map(NAN_ABOVE, 1)),
+                       parse_map("x0", 1), cube(1, 1, 2), cfg)
+    X = cube(1, 1, 2).sample(cfg.rng("roundtrip:t"), 10)
+    assert res.verdict is Verdict.FAIL
+    assert np.isnan(res.max_residual)
+    assert res.witness == (X[0].tolist(),)
+
+
+def test_an_all_nan_scalar_gap_fails_the_transport_check():
+    line = BundleSpec(
+        name="line", base_dim=1, total_dim=2,
+        base_box=cube(1), total_box=cube(2),
+        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
+        lam=parse_map("x0, 0, 0, x1", 2))
+    nan = NAN_ABOVE.replace("x0", "(x0^2 + 1)")
+    mor = BundleMorphism(line, line, parse_map(f"x0, x1 + {nan}", 2))
+    cfg = CheckConfig(count=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = morphism_transport_check(mor, cfg)["scalar-preserving"]
+    rng = cfg.rng("transport:scalar")
+    X = cube(2).sample(rng, 10)
+    r = rng.uniform(-2.0, 2.0, 10)[0]
+    assert res.verdict is Verdict.FAIL
+    assert np.isnan(res.max_residual)
+    assert res.witness == ([r] + X[0].tolist(),)
