@@ -34,7 +34,7 @@ __all__ = [
     "ExprError", "ParseError", "DimensionMismatch", "DenominatorNearZero",
     "parse_map", "to_source", "normalize",
     "eval_map", "eval_batch", "eval_exact", "eval_mp",
-    "compose", "identity_map", "constant_map", "projection", "concat_maps",
+    "compose", "identity_map", "projection", "concat_maps",
     "juxtapose", "fanout",
     "poly_normalize", "poly_to_expr", "simplify_map",
     "symbolic_derivative", "jacobian_exprs", "jac_eval_batch",
@@ -943,10 +943,6 @@ def identity_map(n: int) -> SmoothMap:
     return SmoothMap(n, tuple(Var(i) for i in range(n)))
 
 
-def constant_map(arity: int, values: Sequence) -> SmoothMap:
-    return SmoothMap(arity, tuple(con(v) for v in values))
-
-
 def projection(arity: int, indices: Sequence[int]) -> SmoothMap:
     """Select (and reorder) input coordinates."""
     return SmoothMap(arity, tuple(Var(i) for i in indices))
@@ -1246,14 +1242,18 @@ def _sampled_compare(f, g, box, cfg, polynomial_differs):
     except ExprError as err:
         return EqVerdict("unknown", reason=f"evaluation failed: {err}")
     resid = np.max(np.abs(F - G), axis=1)
-    worst = int(np.argmax(resid))
-    r = float(resid[worst])
+    nan = np.isnan(resid)
+    worst = int(np.argmax(np.where(nan, -np.inf, resid)))
+    r = 0.0 if nan[worst] else float(resid[worst])
     if r > cfg.tol:
         return EqVerdict(
             "not-equal",
             witness=(X[worst].copy(), F[worst].copy(), G[worst].copy()),
             max_residual=r,
         )
+    if nan.any():   # a NaN never counts as agreement
+        return EqVerdict("unknown", max_residual=r, reason=(
+            f"residual is NaN at sample {X[np.argmax(nan)].tolist()}"))
     if polynomial_differs:
         return EqVerdict(
             "unknown", max_residual=r,

@@ -927,8 +927,7 @@ def axiom_ids() -> list:
     return [name for name, _, _ in AXIOM_CATALOG]
 
 
-def check_axiom(name: str, k: int, mode: str = "exact",
-                structs: StructSet = STANDARD_STRUCTS,
+def check_axiom(name: str, k: int, structs: StructSet = STANDARD_STRUCTS,
                 cfg: CheckConfig = DEFAULT_CONFIG) -> LawResult:
     """Check one catalog identity at base dimension k."""
     for ax_name, anchor, builder in AXIOM_CATALOG:
@@ -939,9 +938,9 @@ def check_axiom(name: str, k: int, mode: str = "exact",
                                    provenance={"seed": cfg.seed,
                                                "count": cfg.count,
                                                "tol": cfg.tol})
-            if mode == "exact" and res.verdict is Verdict.PASS_NUMERIC:
+            if res.verdict is Verdict.PASS_NUMERIC:
                 return replace(res, verdict=Verdict.UNKNOWN,
-                               note="exact mode requires canonical equality")
+                               note="axioms pass on canonical equality only")
             return res
     raise KeyError(f"unknown axiom id {name!r}")
 
@@ -952,7 +951,7 @@ def check_all_axioms(dims: Sequence[int] = (1, 2, 3),
     report = CheckReport("tangent category axioms")
     for name, _, _ in AXIOM_CATALOG:
         for k in dims:
-            report.add(check_axiom(name, k, "exact", structs, cfg))
+            report.add(check_axiom(name, k, structs, cfg))
     return report
 
 

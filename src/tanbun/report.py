@@ -136,13 +136,13 @@ def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
         max_residual=float(np.max(gaps, initial=0.0)), provenance=provenance)
 
 
-def law_from_verdict(law_id: str, anchor: str, verdict_kind, *, exact_ok=True,
+def law_from_verdict(law_id: str, anchor: str, verdict_kind, *,
                      provenance=None) -> LawResult:
     """Translate an expr.EqVerdict into a LawResult."""
     v = verdict_kind
     if v.is_exact:
-        verdict = Verdict.PASS_EXACT if exact_ok else Verdict.PASS_NUMERIC
-        return LawResult(law_id, anchor, verdict, provenance=provenance or {})
+        return LawResult(law_id, anchor, Verdict.PASS_EXACT,
+                         provenance=provenance or {})
     if v.kind == "not-equal":
         return LawResult(
             law_id, anchor, Verdict.FAIL, witness=v.witness,

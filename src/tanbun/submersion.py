@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
@@ -24,6 +23,7 @@ from .expr import (
 )
 from .jet import JetPoint, pushforward, struct_map
 from .report import CheckReport, LawResult, Verdict
+from .universal import collapse_search
 
 __all__ = [
     "JacobianSample", "RankDeficient", "DerivativePathsDisagree",
@@ -154,26 +154,14 @@ def is_submersion_on(f: SmoothMap, box: Box,
 def _collapse_search(f: SmoothMap, box: Box, seeds, cfg: CheckConfig):
     lo, hi = box.lo(), box.hi()
 
-    def objective(z):
+    def score(z):
         z = np.clip(z, lo, hi)
-        try:
-            return float(np.log(max(_min_singular(f, z), 1e-300)))
-        except ExprError:
-            return 1e6
+        return _min_singular(f, z), z
 
     rng = cfg.rng("submersion:search")
     pool = box.sample(rng, 40 * box.dim)
     extras = sorted(pool, key=lambda z: _min_singular(f, z))[:2]
-    best_val, best_z = np.inf, None
-    for z0 in list(seeds) + extras:
-        res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-12,
-                                "fatol": 1e-12})
-        if res.fun < best_val:
-            best_val, best_z = res.fun, np.clip(res.x, lo, hi)
-        if best_val < np.log(1e-14):
-            break
-    return best_z
+    return collapse_search(score, list(seeds) + extras, float(np.log(1e-14)))
 
 
 def horizontal_lift(f: SmoothMap, a, v) -> np.ndarray:

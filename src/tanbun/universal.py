@@ -26,14 +26,14 @@ from .bundle import (
     induce_addition, vert_lambda,
 )
 from .jet import (
-    StackMap, solve_batch, solve_least_norm, struct_map, tangent_after,
-    tangent_map, tangent_of,
+    StackMap, _each_row, row_ordered, solve_batch, solve_least_norm,
+    struct_map, tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
     "CommutingSquare", "PullbackVerdict", "RankDeficientCospan",
     "rosicky_square", "cockett_square", "strong_square", "combined_square",
-    "check_pullback", "cross_check_equivalence",
+    "check_pullback", "collapse_search", "cross_check_equivalence",
 ]
 
 RANK_TOL = 1e-7           # singular values below this (relative) are zero
@@ -202,12 +202,7 @@ def combined_square(spec: BundleSpec) -> CommutingSquare:
 
 
 def _numeric_rank(s: np.ndarray) -> int:
-    if s.size == 0:
-        return 0
-    top = s[0]
-    if top <= 0:
-        return 0
-    return int(np.sum(s >= RANK_TOL * top))
+    return int(np.sum(s >= RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
 
 
 def _sample_apex(sq: CommutingSquare, depth: int, cfg: CheckConfig,
@@ -275,11 +270,18 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         # (pre) commutation of the square itself
         comm_res = np.abs(right_t.eval_batch(B_img)
                           - bottom_t.eval_batch(C_img))
+        nan = np.isnan(comm_res)
+        comm_res[nan] = -np.inf     # a finite row that refutes comes first
         worst = float(np.max(comm_res))
-        if worst > max(cfg.tol, 1e-8):
-            i = int(np.unravel_index(np.argmax(comm_res), comm_res.shape)[0])
-            comm = _law("commutes", Verdict.FAIL, witness=(Z[i].tolist(),),
-                        max_residual=worst, provenance=_prov(cfg, depth))
+        refuted = worst > max(cfg.tol, 1e-8)
+        if refuted or nan.any():    # a NaN never passes
+            i = int(np.unravel_index(np.argmax(comm_res if refuted else nan),
+                                     comm_res.shape)[0])
+            comm = _law("commutes", Verdict.FAIL if refuted else
+                        Verdict.UNKNOWN, witness=(Z[i].tolist(),),
+                        max_residual=max(comm.max_residual, worst),
+                        note="" if refuted else "residual is not a number",
+                        provenance=_prov(cfg, depth))
             break
         comm = _law("commutes", Verdict.PASS_NUMERIC,
                     max_residual=max(comm.max_residual, worst),
@@ -297,11 +299,11 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
             break
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
-        rank_out = _rank_scan(sq, depth, Z, B_img, C_img,
-                              top_t, left_t, right_t, bottom_t, g_t, cfg)
-        rank, outliers, scan_info = rank_out
+        rank, outliers, scan_info = _rank_scan(
+            sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
+            g_t, cfg)
         total_outliers += outliers
-        if rank.verdict is Verdict.FAIL:
+        if scan_info is None:      # a collapse, or a Jacobian not finite
             break
 
         # (b') targeted witness search for a rank defect (cheap level only)
@@ -342,17 +344,25 @@ def _collision(Z: np.ndarray, F: np.ndarray):
     return (int(i[0]), int(j[0])) if i.size else None
 
 
+class JacobianNotFinite(ExprError):
+    """Matrix args[0] of a stack of Jacobians has an entry that is not
+    finite, which a stacked SVD cannot take."""
+
+
+def _finite(J: np.ndarray) -> np.ndarray:
+    """J, or JacobianNotFinite for its first matrix that is not finite."""
+    if not np.isfinite(J).all():
+        raise JacobianNotFinite(int(np.argmin(np.isfinite(J).all((1, 2)))))
+    return J
+
+
 def _fp_tangent_dims(right_t, bottom_t, B_img, C_img) -> list:
     """Fibre-product tangent dimension at each sample: the nullity of
     [J_right | -J_bottom], from one stacked SVD."""
-    try:
-        Jr, Jb = right_t.jac_batch(B_img), bottom_t.jac_batch(C_img)
-    except ExprError:
-        for b, c in zip(B_img, C_img):   # raise the first sample's error
-            right_t.jac_batch(b[None])
-            bottom_t.jac_batch(c[None])
-        raise
-    M = np.concatenate([Jr, -Jb], axis=2)
+    nb = B_img.shape[1]
+    M = _finite(row_ordered(lambda X: np.concatenate(
+        [right_t.jac_batch(X[:, :nb]), -bottom_t.jac_batch(X[:, nb:])],
+        axis=2), np.hstack([B_img, C_img])))
     s = np.linalg.svd(M, compute_uv=False)
     return [M.shape[2] - _numeric_rank(si) for si in s]
 
@@ -366,14 +376,14 @@ def _restricted_svs(top_t, left_t, g_t, Zs: np.ndarray, apex_flat: int):
     if g_t is None:
         ranks = np.zeros(len(Zs), dtype=int)
     else:
-        _, s, vh = np.linalg.svd(g_t.jac_batch(Zs))
+        _, s, vh = np.linalg.svd(_finite(g_t.jac_batch(Zs)))
         ranks = np.array([_numeric_rank(si) for si in s])
     out = [(np.empty(0), 0)] * len(Zs)
     live = np.flatnonzero(ranks < apex_flat)
     if not live.size:
         return out
-    JF = np.concatenate([top_t.jac_batch(Zs[live]),
-                         left_t.jac_batch(Zs[live])], axis=1)
+    JF = _finite(np.concatenate([top_t.jac_batch(Zs[live]),
+                                 left_t.jac_batch(Zs[live])], axis=1))
     for r in dict.fromkeys(ranks[live].tolist()):   # one group per kernel
         group = np.flatnonzero(ranks[live] == r)
         # each row's kernel basis is v[r:].T, with the strides of a row
@@ -385,21 +395,33 @@ def _restricted_svs(top_t, left_t, g_t, Zs: np.ndarray, apex_flat: int):
     return out
 
 
-def _restricted_ratio(top_t, left_t, g_t, z: np.ndarray, apex_flat: int):
-    """(sigma_min/sigma_max of the restricted cone Jacobian, apex tangent
-    dim); the ratio is 0.0 for a collapsed direction."""
-    (s, k), = _restricted_svs(top_t, left_t, g_t, z[None], apex_flat)
-    if k == 0:
-        return 1.0, 0
-    if len(s) < k or s[0] == 0:
-        return 0.0, k
-    return float(s[k - 1] / s[0]), k
+def _collapse(sv) -> tuple:
+    """(sigma_min, sigma_min/sigma_max) from a (singular values, apex
+    tangent dim) of _restricted_svs: 0.0 on a collapse, ratio 1.0 at k=0."""
+    s, k = sv
+    if k == 0 or len(s) < k or s[0] == 0:
+        return 0.0, float(k == 0)
+    return float(s[k - 1]), float(s[k - 1] / s[0])
 
 
 def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
                g_t, cfg):
+    """The rank law over the samples, in sample order; returns (law,
+    outliers, info), info None where the scan stopped the check."""
     apex_flat = Z.shape[1]
-    fp_dims = _fp_tangent_dims(right_t, bottom_t, B_img, C_img)
+    outliers = 0
+
+    def stop(verdict, i, note, ratio=0.0):
+        return _law("rank", verdict, witness=(Z[i].tolist(),),
+                    max_residual=ratio, note=note,
+                    provenance=_prov(cfg, depth, {"outliers": outliers})), \
+            outliers, None
+
+    try:
+        fp_dims = _fp_tangent_dims(right_t, bottom_t, B_img, C_img)
+    except JacobianNotFinite as err:
+        return stop(Verdict.UNKNOWN, err.args[0],
+                    "cospan Jacobian is not finite")
     vals, counts = np.unique(fp_dims, return_counts=True)
     modal = int(vals[np.argmax(counts)])
     outliers = int(np.sum(np.asarray(fp_dims) != modal))
@@ -412,24 +434,18 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
         svs = None       # evaluated per sample below, in sample order
     scored = []      # (sigma_min, ratio, index) for the witness search
     for pos, i in enumerate(rows):
-        s, apex_tdim = svs[pos] if svs is not None else _restricted_svs(
-            top_t, left_t, g_t, Z[i:i + 1], apex_flat)[0]
-        if apex_tdim != modal:
-            res = _law("rank", Verdict.FAIL, witness=(Z[i].tolist(),),
-                       note=(f"apex tangent dim {apex_tdim} != "
-                             f"fibre-product tangent dim {modal}"),
-                       provenance=_prov(cfg, depth, {"outliers": outliers}))
-            return res, outliers, None
-        if len(s) < apex_tdim or s[0] == 0:
-            sigma, ratio = 0.0, 0.0
-        else:
-            sigma, ratio = float(s[apex_tdim - 1]), float(s[apex_tdim - 1] / s[0])
+        try:
+            sv = svs[pos] if svs is not None else _restricted_svs(
+                top_t, left_t, g_t, Z[i:i + 1], apex_flat)[0]
+        except JacobianNotFinite:
+            return stop(Verdict.UNKNOWN, i, "cone Jacobian is not finite")
+        if sv[1] != modal:
+            return stop(Verdict.FAIL, i, f"apex tangent dim {sv[1]} != "
+                        f"fibre-product tangent dim {modal}")
+        sigma, ratio = _collapse(sv)
         if ratio < RANK_TOL:
-            res = _law("rank", Verdict.FAIL, witness=(Z[i].tolist(),),
-                       max_residual=ratio,
-                       note=f"restricted Jacobian collapse, ratio {ratio:.3g}",
-                       provenance=_prov(cfg, depth, {"outliers": outliers}))
-            return res, outliers, None
+            return stop(Verdict.FAIL, i, "restricted Jacobian collapse, "
+                        f"ratio {ratio:.3g}", ratio)
         scored.append((sigma, ratio, i))
 
     scored.sort()
@@ -445,8 +461,39 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
 
 
 class _CollapseFound(Exception):
-    """Internal signal: the search hit a singular value small enough that
-    further polishing cannot change the verdict."""
+    """Internal signal: the search hit a value deep enough that further
+    polishing cannot change the verdict."""
+
+
+def collapse_search(score, starts, deep: float):
+    """Nelder-Mead on log sigma from each start in turn, the one search
+    for a rank collapse that sampling missed.  score(z) gives (sigma, the
+    point z stands for); a point None or an ExprError mean no score.
+    Returns the best point seen, or None; stops at a sigma below exp(deep)."""
+    best = [np.inf, None]
+
+    def objective(z):
+        try:
+            sigma, point = score(z)
+        except ExprError:
+            point = None
+        if point is None:
+            return 1e6
+        val = float(np.log(max(sigma, 1e-300)))
+        if val < best[0]:
+            best[:] = val, point
+        if val < deep:
+            raise _CollapseFound
+        return val
+
+    for z0 in starts:
+        try:
+            minimize(objective, z0, method="Nelder-Mead",
+                     options={"maxiter": 400, "xatol": 1e-12,
+                              "fatol": 1e-12})
+        except _CollapseFound:
+            break
+    return best[1]
 
 
 def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
@@ -456,13 +503,10 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
     The conditioning ratio is the wrong search objective: it also drops
     where the largest singular value grows, which pulls the simplex into
     healthy regions.  sigma_min only vanishes at genuine collapses."""
-    if info is None:
-        return None
     if info["min_sigma"] > 0.05 and info["min_ratio"] > 0.05:
         return None      # every sample is comfortably full-rank
     apex_flat = Z.shape[1]
-    box_lo = np.array([float(a) for a, _ in sq.apex_box.intervals])
-    box_hi = np.array([float(b) for _, b in sq.apex_box.intervals])
+    box_lo, box_hi = sq.apex_box.lo(), sq.apex_box.hi()
 
     def project(z):
         z = np.clip(z, box_lo, box_hi)
@@ -470,34 +514,16 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
             z = solve_least_norm(g_t, np.zeros(g_t.coarity), z)
         return z
 
-    def sigma_min(sv):
-        s, k = sv
-        return 0.0 if k == 0 or len(s) < k else float(s[k - 1])
+    def sigmas(P):
+        return np.array([_collapse(sv)[0] for sv in
+                         _restricted_svs(top_t, left_t, g_t, P, apex_flat)])
 
-    def sigma_at(z):
-        return sigma_min(
-            _restricted_svs(top_t, left_t, g_t, z[None], apex_flat)[0])
-
-    deep = float(np.log(1e-10))
-    state = {"val": np.inf, "z": None}
-
-    def objective(z):
+    def score(z):
         z = project(z)
-        if z is None:
-            return 1e6
-        try:
-            val = float(np.log(max(sigma_at(z), 1e-300)))
-        except ExprError:
-            return 1e6
-        if val < state["val"]:
-            state["val"], state["z"] = val, z
-        if val < deep:
-            raise _CollapseFound
-        return val
+        return (None if z is None else sigmas(z[None])[0]), z
 
     rng = cfg.rng(f"{sq.name}:witness")
     extra = rng.uniform(box_lo, box_hi, size=(40 * apex_flat, apex_flat))
-    cands = [Z[i] for i in info["seeds"]]
     # the extra samples, projected in one solve and scored in one stacked
     # SVD; one by one when that raises, skipping the samples that do
     P = np.clip(extra, box_lo, box_hi)
@@ -506,33 +532,15 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
         if errors:
             raise errors[min(errors)]
         P = P[ok]
-    try:
-        pool = [(sigma_min(sv), z) for sv, z in zip(
-            _restricted_svs(top_t, left_t, g_t, P, apex_flat), P)]
-    except ExprError:
-        pool = []
-        for z in P:
-            try:
-                pool.append((sigma_at(z), z))
-            except ExprError:
-                continue
-    pool.sort(key=lambda t: t[0])
-    cands.extend(z for _, z in pool[:2])
-
-    for z0 in cands:
-        try:
-            minimize(objective, z0, method="Nelder-Mead",
-                     options={"maxiter": 400, "xatol": 1e-12,
-                              "fatol": 1e-12})
-        except _CollapseFound:
-            break
-    best_z = state["z"]
+    kept, pool = _each_row(lambda rows: sigmas(P[rows]), np.arange(len(P)))
+    starts = [Z[i] for i in info["seeds"]]
+    starts += list(P[kept[np.argsort(pool, kind="stable")[:2]]])
+    best_z = collapse_search(score, starts, float(np.log(1e-10)))
+    best_z = None if best_z is None else project(best_z)
     if best_z is None:
         return None
-    best_z = project(best_z)
-    if best_z is None:
-        return None
-    ratio, _ = _restricted_ratio(top_t, left_t, g_t, best_z, apex_flat)
+    _, ratio = _collapse(_restricted_svs(top_t, left_t, g_t, best_z[None],
+                                         apex_flat)[0])
     if ratio >= RANK_TOL:
         return None
     return _law(
@@ -555,77 +563,40 @@ def _fp_projector(right_t, bottom_t):
     return SmoothMap(nb + nc, comps)
 
 
-def _fp_targets(fp_map, raw, apex_flat, rng):
-    """Fibre-product targets for the surjectivity tries, with the start
-    kicks drawn for them.
-
-    A try draws its target noise and, once its target is found, two
-    start kicks.  The draws here assume every target is found and solve
-    a stretch of tries in one batch; at the first try whose target
-    stalls the generator is rewound to just past that try's noise, and
-    the next stretch starts after it, so the stream is the one a
-    try-by-try loop reads.  The solves after a stall are wasted, so a
-    stretch is at most twice as long as the run of tries before it.
-    Returns (targets, found, kicks, error): error is the first try whose
-    target solve raised, with its exception, or None; the tries after
-    it are not drawn."""
-    n_try = len(raw)
-    targets = np.empty_like(raw)
-    found = np.zeros(n_try, dtype=bool)
-    kicks = np.empty((n_try, 2, apex_flat))
-    t0, size = 0, n_try
-    while t0 < n_try:
-        noisy = raw[t0:t0 + size].copy()
-        states = []
-        for k in range(len(noisy)):
-            noisy[k] += rng.normal(0.0, 0.05, raw.shape[1])
-            states.append(rng.bit_generator.state)
-            kicks[t0 + k] = rng.normal(0.0, 0.01, (2, apex_flat))
-        sol, ok, errors = solve_batch(
-            fp_map, np.zeros((len(noisy), fp_map.coarity)), noisy)
-        k = int(np.argmin(ok)) if not ok.all() else len(noisy)
-        targets[t0:t0 + k] = sol[:k]
-        found[t0:t0 + k] = True
-        if k < len(noisy):
-            if k in errors:
-                return targets, found, kicks, (t0 + k, errors[k])
-            rng.bit_generator.state = states[k]
-            k += 1          # the stalled try
-        t0 += k
-        size = 2 * k
-    return targets, found, kicks, None
-
-
 def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                   bottom_t, g_t, cfg):
+    """Newton preimages of perturbed cone points.  Every try draws its
+    target noise, then its two start kicks, found or not; one solve finds
+    the fibre-product targets of all tries."""
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
     n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
     fp_map = _fp_projector(right_t, bottom_t)
     cone = StackMap(top_t, left_t) if g_t is None \
         else StackMap(top_t, left_t, g_t)
-    targets, found, kicks, fp_error = _fp_targets(
-        fp_map, np.hstack([B_img[:n_try], C_img[:n_try]]), Z.shape[1], rng)
+    # three Newton starts per try: the sample and two kicked copies
+    noisy = np.hstack([B_img[:n_try], C_img[:n_try]])
+    starts = np.repeat(Z[:n_try, None], 3, axis=1)
+    for t in range(n_try):
+        noisy[t] += rng.normal(0.0, 0.05, noisy.shape[1])
+        starts[t, 1:] += rng.normal(0.0, 0.01, (2, Z.shape[1]))
+    targets, found, fp_errors = solve_batch(
+        fp_map, np.zeros((n_try, fp_map.coarity)), noisy)
 
-    # three Newton starts per try whose target was found: the sample and
-    # two kicked copies
     tries = np.nonzero(found)[0]
     full = targets[tries] if g_t is None else np.hstack(
         [targets[tries], np.zeros((len(tries), g_t.coarity))])
-    starts = np.repeat(Z[tries], 3, axis=0)
-    starts[1::3] += kicks[tries, 0]
-    starts[2::3] += kicks[tries, 1]
-    sols, ok, errors = solve_batch(cone, np.repeat(full, 3, axis=0), starts,
-                                   tol=1e-10, max_iter=60)
-    first_row = {t: 3 * k for k, t in enumerate(tries)}
+    sols, ok, errors = solve_batch(
+        cone, np.repeat(full, 3, axis=0),
+        starts[tries].reshape(-1, Z.shape[1]), tol=1e-10, max_iter=60)
 
     stalls = 0
     for t in range(n_try):
-        if fp_error is not None and fp_error[0] == t:
-            raise fp_error[1]
+        if t in fp_errors:
+            raise fp_errors[t]
         if not found[t]:
             stalls += 1
             continue
-        r = first_row[t]
+        r = 3 * int(found[:t].sum())      # the first row of this try
         for row in range(r, r + 3):
             if row in errors:
                 raise errors[row]

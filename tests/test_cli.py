@@ -174,6 +174,20 @@ def test_json_report_is_deterministic(tmp_path, capsys):
     assert doc1 == doc2
 
 
+def test_a_lift_that_is_nan_on_part_of_its_box_ends_in_a_report(tmp_path):
+    # exp(1000*x1) overflows above x1 = 0.71, where the lift is inf - inf
+    path = _write(tmp_path, LINE_DB.replace(
+        "lambda = x0, 0, 0, x1",
+        "lambda = x0, 0, 0, x1 + x1^3/4 + exp(1000*x1) - exp(999*x1)*exp(x1)"
+    ) + "samples = 20\ndepth = 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tanbun.cli", "check", path,
+         "--format", "json"], capture_output=True, text=True)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["aggregate"] in ("fail", "unknown")
+
+
 def test_json_report_structure(tmp_path, capsys):
     path = _write(tmp_path, LINE_DB)
     code, doc = _json_run(capsys, ["check", path, "--samples", "30",

@@ -15,6 +15,7 @@ from tanbun.expr import (
 )
 from tanbun import expr
 from tanbun.jet import JetPoint, pushforward
+from tanbun.report import Verdict, law_from_verdict
 
 CFG = CheckConfig(count=40, seed=7)
 
@@ -322,6 +323,30 @@ def test_equal_maps_numeric_pass_for_builtin_maps():
     g = parse_map("1 - cos(x0)^2", 1)
     v = equal_maps(f, g, cube(1), CFG)
     assert v.is_numeric_pass and not v.is_exact
+
+
+# inf - inf above x0 = 0.71, where exp(1000*x0) overflows, and large
+# rounding errors below it
+INF_MINUS_INF = "x0 + exp(1000*x0) - exp(999*x0)*exp(x0)"
+# 0*inf, NaN, above x0 = 0.0066, and x0 up to rounding below 0
+ZERO_TIMES_INF = "x0*exp(-exp(1000*x0))*exp(exp(1000*x0))"
+
+
+def test_equal_maps_never_counts_a_nan_as_agreement():
+    f = parse_map(ZERO_TIMES_INF, 1)
+    v = equal_maps(f, parse_map("x0", 1), cube(1))
+    assert v.kind == "unknown" and not v.is_numeric_pass
+    X = cube(1).sample(CheckConfig().rng("equal_maps"), CheckConfig().count)
+    first = X[np.isnan(f.eval_batch(X)[:, 0])][0]
+    assert v.reason == f"residual is NaN at sample {first.tolist()}"
+    res = law_from_verdict("x", "a", v)
+    assert res.verdict is Verdict.UNKNOWN and "NaN" in res.note
+
+
+def test_equal_maps_refutes_on_a_finite_row_beside_nan_rows():
+    v = equal_maps(parse_map(INF_MINUS_INF, 1), parse_map("x0", 1), cube(1))
+    assert v.kind == "not-equal" and v.max_residual > 1.0
+    assert np.isfinite(np.hstack(v.witness)).all()
 
 
 # --------------------------------------------------------------------------

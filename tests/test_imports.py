@@ -1,4 +1,5 @@
-"""Import hygiene: every top-level import in a library module is used.
+"""Import hygiene: every top-level import in a library module is used,
+and scipy is imported in one module only.
 
 A module-level import counts as used when the module refers to the
 bound name anywhere (code or annotation) or lists it in ``__all__``.
@@ -47,3 +48,22 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path) == []
+
+
+def _scipy_imports(tree: ast.Module) -> list:
+    mods = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            mods += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods.append(node.module)
+    return [m for m in mods if m.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_universal_imports_scipy(path):
+    # universal.collapse_search is the one Nelder-Mead search, and
+    # bench/tracer.py times it through universal.minimize
+    found = _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert found == (["scipy.optimize"] if path.stem == "universal" else [])

@@ -122,7 +122,7 @@ def test_axiom_catalog_has_fourteen_entries_with_unique_ids():
 
 
 def test_single_axiom_check_passes_exactly():
-    res = check_axiom("flip-invol", 2, "exact", STANDARD_STRUCTS, CFG)
+    res = check_axiom("flip-invol", 2, STANDARD_STRUCTS, CFG)
     assert res.verdict.value == "pass-exact"
 
 

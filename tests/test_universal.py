@@ -1,9 +1,12 @@
 """Jet-level pullback checks for the four universality squares."""
 
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
-from tanbun import universal
+from tanbun import submersion, universal
 from tanbun.expr import (
     CheckConfig, DenominatorNearZero, ExprError, compose, cube, parse_map,
     simplify_map,
@@ -14,6 +17,7 @@ from tanbun.jet import (
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
+from tanbun.submersion import is_submersion_on
 from tanbun.universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
     cross_check_equivalence, rosicky_square, strong_square,
@@ -229,8 +233,10 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     anchor = "perturbed cone points have preimages"
     stalls = 0
     for i in range(n_try):
+        # every try draws its noise and both kicks, found or not
         target_raw = np.concatenate([B_img[i], C_img[i]])
         target_raw += rng.normal(0.0, 0.05, target_raw.shape)
+        kicks = [rng.normal(0.0, 0.01, Z[i].shape) for _ in range(2)]
         target = solve_least_norm(fp_map, np.zeros(fp_map.coarity),
                                   target_raw)
         if target is None:
@@ -240,7 +246,7 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
             if g_t is not None else target
         sols = []
         for s in range(3):
-            z0 = Z[i] if s == 0 else Z[i] + rng.normal(0.0, 0.01, Z[i].shape)
+            z0 = Z[i] if s == 0 else Z[i] + kicks[s - 1]
             z_hat = solve_least_norm(cone, full_target, z0, tol=1e-10,
                                      max_iter=60)
             if z_hat is not None:
@@ -342,7 +348,8 @@ def _toy_square(name, apex_dim, top, left, right, bottom, constraint=None):
 
 # The fibre product of (bump, 1/2) is {b = 1/2}: Newton from a noisy b
 # finds it inside the step of the bump and stalls on the flat parts, so
-# some tries stall and the random stream must be rewound after each.
+# some tries stall.  A stalled try still draws its two kicks, so the
+# stream needs no rewind and one solve finds the targets of all tries.
 # With the cone (z0 + z2, z1) every preimage is a line, so the first
 # try that does not stall fails with a witness read from that stream.
 STALLING = ("stall", 2, "x0", "x1", "bump(x0)", "1/2")
@@ -369,8 +376,7 @@ def test_surjectivity_rewinds_the_stream_after_stalled_tries(seed,
     assert res == _ref_surjectivity(*_phase_args(sq, 0, Z), cfg)
     assert res.verdict is Verdict.UNKNOWN
     assert 0 < res.provenance["stalls"] < 20
-    # the rewinds redo solves, but at most a few per try
-    assert len(fp_rows) > 1 and sum(fp_rows) <= 4 * 20
+    assert fp_rows == [20]      # one fibre-product solve of all tries
 
     sq = _toy_square(*STALL_THEN_FAIL)
     Z = np.column_stack([[-1.0, 2.0, 0.0, 0.25] + [0.5] * 36,
@@ -403,6 +409,63 @@ def test_rank_scan_falls_back_to_sample_order_on_jacobian_errors():
         got = _outcome(universal._rank_scan, *args, CFG)
         assert got == _outcome(_ref_rank_scan, *args, CFG)
     assert got[0] is DenominatorNearZero
+
+
+# Above x1 = 0.0066, exp(-exp(1000*x1)) underflows to 0 and
+# exp(exp(1000*x1)) overflows: NAN_ABOVE is 0*inf there, NaN, and x1 up
+# to rounding below 0.  NAN_JACOBIAN is finite everywhere, but above
+# x1 = 0.71, where exp(1000*x1) overflows too, its derivative is 0*inf.
+NAN_ABOVE = "x0, x1*exp(-exp(1000*x1))*exp(exp(1000*x1))"
+NAN_JACOBIAN = "x0, x1*exp(-exp(1000*x1))"
+
+
+def test_commutation_reads_unknown_on_a_nan_residual():
+    sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
+    pv = check_pullback(sq, 0, CFG)
+    assert pv.commutation.verdict is Verdict.UNKNOWN
+    assert np.isnan(sq.top.eval_batch(np.array(pv.commutation.witness))).any()
+    assert pv.aggregate is Verdict.UNKNOWN
+    # a finite row that refutes comes before the NaN rows
+    sq = _toy_square("nan-fail", 2, "x0, x1 + exp(1000*x1) - exp(1000*x1)",
+                     "x0, x1", "x0, x1", "x0, x1")
+    assert check_pullback(sq, 0, CFG).commutation.verdict is Verdict.FAIL
+
+
+def test_rank_scan_reads_unknown_where_a_jacobian_is_not_finite():
+    Z = np.array([[0.3, -0.5], [0.3, 0.8], [0.2, 0.9]])
+    for sq, part in (
+            (_toy_square("cone", 2, NAN_JACOBIAN, NAN_JACOBIAN,
+                         "x0, x1", "x0, x1"), "cone"),
+            (_toy_square("cospan", 2, "x0, x1", "x0, x1",
+                         NAN_JACOBIAN, NAN_JACOBIAN), "cospan")):
+        res, _, info = universal._rank_scan(*_phase_args(sq, 0, Z), CFG)
+        assert res.verdict is Verdict.UNKNOWN and info is None
+        assert res.witness == ([0.3, 0.8],)
+        assert res.note == f"{part} Jacobian is not finite"
+
+
+def test_collapse_searches_reach_scipy_only_through_collapse_search(
+        monkeypatch):
+    callers = []
+
+    def minimize(*args, **kw):
+        callers.append(sys._getframe(1).f_code)
+        return scipy_minimize(*args, **kw)
+
+    monkeypatch.setattr(universal, "minimize", minimize)
+    # x1*x0^3 collapses on x0 = 0 only, where no sample lands
+    sq = _toy_square("search", 2, "x0, x1*x0^3", "x0, x1*x0^3",
+                     "x0, x1", "x0, x1")
+    pv = check_pullback(sq, 0, CFG)
+    assert pv.rank.provenance.get("via") == "witness search"
+    searched = len(callers)
+    bump = bump_bundle()
+    assert is_submersion_on(bump.q, bump.total_box,
+                            CheckConfig(count=60, seed=5)).verdict \
+        is Verdict.FAIL
+    assert 0 < searched < len(callers)
+    assert set(callers) == {universal.collapse_search.__code__}
+    assert not hasattr(submersion, "minimize")
 
 
 def test_apex_projection_discards_the_samples_the_loop_discards():
