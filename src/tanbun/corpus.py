@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from numpy.linalg import LinAlgError
+
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, con,
     cube, parse_map, smooth_map,
@@ -29,6 +31,7 @@ from .universal import (
     check_pullback, cockett_square, combined_square, rosicky_square,
     strong_square,
 )
+from .submersion import DerivativePathsDisagree
 from .splitting import biproduct_check, check_splitting, chi_checks, \
     non_idempotent_demo
 from .vb import VectorBundleSpec, check_module_laws, psi, roundtrip_check
@@ -119,17 +122,10 @@ SUITE_ORDER = ("pre", "rosicky", "addition", "cockett", "strong",
                "combined", "split", "vb")
 
 
-def _skipped(title: str, reason: str) -> CheckReport:
+def _suite_note(title: str, verdict: Verdict, reason: str,
+                law_id: str = "suite") -> CheckReport:
     rep = CheckReport(title)
-    rep.add(LawResult("suite", "suite prerequisites", Verdict.SKIPPED,
-                      note=reason))
-    return rep
-
-
-def _failed(title: str, law_id: str, reason: str) -> CheckReport:
-    rep = CheckReport(title)
-    rep.add(LawResult(law_id, "suite prerequisites", Verdict.FAIL,
-                      note=reason))
+    rep.add(LawResult(law_id, "suite prerequisites", verdict, note=reason))
     return rep
 
 
@@ -193,47 +189,56 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
     for sid in order:
         title = f"{spec.name}: {sid}"
         if failed_at is not None and not force:
-            out[sid] = _skipped(title,
-                                f"prerequisite suite {failed_at!r} failed")
+            out[sid] = _suite_note(title, Verdict.SKIPPED,
+                                   f"prerequisite suite {failed_at!r} failed")
             continue
 
-        if sid == "pre":
-            rep = module_report if module_report is not None \
-                else check_predifferential(spec, cfg)
-        elif sid == "rosicky":
-            ros = check_pullback(rosicky_square(spec), None, cfg)
-            rep = _square_report(title, ros)
-        elif sid == "addition":
-            try:
-                add = induce_addition(spec, cfg, universality=ros)
-                rep = check_additive_laws(spec, add, cfg, declared=spec.add)
-            except AdditionUnavailable as exc:
-                rep = _failed(title, "addition-available", str(exc))
-        elif sid == "cockett":
-            if add is None:
-                rep = _skipped(title, "no induced addition to test against")
-            else:
-                pv = check_pullback(cockett_square(spec, add), None, cfg)
+        try:
+            if sid == "pre":
+                rep = module_report if module_report is not None \
+                    else check_predifferential(spec, cfg)
+            elif sid == "rosicky":
+                ros = check_pullback(rosicky_square(spec), None, cfg)
+                rep = _square_report(title, ros)
+            elif sid == "addition":
+                try:
+                    add = induce_addition(spec, cfg, universality=ros)
+                    rep = check_additive_laws(spec, add, cfg,
+                                              declared=spec.add)
+                except AdditionUnavailable as exc:
+                    rep = _suite_note(title, Verdict.FAIL, str(exc),
+                                      "addition-available")
+            elif sid == "cockett":
+                if add is None:
+                    rep = _suite_note(title, Verdict.SKIPPED,
+                                      "no induced addition to test against")
+                else:
+                    pv = check_pullback(cockett_square(spec, add), None, cfg)
+                    rep = _square_report(title, pv)
+            elif sid == "strong":
+                strong = check_pullback(strong_square(spec), None, cfg)
+                rep = _square_report(title, strong)
+            elif sid == "combined":
+                pv = check_pullback(combined_square(spec), None, cfg)
                 rep = _square_report(title, pv)
-        elif sid == "strong":
-            strong = check_pullback(strong_square(spec), None, cfg)
-            rep = _square_report(title, strong)
-        elif sid == "combined":
-            pv = check_pullback(combined_square(spec), None, cfg)
-            rep = _square_report(title, pv)
-        elif sid == "split":
-            rep = _merge(title, chi_checks(spec, cfg),
-                         check_splitting(spec, cfg, universality=ros),
-                         biproduct_check(spec, cfg, universality=strong))
-        else:  # vb
-            parts = [roundtrip_check(spec, cfg, universality=ros)]
-            prefixes = ["db."]
-            vec = vector_override if vector_override is not None \
-                else _vector_spec_of(spec)
-            if vec is not None:
-                parts.append(roundtrip_check(vec, cfg, universality=ros))
-                prefixes.append("vb.")
-            rep = _merge(title, *parts, prefixes=prefixes)
+            elif sid == "split":
+                rep = _merge(title, chi_checks(spec, cfg),
+                             check_splitting(spec, cfg, universality=ros),
+                             biproduct_check(spec, cfg, universality=strong))
+            else:  # vb
+                parts = [roundtrip_check(spec, cfg, universality=ros)]
+                prefixes = ["db."]
+                vec = vector_override if vector_override is not None \
+                    else _vector_spec_of(spec)
+                if vec is not None:
+                    parts.append(roundtrip_check(vec, cfg, universality=ros))
+                    prefixes.append("vb.")
+                rep = _merge(title, *parts, prefixes=prefixes)
+        except DerivativePathsDisagree:
+            raise  # an engine bug, not a property of the bundle
+        except (ExprError, LinAlgError) as exc:
+            rep = _suite_note(title, Verdict.UNKNOWN,
+                              f"{type(exc).__name__}: {exc}")
 
         out[sid] = rep
         if failed_at is None and rep.aggregate is Verdict.FAIL:
@@ -248,8 +253,8 @@ def _run_vector(vb: VectorBundleSpec, cfg, order, force) -> dict:
     if module.aggregate is Verdict.FAIL and not force:
         out = {"pre": module}
         for sid in order[1:]:
-            out[sid] = _skipped(f"{vb.name}: {sid}",
-                                "prerequisite suite 'pre' failed")
+            out[sid] = _suite_note(f"{vb.name}: {sid}", Verdict.SKIPPED,
+                                   "prerequisite suite 'pre' failed")
         return out
     db = psi(vb, cfg, checked=False)
     return _run_bundle(db, cfg, order, force,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -478,6 +478,7 @@ class SmoothMap:
                     template[i, j] = e.as_float
                 else:
                     live.append((i, j, e))
+        template.setflags(write=False)
         return template, tuple(live)
 
 
@@ -1110,13 +1111,15 @@ def symbolic_derivative_expr(e: Expr, var: int) -> Expr:
     return _ddx(e, var)
 
 
-def jacobian_exprs(f: SmoothMap) -> list:
-    """Matrix of partial derivative ASTs, coarity x arity."""
+@lru_cache(maxsize=512)
+def jacobian_exprs(f: SmoothMap) -> tuple:
+    """Matrix of partial derivative ASTs, coarity x arity, as nested
+    tuples.  Memoized by value, so equal maps share one derivation."""
     cols = [symbolic_derivative(f, j) for j in range(f.arity)]
-    return [
-        [cols[j].components[i] for j in range(f.arity)]
+    return tuple(
+        tuple(cols[j].components[i] for j in range(f.arity))
         for i in range(f.coarity)
-    ]
+    )
 
 
 def jac_eval_batch(f: SmoothMap, X) -> np.ndarray:

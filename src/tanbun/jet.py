@@ -225,6 +225,7 @@ def pushforward(f: SmoothMap, n: int, jp: JetPoint) -> JetPoint:
 # Symbolic tangent maps
 
 
+@functools.lru_cache(maxsize=512)
 def _tangent_once(f: SmoothMap) -> SmoothMap:
     m = f.arity
     rows = jacobian_exprs(f)
@@ -592,14 +593,8 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
     residual with its variables regrouped so that every parameter block
     precedes every output block; the point Jacobian then stays a single
     linear solve instead of one jet per column."""
-    a, c = imp.arity, imp.coarity
-    blocks = 1 << n
-    prol = tangent_map(imp.residual, n)
-    remap = {S * (a + c) + i: Var(S * a + i if i < a
-                                  else blocks * a + S * c + i - a)
-             for S in range(blocks) for i in range(a + c)}
-    comps = tuple(substitute_vars(e, remap) for e in prol.components)
-    residual = SmoothMap(blocks * (a + c), comps)
+    a, c, blocks = imp.arity, imp.coarity, 1 << n
+    residual = _prolonged_residual(imp.residual, a, n)
 
     def init(X, _imp=imp, _c=c, _blocks=blocks):
         Y = np.zeros((len(X), _blocks * _c))
@@ -609,6 +604,21 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
     return ImplicitMap(residual, blocks * a, blocks * c, init,
                        name=f"tangent^{n} of {imp.name}",
                        tol=imp.tol, max_iter=imp.max_iter)
+
+
+@functools.lru_cache(maxsize=512)
+def _prolonged_residual(residual: SmoothMap, a: int, n: int) -> SmoothMap:
+    """T^n of a residual in a parameters and residual.arity - a outputs,
+    with every parameter block moved ahead of every output block.
+    Memoized, so each T^n(imp) shares one residual and its compiled
+    Jacobian."""
+    c, blocks = residual.arity - a, 1 << n
+    prol = tangent_map(residual, n)
+    remap = {S * (a + c) + i: Var(S * a + i if i < a
+                                  else blocks * a + S * c + i - a)
+             for S in range(blocks) for i in range(a + c)}
+    comps = tuple(substitute_vars(e, remap) for e in prol.components)
+    return SmoothMap(blocks * (a + c), comps)
 
 
 class JetView(_MapLike):
@@ -734,8 +744,13 @@ def tangent_after(f, g):
     """T(f) . g: simplified in closed form when f is a SmoothMap, else a
     Composite."""
     if isinstance(f, SmoothMap):
-        return simplify_map(compose(tangent_map(f, 1), g))
+        return _smooth_tangent_after(f, g)
     return Composite(tangent_of(f, 1), g)
+
+
+@functools.lru_cache(maxsize=512)
+def _smooth_tangent_after(f: SmoothMap, g: SmoothMap) -> SmoothMap:
+    return simplify_map(compose(tangent_map(f, 1), g))
 
 
 def jac_point(f, x) -> np.ndarray:

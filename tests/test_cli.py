@@ -1,8 +1,11 @@
 """Command-line front end: bundle files, exit codes, report formats."""
 
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +267,73 @@ def test_installed_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "conjugated_1_1" in proc.stdout
+
+
+# --------------------------------------------------------------------------
+# A suite that raises ends in a report
+
+
+CUBIC_LIFT = (Path(__file__).resolve().parent / "golden"
+              / "cubic_lift.txt").read_text()
+
+
+@pytest.mark.parametrize("line, code, note", [
+    ("xi = x0, 1/(x0-x0)", 2,
+     "DenominatorNearZero: denominator near zero in 1/(x0 - x0)"),
+    ("lambda = x0, 0, 0, x1 + 1/x1", 1,
+     "ExprError: division by the zero constant"),
+    # a Jacobian of q that is not finite reaches LAPACK in a fibre solve
+    ("q = 1/x1 + exp(1000*x1)", 2,
+     "LinAlgError: SVD did not converge in Linear Least Squares"),
+])
+def test_a_suite_that_raises_reads_unknown(tmp_path, capsys, line, code,
+                                           note):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if old.startswith(key + " = ") else old
+                     for old in CUBIC_LIFT.splitlines())
+    got, doc = _json_run(capsys, ["check", _write(tmp_path, text),
+                                  "--format", "json"])
+    assert got == code
+    raised = [law for s in doc["suites"] for law in s["laws"]
+              if law["law"] == "suite" and law["verdict"] == "unknown"]
+    assert note in {law["note"] for law in raised}
+
+
+# value-level edits: poles, overflow, a bump near the registry's last
+# order, and deleted lines
+FUZZ_TERMS = ("1/(x0 - x0)", "1/x1", "1/x0", "exp(1000*x1)", "d9bump(x0)",
+              "d12bump(x1)", "bump(x1)", "x1^9", "0", "exp(-x0^2)/x1",
+              "sin(1/x0)")
+
+
+def _mutant(rng) -> str:
+    lines = CUBIC_LIFT.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        k = rng.choice([k for k, l in enumerate(lines)
+                        if l.startswith(("q =", "xi =", "lambda ="))])
+        key, _, value = lines[k].partition(" = ")
+        parts = value.split(", ")
+        i = rng.randrange(len(parts))
+        term = rng.choice(FUZZ_TERMS)
+        if key == "xi":   # xi reads the base, which has one coordinate
+            term = term.replace("x1", "x0")
+        parts[i] = term if rng.random() < 0.5 else f"{parts[i]} + {term}"
+        lines[k] = f"{key} = {', '.join(parts)}"
+    if rng.random() < 0.2:
+        del lines[rng.randrange(len(lines))]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_bundle_files_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(2026)
+    codes = Counter()
+    for k in range(150):
+        path = _write(tmp_path, _mutant(rng), name=f"mutant_{k}.txt")
+        code = main(["check", path, "--samples", "10", "--depth", "0",
+                     "--format", "json"])
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3), path
+        if code < 3:
+            assert json.loads(out)["aggregate"], path
+        codes[code] += 1
+    assert codes[3] < 50   # most mutants parse

@@ -1,5 +1,5 @@
 """Import hygiene: every top-level import in a library module is used,
-and scipy is imported in one module only.
+scipy is imported in one module only, and every memo is bounded.
 
 A module-level import counts as used when the module refers to the
 bound name anywhere (code or annotation) or lists it in ``__all__``.
@@ -67,3 +67,126 @@ def test_only_universal_imports_scipy(path):
     # bench/tracer.py times it through universal.minimize
     found = _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
     assert found == (["scipy.optimize"] if path.stem == "universal" else [])
+
+
+# containers a module can bind at its top level, and the calls that write
+# into one
+CONTAINERS = (ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set,
+              ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                   "Counter", "WeakKeyDictionary", "WeakValueDictionary"}
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "append",
+            "extend", "insert", "add", "remove", "discard"}
+
+
+def _module_containers(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        func = value.func if isinstance(value, ast.Call) else None
+        called = getattr(func, "id", getattr(func, "attr", None))
+        if isinstance(value, CONTAINERS) or called in CONTAINER_CALLS:
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def memo_breaches(path: Path) -> list:
+    """Every lru_cache has a literal integer maxsize; no functools.cache,
+    no bare lru_cache, and no module-level container that a function
+    writes into (a hand-made cache such as a dict keyed by id())."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "functools" for a in node.names}
+
+    def functools_name(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            return node.attr
+        return None
+
+    out = []
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and functools_name(node.func) == "lru_cache"):
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if not (isinstance(size, ast.Constant)
+                    and type(size.value) is int):
+                out.append(f"{path.name}:{node.lineno}: lru_cache without "
+                           f"a literal integer maxsize")
+        elif (functools_name(node) in ("cache", "lru_cache")
+              and id(node) not in called):
+            out.append(f"{path.name}:{node.lineno}: unbounded or "
+                       f"default-size {functools_name(node)}")
+
+    state = _module_containers(tree)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                holder = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                holder = node.func.value
+            else:
+                continue
+            if isinstance(holder, ast.Name) and holder.id in state:
+                out.append(f"{path.name}:{node.lineno}: module-level "
+                           f"{holder.id} written in a function")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_memo_is_bounded(path):
+    assert memo_breaches(path) == []
+
+
+def test_the_memo_check_catches_each_kind_of_unbounded_cache(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("""\
+import functools
+from functools import cache, lru_cache as memo
+_JAC_CACHE: dict = {}
+_SEEN = []
+
+
+@functools.lru_cache(maxsize=None)
+def a(x):
+    return x
+
+
+@memo
+def b(x):
+    return x
+
+
+@cache
+def c(x):
+    return x
+
+
+@memo(maxsize=64)
+def d(x):
+    if len(_JAC_CACHE) > 512:
+        _JAC_CACHE.clear()
+    _JAC_CACHE[id(x)] = x
+    _SEEN.append(x)
+    return x
+""")
+    lines = sorted(int(found.split(":")[1]) for found in memo_breaches(src))
+    assert lines == [7, 12, 17, 25, 26, 27]

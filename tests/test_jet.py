@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tanbun import expr, jet
+from tanbun.corpus import corpus_run
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, ExprError, Var, compose, con, cube,
-    equal_maps, eval_batch, eval_map, jac_eval_batch, parse_map, smooth_map,
+    CheckConfig, DenominatorNearZero, ExprError, MAX_BUMP_ORDER, Var,
+    compose, con, cube, equal_maps, eval_batch, eval_map, jac_eval_batch,
+    jacobian_exprs, parse_map, smooth_map,
 )
 from tanbun.jet import (
     AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
     NewtonDiverged, STANDARD_STRUCTS, StackMap, TruncElem, apply_map,
     check_all_axioms, check_axiom, jac_point,
     naturality_square, prolong_implicit, pushforward, solve_batch,
-    solve_least_norm, struct_map, tangent_map, tangent_of,
+    solve_least_norm, struct_map, tangent_after, tangent_map, tangent_of,
 )
 from tanbun.jet import _each_row, _gauss_newton, _lstsq_stack
 from numpy.linalg import _umath_linalg
@@ -761,3 +764,94 @@ def test_tangent_map_chain_rule_symbolically():
     rhs = compose(tangent_map(f, 1), tangent_map(g, 1))
     v = equal_maps(lhs, rhs, cube(2), CFG)
     assert v.is_exact
+
+
+# --------------------------------------------------------------------------
+# The value-keyed memo of symbolic derivations
+
+
+MEMOS = (expr.jacobian_exprs, jet._tangent_once, jet._smooth_tangent_after,
+         jet._prolonged_residual)
+
+# bump terms, quotients and exp
+MEMO_MAPS = (
+    "bump(x0)*x1 + d3bump(x1), (x0 - x1^2)/(2 + x0*x1)",
+    "exp(x0*x1) - x1/(1 + x0^2), d2bump(x0/4 + 1/2)*exp(x1)",
+)
+
+
+def _same_bits(f, g, seed):
+    # equal values whose Jacobian plans were compiled apart
+    X = cube(f.arity, -1, 1).sample(CFG.rng(seed), 9)
+    assert f == g
+    assert np.array_equal(f.eval_batch(X), g.eval_batch(X))
+    assert np.array_equal(f.jac_batch(X), g.jac_batch(X))
+
+
+@pytest.mark.parametrize("src", MEMO_MAPS)
+def test_memoized_derivations_have_the_bits_of_fresh_ones(src):
+    for memo in MEMOS:
+        memo.cache_clear()
+    f = parse_map(src, 2)
+    rows = jacobian_exprs(f)
+    assert rows == expr.jacobian_exprs.__wrapped__(f)
+    assert type(rows) is tuple and {type(r) for r in rows} == {tuple}
+    assert jacobian_exprs(parse_map(src, 2)) is rows
+    fresh = f
+    for n in (1, 2):
+        fresh = jet._tangent_once.__wrapped__(fresh)
+        shared = tangent_map(parse_map(src, 2), n)
+        assert tangent_map(f, n) is shared
+        _same_bits(shared, fresh, f"memo{n}")
+    g = parse_map("x0 + x1^2, x0*x1", 2)
+    after = tangent_after(f, tangent_map(g, 1))
+    assert tangent_after(parse_map(src, 2), tangent_map(g, 1)) is after
+    _same_bits(after, jet._smooth_tangent_after.__wrapped__(
+        f, jet._tangent_once.__wrapped__(g)), "memo-after")
+
+
+def test_prolonged_implicit_maps_share_one_residual():
+    jet._prolonged_residual.cache_clear()
+    one, two = prolong_implicit(_inverse_cubic(), 2), \
+        prolong_implicit(_inverse_cubic(), 2)
+    assert one is not two and one.residual is two.residual
+    _same_bits(one.residual, jet._prolonged_residual.__wrapped__(
+        _inverse_cubic().residual, 1, 2), "memo-prolong")
+
+
+def test_a_derivation_that_raises_is_not_remembered():
+    f = parse_map(f"x1*d{MAX_BUMP_ORDER}bump(x0)", 2)
+    sizes = [memo.cache_info().currsize for memo in MEMOS]
+    for _ in range(3):
+        for derive in (jacobian_exprs, lambda f: tangent_map(f, 1),
+                       lambda f: jac_eval_batch(f, [[0.5, 0.5]])):
+            with pytest.raises(ExprError, match="registry limit"):
+                derive(f)
+    assert [memo.cache_info().currsize for memo in MEMOS] == sizes
+
+
+def test_the_shared_jacobian_template_is_read_only():
+    f = parse_map("3*x0 + x1^2, x0", 2)
+    template, _ = f._jac_plan
+    with pytest.raises(ValueError):
+        template[0, 0] = 1.0
+    J = jac_eval_batch(f, [[1.0, 2.0]])
+    J[:] = 7.0
+    assert template.tolist() == [[3.0, 0.0], [1.0, 0.0]]
+
+
+def test_a_corpus_entry_differentiates_each_map_once(monkeypatch):
+    derived = []
+
+    def counting(f, var, _derive=expr.symbolic_derivative):
+        derived.append((f, var))
+        return _derive(f, var)
+
+    monkeypatch.setattr(expr, "symbolic_derivative", counting)
+    for memo in MEMOS:
+        memo.cache_clear()
+    corpus_run("tangent_bundle_2")
+    assert derived and len(set(derived)) == len(derived)
+    derived.clear()
+    corpus_run("tangent_bundle_2")
+    assert derived == []
