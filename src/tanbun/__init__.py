@@ -5,9 +5,8 @@ from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DenominatorNearZero,
     DimensionMismatch, EqVerdict, Expr, ExprError, ParseError, SmoothMap,
     compose, con, concat_maps, cube, equal_maps, eval_batch, eval_exact,
-    eval_map, eval_mp, fanout, identity_map, jac_eval_batch,
-    jacobian_exprs, juxtapose, parse_map, projection, simplify_map,
-    smooth_map, to_source,
+    eval_map, eval_mp, identity_map, jac_eval_batch, jacobian_exprs,
+    parse_map, projection, simplify_map, smooth_map, to_source,
 )
 from .report import CheckReport, LawResult, Verdict
 from .jet import (

@@ -248,15 +248,21 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
 
 def _run_vector(vb: VectorBundleSpec, cfg, order, force) -> dict:
     """For a vector bundle the pre suite is the module laws; the rest of
-    the chain runs on the generated lift."""
-    module = check_module_laws(vb, cfg)
-    if module.aggregate is Verdict.FAIL and not force:
-        out = {"pre": module}
-        for sid in order[1:]:
-            out[sid] = _suite_note(f"{vb.name}: {sid}", Verdict.SKIPPED,
-                                   "prerequisite suite 'pre' failed")
+    the chain runs on the generated lift; what raises is unknown."""
+    out = {}
+    try:
+        out["pre"] = module = check_module_laws(vb, cfg)
+        if module.aggregate is Verdict.FAIL and not force:
+            for sid in order[1:]:
+                out[sid] = _suite_note(f"{vb.name}: {sid}", Verdict.SKIPPED,
+                                       "prerequisite suite 'pre' failed")
+            return out
+        db = psi(vb, cfg, checked=False)
+    except (ExprError, LinAlgError) as exc:
+        note = f"{type(exc).__name__}: {exc}"
+        for sid in order[len(out):]:      # every suite not yet reported
+            out[sid] = _suite_note(f"{vb.name}: {sid}", Verdict.UNKNOWN, note)
         return out
-    db = psi(vb, cfg, checked=False)
     return _run_bundle(db, cfg, order, force,
                        module_report=module, vector_override=vb)
 

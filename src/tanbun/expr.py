@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "parse_map", "to_source", "normalize",
     "eval_map", "eval_batch", "eval_exact", "eval_mp",
     "compose", "identity_map", "projection", "concat_maps",
-    "juxtapose", "fanout",
     "poly_normalize", "poly_to_expr", "simplify_map",
     "symbolic_derivative", "jacobian_exprs", "jac_eval_batch",
     "equal_maps",
@@ -126,29 +126,43 @@ class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True)
+def _compound(cls):
+    """A frozen dataclass whose field hash is kept in the instance dict
+    on first use, beside the `_normal` mark; neither is a field."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+    def __hash__(self):
+        d = self.__dict__
+        if "_hash" not in d:
+            d["_hash"] = field_hash(self)
+        return d["_hash"]
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_compound
 class Sum(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_compound
 class Product(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@_compound
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_compound
 class Quot(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True)
+@_compound
 class Call(Expr):
     name: str
     arg: Expr
@@ -174,7 +188,12 @@ def con(x) -> Const:
 # --------------------------------------------------------------------------
 # Smart constructors; these keep ASTs in a light normal form:
 # flattened sums/products, folded constants, negation as a product with
-# the constant -1, no constant quotients.
+# the constant -1, no constant quotients.  Each marks its output normal.
+
+
+def _normal(e: Expr) -> Expr:
+    e.__dict__["_normal"] = True
+    return e
 
 
 def _iter_sum_terms(e: Expr):
@@ -199,7 +218,7 @@ def sum_of(terms: Iterable[Expr]) -> Expr:
         return ZERO
     if len(flat) == 1:
         return flat[0]
-    return Sum(tuple(flat))
+    return _normal(Sum(tuple(flat)))
 
 
 def _iter_prod_factors(e: Expr):
@@ -226,7 +245,7 @@ def product_of(factors: Iterable[Expr]) -> Expr:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    return Product(tuple(flat))
+    return _normal(Product(tuple(flat)))
 
 
 def _sum2(a: Expr, b: Expr) -> Expr:
@@ -252,8 +271,8 @@ def power(base: Expr, k: int) -> Expr:
     if isinstance(b, Const):
         return Const(b.value ** k)
     if isinstance(b, Pow):
-        return Pow(b.base, b.exponent * k)
-    return Pow(b, k)
+        return _normal(Pow(b.base, b.exponent * k))
+    return _normal(Pow(b, k))
 
 
 def quotient(num: Expr, den: Expr) -> Expr:
@@ -265,18 +284,19 @@ def quotient(num: Expr, den: Expr) -> Expr:
         return product_of([Const(1 / d.value), n])
     if isinstance(n, Const) and n.value == 0:
         return ZERO
-    return Quot(n, d)
+    return _normal(Quot(n, d))
 
 
 def call(name: str, arg: Expr) -> Expr:
     if name not in BUILTINS:
         raise ExprError(f"unknown builtin '{name}'")
-    return Call(name, normalize(arg))
+    return _normal(Call(name, normalize(arg)))
 
 
 def normalize(e: Expr) -> Expr:
-    """Idempotent structural normalization (not polynomial expansion)."""
-    if isinstance(e, (Const, Var)):
+    """Idempotent structural normalization (not polynomial expansion).
+    A smart constructor's output is normal and is returned as it is."""
+    if isinstance(e, (Const, Var)) or getattr(e, "_normal", False):
         return e
     if isinstance(e, Sum):
         return sum_of(e.terms)
@@ -960,33 +980,19 @@ def concat_maps(*maps: SmoothMap) -> SmoothMap:
     return SmoothMap(arity, tuple(comps))
 
 
-def juxtapose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """(f x g)(x, y) = (f(x), g(y)) on disjoint inputs."""
-    shift = {i: Var(i + f.arity) for i in range(g.arity)}
-    comps = tuple(f.components) + tuple(
-        substitute_vars(c, shift) for c in g.components
-    )
-    return SmoothMap(f.arity + g.arity, comps)
-
-
-def fanout(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """x -> (f(x), g(x)) on a shared input."""
-    if f.arity != g.arity:
-        raise DimensionMismatch("fanout requires equal arities")
-    return SmoothMap(f.arity, tuple(f.components) + tuple(g.components))
-
-
 # --------------------------------------------------------------------------
 # Polynomial normal form: sparse exponent-tuple -> Fraction, graded lex.
 
 
+@lru_cache(maxsize=1024)
 def _poly_of(e: Expr, arity: int):
+    """Sparse polynomial of e, or None; a read-only view shared by value."""
     if isinstance(e, Const):
-        return {} if e.value == 0 else {(0,) * arity: e.value}
-    if isinstance(e, Var):
+        acc = {} if e.value == 0 else {(0,) * arity: e.value}
+    elif isinstance(e, Var):
         key = tuple(1 if i == e.index else 0 for i in range(arity))
-        return {key: Fraction(1)}
-    if isinstance(e, Sum):
+        acc = {key: Fraction(1)}
+    elif isinstance(e, Sum):
         acc = {}
         for t in e.terms:
             p = _poly_of(t, arity)
@@ -998,24 +1004,23 @@ def _poly_of(e: Expr, arity: int):
                     acc.pop(k, None)
                 else:
                     acc[k] = nv
-        return acc
-    if isinstance(e, Product):
+    elif isinstance(e, Product):
         acc = {(0,) * arity: Fraction(1)}
         for t in e.factors:
             p = _poly_of(t, arity)
             if p is None:
                 return None
             acc = _poly_mul(acc, p)
-        return acc
-    if isinstance(e, Pow):
+    elif isinstance(e, Pow):
         base = _poly_of(e.base, arity)
         if base is None:
             return None
         acc = {(0,) * arity: Fraction(1)}
         for _ in range(e.exponent):
             acc = _poly_mul(acc, base)
-        return acc
-    return None
+    else:
+        return None
+    return MappingProxyType(acc)
 
 
 def _poly_mul(a: dict, b: dict) -> dict:

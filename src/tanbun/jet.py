@@ -381,6 +381,8 @@ def _lstsq_stack(A, B, errors=None):
     errors is None."""
     m, k = A.shape[1:]
     try:
+        if not np.isfinite(A).all():    # LAPACK would print to stdout
+            raise FloatingPointError
         with np.errstate(invalid="raise", over="ignore", divide="ignore",
                          under="ignore"):
             X = _umath_linalg.lstsq(A, B[..., None] if B.ndim == 2 else B,
@@ -390,6 +392,9 @@ def _lstsq_stack(A, B, errors=None):
         kept, rows = [], []
         for p in range(len(A)):
             try:
+                if not np.isfinite(A[p]).all():     # lstsq's own error
+                    raise np.linalg.LinAlgError(
+                        "SVD did not converge in Linear Least Squares")
                 rows.append(np.linalg.lstsq(A[p], B[p], rcond=None)[0])
                 kept.append(p)
             except np.linalg.LinAlgError as err:

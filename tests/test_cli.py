@@ -277,6 +277,12 @@ CUBIC_LIFT = (Path(__file__).resolve().parent / "golden"
               / "cubic_lift.txt").read_text()
 
 
+def _edited(text, line):
+    key = line.split(" = ")[0]
+    return "\n".join(line if old.startswith(key + " = ") else old
+                     for old in text.splitlines()) + "\n"
+
+
 @pytest.mark.parametrize("line, code, note", [
     ("xi = x0, 1/(x0-x0)", 2,
      "DenominatorNearZero: denominator near zero in 1/(x0 - x0)"),
@@ -288,10 +294,8 @@ CUBIC_LIFT = (Path(__file__).resolve().parent / "golden"
 ])
 def test_a_suite_that_raises_reads_unknown(tmp_path, capsys, line, code,
                                            note):
-    key = line.split(" = ")[0]
-    text = "\n".join(line if old.startswith(key + " = ") else old
-                     for old in CUBIC_LIFT.splitlines())
-    got, doc = _json_run(capsys, ["check", _write(tmp_path, text),
+    got, doc = _json_run(capsys, ["check",
+                                  _write(tmp_path, _edited(CUBIC_LIFT, line)),
                                   "--format", "json"])
     assert got == code
     raised = [law for s in doc["suites"] for law in s["laws"]
@@ -322,6 +326,33 @@ def _mutant(rng) -> str:
     if rng.random() < 0.2:
         del lines[rng.randrange(len(lines))]
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    # a Jacobian that is not finite would reach LAPACK, which prints its
+    # complaint to standard output ahead of the JSON
+    (_edited(CUBIC_LIFT, "q = 1/x1 + exp(1000*x1)"),
+     ["--samples", "10", "--depth", "0"]),
+    # vector bundle operations that raise in the module laws
+    (_edited(LINE_VB, "add = x0, x1 + x3 + 1/(x0-x0)"), []),
+], ids=["lapack-nonfinite-jacobian", "vector-add-raises"])
+def test_named_files_end_in_json_on_stdout(tmp_path, capfd, text, argv):
+    code = main(["check", _write(tmp_path, text), "--format", "json"] + argv)
+    out = capfd.readouterr().out
+    assert code in (0, 1, 2, 3)
+    assert json.loads(out)["aggregate"]
+
+
+def test_a_vector_bundle_whose_operations_raise_reads_unknown(tmp_path,
+                                                              capsys):
+    text = _edited(LINE_VB, "add = x0, x1 + x3 + 1/(x0-x0)")
+    code, doc = _json_run(capsys, ["check", _write(tmp_path, text),
+                                   "--format", "json"])
+    assert code == 2 and doc["aggregate"] == "unknown"
+    note = "DenominatorNearZero: denominator near zero in 1/(x0 - x0)"
+    assert [s["id"] for s in doc["suites"]][0] == "pre"
+    assert all(law["verdict"] == "unknown" and law["note"] == note
+               for s in doc["suites"] for law in s["laws"])
 
 
 def test_mutated_bundle_files_end_in_an_exit_code(tmp_path, capsys):

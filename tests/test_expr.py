@@ -1,20 +1,25 @@
 """Parser, exact evaluation, canonical forms, and map comparison."""
 
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanbun.expr import (
-    Box, CheckConfig, DenominatorNearZero, DimensionMismatch, ExprError,
-    ParseError, SmoothMap, Var, compose, con, concat_maps, cube, equal_maps, eval_batch, eval_exact,
-    eval_map, eval_mp, fanout, identity_map, jac_eval_batch,
-    jacobian_exprs, juxtapose, parse_map, projection, simplify_map,
-    smooth_map, to_source,
+    Box, Call, CheckConfig, Const, DenominatorNearZero, DimensionMismatch,
+    ExprError, ParseError, Pow, Product, Quot, SmoothMap, Sum, Var, compose,
+    con, concat_maps, cube, equal_maps, eval_batch, eval_exact, eval_map,
+    eval_mp, identity_map, jac_eval_batch, jacobian_exprs, parse_map,
+    projection, simplify_map, smooth_map, to_source,
 )
-from tanbun import expr
-from tanbun.jet import JetPoint, pushforward
+from tanbun import expr, jet
+from tanbun.bundle import check_predifferential
+from tanbun.cli import parse_bundle_file
+from tanbun.corpus import corpus_list, corpus_run
+from tanbun.jet import JetPoint, check_all_axioms, pushforward
 from tanbun.report import Verdict, law_from_verdict
 
 CFG = CheckConfig(count=40, seed=7)
@@ -278,10 +283,6 @@ def test_identity_projection_concat_fanout_juxtapose():
     assert np.allclose(eval_map(pr, [1, 2, 3]), [3, 1])
     cc = concat_maps(parse_map("x0", 1), parse_map("x0^2", 1))
     assert np.allclose(eval_map(cc, [3]), [3, 9])
-    fo = fanout(parse_map("x0", 1), parse_map("x0 + 1", 1))
-    assert np.allclose(eval_map(fo, [4]), [4, 5])
-    jx = juxtapose(parse_map("x0", 1), parse_map("10*x0", 1))
-    assert np.allclose(eval_map(jx, [1, 2]), [1, 20])
 
 
 @given(st.integers(min_value=-3, max_value=3),
@@ -347,6 +348,193 @@ def test_equal_maps_refutes_on_a_finite_row_beside_nan_rows():
     v = equal_maps(parse_map(INF_MINUS_INF, 1), parse_map("x0", 1), cube(1))
     assert v.kind == "not-equal" and v.max_residual > 1.0
     assert np.isfinite(np.hstack(v.witness)).all()
+
+
+# --------------------------------------------------------------------------
+# Normal-form marks, cached hashes and the polynomial memo
+
+
+def _rebuilt(e):
+    """An equal copy of e built by the dataclasses alone: no node of it
+    carries a mark or a cached hash."""
+    if isinstance(e, (Const, Var)):
+        return e
+    return type(e)(*(
+        tuple(map(_rebuilt, v)) if isinstance(v, tuple)
+        else _rebuilt(v) if isinstance(v, expr.Expr) else v
+        for v in (getattr(e, f.name) for f in dataclasses.fields(e))))
+
+
+def _reference_normalize(e):
+    """normalize as it was before smart constructors marked their output:
+    every node is walked and rebuilt, marked or not."""
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Sum):
+        return expr.sum_of(e.terms)
+    if isinstance(e, Product):
+        return expr.product_of(e.factors)
+    if isinstance(e, Pow):
+        return expr.power(e.base, e.exponent)
+    if isinstance(e, Quot):
+        return expr.quotient(e.num, e.den)
+    if isinstance(e, Call):
+        return expr.call(e.name, e.arg)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _old_normalize(e, monkeypatch):
+    # the smart constructors normalize their arguments through the
+    # module's normalize: send them to the reference
+    with monkeypatch.context() as m:
+        m.setattr(expr, "normalize", _reference_normalize)
+        return _reference_normalize(e)
+
+
+def _compound_nodes(e, acc):
+    if not isinstance(e, (Const, Var)) and e not in acc:
+        acc.add(e)
+        for v in (getattr(e, f.name) for f in dataclasses.fields(e)):
+            for u in (v if isinstance(v, tuple) else (v,)):
+                if isinstance(u, expr.Expr):
+                    _compound_nodes(u, acc)
+    return acc
+
+
+def _refute_inputs(monkeypatch):
+    """The refute workload's inputs at seed 1, from the benchmark's
+    generator."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    return workloads.refute_inputs(1)
+
+
+def test_every_built_node_is_marked_and_normal_as_before(monkeypatch):
+    built = []
+    init = SmoothMap.__post_init__
+
+    def recording(self):
+        init(self)
+        built.append(self)
+
+    inputs = _refute_inputs(monkeypatch)
+    cfg = CheckConfig(count=10, seed=1, t_depth=1)
+    for memo in (expr.jacobian_exprs, jet._tangent_once,
+                 jet._smooth_tangent_after, jet._prolonged_residual):
+        memo.cache_clear()   # so that every derived map is built here
+    monkeypatch.setattr(SmoothMap, "__post_init__", recording)
+    for entry in corpus_list():
+        corpus_run(entry.name, cfg)
+    for kind, name, payload in inputs:
+        if kind == "catalog":
+            check_all_axioms((payload,), cfg=cfg)
+        else:
+            spec, _ = parse_bundle_file(payload, source=name)
+            check_predifferential(spec, cfg)
+    monkeypatch.setattr(SmoothMap, "__post_init__", init)
+    comps = {c for f in built for c in f.components}
+    nodes = set()
+    for c in comps:
+        _compound_nodes(c, nodes)
+    assert len(comps) > 1000 and len(nodes) > 2000
+    for node in nodes:
+        assert "_normal" in node.__dict__
+        assert expr.normalize(node) is node
+    for c in comps:
+        assert expr.normalize(_rebuilt(c)) == c
+        assert _old_normalize(c, monkeypatch) == c
+
+
+def _raw_tree(children):
+    some = st.lists(children, min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        st.builds(Sum, some), st.builds(Product, some),
+        st.builds(Pow, children, st.integers(0, 3)),
+        st.builds(Quot, children, children),
+        st.builds(Call, st.sampled_from(["exp", "sin", "bump"]), children))
+
+
+RAW_TREES = st.recursive(
+    st.one_of(st.builds(Var, st.integers(0, 1)),
+              st.builds(Const, st.fractions(-2, 2, max_denominator=3))),
+    _raw_tree, max_leaves=10)
+
+
+@given(RAW_TREES)
+@settings(max_examples=200, deadline=None)
+def test_normalize_of_an_unmarked_tree_is_as_before(raw):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            want = _old_normalize(raw, monkeypatch)
+        except ExprError:
+            with pytest.raises(ExprError):
+                expr.normalize(raw)
+            return
+    got = expr.normalize(raw)
+    assert got == want and repr(got) == repr(want)
+    assert expr.normalize(got) is got
+
+
+POLY_MEMO_MAPS = [
+    "x0^2*x1 + 3*x1 - 1/2, (x0 + x1)^3 - (x1 + x0)^3",
+    "x0/(1 + x1^2) + x0^2, exp(x0)*x1 + (x0 - x1)^2",
+    "x1*bump(x0) + x0*x1, (1 - bump(x1))*x0 + bump(x1)*x0^3",
+]
+
+
+@pytest.mark.parametrize("src", POLY_MEMO_MAPS)
+def test_the_polynomial_memo_has_the_fresh_results(src):
+    expr._poly_of.cache_clear()
+    f = parse_map(src, 2)
+    nodes = set()
+    for c in f.components:
+        _compound_nodes(c, nodes)
+    for e in sorted(nodes | set(f.components), key=repr) + [Var(1), con(3)]:
+        memo = expr._poly_of(e, 2)
+        fresh = expr._poly_of.__wrapped__(_rebuilt(e), 2)
+        assert (memo is None) == (fresh is None)
+        if memo is not None:
+            assert list(memo.items()) == list(fresh.items())
+            assert expr._poly_of(_rebuilt(e), 2) is memo
+    assert expr._poly_of.cache_info().hits > 0
+
+
+def test_the_polynomial_memo_is_read_only():
+    f = parse_map("x0^2 + x0*x1, x1 - 2", 2)
+    p = expr._poly_of(f.components[0], 2)
+    with pytest.raises(TypeError):
+        p[(0, 0)] = Fraction(1)
+    canon = expr.poly_normalize(f)
+    canon[0][(0, 0)] = Fraction(5)
+    assert expr.poly_normalize(f) != canon
+    assert expr.poly_normalize(parse_map("x0^2 + x0*x1, x1 - 2", 2)) == \
+        expr.poly_normalize(f)
+
+
+def test_a_cached_hash_is_the_field_hash_of_a_fresh_equal_node():
+    f = parse_map("x0*exp(x1)/(1 + x0^2) - sin(x1)^3, bump(x0 - x1)", 2)
+    nodes = set()
+    for c in f.components:
+        _compound_nodes(c, nodes)
+    assert {type(n) for n in nodes} == {Sum, Product, Pow, Quot, Call}
+    for node in nodes:
+        assert "_hash" in node.__dict__
+        fresh = _rebuilt(node)
+        assert "_hash" not in fresh.__dict__
+        assert hash(node) == hash(fresh) == hash(tuple(
+            getattr(node, fd.name) for fd in dataclasses.fields(node)))
+
+
+def test_memo_attributes_change_neither_equality_nor_repr():
+    marked = parse_map("x0*exp(x1)/(1 + x0^2) + x1^2", 2).components[0]
+    hash(marked)    # caches the hash
+    bare = _rebuilt(marked)
+    assert {"_normal", "_hash"} <= set(marked.__dict__)
+    assert not {"_normal", "_hash"} & set(bare.__dict__)
+    assert marked == bare and bare == marked
+    assert repr(marked) == repr(bare)
+    assert hash(marked) == hash(bare)
 
 
 # --------------------------------------------------------------------------

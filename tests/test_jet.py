@@ -643,6 +643,19 @@ def test_stacked_lstsq_redoes_a_failing_stack_row_by_row():
     assert np.isnan(X[1]).all()
 
 
+def test_a_matrix_that_is_not_finite_never_reaches_lapack(capfd):
+    # LAPACK's error handler prints to standard output
+    A, B = np.ones((3, 2, 2)), np.ones((3, 2))
+    A[1, 0, 1] = np.nan
+    errors = {}
+    kept, _ = _lstsq_stack(A, B, errors)
+    assert kept.tolist() == [0, 2] and list(errors) == [1]
+    assert str(errors[1]) == "SVD did not converge in Linear Least Squares"
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _lstsq_stack(A[1:2], B[1:2])
+    assert capfd.readouterr().out == ""
+
+
 def _ref_gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
                       diverged=None):
     """jet._gauss_newton as it was with one np.linalg.lstsq per row."""
