@@ -128,7 +128,7 @@ class Var(Expr):
 
 def _compound(cls):
     """A frozen dataclass whose field hash is kept in the instance dict
-    on first use, beside the `_normal` mark; neither is a field."""
+    on first use, beside `_normal` and `_bound`; none is a field."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
     def __hash__(self):
@@ -460,11 +460,12 @@ class SmoothMap:
         comps = tuple(normalize(c) for c in self.components)
         object.__setattr__(self, "components", comps)
         for c in comps:
+            if _var_bound(c) < self.arity:
+                continue
             bad = [i for i in _free_vars(c) if i >= self.arity or i < 0]
-            if bad:
-                raise DimensionMismatch(
-                    f"variable x{bad[0]} out of range for arity {self.arity}"
-                )
+            raise DimensionMismatch(
+                f"variable x{bad[0]} out of range for arity {self.arity}"
+            )
 
     @property
     def coarity(self) -> int:
@@ -502,24 +503,30 @@ class SmoothMap:
         return template, tuple(live)
 
 
+def _kids(e: Expr) -> tuple:
+    t = type(e)
+    return (e.terms if t is Sum else e.factors if t is Product
+            else (e.base,) if t is Pow else (e.num, e.den) if t is Quot
+            else (e.arg,) if t is Call else ())
+
+
+def _var_bound(e: Expr):
+    """The highest variable index in e: -1 without variables, inf with a
+    negative one.  Kept in the node's dict, beside a cached hash."""
+    if type(e) is Var:
+        return e.index if e.index >= 0 else math.inf
+    d = e.__dict__
+    if "_bound" not in d:
+        d["_bound"] = max(map(_var_bound, _kids(e)), default=-1)
+    return d["_bound"]
+
+
 def _free_vars(e: Expr, acc=None) -> set:
-    if acc is None:
-        acc = set()
-    if isinstance(e, Var):
+    acc = set() if acc is None else acc
+    if type(e) is Var:
         acc.add(e.index)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _free_vars(t, acc)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _free_vars(f, acc)
-    elif isinstance(e, Pow):
-        _free_vars(e.base, acc)
-    elif isinstance(e, Quot):
-        _free_vars(e.num, acc)
-        _free_vars(e.den, acc)
-    elif isinstance(e, Call):
-        _free_vars(e.arg, acc)
+    for k in _kids(e):
+        _free_vars(k, acc)
     return acc
 
 

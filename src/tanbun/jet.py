@@ -431,7 +431,7 @@ def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
         live = live[kept]
         if not live.size:
             break
-        done = np.max(np.abs(R), axis=1) < tol
+        done = np.abs(R).max(axis=1) < tol
         converged.extend(live[done])
         live, R = live[~done], R[~done]
         if not live.size:
@@ -586,8 +586,7 @@ class ImplicitMap(_MapLike):
                 _evaluate(c, env_x + env_y, num).coeffs[mask]
                 for c in self.residual.components
             ]
-            delta, *_ = np.linalg.lstsq(J, -np.asarray(resid), rcond=None)
-            out[mask] += delta
+            out[mask] += _lstsq_stack(J[None], -np.asarray(resid)[None])[1][0]
         return JetPoint(n, self.coarity, out)
 
 

@@ -21,7 +21,7 @@ from .expr import (
     SmoothMap, Var, compose, cube, equal_maps, eval_map, eval_mp,
     jac_eval_batch, jacobian_exprs, projection, smooth_map,
 )
-from .jet import JetPoint, pushforward, struct_map
+from .jet import JetPoint, _lstsq_stack, pushforward, struct_map
 from .report import CheckReport, LawResult, Verdict
 from .universal import collapse_search
 
@@ -173,8 +173,7 @@ def horizontal_lift(f: SmoothMap, a, v) -> np.ndarray:
     top = float(s[0]) if s.size else 0.0
     if len(s) < f.coarity or s[f.coarity - 1] < RANK_TOL * max(top, 1.0):
         raise RankDeficient(f"derivative not onto at {a.tolist()}")
-    w, *_ = np.linalg.lstsq(js.matrix, v, rcond=None)
-    return w
+    return _lstsq_stack(js.matrix[None], v[None])[1][0]
 
 
 def lift_section_map(f: SmoothMap, a, v):

@@ -13,8 +13,10 @@ evidence, not proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.optimize import minimize
 
 from .expr import (
@@ -201,8 +203,10 @@ def combined_square(spec: BundleSpec) -> CommutingSquare:
 # The checker
 
 
-def _numeric_rank(s: np.ndarray) -> int:
-    return int(np.sum(s >= RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+def _numeric_rank(s: np.ndarray):
+    """Numeric ranks from descending singular values on the last axis."""
+    top = s[..., :1]
+    return np.sum((s >= RANK_TOL * top) & (top > 0), axis=-1)
 
 
 def _sample_apex(sq: CommutingSquare, depth: int, cfg: CheckConfig,
@@ -299,17 +303,16 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
             break
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
+        plan = _RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
         rank, outliers, scan_info = _rank_scan(
-            sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
-            g_t, cfg)
+            sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg)
         total_outliers += outliers
         if scan_info is None:      # a collapse, or a Jacobian not finite
             break
 
         # (b') targeted witness search for a rank defect (cheap level only)
         if depth == 0:
-            found = _rank_witness_search(sq, Z, scan_info, top_t, left_t,
-                                         g_t, cfg)
+            found = _rank_witness_search(sq, Z, scan_info, plan, cfg)
             if found is not None:
                 rank = found
                 break
@@ -364,51 +367,86 @@ def _fp_tangent_dims(right_t, bottom_t, B_img, C_img) -> list:
         [right_t.jac_batch(X[:, :nb]), -bottom_t.jac_batch(X[:, nb:])],
         axis=2), np.hstack([B_img, C_img])))
     s = np.linalg.svd(M, compute_uv=False)
-    return [M.shape[2] - _numeric_rank(si) for si in s]
+    return (M.shape[2] - _numeric_rank(s)).tolist()
 
 
-def _restricted_svs(top_t, left_t, g_t, Zs: np.ndarray, apex_flat: int):
-    """Per row of Zs: the singular values of the cone Jacobian restricted
-    to the apex tangent space (ker of the constraint's Jacobian), and
-    that space's dimension.  Stacked products and SVDs, one per shape."""
-    if not len(Zs):
-        return []
-    if g_t is None:
-        ranks = np.zeros(len(Zs), dtype=int)
-    else:
-        _, s, vh = np.linalg.svd(_finite(g_t.jac_batch(Zs)))
-        ranks = np.array([_numeric_rank(si) for si in s])
-    out = [(np.empty(0), 0)] * len(Zs)
-    live = np.flatnonzero(ranks < apex_flat)
-    if not live.size:
+def _svd(gufunc, A: np.ndarray, signature: str):
+    """A numpy SVD gufunc on a float64 stack, as np.linalg.svd calls it."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                         under="ignore"):
+            return gufunc(A, signature=signature)
+    except FloatingPointError:      # what np.linalg.svd raises instead
+        raise np.linalg.LinAlgError("SVD did not converge") from None
+
+
+class _RestrictedJacobian:
+    """The cone Jacobian of a square at one depth, restricted to the apex
+    tangent space (the kernel of the constraint's Jacobian): per row of a
+    batch, its singular values and that space's dimension.  Without a
+    constraint, or with a constant constraint Jacobian, one rank and one
+    kernel basis, found once, serve every row."""
+
+    def __init__(self, top_t, left_t, g_t, apex_flat: int):
+        self.legs, self.g_t, self.apex_flat = (top_t, left_t), g_t, apex_flat
+
+    @cached_property
+    def _fixed_kernel(self):
+        """(rank, kernel basis) shared by every row, or None."""
+        if self.g_t is None:
+            return 0, np.eye(self.apex_flat)
+        template, live = self.g_t._jac_plan
+        if live:
+            return None
+        _, s, vh = _svd(_umath_linalg.svd_f, template[None], "d->ddd")
+        r = int(_numeric_rank(s[0]))
+        return r, vh[0, r:].T       # the strides of a row's basis below
+
+    def _cone(self, X: np.ndarray) -> np.ndarray:
+        """The stacked (top, left) Jacobians at the rows of X."""
+        return _finite(np.concatenate([f.jac_batch(X) for f in self.legs],
+                                      axis=1))
+
+    def __call__(self, Zs: np.ndarray) -> list:
+        """[(singular values, apex tangent dim)] per row of Zs."""
+        if not len(Zs):
+            return []
+        out = [(np.empty(0), 0)] * len(Zs)
+        fixed = self._fixed_kernel
+        if fixed is not None:       # one rank, one basis: a single group
+            r, basis = fixed
+            if r < self.apex_flat:
+                JF = self._cone(np.ascontiguousarray(Zs))
+                S = _svd(_umath_linalg.svd, np.matmul(JF, basis), "d->d")
+                out = [(sk, self.apex_flat - r) for sk in S]
+            return out
+        _, s, vh = _svd(_umath_linalg.svd_f, _finite(self.g_t.jac_batch(Zs)),
+                        "d->ddd")
+        ranks = _numeric_rank(s)
+        live = np.flatnonzero(ranks < self.apex_flat)
+        JF = self._cone(Zs[live]) if live.size else None
+        for r in dict.fromkeys(ranks[live].tolist()):   # one group per kernel
+            group = np.flatnonzero(ranks[live] == r)
+            # each row's kernel basis is v[r:].T, with the strides of a row
+            basis = vh[live[group], r:].transpose(0, 2, 1)
+            S = _svd(_umath_linalg.svd, np.matmul(JF[group], basis), "d->d")
+            for k, sk in zip(live[group], S):
+                out[k] = (sk, self.apex_flat - r)
         return out
-    JF = _finite(np.concatenate([top_t.jac_batch(Zs[live]),
-                                 left_t.jac_batch(Zs[live])], axis=1))
-    for r in dict.fromkeys(ranks[live].tolist()):   # one group per kernel
-        group = np.flatnonzero(ranks[live] == r)
-        # each row's kernel basis is v[r:].T, with the strides of a row
-        basis = np.eye(apex_flat) if g_t is None \
-            else vh[live[group], r:].transpose(0, 2, 1)
-        S = np.linalg.svd(np.matmul(JF[group], basis), compute_uv=False)
-        for k, sk in zip(live[group], S):
-            out[k] = (sk, apex_flat - r)
-    return out
 
 
 def _collapse(sv) -> tuple:
     """(sigma_min, sigma_min/sigma_max) from a (singular values, apex
-    tangent dim) of _restricted_svs: 0.0 on a collapse, ratio 1.0 at k=0."""
+    tangent dim) of the plan: 0.0 on a collapse, ratio 1.0 at k=0."""
     s, k = sv
     if k == 0 or len(s) < k or s[0] == 0:
         return 0.0, float(k == 0)
     return float(s[k - 1]), float(s[k - 1] / s[0])
 
 
-def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
-               g_t, cfg):
+def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     """The rank law over the samples, in sample order; returns (law,
     outliers, info), info None where the scan stopped the check."""
-    apex_flat = Z.shape[1]
     outliers = 0
 
     def stop(verdict, i, note, ratio=0.0):
@@ -429,14 +467,13 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
     # where the cospan is not transversal the sample is discarded
     rows = [i for i in range(len(Z)) if fp_dims[i] == modal]
     try:
-        svs = _restricted_svs(top_t, left_t, g_t, Z[rows], apex_flat)
+        svs = plan(Z[rows])
     except ExprError:
         svs = None       # evaluated per sample below, in sample order
     scored = []      # (sigma_min, ratio, index) for the witness search
     for pos, i in enumerate(rows):
         try:
-            sv = svs[pos] if svs is not None else _restricted_svs(
-                top_t, left_t, g_t, Z[i:i + 1], apex_flat)[0]
+            sv = svs[pos] if svs is not None else plan(Z[i:i + 1])[0]
         except JacobianNotFinite:
             return stop(Verdict.UNKNOWN, i, "cone Jacobian is not finite")
         if sv[1] != modal:
@@ -496,7 +533,7 @@ def collapse_search(score, starts, deep: float):
     return best[1]
 
 
-def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
+def _rank_witness_search(sq, Z, info, plan, cfg):
     """Minimize the smallest restricted singular value to hunt for a
     rank-collapse point that sampling missed.
 
@@ -505,7 +542,7 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
     healthy regions.  sigma_min only vanishes at genuine collapses."""
     if info["min_sigma"] > 0.05 and info["min_ratio"] > 0.05:
         return None      # every sample is comfortably full-rank
-    apex_flat = Z.shape[1]
+    apex_flat, g_t = Z.shape[1], plan.g_t
     box_lo, box_hi = sq.apex_box.lo(), sq.apex_box.hi()
 
     def project(z):
@@ -515,8 +552,7 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
         return z
 
     def sigmas(P):
-        return np.array([_collapse(sv)[0] for sv in
-                         _restricted_svs(top_t, left_t, g_t, P, apex_flat)])
+        return np.array([_collapse(sv)[0] for sv in plan(P)])
 
     def score(z):
         z = project(z)
@@ -539,8 +575,7 @@ def _rank_witness_search(sq, Z, info, top_t, left_t, g_t, cfg):
     best_z = None if best_z is None else project(best_z)
     if best_z is None:
         return None
-    _, ratio = _collapse(_restricted_svs(top_t, left_t, g_t, best_z[None],
-                                         apex_flat)[0])
+    _, ratio = _collapse(plan(best_z[None])[0])
     if ratio >= RANK_TOL:
         return None
     return _law(

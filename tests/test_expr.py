@@ -526,12 +526,93 @@ def test_a_cached_hash_is_the_field_hash_of_a_fresh_equal_node():
             getattr(node, fd.name) for fd in dataclasses.fields(node)))
 
 
+class SimpleMap:
+    """The two fields SmoothMap's arity check reads."""
+
+    def __init__(self, arity, components):
+        self.arity, self.components = arity, components
+
+
+def _ref_free_vars(e, acc=None):
+    """expr._free_vars as it was, one isinstance branch per node type."""
+    if acc is None:
+        acc = set()
+    if isinstance(e, Var):
+        acc.add(e.index)
+    elif isinstance(e, Sum):
+        for t in e.terms:
+            _ref_free_vars(t, acc)
+    elif isinstance(e, Product):
+        for f in e.factors:
+            _ref_free_vars(f, acc)
+    elif isinstance(e, Pow):
+        _ref_free_vars(e.base, acc)
+    elif isinstance(e, Quot):
+        _ref_free_vars(e.num, acc)
+        _ref_free_vars(e.den, acc)
+    elif isinstance(e, Call):
+        _ref_free_vars(e.arg, acc)
+    return acc
+
+
+def _ref_arity_error(f):
+    """The message of SmoothMap's arity check as it was: every component
+    walked, whatever its bound."""
+    for c in f.components:
+        bad = [i for i in _ref_free_vars(c) if i >= f.arity or i < 0]
+        if bad:
+            return f"variable x{bad[0]} out of range for arity {f.arity}"
+    return None
+
+
+@given(RAW_TREES, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_the_variable_bound_decides_the_arity_check_as_the_walk(raw, arity):
+    walked = _ref_free_vars(raw)
+    assert list(expr._free_vars(raw)) == list(walked)
+    assert expr._var_bound(raw) == max(walked, default=-1)
+    try:
+        norm = expr.normalize(raw)
+    except ExprError:
+        return
+    want = _ref_arity_error(SimpleMap(arity, (norm,)))
+    try:
+        SmoothMap(arity, (raw,))
+    except DimensionMismatch as err:
+        assert str(err) == want
+    else:
+        assert want is None
+
+
+def test_the_arity_check_walks_only_a_tree_out_of_range(monkeypatch):
+    walks = []
+    free_vars = expr._free_vars
+
+    def counting(e, acc=None):
+        if acc is None:
+            walks.append(e)
+        return free_vars(e, acc)
+
+    monkeypatch.setattr(expr, "_free_vars", counting)
+    f = parse_map("x0*exp(x1)/(1 + x0^2) - sin(x1)^3, bump(x0 - x1)", 2)
+    SmoothMap(2, f.components)
+    assert walks == [] and all("_bound" in c.__dict__ for c in f.components)
+    for comps, arity in ((f.components, 1),
+                         ((f.components[0] + Var(-1),), 3)):
+        walks.clear()
+        with pytest.raises(DimensionMismatch) as err:
+            SmoothMap(arity, comps)
+        assert len(walks) == 1      # the first component out of range
+        assert str(err.value) == _ref_arity_error(SimpleMap(arity, comps))
+    assert "x-1 out of range for arity 3" in str(err.value)
+
+
 def test_memo_attributes_change_neither_equality_nor_repr():
     marked = parse_map("x0*exp(x1)/(1 + x0^2) + x1^2", 2).components[0]
     hash(marked)    # caches the hash
     bare = _rebuilt(marked)
-    assert {"_normal", "_hash"} <= set(marked.__dict__)
-    assert not {"_normal", "_hash"} & set(bare.__dict__)
+    assert {"_normal", "_hash", "_bound"} <= set(marked.__dict__)
+    assert not {"_normal", "_hash", "_bound"} & set(bare.__dict__)
     assert marked == bare and bare == marked
     assert repr(marked) == repr(bare)
     assert hash(marked) == hash(bare)

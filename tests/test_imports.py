@@ -69,6 +69,31 @@ def test_only_universal_imports_scipy(path):
     assert found == (["scipy.optimize"] if path.stem == "universal" else [])
 
 
+def _imports_raw_linalg(tree: ast.AST) -> bool:
+    """Whether any import anywhere in tree reaches numpy's private
+    numpy.linalg._umath_linalg gufuncs."""
+    raw = "numpy.linalg._umath_linalg"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith(raw) for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith(raw) or (
+                    node.module == "numpy.linalg"
+                    and any(a.name == "_umath_linalg" for a in node.names)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_jet_and_universal_call_the_raw_linalg_gufuncs(path):
+    # jet._lstsq_stack calls gelsd and the universal plan the SVDs;
+    # test_jet pins the signatures they rely on
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _imports_raw_linalg(tree) == (path.stem in ("jet", "universal"))
+
+
 # containers a module can bind at its top level, and the calls that write
 # into one
 CONTAINERS = (ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set,

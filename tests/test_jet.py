@@ -603,6 +603,15 @@ def test_the_gelsd_gufunc_keeps_its_signature():
     assert "ddd->ddid" in _umath_linalg.lstsq.types
 
 
+def test_the_svd_gufuncs_keep_their_signatures():
+    # universal's restricted-Jacobian plan calls these two directly, as
+    # np.linalg.svd does: the values alone, and the full factorization
+    assert _umath_linalg.svd.signature == "(m,n)->(p)"
+    assert "d->d" in _umath_linalg.svd.types
+    assert _umath_linalg.svd_f.signature == "(m,n)->(m,m),(p),(n,n)"
+    assert "d->ddd" in _umath_linalg.svd_f.types
+
+
 @pytest.mark.parametrize("shape", [(500, 2, 3), (500, 4, 4), (300, 6, 3),
                                    (300, 3, 8), (200, 1, 5)])
 def test_stacked_lstsq_has_the_bits_of_the_per_row_call(shape):
@@ -653,6 +662,18 @@ def test_a_matrix_that_is_not_finite_never_reaches_lapack(capfd):
     assert str(errors[1]) == "SVD did not converge in Linear Least Squares"
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         _lstsq_stack(A[1:2], B[1:2])
+    assert capfd.readouterr().out == ""
+
+
+def test_an_implicit_push_keeps_lapack_off_stdout(capfd):
+    # at x0 = 1e200 the residual is 0 at y = 1, the start, but its
+    # derivative in y is 1 + x0*x0 = inf
+    imp = ImplicitMap(parse_map("x1 - 1 + (x1 - 1)*x0*x0", 2), 1, 1,
+                      init=lambda X: np.ones((len(X), 1)))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^SVD did not converge in Linear Least Squares$"):
+        with np.errstate(over="ignore"):
+            imp.push(1, JetPoint(1, 1, [[1e200], [1.0]]))
     assert capfd.readouterr().out == ""
 
 

@@ -110,6 +110,25 @@ def test_lift_refuses_a_degenerate_point():
                         np.array([1.0]))
 
 
+def test_lift_keeps_lapack_off_stdout(capfd):
+    # at 1e100 the derivative 5*x0^4 overflows to inf: its SVD gives NaN
+    # singular values without an error, so the rank test lets it through
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^SVD did not converge in Linear Least Squares$"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            horizontal_lift(parse_map("x0^5", 1), np.array([1e100]),
+                            np.array([1.0]))
+    assert capfd.readouterr().out == ""
+
+
+def test_lift_has_the_bits_of_np_linalg_lstsq():
+    rng = np.random.default_rng(3)
+    f = parse_map("x0*x1 + x2^3, sin(x0) - x1*x2", 3)
+    for a, v in zip(rng.uniform(-1, 1, (20, 3)), rng.normal(size=(20, 2))):
+        want = np.linalg.lstsq(jacobian(f, a).matrix, v, rcond=None)[0]
+        assert horizontal_lift(f, a, v).tobytes() == want.tobytes()
+
+
 def test_lift_section_map_is_a_section():
     f = parse_map("x0 + x1^3", 2)
     r = check_lift_section(f, cube(2), CFG)

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from scipy.optimize import minimize as scipy_minimize
 
 from tanbun import submersion, universal
@@ -16,7 +17,9 @@ from tanbun.jet import (
     tangent_map, tangent_of,
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
-from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
+from tanbun.corpus import (
+    bump_bundle, conjugated_bundle, corpus_list, corpus_run, trivial_bundle,
+)
 from tanbun.submersion import is_submersion_on
 from tanbun.universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
@@ -167,12 +170,45 @@ def _ref_restricted_sv(top_t, left_t, g_t, z, apex_flat):
         B = np.eye(apex_flat)
     else:
         _, s, vh = np.linalg.svd(jac_point(g_t, z))
-        B = vh[universal._numeric_rank(s):].T
+        B = vh[_ref_numeric_rank(s):].T
     k = B.shape[1]
     if k == 0:
         return np.empty(0), 0
     JF = np.vstack([jac_point(top_t, z), jac_point(left_t, z)])
     return np.linalg.svd(JF @ B, compute_uv=False), k
+
+
+def _ref_restricted_svs(top_t, left_t, g_t, Zs, apex_flat):
+    """universal._restricted_svs as it was before the restricted-Jacobian
+    plan: every call takes each Jacobian and each SVD afresh, through
+    jac_batch and np.linalg.svd."""
+    if not len(Zs):
+        return []
+    if g_t is None:
+        ranks = np.zeros(len(Zs), dtype=int)
+    else:
+        _, s, vh = np.linalg.svd(universal._finite(g_t.jac_batch(Zs)))
+        ranks = np.array([_ref_numeric_rank(si) for si in s])
+    out = [(np.empty(0), 0)] * len(Zs)
+    live = np.flatnonzero(ranks < apex_flat)
+    if not live.size:
+        return out
+    JF = universal._finite(np.concatenate([top_t.jac_batch(Zs[live]),
+                                           left_t.jac_batch(Zs[live])],
+                                          axis=1))
+    for r in dict.fromkeys(ranks[live].tolist()):
+        group = np.flatnonzero(ranks[live] == r)
+        basis = np.eye(apex_flat) if g_t is None \
+            else vh[live[group], r:].transpose(0, 2, 1)
+        S = np.linalg.svd(np.matmul(JF[group], basis), compute_uv=False)
+        for k, sk in zip(live[group], S):
+            out[k] = (sk, apex_flat - r)
+    return out
+
+
+def _ref_numeric_rank(s):
+    return int(np.sum(s >= universal.RANK_TOL * s[0])) \
+        if s.size and s[0] > 0 else 0
 
 
 def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
@@ -182,7 +218,7 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     for b, c in zip(B_img, C_img):
         M = np.hstack([jac_point(right_t, b), -jac_point(bottom_t, c)])
         s = np.linalg.svd(M, compute_uv=False)
-        fp_dims.append(M.shape[1] - universal._numeric_rank(s))
+        fp_dims.append(M.shape[1] - _ref_numeric_rank(s))
     vals, counts = np.unique(fp_dims, return_counts=True)
     modal = int(vals[np.argmax(counts)])
     outliers = int(np.sum(np.asarray(fp_dims) != modal))
@@ -290,6 +326,14 @@ def _phase_args(sq, depth, Z):
             tangent_of(sq.bottom, depth), g_t)
 
 
+def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
+               g_t, cfg):
+    """universal._rank_scan through the plan check_pullback builds."""
+    plan = universal._RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
+    return universal._rank_scan(sq, depth, Z, B_img, C_img, right_t,
+                                bottom_t, plan, cfg)
+
+
 def _assert_phases_match(sq, depth, cfg, Z=None):
     if Z is None:
         count = max(20, cfg.count >> depth)
@@ -298,7 +342,7 @@ def _assert_phases_match(sq, depth, cfg, Z=None):
         assert np.array_equal(Z, Z_ref)
         assert discarded == discarded_ref
     args = _phase_args(sq, depth, Z)
-    for phase, ref in ((universal._rank_scan, _ref_rank_scan),
+    for phase, ref in ((_rank_scan, _ref_rank_scan),
                        (universal._surjectivity, _ref_surjectivity)):
         assert _outcome(phase, *args, cfg) == _outcome(ref, *args, cfg)
 
@@ -309,10 +353,16 @@ def _squares():
         (rosicky_square(conj), 1), (strong_square(conj), 1),
         (cockett_square(tb, induce_addition(tb, CFG)), 1),
         (combined_square(tb), 0), (rosicky_square(bump_bundle()), 1),
+        # a constant constraint and a constant left leg; at depth 2 the
+        # apex has 16 coordinates, where the strides of the kernel basis
+        # change the bits of the product
+        (cockett_square(conj, induce_addition(conj, CFG)), 2),
+        # a constraint whose Jacobian varies: q has the bump in it
+        (combined_square(bump_bundle()), 0),
     ]
 
 
-@pytest.mark.parametrize("which", range(5))
+@pytest.mark.parametrize("which", range(7))
 def test_batched_phases_match_the_sample_loops(which):
     sq, depth = _squares()[which]
     for d in range(depth + 1):
@@ -324,17 +374,58 @@ def test_batched_phases_match_the_sample_loops(which):
                      constraint="x0*x1")
     _assert_restricted_svs_match(sq, 0, np.array(
         [[0.0, 0.0], [1.0, 0.0], [0.3, 0.2], [0.0, 0.0], [0.0, 0.5]]))
+    # a dense cone on 16 coordinates and a constraint of rank 4, constant
+    # or not: here the strides of a kernel basis change the product's bits
+    for g in (DENSE_CONSTRAINT, DENSE_CONSTRAINT.replace(", ", " + x0^2, ")):
+        sq = _toy_square("dense", 16, DENSE_TOP, "x0 + x15", "x0, x1, x2",
+                         "x0", constraint=g)
+        _assert_restricted_svs_match(
+            sq, 0, np.random.default_rng(which).uniform(-1, 1, (5, 16)))
+
+
+DENSE_TOP = ", ".join(" + ".join(
+    f"{(i * 7 + j) % 5 + 1}*x{j}*x{(j + i + 1) % 16}" for j in range(16))
+    for i in range(3))
+DENSE_CONSTRAINT = ", ".join(" + ".join(
+    f"{(i * j) % 7 + 1}*x{j}" for j in range(16)) for i in range(4))
 
 
 def _assert_restricted_svs_match(sq, depth, Z):
-    """The stacked restricted singular values have each row's bits."""
+    """The plan's restricted singular values, of the whole stack and of
+    each row alone, have the bits of the old batched call and of each
+    row's own SVD."""
     args = _phase_args(sq, depth, Z)
     top_t, left_t, g_t = args[5], args[6], args[-1]
-    got = universal._restricted_svs(top_t, left_t, g_t, Z, Z.shape[1])
+    plan = universal._RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
+    got = plan(Z)
     assert len(got) == len(Z)
-    for z, (s, k) in zip(Z, got):
+    old = _ref_restricted_svs(top_t, left_t, g_t, Z, Z.shape[1])
+    for i, (z, (s, k)) in enumerate(zip(Z, got)):
         s_ref, k_ref = _ref_restricted_sv(top_t, left_t, g_t, z, Z.shape[1])
-        assert k == k_ref and np.array_equal(s, s_ref)
+        assert k == k_ref == old[i][1]
+        assert _bits(s) == _bits(s_ref) == _bits(old[i][0])
+        s_one, k_one = plan(Z[i:i + 1])[0]
+        assert k_one == k and _bits(s_one) == _bits(s)
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def test_the_raw_svds_fail_as_np_linalg_svd(capfd):
+    A = np.array([[[1.0, 2.0], [3.0, 4.0]], [[np.nan, 1.0], [1.0, 1.0]]])
+    s = universal._svd(_umath_linalg.svd, A[:1], "d->d")
+    assert _bits(s) == _bits(np.linalg.svd(A[:1], compute_uv=False))
+    usv = universal._svd(_umath_linalg.svd_f, A[:1], "d->ddd")
+    assert list(map(_bits, usv)) == list(map(_bits, np.linalg.svd(A[:1])))
+    failed = "^SVD did not converge$"
+    for gufunc, signature, full in ((_umath_linalg.svd, "d->d", False),
+                                    (_umath_linalg.svd_f, "d->ddd", True)):
+        with pytest.raises(np.linalg.LinAlgError, match=failed):
+            np.linalg.svd(A, compute_uv=full)
+        with pytest.raises(np.linalg.LinAlgError, match=failed):
+            universal._svd(gufunc, A, signature)
+    assert capfd.readouterr().out == ""
 
 
 def _toy_square(name, apex_dim, top, left, right, bottom, constraint=None):
@@ -391,7 +482,7 @@ def test_rank_scan_reports_the_first_collapse_in_sample_order():
     sq = _toy_square("collapse", 2, "x0, x1*bump(x0)", "x0, x1*bump(x0)",
                      "x0, x1", "x0, x1")
     _assert_phases_match(sq, 0, CFG)
-    res, _, _ = universal._rank_scan(*_phase_args(sq, 0, np.array(
+    res, _, _ = _rank_scan(*_phase_args(sq, 0, np.array(
         [[1.5, 0.3], [0.5, 0.2], [-0.5, 0.7], [-1.0, 0.1]])), CFG)
     assert res.verdict is Verdict.FAIL
     assert res.witness == ([-0.5, 0.7],)
@@ -406,7 +497,7 @@ def test_rank_scan_falls_back_to_sample_order_on_jacobian_errors():
     good, pole, flat = [1.5, 0.3], [1.5, 1e-7], [-0.5, 0.7]
     for rows in ([good, flat, pole], [good, pole, flat]):
         args = _phase_args(sq, 0, np.array(rows))
-        got = _outcome(universal._rank_scan, *args, CFG)
+        got = _outcome(_rank_scan, *args, CFG)
         assert got == _outcome(_ref_rank_scan, *args, CFG)
     assert got[0] is DenominatorNearZero
 
@@ -438,10 +529,100 @@ def test_rank_scan_reads_unknown_where_a_jacobian_is_not_finite():
                          "x0, x1", "x0, x1"), "cone"),
             (_toy_square("cospan", 2, "x0, x1", "x0, x1",
                          NAN_JACOBIAN, NAN_JACOBIAN), "cospan")):
-        res, _, info = universal._rank_scan(*_phase_args(sq, 0, Z), CFG)
+        res, _, info = _rank_scan(*_phase_args(sq, 0, Z), CFG)
         assert res.verdict is Verdict.UNKNOWN and info is None
         assert res.witness == ([0.3, 0.8],)
         assert res.note == f"{part} Jacobian is not finite"
+
+
+def _ref_score(sq, plan):
+    """The witness search's score as it was: project, then score through
+    _ref_restricted_svs."""
+    top_t, left_t = plan.legs
+    g_t, apex_flat = plan.g_t, plan.apex_flat
+    lo, hi = sq.apex_box.lo(), sq.apex_box.hi()
+
+    def score(z):
+        z = np.clip(z, lo, hi)
+        if g_t is not None:
+            z = solve_least_norm(g_t, np.zeros(g_t.coarity), z)
+        if z is None:
+            return None, z
+        sv = _ref_restricted_svs(top_t, left_t, g_t, z[None], apex_flat)[0]
+        return np.array([universal._collapse(sv)[0]])[0], z
+    return score
+
+
+def _ref_starts(sq, Z, info, plan, cfg):
+    """The search's starts as they were: the scan's seeds, then the two
+    lowest of the extra samples, each projected and scored alone."""
+    top_t, left_t = plan.legs
+    g_t, n = plan.g_t, plan.apex_flat
+    lo, hi = sq.apex_box.lo(), sq.apex_box.hi()
+    extra = cfg.rng(f"{sq.name}:witness").uniform(lo, hi, size=(40 * n, n))
+    pool = []
+    for p in np.clip(extra, lo, hi):
+        if g_t is not None:
+            p = solve_least_norm(g_t, np.zeros(g_t.coarity), p)
+            if p is None:
+                continue
+        try:
+            sv = _ref_restricted_svs(top_t, left_t, g_t, p[None], n)[0]
+        except ExprError:
+            continue
+        pool.append((universal._collapse(sv)[0], p))
+    order = np.argsort([sigma for sigma, _ in pool], kind="stable")
+    return [Z[i] for i in info["seeds"]] + [pool[k][1] for k in order[:2]]
+
+
+def _recorded(score, calls):
+    """score, appending each (z, outcome) it gives to calls."""
+    def recording(z):
+        try:
+            out = score(z)
+        except ExprError as err:
+            calls.append((_bits(z), (type(err), str(err))))
+            raise
+        calls.append((_bits(z), (_bits(out[0]), _bits(out[1]))))
+        return out
+    return recording
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_the_witness_searches_score_as_before_bit_for_bit(seed, monkeypatch):
+    """Every point a corpus search scores gets the score of the old code,
+    and a search from the old starts with the old score makes the same
+    calls, in the same order and number."""
+    searches = {}
+    search, collapse_search = (universal._rank_witness_search,
+                               universal.collapse_search)
+
+    def checked_search(sq, Z, info, plan, cfg):
+        def both(score, starts, deep):
+            new, old = [], []
+            best = collapse_search(_recorded(score, new), starts, deep)
+            old_starts = _ref_starts(sq, Z, info, plan, cfg)
+            assert list(map(_bits, starts)) == list(map(_bits, old_starts))
+            old_best = collapse_search(_recorded(_ref_score(sq, plan), old),
+                                       old_starts, deep)
+            assert _bits(best) == _bits(old_best)
+            searches[sq.name] = new, old
+            return best
+        with monkeypatch.context() as m:
+            m.setattr(universal, "collapse_search", both)
+            return search(sq, Z, info, plan, cfg)
+
+    monkeypatch.setattr(universal, "_rank_witness_search", checked_search)
+    cfg = CheckConfig(seed=seed)
+    for entry in corpus_list():
+        corpus_run(entry.name, cfg)
+    assert set(searches) == {
+        "conjugated_1_1:rosicky", "conjugated_1_1:cockett",
+        "conjugated_1_1:strong", "conjugated_1_1:combined",
+        "bump_counterexample:rosicky"}
+    for name, (new, old) in searches.items():
+        assert len(new) == len(old) > 0, name
+        assert new == old, name
 
 
 def test_collapse_searches_reach_scipy_only_through_collapse_search(
