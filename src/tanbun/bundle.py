@@ -180,15 +180,14 @@ def fibre_matched_tuples(q: SmoothMap, total_box: Box, cfg: CheckConfig,
     alive = np.arange(n)
     members = [first]
     errors = {}
+    lo, hi = total_box.lo() - 0.5, total_box.hi() + 0.5
     for raw in rest_raw:
         Z, ok, errs = solve_batch(q, base_targets[alive], raw[alive])
         errors.update((int(alive[k]), err) for k, err in errs.items())
-        inside = [ok[k] and total_box.contains(z, slack=0.5)
-                  for k, z in enumerate(Z)]
         member = np.empty_like(raw)
         member[alive] = Z
         members.append(member)
-        alive = alive[np.asarray(inside, dtype=bool)]
+        alive = alive[ok & np.all((Z >= lo) & (Z <= hi), axis=1)]
     if errors:
         raise errors[min(errors)]   # the first row a row-by-row loop meets
     if not alive.size:

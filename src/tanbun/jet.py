@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 STRUCT_KINDS = ("proj", "zero", "add", "neg", "lift", "flip")
+NEWTON_TOL = 1e-11      # residual at which a Gauss-Newton row stops
 
 
 class NewtonDiverged(ExprError):
@@ -762,7 +763,8 @@ def jac_point(f, x) -> np.ndarray:
     return f.jacobian(x)
 
 
-def solve_batch(f, targets, starts, tol: float = 1e-11, max_iter: int = 40):
+def solve_batch(f, targets, starts, tol: float = NEWTON_TOL,
+                max_iter: int = 40):
     """Gauss-Newton with least-norm steps, one row per (target, start).
 
     Every row follows the iteration a one-row solve would (_gauss_newton).
@@ -784,7 +786,7 @@ def solve_batch(f, targets, starts, tol: float = 1e-11, max_iter: int = 40):
     return Z, ok, errors
 
 
-def solve_least_norm(f, target, z0, tol: float = 1e-11,
+def solve_least_norm(f, target, z0, tol: float = NEWTON_TOL,
                      max_iter: int = 40) -> np.ndarray | None:
     """Drive f(z) to target by Gauss-Newton with least-norm steps: the
     one-row case of solve_batch.

@@ -28,8 +28,8 @@ from .bundle import (
     induce_addition, vert_lambda,
 )
 from .jet import (
-    StackMap, _each_row, row_ordered, solve_batch, solve_least_norm,
-    struct_map, tangent_after, tangent_map, tangent_of,
+    NEWTON_TOL, StackMap, _each_row, row_ordered, solve_batch,
+    solve_least_norm, struct_map, tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -546,10 +546,16 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     box_lo, box_hi = sq.apex_box.lo(), sq.apex_box.hi()
 
     def project(z):
+        # a point already on the constraint is what the solve returns
+        # from it: its first residual is below the solve's tolerance
         z = np.clip(z, box_lo, box_hi)
-        if g_t is not None:
-            z = solve_least_norm(g_t, np.zeros(g_t.coarity), z)
-        return z
+        if g_t is None:
+            return z
+        try:
+            on = np.max(np.abs(g_t.eval_batch(z[None]))) < NEWTON_TOL
+        except ExprError:
+            return None
+        return z if on else solve_least_norm(g_t, np.zeros(g_t.coarity), z)
 
     def sigmas(P):
         return np.array([_collapse(sv)[0] for sv in plan(P)])
@@ -623,6 +629,10 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     sols, ok, errors = solve_batch(
         cone, np.repeat(full, 3, axis=0),
         starts[tries].reshape(-1, Z.shape[1]), tol=1e-10, max_iter=60)
+    # the largest coordinate gap between the three preimages of each try
+    triples = sols.reshape(len(tries), 3, Z.shape[1])
+    spreads = np.abs(triples[:, [0, 0, 1]] - triples[:, [1, 2, 2]]).max(
+        axis=(1, 2))
 
     stalls = 0
     for t in range(n_try):
@@ -638,10 +648,9 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
         if not ok[r:r + 3].all():
             stalls += 1
             continue
-        a, b, c = sols[r:r + 3]
-        spread = max(float(np.max(np.abs(u - v)))
-                     for u, v in ((a, b), (a, c), (b, c)))
+        spread = float(spreads[r // 3])
         if spread > 1e-7:
+            a, b = sols[r:r + 2]
             return _law("surjective", Verdict.FAIL,
                         witness=(a.tolist(), b.tolist()), max_residual=spread,
                         note="distinct preimages of one cone point",

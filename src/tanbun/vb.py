@@ -97,52 +97,56 @@ def check_module_laws(vb: VectorBundleSpec,
     rng = cfg.rng(f"{vb.name}:module")
     n = min(cfg.count, 120)
     A = vb.total_box.sample(rng, n)
-    R = rng.uniform(-2.0, 2.0, n)
-    S = rng.uniform(-2.0, 2.0, n)
+    R = rng.uniform(-2.0, 2.0, (n, 1))
+    S = rng.uniform(-2.0, 2.0, (n, 1))
 
-    def act(r, a):
-        return apply_map(vb.scalar, np.concatenate([[r], a]))
+    def act(r, P):
+        # r: one scalar, or a column of one scalar per row of P
+        return vb.scalar.eval_batch(
+            np.hstack([np.broadcast_to(r, (len(P), 1)), P]))
 
-    def fibre_sum(a, b):
-        return apply_map(vb.add, np.concatenate([a, b]))
+    def fibre_sum(P, Q):
+        return vb.add.eval_batch(np.hstack([P, Q]))
 
-    def gap(u, v):
-        return np.max(np.abs(u - v))
+    def law(law_id, anchor, parts, sides):
+        # parts: the samples' inputs as column blocks, in the order the law
+        # reads them, scalars first; sides(*blocks) gives both sides over a
+        # batch of rows, each row evaluated as a one-sample loop would
+        cuts = np.cumsum([p.shape[1] for p in parts])[:-1]
 
-    def law(law_id, anchor, cases):
-        # cases: (inputs, gap) per sample, the inputs in the order the law
-        # reads them, scalars first
-        rep.add(sampled_law(law_id, anchor, [g for _, g in cases],
-                            [x for x, _ in cases], tol,
+        def gaps(X):
+            lhs, rhs = sides(*np.split(X, cuts, axis=1))
+            return np.max(np.abs(lhs - rhs), axis=1)
+
+        X = np.hstack(parts)
+        rep.add(sampled_law(law_id, anchor, row_ordered(gaps, X), X, tol,
                             {"samples": n, "seed": cfg.seed}))
 
     law("scalar-unit", "acting by one changes nothing",
-        [((a,), gap(act(1.0, a), a)) for a in A])
+        [A], lambda a: (act(1.0, a), a))
     law("scalar-assoc", "nested actions multiply the scalars",
-        [((r, s, a), gap(act(r, act(s, a)), act(r * s, a)))
-         for r, s, a in zip(R, S, A)])
+        [R, S, A], lambda r, s, a: (act(r, act(s, a)), act(r * s, a)))
     law("scalar-scalar-distrib", "a scalar sum acts as the fibre sum",
-        [((r, s, a), gap(act(r + s, a), fibre_sum(act(r, a), act(s, a))))
-         for r, s, a in zip(R, S, A)])
+        [R, S, A], lambda r, s, a: (act(r + s, a),
+                                    fibre_sum(act(r, a), act(s, a))))
     try:
         (first, second), _ = fibre_matched_tuples(
             vb.q, vb.total_box, cfg, width=2, count=n,
             tag=f"{vb.name}:module-pairs")
         law("scalar-add-distrib", "the action distributes over fibre sums",
-            [((r, a, b), gap(act(r, fibre_sum(a, b)),
+            [R[:len(first)], first, second],
+            lambda r, a, b: (act(r, fibre_sum(a, b)),
                              fibre_sum(act(r, a), act(r, b))))
-             for r, a, b in zip(R, first, second)])
     except NotWellTyped as exc:
         rep.add(LawResult("scalar-add-distrib",
                           "the action distributes over fibre sums",
                           Verdict.UNKNOWN, note=str(exc)))
 
     law("scalar-zero", "acting by zero lands on the zero section",
-        [((a,), gap(act(0.0, a), apply_map(vb.xi, apply_map(vb.q, a))))
-         for a in A])
+        [A], lambda a: (act(0.0, a), vb.xi.eval_batch(vb.q.eval_batch(a))))
     law("scalar-base", "the action preserves the fibre",
-        [((r, a), gap(apply_map(vb.q, act(r, a)), apply_map(vb.q, a)))
-         for r, a in zip(R, A)])
+        [R, A], lambda r, a: (vb.q.eval_batch(act(r, a)),
+                              vb.q.eval_batch(a)))
     return rep
 
 

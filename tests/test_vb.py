@@ -6,10 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tanbun.expr import Box, CheckConfig, cube, equal_maps, parse_map
+from tanbun import corpus, expr, vb as vb_module
+from tanbun.expr import (
+    Box, CheckConfig, DenominatorNearZero, cube, equal_maps, parse_map,
+)
 from tanbun.jet import Composite, apply_map
-from tanbun.bundle import BundleMorphism, BundleSpec, Verdict
-from tanbun.corpus import corpus_entry
+from tanbun.bundle import (
+    BundleMorphism, BundleSpec, NotWellTyped, Verdict, fibre_matched_tuples,
+)
+from tanbun.corpus import corpus_entry, run_suites, trivial_bundle
+from tanbun.report import CheckReport, LawResult, sampled_law
 from tanbun.vb import (
     ModuleLawsFailed, TranslationRefused, VectorBundleSpec, _compare,
     check_module_laws, del_map, morphism_transport_check, phi, psi,
@@ -156,6 +162,130 @@ def test_a_nan_gap_fails_its_module_law_with_a_witness():
         assert unit.verdict is Verdict.FAIL
         (inputs,) = unit.witness
         assert np.isnan(_replay(nan_at_one, "scalar-unit", inputs))
+
+
+def _module_laws_point_by_point(vb, cfg):
+    """check_module_laws one sample at a time, each law a Python loop of
+    one-point evaluations: the reference the batched laws must match bit
+    for bit, raised errors included."""
+    rep = CheckReport(f"{vb.name}: module laws")
+    tol = max(cfg.tol, 1e-9)
+    rng = cfg.rng(f"{vb.name}:module")
+    n = min(cfg.count, 120)
+    A = vb.total_box.sample(rng, n)
+    R = rng.uniform(-2.0, 2.0, n)
+    S = rng.uniform(-2.0, 2.0, n)
+
+    def act(r, a):
+        return apply_map(vb.scalar, np.concatenate([[r], a]))
+
+    def fibre_sum(a, b):
+        return apply_map(vb.add, np.concatenate([a, b]))
+
+    def gap(u, v):
+        return np.max(np.abs(u - v))
+
+    def law(law_id, anchor, cases):
+        rep.add(sampled_law(law_id, anchor, [g for _, g in cases],
+                            [x for x, _ in cases], tol,
+                            {"samples": n, "seed": cfg.seed}))
+
+    law("scalar-unit", "acting by one changes nothing",
+        [((a,), gap(act(1.0, a), a)) for a in A])
+    law("scalar-assoc", "nested actions multiply the scalars",
+        [((r, s, a), gap(act(r, act(s, a)), act(r * s, a)))
+         for r, s, a in zip(R, S, A)])
+    law("scalar-scalar-distrib", "a scalar sum acts as the fibre sum",
+        [((r, s, a), gap(act(r + s, a), fibre_sum(act(r, a), act(s, a))))
+         for r, s, a in zip(R, S, A)])
+    try:
+        (first, second), _ = fibre_matched_tuples(
+            vb.q, vb.total_box, cfg, width=2, count=n,
+            tag=f"{vb.name}:module-pairs")
+        law("scalar-add-distrib", "the action distributes over fibre sums",
+            [((r, a, b), gap(act(r, fibre_sum(a, b)),
+                             fibre_sum(act(r, a), act(r, b))))
+             for r, a, b in zip(R, first, second)])
+    except NotWellTyped as exc:
+        rep.add(LawResult("scalar-add-distrib",
+                          "the action distributes over fibre sums",
+                          Verdict.UNKNOWN, note=str(exc)))
+    law("scalar-zero", "acting by zero lands on the zero section",
+        [((a,), gap(act(0.0, a), apply_map(vb.xi, apply_map(vb.q, a))))
+         for a in A])
+    law("scalar-base", "the action preserves the fibre",
+        [((r, a), gap(apply_map(vb.q, act(r, a)), apply_map(vb.q, a)))
+         for r, a in zip(R, A)])
+    return rep
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_batched_module_laws_match_the_point_by_point_laws(monkeypatch,
+                                                           seed):
+    seen = []
+
+    def record(vb, cfg):
+        seen.append((vb, cfg))
+        return check_module_laws(vb, cfg)
+
+    # psi reads its module's name, the mutant's runner the corpus's
+    monkeypatch.setattr(vb_module, "check_module_laws", record)
+    monkeypatch.setattr(corpus, "check_module_laws", record)
+    corpus.corpus_run_all(CheckConfig(seed=seed))
+    assert sorted(vb.name for vb, _ in seen) == [
+        "conjugated_1_1:vector", "mutant_scalar_quadratic",
+        "tangent_bundle_1:vector", "tangent_bundle_2:vector",
+        "trivial_1_1:vector", "trivial_2_3:vector"]
+    for vb, cfg in seen:
+        batched = check_module_laws(vb, cfg).entries
+        reference = _module_laws_point_by_point(vb, cfg).entries
+        # repr spells every float exactly, NaN included
+        assert repr(batched) == repr(reference), vb.name
+        if vb.name == "mutant_scalar_quadratic":
+            (bad,) = [e for e in reference if e.verdict is Verdict.FAIL]
+            assert bad.law_id == "scalar-scalar-distrib" and bad.witness
+
+
+def test_a_law_raising_on_some_rows_reports_the_first_rows_error():
+    # bump(y) is 0 for y <= 0: the first component of the action divides
+    # by zero where the base coordinate is not positive, the second where
+    # the fibre coordinate is not.  The first sample that raises decides
+    # which is reported; at this seed it is the second, which a single
+    # evaluation of the whole batch would not reach first.
+    vb = VectorBundleSpec(
+        name="half-defined", base_dim=1, total_dim=2,
+        base_box=cube(1), total_box=cube(2),
+        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
+        add=parse_map("x0, x1 + x3", 4),
+        scalar=parse_map("x1 + x0/bump(x1), x0*x2 + x0/bump(x2)", 3))
+    cfg = CheckConfig(count=50, seed=1)
+    with pytest.raises(DenominatorNearZero) as reference:
+        _module_laws_point_by_point(vb, cfg)
+    with pytest.raises(DenominatorNearZero) as batched:
+        check_module_laws(vb, cfg)
+    assert str(batched.value) == str(reference.value)
+    assert str(reference.value).endswith("x0/bump(x2)")
+    assert run_suites(vb, cfg)["pre"].entries[0].note \
+        == f"DenominatorNearZero: {reference.value}"
+
+
+def test_module_laws_take_the_same_batches_at_any_sample_size(monkeypatch):
+    # SmoothMap.eval_batch and its one-point eval_point both call this
+    calls = []
+    eval_batch = expr.eval_batch
+
+    def counted(f, X):
+        calls.append(len(X))
+        return eval_batch(f, X)
+
+    monkeypatch.setattr(expr, "eval_batch", counted)
+    vb = corpus._vector_spec_of(trivial_bundle(1, 1))
+    made = []
+    for count in (20, 120):
+        calls.clear()
+        check_module_laws(vb, CheckConfig(count=count))
+        made.append(len(calls))
+    assert made[0] == made[1]
 
 
 # --------------------------------------------------------------------------
