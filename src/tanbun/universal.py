@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.optimize import minimize
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, compose,
@@ -41,6 +40,16 @@ __all__ = [
 RANK_TOL = 1e-7           # singular values below this (relative) are zero
 MATCH_TOL = 1e-8          # image agreement threshold for collision scan
 DISTINCT_TOL = 1e-6       # apex points further apart than this are distinct
+
+
+def __getattr__(name):
+    # scipy.optimize takes most of the time of importing tanbun, and only
+    # a collapse search needs it: universal.minimize loads it on first use
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global minimize
+    from scipy.optimize import minimize
+    return minimize
 
 
 class RankDeficientCospan(ExprError):
@@ -523,11 +532,12 @@ def collapse_search(score, starts, deep: float):
             raise _CollapseFound
         return val
 
+    search = globals().get("minimize") or __getattr__("minimize")
     for z0 in starts:
         try:
-            minimize(objective, z0, method="Nelder-Mead",
-                     options={"maxiter": 400, "xatol": 1e-12,
-                              "fatol": 1e-12})
+            search(objective, z0, method="Nelder-Mead",
+                   options={"maxiter": 400, "xatol": 1e-12,
+                            "fatol": 1e-12})
         except _CollapseFound:
             break
     return best[1]
@@ -634,23 +644,24 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     spreads = np.abs(triples[:, [0, 0, 1]] - triples[:, [1, 2, 2]]).max(
         axis=(1, 2))
 
-    stalls = 0
-    for t in range(n_try):
+    solved = ok.reshape(-1, 3).all(axis=1).tolist()
+    stalls, k = 0, -1          # k: this try's place among the found ones
+    for t, hit in enumerate(found.tolist()):
         if t in fp_errors:
             raise fp_errors[t]
-        if not found[t]:
+        if not hit:
             stalls += 1
             continue
-        r = 3 * int(found[:t].sum())      # the first row of this try
-        for row in range(r, r + 3):
+        k += 1
+        for row in range(3 * k, 3 * k + 3):
             if row in errors:
                 raise errors[row]
-        if not ok[r:r + 3].all():
+        if not solved[k]:
             stalls += 1
             continue
-        spread = float(spreads[r // 3])
+        spread = float(spreads[k])
         if spread > 1e-7:
-            a, b = sols[r:r + 2]
+            a, b = sols[3 * k:3 * k + 2]
             return _law("surjective", Verdict.FAIL,
                         witness=(a.tolist(), b.tolist()), max_residual=spread,
                         note="distinct preimages of one cone point",

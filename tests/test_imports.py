@@ -1,5 +1,6 @@
 """Import hygiene: every top-level import in a library module is used,
-scipy is imported in one module only, and every memo is bounded.
+scipy is imported in one module only and not before a collapse search
+needs it, and every memo is bounded.
 
 A module-level import counts as used when the module refers to the
 bound name anywhere (code or annotation) or lists it in ``__all__``.
@@ -7,6 +8,9 @@ bound name anywhere (code or annotation) or lists it in ``__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,7 +56,7 @@ def test_no_unused_top_level_imports(path):
 
 def _scipy_imports(tree: ast.Module) -> list:
     mods = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             mods += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -67,6 +71,67 @@ def test_only_universal_imports_scipy(path):
     # bench/tracer.py times it through universal.minimize
     found = _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
     assert found == (["scipy.optimize"] if path.stem == "universal" else [])
+
+
+def _run_fresh(code: str) -> None:
+    """Run code in a new interpreter: this session has scipy loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tanbun_loads_scipy_only_for_a_collapse_search():
+    _run_fresh("""
+import sys
+import tanbun
+from tanbun import cli, universal
+
+def loaded():
+    return "scipy.optimize" in sys.modules
+
+assert not loaded()
+assert cli.main(["axioms"]) == 0 and not loaded()
+assert cli.main(["check", "trivial_1_1", "--format", "json"]) == 0
+assert not loaded()
+assert not hasattr(universal, "nope") and not loaded()
+""")
+
+
+def test_universal_minimize_is_scipys_once_loaded():
+    _run_fresh("""
+from tanbun import universal
+search = universal.minimize
+import scipy.optimize
+assert search is scipy.optimize.minimize
+assert vars(universal)["minimize"] is search
+""")
+
+
+def test_a_minimize_patched_before_scipy_loads_routes_the_search():
+    # x1*x0^3 collapses on x0 = 0 only, where no sample lands
+    _run_fresh("""
+from tanbun import universal
+from tanbun.expr import CheckConfig, cube, parse_map
+
+calls = []
+
+def minimize(*args, **kw):
+    from scipy.optimize import minimize as scipy_minimize
+    calls.append(args[1])
+    return scipy_minimize(*args, **kw)
+
+universal.minimize = minimize
+top = parse_map("x0, x1*x0^3", 2)
+sq = universal.CommutingSquare(
+    name="search", apex_dim=2, apex_box=cube(2), constraint=None, top=top,
+    left=top, right=parse_map("x0, x1", 2), bottom=parse_map("x0, x1", 2))
+pv = universal.check_pullback(sq, 0, CheckConfig(count=30, seed=5))
+assert pv.rank.provenance.get("via") == "witness search", pv.describe()
+assert calls and universal.minimize is minimize
+""")
 
 
 def _imports_raw_linalg(tree: ast.AST) -> bool:
