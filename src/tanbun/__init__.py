@@ -10,16 +10,15 @@ from .expr import (
 )
 from .report import CheckReport, LawResult, Verdict
 from .jet import (
-    AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, JetView,
-    NewtonDiverged, STANDARD_STRUCTS, StackMap, StructSet, TruncElem,
-    apply_map, axiom_ids, check_all_axioms, check_axiom, jac_point, naturality_square, prolong_implicit, push, pushforward,
+    AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, NewtonDiverged,
+    STANDARD_STRUCTS, StackMap, StructSet, TruncElem, apply_map, axiom_ids,
+    check_all_axioms, check_axiom, jac_point, prolong_implicit, pushforward,
     solve_least_norm, struct_map, tangent_map, tangent_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, NotWellTyped,
-    check_additive_laws, check_coalgebra_splitting, check_morphism,
-    check_predifferential, fibre_affine_decomposition,
-    fibre_matched_tuples, induce_addition, induce_negation,
+    check_additive_laws, check_morphism, check_predifferential,
+    fibre_affine_decomposition, fibre_matched_tuples, induce_addition,
     scale_through_lambda, well_typed_tuples,
 )
 from .universal import (

@@ -4,7 +4,7 @@ A bundle here is a triple of chart maps (q, xi, lam): the projection
 q from the total chart to the base chart, its zero section xi, and
 the vertical lift lam into the tangent chart of the total space.
 Four equational laws are checked; when they hold, a fibrewise
-addition and negation are derived from lam alone (closed form when
+addition and scaling are derived from lam alone (closed form when
 lam is affine over the fibre coordinates, Gauss-Newton otherwise).
 """
 
@@ -32,8 +32,7 @@ from .report import (
 __all__ = [
     "BundleSpec", "BundleMorphism", "CheckReport", "LawResult", "Verdict",
     "AdditionUnavailable", "NotWellTyped",
-    "check_predifferential", "check_coalgebra_splitting",
-    "induce_addition", "induce_negation", "check_additive_laws",
+    "check_predifferential", "induce_addition", "check_additive_laws",
     "check_morphism", "vert_lambda", "lambda_base",
     "well_typed_tuples", "fibre_matched_tuples", "fibre_affine_decomposition",
 ]
@@ -123,28 +122,6 @@ def check_predifferential(spec: BundleSpec,
     return rep
 
 
-def check_coalgebra_splitting(spec: BundleSpec,
-                              cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
-    d = spec.total_dim
-    rep = CheckReport(f"{spec.name}: idempotent splitting through the base")
-    proj_E = struct_map("proj", 0, d)
-    e_map = compose(proj_E, spec.lam)          # candidate idempotent on E
-    xi_q = compose(spec.xi, spec.q)
-
-    checks = [
-        ("idem", "(proj . lam)^2 = proj . lam",
-         compose(e_map, e_map), e_map, spec.total_box),
-        ("split-section", "q . xi = id", compose(spec.q, spec.xi),
-         identity_map(spec.base_dim), spec.base_box),
-        ("split-retract", "xi . q = proj . lam", xi_q, e_map,
-         spec.total_box),
-    ]
-    for law_id, anchor, lhs, rhs, box in checks:
-        v = equal_maps(lhs, rhs, box, cfg)
-        rep.add(law_from_verdict(law_id, anchor, v, provenance=_prov(cfg)))
-    return rep
-
-
 def _prov(cfg: CheckConfig) -> dict:
     return {"seed": cfg.seed, "count": cfg.count, "tol": cfg.tol}
 
@@ -204,7 +181,7 @@ def fibre_affine_decomposition(spec: BundleSpec):
     of lam is affine over the fibre coordinates with constant matrix,
     return (A: list of Fraction rows, pinv_A, beta: list of Expr in the
     base variables); otherwise None.  This is the closed-form gateway
-    for addition, negation, scalar recovery, and the retraction.
+    for addition, scalar recovery, and the retraction.
     """
     d, k = spec.total_dim, spec.base_dim
     if spec.q != projection(d, range(k)):
@@ -297,43 +274,19 @@ def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     return _implicit_fibre_op(spec, mode="add")
 
 
-def induce_negation(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
-                    universality=None):
-    """Derive fibrewise negation: lam(-a) is lam(a) with the tangent
-    part negated."""
-    _gate_universality(universality, "negation")
-    d, k = spec.total_dim, spec.base_dim
-    decomp = fibre_affine_decomposition(spec)
-    if decomp is not None:
-        offs = _pinv_beta_exprs(spec, decomp)
-        comps = [Var(i) for i in range(k)]
-        comps += [
-            sum_of([-Var(k + j), con(-2) * offs[j]]) for j in range(d - k)
-        ]
-        return simplify_map(smooth_map(d, comps))
-    return _implicit_fibre_op(spec, mode="neg")
-
-
 def _implicit_fibre_op(spec: BundleSpec, mode: str):
-    """Newton-defined addition/negation/scaling through lam."""
+    """Newton-defined addition or scaling through lam."""
     d = spec.total_dim
     lam = spec.lam
     if mode == "add":
         n_par = 2 * d
         a_sub = {i: Var(i) for i in range(d)}
         b_sub = {i: Var(d + i) for i in range(d)}
-        extra = [(b_sub, 1.0)]
-        name = f"{spec.name}:add"
-    elif mode == "neg":
-        n_par = d
-        a_sub = {i: Var(i) for i in range(d)}
-        extra = []
-        name = f"{spec.name}:neg"
+        init = lambda X: X[:, :d]
     else:  # scale: params (r, e)
         n_par = 1 + d
         a_sub = {i: Var(1 + i) for i in range(d)}
-        extra = []
-        name = f"{spec.name}:scale"
+        init = lambda X: X[:, 1:]
     e_sub = {i: Var(n_par + i) for i in range(d)}
 
     comps = []
@@ -342,20 +295,14 @@ def _implicit_fibre_op(spec: BundleSpec, mode: str):
                      - substitute_vars(lam.components[i], a_sub))
     for i in range(d, 2 * d):
         target = substitute_vars(lam.components[i], a_sub)
-        for sub, _w in extra:
-            target = target + substitute_vars(lam.components[i], sub)
-        if mode == "neg":
-            target = -target
-        if mode == "scale":
+        if mode == "add":
+            target = target + substitute_vars(lam.components[i], b_sub)
+        else:
             target = Var(0) * target
         comps.append(substitute_vars(lam.components[i], e_sub) - target)
     residual = simplify_map(smooth_map(n_par + d, comps))
-
-    if mode == "scale":
-        init = lambda X: X[:, 1:]
-    else:
-        init = lambda X: X[:, :d]
-    return ImplicitMap(residual, n_par, d, init=init, name=name)
+    return ImplicitMap(residual, n_par, d, init=init,
+                       name=f"{spec.name}:{mode}")
 
 
 def scale_through_lambda(spec: BundleSpec):

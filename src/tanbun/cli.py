@@ -353,6 +353,12 @@ def _make_config(args, overrides) -> tuple:
     tol = pick(args.tol, "tol", 1e-9)
     seed = pick(args.seed, "seed", seed_default)
     depth = pick(args.depth, "depth", 2)
+    if samples < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise UsageError(f"seed must be at least 0, got {seed}")
+    if not 0 < tol < np.inf:
+        raise UsageError(f"tol must be finite and above 0, got {tol}")
     flag_suite = getattr(args, "suite", None)
     suite = flag_suite if flag_suite is not None \
         else overrides.get("suite", "all")

@@ -12,8 +12,8 @@ algebra R[e1..en]/(e_i^2), and symbolic tangent maps built from
 symbolic differentiation.
 
 The structure maps of the tangent category (projection, zero, fibre
-addition, negation, vertical lift, canonical flip) are generated from
-their level-0 coordinate formulas; higher components are produced
+addition, vertical lift, canonical flip) are generated from their
+level-0 coordinate formulas; higher components are produced
 mechanically by iterating the tangent map, never hand-written.
 """
 
@@ -31,7 +31,7 @@ from .expr import (
     CheckConfig, DEFAULT_CONFIG, DENOM_GUARD, DenominatorNearZero,
     DimensionMismatch, ExprError, SmoothMap, Var, bump_coeffs, compose,
     con, concat_maps, cube, eval_batch, equal_maps, identity_map,
-    jac_eval_batch, jacobian_exprs, neg, product_of, projection,
+    jac_eval_batch, jacobian_exprs, product_of, projection,
     simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
     _check_batch, _evaluate,
 )
@@ -39,15 +39,13 @@ from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
 __all__ = [
     "JetPoint", "TruncElem", "pushforward", "tangent_map", "struct_map",
-    "StructSet", "STANDARD_STRUCTS", "STRUCT_KINDS",
-    "ImplicitMap", "JetView", "Composite", "StackMap", "NewtonDiverged",
-    "push", "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
+    "StructSet", "STANDARD_STRUCTS",
+    "ImplicitMap", "Composite", "StackMap", "NewtonDiverged",
+    "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
     "jac_point", "row_ordered", "solve_batch", "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
-    "naturality_square",
 ]
 
-STRUCT_KINDS = ("proj", "zero", "add", "neg", "lift", "flip")
 NEWTON_TOL = 1e-11      # residual at which a Gauss-Newton row stops
 
 
@@ -266,12 +264,6 @@ def _add_formula(k: int) -> SmoothMap:
     return smooth_map(3 * k, comps)
 
 
-def _neg_formula(k: int) -> SmoothMap:
-    comps = [Var(i) for i in range(k)]
-    comps += [neg(Var(k + i)) for i in range(k)]
-    return smooth_map(2 * k, comps)
-
-
 def _lift_formula(k: int) -> SmoothMap:
     comps = [Var(i) for i in range(k)]
     comps += [con(0)] * (2 * k)
@@ -287,13 +279,13 @@ def _flip_formula(k: int) -> SmoothMap:
 
 @dataclass(frozen=True)
 class StructSet:
-    """Level-0 coordinate formulas for the six structure maps; swap a
+    """Level-0 coordinate formulas for the five structure maps; swap a
     builder to study a deliberately broken variant."""
 
     builders: tuple = (
         ("proj", _proj_formula), ("zero", _zero_formula),
-        ("add", _add_formula), ("neg", _neg_formula),
-        ("lift", _lift_formula), ("flip", _flip_formula),
+        ("add", _add_formula), ("lift", _lift_formula),
+        ("flip", _flip_formula),
     )
 
     def build(self, kind: str, k: int) -> SmoothMap:
@@ -323,7 +315,7 @@ def struct_map(kind: str, level: int, k: int,
 
 
 # --------------------------------------------------------------------------
-# Procedural maps: Newton-defined maps and jet views
+# Procedural maps: Newton-defined maps, composites and stacks
 
 
 def row_ordered(batch, X) -> np.ndarray:
@@ -456,7 +448,7 @@ def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
 
 class _MapLike:
     """What a procedural map derives from its eval_batch and jac_batch:
-    the one-point cases, and T^n as a JetView unless it knows better."""
+    the one-point cases."""
 
     def eval_point(self, x) -> np.ndarray:
         return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -466,9 +458,6 @@ class _MapLike:
 
     def __call__(self, x):
         return self.eval_point(x)
-
-    def tangent(self, n: int):
-        return JetView(self, n)
 
 
 class ImplicitMap(_MapLike):
@@ -571,6 +560,8 @@ class ImplicitMap(_MapLike):
         return prolong_implicit(self, n)
 
     def push(self, n: int, jp: JetPoint) -> JetPoint:
+        """T^n at one jet point, lifted through the residual block by
+        block: the jet-algebra reference for prolong_implicit."""
         if jp.dim != self.arity or jp.order != n:
             raise DimensionMismatch("jet does not match implicit map arity")
         y0 = self.eval_point(jp.base)
@@ -626,42 +617,6 @@ def _prolonged_residual(residual: SmoothMap, a: int, n: int) -> SmoothMap:
     return SmoothMap(blocks * (a + c), comps)
 
 
-class JetView(_MapLike):
-    """T^order of an underlying map, exposed as a flat map on charts."""
-
-    def __init__(self, base, order: int):
-        if isinstance(base, JetView):
-            order += base.order
-            base = base.base
-        self.base = base
-        self.order = order
-        self.arity = base.arity << order
-        self.coarity = base.coarity << order
-
-    # point by point: jets are pushed one point at a time
-    def eval_batch(self, X) -> np.ndarray:
-        out = np.empty((len(X), self.coarity))
-        for k, x in enumerate(np.asarray(X, dtype=float)):
-            jp = JetPoint.from_flat(x, self.order, self.base.arity)
-            out[k] = push(self.base, self.order, jp).to_flat()
-        return out
-
-    def jac_batch(self, X) -> np.ndarray:
-        """One column per first-order jet pushed through the view."""
-        out = np.empty((len(X), self.coarity, self.arity))
-        for k, x in enumerate(np.asarray(X, dtype=float)):
-            for j, e in enumerate(np.eye(self.arity)):
-                jp = JetPoint(1, self.arity, np.vstack([x, e]))
-                out[k, :, j] = self.push(1, jp).blocks[1]
-        return out
-
-    def push(self, n: int, jp: JetPoint) -> JetPoint:
-        inner = JetPoint.from_flat(jp.to_flat(), n + self.order,
-                                   self.base.arity)
-        res = push(self.base, n + self.order, inner)
-        return JetPoint.from_flat(res.to_flat(), n, self.coarity)
-
-
 class Composite(_MapLike):
     """Sequential composite of map-like objects, applied right to left."""
 
@@ -696,11 +651,6 @@ class Composite(_MapLike):
     def tangent(self, n: int) -> "Composite":
         return Composite(*[tangent_of(s, n) for s in self.stages])
 
-    def push(self, n: int, jp: JetPoint) -> JetPoint:
-        for s in reversed(self.stages):
-            jp = push(s, n, jp)
-        return jp
-
 
 class StackMap(_MapLike):
     """Concatenated outputs of several map-like objects on one input."""
@@ -717,17 +667,6 @@ class StackMap(_MapLike):
 
     def jac_batch(self, X) -> np.ndarray:
         return np.concatenate([p.jac_batch(X) for p in self.parts], axis=1)
-
-    def push(self, n: int, jp: JetPoint) -> JetPoint:
-        blocks = [push(p, n, jp).blocks for p in self.parts]
-        return JetPoint(n, self.coarity, np.concatenate(blocks, axis=1))
-
-
-def push(f, n: int, jp: JetPoint) -> JetPoint:
-    """Pushforward through any map-like object."""
-    if isinstance(f, SmoothMap):
-        return pushforward(f, n, jp)
-    return f.push(n, jp)
 
 
 def apply_map(f, x) -> np.ndarray:
@@ -974,47 +913,3 @@ def check_all_axioms(dims: Sequence[int] = (1, 2, 3),
         for k in dims:
             report.add(check_axiom(name, k, structs, cfg))
     return report
-
-
-# --------------------------------------------------------------------------
-# Naturality: each transformation commutes with T applied to any map.
-
-
-def _t2_chart_map(f: SmoothMap) -> SmoothMap:
-    """Action of the constrained-pair functor on the free chart."""
-    m, n = f.arity, f.coarity
-    Tf = tangent_map(f, 1)
-    tan = projection(2 * n, range(n, 2 * n))
-    first = compose(tan, _restrict(Tf, 3 * m, list(range(2 * m))))
-    x_w = list(range(m)) + list(range(2 * m, 3 * m))
-    second = compose(tan, _restrict(Tf, 3 * m, x_w))
-    base = _restrict(f, 3 * m, range(m))
-    return concat_maps(base, first, second)
-
-
-def naturality_square(kind: str, f: SmoothMap,
-                      structs: StructSet = STANDARD_STRUCTS):
-    """Both composites of the naturality square of one structure map
-    against f, as maps on the appropriate free chart."""
-    m, n = f.arity, f.coarity
-    Tf = tangent_map(f, 1)
-    if kind == "proj":
-        return compose(f, struct_map("proj", 0, m, structs)), \
-            compose(struct_map("proj", 0, n, structs), Tf)
-    if kind == "zero":
-        return compose(struct_map("zero", 0, n, structs), f), \
-            compose(Tf, struct_map("zero", 0, m, structs))
-    if kind == "add":
-        return compose(struct_map("add", 0, n, structs), _t2_chart_map(f)), \
-            compose(Tf, struct_map("add", 0, m, structs))
-    if kind == "neg":
-        return compose(struct_map("neg", 0, n, structs), Tf), \
-            compose(Tf, struct_map("neg", 0, m, structs))
-    if kind == "lift":
-        return compose(struct_map("lift", 0, n, structs), Tf), \
-            compose(tangent_map(f, 2), struct_map("lift", 0, m, structs))
-    if kind == "flip":
-        T2f = tangent_map(f, 2)
-        return compose(struct_map("flip", 0, n, structs), T2f), \
-            compose(T2f, struct_map("flip", 0, m, structs))
-    raise KeyError(f"unknown structure map kind {kind!r}")

@@ -111,9 +111,8 @@ def universality_refusal(universality, rerun=None):
     or a bare Verdict) passes, else its value, for a refusal message.
 
     universality=None means rerun() when rerun is given, and a pass
-    otherwise.  induce_addition and induce_negation let None through;
-    splitting_pair and phi rerun the rosicky square, biproduct_check the
-    strong square."""
+    otherwise.  induce_addition lets None through; splitting_pair and phi
+    rerun the rosicky square, biproduct_check the strong square."""
     if universality is None:
         if rerun is None:
             return None

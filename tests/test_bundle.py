@@ -13,10 +13,9 @@ from tanbun.expr import (
 from tanbun.jet import solve_least_norm
 from tanbun.bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, Verdict, _pairwise,
-    check_additive_laws, check_coalgebra_splitting, check_morphism,
-    check_predifferential, fibre_affine_decomposition, fibre_matched_tuples,
-    induce_addition, induce_negation, lambda_base, scale_through_lambda,
-    vert_lambda, well_typed_tuples,
+    check_additive_laws, check_morphism, check_predifferential,
+    fibre_affine_decomposition, fibre_matched_tuples, induce_addition,
+    lambda_base, scale_through_lambda, vert_lambda, well_typed_tuples,
 )
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
 from tanbun.universal import check_pullback, rosicky_square
@@ -83,12 +82,6 @@ def test_induced_addition_closed_form_trivial():
 def test_induced_addition_closed_form_conjugated():
     add = induce_addition(conjugated_bundle(), CFG)
     assert to_source(add) == "x0, x1 + x3 - x0^2"
-
-
-def test_induced_negation_closed_forms():
-    assert to_source(induce_negation(trivial_bundle(1, 1), CFG)) == "x0, -x1"
-    assert to_source(induce_negation(conjugated_bundle(), CFG)) == \
-        "x0, -x1 + 2*x0^2"
 
 
 def test_scale_through_lambda_closed_forms():
@@ -195,11 +188,6 @@ def test_lambda_parts_recombine():
     cb = conjugated_bundle()
     assert to_source(lambda_base(cb)) == "x0, x0^2"
     assert to_source(vert_lambda(cb)) == "0, x1 - x0^2"
-
-
-def test_coalgebra_splitting_passes_on_conjugated():
-    rep = check_coalgebra_splitting(conjugated_bundle(), CFG)
-    assert rep.ok
 
 
 # --------------------------------------------------------------------------

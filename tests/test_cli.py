@@ -158,8 +158,41 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 3
 
 
-def test_bad_flag_value_is_a_usage_error(capsys):
-    assert main(["check", "trivial_1_1", "--depth", "9"]) == 3
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # from a flag, a bundle-file key or TANBUN_SEED alike: exit 3 with one
+    # error line, never a numpy traceback or a "tol": NaN in the JSON
+    cases = [
+        (["--depth", "9"], "", None),
+        (["--samples", "-5"], "", None),
+        (["--samples", "0"], "", None),
+        (["--seed", "-1"], "", None),
+        (["--tol", "nan"], "", None),
+        (["--tol", "-1"], "", None),
+        (["--tol", "inf"], "", None),
+        ([], "samples = -5\n", None),
+        ([], "tol = nan\n", None),
+        ([], "", "-1"),
+    ]
+    for flags, keys, env_seed in cases:
+        if env_seed is None:
+            monkeypatch.delenv("TANBUN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TANBUN_SEED", env_seed)
+        path = _write(tmp_path, LINE_DB + keys)
+        case = (flags, keys, env_seed)
+        assert main(["check", path, "--format", "json"] + flags) == 3, case
+        out, err = capsys.readouterr()
+        assert out == "", case
+        assert err.startswith("tanbun: error: "), case
+        assert err.count("\n") == 1, case
+
+
+def test_the_smallest_valid_run_settings_are_accepted(tmp_path, capsys):
+    path = _write(tmp_path, LINE_DB)
+    code, doc = _json_run(capsys, ["check", path, "--samples", "1",
+                                   "--seed", "0", "--tol", "1e-300",
+                                   "--format", "json"])
+    assert code == 0 and (doc["samples"], doc["seed"]) == (1, 0)
 
 
 # --------------------------------------------------------------------------

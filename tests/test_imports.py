@@ -1,6 +1,7 @@
 """Import hygiene: every top-level import in a library module is used,
-scipy is imported in one module only and not before a collapse search
-needs it, and every memo is bounded.
+every name in its ``__all__`` is bound, scipy is imported in one module
+only and not before a collapse search needs it, and every memo is
+bounded.
 
 A module-level import counts as used when the module refers to the
 bound name anywhere (code or annotation) or lists it in ``__all__``.
@@ -8,6 +9,7 @@ bound name anywhere (code or annotation) or lists it in ``__all__``.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -52,6 +54,15 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_name_in_all_is_bound(path):
+    # so that `from tanbun.<module> import *` imports every listed name
+    module = importlib.import_module(f"tanbun.{path.stem}")
+    names = getattr(module, "__all__", [])
+    assert [n for n in names if not hasattr(module, n)] == []
+    assert len(names) == len(set(names))
 
 
 def _scipy_imports(tree: ast.Module) -> list:
