@@ -176,6 +176,10 @@ def parse_bundle_file(text: str, source: str = "<input>"):
                 raise BundleFileError(f"{where(key)}: {exc}")
     if "depth" in overrides and not 0 <= overrides["depth"] <= 2:
         raise BundleFileError(f"{where('depth')}: depth must be 0..2")
+    for key in _SETTING_RULES:
+        bad = key in overrides and _bad_setting(key, overrides[key])
+        if bad:
+            raise BundleFileError(f"{where(key)}: {bad}")
 
     for key in ("q", "xi"):
         need(key)
@@ -333,6 +337,21 @@ def _resolve_input(target: str):
     return entry.build(), {}, digest
 
 
+# the run settings a flag, a bundle file or TANBUN_SEED can give, and the
+# rule each value must meet
+_SETTING_RULES = {
+    "samples": (lambda v: v >= 1, "must be at least 1"),
+    "seed": (lambda v: v >= 0, "must be at least 0"),
+    "tol": (lambda v: 0 < v < np.inf, "must be finite and above 0"),
+}
+
+
+def _bad_setting(key: str, value):
+    """The error for a run setting that breaks its rule, or None."""
+    ok, rule = _SETTING_RULES[key]
+    return None if ok(value) else f"{key} {rule}, got {value}"
+
+
 def _make_config(args, overrides) -> tuple:
     def pick(flag, key, default):
         if flag is not None:
@@ -353,12 +372,10 @@ def _make_config(args, overrides) -> tuple:
     tol = pick(args.tol, "tol", 1e-9)
     seed = pick(args.seed, "seed", seed_default)
     depth = pick(args.depth, "depth", 2)
-    if samples < 1:
-        raise UsageError(f"samples must be at least 1, got {samples}")
-    if seed < 0:
-        raise UsageError(f"seed must be at least 0, got {seed}")
-    if not 0 < tol < np.inf:
-        raise UsageError(f"tol must be finite and above 0, got {tol}")
+    for key, value in (("samples", samples), ("seed", seed), ("tol", tol)):
+        bad = _bad_setting(key, value)
+        if bad:
+            raise UsageError(bad)
     flag_suite = getattr(args, "suite", None)
     suite = flag_suite if flag_suite is not None \
         else overrides.get("suite", "all")

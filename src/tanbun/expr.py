@@ -889,6 +889,13 @@ class _Mp:
         return bump_coeffs_mp(a, k)[k] * self.mp.factorial(k)
 
 
+def _quiet_floats():
+    """numpy's overflow, invalid and divide warnings off: a float
+    evaluation that overflows or gives NaN is reported by the checks
+    that read it (a NaN residual reads unknown), not on stderr."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _check_batch(f: SmoothMap, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != f.arity:
@@ -903,8 +910,9 @@ def eval_batch(f: SmoothMap, X) -> np.ndarray:
     X = _check_batch(f, X)
     cols, num = list(X.T), _Floats(len(X))
     out = np.empty((len(X), f.coarity))
-    for j, c in enumerate(f.components):
-        out[:, j] = _evaluate(c, cols, num)
+    with _quiet_floats():
+        for j, c in enumerate(f.components):
+            out[:, j] = _evaluate(c, cols, num)
     return out
 
 
@@ -1143,8 +1151,9 @@ def jac_eval_batch(f: SmoothMap, X) -> np.ndarray:
     J = np.empty((len(X), f.coarity, f.arity))
     J[:] = template
     cols, num = list(X.T), _Floats(len(X))
-    for i, j, e in live:
-        J[:, i, j] = _evaluate(e, cols, num)
+    with _quiet_floats():
+        for i, j, e in live:
+            J[:, i, j] = _evaluate(e, cols, num)
     return J
 
 
@@ -1256,7 +1265,8 @@ def _sampled_compare(f, g, box, cfg, polynomial_differs):
         F, G = f.eval_batch(X), g.eval_batch(X)
     except ExprError as err:
         return EqVerdict("unknown", reason=f"evaluation failed: {err}")
-    resid = np.max(np.abs(F - G), axis=1)
+    with _quiet_floats():
+        resid = np.max(np.abs(F - G), axis=1)
     nan = np.isnan(resid)
     worst = int(np.argmax(np.where(nan, -np.inf, resid)))
     r = 0.0 if nan[worst] else float(resid[worst])

@@ -33,7 +33,7 @@ from .expr import (
     con, concat_maps, cube, eval_batch, equal_maps, identity_map,
     jac_eval_batch, jacobian_exprs, product_of, projection,
     simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
-    _check_batch, _evaluate,
+    _check_batch, _evaluate, _quiet_floats,
 )
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
@@ -717,10 +717,11 @@ def solve_batch(f, targets, starts, tol: float = NEWTON_TOL,
     T = np.asarray(targets, dtype=float)
     ok = np.zeros(len(Z), dtype=bool)
     errors = {}
-    converged, _ = _gauss_newton(
-        lambda rows: f.eval_batch(Z[rows]) - T[rows],
-        lambda rows: f.jac_batch(Z[rows]),
-        Z, np.arange(len(Z)), tol, max_iter, errors)
+    with _quiet_floats():       # a residual that is not finite fails its row
+        converged, _ = _gauss_newton(
+            lambda rows: f.eval_batch(Z[rows]) - T[rows],
+            lambda rows: f.jac_batch(Z[rows]),
+            Z, np.arange(len(Z)), tol, max_iter, errors)
     ok[converged] = True
     return Z, ok, errors
 

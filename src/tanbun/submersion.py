@@ -74,11 +74,18 @@ def jacobian(f: SmoothMap, x) -> JacobianSample:
     return JacobianSample(point=x, matrix=J, singular_values=s)
 
 
+def _min_singulars(f: SmoothMap, Z: np.ndarray) -> np.ndarray:
+    """The f.coarity-th singular value of the derivative at each row of
+    Z, from one stacked SVD; 0.0 at every row when the derivative has
+    fewer singular values (arity below coarity)."""
+    s = np.linalg.svd(jac_eval_batch(f, Z), compute_uv=False)
+    if s.shape[1] < f.coarity:
+        return np.zeros(len(Z))
+    return s[:, f.coarity - 1]
+
+
 def _min_singular(f: SmoothMap, z: np.ndarray) -> float:
-    s = np.linalg.svd(jac_eval_batch(f, z[None, :])[0], compute_uv=False)
-    if len(s) < f.coarity:
-        return 0.0
-    return float(s[f.coarity - 1])
+    return float(_min_singulars(f, z[None, :])[0])
 
 
 def _face_push(f: SmoothMap, box: Box, z: np.ndarray) -> np.ndarray:
@@ -154,14 +161,15 @@ def is_submersion_on(f: SmoothMap, box: Box,
 def _collapse_search(f: SmoothMap, box: Box, seeds, cfg: CheckConfig):
     lo, hi = box.lo(), box.hi()
 
-    def score(z):
-        z = np.clip(z, lo, hi)
-        return _min_singular(f, z), z
+    def score_batch(Z):
+        Z = np.clip(Z, lo, hi)
+        return list(zip(_min_singulars(f, Z), Z))
 
     rng = cfg.rng("submersion:search")
     pool = box.sample(rng, 40 * box.dim)
-    extras = sorted(pool, key=lambda z: _min_singular(f, z))[:2]
-    return collapse_search(score, list(seeds) + extras, float(np.log(1e-14)))
+    extras = pool[np.argsort(_min_singulars(f, pool), kind="stable")[:2]]
+    return collapse_search(score_batch, list(seeds) + list(extras),
+                           float(np.log(1e-14)))
 
 
 def horizontal_lift(f: SmoothMap, a, v) -> np.ndarray:

@@ -12,6 +12,7 @@ evidence, not proof.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,16 +20,17 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .expr import (
-    Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, compose,
-    concat_maps, con, cube, projection, simplify_map, smooth_map, sum_of,
+    Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
+    _quiet_floats, compose, concat_maps, con, cube, projection, simplify_map,
+    smooth_map, sum_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
     induce_addition, vert_lambda,
 )
 from .jet import (
-    NEWTON_TOL, StackMap, _each_row, row_ordered, solve_batch,
-    solve_least_norm, struct_map, tangent_after, tangent_map, tangent_of,
+    NEWTON_TOL, StackMap, _each_row, row_ordered, solve_batch, struct_map,
+    tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -43,8 +45,10 @@ DISTINCT_TOL = 1e-6       # apex points further apart than this are distinct
 
 
 def __getattr__(name):
-    # scipy.optimize takes most of the time of importing tanbun, and only
-    # a collapse search needs it: universal.minimize loads it on first use
+    # No search calls scipy: collapse_search runs its own Nelder-Mead.
+    # universal.minimize stays, loaded on first read, because
+    # bench/tracer.py:67 wraps it and bench/test_bench.py:114 checks that
+    # it is scipy's minimize.
     if name != "minimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     global minimize
@@ -281,8 +285,9 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         F_img = np.hstack([B_img, C_img])
 
         # (pre) commutation of the square itself
-        comm_res = np.abs(right_t.eval_batch(B_img)
-                          - bottom_t.eval_batch(C_img))
+        with _quiet_floats():
+            comm_res = np.abs(right_t.eval_batch(B_img)
+                              - bottom_t.eval_batch(C_img))
         nan = np.isnan(comm_res)
         comm_res[nan] = -np.inf     # a finite row that refutes comes first
         worst = float(np.max(comm_res))
@@ -506,41 +511,136 @@ def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     return res, outliers, info
 
 
-class _CollapseFound(Exception):
-    """Internal signal: the search hit a value deep enough that further
-    polishing cannot change the verdict."""
+# scipy 1.17's Nelder-Mead constants (Nelder & Mead, Computer Journal
+# 7(4), 1965): reflection, expansion, contraction, shrink, and the steps
+# of the first simplex
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_MAXITER, _XATOL, _FATOL = 400, 1e-12, 1e-12
 
 
-def collapse_search(score, starts, deep: float):
-    """Nelder-Mead on log sigma from each start in turn, the one search
-    for a rank collapse that sampling missed.  score(z) gives (sigma, the
-    point z stands for); a point None or an ExprError mean no score.
-    Returns the best point seen, or None; stops at a sigma below exp(deep)."""
-    best = [np.inf, None]
+def _nelder_mead(x0):
+    """scipy 1.17's _minimize_neldermead without bounds or adaptive
+    parameters, as a generator: it yields a stack of points (the N+1
+    vertices of the first simplex, one trial point, or the N points of a
+    shrink) and is sent their values.  The numpy operations and their
+    order are scipy's, so every point is scipy's bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + _NONZDELT) * y[k]
+        else:
+            y[k] = _ZDELT
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    fsim[:] = yield sim
+    for _ in range(2):              # scipy sorts twice before its loop
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
 
-    def objective(z):
-        try:
-            sigma, point = score(z)
-        except ExprError:
-            point = None
-        if point is None:
-            return 1e6
-        val = float(np.log(max(sigma, 1e-300)))
-        if val < best[0]:
-            best[:] = val, point
-        if val < deep:
-            raise _CollapseFound
-        return val
-
-    search = globals().get("minimize") or __getattr__("minimize")
-    for z0 in starts:
-        try:
-            search(objective, z0, method="Nelder-Mead",
-                   options={"maxiter": 400, "xatol": 1e-12,
-                            "fatol": 1e-12})
-        except _CollapseFound:
+    iterations = 1
+    while iterations < _MAXITER:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
             break
-    return best[1]
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        fxr, = yield xr[None]
+        doshrink = False
+        if fxr < fsim[0]:
+            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            fxe, = yield xe[None]
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:        # outside contraction
+            xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+            fxc, = yield xc[None]
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                doshrink = True
+        else:                       # inside contraction
+            xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+            fxcc, = yield xcc[None]
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                doshrink = True
+        if doshrink:
+            sim[1:] = sim[0] + _SIGMA * (sim[1:] - sim[0])
+            fsim[1:] = yield sim[1:]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+
+def _scored(score_batch, P) -> list:
+    """score_batch(P), or, when it raises an ExprError, each row of P
+    alone, a row that raises scoring as none."""
+    try:
+        return score_batch(P)
+    except ExprError:
+        if len(P) == 1:
+            return [(None, None)]
+    out = []
+    for k in range(len(P)):
+        out += _scored(score_batch, P[k:k + 1])
+    return out
+
+
+def collapse_search(score_batch, starts, deep: float):
+    """Nelder-Mead on log sigma from every start in lockstep, the one
+    search for a rank collapse that sampling missed.  Each step scores
+    the pending points of all live starts in one score_batch(P) call,
+    which gives a (sigma, the point the row stands for) per row of P; a
+    point None, or an ExprError for the row, scores 1e6.
+
+    The result is that of running the starts one after another and
+    stopping at the first sigma below exp(deep): when start j first goes
+    below, every later start is dropped, and the hit of the lowest start
+    that hits wins.  With no hit, the best point seen wins, the first in
+    evaluation order within a start and the earlier start on a tie.
+    Returns None when no point scored."""
+    runs = [_nelder_mead(z0) for z0 in starts]
+    pending = {j: next(run) for j, run in enumerate(runs)}
+    best = [(np.inf, None)] * len(runs)
+    hit = None
+    while pending:
+        live = list(pending)        # in start order: starts only leave
+        scores = iter(_scored(score_batch,
+                              np.concatenate([pending[j] for j in live])))
+        for j in live:
+            vals = []
+            for sigma, point in itertools.islice(scores, len(pending[j])):
+                if point is None:
+                    vals.append(1e6)
+                    continue
+                vals.append(float(np.log(max(sigma, 1e-300))))
+                if vals[-1] < best[j][0]:
+                    best[j] = vals[-1], point
+                if vals[-1] < deep:
+                    hit = j
+                    break
+            if hit == j:
+                pending = {k: pending[k] for k in pending if k < j}
+                break
+            try:
+                pending[j] = runs[j].send(vals)
+            except StopIteration:
+                del pending[j]
+    if hit is not None:
+        return best[hit][1]
+    return min(best, key=lambda b: b[0], default=(np.inf, None))[1]
 
 
 def _rank_witness_search(sq, Z, info, plan, cfg):
@@ -555,24 +655,32 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     apex_flat, g_t = Z.shape[1], plan.g_t
     box_lo, box_hi = sq.apex_box.lo(), sq.apex_box.hi()
 
-    def project(z):
-        # a point already on the constraint is what the solve returns
-        # from it: its first residual is below the solve's tolerance
-        z = np.clip(z, box_lo, box_hi)
+    def project(P):
+        """(Q, ok): the rows of P clipped to the box and moved onto the
+        constraint, each as solve_least_norm would from it; a row whose
+        residual is already below the solve's tolerance is what the solve
+        returns from it, and ok is False where a solve fails."""
+        Q = np.clip(P, box_lo, box_hi)
+        ok = np.ones(len(Q), dtype=bool)
         if g_t is None:
-            return z
-        try:
-            on = np.max(np.abs(g_t.eval_batch(z[None]))) < NEWTON_TOL
-        except ExprError:
-            return None
-        return z if on else solve_least_norm(g_t, np.zeros(g_t.coarity), z)
+            return Q, ok
+        off = np.flatnonzero(~(np.abs(g_t.eval_batch(Q)).max(axis=1)
+                               < NEWTON_TOL))
+        if off.size:
+            Q[off], ok[off], errors = solve_batch(
+                g_t, np.zeros((off.size, g_t.coarity)), Q[off])
+            if errors:
+                raise errors[min(errors)]
+        return Q, ok
 
     def sigmas(P):
         return np.array([_collapse(sv)[0] for sv in plan(P)])
 
-    def score(z):
-        z = project(z)
-        return (None if z is None else sigmas(z[None])[0]), z
+    def score_batch(P):
+        Q, ok = project(P)
+        S = np.zeros(len(Q))
+        S[ok] = sigmas(Q[ok])
+        return [(s, q if good else None) for s, q, good in zip(S, Q, ok)]
 
     rng = cfg.rng(f"{sq.name}:witness")
     extra = rng.uniform(box_lo, box_hi, size=(40 * apex_flat, apex_flat))
@@ -587,10 +695,16 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     kept, pool = _each_row(lambda rows: sigmas(P[rows]), np.arange(len(P)))
     starts = [Z[i] for i in info["seeds"]]
     starts += list(P[kept[np.argsort(pool, kind="stable")[:2]]])
-    best_z = collapse_search(score, starts, float(np.log(1e-10)))
-    best_z = None if best_z is None else project(best_z)
+    best_z = collapse_search(score_batch, starts, float(np.log(1e-10)))
     if best_z is None:
         return None
+    try:        # the search's point, projected again as it was scored
+        Q, ok = project(best_z[None])
+    except ExprError:
+        return None
+    if not ok[0]:
+        return None
+    best_z = Q[0]
     _, ratio = _collapse(plan(best_z[None])[0])
     if ratio >= RANK_TOL:
         return None

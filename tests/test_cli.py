@@ -187,6 +187,18 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1, case
 
 
+@pytest.mark.parametrize("line", ["samples = -5", "seed = -1", "tol = nan"])
+def test_a_bad_run_setting_in_a_file_names_its_line(tmp_path, capsys, line):
+    path = _write(tmp_path, LINE_DB + line + "\n")
+    lineno = LINE_DB.count("\n") + 1
+    assert main(["check", path, "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    key = line.split()[0]
+    assert out == ""
+    assert err.startswith(f"tanbun: error: {path}:{lineno}: {key} must be ")
+    assert err.count("\n") == 1
+
+
 def test_the_smallest_valid_run_settings_are_accepted(tmp_path, capsys):
     path = _write(tmp_path, LINE_DB)
     code, doc = _json_run(capsys, ["check", path, "--samples", "1",
@@ -220,7 +232,7 @@ def test_a_lift_that_is_nan_on_part_of_its_box_ends_in_a_report(tmp_path):
         [sys.executable, "-m", "tanbun.cli", "check", path,
          "--format", "json"], capture_output=True, text=True)
     assert proc.returncode in (1, 2)
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""    # no traceback, and no numpy warning
     assert json.loads(proc.stdout)["aggregate"] in ("fail", "unknown")
 
 

@@ -1,7 +1,6 @@
 """Import hygiene: every top-level import in a library module is used,
 every name in its ``__all__`` is bound, scipy is imported in one module
-only and not before a collapse search needs it, and every memo is
-bounded.
+only and never loaded by a check, and every memo is bounded.
 
 A module-level import counts as used when the module refers to the
 bound name anywhere (code or annotation) or lists it in ``__all__``.
@@ -78,8 +77,8 @@ def _scipy_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_only_universal_imports_scipy(path):
-    # universal.collapse_search is the one Nelder-Mead search, and
-    # bench/tracer.py times it through universal.minimize
+    # no search uses scipy; universal keeps scipy's minimize as
+    # universal.minimize, loaded on first read, which bench/tracer.py wraps
     found = _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
     assert found == (["scipy.optimize"] if path.stem == "universal" else [])
 
@@ -121,27 +120,19 @@ assert vars(universal)["minimize"] is search
 """)
 
 
-def test_a_minimize_patched_before_scipy_loads_routes_the_search():
-    # x1*x0^3 collapses on x0 = 0 only, where no sample lands
+def test_the_collapse_searches_run_without_scipy():
+    # bump_counterexample's rank collapse is found by the witness search
+    # only, and conjugated_1_1 runs the search on four squares
     _run_fresh("""
-from tanbun import universal
-from tanbun.expr import CheckConfig, cube, parse_map
+import sys
+from tanbun.corpus import corpus_run
 
-calls = []
-
-def minimize(*args, **kw):
-    from scipy.optimize import minimize as scipy_minimize
-    calls.append(args[1])
-    return scipy_minimize(*args, **kw)
-
-universal.minimize = minimize
-top = parse_map("x0, x1*x0^3", 2)
-sq = universal.CommutingSquare(
-    name="search", apex_dim=2, apex_box=cube(2), constraint=None, top=top,
-    left=top, right=parse_map("x0, x1", 2), bottom=parse_map("x0, x1", 2))
-pv = universal.check_pullback(sq, 0, CheckConfig(count=30, seed=5))
-assert pv.rank.provenance.get("via") == "witness search", pv.describe()
-assert calls and universal.minimize is minimize
+bump = corpus_run("bump_counterexample")
+assert bump.expectation_met
+rank = [e for e in bump.reports["rosicky"].entries if e.law_id == "rank"]
+assert rank[0].provenance.get("via") == "witness search", rank
+assert corpus_run("conjugated_1_1").expectation_met
+assert "scipy.optimize" not in sys.modules
 """)
 
 

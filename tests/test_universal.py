@@ -9,8 +9,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 from tanbun import submersion, universal
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, ExprError, compose, cube, parse_map,
-    simplify_map,
+    CheckConfig, DenominatorNearZero, ExprError, compose, cube,
+    jac_eval_batch, parse_map, simplify_map,
 )
 from tanbun.jet import (
     StackMap, jac_point, solve_batch, solve_least_norm,
@@ -586,38 +586,68 @@ def _ref_starts(sq, Z, info, plan, cfg):
     return [Z[i] for i in info["seeds"]] + [pool[k][1] for k in order[:2]]
 
 
-def _recorded(score, calls):
-    """score, appending each (z, outcome) it gives to calls."""
-    def recording(z):
+class _Hit(Exception):
+    """The reference search's stop at a score below deep."""
+
+
+def _ref_collapse_search(score, starts, deep):
+    """collapse_search as it was: scipy's Nelder-Mead from each start in
+    turn on a one-point score(z) -> (sigma, point), keeping the best
+    point seen and stopping at the first log sigma below deep."""
+    best = [np.inf, None]
+
+    def objective(z):
         try:
-            out = score(z)
-        except ExprError as err:
-            calls.append((_bits(z), (type(err), str(err))))
-            raise
-        calls.append((_bits(z), (_bits(out[0]), _bits(out[1]))))
-        return out
-    return recording
+            sigma, point = score(z)
+        except ExprError:
+            point = None
+        if point is None:
+            return 1e6
+        val = float(np.log(max(sigma, 1e-300)))
+        if val < best[0]:
+            best[:] = val, point
+        if val < deep:
+            raise _Hit
+        return val
+
+    for z0 in starts:
+        try:
+            scipy_minimize(objective, z0, method="Nelder-Mead",
+                           options={"maxiter": 400, "xatol": 1e-12,
+                                    "fatol": 1e-12})
+        except _Hit:
+            break
+    return best[1]
 
 
 @pytest.mark.parametrize("seed", [42, 1])
 def test_the_witness_searches_score_as_before_bit_for_bit(seed, monkeypatch):
-    """Every point a corpus search scores gets the score of the old code,
-    and a search from the old starts with the old score makes the same
-    calls, in the same order and number."""
+    """Every corpus search starts where the old pool scoring put it,
+    gives each point it scores in a batch the old one-point score, and
+    ends, bit for bit, at the point of scipy's Nelder-Mead run from each
+    start in turn on that score."""
     searches = {}
-    search, collapse_search = (universal._rank_witness_search,
-                               universal.collapse_search)
+    search, lockstep = universal._rank_witness_search, universal.collapse_search
 
     def checked_search(sq, Z, info, plan, cfg):
-        def both(score, starts, deep):
-            new, old = [], []
-            best = collapse_search(_recorded(score, new), starts, deep)
+        def both(score_batch, starts, deep):
+            scored = []
+
+            def recorded(P):
+                out = score_batch(P)
+                scored.extend(zip(P, out))
+                return out
+            best = lockstep(recorded, starts, deep)
+            score = _ref_score(sq, plan)
+            for z, (sigma, point) in scored:
+                old_sigma, old_point = score(z)
+                assert _bits(point) == _bits(old_point)
+                assert point is None or _bits(sigma) == _bits(old_sigma)
             old_starts = _ref_starts(sq, Z, info, plan, cfg)
             assert list(map(_bits, starts)) == list(map(_bits, old_starts))
-            old_best = collapse_search(_recorded(_ref_score(sq, plan), old),
-                                       old_starts, deep)
-            assert _bits(best) == _bits(old_best)
-            searches[sq.name] = new, old
+            old_best = _ref_collapse_search(_ref_score(sq, plan), old_starts,
+                                            deep)
+            searches[sq.name] = _bits(best), _bits(old_best)
             return best
         with monkeypatch.context() as m:
             m.setattr(universal, "collapse_search", both)
@@ -632,32 +662,219 @@ def test_the_witness_searches_score_as_before_bit_for_bit(seed, monkeypatch):
         "conjugated_1_1:strong", "conjugated_1_1:combined",
         "bump_counterexample:rosicky"}
     for name, (new, old) in searches.items():
-        assert len(new) == len(old) > 0, name
-        assert new == old, name
+        assert new is not None and new == old, name
 
 
-def test_collapse_searches_reach_scipy_only_through_collapse_search(
+def test_a_search_whose_projections_fail_ends_where_the_sequential_one_did(
         monkeypatch):
-    callers = []
+    # bump(x0) - 1/2 is flat beside its zero set, so a Newton projection
+    # from there fails and its row scores as none
+    sq = _toy_square("flat", 2, "x0 + x1^3", "x1", "x0", "x0",
+                     constraint="bump(x0) - 1/2")
+    Z, _ = universal._sample_apex(sq, 0, CFG, 40)
+    plan = universal._RestrictedJacobian(
+        tangent_of(sq.top, 0), tangent_map(sq.left, 0),
+        tangent_map(sq.constraint, 0), 2)
+    info = {"seeds": [0, 1, 2, 3], "min_sigma": 0.0, "min_ratio": 0.0}
+    lockstep, unscored, ends = universal.collapse_search, [], []
 
-    def minimize(*args, **kw):
-        callers.append(sys._getframe(1).f_code)
-        return scipy_minimize(*args, **kw)
+    def both(score_batch, starts, deep):
+        def counted(P):
+            out = score_batch(P)
+            unscored.extend(p for _, p in out if p is None)
+            return out
+        ends.append(lockstep(counted, starts, deep))
+        old_starts = _ref_starts(sq, Z, info, plan, CFG)
+        ends.append(_ref_collapse_search(_ref_score(sq, plan), old_starts,
+                                         deep))
+        return ends[0]
 
-    monkeypatch.setattr(universal, "minimize", minimize)
-    # x1*x0^3 collapses on x0 = 0 only, where no sample lands
-    sq = _toy_square("search", 2, "x0, x1*x0^3", "x0, x1*x0^3",
-                     "x0, x1", "x0, x1")
-    pv = check_pullback(sq, 0, CFG)
-    assert pv.rank.provenance.get("via") == "witness search"
-    searched = len(callers)
+    monkeypatch.setattr(universal, "collapse_search", both)
+    universal._rank_witness_search(sq, Z, info, plan, CFG)
+    assert unscored and ends[0] is not None
+    assert _bits(ends[0]) == _bits(ends[1])
+
+
+def _ref_min_singular(f, z):
+    s = np.linalg.svd(jac_eval_batch(f, z[None, :])[0], compute_uv=False)
+    return 0.0 if len(s) < f.coarity else float(s[f.coarity - 1])
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+def test_the_submersion_search_ends_where_the_sequential_search_did(
+        seed, monkeypatch):
+    """is_submersion_on's search gives the point of scipy's Nelder-Mead
+    run from each start in turn on a one-point score, with the extra
+    starts sorted one point at a time, bit for bit."""
+    found, started = {}, []
+    search, lockstep = submersion._collapse_search, submersion.collapse_search
+
+    def recorded(score_batch, starts, deep):
+        started.append(starts)
+        return lockstep(score_batch, starts, deep)
+
+    def checked(f, box, seeds, cfg):
+        best = search(f, box, seeds, cfg)
+        lo, hi = box.lo(), box.hi()
+        pool = box.sample(cfg.rng("submersion:search"), 40 * box.dim)
+        starts = list(seeds) + sorted(
+            pool, key=lambda z: _ref_min_singular(f, z))[:2]
+        assert list(map(_bits, started.pop())) == list(map(_bits, starts))
+
+        def score(z):
+            z = np.clip(z, lo, hi)
+            return _ref_min_singular(f, z), z
+        old = _ref_collapse_search(score, starts, float(np.log(1e-14)))
+        found[f] = _bits(best), _bits(old)
+        return best
+
+    monkeypatch.setattr(submersion, "collapse_search", recorded)
+    monkeypatch.setattr(submersion, "_collapse_search", checked)
     bump = bump_bundle()
-    assert is_submersion_on(bump.q, bump.total_box,
-                            CheckConfig(count=60, seed=5)).verdict \
-        is Verdict.FAIL
-    assert 0 < searched < len(callers)
-    assert set(callers) == {universal.collapse_search.__code__}
-    assert not hasattr(submersion, "minimize")
+    maps = ((bump.q, bump.total_box), (parse_map("x0^3", 2), cube(2)),
+            (parse_map("x0^2 + x1^2", 2), cube(2)))
+    for f, box in maps:
+        is_submersion_on(f, box, CheckConfig(seed=seed))
+    # each seed reaches the search with two or three of the maps
+    assert len(found) == {42: 2, 1: 2, 7: 3}[seed]
+    for new, old in found.values():
+        assert new is not None and new == old
+
+
+def _driven(fun, x0):
+    """Every point _nelder_mead yields, in order, each stack scored by
+    fun one point at a time; and the sizes of the stacks."""
+    run, seen, sizes = universal._nelder_mead(x0), [], []
+    try:
+        P = next(run)
+        while True:
+            seen += [p.copy() for p in P]
+            sizes.append(len(P))
+            P = run.send([fun(p) for p in P])
+    except StopIteration:
+        return seen, sizes
+
+
+def _quadratic(z):
+    return float(np.sum(np.arange(1, len(z) + 1) * (z - 0.3) ** 2))
+
+
+def _rosenbrock(z):
+    return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2
+                        + (1.0 - z[:-1]) ** 2))
+
+
+def _steps(z):
+    """Flat steps: reflections and contractions fail, so the simplex
+    shrinks."""
+    return float(np.floor(4.0 * np.sum(z ** 2)))
+
+
+def _slope(z):
+    """Unbounded below: every step expands until the iterations run out."""
+    return float(z[0])
+
+
+def _scipy_calls(fun, x0):
+    """The points scipy's Nelder-Mead scores, in order, and its result."""
+    calls = []
+
+    def recorded(z):
+        calls.append(z.copy())
+        return fun(z)
+
+    res = scipy_minimize(recorded, np.array(x0), method="Nelder-Mead",
+                         options={"maxiter": 400, "xatol": 1e-12,
+                                  "fatol": 1e-12})
+    return calls, res
+
+
+@pytest.mark.parametrize("fun", [_quadratic, _rosenbrock, _steps, _slope])
+@pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 2.0, -0.5],
+                                [0.5, -1.5, 0.0, 1.0]])
+def test_nelder_mead_makes_the_evaluations_of_scipy(fun, x0):
+    """Points, order and number as scipy's Nelder-Mead asks for them."""
+    calls, _ = _scipy_calls(fun, x0)
+    seen, sizes = _driven(fun, np.array(x0))
+    assert list(map(_bits, seen)) == list(map(_bits, calls))
+    n = len(x0)
+    assert sizes[0] == n + 1 and set(sizes[1:]) <= {1, n}
+
+
+def test_the_evaluation_cases_shrink_converge_and_run_out():
+    x0 = [0.0, 2.0, -0.5]
+    assert 3 in _driven(_steps, np.array(x0))[1][1:]
+    assert _scipy_calls(_quadratic, x0)[1].status == 0
+    assert _scipy_calls(_slope, x0)[1].status == 2      # maxiter
+
+
+def _two_basins(z):
+    """A collapse at x0 = -5 and a floor of 0.01 around x0 = 5."""
+    return min(abs(z[0] - 5.0) + 0.01, abs(z[0] + 5.0))
+
+
+def _batch_of(score, calls=None):
+    """A score_batch from a one-point score, noting each batch's size."""
+    def score_batch(P):
+        if calls is not None:
+            calls.append(len(P))
+        return [score(p) for p in P]
+    return score_batch
+
+
+def test_a_later_start_that_hits_first_loses_to_an_earlier_hit():
+    deep = float(np.log(1e-3))
+
+    def score(z):
+        return _two_basins(z), z
+    # the first start never hits, the second hits after many steps and
+    # the third at its first simplex
+    starts = [np.array([4.0]), np.array([-3.0]), np.array([-5.0 + 1e-5])]
+    calls = []
+    best = universal.collapse_search(_batch_of(score, calls), starts, deep)
+    old = _ref_collapse_search(score, starts, deep)
+    assert _bits(best) == _bits(old)
+    assert abs(best[0] + 5.0) < 1e-3 and best[0] != starts[2][0]
+    assert calls[0] == 6        # the three first simplices in one call
+    # with the hitting start first, its first simplex is the answer
+    best = universal.collapse_search(_batch_of(score), starts[::-1], deep)
+    assert _bits(best) == _bits(starts[2])
+
+
+def test_without_a_hit_the_first_best_point_of_the_earliest_start_wins():
+    def score(z):
+        # a flat floor of sigma 1 on |x0| <= 0.1, never below exp(deep)
+        return 1.0 + max(abs(z[0]) - 0.1, 0.0), z
+    # both starts reach the floor: the second at once, the first later
+    starts = [np.array([0.7]), np.array([0.05])]
+    best = universal.collapse_search(_batch_of(score), starts, -50.0)
+    assert _bits(best) == _bits(_ref_collapse_search(score, starts, -50.0))
+    assert abs(best[0]) <= 0.1 and best[0] != 0.05
+
+
+def test_an_expr_error_scores_only_its_row_as_none():
+    def score(z):
+        if 0.5 < z[0] < 2.0:
+            raise DenominatorNearZero("pole")
+        return _two_basins(z), z
+
+    def score_batch(P):
+        return [score(p) for p in P]   # the whole batch raises
+    P = np.array([[0.0], [1.0], [3.0]])
+    scored = universal._scored(score_batch, P)
+    assert scored[1] == (None, None)
+    assert [s for s, _ in scored[::2]] == [5.0, 2.01]
+    starts = [np.array([3.0]), np.array([0.3])]
+    deep = float(np.log(1e-3))
+    best = universal.collapse_search(score_batch, starts, deep)
+    assert _bits(best) == _bits(_ref_collapse_search(score, starts, deep))
+
+
+def test_an_error_that_is_not_an_expr_error_escapes_the_search():
+    def score_batch(P):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    with pytest.raises(np.linalg.LinAlgError):
+        universal.collapse_search(score_batch, [np.array([1.0])], -20.0)
 
 
 def test_apex_projection_discards_the_samples_the_loop_discards():
