@@ -60,7 +60,6 @@ class BundleSpec:
     lam: SmoothMap
     add: object = None
     scalar: object = None
-    negate: object = None
 
     def __post_init__(self):
         d, k = self.total_dim, self.base_dim

@@ -60,7 +60,7 @@ class UsageError(ExprError):
 # from `#`, expression values in the map DSL, boxes as `lo..hi` pairs.
 
 
-_MAP_KEYS = ("q", "xi", "lambda", "add", "scalar", "negate")
+_MAP_KEYS = ("q", "xi", "lambda", "add", "scalar")
 _INT_KEYS = ("base_dim", "total_dim", "samples", "seed", "depth")
 _KNOWN_KEYS = (("name", "kind", "base_box", "total_box", "suite", "tol")
                + _MAP_KEYS + _INT_KEYS)
@@ -150,8 +150,7 @@ def parse_bundle_file(text: str, source: str = "<input>"):
                               f"{total_dim}")
 
     arities = {"q": total_dim, "xi": base_dim, "lambda": total_dim,
-               "add": 2 * total_dim, "scalar": 1 + total_dim,
-               "negate": total_dim}
+               "add": 2 * total_dim, "scalar": 1 + total_dim}
     maps = {}
     for key in _MAP_KEYS:
         if key not in raw:
@@ -185,11 +184,9 @@ def parse_bundle_file(text: str, source: str = "<input>"):
         need(key)
     try:
         if kind == "vector":
-            for key in ("lambda", "negate"):
-                if key in maps:
-                    raise BundleFileError(
-                        f"{where(key)}: {key!r} is not part of a vector "
-                        f"bundle definition")
+            if "lambda" in maps:
+                raise BundleFileError(f"{where('lambda')}: 'lambda' is not "
+                                      f"part of a vector bundle definition")
             for key in ("add", "scalar"):
                 if key not in maps:
                     raise BundleFileError(
@@ -207,7 +204,7 @@ def parse_bundle_file(text: str, source: str = "<input>"):
                 base_box=base_box, total_box=total_box,
                 q=maps["q"], xi=maps["xi"],
                 lam=maps["lambda"], add=maps.get("add"),
-                scalar=maps.get("scalar"), negate=maps.get("negate"))
+                scalar=maps.get("scalar"))
     except BundleFileError:
         raise
     except ExprError as exc:

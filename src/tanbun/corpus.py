@@ -94,7 +94,6 @@ def conjugated_bundle() -> BundleSpec:
         lam=parse_map("x0, x0^2, 0, x1 - x0^2", 2),
         add=parse_map("x0, x1 + x3 - x0^2", 4),
         scalar=parse_map("x1, x0*x2 + x1^2 - x0*x1^2", 3),
-        negate=parse_map("x0, -x1 + 2*x0^2", 2),
     )
 
 

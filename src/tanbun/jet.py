@@ -40,7 +40,7 @@ from .report import CheckReport, LawResult, Verdict, law_from_verdict
 __all__ = [
     "JetPoint", "TruncElem", "pushforward", "tangent_map", "struct_map",
     "StructSet", "STANDARD_STRUCTS",
-    "ImplicitMap", "Composite", "StackMap", "NewtonDiverged",
+    "ImplicitMap", "NewtonDiverged",
     "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
     "jac_point", "row_ordered", "solve_batch", "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
@@ -315,7 +315,7 @@ def struct_map(kind: str, level: int, k: int,
 
 
 # --------------------------------------------------------------------------
-# Procedural maps: Newton-defined maps, composites and stacks
+# Newton-defined maps, and the tangents of both kinds of map
 
 
 def row_ordered(batch, X) -> np.ndarray:
@@ -328,15 +328,6 @@ def row_ordered(batch, X) -> np.ndarray:
         if len(X) < 2:
             raise
     return np.concatenate([batch(X[k:k + 1]) for k in range(len(X))])
-
-
-def _by_rows(batch):
-    """A batch method that raises the error of its first failing row."""
-    @functools.wraps(batch)
-    def method(self, X):
-        return row_ordered(lambda Z: batch(self, Z),
-                           np.asarray(X, dtype=float))
-    return method
 
 
 def _each_row(fn, rows, errors=None):
@@ -446,21 +437,7 @@ def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
     return np.array(converged, dtype=int), live
 
 
-class _MapLike:
-    """What a procedural map derives from its eval_batch and jac_batch:
-    the one-point cases."""
-
-    def eval_point(self, x) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def __call__(self, x):
-        return self.eval_point(x)
-
-
-class ImplicitMap(_MapLike):
+class ImplicitMap:
     """A map defined implicitly by residual(params, output) = 0.
 
     eval_batch solves by Gauss-Newton from a caller-supplied initializer,
@@ -483,9 +460,6 @@ class ImplicitMap(_MapLike):
         self.tol = tol
         self.max_iter = max_iter
         self._seen: dict = {}
-
-    # bound in the class's own namespace, where bench/tracer.py wraps it
-    eval_point = _MapLike.eval_point
 
     def _remember(self, keys, Y: np.ndarray):
         # the last batch is kept whole, so that the Jacobians of a batch
@@ -547,17 +521,27 @@ class ImplicitMap(_MapLike):
             raise errors[min(errors)]
         return Y[[first.get(key, k) for k, key in enumerate(keys)]]
 
-    @_by_rows
     def jac_batch(self, X) -> np.ndarray:
         """Derivatives from the linearized residual: the output columns of
         each row solve J_out dY = -J_param, with the residual Jacobians of
-        the batch taken in one call and one stacked lstsq."""
-        Y = self.eval_batch(X)
-        J = jac_eval_batch(self.residual, np.hstack([X, Y]))
-        return _lstsq_stack(J[:, :, self.arity:], -J[:, :, :self.arity])[1]
+        the batch taken in one call and one stacked lstsq.  The error
+        raised is the first failing row's (row_ordered)."""
+        def batch(X):
+            Y = self.eval_batch(X)
+            J = jac_eval_batch(self.residual, np.hstack([X, Y]))
+            return _lstsq_stack(J[:, :, self.arity:],
+                                -J[:, :, :self.arity])[1]
+        return row_ordered(batch, np.asarray(X, dtype=float))
 
-    def tangent(self, n: int) -> "ImplicitMap":
-        return prolong_implicit(self, n)
+    # in the class's own namespace, where bench/tracer.py wraps it
+    def eval_point(self, x) -> np.ndarray:
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jacobian(self, x) -> np.ndarray:
+        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def __call__(self, x):
+        return self.eval_point(x)
 
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         """T^n at one jet point, lifted through the residual block by
@@ -617,79 +601,32 @@ def _prolonged_residual(residual: SmoothMap, a: int, n: int) -> SmoothMap:
     return SmoothMap(blocks * (a + c), comps)
 
 
-class Composite(_MapLike):
-    """Sequential composite of map-like objects, applied right to left."""
-
-    def __init__(self, *stages):
-        flat = []
-        for s in stages:
-            flat.extend(s.stages if isinstance(s, Composite) else [s])
-        for outer, inner in zip(flat, flat[1:]):
-            if outer.arity != inner.coarity:
-                raise DimensionMismatch("composite stages do not line up")
-        self.stages = tuple(flat)
-        self.arity = flat[-1].arity
-        self.coarity = flat[0].coarity
-
-    @_by_rows
-    def eval_batch(self, X) -> np.ndarray:
-        for s in reversed(self.stages):
-            X = s.eval_batch(X)
-        return X
-
-    @_by_rows
-    def jac_batch(self, X) -> np.ndarray:
-        """The chain rule over the batch, stage by stage, with one stacked
-        product per stage (each row has the bits of its own product)."""
-        J = None
-        for s in reversed(self.stages):
-            Js = s.jac_batch(X)
-            J = Js if J is None else np.matmul(Js, J)
-            X = s.eval_batch(X)
-        return J
-
-    def tangent(self, n: int) -> "Composite":
-        return Composite(*[tangent_of(s, n) for s in self.stages])
-
-
-class StackMap(_MapLike):
-    """Concatenated outputs of several map-like objects on one input."""
-
-    def __init__(self, *parts):
-        if len({p.arity for p in parts}) != 1:
-            raise DimensionMismatch("stacked parts must share an arity")
-        self.parts = tuple(parts)
-        self.arity = parts[0].arity
-        self.coarity = sum(p.coarity for p in parts)
-
-    def eval_batch(self, X) -> np.ndarray:
-        return np.hstack([p.eval_batch(X) for p in self.parts])
-
-    def jac_batch(self, X) -> np.ndarray:
-        return np.concatenate([p.jac_batch(X) for p in self.parts], axis=1)
-
-
 def apply_map(f, x) -> np.ndarray:
-    """Evaluate any map-like object at a point."""
+    """Evaluate a SmoothMap or an ImplicitMap at a point."""
     return np.asarray(f.eval_point(x), dtype=float)
 
 
 def tangent_of(f, n: int):
-    """T^n of a map-like object: symbolic for a SmoothMap, otherwise the
-    map's own tangent."""
+    """T^n of a map: symbolic for a SmoothMap, prolong_implicit for an
+    ImplicitMap."""
     if n == 0:
         return f
     if isinstance(f, SmoothMap):
         return tangent_map(f, n)
-    return f.tangent(n)
+    return prolong_implicit(f, n)
 
 
-def tangent_after(f, g):
-    """T(f) . g: simplified in closed form when f is a SmoothMap, else a
-    Composite."""
-    if isinstance(f, SmoothMap):
+def tangent_after(f, g: SmoothMap):
+    """T(f) . g, of f's kind: simplified in closed form when f is a
+    SmoothMap; for an ImplicitMap f, the ImplicitMap solving T(f)'s
+    residual at (g(x), y), started where T(f) starts at g(x)."""
+    tf = tangent_of(f, 1)
+    residual = getattr(tf, "residual", None)
+    if residual is None:
         return _smooth_tangent_after(f, g)
-    return Composite(tangent_of(f, 1), g)
+    return ImplicitMap(_residual_after(residual, g), g.arity, tf.coarity,
+                       lambda X: tf.init(g.eval_batch(X)), name=tf.name,
+                       tol=tf.tol, max_iter=tf.max_iter)
 
 
 @functools.lru_cache(maxsize=512)
@@ -697,8 +634,18 @@ def _smooth_tangent_after(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     return simplify_map(compose(tangent_map(f, 1), g))
 
 
+@functools.lru_cache(maxsize=512)
+def _residual_after(residual: SmoothMap, g: SmoothMap) -> SmoothMap:
+    """residual(g(x), y) in the variables (x, y).  Memoized, so each
+    T(f) . g of an implicit f shares one residual and its compiled
+    Jacobian."""
+    a, c = g.arity, residual.arity - g.coarity
+    return compose(residual, SmoothMap(
+        a + c, g.components + tuple(Var(a + j) for j in range(c))))
+
+
 def jac_point(f, x) -> np.ndarray:
-    """Jacobian of a map-like object at a point."""
+    """Jacobian of a SmoothMap or an ImplicitMap at a point."""
     return f.jacobian(x)
 
 

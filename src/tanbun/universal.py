@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -29,8 +30,8 @@ from .bundle import (
     induce_addition, vert_lambda,
 )
 from .jet import (
-    NEWTON_TOL, StackMap, _each_row, row_ordered, solve_batch, struct_map,
-    tangent_after, tangent_map, tangent_of,
+    NEWTON_TOL, ImplicitMap, _each_row, row_ordered, solve_batch,
+    struct_map, tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -68,10 +69,10 @@ class CommutingSquare:
     apex_dim: int
     apex_box: Box
     constraint: SmoothMap | None
-    top: object
+    top: SmoothMap | ImplicitMap
     left: SmoothMap
-    right: object
-    bottom: object
+    right: SmoothMap | ImplicitMap
+    bottom: SmoothMap | ImplicitMap
     max_depth: int = 2
 
 
@@ -736,8 +737,11 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
     n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
     fp_map = _fp_projector(right_t, bottom_t)
-    cone = StackMap(top_t, left_t) if g_t is None \
-        else StackMap(top_t, left_t, g_t)
+    legs = (top_t, left_t) if g_t is None else (top_t, left_t, g_t)
+    cone = SimpleNamespace(     # the legs' values and Jacobians, stacked
+        eval_batch=lambda X: np.hstack([f.eval_batch(X) for f in legs]),
+        jac_batch=lambda X: np.concatenate([f.jac_batch(X) for f in legs],
+                                           axis=1))
     # three Newton starts per try: the sample and two kicked copies
     noisy = np.hstack([B_img[:n_try], C_img[:n_try]])
     starts = np.repeat(Z[:n_try, None], 3, axis=1)

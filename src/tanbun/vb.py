@@ -19,8 +19,7 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
-    SmoothMap, Var, compose, con, cube, equal_maps, parse_map,
-    simplify_map, smooth_map,
+    SmoothMap, Var, compose, con, cube, equal_maps, parse_map, smooth_map,
 )
 from .jet import (
     NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
@@ -168,17 +167,11 @@ def psi(vb: VectorBundleSpec, cfg: CheckConfig = DEFAULT_CONFIG, *,
         (con(0),) + tuple(Var(i) for i in range(d))
         + (con(1),) + (con(0),) * d,
     )
-    lam = tangent_after(vb.scalar, embed)
-    negate = None
-    if isinstance(vb.scalar, SmoothMap):
-        neg_embed = SmoothMap(
-            d, (con(-1),) + tuple(Var(i) for i in range(d)))
-        negate = simplify_map(compose(vb.scalar, neg_embed))
     return BundleSpec(
         name=f"{vb.name}:as-lift", base_dim=vb.base_dim, total_dim=d,
         base_box=vb.base_box, total_box=vb.total_box,
-        q=vb.q, xi=vb.xi, lam=lam, add=vb.add, scalar=vb.scalar,
-        negate=negate,
+        q=vb.q, xi=vb.xi, lam=tangent_after(vb.scalar, embed), add=vb.add,
+        scalar=vb.scalar,
     )
 
 

@@ -72,6 +72,10 @@ def test_unknown_key_is_rejected_with_its_line():
     with pytest.raises(BundleFileError) as exc:
         parse_bundle_file(LINE_DB + "colour = green\n", "demo")
     assert "demo:10" in str(exc.value)
+    # a negation map was never read, so it is no key of a bundle file
+    with pytest.raises(BundleFileError) as exc:
+        parse_bundle_file(LINE_DB + "negate = x0, 7*x1 + 5\n", "demo")
+    assert str(exc.value) == "demo:10: unknown key 'negate'"
 
 
 def test_duplicate_key_is_rejected():
@@ -171,6 +175,7 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch):
         (["--tol", "inf"], "", None),
         ([], "samples = -5\n", None),
         ([], "tol = nan\n", None),
+        ([], "negate = x0, 7*x1 + 5\n", None),
         ([], "", "-1"),
     ]
     for flags, keys, env_seed in cases:

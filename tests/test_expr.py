@@ -421,7 +421,8 @@ def test_every_built_node_is_marked_and_normal_as_before(monkeypatch):
     inputs = _refute_inputs(monkeypatch)
     cfg = CheckConfig(count=10, seed=1, t_depth=1)
     for memo in (expr.jacobian_exprs, jet._tangent_once,
-                 jet._smooth_tangent_after, jet._prolonged_residual):
+                 jet._smooth_tangent_after, jet._prolonged_residual,
+                 jet._residual_after):
         memo.cache_clear()   # so that every derived map is built here
     monkeypatch.setattr(SmoothMap, "__post_init__", recording)
     for entry in corpus_list():

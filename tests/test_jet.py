@@ -1,23 +1,28 @@
 """Jets, truncated algebra, tangent maps, structure maps, and
 procedurally defined maps."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanbun import expr, jet
-from tanbun.corpus import corpus_run
+from tanbun import expr, jet, universal, vb
+from tanbun.bundle import induce_addition
+from tanbun.cli import main, parse_bundle_file
+from tanbun.corpus import corpus_list, corpus_run
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, ExprError, MAX_BUMP_ORDER, Var,
-    compose, con, cube, equal_maps, eval_batch, eval_map, jac_eval_batch,
-    jacobian_exprs, parse_map, smooth_map,
+    CheckConfig, DenominatorNearZero, ExprError, MAX_BUMP_ORDER, SmoothMap,
+    Var, compose, con, cube, equal_maps, eval_batch, eval_map,
+    jac_eval_batch, jacobian_exprs, parse_map, smooth_map,
 )
 from tanbun.jet import (
-    AXIOM_CATALOG, Composite, ImplicitMap, JetPoint, NewtonDiverged,
-    STANDARD_STRUCTS, StackMap, TruncElem, apply_map, check_all_axioms,
-    check_axiom, jac_point, prolong_implicit, pushforward, solve_batch,
-    solve_least_norm, struct_map, tangent_after, tangent_map, tangent_of,
+    AXIOM_CATALOG, ImplicitMap, JetPoint, NewtonDiverged, STANDARD_STRUCTS,
+    TruncElem, apply_map, check_all_axioms, check_axiom, jac_point,
+    prolong_implicit, pushforward, solve_batch, solve_least_norm, struct_map,
+    tangent_after, tangent_map, tangent_of,
 )
+from tanbun.universal import cockett_square
 from tanbun.jet import _each_row, _gauss_newton, _lstsq_stack
 from numpy.linalg import _umath_linalg
 
@@ -362,40 +367,6 @@ def test_prolonged_implicit_matches_the_point_loop(order, monkeypatch):
         [_old_jacobian(prol, x, point_init) for x in X]))
 
 
-def test_composite_batch_matches_the_point_chain():
-    # h, then the square root y^2 = x (no root below 0), then g
-    sqrt = ImplicitMap(parse_map("x1^2 - x0", 2), 1, 1,
-                       init=lambda X: np.ones((len(X), 1)), name="sqrt")
-    h = parse_map("x0*x1 + 1/(x1 - 1)", 2)
-    g = parse_map("x0^2, sin(x0)*x0", 1)
-    pipe = Composite(g, sqrt, h)
-    one = lambda x: np.ones(1)
-
-    def old_chain(x):        # Composite.eval_point and .jacobian before
-        J = None
-        for s in (h, sqrt, g):
-            if s is sqrt:
-                Js, y = _old_jacobian(s, x, one), _old_eval_point(s, x, one)
-            else:
-                Js, y = jac_eval_batch(s, x[None, :])[0], eval_map(s, x)
-            J = Js if J is None else Js @ J
-            x = y
-        return x, J
-
-    X = np.array([[2.0, 3.0], [0.5, 2.5], [1.25, 2.0], [-1.0, -2.0]])
-    ref = [old_chain(x) for x in X]
-    assert np.array_equal(pipe.eval_batch(X), np.stack([v for v, _ in ref]))
-    assert np.array_equal(pipe.jac_batch(X), np.stack([J for _, J in ref]))
-    assert np.array_equal(pipe.jac_batch(X[:1])[0], jac_point(pipe, X[0]))
-    # the stages meet h's pole in row 2 first, but a row-by-row loop
-    # stops at row 1, where the square root has no real value
-    bad = np.array([[2.0, 3.0], [-2.0, 3.0], [1.0, 1.0]])
-    for fn in (pipe.eval_batch, pipe.jac_batch):
-        with pytest.raises(NewtonDiverged, match=r"sqrt: no convergence "
-                           r"at \[-5\.5\]"):
-            fn(bad)
-
-
 def test_values_then_jacobians_solve_each_row_once(monkeypatch):
     # more rows than the cache's floor of 64: the Jacobians of a batch,
     # and the Jacobian step of a solve, find the values just solved
@@ -406,53 +377,117 @@ def test_values_then_jacobians_solve_each_row_once(monkeypatch):
     imp.jac_batch(X)
     assert len(solves) == 100
     solves.clear()
-    pipe = Composite(parse_map("2*x0 + 1", 1), imp)
-    Z, ok, errors = solve_batch(pipe, np.linspace(-3.0, 5.0, 80)[:, None],
+    Z, ok, errors = solve_batch(imp, np.linspace(-2.0, 2.0, 80)[:, None],
                                 np.full((80, 1), 0.5))
     assert ok.all() and not errors
     assert len(solves) == len(set(solves)) > 80
 
 
 # --------------------------------------------------------------------------
-# Composite and stacked maps
+# T(f) . g of an implicit f
 
 
-def test_composite_applies_right_to_left():
-    f = parse_map("x0 + 1", 1)
+def test_tangent_after_an_implicit_map_is_implicit():
+    # at x = 2, g is (10, 4) and y^3 + y = 10 at y = 2, where dy/dx = 1/13
     imp = _inverse_cubic()
-    pipe = Composite(f, imp)
-    assert np.allclose(pipe.eval_point(np.array([10.0])), [3.0], atol=1e-8)
-
-
-def test_tangent_of_distributes_over_composite():
-    f = parse_map("2*x0", 1)
-    imp = _inverse_cubic()
-    pipe = Composite(f, imp)
-    t = tangent_of(pipe, 1)
-    assert isinstance(t, Composite)
-    out = t.eval_point(np.array([10.0, 13.0]))
-    assert np.allclose(out, [4.0, 2.0], atol=1e-7)
-
-
-def test_stack_map_concatenates_outputs_on_one_input():
-    imp = _inverse_cubic()
-    stacked = StackMap(imp, parse_map("x0 - 1", 1))
-    assert (stacked.arity, stacked.coarity) == (1, 2)
-    out = stacked.eval_point(np.array([10.0]))
-    assert np.allclose(out, [2.0, 9.0], atol=1e-8)
-    J = stacked.jacobian(np.array([10.0]))
-    assert np.allclose(J, [[1.0 / 13.0], [1.0]], atol=1e-8)
+    t = tangent_after(imp, parse_map("x0^2 + 6, 2*x0", 1))
+    assert isinstance(t, ImplicitMap) and (t.arity, t.coarity) == (1, 2)
+    assert np.allclose(t.eval_point([2.0]), [2.0, 4.0 / 13.0], atol=1e-9)
+    assert np.allclose(t.jacobian([2.0]),
+                       [[4.0 / 13.0], [2.0 / 13.0 - 192.0 / 13.0 ** 3]],
+                       atol=1e-9)
+    # the start meets g's pole in row 2 first, but a row-by-row loop
+    # stops at row 1, where the square root has no real value
+    sqrt = ImplicitMap(parse_map("x1^2 - x0", 2), 1, 1,
+                       init=lambda X: np.ones((len(X), 1)), name="sqrt")
+    t = tangent_after(sqrt, parse_map("x0*x1 + 1/(x1 - 1), x0", 2))
+    bad = np.array([[2.0, 3.0], [-2.0, 3.0], [1.0, 1.0]])
+    for fn in (t.eval_batch, t.jac_batch):
+        with pytest.raises(NewtonDiverged, match=r"sqrt: no convergence "
+                           r"at \[-5\.5\]"):
+            fn(bad)
 
 
 def test_batch_evaluation_matches_point_evaluation():
     imp = _inverse_cubic()
     X = np.array([[10.0], [2.0], [-3.0]])
-    for f in (StackMap(imp, parse_map("x0 - 1, x0^2", 1)),
-              Composite(parse_map("x0 + 1", 1), imp)):
+    for f in (imp, tangent_after(imp, parse_map("x0, x0^2", 1))):
         assert np.array_equal(f.eval_batch(X),
                               np.stack([apply_map(f, x) for x in X]))
         assert np.array_equal(f.jac_batch(X),
                               np.stack([jac_point(f, x) for x in X]))
+
+
+def _stage_loop(stages, X):
+    """Values and Jacobians of stages applied right to left, with the
+    Jacobians chained by one stacked product per stage: how T(add) . pre
+    was evaluated before it became one implicit map."""
+    J = None
+    for s in reversed(stages):
+        Js = s.jac_batch(X)
+        J = Js if J is None else np.matmul(Js, J)
+        X = s.eval_batch(X)
+    return X, J
+
+
+def _implicit_texts(monkeypatch):
+    """The implicit workload's bundle files at seed 1, from the
+    benchmark's generator."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    return workloads.implicit_texts(1)
+
+
+def test_the_folded_cockett_top_matches_the_stage_loop(monkeypatch):
+    cfg = CheckConfig(count=20, seed=1)
+    built = []
+    monkeypatch.setattr(universal, "tangent_after",
+                        lambda f, g: built.append((f, g)) or tangent_after(f, g))
+    for name, text in _implicit_texts(monkeypatch):
+        spec, _ = parse_bundle_file(text, name)
+        sq = cockett_square(spec, induce_addition(spec, cfg))
+        add, pre = built[-1]
+        again = cockett_square(spec, induce_addition(spec, cfg))
+        # one residual, by value, for both squares
+        assert isinstance(sq.top, ImplicitMap) and again.top is not sq.top
+        assert again.top.residual is sq.top.residual
+        for depth in (0, 1):
+            Z, _ = universal._sample_apex(sq, depth, cfg, 20)
+            want, want_J = _stage_loop(
+                (tangent_of(tangent_of(add, 1), depth),
+                 tangent_of(pre, depth)), Z)
+            top = tangent_of(sq.top, depth)
+            assert np.abs(top.eval_batch(Z) - want).max() <= 1e-12, name
+            assert np.abs(top.jac_batch(Z) - want_J).max() <= 1e-10, name
+
+
+def test_tangents_are_of_the_two_kinds(monkeypatch, tmp_path, capsys):
+    kinds = set()
+
+    def recording(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            kinds.add(type(out))
+            return out
+        return wrapped
+
+    originals = {name: getattr(jet, name)
+                 for name in ("tangent_after", "tangent_of")}
+    for module in (jet, universal, vb):
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, recording(fn))
+    cfg = CheckConfig(count=30, seed=1)
+    for entry in corpus_list():
+        corpus_run(entry.name, cfg)
+    for name, text in _implicit_texts(monkeypatch):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["check", str(path), "--seed", "1",
+                     "--format", "json"]) == 0
+    capsys.readouterr()
+    assert kinds == {SmoothMap, ImplicitMap}
 
 
 def test_solve_least_norm_hits_target():
@@ -460,6 +495,26 @@ def test_solve_least_norm_hits_target():
     z = solve_least_norm(f, np.array([4.0]), np.zeros(2))
     assert z is not None
     assert np.allclose(z, [2.0, 2.0], atol=1e-8)
+
+
+class _Stacked:
+    """The outputs of maps on one input, concatenated: a map that is
+    not a SmoothMap."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def eval_batch(self, X):
+        return np.hstack([p.eval_batch(X) for p in self.parts])
+
+    def jac_batch(self, X):
+        return np.concatenate([p.jac_batch(X) for p in self.parts], axis=1)
+
+    def eval_point(self, x):
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jacobian(self, x):
+        return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def _one_row_newton(f, target, z0, tol=1e-11, max_iter=40):
@@ -512,7 +567,7 @@ def test_batched_solver_matches_the_one_row_loop(case):
         src, T, Z0, kw = SOLVER_CASES[case]
         f = parse_map(src, len(Z0[0]))
     else:        # a stacked map with an implicit part
-        f = StackMap(_inverse_cubic(), parse_map("x0^2", 1))
+        f = _Stacked(_inverse_cubic(), parse_map("x0^2", 1))
         T, Z0, kw = [[2.0, 4.0], [3.0, 1.0], [1.0, 1.0]], [[7.0], [20.0],
                                                            [1.5]], {}
     T, Z0 = np.asarray(T, dtype=float), np.asarray(Z0, dtype=float)
@@ -742,22 +797,6 @@ def test_gauss_newton_matches_the_per_row_loop(diverged):
     assert (4 in errors) == (diverged is not None)
 
 
-class _Strided:
-    """A map-like whose Jacobians are non-contiguous views: x -> A x."""
-
-    def __init__(self, arity, coarity, seed):
-        self.arity, self.coarity = arity, coarity
-        self.big = np.random.default_rng(seed).normal(
-            size=(2 * coarity, arity + 1))
-
-    def eval_batch(self, X):
-        return X @ self.big[::2, 1:].T
-
-    def jac_batch(self, X):
-        return np.broadcast_to(self.big[::2, 1:],
-                               (len(X), self.coarity, self.arity))[:, :, ::-1]
-
-
 def test_stacked_jacobians_have_the_bits_of_the_row_loops():
     X = np.random.default_rng(3).uniform(0.5, 2.0, (40, 2))
     imp = ImplicitMap(parse_map("x2^3 + x2 - x0*x1, x3 - x2*x0", 4), 2, 2,
@@ -765,16 +804,6 @@ def test_stacked_jacobians_have_the_bits_of_the_row_loops():
     J = jac_eval_batch(imp.residual, np.hstack([X, imp.eval_batch(X)]))
     assert np.array_equal(imp.jac_batch(X), np.stack(
         [np.linalg.lstsq(Jk[:, 2:], -Jk[:, :2], rcond=None)[0] for Jk in J]))
-    h = parse_map("x0*x1, x0 - x1^2, sin(x0)", 2)
-    pipe = Composite(_Strided(3, 2, 1), parse_map("x0^2, x1*x2, x0 + x2", 3),
-                     _Strided(3, 3, 2), h, imp)
-    Xs, J = X[::3], None     # Composite.jac_batch with a product per row
-    for s in reversed(pipe.stages):
-        Js = s.jac_batch(Xs)
-        if J is not None:
-            Js = np.stack([Js[k] @ J[k] for k in range(len(Xs))])
-        J, Xs = Js, s.eval_batch(Xs)
-    assert np.array_equal(pipe.jac_batch(X[::3]), J)
 
 
 def test_apply_map_accepts_smooth_and_procedural():
@@ -798,7 +827,7 @@ def test_tangent_map_chain_rule_symbolically():
 
 
 MEMOS = (expr.jacobian_exprs, jet._tangent_once, jet._smooth_tangent_after,
-         jet._prolonged_residual)
+         jet._prolonged_residual, jet._residual_after)
 
 # bump terms, quotients and exp
 MEMO_MAPS = (

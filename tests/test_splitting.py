@@ -1,6 +1,8 @@
 """Splitting the vertical retraction, biproduct structure, and the
 non-example that refuses to split."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from tanbun.expr import (
     to_source,
 )
 from tanbun import splitting
-from tanbun.jet import Composite, tangent_map
+from tanbun.jet import tangent_map
 from tanbun.bundle import BundleSpec, Verdict, check_predifferential
 from tanbun.report import LawResult
 from tanbun.splitting import (
@@ -165,8 +167,11 @@ def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
     nan = "exp(1000*(x0^2 + 1)) - exp(999*(x0^2 + 1))*exp(x0^2 + 1)"
     poison = parse_map(", ".join(
         [f"x0 + {nan}"] + [f"x{i}" for i in range(1, K.arity)]), K.arity)
+    # K after the poison, as a map that is not a SmoothMap
+    poisoned = SimpleNamespace(
+        eval_batch=lambda X: K.eval_batch(poison.eval_batch(X)))
     monkeypatch.setattr(splitting, "splitting_pair",
-                        lambda *a: (section, Composite(K, poison)))
+                        lambda *a: (section, poisoned))
     monkeypatch.setattr(splitting, "_uniqueness_probe", lambda *a: LawResult(
         "uniqueness", "not probed here", Verdict.PASS_NUMERIC))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,7 @@
 """Jet-level pullback checks for the four universality squares."""
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from scipy.optimize import minimize as scipy_minimize
 
 from tanbun import submersion, universal
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, ExprError, compose, cube,
+    CheckConfig, DenominatorNearZero, ExprError, SmoothMap, compose, cube,
     jac_eval_batch, parse_map, simplify_map,
 )
 from tanbun.jet import (
-    StackMap, jac_point, solve_batch, solve_least_norm,
-    tangent_map, tangent_of,
+    jac_point, solve_batch, solve_least_norm, tangent_map, tangent_of,
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
 from tanbun.corpus import (
@@ -264,8 +264,11 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
     n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
     fp_map = universal._fp_projector(right_t, bottom_t)
-    cone = StackMap(top_t, left_t) if g_t is None \
-        else StackMap(top_t, left_t, g_t)
+    legs = (top_t, left_t) if g_t is None else (top_t, left_t, g_t)
+    cone = SimpleNamespace(     # the legs' values and Jacobians, stacked
+        eval_batch=lambda X: np.hstack([f.eval_batch(X) for f in legs]),
+        jac_batch=lambda X: np.concatenate([f.jac_batch(X) for f in legs],
+                                           axis=1))
     anchor = "perturbed cone points have preimages"
     stalls = 0
     for i in range(n_try):
@@ -464,7 +467,7 @@ def test_surjectivity_rewinds_the_stream_after_stalled_tries(seed,
     fp_rows = []
 
     def counting_solve_batch(f, targets, starts, **kw):
-        if not isinstance(f, StackMap):      # the fibre-product solves
+        if isinstance(f, SmoothMap):      # the fibre-product solves
             fp_rows.append(len(starts))
         return _solved_rows_are_finite(f, targets, starts, **kw)
 
