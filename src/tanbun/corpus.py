@@ -128,11 +128,25 @@ def _suite_note(title: str, verdict: Verdict, reason: str,
     return rep
 
 
-def _square_report(title: str, pv) -> CheckReport:
+def _square_report(title: str, pv, provenance=None) -> CheckReport:
     rep = CheckReport(title)
     for e in pv.entries():
-        rep.add(e)
+        rep.add(dataclasses.replace(e, provenance={**e.provenance,
+                                                   **provenance})
+                if provenance else e)
     return rep
+
+
+def _after_rosicky(ros) -> tuple:
+    """(t_depth, provenance) for the cockett and strong squares.  The four
+    squares state one property, the universality of the lift (Cockett &
+    Cruttwell, Cahiers LIX, 2018), so once rosicky has passed at full
+    depth they run at depth 0 as a consistency check.  After an unknown,
+    a failure or no rosicky verdict they run at full depth."""
+    if ros is None or not ros.ok:
+        return None, None
+    return 0, {"consistency_check": "depth 0, after rosicky passed at "
+                                    f"depth {ros.depth_checked}"}
 
 
 def _merge(title: str, *parts, prefixes=None) -> CheckReport:
@@ -167,7 +181,8 @@ def run_suites(obj, cfg: CheckConfig = DEFAULT_CONFIG, suite: str = "all",
     combined, split, vb.  Selecting a single suite runs the chain up to
     it.  A failing suite makes the later ones come back as skipped,
     unless force is set, in which case they run anyway and the caller
-    is expected to mark them untrusted.
+    is expected to mark them untrusted.  After a rosicky pass, cockett
+    and strong run at depth 0 only.
     """
     if suite != "all" and suite not in SUITE_ORDER:
         raise UnknownCorpusEntry(f"unknown suite {suite!r}")
@@ -212,11 +227,14 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                     rep = _suite_note(title, Verdict.SKIPPED,
                                       "no induced addition to test against")
                 else:
-                    pv = check_pullback(cockett_square(spec, add), None, cfg)
-                    rep = _square_report(title, pv)
+                    t_depth, prov = _after_rosicky(ros)
+                    pv = check_pullback(cockett_square(spec, add), t_depth,
+                                        cfg)
+                    rep = _square_report(title, pv, prov)
             elif sid == "strong":
-                strong = check_pullback(strong_square(spec), None, cfg)
-                rep = _square_report(title, strong)
+                t_depth, prov = _after_rosicky(ros)
+                strong = check_pullback(strong_square(spec), t_depth, cfg)
+                rep = _square_report(title, strong, prov)
             elif sid == "combined":
                 pv = check_pullback(combined_square(spec), None, cfg)
                 rep = _square_report(title, pv)

@@ -372,7 +372,8 @@ def non_idempotent_demo(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     rep.add(LawResult(
         "morphism-laws", "the endomorphism is a linear bundle morphism",
         Verdict.PASS_NUMERIC if mor.ok else Verdict.FAIL,
-        note="; ".join(f"{e.law_id}={e.verdict.value}" for e in mor.entries)))
+        note="; ".join(f"{e.law_id}={e.verdict.value}" for e in mor.entries),
+        provenance={"seed": cfg.seed, "count": cfg.count, "tol": cfg.tol}))
 
     twice = compose(phi, phi)
     verdict = equal_maps(twice, phi, cube(2), cfg)

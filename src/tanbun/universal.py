@@ -83,7 +83,7 @@ class PullbackVerdict:
     injectivity: LawResult
     rank: LawResult
     surjectivity: LawResult
-    depth_checked: int
+    depth_checked: int          # where the check stopped, else its cap
     aggregate: Verdict
     discarded: int = 0
     cospan_outliers: int = 0
@@ -265,8 +265,8 @@ def _law(law_id: str, verdict: Verdict, **kw) -> LawResult:
 def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
                    cfg: CheckConfig = DEFAULT_CONFIG) -> PullbackVerdict:
     depth_cap = min(sq.max_depth, cfg.t_depth if t_depth is None else t_depth)
-    comm, inj, rank, surj = (_law(law_id, Verdict.PASS_NUMERIC)
-                             for law_id in _ANCHORS)
+    comm = inj = rank = surj = None     # None: the law has not run yet
+    stopped_by = None
     total_discard = 0
     total_outliers = 0
 
@@ -293,17 +293,18 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         comm_res[nan] = -np.inf     # a finite row that refutes comes first
         worst = float(np.max(comm_res))
         refuted = worst > max(cfg.tol, 1e-8)
+        worst = max(comm.max_residual if comm else 0.0, worst)
         if refuted or nan.any():    # a NaN never passes
             i = int(np.unravel_index(np.argmax(comm_res if refuted else nan),
                                      comm_res.shape)[0])
             comm = _law("commutes", Verdict.FAIL if refuted else
                         Verdict.UNKNOWN, witness=(Z[i].tolist(),),
-                        max_residual=max(comm.max_residual, worst),
+                        max_residual=worst,
                         note="" if refuted else "residual is not a number",
                         provenance=_prov(cfg, depth))
+            stopped_by = "commutes"
             break
-        comm = _law("commutes", Verdict.PASS_NUMERIC,
-                    max_residual=max(comm.max_residual, worst),
+        comm = _law("commutes", Verdict.PASS_NUMERIC, max_residual=worst,
                     provenance=_prov(cfg, depth))
 
         # (a) injectivity on sample pairs
@@ -315,7 +316,10 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
                        max_residual=float(np.max(np.abs(F_img[i] - F_img[j]))),
                        note="distinct apex points share an image",
                        provenance=_prov(cfg, depth))
+            stopped_by = "injective"
             break
+        inj = _law("injective", Verdict.PASS_NUMERIC,
+                   provenance=_prov(cfg, depth))
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
         plan = _RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
@@ -323,6 +327,7 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
             sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg)
         total_outliers += outliers
         if scan_info is None:      # a collapse, or a Jacobian not finite
+            stopped_by = "rank"
             break
 
         # (b') targeted witness search for a rank defect (cheap level only)
@@ -330,18 +335,24 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
             found = _rank_witness_search(sq, Z, scan_info, plan, cfg)
             if found is not None:
                 rank = found
+                stopped_by = "rank"
                 break
 
         # (c) surjectivity: Newton preimages of perturbed cone points
         surj = _surjectivity(sq, depth, Z, B_img, C_img,
                              top_t, left_t, right_t, bottom_t, g_t, cfg)
         if surj.verdict in (Verdict.FAIL, Verdict.UNKNOWN):
+            stopped_by = "surjective"
             break
 
+    comm, inj, rank, surj = (
+        law or _law(law_id, Verdict.SKIPPED, note=f"not run: {stopped_by} "
+                    f"stopped the check at depth {depth}")
+        for law_id, law in zip(_ANCHORS, (comm, inj, rank, surj)))
     agg = Verdict.reduce(e.verdict for e in (comm, inj, rank, surj))
     return PullbackVerdict(
         square=sq.name, commutation=comm, injectivity=inj, rank=rank,
-        surjectivity=surj, depth_checked=depth_cap, aggregate=agg,
+        surjectivity=surj, depth_checked=depth, aggregate=agg,
         discarded=total_discard, cospan_outliers=total_outliers)
 
 

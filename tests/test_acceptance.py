@@ -162,6 +162,13 @@ def test_criterion_05_square_checkers_agree_pairwise(corpus, bump_squares):
 
     for name in POSITIVES:
         tally([results[name].reports[s].ok for s in SQUARE_SUITES], name)
+        # the suites check cockett and strong at depth 0 after a rosicky
+        # pass; the cross-check runs all four at the default depth
+        rep = cross_check_equivalence(corpus_entry(name).build(),
+                                      DEFAULT_CONFIG)
+        assert rep["equivalence"].verdict.ok, name
+        tally([e.verdict.ok for e in rep.entries
+               if e.law_id != "equivalence"], f"{name} at full depth")
     tally([e.verdict.ok for e in bump_squares.entries
            if e.law_id != "equivalence"], "bump_counterexample")
 

@@ -1,11 +1,14 @@
 """Built-in example corpus: builders, staged suite chains, and recorded
 expectations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tanbun import corpus
 from tanbun.expr import CheckConfig, eval_map
-from tanbun.bundle import Verdict
+from tanbun.bundle import Verdict, induce_addition
 from tanbun.corpus import (
     SUITE_ORDER, UnknownCorpusEntry, bump_bundle, conjugated_bundle,
     corpus_entry, corpus_list, corpus_run, run_suites, tangent_bundle,
@@ -91,6 +94,62 @@ def test_forced_chain_keeps_running_after_a_failure():
     add_entries = reports["addition"].entries
     assert all(e.verdict is not Verdict.SKIPPED for e in add_entries)
     assert any(e.verdict is Verdict.FAIL for e in add_entries)
+
+
+def _record_depths(monkeypatch, rosicky=None) -> dict:
+    """{square: t_depth} for every check_pullback call of the chain;
+    rosicky(pv) may rewrite the rosicky verdict."""
+    depths = {}
+    real = corpus.check_pullback
+
+    def recording(sq, t_depth, cfg):
+        kind = sq.name.rsplit(":", 1)[1]
+        depths[kind] = t_depth
+        pv = real(sq, t_depth, cfg)
+        return rosicky(pv) if rosicky and kind == "rosicky" else pv
+    monkeypatch.setattr(corpus, "check_pullback", recording)
+    return depths
+
+
+def test_cockett_and_strong_are_depth_0_checks_after_a_rosicky_pass(
+        monkeypatch):
+    depths = _record_depths(monkeypatch)
+    reports = run_suites(trivial_bundle(1, 1), CFG)
+    assert depths == {"rosicky": None, "cockett": 0, "strong": 0,
+                      "combined": None}
+    assert all(e.provenance["depth"] == 2
+               for e in reports["rosicky"].entries)
+    for sid in ("cockett", "strong"):
+        assert reports[sid].ok
+        for e in reports[sid].entries:
+            assert e.provenance["depth"] == 0
+            assert e.provenance["consistency_check"] == \
+                "depth 0, after rosicky passed at depth 2"
+    for sid in ("rosicky", "combined"):
+        assert all("consistency_check" not in e.provenance
+                   for e in reports[sid].entries)
+
+
+@pytest.mark.parametrize("verdict, force", [(Verdict.UNKNOWN, False),
+                                            (Verdict.FAIL, True)])
+def test_cockett_and_strong_run_at_full_depth_unless_rosicky_passed(
+        monkeypatch, verdict, force):
+    depths = _record_depths(monkeypatch, lambda pv: dataclasses.replace(
+        pv, surjectivity=dataclasses.replace(pv.surjectivity,
+                                             verdict=verdict),
+        aggregate=verdict))
+    # the addition is induced whatever rosicky says, so cockett runs too
+    monkeypatch.setattr(corpus, "induce_addition",
+                        lambda spec, cfg, universality: induce_addition(
+                            spec, cfg))
+    reports = run_suites(trivial_bundle(1, 1), CFG, force=force)
+    assert reports["rosicky"].aggregate is verdict
+    assert depths["cockett"] is None and depths["strong"] is None
+    for sid in ("cockett", "strong"):
+        assert reports[sid].ok
+        for e in reports[sid].entries:
+            assert e.provenance["depth"] == 2
+            assert "consistency_check" not in e.provenance
 
 
 def test_vector_entry_uses_module_laws_as_its_gate():

@@ -8,7 +8,8 @@ intended, rebuild the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and argue the change as one of behaviour.
+which prints, per file, the JSON paths that moved and flags a moved
+verdict; argue the change as one of behaviour.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -78,16 +80,73 @@ def test_command_matches_its_golden_output(name):
     assert report == _golden(name)
 
 
+def test_moved_paths_collapse_list_indices_and_flag_verdicts():
+    old = {"a": [{"verdict": "pass", "x": 1}, {"verdict": "pass", "x": 1}],
+           "b": 1, "failed_laws": ["p"]}
+    new = {"a": [{"verdict": "skipped", "x": 2}, {"verdict": "pass", "x": 2}],
+           "c": 1, "failed_laws": ["p", "q"]}
+    assert Counter(_moved(old, new)) == {
+        ("$.a[*].verdict", "changed"): 1, ("$.a[*].x", "changed"): 2,
+        ("$.b", "removed"): 1, ("$.c", "added"): 1,
+        ("$.failed_laws", "changed"): 1}
+    assert [p for p in ("$.a[*].verdict", "$.a[*].x", "$.failed_laws",
+                        "$.r[*].expectation_met", "$.s.aggregate")
+            if _is_loud(p)] == ["$.a[*].verdict", "$.failed_laws",
+                                "$.r[*].expectation_met", "$.s.aggregate"]
+
+
+# a moved value under one of these keys is a moved verdict
+LOUD = {"verdict", "aggregate", "failed_laws", "expectation_met"}
+
+
+def _moved(old, new, path="$"):
+    """(path, how) for every value that differs between two JSON
+    documents, with list indices collapsed to [*]; how is "changed",
+    "added" or "removed"."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}"
+            if key not in new:
+                yield sub, "removed"
+            elif key not in old:
+                yield sub, "added"
+            else:
+                yield from _moved(old[key], new[key], sub)
+    elif isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        for a, b in zip(old, new):
+            yield from _moved(a, b, path + "[*]")
+    elif old != new:
+        yield path, "changed"
+
+
+def _is_loud(path: str) -> bool:
+    return any(key.removesuffix("[*]") in LOUD for key in path.split("."))
+
+
 def _freeze():
+    """Rewrite every golden file, and print per file the JSON paths that
+    moved with a count each; a moved verdict is flagged."""
     from tanbun.corpus import corpus_run_all
     outputs = {name: _run(argv)[0] for name, (argv, _) in COMMANDS.items()}
     outputs["corpus_seed42"] = _corpus_seed42(
         {r.name: r for r in corpus_run_all(DEFAULT_CONFIG)})
-    for name, report in outputs.items():
+    loud = 0
+    for name, report in sorted(outputs.items()):
         path = os.path.join(GOLDEN, f"{name}.json")
+        old = _golden(name) if os.path.exists(path) else {}
+        moved = Counter(_moved(old, report))
+        print(f"{path}: {sum(moved.values())} values moved", file=sys.stderr)
+        for (where, how), count in sorted(moved.items()):
+            flag = "VERDICT MOVED  " if _is_loud(where) else ""
+            loud += bool(flag)
+            print(f"  {flag}{count:5d}  {how:<8} {where}", file=sys.stderr)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        print(path, file=sys.stderr)
+    if loud:
+        print(f"!!! {loud} moved paths hold a verdict, an aggregate, "
+              "failed laws or a met expectation: argue each one",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -536,6 +536,38 @@ def test_commutation_reads_unknown_on_a_nan_residual():
     assert check_pullback(sq, 0, CFG).commutation.verdict is Verdict.FAIL
 
 
+def test_laws_after_the_one_that_stopped_the_check_read_skipped():
+    sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
+    pv = check_pullback(sq, 1, CFG)
+    assert pv.commutation.verdict is Verdict.UNKNOWN
+    assert pv.depth_checked == 0        # the depth reached, not the cap
+    for law in (pv.injectivity, pv.rank, pv.surjectivity):
+        assert law.verdict is Verdict.SKIPPED
+        assert law.note == "not run: commutes stopped the check at depth 0"
+        assert law.provenance == {}
+    assert pv.aggregate is Verdict.UNKNOWN
+
+    # the rank search stops bump's rosicky square at depth 0 of 2; the
+    # laws before it ran there and say so
+    pv = check_pullback(rosicky_square(bump_bundle()), 2, CFG)
+    assert pv.rank.verdict is Verdict.FAIL
+    assert pv.depth_checked == 0
+    assert pv.injectivity.verdict is Verdict.PASS_NUMERIC
+    assert pv.injectivity.provenance["depth"] == 0
+    assert pv.surjectivity.verdict is Verdict.SKIPPED
+    assert pv.surjectivity.note == "not run: rank stopped the check at depth 0"
+
+
+def test_no_law_reads_pass_without_provenance(corpus):
+    results, _ = corpus
+    laws = [e for res in results.values() for rep in res.reports.values()
+            for e in rep.entries]
+    sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
+    laws += check_pullback(sq, 0, CFG).entries()
+    assert [e.law_id for e in laws
+            if e.verdict is Verdict.PASS_NUMERIC and not e.provenance] == []
+
+
 def test_rank_scan_reads_unknown_where_a_jacobian_is_not_finite():
     Z = np.array([[0.3, -0.5], [0.3, 0.8], [0.2, 0.9]])
     for sq, part in (

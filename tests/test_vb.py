@@ -2,6 +2,7 @@
 bundles, in both directions, with its refusal gates."""
 
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,10 @@ from tanbun.expr import (
 )
 from tanbun.jet import apply_map
 from tanbun.bundle import (
-    BundleMorphism, BundleSpec, NotWellTyped, Verdict, fibre_matched_tuples,
+    BundleMorphism, BundleSpec, NotWellTyped, Verdict, check_predifferential,
+    fibre_matched_tuples,
 )
+from tanbun.cli import parse_bundle_file
 from tanbun.corpus import corpus_entry, run_suites, trivial_bundle
 from tanbun.report import CheckReport, LawResult, sampled_law
 from tanbun.vb import (
@@ -326,6 +329,24 @@ def test_psi_unchecked_skips_the_gate():
         scalar=parse_map("x1, x0*x2 + 1", 3))
     db = psi(bad, CFG, checked=False)
     assert db.lam is not None
+
+
+def test_psi_refuses_a_newton_defined_lift(monkeypatch):
+    """phi of a lift that is not affine in the fibre gives an implicit
+    action; psi of it refuses with an ExprError, which a suite reports
+    as unknown, instead of a bundle whose lift has no formulas."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    name, text = workloads.implicit_texts(1)[0]
+    spec, _ = parse_bundle_file(text, name)
+    cfg = CheckConfig(count=20, seed=1)
+    with pytest.raises(TranslationRefused, match="Newton-defined"):
+        check_predifferential(psi(phi(spec, cfg), cfg, checked=False), cfg)
+    # the round trip still compares the generated lift by sampling
+    rep = roundtrip_check(spec, cfg)
+    assert rep["roundtrip-lift"].verdict is Verdict.PASS_NUMERIC
+    assert rep.ok
 
 
 # --------------------------------------------------------------------------
