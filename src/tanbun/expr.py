@@ -21,9 +21,11 @@ d2bump, d3bump, ... evaluated through truncated Taylor series of s.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -114,6 +116,18 @@ class Const(Expr):
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
+        # the field hash is kept on first use, as a compound node keeps
+        # it: hashing a Fraction computes a modular inverse, and every
+        # memo lookup hashes every constant.  Its slot is made here, so
+        # that every constant's dict has its keys in one order and the
+        # dicts share them.
+        self.__dict__["_hash"] = None
+
+    def __hash__(self):
+        d = self.__dict__
+        if d["_hash"] is None:
+            d["_hash"] = hash((self.value,))
+        return d["_hash"]
 
     @cached_property
     def as_float(self) -> float:
@@ -196,24 +210,20 @@ def _normal(e: Expr) -> Expr:
     return e
 
 
-def _iter_sum_terms(e: Expr):
-    if isinstance(e, Sum):
-        yield from e.terms
-    else:
-        yield e
-
-
 def sum_of(terms: Iterable[Expr]) -> Expr:
     flat = []
-    const = Fraction(0)
+    node = value = None     # a lone constant node is kept as it is
     for t in terms:
-        for u in _iter_sum_terms(normalize(t)):
-            if isinstance(u, Const):
-                const += u.value
-            else:
+        t = normalize(t)
+        for u in t.terms if type(t) is Sum else (t,):
+            if type(u) is not Const:
                 flat.append(u)
-    if const != 0:
-        flat.append(Const(const))
+            elif value is None:
+                node, value = u, u.value
+            else:
+                node, value = None, value + u.value
+    if value is not None and value != 0:
+        flat.append(Const(value) if node is None else node)
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -221,26 +231,23 @@ def sum_of(terms: Iterable[Expr]) -> Expr:
     return _normal(Sum(tuple(flat)))
 
 
-def _iter_prod_factors(e: Expr):
-    if isinstance(e, Product):
-        yield from e.factors
-    else:
-        yield e
-
-
 def product_of(factors: Iterable[Expr]) -> Expr:
     flat = []
-    const = Fraction(1)
+    node = value = None
     for f in factors:
-        for u in _iter_prod_factors(normalize(f)):
-            if isinstance(u, Const):
-                const *= u.value
-            else:
+        f = normalize(f)
+        for u in f.factors if type(f) is Product else (f,):
+            if type(u) is not Const:
                 flat.append(u)
-    if const == 0:
-        return ZERO
-    if const != 1:
-        flat.insert(0, Const(const))
+            elif value is None:
+                node, value = u, u.value
+            else:
+                node, value = None, value * u.value
+    if value is not None:
+        if value == 0:
+            return ZERO
+        if value != 1:
+            flat.insert(0, Const(value) if node is None else node)
     if not flat:
         return ONE
     if len(flat) == 1:
@@ -512,9 +519,12 @@ def _kids(e: Expr) -> tuple:
 
 def _var_bound(e: Expr):
     """The highest variable index in e: -1 without variables, inf with a
-    negative one.  Kept in the node's dict, beside a cached hash."""
-    if type(e) is Var:
+    negative one.  Kept in a compound node's dict, beside a cached hash."""
+    t = type(e)
+    if t is Var:
         return e.index if e.index >= 0 else math.inf
+    if t is Const:
+        return -1
     d = e.__dict__
     if "_bound" not in d:
         d["_bound"] = max(map(_var_bound, _kids(e)), default=-1)
@@ -544,64 +554,65 @@ def smooth_map(arity: int, components: Sequence[Expr]) -> SmoothMap:
 # Numbers are decimal (possibly with a fractional part) and rationals
 # are written p/q through the division operator, which folds to an
 # exact rational constant.  A leading unary minus is accepted.
+# Digits are ASCII 0-9, in numbers and in names alike: another digit,
+# such as a superscript or a fullwidth one, is an unexpected character.
+# Columns count characters; only "\n" starts a line.
 
 
-_TOKEN_CHARS = set("+-*/^(),")
+_TOKEN = re.compile(r"""
+    (\s*)                                  # the space before a token
+    (?: ([-+*/^(),])                       # an operator
+      | ([0-9]+ \.? [0-9]* | \. [0-9]*)    # a number
+      | ([^\W\d] \w*)                      # a name, see _name_end
+      | (\S) )                             # an unexpected character
+""", re.VERBOSE)
+
+
+def _name_end(name: str) -> int:
+    """Length of the longest prefix of a name match that is a name: a
+    letter or '_', then letters, ASCII digits and '_'."""
+    if name.isascii():
+        return len(name)
+    for k, ch in enumerate(name):
+        if not (ch.isalpha() or ch == "_" or (k and ch in "0123456789")):
+            return k
+    return len(name)
 
 
 class _Lexer:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens = []
-        self._run()
+        self._run(text)
         self.index = 0
 
-    def _error(self, msg):
-        raise ParseError(msg, self.line, self.col)
-
-    def _advance(self, n):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _run(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self._advance(1)
+    def _run(self, text):
+        """One pass of _TOKEN over the text, counting lines as it goes;
+        matches are contiguous up to any trailing space."""
+        tokens, pos, line, line_start = self.tokens, 0, 1, 0
+        for space, op, num, name, bad in _TOKEN.findall(text):
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = pos + space.rindex("\n") + 1
+            pos += len(space)
+            col = pos - line_start + 1
+            if op:
+                tokens.append(("op", op, (line, col)))
+                pos += 1
                 continue
-            start = (self.line, self.col)
-            if ch in _TOKEN_CHARS:
-                self.tokens.append(("op", ch, start))
-                self._advance(1)
-            elif ch.isdigit() or ch == ".":
-                j = self.pos
-                seen_dot = False
-                while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                    seen_dot = seen_dot or text[j] == "."
-                    j += 1
-                lit = text[self.pos:j]
-                if lit == ".":
-                    self._error("malformed number")
-                self.tokens.append(("num", lit, start))
-                self._advance(j - self.pos)
-            elif ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[self.pos:j], start))
-                self._advance(j - self.pos)
-            else:
-                self._error(f"unexpected character {ch!r}")
-        self.tokens.append(("end", "", (self.line, self.col)))
+            lit = num or name
+            k = _name_end(name) if name else len(num)
+            if k < len(lit) or bad:
+                raise ParseError(f"unexpected character {(lit + bad)[k]!r}",
+                                 line, col + k)
+            if lit == ".":
+                raise ParseError("malformed number", line, col)
+            tokens.append(("num" if num else "ident", lit, (line, col)))
+            pos += len(lit)
+        tail = text[pos:]
+        if "\n" in tail:
+            line += tail.count("\n")
+            line_start = pos + tail.rindex("\n") + 1
+        tokens.append(("end", "", (line, len(text) - line_start + 1)))
 
     def peek(self):
         return self.tokens[self.index]
@@ -666,7 +677,7 @@ class _Parser:
         tok = self.lex.next()
         kind, text, _ = tok
         if kind == "num":
-            return Const(Fraction(text))
+            return Const(Fraction(text) if "." in text else int(text))
         if kind == "ident":
             if self.lex.peek()[1] == "(":
                 if text not in BUILTINS:
@@ -999,55 +1010,67 @@ def concat_maps(*maps: SmoothMap) -> SmoothMap:
 # Polynomial normal form: sparse exponent-tuple -> Fraction, graded lex.
 
 
+_UNIT = Fraction(1)     # the coefficient of a variable
+
+
 @lru_cache(maxsize=1024)
 def _poly_of(e: Expr, arity: int):
-    """Sparse polynomial of e, or None; a read-only view shared by value."""
-    if isinstance(e, Const):
+    """Sparse polynomial of e, or None; a read-only view shared by value.
+    No coefficient is zero.  A product starts from its first factor and a
+    power from its base, not from the polynomial 1."""
+    t = type(e)
+    if t is Const:
         acc = {} if e.value == 0 else {(0,) * arity: e.value}
-    elif isinstance(e, Var):
+    elif t is Var:
         key = tuple(1 if i == e.index else 0 for i in range(arity))
-        acc = {key: Fraction(1)}
-    elif isinstance(e, Sum):
+        acc = {key: _UNIT}
+    elif t is Sum:
         acc = {}
-        for t in e.terms:
-            p = _poly_of(t, arity)
+        for u in e.terms:
+            p = _poly_of(u, arity)
             if p is None:
                 return None
-            for k, v in p.items():
-                nv = acc.get(k, Fraction(0)) + v
-                if nv == 0:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = nv
-    elif isinstance(e, Product):
-        acc = {(0,) * arity: Fraction(1)}
-        for t in e.factors:
-            p = _poly_of(t, arity)
+            _poly_add(acc, p.items())
+    elif t is Product:
+        acc = None
+        for u in e.factors:
+            p = _poly_of(u, arity)
             if p is None:
                 return None
-            acc = _poly_mul(acc, p)
-    elif isinstance(e, Pow):
+            acc = p if acc is None else _poly_mul(acc, p)
+        if acc is None:
+            acc = {(0,) * arity: _UNIT}
+    elif t is Pow:
         base = _poly_of(e.base, arity)
         if base is None:
             return None
-        acc = {(0,) * arity: Fraction(1)}
-        for _ in range(e.exponent):
+        acc = base if e.exponent > 0 else {(0,) * arity: _UNIT}
+        for _ in range(e.exponent - 1):
             acc = _poly_mul(acc, base)
     else:
         return None
-    return MappingProxyType(acc)
+    return acc if type(acc) is MappingProxyType else MappingProxyType(acc)
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
+def _poly_add(acc: dict, terms) -> None:
+    """Add (monomial, nonzero coefficient) pairs into acc, dropping a
+    monomial whose coefficient cancels."""
+    for k, v in terms:
+        if k in acc:
+            v += acc[k]
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        else:
+            acc[k] = v
+
+
+def _poly_mul(a, b) -> dict:
     out = {}
     for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            nv = out.get(k, Fraction(0)) + va * vb
-            if nv == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nv
+        _poly_add(out, ((tuple(map(add, ka, kb)), va * vb)
+                        for kb, vb in b.items()))
     return out
 
 
@@ -1258,9 +1281,17 @@ def equal_maps(f, g, box: Box, cfg: CheckConfig = DEFAULT_CONFIG) -> EqVerdict:
     return _sampled_compare(f, g, box, cfg, polynomial_differs=False)
 
 
+@lru_cache(maxsize=64)
+def _comparison_samples(box: Box, cfg: CheckConfig) -> np.ndarray:
+    """The points of every sampled comparison over `box`, drawn once per
+    (box, cfg) from the "equal_maps" stream and read-only."""
+    X = box.sample(cfg.rng("equal_maps"), cfg.count)
+    X.setflags(write=False)
+    return X
+
+
 def _sampled_compare(f, g, box, cfg, polynomial_differs):
-    rng = cfg.rng("equal_maps")
-    X = box.sample(rng, cfg.count)
+    X = _comparison_samples(box, cfg)
     try:
         F, G = f.eval_batch(X), g.eval_batch(X)
     except ExprError as err:

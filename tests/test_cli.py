@@ -103,6 +103,21 @@ def test_expression_errors_point_into_the_file():
     assert "demo:7" in str(exc.value)
 
 
+# superscript digits ended in a traceback from int() or Fraction(); a
+# fullwidth digit was read as its ASCII value.  Only ASCII 0-9 are digits.
+@pytest.mark.parametrize("q, column", [
+    ("x0²", 3), ("x0^²", 4), ("²*x0", 1), ("x１", 2), ("１*x0", 1),
+])
+def test_a_digit_that_is_not_ascii_is_a_bad_file(tmp_path, capsys, q,
+                                                 column):
+    path = _write(tmp_path, LINE_DB.replace("q = x0", f"q = {q}"))
+    assert main(["check", path, "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"tanbun: error: {path}:7: unexpected character "
+                   f"{q[column - 1]!r} (line 1, column {column})\n")
+
+
 def test_vector_kind_requires_operations_and_forbids_a_lift():
     spec, _ = parse_bundle_file(LINE_VB, "demo")
     assert spec.scalar is not None

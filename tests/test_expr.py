@@ -79,6 +79,121 @@ def test_parse_rejects_unknown_function():
         parse_map("sinh(x0)", 1)
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("x0 +\n  x1 $", "unexpected character '$'", 2, 6),
+    ("x0\t+ @", "unexpected character '@'", 1, 6),
+    ("x0 + é1 $", "unexpected character '$'", 1, 9),
+    ("x0 + .", "malformed number", 1, 6),
+    ("x0 + 1..5", "unexpected token '.5'", 1, 8),
+    ("x0 +\n", "unexpected end of input", 2, 1),
+    ("x0,\n\n  sin(x0", "expected ')'", 3, 9),
+    ("x0 + sinh(x0)", "unknown builtin 'sinh'", 1, 6),
+    ("x0^1.5", "exponent must be a nonnegative integer", 1, 4),
+    ("x0 ^\n x1", "exponent must be a nonnegative integer", 2, 2),
+    ("x0 x1", "unexpected token 'x1'", 1, 4),
+])
+def test_parse_errors_name_their_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_map(text, 2)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+class _RefLexer:
+    """expr._Lexer as it was: one character at a time, with str.isdigit
+    and str.isalnum, so any Unicode digit read as a digit."""
+
+    def __init__(self, text):
+        self.text, self.pos, self.line, self.col = text, 0, 1, 1
+        self.tokens = []
+        self._run()
+
+    def _error(self, msg):
+        raise ParseError(msg, self.line, self.col)
+
+    def _advance(self, n):
+        for _ in range(n):
+            if self.pos < len(self.text) and self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def _run(self):
+        text = self.text
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if ch.isspace():
+                self._advance(1)
+                continue
+            start = (self.line, self.col)
+            if ch in "+-*/^(),":
+                self.tokens.append(("op", ch, start))
+                self._advance(1)
+            elif ch.isdigit() or ch == ".":
+                j = self.pos
+                seen_dot = False
+                while j < len(text) and (text[j].isdigit() or
+                                         (text[j] == "." and not seen_dot)):
+                    seen_dot = seen_dot or text[j] == "."
+                    j += 1
+                lit = text[self.pos:j]
+                if lit == ".":
+                    self._error("malformed number")
+                self.tokens.append(("num", lit, start))
+                self._advance(j - self.pos)
+            elif ch.isalpha() or ch == "_":
+                j = self.pos
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                self.tokens.append(("ident", text[self.pos:j], start))
+                self._advance(j - self.pos)
+            else:
+                self._error(f"unexpected character {ch!r}")
+        self.tokens.append(("end", "", (self.line, self.col)))
+
+
+def _lex(cls, text):
+    try:
+        return cls(text).tokens
+    except ParseError as err:
+        return str(err)
+
+
+# a superscript, a fullwidth and an Arabic-Indic digit, a vulgar fraction
+# and a Roman numeral: not ASCII digits, yet isdigit or isalnum
+NON_ASCII_NUMERALS = "²１٣½Ⅷ"
+
+
+@given(st.text(alphabet=" \t\n\xa0x0179._+-*/^(),$éλ" + NON_ASCII_NUMERALS,
+               max_size=20))
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_reads_text_as_before_but_for_non_ascii_numerals(text):
+    got = _lex(expr._Lexer, text)
+    first = min((text.index(ch) for ch in NON_ASCII_NUMERALS if ch in text),
+                default=None)
+    if first is None:
+        assert got == _lex(_RefLexer, text)
+        return
+    assert isinstance(got, str)     # an error, and the first one in order
+    before = _lex(_RefLexer, text[:first])
+    if isinstance(before, str):
+        assert got == before
+
+
+# superscript and fullwidth digits: see tests/test_cli.py
+@pytest.mark.parametrize("text, column", [
+    ("x٣ + 1", 2), ("λ½", 2), ("1.²", 3), ("x0 + Ⅷ", 6),
+])
+def test_a_digit_that_is_not_ascii_is_an_unexpected_character(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_map(text, 2)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).startswith(
+        f"unexpected character {text[column - 1]!r}")
+
+
 @given(st.integers(min_value=-40, max_value=40),
        st.integers(min_value=-40, max_value=40))
 @settings(max_examples=50, deadline=None)
@@ -350,6 +465,26 @@ def test_equal_maps_refutes_on_a_finite_row_beside_nan_rows():
     assert np.isfinite(np.hstack(v.witness)).all()
 
 
+def test_the_comparison_samples_are_drawn_once_and_read_only(monkeypatch):
+    expr._comparison_samples.cache_clear()
+    box, cfg = cube(2), CheckConfig(count=30, seed=5)
+    X = expr._comparison_samples(box, cfg)
+    fresh = box.sample(cfg.rng("equal_maps"), cfg.count)
+    assert X.shape == fresh.shape and X.tobytes() == fresh.tobytes()
+    assert not X.flags.writeable
+    with pytest.raises(ValueError):
+        X[0, 0] = 0.0
+    draws = []
+    rng = CheckConfig.rng
+    monkeypatch.setattr(CheckConfig, "rng",
+                        lambda self, tag: draws.append(tag) or rng(self, tag))
+    v = equal_maps(parse_map("x0", 2), parse_map("x1", 2),
+                   Box(((-2, 2), (Fraction(-4, 2), 2))), CheckConfig(30, seed=5))
+    assert draws == [] and v.kind == "not-equal"
+    assert any((row == v.witness[0]).all() for row in X)
+    assert all(w.flags.writeable for w in v.witness)
+
+
 # --------------------------------------------------------------------------
 # Normal-form marks, cached hashes and the polynomial memo
 
@@ -420,9 +555,9 @@ def test_every_built_node_is_marked_and_normal_as_before(monkeypatch):
 
     inputs = _refute_inputs(monkeypatch)
     cfg = CheckConfig(count=10, seed=1, t_depth=1)
-    for memo in (expr.jacobian_exprs, jet._tangent_once,
-                 jet._smooth_tangent_after, jet._prolonged_residual,
-                 jet._residual_after):
+    for memo in (expr.jacobian_exprs, expr._comparison_samples,
+                 jet._tangent_once, jet._smooth_tangent_after,
+                 jet._prolonged_residual, jet._residual_after):
         memo.cache_clear()   # so that every derived map is built here
     monkeypatch.setattr(SmoothMap, "__post_init__", recording)
     for entry in corpus_list():
@@ -617,6 +752,221 @@ def test_memo_attributes_change_neither_equality_nor_repr():
     assert marked == bare and bare == marked
     assert repr(marked) == repr(bare)
     assert hash(marked) == hash(bare)
+
+
+# --------------------------------------------------------------------------
+# The exact kernel against its reference.  The _ref_* functions are
+# sum_of, product_of and _poly_of as they were when every constant and
+# every coefficient started from a seed Fraction.
+
+
+def _ref_parts(e, cls):
+    """The terms (cls Sum) or factors (cls Product) of normalize(e)."""
+    e = expr.normalize(e)
+    if isinstance(e, cls):
+        return e.terms if cls is Sum else e.factors
+    return (e,)
+
+
+def _ref_sum_of(terms):
+    flat = []
+    const = Fraction(0)
+    for t in terms:
+        for u in _ref_parts(t, Sum):
+            if isinstance(u, Const):
+                const += u.value
+            else:
+                flat.append(u)
+    if const != 0:
+        flat.append(Const(const))
+    if not flat:
+        return expr.ZERO
+    if len(flat) == 1:
+        return flat[0]
+    return expr._normal(Sum(tuple(flat)))
+
+
+def _ref_product_of(factors):
+    flat = []
+    const = Fraction(1)
+    for f in factors:
+        for u in _ref_parts(f, Product):
+            if isinstance(u, Const):
+                const *= u.value
+            else:
+                flat.append(u)
+    if const == 0:
+        return expr.ZERO
+    if const != 1:
+        flat.insert(0, Const(const))
+    if not flat:
+        return expr.ONE
+    if len(flat) == 1:
+        return flat[0]
+    return expr._normal(Product(tuple(flat)))
+
+
+def _ref_poly_of(e, arity):
+    if isinstance(e, Const):
+        acc = {} if e.value == 0 else {(0,) * arity: e.value}
+    elif isinstance(e, Var):
+        key = tuple(1 if i == e.index else 0 for i in range(arity))
+        acc = {key: Fraction(1)}
+    elif isinstance(e, Sum):
+        acc = {}
+        for t in e.terms:
+            p = _ref_poly_of(t, arity)
+            if p is None:
+                return None
+            for k, v in p.items():
+                nv = acc.get(k, Fraction(0)) + v
+                if nv == 0:
+                    acc.pop(k, None)
+                else:
+                    acc[k] = nv
+    elif isinstance(e, Product):
+        acc = {(0,) * arity: Fraction(1)}
+        for t in e.factors:
+            p = _ref_poly_of(t, arity)
+            if p is None:
+                return None
+            acc = _ref_poly_mul(acc, p)
+    elif isinstance(e, Pow):
+        base = _ref_poly_of(e.base, arity)
+        if base is None:
+            return None
+        acc = {(0,) * arity: Fraction(1)}
+        for _ in range(e.exponent):
+            acc = _ref_poly_mul(acc, base)
+    else:
+        return None
+    return acc
+
+
+def _ref_poly_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            nv = out.get(k, Fraction(0)) + va * vb
+            if nv == 0:
+                out.pop(k, None)
+            else:
+                out[k] = nv
+    return out
+
+
+def _ref_poly_normalize(f):
+    out = []
+    for c in f.components:
+        p = _ref_poly_of(c, f.arity)
+        if p is None:
+            return None
+        out.append(dict(sorted(p.items(),
+                               key=lambda kv: expr._grlex_key(kv[0]))))
+    return out
+
+
+def _items(polys):
+    return None if polys is None else [list(p.items()) for p in polys]
+
+
+def _same_tree(got, want):
+    """Equal, with the same node types and the same constant values."""
+    return got == want and repr(got) == repr(want)
+
+
+def _with_ref_kernel(fn, *args):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(expr, "sum_of", _ref_sum_of)
+        m.setattr(expr, "product_of", _ref_product_of)
+        return fn(*args)
+
+
+def _assert_polynomial_as_reference(e, arity):
+    got = expr._poly_of.__wrapped__(e, arity)
+    want = _ref_poly_of(e, arity)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is Fraction and v != 0 for v in got.values())
+
+
+@given(RAW_TREES)
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_folds_and_expands_as_its_reference(raw):
+    _assert_polynomial_as_reference(raw, 2)
+    try:
+        want = _with_ref_kernel(expr.normalize, raw)
+    except ExprError as err:
+        with pytest.raises(ExprError) as got:
+            expr.normalize(raw)
+        assert str(got.value) == str(err)
+        return
+    got = expr.normalize(raw)
+    assert _same_tree(got, want)
+    _assert_polynomial_as_reference(got, 2)
+    f = SmoothMap(2, (got, raw))
+    assert _items(expr.poly_normalize(f)) == _items(_ref_poly_normalize(f))
+
+
+def test_the_kernel_agrees_with_its_reference_on_a_refute_pass(monkeypatch):
+    """Every sum_of and product_of call of a seed-1 refute pass, as the
+    benchmark runs it, gives the reference's tree; every map it builds
+    normalizes and expands as under the reference."""
+    calls, built = [], []
+
+    def recording(fn, ref):
+        def wrapped(args):
+            args = list(args)
+            out = fn(args)
+            calls.append((ref, args, out))
+            return out
+        return wrapped
+
+    init = SmoothMap.__post_init__
+
+    def building(self):
+        init(self)
+        built.append(self)
+
+    inputs = _refute_inputs(monkeypatch)
+    import workloads
+    for memo in (expr.jacobian_exprs, expr._poly_of,
+                 expr._comparison_samples, jet._tangent_once,
+                 jet._smooth_tangent_after, jet._prolonged_residual,
+                 jet._residual_after):
+        memo.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(expr, "sum_of", recording(expr.sum_of, _ref_sum_of))
+        m.setattr(expr, "product_of",
+                  recording(expr.product_of, _ref_product_of))
+        m.setattr(SmoothMap, "__post_init__", building)
+        for item in workloads.refute_items(1, inputs):
+            assert workloads.run_item(item, lambda: 0.0).error is None
+    assert len(calls) > 10000 and len(built) > 1000
+    for ref, args, out in calls:
+        assert _same_tree(out, ref(args))
+    for f in built:
+        assert _items(expr.poly_normalize(f)) == \
+            _items(_ref_poly_normalize(f))
+        for c in f.components:
+            assert _same_tree(_with_ref_kernel(expr.normalize, _rebuilt(c)),
+                              c)
+
+
+def test_a_constant_caches_its_field_hash():
+    c = con(Fraction(-7, 3))
+    assert c.__dict__["_hash"] is None
+    assert hash(c) == hash((Fraction(-7, 3),)) == hash(Const(-Fraction(7, 3)))
+    assert c.__dict__["_hash"] == hash(c)
+    assert expr._var_bound(c) == -1 and "_bound" not in c.__dict__
+
+
+def test_integer_literals_parse_to_the_same_constants():
+    f = parse_map("007*x0 + 12 - 3.1 + 0", 1)
+    assert _same_tree(f.components[0], Sum((
+        Product((Const(Fraction(7)), Var(0))), Const(Fraction(89, 10)))))
 
 
 # --------------------------------------------------------------------------
