@@ -26,7 +26,8 @@ from .jet import (
     tangent_map,
 )
 from .report import (
-    CheckReport, LawResult, Verdict, law_from_verdict, universality_refusal,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict,
+    universality_refusal,
 )
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-class AdditionUnavailable(ExprError):
+class AdditionUnavailable(Refused):
     pass
 
 
@@ -246,7 +247,7 @@ def _gate_universality(universality, what: str):
     refusal = universality_refusal(universality)
     if refusal is not None:
         raise AdditionUnavailable(
-            f"{what} refused: universality verdict is {refusal}")
+            f"{what} refused: universality verdict is {refusal}", refusal)
 
 
 def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
@@ -339,16 +340,15 @@ def check_additive_laws(spec: BundleSpec, add,
     rep = CheckReport(f"{spec.name}: fibrewise addition laws")
     (a, b, c), discarded = well_typed_tuples(spec, cfg, width=3, tag="add3")
     zero = eval_batch(compose(spec.xi, spec.q), a)
-
-    def op(x, y):
-        return _pairwise(add, x, y)
-
-    ab, ba, bc = op(a, b), op(b, a), op(b, c)
+    # the seven sums in two calls, in the order of one call per sum
+    ab, ba, bc = _pairwise_blocks(add, [(a, b), (b, a), (b, c)])
+    ab_c, a_bc, a_zero, zero_a = _pairwise_blocks(
+        add, [(ab, c), (a, bc), (a, zero), (zero, a)])
     checks = [
-        ("add-assoc", "(a + b) + c = a + (b + c)", op(ab, c), op(a, bc)),
+        ("add-assoc", "(a + b) + c = a + (b + c)", ab_c, a_bc),
         ("add-comm", "a + b = b + a", ab, ba),
-        ("add-unit-r", "a + xi(q(a)) = a", op(a, zero), a),
-        ("add-unit-l", "xi(q(a)) + a = a", op(zero, a), a),
+        ("add-unit-r", "a + xi(q(a)) = a", a_zero, a),
+        ("add-unit-l", "xi(q(a)) + a = a", zero_a, a),
         ("add-base", "q(a + b) = q(a)",
          eval_batch(spec.q, ab), eval_batch(spec.q, a)),
     ]
@@ -364,6 +364,16 @@ def check_additive_laws(spec: BundleSpec, add,
 
 def _pairwise(add, X, Y):
     return row_ordered(add.eval_batch, np.hstack([X, Y]))
+
+
+def _pairwise_blocks(add, pairs):
+    """[_pairwise(add, X, Y) for X, Y in pairs] from one call.  The rows
+    of a batch are solved independently, and row_ordered raises the
+    error of the first failing row in block order, as the calls one
+    block at a time would."""
+    out = _pairwise(add, np.vstack([X for X, _ in pairs]),
+                    np.vstack([Y for _, Y in pairs]))
+    return np.split(out, np.cumsum([len(X) for X, _ in pairs[:-1]]))
 
 
 def _law_from_arrays(law_id, anchor, points, lhs, rhs, cfg,

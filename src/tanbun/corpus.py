@@ -220,7 +220,7 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                     rep = check_additive_laws(spec, add, cfg,
                                               declared=spec.add)
                 except AdditionUnavailable as exc:
-                    rep = _suite_note(title, Verdict.FAIL, str(exc),
+                    rep = _suite_note(title, exc.verdict, str(exc),
                                       "addition-available")
             elif sid == "cockett":
                 if add is None:

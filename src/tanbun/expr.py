@@ -1081,12 +1081,23 @@ def _grlex_key(mono: tuple):
 def poly_normalize(f: SmoothMap):
     """Canonical sparse polynomial per component, or None if any
     component uses quotients or builtins."""
+    forms = _poly_forms(f)
+    if forms is None:
+        return None
+    return [dict(sorted(p.items(), key=lambda kv: _grlex_key(kv[0])))
+            for p in forms]
+
+
+def _poly_forms(f: SmoothMap):
+    """The memoized polynomial of each component, unsorted, or None as
+    poly_normalize: equal per component exactly when the canonical
+    forms are, since dict equality ignores order."""
     out = []
     for c in f.components:
         p = _poly_of(c, f.arity)
         if p is None:
             return None
-        out.append(dict(sorted(p.items(), key=lambda kv: _grlex_key(kv[0]))))
+        out.append(p)
     return out
 
 
@@ -1273,7 +1284,7 @@ def equal_maps(f, g, box: Box, cfg: CheckConfig = DEFAULT_CONFIG) -> EqVerdict:
     if box.dim != f.arity:
         raise DimensionMismatch("box dimension does not match map arity")
     if isinstance(f, SmoothMap) and isinstance(g, SmoothMap):
-        pf, pg = poly_normalize(f), poly_normalize(g)
+        pf, pg = _poly_forms(f), _poly_forms(g)
         if pf is not None and pg is not None:
             if pf == pg:
                 return EqVerdict("equal")

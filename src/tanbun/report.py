@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr import ExprError
+
 __all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
-           "sampled_law", "universality_refusal"]
+           "sampled_law", "universality_refusal", "refusal_verdict",
+           "Refused"]
 
 
 class Verdict(enum.Enum):
@@ -119,6 +122,24 @@ def universality_refusal(universality, rerun=None):
         universality = rerun()
     agg = getattr(universality, "aggregate", universality)
     return None if getattr(agg, "ok", False) else getattr(agg, "value", agg)
+
+
+def refusal_verdict(refusal) -> Verdict:
+    """The verdict of a gate that refused on a universality verdict of
+    value refusal: unknown when that verdict is unknown, since nothing
+    was refuted, and fail otherwise."""
+    return Verdict.UNKNOWN if refusal == Verdict.UNKNOWN.value \
+        else Verdict.FAIL
+
+
+class Refused(ExprError):
+    """A construction refused at a gate; verdict is what the gate reports
+    (refusal_verdict of the universality verdict it refused on, if
+    any)."""
+
+    def __init__(self, message: str, refusal=None):
+        super().__init__(message)
+        self.verdict = refusal_verdict(refusal)
 
 
 def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,

@@ -824,8 +824,8 @@ def cross_check_equivalence(spec: BundleSpec,
     except AdditionUnavailable as exc:
         rep.add(LawResult(
             "square-cockett", "cone against (T(q), zero) is a pullback",
-            Verdict.FAIL, note=str(exc)))
-        cockett_agg = Verdict.FAIL
+            exc.verdict, note=str(exc)))
+        cockett_agg = exc.verdict
 
     strong = check_pullback(strong_square(spec), t_depth, cfg)
     rep.add(strong.as_result("square-strong"))

@@ -29,7 +29,7 @@ from .bundle import (
     fibre_matched_tuples, induce_addition, scale_through_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
     universality_refusal,
 )
 
@@ -44,7 +44,7 @@ class ModuleLawsFailed(ExprError):
     pass
 
 
-class TranslationRefused(ExprError):
+class TranslationRefused(Refused):
     pass
 
 
@@ -202,7 +202,7 @@ def phi(db: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     if refusal is not None:
         raise TranslationRefused(
             f"{db.name}: scalar recovery refused, universality verdict is "
-            f"{refusal}")
+            f"{refusal}", refusal)
     add = db.add if db.add is not None else induce_addition(
         db, cfg, universality=universality)
     # The action is always recomputed from the lift; a declared action on
@@ -244,7 +244,7 @@ def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
             back = phi(db, cfg, universality)
         except (TranslationRefused, AdditionUnavailable) as exc:
             rep.add(LawResult("phi-gate", "reverse translation accepts the "
-                              "generated bundle", Verdict.FAIL,
+                              "generated bundle", exc.verdict,
                               note=str(exc)))
             return rep
         rep.add(_compare("roundtrip-scalar",
@@ -266,7 +266,7 @@ def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
         vb = phi(db, cfg, universality)
     except (TranslationRefused, AdditionUnavailable) as exc:
         rep.add(LawResult("phi-gate", "translation accepts verified "
-                          "bundles only", Verdict.FAIL, note=str(exc)))
+                          "bundles only", exc.verdict, note=str(exc)))
         return rep
     # psi carries q and xi through and refuses a Newton-defined lift,
     # which is still compared here by sampling

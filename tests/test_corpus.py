@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tanbun import corpus
+from tanbun import corpus, universal
 from tanbun.expr import CheckConfig, eval_map
 from tanbun.bundle import Verdict, induce_addition
 from tanbun.corpus import (
@@ -150,6 +150,46 @@ def test_cockett_and_strong_run_at_full_depth_unless_rosicky_passed(
         for e in reports[sid].entries:
             assert e.provenance["depth"] == 2
             assert "consistency_check" not in e.provenance
+
+
+@pytest.mark.parametrize("verdict", [Verdict.UNKNOWN, Verdict.FAIL])
+def test_a_gate_reads_the_universality_verdict_it_refused(monkeypatch,
+                                                          verdict):
+    # a refusal on an unknown verdict refutes nothing, so it reads
+    # unknown; a refusal on a failure stays a failure
+    real = corpus.check_pullback
+
+    def rewritten(sq, t_depth, cfg):
+        pv = real(sq, t_depth, cfg)
+        if sq.name.endswith((":rosicky", ":strong")):
+            pv = dataclasses.replace(pv, aggregate=verdict)
+        return pv
+    monkeypatch.setattr(corpus, "check_pullback", rewritten)
+    reports = run_suites(trivial_bundle(1, 1), CFG, force=True)
+    gates = {e.law_id: e.verdict for rep in reports.values()
+             for e in rep.entries
+             if e.law_id.endswith("gate") or e.law_id == "addition-available"}
+    assert gates == dict.fromkeys(
+        ["addition-available", "splitting-gate", "strong-gate",
+         "db.phi-gate", "vb.phi-gate"], verdict)
+    assert "universality verdict is " + verdict.value in \
+        reports["addition"].entries[0].note
+    assert Verdict.reduce(r.aggregate for r in reports.values()) is verdict
+
+
+def test_the_cross_check_reads_an_unknown_refusal_as_unknown(monkeypatch):
+    real = universal.check_pullback
+
+    def rewritten(sq, t_depth, cfg):
+        pv = real(sq, t_depth, cfg)
+        unknown = sq.name.endswith(":rosicky")
+        return dataclasses.replace(pv, aggregate=Verdict.UNKNOWN) \
+            if unknown else pv
+    monkeypatch.setattr(universal, "check_pullback", rewritten)
+    rep = universal.cross_check_equivalence(trivial_bundle(1, 1), CFG, 0)
+    got = {e.law_id: e.verdict for e in rep.entries}
+    assert got["square-cockett"] is Verdict.UNKNOWN
+    assert got["equivalence"] is Verdict.FAIL      # the others pass
 
 
 def test_vector_entry_uses_module_laws_as_its_gate():

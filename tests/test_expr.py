@@ -424,6 +424,17 @@ def test_equal_maps_exact_on_polynomials():
     assert v.kind == "equal" and v.is_exact
 
 
+def test_equal_maps_compares_the_memoized_forms_unsorted(monkeypatch):
+    # dict equality ignores order, so no canonical form is sorted or copied
+    monkeypatch.setattr(expr, "poly_normalize", None)
+    monkeypatch.setattr(expr, "_grlex_key", None)
+    f = parse_map("(x0 + x1)^2, x1", 2)
+    g = parse_map("x1^2 + 2*x0*x1 + x0^2, x1", 2)
+    assert equal_maps(f, g, cube(2), CFG).is_exact
+    assert equal_maps(f, parse_map("x0^2, x1", 2), cube(2),
+                      CFG).kind == "not-equal"
+
+
 def test_equal_maps_refutes_with_witness():
     f = parse_map("x0^2", 1)
     g = parse_map("x0^2 + x0^4", 1)
