@@ -27,7 +27,6 @@ from .jet import (
 )
 from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict,
-    universality_refusal,
 )
 
 __all__ = [
@@ -243,13 +242,6 @@ def _pinv_beta_exprs(spec: BundleSpec, decomp):
             for row in pinv]
 
 
-def _gate_universality(universality, what: str):
-    refusal = universality_refusal(universality)
-    if refusal is not None:
-        raise AdditionUnavailable(
-            f"{what} refused: universality verdict is {refusal}", refusal)
-
-
 def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
                     universality=None):
     """Derive the fibrewise addition from lam.
@@ -257,10 +249,12 @@ def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     The sum of a and b is the unique e with lam(e) equal to lam(a) and
     lam(b) fibre-added in the tangent chart.  Exposed on the free pair
     chart (a, b) of dimension 2*total_dim; callers feed well-typed
-    pairs.  Raises AdditionUnavailable when a failing universality
-    verdict is supplied.
+    pairs.  Gated on the rosicky square (AdditionUnavailable).
     """
-    _gate_universality(universality, "addition")
+    from .universal import check_pullback, rosicky_square  # import cycle
+    AdditionUnavailable.gate(
+        universality, f"{spec.name}: addition",
+        lambda: check_pullback(rosicky_square(spec), cfg.t_depth, cfg))
     d, k = spec.total_dim, spec.base_dim
     decomp = fibre_affine_decomposition(spec)
     if decomp is not None:

@@ -121,10 +121,9 @@ SUITE_ORDER = ("pre", "rosicky", "addition", "cockett", "strong",
                "combined", "split", "vb")
 
 
-def _suite_note(title: str, verdict: Verdict, reason: str,
-                law_id: str = "suite") -> CheckReport:
+def _suite_note(title: str, verdict: Verdict, reason: str) -> CheckReport:
     rep = CheckReport(title)
-    rep.add(LawResult(law_id, "suite prerequisites", verdict, note=reason))
+    rep.add(LawResult("suite", "suite prerequisites", verdict, note=reason))
     return rep
 
 
@@ -220,8 +219,8 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                     rep = check_additive_laws(spec, add, cfg,
                                               declared=spec.add)
                 except AdditionUnavailable as exc:
-                    rep = _suite_note(title, exc.verdict, str(exc),
-                                      "addition-available")
+                    rep = CheckReport(title, [exc.law(
+                        "addition-available", "suite prerequisites")])
             elif sid == "cockett":
                 if add is None:
                     rep = _suite_note(title, Verdict.SKIPPED,

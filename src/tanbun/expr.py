@@ -375,7 +375,7 @@ def _series_mul(a, b, order):
 
 
 def _series_recip(a, order):
-    inv0 = 1.0 / a[0] if not hasattr(a[0], "shape") else 1.0 / a[0]
+    inv0 = 1.0 / a[0]
     out = [inv0]
     for n in range(1, order + 1):
         acc = a[1] * out[n - 1]
@@ -385,51 +385,15 @@ def _series_recip(a, order):
     return out
 
 
-def _s_series_scalar(a, order, exp_fn, zero):
+def _s_series(a, order, exp, where):
     # Taylor coefficients of t -> s(a + t); all zero at or left of the seam.
-    if a < SEAM_GUARD:
-        return [zero] * (order + 1)
-    h = [-1.0 / a if zero == 0.0 else -1 / a]
+    # where(dead, x, y) picks x where dead holds, as np.where does.
+    dead = a < SEAM_GUARD
+    safe = where(dead, 1.0, a)
+    h = [where(dead, 0.0, -1.0 / safe)]
     for j in range(1, order + 1):
-        h.append(-h[j - 1] / a)
-    g = [exp_fn(h[0])]
-    for n in range(1, order + 1):
-        acc = h[1] * g[n - 1] * 1
-        for k in range(2, n + 1):
-            acc = acc + k * h[k] * g[n - k]
-        g.append(acc / n)
-    return g
-
-
-def bump_coeffs(y: float, order: int):
-    """Taylor coefficients of bump at y, as floats, up to `order`."""
-    sa = _s_series_scalar(float(y), order, math.exp, 0.0)
-    sb = _s_series_scalar(1.0 - float(y), order, math.exp, 0.0)
-    sb = [c * ((-1) ** j) for j, c in enumerate(sb)]  # inner derivative of 1-y
-    den = [sa[j] + sb[j] for j in range(order + 1)]
-    return _series_mul(sa, _series_recip(den, order), order)
-
-
-def bump_coeffs_mp(y, order: int):
-    """Same as bump_coeffs but in mpmath arithmetic (y may be mpf)."""
-    import mpmath as mp
-
-    y = mp.mpf(y)
-    zero = mp.mpf(0)
-    sa = _s_series_scalar(y, order, mp.exp, zero)
-    sb = _s_series_scalar(1 - y, order, mp.exp, zero)
-    sb = [c * ((-1) ** j) for j, c in enumerate(sb)]
-    den = [sa[j] + sb[j] for j in range(order + 1)]
-    return _series_mul(sa, _series_recip(den, order), order)
-
-
-def _s_series_batch(a: np.ndarray, order: int):
-    mask = a >= SEAM_GUARD
-    safe = np.where(mask, a, 1.0)
-    h = [np.where(mask, -1.0 / safe, 0.0)]
-    for j in range(1, order + 1):
-        h.append(np.where(mask, -h[j - 1] / safe, 0.0))
-    g = [np.where(mask, np.exp(h[0]), 0.0)]
+        h.append(where(dead, 0.0, -h[j - 1] / safe))
+    g = [where(dead, 0.0, exp(h[0]))]
     for n in range(1, order + 1):
         acc = h[1] * g[n - 1]
         for k in range(2, n + 1):
@@ -438,14 +402,35 @@ def _s_series_batch(a: np.ndarray, order: int):
     return g
 
 
+def _bump_series(y, order, exp, where):
+    """Taylor coefficients of bump = s(y) / (s(y) + s(1 - y)) at y, in
+    the number kind of y and exp."""
+    sa = _s_series(y, order, exp, where)
+    sb = _s_series(1 - y, order, exp, where)
+    # (-1)^j: the inner derivative of 1 - y
+    den = [sa[j] + sb[j] * ((-1) ** j) for j in range(order + 1)]
+    return _series_mul(sa, _series_recip(den, order), order)
+
+
+def _pick(cond, x, y):
+    return x if cond else y
+
+
+def bump_coeffs(y: float, order: int):
+    """Taylor coefficients of bump at y, as floats, up to `order`."""
+    return _bump_series(float(y), order, math.exp, _pick)
+
+
+def bump_coeffs_mp(y, order: int):
+    """Same as bump_coeffs but in mpmath arithmetic (y may be mpf)."""
+    import mpmath as mp
+
+    return _bump_series(mp.mpf(y), order, mp.exp, _pick)
+
+
 def bump_batch(y: np.ndarray, order: int) -> list:
     """Vectorized bump Taylor coefficients; returns a list of arrays."""
-    y = np.asarray(y, dtype=float)
-    sa = _s_series_batch(y, order)
-    sb = _s_series_batch(1.0 - y, order)
-    sb = [c * ((-1) ** j) for j, c in enumerate(sb)]
-    den = [sa[j] + sb[j] for j in range(order + 1)]
-    return _series_mul(sa, _series_recip(den, order), order)
+    return _bump_series(np.asarray(y, dtype=float), order, np.exp, np.where)
 
 
 def _bump_deriv_batch(y: np.ndarray, k: int) -> np.ndarray:

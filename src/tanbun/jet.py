@@ -447,9 +447,10 @@ class ImplicitMap:
     available without a closed form.
     """
 
+    tol = 1e-12     # a row is solved once its residual is below this
+
     def __init__(self, residual: SmoothMap, arity: int, coarity: int,
-                 init: Callable, name: str = "implicit",
-                 tol: float = 1e-12, max_iter: int = 50):
+                 init: Callable, name: str = "implicit", max_iter: int = 50):
         if residual.arity != arity + coarity:
             raise DimensionMismatch("residual arity must be arity + coarity")
         self.residual = residual
@@ -457,7 +458,6 @@ class ImplicitMap:
         self.coarity = coarity
         self.init = init
         self.name = name
-        self.tol = tol
         self.max_iter = max_iter
         self._seen: dict = {}
 
@@ -583,7 +583,7 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
 
     return ImplicitMap(residual, blocks * a, blocks * c, init,
                        name=f"tangent^{n} of {imp.name}",
-                       tol=imp.tol, max_iter=imp.max_iter)
+                       max_iter=imp.max_iter)
 
 
 @functools.lru_cache(maxsize=512)
@@ -626,7 +626,7 @@ def tangent_after(f, g: SmoothMap):
         return _smooth_tangent_after(f, g)
     return ImplicitMap(_residual_after(residual, g), g.arity, tf.coarity,
                        lambda X: tf.init(g.eval_batch(X)), name=tf.name,
-                       tol=tf.tol, max_iter=tf.max_iter)
+                       max_iter=tf.max_iter)
 
 
 @functools.lru_cache(maxsize=512)

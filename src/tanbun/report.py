@@ -16,8 +16,7 @@ import numpy as np
 from .expr import ExprError
 
 __all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
-           "sampled_law", "universality_refusal", "refusal_verdict",
-           "Refused"]
+           "sampled_law", "Refused"]
 
 
 class Verdict(enum.Enum):
@@ -109,37 +108,35 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def universality_refusal(universality, rerun=None):
-    """None when a universality verdict (a PullbackVerdict, a CheckReport
-    or a bare Verdict) passes, else its value, for a refusal message.
-
-    universality=None means rerun() when rerun is given, and a pass
-    otherwise.  induce_addition lets None through; splitting_pair and phi
-    rerun the rosicky square, biproduct_check the strong square."""
-    if universality is None:
-        if rerun is None:
-            return None
-        universality = rerun()
-    agg = getattr(universality, "aggregate", universality)
-    return None if getattr(agg, "ok", False) else getattr(agg, "value", agg)
-
-
-def refusal_verdict(refusal) -> Verdict:
-    """The verdict of a gate that refused on a universality verdict of
-    value refusal: unknown when that verdict is unknown, since nothing
-    was refuted, and fail otherwise."""
-    return Verdict.UNKNOWN if refusal == Verdict.UNKNOWN.value \
-        else Verdict.FAIL
-
-
 class Refused(ExprError):
-    """A construction refused at a gate; verdict is what the gate reports
-    (refusal_verdict of the universality verdict it refused on, if
-    any)."""
+    """A construction refused at a gate, with the verdict it reports."""
 
-    def __init__(self, message: str, refusal=None):
+    def __init__(self, message: str, verdict: Verdict = Verdict.FAIL):
         super().__init__(message)
-        self.verdict = refusal_verdict(refusal)
+        self.verdict = verdict
+
+    @classmethod
+    def gate(cls, universality, what: str, square):
+        """The universality verdict (a PullbackVerdict, a CheckReport or a
+        Verdict) that `what` goes on, if it passes; None means square(),
+        checked here, which the refusal says.  Else raise cls, unknown
+        after an unknown verdict (nothing was refuted) and fail otherwise.
+        """
+        checked = ""
+        if universality is None:
+            universality = square()
+            checked = ("; no verdict was given, so the gate checked "
+                       f"{universality.square} itself")
+        agg = getattr(universality, "aggregate", universality)
+        if agg.ok:
+            return universality
+        raise cls(f"{what} refused, universality verdict is {agg.value}"
+                  f"{checked}",
+                  Verdict.UNKNOWN if agg is Verdict.UNKNOWN else Verdict.FAIL)
+
+    def law(self, law_id: str, anchor: str) -> LawResult:
+        """The refusal as the gate's entry in a report."""
+        return LawResult(law_id, anchor, self.verdict, note=str(self))
 
 
 def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,

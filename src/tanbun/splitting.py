@@ -29,9 +29,9 @@ from .bundle import (
     vert_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict,
-    refusal_verdict, sampled_law, universality_refusal,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
+from .universal import check_pullback, rosicky_square, strong_square
 
 __all__ = [
     "PulledBackTangent", "SplittingRefused", "pulled_back_tangent",
@@ -69,10 +69,10 @@ def pulled_back_tangent(spec: BundleSpec) -> PulledBackTangent:
                              pi=projection(k + d, range(k)))
 
 
-def chart_box(spec: BundleSpec, width: Fraction = Fraction(2)) -> Box:
-    """Sampling box for the T_M(E) chart: the base box with a symmetric
-    block for the free tangent coordinates."""
-    w = ((-width, width),) * spec.total_dim
+def chart_box(spec: BundleSpec) -> Box:
+    """Sampling box for the T_M(E) chart: the base box with the block
+    [-2, 2] for each free tangent coordinate."""
+    w = ((Fraction(-2), Fraction(2)),) * spec.total_dim
     return Box(tuple(spec.base_box.intervals) + w)
 
 
@@ -179,15 +179,10 @@ def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
 
     K inverts lam on the image of the projector: closed form when the
     lift is fibre-affine with constant matrix, otherwise a Newton solve
-    of lam(e) = iota(chi(m, w))."""
-    from .universal import check_pullback, rosicky_square
-    refusal = universality_refusal(
-        universality,
+    of lam(e) = iota(chi(m, w)).  Gated on the rosicky square."""
+    SplittingRefused.gate(
+        universality, f"{spec.name}: splitting",
         lambda: check_pullback(rosicky_square(spec), cfg.t_depth, cfg))
-    if refusal is not None:
-        raise SplittingRefused(
-            f"{spec.name}: splitting refused, universality verdict is "
-            f"{refusal}", refusal)
     d, k = spec.total_dim, spec.base_dim
     section = concat_maps(spec.q, vert_lambda(spec))
     ch = chi(spec)
@@ -228,9 +223,8 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     try:
         section, K = splitting_pair(spec, cfg, universality)
     except SplittingRefused as exc:
-        rep.add(LawResult("splitting-gate",
-                          "retract construction requires universality",
-                          exc.verdict, note=str(exc)))
+        rep.add(exc.law("splitting-gate",
+                        "retract construction requires universality"))
         return rep
     d, k = spec.total_dim, spec.base_dim
     ch = chi(spec)
@@ -316,16 +310,16 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
 def biproduct_check(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
                     universality=None) -> CheckReport:
     """The four projection/injection identities on the chart (e, v) plus
-    the idempotent split off by the first pair."""
+    the idempotent split off by the first pair; gated on the strong
+    square."""
     rep = CheckReport(f"{spec.name}: biproduct")
-    from .universal import check_pullback, strong_square
-    refusal = universality_refusal(
-        universality,
-        lambda: check_pullback(strong_square(spec), cfg.t_depth, cfg))
-    if refusal is not None:
-        rep.add(LawResult(
-            "strong-gate", "biproduct chart requires the strong square",
-            refusal_verdict(refusal), note=f"strong square verdict {refusal}"))
+    try:
+        SplittingRefused.gate(
+            universality, f"{spec.name}: biproduct chart",
+            lambda: check_pullback(strong_square(spec), cfg.t_depth, cfg))
+    except SplittingRefused as exc:
+        rep.add(exc.law("strong-gate",
+                        "biproduct chart requires the strong square"))
         return rep
 
     d, k = spec.total_dim, spec.base_dim
@@ -372,13 +366,14 @@ def non_idempotent_demo(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
         name="line", base_dim=1, total_dim=2,
         base_box=cube(1), total_box=cube(2),
         q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
-        lam=parse_map("x0, 0, 0, x1", 2),
+        lam=parse_map("x0, 0, 0, x1", 2), add=parse_map("x0, x1 + x3", 4),
     )
     phi = smooth_map(2, [Var(0), Var(1) * Var(0)])
-    mor = check_morphism(BundleMorphism(trivial, trivial, phi), cfg)
+    mor = check_morphism(BundleMorphism(trivial, trivial, phi), cfg,
+                         source_add=trivial.add, target_add=trivial.add)
     rep.add(LawResult(
         "morphism-laws", "the endomorphism is a linear bundle morphism",
-        Verdict.PASS_NUMERIC if mor.ok else Verdict.FAIL,
+        Verdict.PASS_NUMERIC if mor.ok else mor.aggregate,
         note="; ".join(f"{e.law_id}={e.verdict.value}" for e in mor.entries),
         provenance={"seed": cfg.seed, "count": cfg.count, "tol": cfg.tol}))
 

@@ -104,12 +104,12 @@ def _face_push(f: SmoothMap, box: Box, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mp_row_norm(f: SmoothMap, z: np.ndarray, dps: int = 40) -> float:
+def _mp_row_norm(f: SmoothMap, z: np.ndarray) -> float:
     """Derivative norm recomputed in high precision, as independent
     confirmation that a witness is a genuine collapse and not underflow."""
     rows = jacobian_exprs(f)
     flat = SmoothMap(f.arity, tuple(e for row in rows for e in row))
-    vals = eval_mp(flat, z, dps=dps)
+    vals = eval_mp(flat, z, dps=40)
     return float(max(abs(v) for v in vals)) if vals else 0.0
 
 
@@ -192,12 +192,11 @@ def lift_section_map(f: SmoothMap, a, v):
 
 
 def check_lift_section(f: SmoothMap, box: Box,
-                       cfg: CheckConfig = DEFAULT_CONFIG,
-                       tag: str = "lift") -> LawResult:
+                       cfg: CheckConfig = DEFAULT_CONFIG) -> LawResult:
     """Sampled check that the lift is a section: the pushforward of
     (a, lift(a, v)) lands on (f(a), v)."""
     anchor = "pushforward of the lifted tangent returns the input tangent"
-    rng = cfg.rng(f"submersion:{tag}")
+    rng = cfg.rng("submersion:lift")
     X = box.sample(rng, min(cfg.count, 100))
     V = rng.uniform(-1.0, 1.0, (len(X), f.coarity))
     worst = 0.0

@@ -23,7 +23,7 @@ from numpy.linalg import _umath_linalg
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
     _quiet_floats, compose, concat_maps, con, cube, projection, simplify_map,
-    smooth_map, sum_of,
+    smooth_map, substitute_vars, sum_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
@@ -732,7 +732,6 @@ def _fp_projector(right_t, bottom_t):
     nb, nc = right_t.arity, bottom_t.arity
     rshift = {i: Var(i) for i in range(nb)}
     bshift = {i: Var(nb + i) for i in range(nc)}
-    from .expr import substitute_vars
     comps = tuple(
         substitute_vars(r, rshift) - substitute_vars(bt, bshift)
         for r, bt in zip(right_t.components, bottom_t.components)
@@ -822,9 +821,8 @@ def cross_check_equivalence(spec: BundleSpec,
         rep.add(cockett.as_result("square-cockett"))
         cockett_agg = cockett.aggregate
     except AdditionUnavailable as exc:
-        rep.add(LawResult(
-            "square-cockett", "cone against (T(q), zero) is a pullback",
-            exc.verdict, note=str(exc)))
+        rep.add(exc.law("square-cockett",
+                        "cone against (T(q), zero) is a pullback"))
         cockett_agg = exc.verdict
 
     strong = check_pullback(strong_square(spec), t_depth, cfg)

@@ -25,13 +25,13 @@ from .jet import (
     NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
 )
 from .bundle import (
-    AdditionUnavailable, BundleMorphism, BundleSpec, NotWellTyped,
-    fibre_matched_tuples, induce_addition, scale_through_lambda,
+    BundleMorphism, BundleSpec, NotWellTyped, fibre_matched_tuples,
+    induce_addition, scale_through_lambda,
 )
 from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
-    universality_refusal,
 )
+from .universal import check_pullback, rosicky_square
 
 __all__ = [
     "VectorBundleSpec", "ModuleLawsFailed", "TranslationRefused",
@@ -83,8 +83,8 @@ def del_map() -> SmoothMap:
     return smooth_map(1, [Var(0), con(1)])
 
 
-def _scalar_box(vb, width: Fraction = Fraction(2)) -> Box:
-    return Box(((-width, width),) + tuple(vb.total_box.intervals))
+def _scalar_box(vb) -> Box:
+    return Box(((Fraction(-2), Fraction(2)),) + tuple(vb.total_box.intervals))
 
 
 def check_module_laws(vb: VectorBundleSpec,
@@ -192,17 +192,12 @@ def phi(db: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
         universality=None) -> VectorBundleSpec:
     """Vector bundle with the scalar action recovered from the lift.
 
-    Refused unless the universality verdict is a pass; the recovered
-    action conjugates tangent-block scaling through the lift, and the
-    addition is induced the same way."""
-    from .universal import check_pullback, rosicky_square
-    refusal = universality_refusal(
-        universality,
+    Gated on the rosicky square; the recovered action conjugates
+    tangent-block scaling through the lift, and the addition is induced
+    the same way, on the verdict the gate went on."""
+    universality = TranslationRefused.gate(
+        universality, f"{db.name}: scalar recovery",
         lambda: check_pullback(rosicky_square(db), cfg.t_depth, cfg))
-    if refusal is not None:
-        raise TranslationRefused(
-            f"{db.name}: scalar recovery refused, universality verdict is "
-            f"{refusal}", refusal)
     add = db.add if db.add is not None else induce_addition(
         db, cfg, universality=universality)
     # The action is always recomputed from the lift; a declared action on
@@ -242,10 +237,9 @@ def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
         db = psi(obj, cfg)
         try:
             back = phi(db, cfg, universality)
-        except (TranslationRefused, AdditionUnavailable) as exc:
-            rep.add(LawResult("phi-gate", "reverse translation accepts the "
-                              "generated bundle", exc.verdict,
-                              note=str(exc)))
+        except TranslationRefused as exc:
+            rep.add(exc.law("phi-gate", "reverse translation accepts the "
+                            "generated bundle"))
             return rep
         rep.add(_compare("roundtrip-scalar",
                          "recovered action matches the input action",
@@ -264,9 +258,9 @@ def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
     db = obj
     try:
         vb = phi(db, cfg, universality)
-    except (TranslationRefused, AdditionUnavailable) as exc:
-        rep.add(LawResult("phi-gate", "translation accepts verified "
-                          "bundles only", exc.verdict, note=str(exc)))
+    except TranslationRefused as exc:
+        rep.add(exc.law("phi-gate", "translation accepts verified bundles "
+                        "only"))
         return rep
     # psi carries q and xi through and refuses a Newton-defined lift,
     # which is still compared here by sampling

@@ -147,16 +147,16 @@ WHERE = ["implicit seed 1", "implicit seed 23", "corpus"]
 
 @pytest.mark.parametrize("where", WHERE)
 def test_additive_laws_match_the_law_by_law_calls(monkeypatch, where):
+    # the batching of the laws is under test, not the gate: every spec is
+    # given a passing verdict, so the bundles that are not universal
+    # (bump_counterexample and three mutants) are compared too
     specs = _inputs(monkeypatch, where)
     for spec, cfg in specs:
-        try:
-            add = induce_addition(spec, cfg)
-        except ExprError:
-            continue
+        add = induce_addition(spec, cfg, universality=PASSED)
         assert _outcome(check_additive_laws, spec, add, cfg, spec.add) == \
             _outcome(_ref_check_additive_laws, spec, add, cfg, spec.add), \
             spec.name
-    assert where == "corpus" or len(specs) == 14
+    assert len(specs) == (11 if where == "corpus" else 14)
 
 
 @pytest.mark.parametrize("where", WHERE)

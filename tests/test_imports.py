@@ -282,3 +282,28 @@ def d(x):
 """)
     lines = sorted(int(found.split(":")[1]) for found in memo_breaches(src))
     assert lines == [7, 12, 17, 25, 26, 27]
+
+
+def test_one_universality_gate():
+    # every gate goes through report.Refused.gate, so its refusal text is
+    # written once
+    texts = [p.read_text().count("universality verdict is")
+             for p in sorted(SRC.glob("*.py"))]
+    assert sum(texts) == 1
+
+
+def _function_imports_of_universal(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == "universal"]
+
+
+def test_only_induce_addition_imports_universal_in_a_function():
+    # bundle cannot import universal at its top level, which imports
+    # bundle; every other module can
+    found = [f for p in sorted(SRC.glob("*.py"))
+             for f in _function_imports_of_universal(p)]
+    assert found == ["bundle.induce_addition"]

@@ -1,11 +1,16 @@
-"""Verdict lattice and report aggregation."""
+"""Verdict lattice, report aggregation and the universality gate."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from tanbun.expr import EqVerdict
+from tanbun import splitting, universal, vb
+from tanbun.bundle import induce_addition
+from tanbun.corpus import bump_bundle, trivial_bundle
+from tanbun.expr import CheckConfig, EqVerdict
 from tanbun.report import (
-    CheckReport, LawResult, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 
 
@@ -103,3 +108,63 @@ def test_sampled_law_fails_at_the_first_gap_not_within_tol():
     assert res.max_residual == np.inf and res.witness == ([0.5, 1.0, 2.0],)
     empty = sampled_law("a", "", [], [], 1e-9, {})
     assert empty.verdict is Verdict.PASS_NUMERIC and empty.max_residual == 0.0
+
+
+# The four constructions behind a universality gate: three raise a
+# Refused, and biproduct_check reports its gate as its first entry.
+GATED = {
+    "induce_addition": induce_addition,
+    "splitting_pair": splitting.splitting_pair,
+    "phi": vb.phi,
+    "biproduct_check": splitting.biproduct_check,
+}
+CFG = CheckConfig(count=40, seed=42)
+
+
+def _gate_entry(name, spec, universality):
+    """The gate's entry when the construction is refused, else None."""
+    try:
+        out = GATED[name](spec, CFG, universality=universality)
+    except Refused as exc:
+        return exc.law("gate", "")
+    if name == "biproduct_check" and out.entries[0].law_id == "strong-gate":
+        return out.entries[0]
+    return None
+
+
+def _squares_checked(monkeypatch) -> list:
+    """The check_pullback calls made from here on, from every module that
+    calls it."""
+    calls = []
+    for module in (universal, splitting, vb):
+        real = module.check_pullback
+        monkeypatch.setattr(module, "check_pullback",
+                            lambda *a, _real=real: calls.append(a) or
+                            _real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_every_gate_checks_its_square_when_no_verdict_is_given(monkeypatch,
+                                                                name):
+    # bump_bundle's lift is not universal: its squares fail on rank
+    square = "strong" if name == "biproduct_check" else "rosicky"
+    entry = _gate_entry(name, bump_bundle(), None)
+    assert entry is not None and entry.verdict is Verdict.FAIL
+    assert "universality verdict is fail" in entry.note
+    assert entry.note.endswith(
+        f"the gate checked bump_counterexample:{square} itself")
+
+    # on a verdict that passes, the gate checks no square
+    calls = _squares_checked(monkeypatch)
+    assert _gate_entry(name, bump_bundle(), Verdict.PASS_NUMERIC) is None
+    assert calls == []
+
+
+def test_phi_induces_its_addition_on_the_verdict_it_went_on(monkeypatch):
+    # with no verdict and no declared addition, phi checks rosicky once,
+    # not once more for the addition
+    calls = _squares_checked(monkeypatch)
+    spec = dataclasses.replace(trivial_bundle(1, 1), add=None)
+    assert _gate_entry("phi", spec, None) is None
+    assert len(calls) == 1

@@ -10,10 +10,10 @@ from tanbun.expr import (
     CheckConfig, compose, cube, eval_map, parse_map, simplify_map,
     to_source,
 )
-from tanbun import splitting
+from tanbun import splitting, universal
 from tanbun.jet import tangent_map
 from tanbun.bundle import BundleSpec, Verdict, check_predifferential
-from tanbun.report import LawResult
+from tanbun.report import CheckReport, LawResult
 from tanbun.splitting import (
     biproduct_check, chart_box, check_splitting, chi, chi_checks,
     lift_on_pullback, non_idempotent_demo, pulled_back_tangent,
@@ -157,6 +157,22 @@ def test_demo_morphism_is_lawful_but_never_splits():
     assert got["not-idempotent"] is Verdict.PASS_EXACT
     assert got["rank-nonconstant"] is Verdict.PASS_EXACT
     assert got["splitting-refused"] is Verdict.PASS_EXACT
+
+
+def test_the_demo_checks_no_square_and_reads_unknown_as_unknown(monkeypatch):
+    # the line bundle's declared addition serves the morphism laws, so no
+    # gate checks rosicky for them
+    calls = []
+    real = universal.check_pullback
+    monkeypatch.setattr(universal, "check_pullback",
+                        lambda *a: calls.append(a) or real(*a))
+    assert non_idempotent_demo(CFG)["morphism-laws"].verdict.ok
+    assert calls == []
+    # a morphism report that reads unknown refutes nothing
+    unknown = CheckReport("m", [LawResult("mor-add", "", Verdict.UNKNOWN)])
+    monkeypatch.setattr(splitting, "check_morphism", lambda *a, **k: unknown)
+    assert non_idempotent_demo(CFG)["morphism-laws"].verdict is \
+        Verdict.UNKNOWN
 
 
 def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
