@@ -26,7 +26,7 @@ from .jet import (
     tangent_map,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 
 __all__ = [
@@ -346,13 +346,18 @@ def check_additive_laws(spec: BundleSpec, add,
         ("add-base", "q(a + b) = q(a)",
          eval_batch(spec.q, ab), eval_batch(spec.q, a)),
     ]
-    for law_id, anchor, lhs, rhs in checks:
-        rep.add(_law_from_arrays(law_id, anchor, a, lhs, rhs, cfg,
-                                 extra={"discarded": discarded}))
+    inputs = np.hstack([a, b, c])
+
+    def law(law_id, anchor, lhs, rhs, **extra):
+        rep.add(sampled_law(law_id, anchor, np.max(np.abs(lhs - rhs), axis=1),
+                            inputs, cfg.tol,
+                            {**_prov(cfg), **extra, "count": len(a)}))
+
+    for check in checks:
+        law(*check, discarded=discarded)
     if declared is not None:
-        rep.add(_law_from_arrays(
-            "add-declared", "declared addition = induced addition",
-            a, ab, _pairwise(declared, a, b), cfg))
+        law("add-declared", "declared addition = induced addition",
+            ab, _pairwise(declared, a, b))
     return rep
 
 
@@ -368,24 +373,6 @@ def _pairwise_blocks(add, pairs):
     out = _pairwise(add, np.vstack([X for X, _ in pairs]),
                     np.vstack([Y for _, Y in pairs]))
     return np.split(out, np.cumsum([len(X) for X, _ in pairs[:-1]]))
-
-
-def _law_from_arrays(law_id, anchor, points, lhs, rhs, cfg,
-                     extra=None) -> LawResult:
-    resid = np.abs(lhs - rhs)
-    worst = float(np.max(resid)) if resid.size else 0.0
-    prov = _prov(cfg)
-    if extra:
-        prov.update(extra)
-    prov["count"] = len(points)
-    if worst <= cfg.tol:
-        return LawResult(law_id, anchor, Verdict.PASS_NUMERIC,
-                         max_residual=worst, provenance=prov)
-    i = int(np.unravel_index(np.argmax(resid), resid.shape)[0])
-    return LawResult(law_id, anchor, Verdict.FAIL,
-                     witness=(points[i].tolist(), lhs[i].tolist(),
-                              rhs[i].tolist()),
-                     max_residual=worst, provenance=prov)
 
 
 # --------------------------------------------------------------------------
@@ -437,9 +424,11 @@ def check_morphism(mor: BundleMorphism, cfg: CheckConfig = DEFAULT_CONFIG,
         fb = eval_batch(mor.f, b)
         lhs = eval_batch(mor.f, _pairwise(source_add, a, b))
         rhs = _pairwise(target_add, fa, fb)
-        rep.add(_law_from_arrays("mor-add", "f(a + b) = f(a) + f(b)",
-                                 a, lhs, rhs, cfg,
-                                 extra={"discarded": discarded}))
+        rep.add(sampled_law("mor-add", "f(a + b) = f(a) + f(b)",
+                            np.max(np.abs(lhs - rhs), axis=1),
+                            np.hstack([a, b]), cfg.tol,
+                            {**_prov(cfg), "discarded": discarded,
+                             "count": len(a)}))
     except (AdditionUnavailable, NewtonDiverged, NotWellTyped) as exc:
         rep.add(LawResult("mor-add", "f(a + b) = f(a) + f(b)",
                           Verdict.SKIPPED, note=str(exc)))

@@ -31,7 +31,6 @@ from .universal import (
     check_pullback, cockett_square, combined_square, rosicky_square,
     strong_square,
 )
-from .submersion import DerivativePathsDisagree
 from .splitting import biproduct_check, check_splitting, chi_checks, \
     non_idempotent_demo
 from .vb import VectorBundleSpec, check_module_laws, psi, roundtrip_check
@@ -250,8 +249,6 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                     parts.append(roundtrip_check(vec, cfg, universality=ros))
                     prefixes.append("vb.")
                 rep = _merge(title, *parts, prefixes=prefixes)
-        except DerivativePathsDisagree:
-            raise  # an engine bug, not a property of the bundle
         except (ExprError, LinAlgError) as exc:
             rep = _suite_note(title, Verdict.UNKNOWN,
                               f"{type(exc).__name__}: {exc}")

@@ -40,7 +40,7 @@ __all__ = [
     "compose", "identity_map", "projection", "concat_maps",
     "poly_normalize", "poly_to_expr", "simplify_map",
     "symbolic_derivative", "jacobian_exprs", "jac_eval_batch",
-    "equal_maps",
+    "equal_maps", "worst_row",
     "bump_coeffs", "bump_coeffs_mp", "bump_batch",
     "BUILTINS", "MAX_BUMP_ORDER",
 ]
@@ -1286,6 +1286,21 @@ def _comparison_samples(box: Box, cfg: CheckConfig) -> np.ndarray:
     return X
 
 
+def worst_row(gaps, tol: float):
+    """The one rule for a law judged on samples, from the gap of each:
+    (row, refuted, the largest gap that is a number, 0.0 for none).  The
+    row with the largest gap above tol refutes the law; failing that, the
+    first row whose gap is NaN leaves it open; otherwise row is None and
+    the law holds."""
+    gaps = np.asarray(gaps, dtype=float)
+    nan = np.isnan(gaps)
+    num = np.where(nan, -np.inf, gaps)
+    top = float(np.max(num, initial=0.0))
+    if top > tol:
+        return int(np.argmax(num)), True, top
+    return (int(np.argmax(nan)) if nan.any() else None), False, top
+
+
 def _sampled_compare(f, g, box, cfg, polynomial_differs):
     X = _comparison_samples(box, cfg)
     try:
@@ -1294,18 +1309,15 @@ def _sampled_compare(f, g, box, cfg, polynomial_differs):
         return EqVerdict("unknown", reason=f"evaluation failed: {err}")
     with _quiet_floats():
         resid = np.max(np.abs(F - G), axis=1)
-    nan = np.isnan(resid)
-    worst = int(np.argmax(np.where(nan, -np.inf, resid)))
-    r = 0.0 if nan[worst] else float(resid[worst])
-    if r > cfg.tol:
+    row, refuted, r = worst_row(resid, cfg.tol)
+    if refuted:
         return EqVerdict(
-            "not-equal",
-            witness=(X[worst].copy(), F[worst].copy(), G[worst].copy()),
+            "not-equal", witness=(X[row].copy(), F[row].copy(), G[row].copy()),
             max_residual=r,
         )
-    if nan.any():   # a NaN never counts as agreement
+    if row is not None:     # a NaN never counts as agreement
         return EqVerdict("unknown", max_residual=r, reason=(
-            f"residual is NaN at sample {X[np.argmax(nan)].tolist()}"))
+            f"residual is NaN at sample {X[row].tolist()}"))
     if polynomial_differs:
         return EqVerdict(
             "unknown", max_residual=r,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprError
+from .expr import ExprError, worst_row
 
 __all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
            "sampled_law", "Refused"]
@@ -141,16 +141,18 @@ class Refused(ExprError):
 
 def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
                 provenance: dict) -> LawResult:
-    """A law checked on samples, from the gap and the inputs of each.  It
-    fails when a gap is not <= tol, a NaN gap included, and its witness
-    is the first such sample's inputs, flat; max_residual is the largest
-    gap, NaN when a gap is NaN."""
-    gaps = np.asarray(gaps, dtype=float)
-    bad = np.flatnonzero(~(gaps <= tol))
+    """A law checked on samples, from the gap and the inputs of each,
+    judged by expr.worst_row: it fails at the largest gap above tol,
+    reads unknown at the first NaN gap otherwise, and passes else.  The
+    witness is the judged sample's inputs, flat; max_residual is the
+    largest gap that is a number."""
+    row, refuted, top = worst_row(gaps, tol)
+    verdict = (Verdict.PASS_NUMERIC if row is None else
+               Verdict.FAIL if refuted else Verdict.UNKNOWN)
     return LawResult(
-        law_id, anchor, Verdict.FAIL if bad.size else Verdict.PASS_NUMERIC,
-        witness=(np.hstack(inputs[bad[0]]).tolist(),) if bad.size else None,
-        max_residual=float(np.max(gaps, initial=0.0)), provenance=provenance)
+        law_id, anchor, verdict, max_residual=top, provenance=provenance,
+        witness=None if row is None else (np.hstack(inputs[row]).tolist(),),
+        note="residual is not a number" if verdict is Verdict.UNKNOWN else "")
 
 
 def law_from_verdict(law_id: str, anchor: str, verdict_kind, *,

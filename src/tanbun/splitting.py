@@ -12,7 +12,7 @@ endomorphism with rank jumps cannot be split the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,9 @@ from .bundle import (
 from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
-from .universal import check_pullback, rosicky_square, strong_square
+from .universal import (
+    RANK_TOL, check_pullback, rosicky_square, strong_square,
+)
 
 __all__ = [
     "PulledBackTangent", "SplittingRefused", "pulled_back_tangent",
@@ -158,17 +160,13 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     # rank of the idempotent fibre matrix equals its trace
     rng = cfg.rng("chi:rank")
     M = spec.base_box.sample(rng, min(cfg.count, 50))
-    worst = 0.0
-    for m in M:
-        z = np.concatenate([m, np.zeros(d)])
-        F = jac_eval_batch(chi_w, z[None, :])[0][:, k:]
-        s = np.linalg.svd(F, compute_uv=False)
-        rank = int(np.sum(s > 1e-7 * max(float(s[0]), 1.0)))
-        worst = max(worst, abs(float(np.trace(F)) - rank))
-    rep.add(LawResult(
+    F = jac_eval_batch(chi_w, np.hstack([M, np.zeros((len(M), d))]))[:, :, k:]
+    s = np.linalg.svd(F, compute_uv=False)
+    rank = np.sum(s > RANK_TOL * np.maximum(s[:, :1], 1.0), axis=1)
+    rep.add(sampled_law(
         "chi-rank-trace", "idempotent fibre rank equals its trace",
-        Verdict.PASS_NUMERIC if worst <= 1e-7 else Verdict.FAIL,
-        max_residual=worst, provenance={"samples": len(M)}))
+        np.abs(np.trace(F, axis1=1, axis2=2) - rank), M, RANK_TOL,
+        {"samples": len(M)}))
     return rep
 
 
@@ -278,16 +276,13 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
     monomorphism on verified bundles)."""
     rng = cfg.rng("splitting:uniqueness")
     Z = box.sample(rng, 3)
-    spread = 0.0
+    spreads = []
     for z in Z:
+        # the residual at z, as a map of the output alone
         sub = {i: con(Fraction(v)) for i, v in enumerate(z)}
-        fixed = SmoothMap(K.residual.arity, tuple(
+        sub.update({len(z) + i: Var(i) for i in range(spec.total_dim)})
+        fixed = SmoothMap(spec.total_dim, tuple(
             substitute_vars(e, sub) for e in K.residual.components))
-        fixed = SmoothMap(
-            spec.total_dim,
-            tuple(substitute_vars(e, {
-                len(z) + i: Var(i) for i in range(spec.total_dim)
-            }) for e in fixed.components))
         # the three starts solved in one call; the error raised is the
         # first failing start's, as one solve per start would raise it
         init = np.asarray(K.init(z[None, :]), dtype=float)[0]
@@ -297,14 +292,13 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
             fixed, np.zeros((3, fixed.coarity)), starts)
         if errors:
             raise errors[min(errors)]
-        if ok.sum() > 1:
-            stack = sols[ok]
-            spread = max(spread, float(np.max(stack.max(0) - stack.min(0))))
-    ok = spread <= 1e-7
-    return LawResult("uniqueness", "the retraction value is unique",
-                     Verdict.PASS_NUMERIC if ok else Verdict.FAIL,
-                     max_residual=spread,
-                     note=f"three Newton starts per probe, spread {spread:.3g}")
+        stack = sols[ok]
+        spreads.append(np.max(stack.max(0) - stack.min(0)) if ok.sum() > 1
+                       else 0.0)
+    law = sampled_law("uniqueness", "the retraction value is unique",
+                      spreads, Z, 1e-7, {})
+    return replace(law, note=law.note or "three Newton starts per probe, "
+                   f"spread {law.max_residual:.3g}")
 
 
 def biproduct_check(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
@@ -392,7 +386,7 @@ def non_idempotent_demo(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     for x in (1.0, 0.0):
         F = jac_eval_batch(phi, np.array([[x, 0.0]]))[0][1:, 1:]
         s = np.linalg.svd(F, compute_uv=False)
-        ranks[x] = int(np.sum(s > 1e-7))
+        ranks[x] = int(np.sum(s > RANK_TOL))
     ok = ranks[1.0] == 1 and ranks[0.0] == 0
     rep.add(LawResult(
         "rank-nonconstant", "the fibre rank jumps across the base",

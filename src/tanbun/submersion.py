@@ -22,8 +22,8 @@ from .expr import (
     jac_eval_batch, jacobian_exprs, projection, smooth_map,
 )
 from .jet import JetPoint, _lstsq_stack, pushforward, struct_map
-from .report import CheckReport, LawResult, Verdict
-from .universal import collapse_search
+from .report import CheckReport, LawResult, Verdict, sampled_law
+from .universal import RANK_TOL, SEARCH_GATE, collapse_search
 
 __all__ = [
     "JacobianSample", "RankDeficient", "DerivativePathsDisagree",
@@ -31,9 +31,7 @@ __all__ = [
     "check_lift_section", "closure_harness", "RANK_TOL",
 ]
 
-RANK_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-7
-SEARCH_GATE = 0.05
 
 
 class RankDeficient(ExprError):
@@ -199,17 +197,16 @@ def check_lift_section(f: SmoothMap, box: Box,
     rng = cfg.rng("submersion:lift")
     X = box.sample(rng, min(cfg.count, 100))
     V = rng.uniform(-1.0, 1.0, (len(X), f.coarity))
-    worst = 0.0
-    for a, v in zip(X, V):
+
+    def gap(a, v):
         w = horizontal_lift(f, a, v)
         out = pushforward(f, 1, JetPoint(1, f.arity, np.vstack([a, w])))
-        worst = max(worst,
-                    float(np.max(np.abs(out.blocks[1] - v))),
-                    float(np.max(np.abs(out.blocks[0] - eval_map(f, a)))))
-    tol = max(cfg.tol, 1e-9)
-    verdict = Verdict.PASS_NUMERIC if worst <= tol else Verdict.FAIL
-    return LawResult("lift-section", anchor, verdict, max_residual=worst,
-                     provenance={"samples": len(X), "seed": cfg.seed})
+        return np.max(np.abs(np.concatenate(
+            [out.blocks[1] - v, out.blocks[0] - eval_map(f, a)])))
+
+    return sampled_law("lift-section", anchor, list(map(gap, X, V)),
+                       np.hstack([X, V]), max(cfg.tol, 1e-9),
+                       {"samples": len(X), "seed": cfg.seed})
 
 
 def closure_harness(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:

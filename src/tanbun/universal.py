@@ -13,7 +13,7 @@ evidence, not proof.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -29,6 +29,7 @@ from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
     induce_addition, vert_lambda,
 )
+from .report import sampled_law
 from .jet import (
     NEWTON_TOL, ImplicitMap, _each_row, row_ordered, solve_batch,
     struct_map, tangent_after, tangent_map, tangent_of,
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-7           # singular values below this (relative) are zero
+SEARCH_GATE = 0.05        # a collapse search runs below this sigma or ratio
 MATCH_TOL = 1e-8          # image agreement threshold for collision scan
 DISTINCT_TOL = 1e-6       # apex points further apart than this are distinct
 
@@ -266,6 +268,7 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
                    cfg: CheckConfig = DEFAULT_CONFIG) -> PullbackVerdict:
     depth_cap = min(sq.max_depth, cfg.t_depth if t_depth is None else t_depth)
     comm = inj = rank = surj = None     # None: the law has not run yet
+    search = {}
     stopped_by = None
     total_discard = 0
     total_outliers = 0
@@ -285,27 +288,17 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         C_img = left_t.eval_batch(Z)
         F_img = np.hstack([B_img, C_img])
 
-        # (pre) commutation of the square itself
+        # (pre) commutation of the square, its residual the max over depths
         with _quiet_floats():
-            comm_res = np.abs(right_t.eval_batch(B_img)
-                              - bottom_t.eval_batch(C_img))
-        nan = np.isnan(comm_res)
-        comm_res[nan] = -np.inf     # a finite row that refutes comes first
-        worst = float(np.max(comm_res))
-        refuted = worst > max(cfg.tol, 1e-8)
-        worst = max(comm.max_residual if comm else 0.0, worst)
-        if refuted or nan.any():    # a NaN never passes
-            i = int(np.unravel_index(np.argmax(comm_res if refuted else nan),
-                                     comm_res.shape)[0])
-            comm = _law("commutes", Verdict.FAIL if refuted else
-                        Verdict.UNKNOWN, witness=(Z[i].tolist(),),
-                        max_residual=worst,
-                        note="" if refuted else "residual is not a number",
-                        provenance=_prov(cfg, depth))
+            gaps = np.max(np.abs(right_t.eval_batch(B_img)
+                                 - bottom_t.eval_batch(C_img)), axis=1)
+        here = sampled_law("commutes", _ANCHORS["commutes"], gaps, Z,
+                           max(cfg.tol, 1e-8), _prov(cfg, depth))
+        comm = replace(here, max_residual=max(
+            comm.max_residual if comm else 0.0, here.max_residual))
+        if not comm.verdict.ok:
             stopped_by = "commutes"
             break
-        comm = _law("commutes", Verdict.PASS_NUMERIC, max_residual=worst,
-                    provenance=_prov(cfg, depth))
 
         # (a) injectivity on sample pairs
         hit = _collision(Z, F_img)
@@ -330,8 +323,15 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
             stopped_by = "rank"
             break
 
-        # (b') targeted witness search for a rank defect (cheap level only)
-        if depth == 0:
+        # (b') targeted witness search for a rank defect (cheap level
+        # only), skipped when every sample is comfortably full-rank
+        if depth == 0 and scan_info["min_sigma"] > SEARCH_GATE \
+                and scan_info["min_ratio"] > SEARCH_GATE:
+            search = {"search": "skipped",
+                      "search_min_sigma": scan_info["min_sigma"],
+                      "search_min_ratio": scan_info["min_ratio"]}
+        elif depth == 0:
+            search = {"search": "ran"}
             found = _rank_witness_search(sq, Z, scan_info, plan, cfg)
             if found is not None:
                 rank = found
@@ -345,6 +345,8 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
             stopped_by = "surjective"
             break
 
+    if search:      # the depth-0 search's outcome, on the last rank law
+        rank = replace(rank, provenance={**rank.provenance, **search})
     comm, inj, rank, surj = (
         law or _law(law_id, Verdict.SKIPPED, note=f"not run: {stopped_by} "
                     f"stopped the check at depth {depth}")
@@ -662,8 +664,6 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     The conditioning ratio is the wrong search objective: it also drops
     where the largest singular value grows, which pulls the simplex into
     healthy regions.  sigma_min only vanishes at genuine collapses."""
-    if info["min_sigma"] > 0.05 and info["min_ratio"] > 0.05:
-        return None      # every sample is comfortably full-rank
     apex_flat, g_t = Z.shape[1], plan.g_t
     box_lo, box_hi = sq.apex_box.lo(), sq.apex_box.hi()
 

@@ -160,8 +160,10 @@ def psi(vb: VectorBundleSpec, cfg: CheckConfig = DEFAULT_CONFIG, *,
     if checked:
         laws = check_module_laws(vb, cfg)
         if not laws.ok:
-            bad = ", ".join(e.law_id for e in laws.failures())
-            raise ModuleLawsFailed(f"{vb.name}: module laws failed: {bad}")
+            bad = ", ".join(e.law_id for e in laws.entries
+                            if not e.verdict.ok)
+            raise ModuleLawsFailed(
+                f"{vb.name}: module laws did not pass: {bad}")
     lam = _generated_lift(vb)
     if not isinstance(lam, SmoothMap):
         raise TranslationRefused(
@@ -301,38 +303,33 @@ def morphism_transport_check(mor: BundleMorphism,
     n = min(cfg.count, 100)
     X = src.total_box.sample(rng, n)
     R = rng.uniform(-2.0, 2.0, n)
-    gaps, unknown = [], None
-    for r, a in zip(R, X):
-        try:
-            lhs = apply_map(mor.f, apply_map(s_src, np.concatenate([[r], a])))
-            fa = apply_map(mor.f, a)
-            rhs = apply_map(s_tgt, np.concatenate([[r], fa]))
-        except NewtonDiverged as exc:
-            unknown = str(exc)
-            break
-        gaps.append(np.max(np.abs(lhs - rhs)))
-    if unknown is not None:
-        rep.add(LawResult("scalar-preserving",
-                          "the morphism commutes with the actions",
-                          Verdict.UNKNOWN, note=unknown))
-        rep.add(LawResult("transport-agreement",
-                          "lift compatibility matches scalar compatibility",
-                          Verdict.UNKNOWN, note="scalar side inconclusive"))
-        return rep
-    scalar = sampled_law(
-        "scalar-preserving", "the morphism commutes with the actions",
-        gaps, list(zip(R, X)), max(cfg.tol, 1e-9),
-        {"samples": n, "seed": cfg.seed})
+
+    def gap(r, a):
+        lhs = apply_map(mor.f, apply_map(s_src, np.concatenate([[r], a])))
+        rhs = apply_map(s_tgt, np.concatenate([[r], apply_map(mor.f, a)]))
+        return np.max(np.abs(lhs - rhs))
+
+    anchor = "the morphism commutes with the actions"
+    try:
+        scalar = sampled_law(
+            "scalar-preserving", anchor, list(map(gap, R, X)),
+            np.column_stack([R, X]), max(cfg.tol, 1e-9),
+            {"samples": n, "seed": cfg.seed})
+    except NewtonDiverged as exc:
+        scalar = LawResult("scalar-preserving", anchor, Verdict.UNKNOWN,
+                           note=str(exc))
     rep.add(scalar)
     scalar_ok = scalar.verdict.ok
-
-    agree = lift_ok == scalar_ok
-    rep.add(LawResult(
-        "transport-agreement",
-        "lift compatibility matches scalar compatibility",
-        Verdict.PASS_NUMERIC if agree else Verdict.FAIL,
-        note=f"lift side {'holds' if lift_ok else 'fails'}, "
-             f"scalar side {'holds' if scalar_ok else 'fails'}"))
+    if scalar.verdict is Verdict.UNKNOWN:
+        verdict, note = Verdict.UNKNOWN, "scalar side inconclusive"
+    else:
+        verdict = Verdict.PASS_NUMERIC if lift_ok == scalar_ok \
+            else Verdict.FAIL
+        note = (f"lift side {'holds' if lift_ok else 'fails'}, "
+                f"scalar side {'holds' if scalar_ok else 'fails'}")
+    rep.add(LawResult("transport-agreement",
+                      "lift compatibility matches scalar compatibility",
+                      verdict, note=note))
     return rep
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from tanbun import jet, splitting
 from tanbun.bundle import (
-    BundleSpec, CheckReport, _law_from_arrays, _pairwise,
+    BundleSpec, CheckReport, _pairwise,
     check_additive_laws, induce_addition, well_typed_tuples,
 )
 from tanbun.cli import parse_bundle_file
@@ -47,13 +47,16 @@ def _ref_check_additive_laws(spec, add, cfg, declared=None):
         ("add-base", "q(a + b) = q(a)",
          eval_batch(spec.q, ab), eval_batch(spec.q, a)),
     ]
-    for law_id, anchor, lhs, rhs in checks:
-        rep.add(_law_from_arrays(law_id, anchor, a, lhs, rhs, cfg,
-                                 extra={"discarded": discarded}))
     if declared is not None:
-        rep.add(_law_from_arrays(
-            "add-declared", "declared addition = induced addition",
-            a, ab, _pairwise(declared, a, b), cfg))
+        checks.append(("add-declared", "declared addition = induced addition",
+                       ab, _pairwise(declared, a, b)))
+    for law_id, anchor, lhs, rhs in checks:
+        prov = {"seed": cfg.seed, "count": len(a), "tol": cfg.tol}
+        if law_id != "add-declared":
+            prov["discarded"] = discarded
+        rep.add(sampled_law(law_id, anchor,
+                            np.max(np.abs(lhs - rhs), axis=1),
+                            np.hstack([a, b, c]), cfg.tol, prov))
     return rep
 
 

@@ -256,6 +256,30 @@ def test_a_lift_that_is_nan_on_part_of_its_box_ends_in_a_report(tmp_path):
     assert json.loads(proc.stdout)["aggregate"] in ("fail", "unknown")
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_scalar_action_that_is_nan_everywhere_reads_unknown(tmp_path,
+                                                              capsys):
+    # exp(1000*u) - exp(999*u)*exp(u) is 0 in exact arithmetic and inf - inf
+    # in floats for u >= 1: no sample refutes a module law, so each law the
+    # NaN reaches reads unknown at a sample, and the JSON holds no NaN
+    nan = "exp(1000*(x2^2 + 1)) - exp(999*(x2^2 + 1))*exp(x2^2 + 1)"
+    path = _write(tmp_path, LINE_VB.replace(
+        "scalar = x1, x0*x2", f"scalar = x1, x0*x2 + {nan}"))
+    code = main(["check", path, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert code == 2 and doc["aggregate"] == "unknown"
+    laws = {l["law"]: l for l in doc["suites"][0]["laws"]}
+    assert laws.pop("scalar-base")["verdict"] == "pass"   # q sees no NaN
+    assert len(laws) == 5
+    for law in laws.values():
+        assert law["verdict"] == "unknown", law["law"]
+        assert law["note"] == "residual is not a number"
+        assert law["witness"] and law["max_residual"] == 0.0
+
+
 def test_json_report_structure(tmp_path, capsys):
     path = _write(tmp_path, LINE_DB)
     code, doc = _json_run(capsys, ["check", path, "--samples", "30",

@@ -19,8 +19,10 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from tanbun import corpus
 from tanbun.cli import corpus_payload, main
 from tanbun.expr import DEFAULT_CONFIG
 
@@ -78,6 +80,70 @@ def test_command_matches_its_golden_output(name):
     report, code = _run(argv)
     assert code == want_code
     assert report == _golden(name)
+
+
+def _laws(doc):
+    """Every law entry in a JSON report, at any depth."""
+    if isinstance(doc, dict):
+        if "law" in doc and "verdict" in doc:
+            yield doc
+        for v in doc.values():
+            yield from _laws(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _laws(v)
+
+
+@pytest.mark.parametrize("name", sorted(set(COMMANDS) | {"corpus_seed42"}))
+def test_every_failure_in_a_golden_carries_a_witness(name):
+    failed = [law for law in _laws(_golden(name)) if law["verdict"] == "fail"]
+    assert [law["law"] for law in failed if not law["witness"]] == []
+
+
+def _one(f, *parts):
+    """f at one point, the parts concatenated, by the batch path the laws
+    take."""
+    return f.eval_batch(np.concatenate(parts)[None])[0]
+
+
+def _add_comm(w):
+    add = corpus._TWISTED_ADD
+    a, b = w[:4], w[4:8]
+    return _one(add, a, b) - _one(add, b, a)
+
+
+def _scalar_scalar_distrib(w):
+    vb = corpus._quadratic_scalar_vb()
+    r, s, a = w[:1], w[1:2], w[2:]
+    return _one(vb.scalar, r + s, a) - _one(
+        vb.add, _one(vb.scalar, r, a), _one(vb.scalar, s, a))
+
+
+def _mor_add(w):
+    mor = corpus._shift_morphism()
+    add, a, b = mor.source.add, w[:2], w[2:]
+    return _one(mor.f, _one(add, a, b)) - _one(
+        add, _one(mor.f, a), _one(mor.f, b))
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize("entry, suite, law_id, sides", [
+    ("mutant_add_twisted", "addition", "add-comm", _add_comm),
+    ("mutant_scalar_quadratic", "module", "scalar-scalar-distrib",
+     _scalar_scalar_distrib),
+    ("mutant_morphism_shift", "morphism", "mor-add", _mor_add),
+])
+def test_a_sampled_witness_replays_its_law(seed, entry, suite, law_id,
+                                           sides):
+    # witness[0] is all of the failing sample's inputs, flat: split into
+    # the law's inputs and evaluated, it gives the law's max_residual
+    result = next(r for r in _golden(f"corpus_seed{seed}")["results"]
+                  if r["name"] == entry)
+    law = next(e for e in result["suites"][suite]["laws"]
+               if e["law"] == law_id)
+    assert law["verdict"] == "fail" and len(law["witness"]) == 1
+    gap = np.max(np.abs(sides(np.array(law["witness"][0]))))
+    assert gap == law["max_residual"]
 
 
 def test_moved_paths_collapse_list_indices_and_flag_verdicts():

@@ -307,3 +307,28 @@ def test_only_induce_addition_imports_universal_in_a_function():
     found = [f for p in sorted(SRC.glob("*.py"))
              for f in _function_imports_of_universal(p)]
     assert found == ["bundle.induce_addition"]
+
+
+def _users(name: str) -> list:
+    """module.function for every reference to `name` under src/, by the
+    innermost function around it (<module> outside any)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}      # ast.walk goes outer before inner: inner wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        found += [f"{path.stem}.{owner.get(id(n), '<module>')}"
+                  for n in ast.walk(tree)
+                  if getattr(n, "id", getattr(n, "attr", None)) == name]
+    return found
+
+
+def test_one_rule_judges_every_sampled_law():
+    # a law judged on samples goes through report.sampled_law, which with
+    # equal_maps' sampled comparison is all that reads expr.worst_row
+    assert sorted(_users("worst_row")) == [
+        "expr._sampled_compare", "report.sampled_law"]
+    assert all("_law_from_arrays" not in p.read_text()
+               for p in SRC.glob("*.py"))

@@ -92,20 +92,28 @@ def test_describe_mentions_every_law():
 
 
 def test_sampled_law_fails_at_the_first_gap_not_within_tol():
+    # The one rule of expr.worst_row: the largest gap above tol fails the
+    # law, wherever it sits among the samples; with none, the first NaN
+    # gap reads unknown.  The witness is the judged sample's inputs, flat,
+    # and max_residual the largest gap that is a number.
     inputs = [(0.5, [1.0, 2.0]), (1.5, [3.0, 4.0]), (2.5, [5.0, 6.0])]
     ok = sampled_law("a", "", [0.0, 1e-12, 0.0], inputs, 1e-9, {"n": 3})
     assert ok.verdict is Verdict.PASS_NUMERIC and ok.witness is None
     assert ok.max_residual == 1e-12 and ok.provenance == {"n": 3}
-    # a NaN gap fails the law: the largest gap is NaN, and the witness is
-    # the first sample outside tol, its inputs flat
-    for gaps, first in (([0.0, np.nan, 2.0], 1), ([np.nan] * 3, 0),
-                        ([0.0, 2.0, np.nan], 1)):
+    for gaps, worst in (([1.0, np.nan, 2.0], 2), ([3.0, 2.0, np.nan], 0),
+                        ([np.inf, 1.0, 0.0], 0)):
         res = sampled_law("a", "", gaps, inputs, 1e-9, {})
-        assert res.verdict is Verdict.FAIL
-        assert np.isnan(res.max_residual)
+        assert res.verdict is Verdict.FAIL and res.note == ""
+        assert res.max_residual == gaps[worst]
+        assert res.witness == (np.hstack(inputs[worst]).tolist(),)
+    # a NaN gap never passes: it reads unknown and names its sample
+    for gaps, first, top in (([0.0, np.nan, 1e-12], 1, 1e-12),
+                             ([np.nan] * 3, 0, 0.0)):
+        res = sampled_law("a", "", gaps, inputs, 1e-9, {})
+        assert res.verdict is Verdict.UNKNOWN
+        assert res.note == "residual is not a number"
+        assert res.max_residual == top
         assert res.witness == (np.hstack(inputs[first]).tolist(),)
-    res = sampled_law("a", "", [np.inf, 1.0], inputs, 1e-9, {})
-    assert res.max_residual == np.inf and res.witness == ([0.5, 1.0, 2.0],)
     empty = sampled_law("a", "", [], [], 1e-9, {})
     assert empty.verdict is Verdict.PASS_NUMERIC and empty.max_residual == 0.0
 

@@ -11,7 +11,7 @@ from tanbun.expr import (
     to_source,
 )
 from tanbun import splitting, universal
-from tanbun.jet import tangent_map
+from tanbun.jet import ImplicitMap, tangent_map
 from tanbun.bundle import BundleSpec, Verdict, check_predifferential
 from tanbun.report import CheckReport, LawResult
 from tanbun.splitting import (
@@ -176,8 +176,9 @@ def test_the_demo_checks_no_square_and_reads_unknown_as_unknown(monkeypatch):
 
 
 def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
-    # a retraction that is inf - inf everywhere: both sampled triangle
-    # laws fail, with their first sample as witness
+    # a retraction that is inf - inf everywhere: no sample refutes either
+    # sampled triangle law, and a NaN never passes, so both read unknown
+    # with their first sample as witness
     spec = conjugated_bundle()
     section, K = splitting_pair(spec, CFG)
     nan = "exp(1000*(x0^2 + 1)) - exp(999*(x0^2 + 1))*exp(x0^2 + 1)"
@@ -196,6 +197,34 @@ def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
     X = spec.total_box.sample(rng, CFG.count)
     Z = chart_box(spec).sample(rng, max(20, CFG.count // 4))
     for law, first in (("retract-identity", X[0]), ("section-image", Z[0])):
-        assert rep[law].verdict is Verdict.FAIL, law
-        assert np.isnan(rep[law].max_residual)
+        assert rep[law].verdict is Verdict.UNKNOWN, law
+        assert rep[law].note == "residual is not a number"
+        assert rep[law].max_residual == 0.0
         assert rep[law].witness == (first.tolist(),)
+
+
+def test_a_failing_rank_trace_names_its_worst_sample(monkeypatch):
+    # a fibre matrix (1 + m^2) I: rank 2 and trace 2 + 2m^2, so the gap is
+    # 2m^2 and the worst sample is the base point furthest from 0
+    spec = trivial_bundle(1, 1)
+    monkeypatch.setattr(splitting, "chi", lambda spec: parse_map(
+        "x0, (1 + x0^2)*x1, (1 + x0^2)*x2", 3))
+    law = chi_checks(spec, CFG)["chi-rank-trace"]
+    M = spec.base_box.sample(CFG.rng("chi:rank"), 40)
+    m = M[np.argmax(np.abs(M[:, 0]))]
+    assert law.verdict is Verdict.FAIL
+    assert law.witness == (m.tolist(),)
+    assert law.max_residual == pytest.approx(2 * m[0] ** 2, rel=1e-12)
+
+
+def test_a_failing_uniqueness_probe_names_its_probe():
+    # y^2 = 1 has the roots -1 and 1, and the kicked starts reach both
+    K = ImplicitMap(parse_map("x1^2 - 1 + 0*x0", 2), 1, 1,
+                    lambda Z: np.zeros((len(Z), 1)))
+    law = splitting._uniqueness_probe(SimpleNamespace(total_dim=1), K,
+                                      cube(1), CFG)
+    probes = cube(1).sample(CFG.rng("splitting:uniqueness"), 3)
+    assert law.verdict is Verdict.FAIL and law.provenance == {}
+    assert law.max_residual == pytest.approx(2.0, abs=1e-9)
+    assert law.witness[0] in probes.tolist()
+    assert law.note.startswith("three Newton starts per probe, spread 2")

@@ -153,7 +153,10 @@ def test_every_failing_module_law_has_a_replayable_witness():
 
 
 def test_a_nan_gap_fails_its_module_law_with_a_witness():
-    # exp(1000) overflows, so acting by one gives inf - inf in the fibre
+    # exp(1000) overflows, so acting by one gives inf - inf in the fibre:
+    # every gap of scalar-unit is NaN, so the law does not pass, reads
+    # unknown, and names its first sample, whose replay is NaN; psi's
+    # refusal names it with the other laws that did not pass
     nan_at_one = VectorBundleSpec(
         name="nan", base_dim=1, total_dim=2,
         base_box=cube(1), total_box=cube(2),
@@ -162,10 +165,19 @@ def test_a_nan_gap_fails_its_module_law_with_a_witness():
         scalar=parse_map(
             "x1, x0*x2 + exp(1000*x0) - exp(999*x0)*exp(x0)", 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        unit = check_module_laws(nan_at_one, CFG)["scalar-unit"]
-        assert unit.verdict is Verdict.FAIL
+        laws = check_module_laws(nan_at_one, CFG)
+        unit = laws["scalar-unit"]
+        assert unit.verdict is Verdict.UNKNOWN
+        assert unit.note == "residual is not a number"
         (inputs,) = unit.witness
+        assert inputs == nan_at_one.total_box.sample(
+            CFG.rng("nan:module"), 50)[0].tolist()
         assert np.isnan(_replay(nan_at_one, "scalar-unit", inputs))
+        with pytest.raises(ModuleLawsFailed) as err:
+            psi(nan_at_one, CFG)
+    bad = [e.law_id for e in laws.entries if not e.verdict.ok]
+    assert "scalar-unit" in bad
+    assert str(err.value) == f"nan: module laws did not pass: {', '.join(bad)}"
 
 
 def _module_laws_point_by_point(vb, cfg):
@@ -416,32 +428,36 @@ def _sampled(src: str):
 
 def test_compare_fails_at_the_first_gap_not_within_tol():
     # Both sides overflow to inf above x0 = 0.71, where their gap is NaN;
-    # below it the gap is x0^2 or rounds to 0.  The witness is the first
-    # sample whose gap is not within tol, and a NaN gap makes the largest
-    # gap NaN, as in the module laws.
+    # below it the gap is x0^2 or rounds to 0.  The law fails at the
+    # largest gap that is a number, not at the first sample outside tol,
+    # and the NaN gaps neither pass nor hide the refutation.
     f = _sampled("exp(1000*x0) + x0^2")
     g = parse_map("exp(1000*x0)", 1)
     cfg = CheckConfig(count=60, seed=3)
     X = cube(1).sample(cfg.rng("roundtrip:probe"), 60)
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = [float(np.max(np.abs(apply_map(f, x) - apply_map(g, x))))
-                for x in X]
+        gaps = np.array([np.max(np.abs(apply_map(f, x) - apply_map(g, x)))
+                         for x in X])
         res = _compare("probe", "f = g", f, g, cube(1), cfg)
     first = next(k for k, gap in enumerate(gaps) if not gap <= 1e-9)
-    assert np.any(X > 0.72) and np.isnan(gaps).any()
+    worst = int(np.nanargmax(gaps))
+    assert np.any(X > 0.72) and np.isnan(gaps).any() and first != worst
     assert res.verdict is Verdict.FAIL
-    assert np.isnan(res.max_residual)
-    assert res.witness == (X[first].tolist(),)
+    assert res.max_residual == gaps[worst]
+    assert res.witness == (X[worst].tolist(),)
 
 
 def test_an_all_nan_comparison_fails():
+    # every gap is NaN: the comparison does not pass, reads unknown, and
+    # names its first sample
     cfg = CheckConfig(count=10)
     with np.errstate(over="ignore", invalid="ignore"):
         res = _compare("t", "a", _sampled(NAN_ABOVE),
                        parse_map("x0", 1), cube(1, 1, 2), cfg)
     X = cube(1, 1, 2).sample(cfg.rng("roundtrip:t"), 10)
-    assert res.verdict is Verdict.FAIL
-    assert np.isnan(res.max_residual)
+    assert res.verdict is Verdict.UNKNOWN
+    assert res.note == "residual is not a number"
+    assert res.max_residual == 0.0
     assert res.witness == (X[0].tolist(),)
 
 
@@ -455,10 +471,17 @@ def test_an_all_nan_scalar_gap_fails_the_transport_check():
     mor = BundleMorphism(line, line, parse_map(f"x0, x1 + {nan}", 2))
     cfg = CheckConfig(count=10)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = morphism_transport_check(mor, cfg)["scalar-preserving"]
+        rep = morphism_transport_check(mor, cfg)
     rng = cfg.rng("transport:scalar")
     X = cube(2).sample(rng, 10)
     r = rng.uniform(-2.0, 2.0, 10)[0]
-    assert res.verdict is Verdict.FAIL
-    assert np.isnan(res.max_residual)
-    assert res.witness == ([r] + X[0].tolist(),)
+    # every gap is NaN: the scalar side does not pass, reads unknown with
+    # its first sample, and so does the agreement of the two sides
+    scalar = rep["scalar-preserving"]
+    assert scalar.verdict is Verdict.UNKNOWN
+    assert scalar.note == "residual is not a number"
+    assert scalar.max_residual == 0.0
+    assert scalar.witness == ([r] + X[0].tolist(),)
+    agreement = rep["transport-agreement"]
+    assert agreement.verdict is Verdict.UNKNOWN
+    assert agreement.note == "scalar side inconclusive"
