@@ -271,7 +271,9 @@ class RunReport:
 
 def _plain(obj):
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return str(obj)     # "nan", "inf", "-inf": JSON has no such number
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, Fraction):

@@ -1310,19 +1310,12 @@ def _sampled_compare(f, g, box, cfg, polynomial_differs):
     with _quiet_floats():
         resid = np.max(np.abs(F - G), axis=1)
     row, refuted, r = worst_row(resid, cfg.tol)
+    witness = None if row is None else (X[row].copy(), F[row].copy(),
+                                        G[row].copy())
     if refuted:
-        return EqVerdict(
-            "not-equal", witness=(X[row].copy(), F[row].copy(), G[row].copy()),
-            max_residual=r,
-        )
+        return EqVerdict("not-equal", witness=witness, max_residual=r)
+    reason = ("canonical forms differ but residual is below tolerance"
+              if polynomial_differs else f"numeric pass, max residual {r:.3g}")
     if row is not None:     # a NaN never counts as agreement
-        return EqVerdict("unknown", max_residual=r, reason=(
-            f"residual is NaN at sample {X[row].tolist()}"))
-    if polynomial_differs:
-        return EqVerdict(
-            "unknown", max_residual=r,
-            reason="canonical forms differ but residual is below tolerance",
-        )
-    return EqVerdict(
-        "unknown", max_residual=r, reason=f"numeric pass, max residual {r:.3g}"
-    )
+        reason = f"residual is NaN at sample {X[row].tolist()}"
+    return EqVerdict("unknown", witness=witness, max_residual=r, reason=reason)

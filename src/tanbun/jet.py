@@ -394,7 +394,7 @@ def _lstsq_stack(A, B, errors=None):
 
 def _gauss_newton(F, J, Z, live, tol, max_iter, errors, value_errors=None,
                   diverged=None):
-    """The row-masked Gauss-Newton loop of solve_batch and
+    """The row-masked Gauss-Newton loop of _solve_rows and
     ImplicitMap.eval_batch: steps the rows `live` of Z in place.
 
     F(rows) gives the residuals at those rows of Z, J(rows) their
@@ -654,23 +654,29 @@ def solve_batch(f, targets, starts, tol: float = NEWTON_TOL,
     """Gauss-Newton with least-norm steps, one row per (target, start).
 
     Every row follows the iteration a one-row solve would (_gauss_newton).
-    Returns (Z, ok, errors).  ok[k] is False where row k's value could not
-    be evaluated, a step was not finite or the iterations ran out; errors
-    maps each row whose Jacobian or step raised to that exception, which
-    a one-row solve raises, so a caller that solves in sample order raises
-    the one of the first such row.
+    Returns (Z, ok, errors), ok and errors as _solve_rows gives them.
     """
     Z = np.array(starts, dtype=float)
     T = np.asarray(targets, dtype=float)
-    ok = np.zeros(len(Z), dtype=bool)
-    errors = {}
-    with _quiet_floats():       # a residual that is not finite fails its row
-        converged, _ = _gauss_newton(
-            lambda rows: f.eval_batch(Z[rows]) - T[rows],
-            lambda rows: f.jac_batch(Z[rows]),
-            Z, np.arange(len(Z)), tol, max_iter, errors)
-    ok[converged] = True
+    ok, errors = _solve_rows(lambda rows: f.eval_batch(Z[rows]) - T[rows],
+                             lambda rows: f.jac_batch(Z[rows]), Z, tol,
+                             max_iter)
     return Z, ok, errors
+
+
+def _solve_rows(F, J, Z, tol: float = NEWTON_TOL, max_iter: int = 40):
+    """_gauss_newton from every row of Z, in place and with float warnings
+    off.  Returns (ok, errors).  ok[k] is False where row k's residual
+    could not be evaluated or was not finite, a step was not finite or
+    the iterations ran out; errors maps each row whose Jacobian or step
+    raised to that exception, which a one-row solve raises, so a caller
+    that solves in sample order raises the one of the first such row."""
+    ok, errors = np.zeros(len(Z), dtype=bool), {}
+    with _quiet_floats():
+        converged, _ = _gauss_newton(F, J, Z, np.arange(len(Z)), tol,
+                                     max_iter, errors)
+    ok[converged] = True
+    return ok, errors
 
 
 def solve_least_norm(f, target, z0, tol: float = NEWTON_TOL,

@@ -155,24 +155,15 @@ def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
         note="residual is not a number" if verdict is Verdict.UNKNOWN else "")
 
 
-def law_from_verdict(law_id: str, anchor: str, verdict_kind, *,
+def law_from_verdict(law_id: str, anchor: str, v, *,
                      provenance=None) -> LawResult:
-    """Translate an expr.EqVerdict into a LawResult."""
-    v = verdict_kind
-    if v.is_exact:
-        return LawResult(law_id, anchor, Verdict.PASS_EXACT,
-                         provenance=provenance or {})
-    if v.kind == "not-equal":
-        return LawResult(
-            law_id, anchor, Verdict.FAIL, witness=v.witness,
-            max_residual=v.max_residual, provenance=provenance or {},
-        )
-    if v.is_numeric_pass:
-        return LawResult(
-            law_id, anchor, Verdict.PASS_NUMERIC,
-            max_residual=v.max_residual, provenance=provenance or {},
-        )
+    """Translate an expr.EqVerdict v into a LawResult, with its witness."""
+    verdict = (Verdict.PASS_EXACT if v.is_exact else
+               Verdict.FAIL if v.kind == "not-equal" else
+               Verdict.PASS_NUMERIC if v.is_numeric_pass else
+               Verdict.UNKNOWN)
     return LawResult(
-        law_id, anchor, Verdict.UNKNOWN, max_residual=v.max_residual,
-        note=v.reason, provenance=provenance or {},
+        law_id, anchor, verdict, witness=v.witness,
+        max_residual=v.max_residual, provenance=provenance or {},
+        note=v.reason if verdict is Verdict.UNKNOWN else "",
     )

@@ -23,7 +23,7 @@ from .expr import (
     identity_map, jac_eval_batch, parse_map, projection, simplify_map,
     smooth_map, substitute_vars,
 )
-from .jet import ImplicitMap, row_ordered, solve_batch, tangent_map
+from .jet import ImplicitMap, _solve_rows, row_ordered, tangent_map
 from .bundle import (
     BundleMorphism, BundleSpec, check_morphism, fibre_affine_decomposition,
     vert_lambda,
@@ -273,28 +273,23 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
 def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
                       cfg: CheckConfig) -> LawResult:
     """Newton from spread starts must land on one point (the lift is a
-    monomorphism on verified bundles)."""
+    monomorphism on verified bundles).  Three starts at each of three
+    probes solve K's residual, the probe as parameters, in one call."""
     rng = cfg.rng("splitting:uniqueness")
     Z = box.sample(rng, 3)
-    spreads = []
-    for z in Z:
-        # the residual at z, as a map of the output alone
-        sub = {i: con(Fraction(v)) for i, v in enumerate(z)}
-        sub.update({len(z) + i: Var(i) for i in range(spec.total_dim)})
-        fixed = SmoothMap(spec.total_dim, tuple(
-            substitute_vars(e, sub) for e in K.residual.components))
-        # the three starts solved in one call; the error raised is the
-        # first failing start's, as one solve per start would raise it
-        init = np.asarray(K.init(z[None, :]), dtype=float)[0]
-        starts = [init + 0.3 * rng.standard_normal(spec.total_dim)
-                  * (trial > 0) for trial in range(3)]
-        sols, ok, errors = solve_batch(
-            fixed, np.zeros((3, fixed.coarity)), starts)
-        if errors:
-            raise errors[min(errors)]
-        stack = sols[ok]
-        spreads.append(np.max(stack.max(0) - stack.min(0)) if ok.sum() > 1
-                       else 0.0)
+    PY = np.hstack([np.repeat(Z, 3, axis=0), 0.3 * rng.standard_normal(
+        (9, spec.total_dim)) * np.tile([False, True, True], 3)[:, None]
+        + np.repeat(K.init(Z), 3, axis=0)])
+    Y = PY[:, K.arity:]     # a view: the Newton steps move PY's rows
+    # the error raised is the first failing start's, as one solve per
+    # start would raise it
+    solved, errors = _solve_rows(
+        lambda r: eval_batch(K.residual, PY[r]),
+        lambda r: jac_eval_batch(K.residual, PY[r])[:, :, K.arity:], Y)
+    if errors:
+        raise errors[min(errors)]
+    spreads = [np.ptp(y[ok], axis=0).max() if ok.sum() > 1 else 0.0
+               for y, ok in zip(Y.reshape(3, 3, -1), solved.reshape(3, 3))]
     law = sampled_law("uniqueness", "the retraction value is unique",
                       spreads, Z, 1e-7, {})
     return replace(law, note=law.note or "three Newton starts per probe, "

@@ -15,15 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    _quiet_floats, compose, concat_maps, con, cube, projection, simplify_map,
-    smooth_map, substitute_vars, sum_of,
+    _quiet_floats, compose, concat_maps, con, cube, eval_batch,
+    jac_eval_batch, projection, simplify_map, smooth_map, sum_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
@@ -31,8 +30,8 @@ from .bundle import (
 )
 from .report import sampled_law
 from .jet import (
-    NEWTON_TOL, ImplicitMap, _each_row, row_ordered, solve_batch,
-    struct_map, tangent_after, tangent_map, tangent_of,
+    NEWTON_TOL, ImplicitMap, _each_row, _solve_rows, row_ordered,
+    solve_batch, struct_map, tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
@@ -726,77 +725,91 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
         provenance=_prov(cfg, 0, {"via": "witness search"}))
 
 
-def _fp_projector(right_t, bottom_t):
-    """Map on stacked (corner, leg) coordinates whose zero set is the
-    fibre product of the cospan; both legs are symbolic here."""
-    nb, nc = right_t.arity, bottom_t.arity
-    rshift = {i: Var(i) for i in range(nb)}
-    bshift = {i: Var(nb + i) for i in range(nc)}
-    comps = tuple(
-        substitute_vars(r, rshift) - substitute_vars(bt, bshift)
-        for r, bt in zip(right_t.components, bottom_t.components)
-    )
-    return SmoothMap(nb + nc, comps)
-
-
 def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                   bottom_t, g_t, cfg):
     """Newton preimages of perturbed cone points.  Every try draws its
     target noise, then its two start kicks, found or not; one solve finds
-    the fibre-product targets of all tries."""
+    the fibre-product targets of all tries, and one their preimages.
+
+    In the preimage solve each cone leg f meets its slice t of the
+    targets: f(z) - t to 1e-10 or, for an ImplicitMap, its own residual
+    R(z, t) to its tol, with no inner solve (Haftka, AIAA J. 23(7),
+    1985).  R is weighted by 1e-10 / tol, which also leaves the misfit
+    of a target solved to NEWTON_TOL on the explicit rows.  A branch
+    guard then evaluates each implicit leg once, from its init: a row
+    that it puts 1e-10 or more off t, or cannot evaluate, is a stall."""
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
     n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
-    fp_map = _fp_projector(right_t, bottom_t)
-    legs = (top_t, left_t) if g_t is None else (top_t, left_t, g_t)
-    cone = SimpleNamespace(     # the legs' values and Jacobians, stacked
-        eval_batch=lambda X: np.hstack([f.eval_batch(X) for f in legs]),
-        jac_batch=lambda X: np.concatenate([f.jac_batch(X) for f in legs],
-                                           axis=1))
     # three Newton starts per try: the sample and two kicked copies
-    noisy = np.hstack([B_img[:n_try], C_img[:n_try]])
+    targets = np.hstack([B_img[:n_try], C_img[:n_try]])
     starts = np.repeat(Z[:n_try, None], 3, axis=1)
     for t in range(n_try):
-        noisy[t] += rng.normal(0.0, 0.05, noisy.shape[1])
+        targets[t] += rng.normal(0.0, 0.05, targets.shape[1])
         starts[t, 1:] += rng.normal(0.0, 0.01, (2, Z.shape[1]))
-    targets, found, fp_errors = solve_batch(
-        fp_map, np.zeros((n_try, fp_map.coarity)), noisy)
+    # the noisy targets moved onto the fibre product, right(b) = bottom(c)
+    nb = B_img.shape[1]
+    found, fp_errors = _solve_rows(
+        lambda r: right_t.eval_batch(targets[r, :nb])
+        - bottom_t.eval_batch(targets[r, nb:]),
+        lambda r: np.concatenate([right_t.jac_batch(targets[r, :nb]),
+                                  -bottom_t.jac_batch(targets[r, nb:])],
+                                 axis=2), targets)
 
     tries = np.nonzero(found)[0]
-    full = targets[tries] if g_t is None else np.hstack(
-        [targets[tries], np.zeros((len(tries), g_t.coarity))])
-    sols, ok, errors = solve_batch(
-        cone, np.repeat(full, 3, axis=0),
-        starts[tries].reshape(-1, Z.shape[1]), tol=1e-10, max_iter=60)
+    T = np.repeat(targets[tries], 3, axis=0)
+    sols = starts[tries].reshape(-1, Z.shape[1])
+    legs = [(top_t, T[:, :nb]), (left_t, T[:, nb:])] + (
+        [] if g_t is None else [(g_t, np.zeros((len(T), g_t.coarity)))])
+
+    def system(rows, jac=False):
+        X, out = sols[rows], []
+        for f, tgt in legs:
+            if isinstance(f, ImplicitMap):
+                XT, w = np.hstack([X, tgt[rows]]), 1e-10 / f.tol
+                out.append(w * jac_eval_batch(f.residual, XT)[:, :, :f.arity]
+                           if jac else w * eval_batch(f.residual, XT))
+            else:
+                out.append(f.jac_batch(X) if jac
+                           else f.eval_batch(X) - tgt[rows])
+        return np.concatenate(out, axis=1)
+
+    ok, errors = _solve_rows(system, lambda rows: system(rows, True), sols,
+                             1e-10, 60)
+    rows = np.flatnonzero(ok)
+    for f, tgt in legs:     # the branch guard
+        if isinstance(f, ImplicitMap):
+            kept, gaps = _each_row(lambda r: np.abs(
+                f.eval_batch(sols[r]) - tgt[r]).max(axis=1), rows)
+            ok[np.delete(rows, kept[gaps < 1e-10])] = False
+    mismatch = ok.sum() < len(rows)
     # the largest coordinate gap between the three preimages of each try
     triples = sols.reshape(len(tries), 3, Z.shape[1])
     spreads = np.abs(triples[:, [0, 0, 1]] - triples[:, [1, 2, 2]]).max(
         axis=(1, 2))
 
-    solved = ok.reshape(-1, 3).all(axis=1).tolist()
-    stalls, k = 0, -1          # k: this try's place among the found ones
-    for t, hit in enumerate(found.tolist()):
+    # tries in order: an error is raised, a spread fails the law, and
+    # every try not found or not solved is a stall
+    solved = ok.reshape(-1, 3).all(axis=1)
+    for t, k in enumerate((np.cumsum(found) - 1).tolist()):
         if t in fp_errors:
             raise fp_errors[t]
-        if not hit:
-            stalls += 1
+        if not found[t]:
             continue
-        k += 1
         for row in range(3 * k, 3 * k + 3):
             if row in errors:
                 raise errors[row]
-        if not solved[k]:
-            stalls += 1
-            continue
-        spread = float(spreads[k])
-        if spread > 1e-7:
+        if solved[k] and spreads[k] > 1e-7:
             a, b = sols[3 * k:3 * k + 2]
             return _law("surjective", Verdict.FAIL,
-                        witness=(a.tolist(), b.tolist()), max_residual=spread,
+                        witness=(a.tolist(), b.tolist()),
+                        max_residual=float(spreads[k]),
                         note="distinct preimages of one cone point",
                         provenance=_prov(cfg, depth))
+    stalls = n_try - int(solved.sum())
     if stalls:
         return _law("surjective", Verdict.UNKNOWN,
-                    note=f"{stalls}/{n_try} preimage solves stalled",
+                    note=f"{stalls}/{n_try} preimage solves stalled"
+                    + (", implicit branch mismatch" if mismatch else ""),
                     provenance=_prov(cfg, depth, {"stalls": stalls}))
     return _law("surjective", Verdict.PASS_NUMERIC,
                 note=f"{n_try}/{n_try} preimages recovered from 3 starts each",

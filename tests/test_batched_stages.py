@@ -2,15 +2,20 @@
 per start gave: the additive laws (two calls of the addition), the
 uniqueness probe (one solve per probe) and the two triangle laws of
 check_splitting (one batch solved by the retraction).  Each reference below is
-the sequential loop as it was before the stages were batched."""
+the sequential loop as it was before the stages were batched.
+
+The preimages of the surjectivity check solve each implicit cone leg's own
+residual; _ref_surjectivity is the nested solve they replace, where every
+outer Gauss-Newton step evaluated the implicit leg by an inner one."""
 
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tanbun import jet, splitting
+from tanbun import jet, splitting, universal
 from tanbun.bundle import (
     BundleSpec, CheckReport, _pairwise,
     check_additive_laws, induce_addition, well_typed_tuples,
@@ -18,13 +23,17 @@ from tanbun.bundle import (
 from tanbun.cli import parse_bundle_file
 from tanbun.corpus import corpus_list
 from tanbun.expr import (
-    DEFAULT_CONFIG, CheckConfig, ExprError, SmoothMap, Var, compose, con,
-    eval_batch, substitute_vars,
+    DEFAULT_CONFIG, Box, CheckConfig, ExprError, SmoothMap, Var, compose,
+    con, eval_batch, parse_map, substitute_vars,
 )
-from tanbun.jet import ImplicitMap, row_ordered, solve_least_norm
+from tanbun.jet import ImplicitMap, row_ordered, solve_batch, solve_least_norm
 from tanbun.report import LawResult, Verdict, sampled_law
 from tanbun.splitting import (
     chart_box, check_splitting, chi, splitting_pair,
+)
+from tanbun.universal import (
+    CommutingSquare, check_pullback, cockett_square, combined_square,
+    rosicky_square, strong_square,
 )
 
 PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
@@ -88,6 +97,77 @@ def _ref_uniqueness_probe(spec, K, box, cfg):
                      Verdict.PASS_NUMERIC if ok else Verdict.FAIL,
                      max_residual=spread,
                      note=f"three Newton starts per probe, spread {spread:.3g}")
+
+
+def _ref_fp_projector(right_t, bottom_t):
+    """The map on stacked (corner, leg) coordinates whose zero set is the
+    fibre product of the cospan, which the references solve."""
+    nb, nc = right_t.arity, bottom_t.arity
+    rshift = {i: Var(i) for i in range(nb)}
+    bshift = {i: Var(nb + i) for i in range(nc)}
+    return SmoothMap(nb + nc, tuple(
+        substitute_vars(r, rshift) - substitute_vars(bt, bshift)
+        for r, bt in zip(right_t.components, bottom_t.components)))
+
+
+def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
+                      bottom_t, g_t, cfg):
+    rng = cfg.rng(f"{sq.name}:surj:{depth}")
+    n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
+    fp_map = _ref_fp_projector(right_t, bottom_t)
+    legs = (top_t, left_t) if g_t is None else (top_t, left_t, g_t)
+    cone = SimpleNamespace(     # the legs' values and Jacobians, stacked
+        eval_batch=lambda X: np.hstack([f.eval_batch(X) for f in legs]),
+        jac_batch=lambda X: np.concatenate([f.jac_batch(X) for f in legs],
+                                           axis=1))
+    noisy = np.hstack([B_img[:n_try], C_img[:n_try]])
+    starts = np.repeat(Z[:n_try, None], 3, axis=1)
+    for t in range(n_try):
+        noisy[t] += rng.normal(0.0, 0.05, noisy.shape[1])
+        starts[t, 1:] += rng.normal(0.0, 0.01, (2, Z.shape[1]))
+    targets, found, fp_errors = solve_batch(
+        fp_map, np.zeros((n_try, fp_map.coarity)), noisy)
+    tries = np.nonzero(found)[0]
+    full = targets[tries] if g_t is None else np.hstack(
+        [targets[tries], np.zeros((len(tries), g_t.coarity))])
+    sols, ok, errors = solve_batch(
+        cone, np.repeat(full, 3, axis=0),
+        starts[tries].reshape(-1, Z.shape[1]), tol=1e-10, max_iter=60)
+    triples = sols.reshape(len(tries), 3, Z.shape[1])
+    spreads = np.abs(triples[:, [0, 0, 1]] - triples[:, [1, 2, 2]]).max(
+        axis=(1, 2))
+    solved = ok.reshape(-1, 3).all(axis=1).tolist()
+    stalls, k = 0, -1
+    for t, hit in enumerate(found.tolist()):
+        if t in fp_errors:
+            raise fp_errors[t]
+        if not hit:
+            stalls += 1
+            continue
+        k += 1
+        for row in range(3 * k, 3 * k + 3):
+            if row in errors:
+                raise errors[row]
+        if not solved[k]:
+            stalls += 1
+            continue
+        spread = float(spreads[k])
+        if spread > 1e-7:
+            a, b = sols[3 * k:3 * k + 2]
+            return universal._law(
+                "surjective", Verdict.FAIL, witness=(a.tolist(), b.tolist()),
+                max_residual=spread,
+                note="distinct preimages of one cone point",
+                provenance=universal._prov(cfg, depth))
+    if stalls:
+        return universal._law(
+            "surjective", Verdict.UNKNOWN,
+            note=f"{stalls}/{n_try} preimage solves stalled",
+            provenance=universal._prov(cfg, depth, {"stalls": stalls}))
+    return universal._law(
+        "surjective", Verdict.PASS_NUMERIC,
+        note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
+        provenance=universal._prov(cfg, depth))
 
 
 def _ref_retraction_laws(spec, section, K, cfg):
@@ -180,6 +260,143 @@ def test_retraction_stages_match_the_one_call_per_start_loops(monkeypatch,
     assert implicit == (2 if where == "corpus" else 14)
 
 
+def _squares(spec, cfg):
+    """The four squares of a bundle; cockett's addition is induced on a
+    passing verdict, so that the bundles that are not universal give
+    their cockett square too."""
+    add = induce_addition(spec, cfg, universality=PASSED)
+    return [rosicky_square(spec), cockett_square(spec, add),
+            strong_square(spec), combined_square(spec)]
+
+
+@pytest.mark.parametrize("where", WHERE)
+def test_preimages_match_the_nested_solve(monkeypatch, where):
+    # every square at every depth its check reaches: the law that the
+    # residual solve gives has the repr of the nested solve's
+    real, legs = universal._surjectivity, []
+
+    def both(*args):
+        legs.append(isinstance(args[5], ImplicitMap))
+        assert _outcome(real, *args) == _outcome(_ref_surjectivity, *args), \
+            (args[0].name, args[1])
+        return real(*args)
+
+    monkeypatch.setattr(universal, "_surjectivity", both)
+    for spec, cfg in _inputs(monkeypatch, where):
+        for sq in _squares(spec, cfg):
+            try:
+                check_pullback(sq, None, cfg)
+            except ExprError:   # the cockett square of a bundle that is
+                pass            # not universal, before its preimages
+    # each implicit file's cockett square at depths 0 and 1; no corpus
+    # bundle has an implicit cone leg
+    assert legs.count(True) == (0 if where == "corpus" else 28)
+    assert len(legs) > legs.count(True)
+
+
+@pytest.mark.parametrize("name", ["implicit_05", "implicit_08"])
+def test_implicit_rows_solve_to_the_implicit_tolerance(monkeypatch, name):
+    # stopped at the cone's 1e-10 instead of the map's 1e-12, the residual
+    # rows of these two files leave their leg 1e-10 or more from its
+    # target at seed 1, and the branch guard reads the check unknown
+    spec, cfg = next((s, c) for s, c in _implicit_specs(monkeypatch, 1)
+                     if s.name == name)
+    pv = check_pullback(cockett_square(spec, induce_addition(spec, cfg)),
+                        None, cfg)
+    assert pv.surjectivity.verdict is Verdict.PASS_NUMERIC
+    assert pv.depth_checked == 1
+
+
+def _root_square(residual, right, init):
+    """The cone (y, x) on [1/2, 2] over the cospan (right, identity),
+    whose top leg is the ImplicitMap residual(x, y) = 0 started at
+    init."""
+    top = ImplicitMap(parse_map(residual, 2), 1, 1, init, name="root")
+    x = parse_map("x0", 1)
+    return CommutingSquare(
+        name="root", apex_dim=1, apex_box=Box(((Fraction(1, 2), 2),)),
+        constraint=None, top=top, left=x, right=parse_map(right, 1),
+        bottom=x)
+
+
+def _surjectivity_args(sq, cfg, top=None):
+    Z, _ = universal._sample_apex(sq, 0, cfg, cfg.count)
+    return (sq, 0, Z, sq.top.eval_batch(Z), Z, top or sq.top, sq.left,
+            sq.right, sq.bottom, None, cfg)
+
+
+def _ones(X):
+    return np.ones((len(X), 1))
+
+
+def _raise_at(X):
+    raise ExprError("no start")
+
+
+@pytest.mark.parametrize("seed", [1, 3, 6, 10])
+def test_preimages_match_the_nested_solve_over_a_curved_cospan(seed):
+    # y = sqrt(x) over (b^2, c): the fibre-product target is solved only
+    # to NEWTON_TOL, and unweighted, the residual rows of the leg took
+    # half of that misfit, above their 1e-12, and stalled
+    sq = _root_square("x1^2 - x0", "x0^2", _ones)
+    args = _surjectivity_args(sq, CheckConfig(count=20, seed=seed))
+    law = universal._surjectivity(*args)
+    assert law.verdict is Verdict.PASS_NUMERIC
+    assert repr(law) == repr(_ref_surjectivity(*args))
+
+
+def test_a_preimage_on_another_branch_never_passes():
+    # y^2 = x^2 is y = x from the start 1 and y = -x from -1
+    sq = _root_square("x1^2 - x0^2", "x0", _ones)
+    cfg = CheckConfig(count=20, seed=1, t_depth=0)
+    assert check_pullback(sq, 0, cfg).ok
+    # the joint solve finds z = t on the branch y = x; the guard's leg
+    # starts on the branch y = -x, or cannot start at all
+    for init in (lambda X: -_ones(X), _raise_at):
+        far = ImplicitMap(sq.top.residual, 1, 1, init, name="far")
+        law = universal._surjectivity(*_surjectivity_args(sq, cfg, far))
+        assert law.verdict is Verdict.UNKNOWN
+        assert law.note == ("10/10 preimage solves stalled, "
+                            "implicit branch mismatch")
+
+
+def test_surjectivity_evaluates_an_implicit_leg_only_in_the_guard(
+        monkeypatch):
+    # counted per call: no inner Newton runs in the solve, so the only
+    # ImplicitMap call is the guard's one eval_batch of the leg (its init
+    # solves the maps it is built from, inside that call)
+    spec, cfg = _implicit_specs(monkeypatch, 1)[0]
+    sq = cockett_square(spec, induce_addition(spec, cfg))
+    real, leg, calls, depth = universal._surjectivity, [], [], []
+
+    def spy(name):
+        method = getattr(ImplicitMap, name)
+
+        def wrapped(self, X):
+            if leg and not depth:
+                calls[-1].append((name, self is leg[-1]))
+            depth.append(name)
+            try:
+                return method(self, X)
+            finally:
+                depth.pop()
+        return wrapped
+
+    def counted(*args):
+        leg.append(args[5])
+        calls.append([])
+        try:
+            return real(*args)
+        finally:
+            leg.pop()
+
+    for name in ("eval_batch", "jac_batch"):
+        monkeypatch.setattr(ImplicitMap, name, spy(name))
+    monkeypatch.setattr(universal, "_surjectivity", counted)
+    assert check_pullback(sq, None, cfg).ok
+    assert calls == [[("eval_batch", True)]] * 2     # depths 0 and 1
+
+
 class _Raising:
     """An addition that raises for the pairs in bad, naming the first such
     row of a batch, as ImplicitMap.eval_batch names its first failing
@@ -256,16 +473,22 @@ def test_each_newton_stage_is_one_call(monkeypatch):
     check_additive_laws(spec, add, cfg)
     assert len(adds) == 2
 
+    # the three probes solve K's own residual in one Newton call, and
+    # build no map: K's compiled Jacobian serves every probe
     section, K = splitting_pair(spec, cfg, universality=PASSED)
-    solves, one_row = [], []
-    monkeypatch.setattr(splitting, "solve_batch",
-                        _counting(solves, splitting.solve_batch))
+    splitting._uniqueness_probe(spec, K, chart_box(spec), cfg)   # compiles
+    solves, one_row, maps = [], [], []
+    monkeypatch.setattr(splitting, "_solve_rows",
+                        _counting(solves, splitting._solve_rows))
     monkeypatch.setattr(jet, "solve_least_norm",
                         _counting(one_row, jet.solve_least_norm))
+    monkeypatch.setattr(SmoothMap, "__post_init__",
+                        _counting(maps, SmoothMap.__post_init__))
     assert splitting._uniqueness_probe(spec, K, chart_box(spec),
                                       cfg).verdict.ok
-    assert (len(solves), one_row) == (3, [])
+    assert (len(solves), one_row, maps) == (1, [], [])
     assert not hasattr(splitting, "solve_least_norm")
+    assert not hasattr(splitting, "solve_batch")
 
     # the retraction solves one batch for both triangle laws
     solved = []

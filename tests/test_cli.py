@@ -280,6 +280,28 @@ def test_a_scalar_action_that_is_nan_everywhere_reads_unknown(tmp_path,
         assert law["witness"] and law["max_residual"] == 0.0
 
 
+def test_a_nan_in_equal_maps_reads_unknown_with_its_sample(tmp_path, capsys):
+    # pre-2 and pre-4 compare maps built from the lift through equal_maps,
+    # whose samples all reach inf - inf: the law names the NaN sample as
+    # (point, lhs, rhs) as well as in its note, and the JSON writes the
+    # NaN as a string
+    nan = "exp(1000*(x1^2 + 1)) - exp(999*(x1^2 + 1))*exp(x1^2 + 1)"
+    path = _write(tmp_path, LINE_DB.replace(
+        "lambda = x0, 0, 0, x1", f"lambda = x0, 0, 0, x1 + {nan}")
+        + "samples = 20\ndepth = 1\n")
+    code = main(["check", path, "--suite", "pre", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    laws = {l["law"]: l for l in doc["suites"][0]["laws"]}
+    for law_id in ("pre-2", "pre-4"):
+        law = laws[law_id]
+        assert law["verdict"] == "unknown", law_id
+        assert law["note"].startswith("residual is NaN at sample"), law_id
+        point, lhs, rhs = law["witness"]
+        assert law["note"].endswith(f"{point}"), law_id
+        assert "nan" in lhs + rhs, law_id
+    assert code == 2 and doc["aggregate"] == "unknown"
+
+
 def test_json_report_structure(tmp_path, capsys):
     path = _write(tmp_path, LINE_DB)
     code, doc = _json_run(capsys, ["check", path, "--samples", "30",

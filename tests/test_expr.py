@@ -466,8 +466,12 @@ def test_equal_maps_never_counts_a_nan_as_agreement():
     X = cube(1).sample(CheckConfig().rng("equal_maps"), CheckConfig().count)
     first = X[np.isnan(f.eval_batch(X)[:, 0])][0]
     assert v.reason == f"residual is NaN at sample {first.tolist()}"
+    point, lhs, rhs = v.witness
+    assert point.tolist() == first.tolist() and np.isnan(lhs[0]) \
+        and rhs[0] == first[0]
     res = law_from_verdict("x", "a", v)
     assert res.verdict is Verdict.UNKNOWN and "NaN" in res.note
+    assert res.witness is v.witness
 
 
 def test_equal_maps_refutes_on_a_finite_row_beside_nan_rows():

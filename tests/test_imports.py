@@ -332,3 +332,9 @@ def test_one_rule_judges_every_sampled_law():
         "expr._sampled_compare", "report.sampled_law"]
     assert all("_law_from_arrays" not in p.read_text()
                for p in SRC.glob("*.py"))
+
+
+def test_universal_stacks_no_cone_object():
+    # the preimages solve each leg's residual in one loop, with no
+    # namespace standing in for a map that stacks the legs
+    assert "SimpleNamespace" not in (SRC / "universal.py").read_text()

@@ -8,13 +8,13 @@ import pytest
 from numpy.linalg import _umath_linalg
 from scipy.optimize import minimize as scipy_minimize
 
-from tanbun import submersion, universal
+from tanbun import jet, submersion, universal
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, ExprError, SmoothMap, compose, cube,
-    jac_eval_batch, parse_map, simplify_map,
+    CheckConfig, DenominatorNearZero, ExprError, SmoothMap, Var, compose,
+    cube, jac_eval_batch, parse_map, simplify_map, substitute_vars,
 )
 from tanbun.jet import (
-    jac_point, solve_batch, solve_least_norm, tangent_map, tangent_of,
+    jac_point, solve_least_norm, tangent_map, tangent_of,
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
 from tanbun.corpus import (
@@ -259,11 +259,22 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     return res, outliers, info
 
 
+def _ref_fp_projector(right_t, bottom_t):
+    """The map on stacked (corner, leg) coordinates whose zero set is the
+    fibre product of the cospan, which the references solve."""
+    nb, nc = right_t.arity, bottom_t.arity
+    rshift = {i: Var(i) for i in range(nb)}
+    bshift = {i: Var(nb + i) for i in range(nc)}
+    return SmoothMap(nb + nc, tuple(
+        substitute_vars(r, rshift) - substitute_vars(bt, bshift)
+        for r, bt in zip(right_t.components, bottom_t.components)))
+
+
 def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                       bottom_t, g_t, cfg):
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
     n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
-    fp_map = universal._fp_projector(right_t, bottom_t)
+    fp_map = _ref_fp_projector(right_t, bottom_t)
     legs = (top_t, left_t) if g_t is None else (top_t, left_t, g_t)
     cone = SimpleNamespace(     # the legs' values and Jacobians, stacked
         eval_batch=lambda X: np.hstack([f.eval_batch(X) for f in legs]),
@@ -365,19 +376,19 @@ def _squares():
     ]
 
 
-def _solved_rows_are_finite(f, targets, starts, **kw):
-    """solve_batch, asserting that the rows it reports solved are finite.
+def _solved_rows_are_finite(F, J, Z, *args):
+    """_solve_rows, asserting that the rows it reports solved are finite.
     _surjectivity takes the spreads of all tries in one array max, which
     orders a NaN unlike _ref_surjectivity's Python max; it reads only the
     spreads of solved rows, so these must be finite."""
-    Z, ok, errors = solve_batch(f, targets, starts, **kw)
+    ok, errors = jet._solve_rows(F, J, Z, *args)
     assert np.isfinite(Z[ok]).all()
-    return Z, ok, errors
+    return ok, errors
 
 
 @pytest.mark.parametrize("which", range(7))
 def test_batched_phases_match_the_sample_loops(which, monkeypatch):
-    monkeypatch.setattr(universal, "solve_batch", _solved_rows_are_finite)
+    monkeypatch.setattr(universal, "_solve_rows", _solved_rows_are_finite)
     sq, depth = _squares()[which]
     for d in range(depth + 1):
         _assert_phases_match(sq, d, CFG)
@@ -464,14 +475,13 @@ STALL_THEN_FAIL = ("stall-fail", 3, "x0 + x2", "x1", "bump(x0)", "1/2")
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_surjectivity_rewinds_the_stream_after_stalled_tries(seed,
                                                             monkeypatch):
-    fp_rows = []
+    solved_rows = []
 
-    def counting_solve_batch(f, targets, starts, **kw):
-        if isinstance(f, SmoothMap):      # the fibre-product solves
-            fp_rows.append(len(starts))
-        return _solved_rows_are_finite(f, targets, starts, **kw)
+    def counting_solve_rows(F, J, Z, *args):
+        solved_rows.append(len(Z))
+        return _solved_rows_are_finite(F, J, Z, *args)
 
-    monkeypatch.setattr(universal, "solve_batch", counting_solve_batch)
+    monkeypatch.setattr(universal, "_solve_rows", counting_solve_rows)
     cfg = CheckConfig(count=40, seed=seed)
     rng = np.random.default_rng(seed)
     sq = _toy_square(*STALLING)
@@ -481,7 +491,8 @@ def test_surjectivity_rewinds_the_stream_after_stalled_tries(seed,
     assert res == _ref_surjectivity(*_phase_args(sq, 0, Z), cfg)
     assert res.verdict is Verdict.UNKNOWN
     assert 0 < res.provenance["stalls"] < 20
-    assert fp_rows == [20]      # one fibre-product solve of all tries
+    # one fibre-product solve of all tries, then one of their preimages
+    assert len(solved_rows) == 2 and solved_rows[0] == 20
 
     sq = _toy_square(*STALL_THEN_FAIL)
     Z = np.column_stack([[-1.0, 2.0, 0.0, 0.25] + [0.5] * 36,
