@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,7 @@ SCHEMA = "tanbun-report/1"
 CORPUS_SCHEMA = "tanbun-corpus/1"
 
 
+@lru_cache(maxsize=1)
 def _version() -> str:
     try:
         from importlib.metadata import version
@@ -511,6 +513,7 @@ def _add_config_flags(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@lru_cache(maxsize=1)     # parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tanbun",
                      description="Chart-local differential-bundle checker")

@@ -355,23 +355,39 @@ def _each_row(fn, rows, errors=None):
             np.concatenate(vals) if vals else np.empty(0))
 
 
+def _one_matrix(A) -> bool:
+    """Whether a float64 stack is n > 1 copies of one finite, non-empty
+    matrix, bit for bit, so that one factorization serves every row."""
+    bits = A.view(np.uint64)
+    return bool(len(A) > 1 and A[0].size and (bits[1] == bits[0]).all()
+                and (bits == bits[0]).all() and np.isfinite(A[0]).all())
+
+
 def _lstsq_stack(A, B, errors=None):
     """(kept, X): X[i] is np.linalg.lstsq(A[kept[i]], B[kept[i]],
-    rcond=None)[0] bit for bit, for a stack A (n, m, k) and B (n, m) or
-    (n, m, r), from one call of the LAPACK gelsd gufunc that lstsq makes
-    per matrix.  numpy fails the whole stack when one SVD fails; it is
-    then redone row by row, so that the same rows fail with the same
-    LinAlgError: into errors under the row's position, or raised when
-    errors is None."""
+    rcond=None)[0] for a stack A (n, m, k) and B (n, m) or (n, m, r): bit
+    for bit, from one call of the gelsd gufunc lstsq makes per matrix; or
+    to rounding for one repeated matrix, one gelsd call with the rows'
+    right-hand sides as its columns, unless gelsd would rescale them (a
+    row not finite, or its largest |entry| not 0 or in [2^-970, 2^970]).
+    numpy fails the whole stack when one SVD fails; it is then redone row
+    by row, so that the same rows fail with the same LinAlgError: into
+    errors under the row's position, or raised when errors is None."""
     m, k = A.shape[1:]
+    B3 = B[..., None] if B.ndim == 2 else B
+    top, small = np.abs(B3).max(axis=(1, 2), initial=0.0), 2.0 ** -970
     try:
         if not np.isfinite(A).all():    # LAPACK would print to stdout
             raise FloatingPointError
+        one = _one_matrix(A) and np.all(
+            (top == 0) | ((top >= small) & (top <= 1 / small)))
         with np.errstate(invalid="raise", over="ignore", divide="ignore",
                          under="ignore"):
-            X = _umath_linalg.lstsq(A, B[..., None] if B.ndim == 2 else B,
-                                    np.finfo(float).eps * max(m, k),
-                                    signature="ddd->ddid")[0]
+            X = _umath_linalg.lstsq(
+                A[0] if one else A,
+                B3.transpose(1, 0, 2).reshape(m, -1) if one else B3,
+                np.finfo(float).eps * max(m, k), signature="ddd->ddid")[0]
+        X = X.reshape(k, len(A), -1).transpose(1, 0, 2) if one else X
     except FloatingPointError:
         kept, rows = [], []
         for p in range(len(A)):

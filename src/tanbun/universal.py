@@ -30,7 +30,7 @@ from .bundle import (
 )
 from .report import sampled_law
 from .jet import (
-    NEWTON_TOL, ImplicitMap, _each_row, _solve_rows, row_ordered,
+    NEWTON_TOL, ImplicitMap, _each_row, _one_matrix, _solve_rows, row_ordered,
     solve_batch, struct_map, tangent_after, tangent_map, tangent_of,
 )
 
@@ -357,21 +357,27 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
         discarded=total_discard, cospan_outliers=total_outliers)
 
 
-def _pairwise_max(X: np.ndarray) -> np.ndarray:
-    """(n, n) max-norm distances between the rows of X, one coordinate
-    at a time."""
-    d = np.zeros((len(X), len(X)))
-    for col in X.T:
-        np.maximum(d, np.abs(col[None, :] - col[:, None]), out=d)
-    return d
-
-
 def _collision(Z: np.ndarray, F: np.ndarray):
     """The first pair i < j, in lexicographic order, of distinct apex
-    points with the same image."""
-    bad = (_pairwise_max(F) < MATCH_TOL) & (_pairwise_max(Z) > DISTINCT_TOL)
-    i, j = np.nonzero(np.triu(bad, 1))
-    return (int(i[0]), int(j[0])) if i.size else None
+    points with the same finite image; the pairs compared are those within
+    2 MATCH_TOL in the sorted image column whose windows hold fewest."""
+    rows = np.flatnonzero(np.isfinite(F).all(axis=1))
+    order = np.argsort(F[rows], axis=0, kind="stable")
+    ends = [np.searchsorted(col, col + 2 * MATCH_TOL, "right")
+            for col in np.take_along_axis(F[rows], order, axis=0).T]
+    c = int(np.argmin([e.sum() for e in ends]))
+    w = ends[c] - np.arange(1, len(rows) + 1)     # the window after a row
+    lo = np.repeat(np.arange(len(rows)), w)
+    hi = lo + 1 + np.arange(len(lo)) - np.repeat(np.cumsum(w) - w, w)
+    lo, hi = rows[order[lo, c]], rows[order[hi, c]]
+    i, j = np.minimum(lo, hi), np.maximum(lo, hi)
+    gaps = [np.zeros(len(i)), np.zeros(len(i))]
+    for d, X in zip(gaps, (F, Z)):      # column by column, each contiguous
+        for col in np.ascontiguousarray(X.T):
+            np.maximum(d, np.abs(col[i] - col[j]), out=d)
+    bad = np.flatnonzero((gaps[0] < MATCH_TOL) & (gaps[1] > DISTINCT_TOL))
+    k = bad[np.argmin(i[bad] * len(F) + j[bad])] if bad.size else None
+    return None if k is None else (int(i[k]), int(j[k]))
 
 
 class JacobianNotFinite(ExprError):
@@ -393,18 +399,23 @@ def _fp_tangent_dims(right_t, bottom_t, B_img, C_img) -> list:
     M = _finite(row_ordered(lambda X: np.concatenate(
         [right_t.jac_batch(X[:, :nb]), -bottom_t.jac_batch(X[:, nb:])],
         axis=2), np.hstack([B_img, C_img])))
-    s = np.linalg.svd(M, compute_uv=False)
+    s = _svd(_umath_linalg.svd, M, "d->d")
     return (M.shape[2] - _numeric_rank(s)).tolist()
 
 
 def _svd(gufunc, A: np.ndarray, signature: str):
     """A numpy SVD gufunc on a float64 stack, as np.linalg.svd calls it."""
+    one = _one_matrix(A)
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore",
                          under="ignore"):
-            return gufunc(A, signature=signature)
+            out = gufunc(A[:1] if one else A, signature=signature)
     except FloatingPointError:      # what np.linalg.svd raises instead
         raise np.linalg.LinAlgError("SVD did not converge") from None
+    if one and isinstance(out, tuple):     # read-only views of one SVD
+        return tuple(np.broadcast_to(x, A.shape[:1] + x.shape[1:])
+                     for x in out)
+    return np.broadcast_to(out, A.shape[:1] + out.shape[1:]) if one else out
 
 
 class _RestrictedJacobian:

@@ -700,6 +700,59 @@ def test_stacked_lstsq_redoes_a_failing_stack_row_by_row():
     assert np.isnan(X[1]).all()
 
 
+def _equal_stack(rng, n, m, k, rank=None):
+    a = rng.normal(size=(m, k))
+    if rank is not None:    # a rank-deficient matrix
+        a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, k))
+    return np.broadcast_to(a, (n, m, k)).copy()
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((75, 20, 8), None), ((25, 36, 48), None), ((75, 48, 20), None),
+    ((300, 24, 10), 6), ((40, 3, 2), None), ((2, 1, 5), None)])
+def test_an_equal_stack_is_one_solve_with_the_rows_of_their_own(shape,
+                                                                rank):
+    # one gelsd call with many right-hand sides rounds as a backward-
+    # stable solve of each row does: to a few ulps of the row's largest
+    # |x|, times the condition number of the matrix
+    rng = np.random.default_rng(sum(shape))
+    A = _equal_stack(rng, *shape, rank=rank)
+    s = np.linalg.svd(A[0], compute_uv=False)
+    cond = s[0] / s[s > s[0] * 1e-10][-1]
+    for B in (rng.normal(size=shape[:2]), rng.normal(size=shape[:2] + (3,))):
+        B[1] = 0.0      # a zero right-hand side still solves to +0.0
+        B[-1] *= 1e-280
+        kept, X = _lstsq_stack(A, B)
+        assert kept.tolist() == list(range(len(A)))
+        assert X.shape == (len(A), shape[2]) + B.shape[2:]
+        for x, ref in zip(X, _lstsq_loop(A, B)):
+            scale = np.abs(ref).max(initial=0.0)
+            assert np.all(np.abs(x - ref) <= 8 * cond * np.spacing(scale))
+        assert _bits(X[1]) == _bits(np.zeros_like(X[1]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("edit", ["nonfinite-b", "b-outside-gelsd-range",
+                                  "nonfinite-matrix"])
+def test_an_equal_stack_gelsd_would_rescale_keeps_the_per_row_bits(edit):
+    rng = np.random.default_rng(3)
+    A = _equal_stack(rng, 30, 20, 8)
+    B = rng.normal(size=(30, 20))
+    if edit == "nonfinite-b":
+        B[4, 2], B[9, 0] = np.nan, -np.inf
+    elif edit == "b-outside-gelsd-range":
+        B[7] *= 1e-300      # below SMLNUM, about 1e-292
+        B[8] *= 1e300       # above BIGNUM
+    else:
+        A[:, 3, 1] = np.nan
+    kept, _, errors = _assert_stack_matches_the_loop(A, B)
+    assert len(errors) == (30 if edit == "nonfinite-matrix" else 0)
+    _assert_stack_matches_the_loop(A, np.repeat(B[:, :, None], 2, axis=2))
+
+
 def test_a_matrix_that_is_not_finite_never_reaches_lapack(capfd):
     # LAPACK's error handler prints to standard output
     A, B = np.ones((3, 2, 2)), np.ones((3, 2))

@@ -453,6 +453,54 @@ def test_the_raw_svds_fail_as_np_linalg_svd(capfd):
     assert capfd.readouterr().out == ""
 
 
+def test_an_equal_stack_has_one_svd_with_the_bits_of_each_matrix(capfd):
+    rng = np.random.default_rng(4)
+    for shape in ((50, 36, 48), (200, 18, 22), (3, 5, 2)):
+        A = np.broadcast_to(rng.normal(size=shape[1:]), shape).copy()
+        s = universal._svd(_umath_linalg.svd, A, "d->d")
+        usv = universal._svd(_umath_linalg.svd_f, A, "d->ddd")
+        for k in (0, len(A) - 1):
+            assert _bits(s[k]) == _bits(np.linalg.svd(A[k],
+                                                      compute_uv=False))
+            assert [_bits(x[k]) for x in usv] == \
+                list(map(_bits, np.linalg.svd(A[k])))
+        assert s.shape == shape[:1] + s.shape[1:] and not s.flags.writeable
+    # a stack of one NaN matrix fails as np.linalg.svd does
+    A = np.full((4, 2, 2), np.nan)
+    for gufunc, signature in ((_umath_linalg.svd, "d->d"),
+                              (_umath_linalg.svd_f, "d->ddd")):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^SVD did not converge$"):
+            universal._svd(gufunc, A, signature)
+    assert capfd.readouterr().out == ""
+
+
+def _stripped(payload):
+    for res in payload["results"]:
+        del res["seconds"]
+    return payload
+
+
+def test_equal_stacks_leave_the_corpus_reports_as_they_were(monkeypatch):
+    # the oracle: the same entries with every stack factored per matrix
+    from tanbun.cli import corpus_payload
+    cfg = CheckConfig(seed=23)
+    names = ("trivial_2_3", "tangent_bundle_2", "mutant_morphism_shift")
+    seen, repeats = [], jet._one_matrix
+
+    def spy(A):
+        seen.append(repeats(A))
+        return seen[-1]
+    for mod in (jet, universal):
+        monkeypatch.setattr(mod, "_one_matrix", spy)
+    fast = corpus_payload([corpus_run(n, cfg) for n in names], cfg)
+    assert sum(seen) > 50       # the entries run through equal stacks
+    for mod in (jet, universal):
+        monkeypatch.setattr(mod, "_one_matrix", lambda A: False)
+    slow = corpus_payload([corpus_run(n, cfg) for n in names], cfg)
+    assert _stripped(fast) == _stripped(slow)
+
+
 def _toy_square(name, apex_dim, top, left, right, bottom, constraint=None):
     top, left = parse_map(top, apex_dim), parse_map(left, apex_dim)
     return CommutingSquare(
@@ -940,3 +988,33 @@ def test_collision_scan_finds_the_first_pair_in_order():
     # one point listed twice is not a collision
     assert universal._collision(np.vstack([Z, Z[:1]]),
                                 np.vstack([Z, Z[:1]])) is None
+
+
+def _dense_collision(Z, F):
+    """The scan over all n x n pairs, one max-norm matrix per array."""
+    def gaps(X):
+        return np.abs(X[:, None, :] - X[None, :, :]).max(axis=2)
+    with np.errstate(invalid="ignore"):
+        bad = np.triu((gaps(F) < universal.MATCH_TOL)
+                      & (gaps(Z) > universal.DISTINCT_TOL), 1)
+    i, j = np.nonzero(bad)
+    return (int(i[0]), int(j[0])) if i.size else None
+
+
+def test_collision_scan_finds_the_pair_of_the_dense_scan():
+    rng = np.random.default_rng(9)
+    for trial in range(300):
+        n, dz, df = rng.integers(0, 25), rng.integers(1, 4), rng.integers(1, 5)
+        Z = rng.integers(0, 3, (n, dz)) * rng.choice([1.0, 1e-7, 1e-5])
+        F = rng.integers(0, 3, (n, df)) * rng.choice([1.0, 3e-9, 1e10])
+        F = F + rng.choice([0.0, 1e-9, 5e-9, 2e-8], F.shape)
+        if n and trial % 3 == 0:    # a non-finite image never collides
+            F[rng.integers(n), rng.integers(df)] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+        assert universal._collision(Z, F) == _dense_collision(Z, F), trial
+    # degenerate: one constant image column, or every image equal
+    Z = rng.normal(size=(200, 3))
+    F = np.hstack([np.ones((200, 1)), rng.normal(size=(200, 2))])
+    F[150, 1:] = F[60, 1:]
+    assert universal._collision(Z, F) == _dense_collision(Z, F) == (60, 150)
+    assert universal._collision(Z, np.ones((200, 4))) == (0, 1)
