@@ -22,8 +22,8 @@ from .expr import (
     symbolic_derivative_expr,
 )
 from .jet import (
-    ImplicitMap, NewtonDiverged, row_ordered, solve_batch, struct_map,
-    tangent_map,
+    ImplicitMap, NewtonDiverged, _each_row, row_ordered, solve_batch,
+    struct_map, tangent_map,
 )
 from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
@@ -269,14 +269,17 @@ def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
 
 
 def _implicit_fibre_op(spec: BundleSpec, mode: str):
-    """Newton-defined addition or scaling through lam."""
+    """Newton-defined addition or scaling through lam.  The addition
+    starts at the chart sum a + b - xi(q(a)), the root itself where lam
+    is affine in the fibre; scaling starts at e."""
     d = spec.total_dim
     lam = spec.lam
     if mode == "add":
         n_par = 2 * d
         a_sub = {i: Var(i) for i in range(d)}
         b_sub = {i: Var(d + i) for i in range(d)}
-        init = lambda X: X[:, :d]
+        zero = compose(spec.xi, spec.q)
+        init = lambda X: _chart_sum(zero, X, d)
     else:  # scale: params (r, e)
         n_par = 1 + d
         a_sub = {i: Var(1 + i) for i in range(d)}
@@ -297,6 +300,21 @@ def _implicit_fibre_op(spec: BundleSpec, mode: str):
     residual = simplify_map(smooth_map(n_par + d, comps))
     return ImplicitMap(residual, n_par, d, init=init,
                        name=f"{spec.name}:{mode}")
+
+
+def _chart_sum(zero: SmoothMap, X: np.ndarray, d: int) -> np.ndarray:
+    """a + b - zero(a) for the pairs (a, b) in the rows of X; a row whose
+    zero(a) raises, or whose sum is not finite, keeps a."""
+    A = X[:, :d]
+    start = A.copy()
+    kept, Z = _each_row(lambda rows: eval_batch(zero, A[rows]),
+                        np.arange(len(A)))
+    if kept.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = A[kept] + X[kept, d:] - Z
+        finite = np.isfinite(S).all(axis=1)
+        start[kept[finite]] = S[finite]
+    return start
 
 
 def scale_through_lambda(spec: BundleSpec):

@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,12 +68,22 @@ _KNOWN_KEYS = (("name", "kind", "base_box", "total_box", "suite", "tol")
                + _MAP_KEYS + _INT_KEYS)
 
 
+def _number(conv, text: str):
+    """conv(text) for a number in a file, a flag or TANBUN_SEED.  int(),
+    float() and Fraction() also read any Unicode digit and underscores;
+    only ASCII without underscores is a number here (ValueError)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r}: a number is written in ASCII, "
+                         f"without underscores")
+    return conv(text)
+
+
 def _parse_interval(part: str, where: str):
     pieces = part.split("..")
     if len(pieces) != 2:
         raise BundleFileError(f"{where}: interval {part!r} is not lo..hi")
     try:
-        lo, hi = Fraction(pieces[0].strip()), Fraction(pieces[1].strip())
+        lo, hi = (_number(Fraction, p.strip()) for p in pieces)
     except (ValueError, ZeroDivisionError) as exc:
         raise BundleFileError(f"{where}: bad interval bound: {exc}")
     if not lo < hi:
@@ -130,11 +140,13 @@ def parse_bundle_file(text: str, source: str = "<input>"):
                               f"vector, got {kind!r}")
 
     name = need("name")
-    try:
-        base_dim = int(need("base_dim"))
-        total_dim = int(need("total_dim"))
-    except ValueError as exc:
-        raise BundleFileError(f"{source}: bad dimension: {exc}")
+    dims = []
+    for key in ("base_dim", "total_dim"):
+        try:
+            dims.append(_number(int, need(key)))
+        except ValueError as exc:
+            raise BundleFileError(f"{where(key)}: bad dimension: {exc}")
+    base_dim, total_dim = dims
     if not (0 < base_dim <= total_dim):
         raise BundleFileError(
             f"{source}: need 0 < base_dim <= total_dim, got "
@@ -172,7 +184,7 @@ def parse_bundle_file(text: str, source: str = "<input>"):
                       ("depth", int)):
         if key in raw:
             try:
-                overrides[key] = conv(raw[key])
+                overrides[key] = _number(conv, raw[key])
             except ValueError as exc:
                 raise BundleFileError(f"{where(key)}: {exc}")
     if "depth" in overrides and not 0 <= overrides["depth"] <= 2:
@@ -365,7 +377,7 @@ def _make_config(args, overrides) -> tuple:
     seed_default = 42
     if env_seed is not None:
         try:
-            seed_default = int(env_seed)
+            seed_default = _number(int, env_seed)
         except ValueError:
             raise UsageError(f"TANBUN_SEED must be an integer, got "
                              f"{env_seed!r}")
@@ -476,7 +488,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_axioms(args) -> int:
     try:
-        dims = tuple(int(p) for p in args.dims.split(","))
+        dims = tuple(_number(int, p.strip()) for p in args.dims.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --dims: {exc}")
     cfg, _ = _make_config(args, {})
@@ -501,14 +513,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag_number(conv):
+    """An argparse type reading a flag with _number; argparse reports a
+    bad value as `argument --seed: invalid int value: '1_0'`."""
+    parse = partial(_number, conv)
+    parse.__name__ = conv.__name__
+    return parse
+
+
 def _add_config_flags(p):
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_flag_number(int), default=None,
                    help="sample count for numeric laws (default 200)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_flag_number(float), default=None,
                    help="numeric tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_flag_number(int), default=None,
                    help="RNG seed (default TANBUN_SEED or 42)")
-    p.add_argument("--depth", type=int, choices=(0, 1, 2), default=None,
+    p.add_argument("--depth", type=_flag_number(int), choices=(0, 1, 2),
+                   default=None,
                    help="tangent nesting depth for square checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -6,7 +6,10 @@ the sequential loop as it was before the stages were batched.
 
 The preimages of the surjectivity check solve each implicit cone leg's own
 residual; _ref_surjectivity is the nested solve they replace, where every
-outer Gauss-Newton step evaluated the implicit leg by an inner one."""
+outer Gauss-Newton step evaluated the implicit leg by an inner one.
+
+The Newton-defined addition starts at the chart sum a + b - xi(q(a)); the
+old start a is the reference that every verdict must match."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -15,13 +18,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tanbun import jet, splitting, universal
+from tanbun import bundle, jet, splitting, universal
 from tanbun.bundle import (
     BundleSpec, CheckReport, _pairwise,
     check_additive_laws, induce_addition, well_typed_tuples,
 )
 from tanbun.cli import parse_bundle_file
-from tanbun.corpus import corpus_list
+from tanbun.corpus import corpus_list, run_suites
 from tanbun.expr import (
     DEFAULT_CONFIG, Box, CheckConfig, ExprError, SmoothMap, Var, compose,
     con, eval_batch, parse_map, substitute_vars,
@@ -497,3 +500,39 @@ def test_each_newton_stage_is_one_call(monkeypatch):
                         lambda *args: (section, K))
     assert check_splitting(spec, cfg, universality=PASSED).ok
     assert len(solved) == 1
+
+
+# --------------------------------------------------------------------------
+# The start of the Newton-defined addition
+
+
+def _verdicts(reports):
+    """Each suite's verdict and the verdict of each of its laws."""
+    return [(sid, rep.aggregate, [(e.law_id, e.verdict) for e in rep.entries])
+            for sid, rep in reports.items()]
+
+
+def test_verdicts_do_not_depend_on_the_start_of_the_addition(monkeypatch):
+    # the chart sum a + b - xi(q(a)) against the old start a: every law
+    # reads the same verdict, and the chart sum takes fewer Newton steps
+    cubic = (Path(__file__).resolve().parent / "golden"
+             / "cubic_lift.txt").read_text()
+    inputs = _implicit_specs(monkeypatch, 1) + _implicit_specs(monkeypatch, 23)
+    for text in (cubic, cubic.replace("(1/4)*x1^3", "10*x1^3")):
+        spec, over = parse_bundle_file(text, "cubic_lift")
+        inputs.append((spec, CheckConfig(count=over["samples"], seed=42,
+                                         t_depth=over["depth"])))
+    assert len(inputs) == 30
+    steps = []
+    monkeypatch.setattr(jet, "_lstsq_stack",
+                        _counting(steps, jet._lstsq_stack))
+    for spec, cfg in inputs:
+        del steps[:]
+        got = _verdicts(run_suites(spec, cfg))
+        new_steps = len(steps)
+        with monkeypatch.context() as old:
+            old.setattr(bundle, "_chart_sum", lambda zero, X, d: X[:, :d])
+            del steps[:]
+            want = _verdicts(run_suites(spec, cfg))
+        assert got == want, spec.name
+        assert new_steps < len(steps), spec.name

@@ -6,13 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tanbun import jet
 from tanbun.expr import (
     CheckConfig, DenominatorNearZero, cube, eval_batch, eval_map,
     parse_map, to_source,
 )
-from tanbun.jet import solve_least_norm
+from tanbun.jet import ImplicitMap, NewtonDiverged, solve_least_norm
 from tanbun.bundle import (
-    AdditionUnavailable, BundleMorphism, BundleSpec, Verdict, _pairwise,
+    AdditionUnavailable, BundleMorphism, BundleSpec, Verdict,
+    _implicit_fibre_op, _pairwise,
     check_additive_laws, check_morphism, check_predifferential,
     fibre_affine_decomposition, fibre_matched_tuples, induce_addition,
     lambda_base, scale_through_lambda, vert_lambda, well_typed_tuples,
@@ -82,6 +84,65 @@ def test_induced_addition_closed_form_trivial():
 def test_induced_addition_closed_form_conjugated():
     add = induce_addition(conjugated_bundle(), CFG)
     assert to_source(add) == "x0, x1 + x3 - x0^2"
+
+
+def test_the_addition_starts_at_its_root_on_a_fibre_affine_chart(
+        monkeypatch):
+    # on conjugated_1_1 the chart sum a + b - xi(q(a)) is the closed-form
+    # sum, so Newton stops before its first step
+    cb = conjugated_bundle()
+    (a, b), _ = well_typed_tuples(cb, CFG, width=2)
+    want = eval_batch(induce_addition(cb, CFG), np.hstack([a, b]))
+    steps = []
+    monkeypatch.setattr(jet, "_lstsq_stack",
+                        lambda *args: steps.append(args))
+    got = _implicit_fibre_op(cb, "add").eval_batch(np.hstack([a, b]))
+    assert steps == []
+    assert np.abs(got - want).max() <= ImplicitMap.tol
+
+
+def _old_start(imp):
+    """The addition as it was started before the chart sum: at a."""
+    return ImplicitMap(imp.residual, imp.arity, imp.coarity,
+                       lambda X: X[:, :imp.coarity], imp.name, imp.max_iter)
+
+
+def test_rows_without_a_chart_sum_start_at_a():
+    # the zero section has a pole at x0 = 1 and is not finite at NaN; a
+    # sum may overflow.  Those rows start at a, as the old start did: the
+    # same rows are solved, to the same values, with the same first error.
+    spec = BundleSpec(
+        name="pole", base_dim=1, total_dim=2, base_box=cube(1),
+        total_box=cube(2), q=parse_map("x0", 2),
+        xi=parse_map("x0, 1/(x0 - 1)", 1),
+        lam=parse_map("x0, 0, 0, x1 + x1^3/4", 2))
+    good = [[0.5, 0.3, 0.5, -0.2], [-1.5, 1.0, -1.5, 0.7]]
+    pole = [[1.0, 0.4, 1.0, 0.1], [1.0, -0.3, 1.0, -0.6]]
+    nan = [[np.nan, 0.2, np.nan, 0.1]]
+    huge = [[0.5, 1e308, 0.5, 1e308]]
+    imp = _implicit_fibre_op(spec, "add")
+    X = np.array(good + pole)
+    assert np.array_equal(imp.init(X)[2:], X[2:, :2])
+    assert not np.array_equal(imp.init(X)[:2], X[:2, :2])
+    assert np.array_equal(imp.init(np.array(nan + huge)),
+                          np.array(nan + huge)[:, :2], equal_nan=True)
+    ref = _old_start(imp)
+    got = imp.eval_batch(X)
+    assert np.array_equal(got[2:], ref.eval_batch(X)[2:])
+    assert np.abs(got - ref.eval_batch(X)).max() <= ImplicitMap.tol
+    for rows in (good + huge + pole, pole + nan + good, huge + nan):
+        imp, ref = _implicit_fibre_op(spec, "add"), _old_start(imp)
+        outcomes = []
+        for f in (imp, ref):
+            with pytest.raises((NewtonDiverged, DenominatorNearZero,
+                                np.linalg.LinAlgError)) as exc:
+                f.eval_batch(np.array(rows))
+            outcomes.append((type(exc.value), str(exc.value),
+                             sorted(f._seen)))
+        assert outcomes[0] == outcomes[1]
+        assert np.allclose([imp._seen[k] for k in outcomes[0][2]],
+                           [ref._seen[k] for k in outcomes[0][2]],
+                           rtol=0, atol=ImplicitMap.tol)
 
 
 def test_scale_through_lambda_closed_forms():

@@ -227,6 +227,73 @@ def test_the_smallest_valid_run_settings_are_accepted(tmp_path, capsys):
     assert code == 0 and (doc["samples"], doc["seed"]) == (1, 0)
 
 
+# int(), float() and Fraction() read any Unicode digit and underscores, so
+# `samples = ２０` ran with 20 samples and `--seed 1_0` with seed 10.  Each
+# number a file, a flag or TANBUN_SEED gives is ASCII without underscores.
+_SUPERSCRIPT = "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"
+NOT_ASCII = {
+    "fullwidth": lambda n: chr(0xFF10 + n),
+    "arabic-indic": lambda n: chr(0x0660 + n),
+    "superscript": lambda n: _SUPERSCRIPT[n],
+    "underscore": lambda n: f"0_{n}",
+}
+# (key, ASCII value with one digit braced, line), the line None when the
+# key is appended to LINE_DB
+NUMBER_FIELDS = [
+    ("base_dim", "{1}", 3), ("total_dim", "{2}", 4),
+    ("base_box", "-{2}..2", 5), ("total_box", "-2..2, -2..{2}", 6),
+    ("samples", "2{0}", None), ("seed", "{7}", None), ("depth", "{1}", None),
+    ("tol", "1e-{9}", None),
+]
+
+
+def _spelled(template, variant):
+    digit = int(template[template.index("{") + 1])
+    return template.replace("{%d}" % digit, NOT_ASCII[variant](digit))
+
+
+@pytest.mark.parametrize("variant", sorted(NOT_ASCII))
+@pytest.mark.parametrize("key, template, line", NUMBER_FIELDS)
+def test_a_number_in_a_file_is_ascii(tmp_path, capsys, key, template, line,
+                                     variant):
+    value = _spelled(template, variant)
+    if line is None:
+        text, line = LINE_DB + f"{key} = {value}\n", LINE_DB.count("\n") + 1
+    else:
+        old = f"{key} = " + template.replace("{", "").replace("}", "")
+        assert old in LINE_DB
+        text = LINE_DB.replace(old, f"{key} = {value}")
+    path = _write(tmp_path, text)
+    assert main(["check", path, "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tanbun: error: {path}:{line}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("variant", sorted(NOT_ASCII))
+@pytest.mark.parametrize("flag, template", [
+    ("--samples", "2{0}"), ("--seed", "{7}"), ("--depth", "{0}"),
+    ("--tol", "1e-{9}"), ("TANBUN_SEED", "{7}"),
+])
+def test_a_number_in_a_flag_is_ascii(tmp_path, capsys, monkeypatch, flag,
+                                     template, variant):
+    value = _spelled(template, variant)
+    argv = ["check", _write(tmp_path, LINE_DB), "--format", "json"]
+    if flag == "TANBUN_SEED":
+        monkeypatch.setenv(flag, value)
+        named = "TANBUN_SEED must be an integer"
+    else:
+        monkeypatch.delenv("TANBUN_SEED", raising=False)
+        argv += [flag, value]
+        named = f"argument {flag}: invalid "
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tanbun: error: {named}")
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------------------
 # JSON reports
 
