@@ -254,7 +254,7 @@ def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     from .universal import check_pullback, rosicky_square  # import cycle
     AdditionUnavailable.gate(
         universality, f"{spec.name}: addition",
-        lambda: check_pullback(rosicky_square(spec), cfg.t_depth, cfg))
+        lambda: check_pullback(rosicky_square(spec), cfg))
     d, k = spec.total_dim, spec.base_dim
     decomp = fibre_affine_decomposition(spec)
     if decomp is not None:

@@ -126,34 +126,28 @@ def _suite_note(title: str, verdict: Verdict, reason: str) -> CheckReport:
     return rep
 
 
-def _square_report(title: str, pv, provenance=None) -> CheckReport:
-    rep = CheckReport(title)
-    for e in pv.entries():
-        rep.add(dataclasses.replace(e, provenance={**e.provenance,
-                                                   **provenance})
-                if provenance else e)
-    return rep
-
-
-def _after_rosicky(ros) -> tuple:
-    """(t_depth, provenance) for the cockett and strong squares.  The four
+def _after_rosicky(ros, cfg) -> tuple:
+    """(config, provenance) for the cockett and strong squares.  The four
     squares state one property, the universality of the lift (Cockett &
     Cruttwell, Cahiers LIX, 2018), so once rosicky has passed at full
     depth they run at depth 0 as a consistency check.  After an unknown,
     a failure or no rosicky verdict they run at full depth."""
     if ros is None or not ros.ok:
-        return None, None
-    return 0, {"consistency_check": "depth 0, after rosicky passed at "
-                                    f"depth {ros.depth_checked}"}
+        return cfg, None
+    return dataclasses.replace(cfg, t_depth=0), {
+        "consistency_check": f"depth 0, after rosicky passed at depth "
+                             f"{ros.depth_checked}"}
 
 
-def _merge(title: str, *parts, prefixes=None) -> CheckReport:
+def _merge(title: str, *parts, prefixes=None, provenance=None) -> CheckReport:
+    """The entries of parts under one title, each law id after its part's
+    prefix, each provenance extended by `provenance`."""
     rep = CheckReport(title)
     for idx, part in enumerate(parts):
         pre = prefixes[idx] if prefixes else ""
         for e in part.entries:
-            rep.add(dataclasses.replace(e, law_id=pre + e.law_id)
-                    if pre else e)
+            rep.add(dataclasses.replace(e, law_id=pre + e.law_id, provenance={
+                **e.provenance, **(provenance or {})}))
     return rep
 
 
@@ -210,8 +204,8 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                 rep = module_report if module_report is not None \
                     else check_predifferential(spec, cfg)
             elif sid == "rosicky":
-                ros = check_pullback(rosicky_square(spec), None, cfg)
-                rep = _square_report(title, ros)
+                ros = check_pullback(rosicky_square(spec), cfg)
+                rep = _merge(title, ros)
             elif sid == "addition":
                 try:
                     add = induce_addition(spec, cfg, universality=ros)
@@ -225,17 +219,16 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                     rep = _suite_note(title, Verdict.SKIPPED,
                                       "no induced addition to test against")
                 else:
-                    t_depth, prov = _after_rosicky(ros)
-                    pv = check_pullback(cockett_square(spec, add), t_depth,
-                                        cfg)
-                    rep = _square_report(title, pv, prov)
+                    square_cfg, prov = _after_rosicky(ros, cfg)
+                    pv = check_pullback(cockett_square(spec, add), square_cfg)
+                    rep = _merge(title, pv, provenance=prov)
             elif sid == "strong":
-                t_depth, prov = _after_rosicky(ros)
-                strong = check_pullback(strong_square(spec), t_depth, cfg)
-                rep = _square_report(title, strong, prov)
+                square_cfg, prov = _after_rosicky(ros, cfg)
+                strong = check_pullback(strong_square(spec), square_cfg)
+                rep = _merge(title, strong, provenance=prov)
             elif sid == "combined":
-                pv = check_pullback(combined_square(spec), None, cfg)
-                rep = _square_report(title, pv)
+                rep = _merge(title,
+                             check_pullback(combined_square(spec), cfg))
             elif sid == "split":
                 rep = _merge(title, chi_checks(spec, cfg),
                              check_splitting(spec, cfg, universality=ros),

@@ -1245,7 +1245,7 @@ class EqVerdict:
     """Outcome of comparing two maps: exact proof, a refutation with a
     witness, or numeric evidence only."""
 
-    kind: str                      # "equal" | "not-equal" | "unknown"
+    kind: str       # "equal" | "numeric" | "not-equal" | "unknown"
     witness: tuple | None = None   # (point, lhs value, rhs value)
     max_residual: float = 0.0
     reason: str = ""
@@ -1253,10 +1253,6 @@ class EqVerdict:
     @property
     def is_exact(self) -> bool:
         return self.kind == "equal"
-
-    @property
-    def is_numeric_pass(self) -> bool:
-        return self.kind == "unknown" and self.reason.startswith("numeric pass")
 
 
 def equal_maps(f, g, box: Box, cfg: CheckConfig = DEFAULT_CONFIG) -> EqVerdict:
@@ -1314,8 +1310,11 @@ def _sampled_compare(f, g, box, cfg, polynomial_differs):
                                         G[row].copy())
     if refuted:
         return EqVerdict("not-equal", witness=witness, max_residual=r)
-    reason = ("canonical forms differ but residual is below tolerance"
-              if polynomial_differs else f"numeric pass, max residual {r:.3g}")
     if row is not None:     # a NaN never counts as agreement
-        reason = f"residual is NaN at sample {X[row].tolist()}"
-    return EqVerdict("unknown", witness=witness, max_residual=r, reason=reason)
+        return EqVerdict("unknown", witness=witness, max_residual=r,
+                         reason=f"residual is NaN at sample {X[row].tolist()}")
+    if polynomial_differs:
+        return EqVerdict("unknown", max_residual=r, reason="canonical forms "
+                         "differ but residual is below tolerance")
+    return EqVerdict("numeric", max_residual=r,
+                     reason=f"numeric pass, max residual {r:.3g}")

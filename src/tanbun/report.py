@@ -117,16 +117,16 @@ class Refused(ExprError):
 
     @classmethod
     def gate(cls, universality, what: str, square):
-        """The universality verdict (a PullbackVerdict, a CheckReport or a
-        Verdict) that `what` goes on, if it passes; None means square(),
-        checked here, which the refusal says.  Else raise cls, unknown
+        """The universality verdict (a CheckReport or a Verdict) that
+        `what` goes on, if it passes; None means square(), checked here,
+        which the refusal names by its title.  Else raise cls, unknown
         after an unknown verdict (nothing was refuted) and fail otherwise.
         """
         checked = ""
         if universality is None:
             universality = square()
             checked = ("; no verdict was given, so the gate checked "
-                       f"{universality.square} itself")
+                       f"{universality.title} itself")
         agg = getattr(universality, "aggregate", universality)
         if agg.ok:
             return universality
@@ -158,10 +158,8 @@ def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
 def law_from_verdict(law_id: str, anchor: str, v, *,
                      provenance=None) -> LawResult:
     """Translate an expr.EqVerdict v into a LawResult, with its witness."""
-    verdict = (Verdict.PASS_EXACT if v.is_exact else
-               Verdict.FAIL if v.kind == "not-equal" else
-               Verdict.PASS_NUMERIC if v.is_numeric_pass else
-               Verdict.UNKNOWN)
+    verdict = {"equal": Verdict.PASS_EXACT, "numeric": Verdict.PASS_NUMERIC,
+               "not-equal": Verdict.FAIL, "unknown": Verdict.UNKNOWN}[v.kind]
     return LawResult(
         law_id, anchor, verdict, witness=v.witness,
         max_residual=v.max_residual, provenance=provenance or {},

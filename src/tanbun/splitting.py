@@ -32,7 +32,7 @@ from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 from .universal import (
-    RANK_TOL, check_pullback, rosicky_square, strong_square,
+    RANK_TOL, _numeric_rank, check_pullback, rosicky_square, strong_square,
 )
 
 __all__ = [
@@ -161,8 +161,7 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     rng = cfg.rng("chi:rank")
     M = spec.base_box.sample(rng, min(cfg.count, 50))
     F = jac_eval_batch(chi_w, np.hstack([M, np.zeros((len(M), d))]))[:, :, k:]
-    s = np.linalg.svd(F, compute_uv=False)
-    rank = np.sum(s > RANK_TOL * np.maximum(s[:, :1], 1.0), axis=1)
+    rank = _numeric_rank(np.linalg.svd(F, compute_uv=False))
     rep.add(sampled_law(
         "chi-rank-trace", "idempotent fibre rank equals its trace",
         np.abs(np.trace(F, axis1=1, axis2=2) - rank), M, RANK_TOL,
@@ -180,7 +179,7 @@ def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     of lam(e) = iota(chi(m, w)).  Gated on the rosicky square."""
     SplittingRefused.gate(
         universality, f"{spec.name}: splitting",
-        lambda: check_pullback(rosicky_square(spec), cfg.t_depth, cfg))
+        lambda: check_pullback(rosicky_square(spec), cfg))
     d, k = spec.total_dim, spec.base_dim
     section = concat_maps(spec.q, vert_lambda(spec))
     ch = chi(spec)
@@ -288,11 +287,17 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
         lambda r: jac_eval_batch(K.residual, PY[r])[:, :, K.arity:], Y)
     if errors:
         raise errors[min(errors)]
-    spreads = [np.ptp(y[ok], axis=0).max() if ok.sum() > 1 else 0.0
-               for y, ok in zip(Y.reshape(3, 3, -1), solved.reshape(3, 3))]
+    # a probe with fewer than two converged starts compared nothing
+    solved = solved.reshape(3, 3)
+    spreads = [np.ptp(y[ok], axis=0).max() if ok.sum() > 1 else np.nan
+               for y, ok in zip(Y.reshape(3, 3, -1), solved)]
     law = sampled_law("uniqueness", "the retraction value is unique",
                       spreads, Z, 1e-7, {})
-    return replace(law, note=law.note or "three Newton starts per probe, "
+    if law.verdict is Verdict.UNKNOWN:
+        n = solved[np.argmax(np.isnan(spreads))].sum()
+        return replace(law, note=f"{n} of 3 Newton starts converged at the "
+                       "witness probe, too few to compare")
+    return replace(law, note="three Newton starts per probe, "
                    f"spread {law.max_residual:.3g}")
 
 
@@ -305,7 +310,7 @@ def biproduct_check(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     try:
         SplittingRefused.gate(
             universality, f"{spec.name}: biproduct chart",
-            lambda: check_pullback(strong_square(spec), cfg.t_depth, cfg))
+            lambda: check_pullback(strong_square(spec), cfg))
     except SplittingRefused as exc:
         rep.add(exc.law("strong-gate",
                         "biproduct chart requires the strong square"))
@@ -380,8 +385,7 @@ def non_idempotent_demo(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     ranks = {}
     for x in (1.0, 0.0):
         F = jac_eval_batch(phi, np.array([[x, 0.0]]))[0][1:, 1:]
-        s = np.linalg.svd(F, compute_uv=False)
-        ranks[x] = int(np.sum(s > RANK_TOL))
+        ranks[x] = int(_numeric_rank(np.linalg.svd(F, compute_uv=False)))
     ok = ranks[1.0] == 1 and ranks[0.0] == 0
     rep.add(LawResult(
         "rank-nonconstant", "the fibre rank jumps across the base",

@@ -77,37 +77,26 @@ class CommutingSquare:
     max_depth: int = 2
 
 
-@dataclass(frozen=True)
-class PullbackVerdict:
-    square: str
-    commutation: LawResult
-    injectivity: LawResult
-    rank: LawResult
-    surjectivity: LawResult
-    depth_checked: int          # where the check stopped, else its cap
-    aggregate: Verdict
+@dataclass
+class PullbackVerdict(CheckReport):
+    """A square's check: its four laws, titled with the square's name, in
+    the order commutes, injective, rank, surjective."""
+
+    depth_checked: int = 0      # where the check stopped, else its cap
     discarded: int = 0
     cospan_outliers: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return self.aggregate.ok
-
-    def entries(self):
-        return (self.commutation, self.injectivity, self.rank,
-                self.surjectivity)
-
     def describe(self) -> str:
-        head = (f"{self.square}: {self.aggregate.value} "
+        _, nl, laws = super().describe().partition("\n")
+        return (f"{self.title}: {self.aggregate.value} "
                 f"(depth {self.depth_checked}, discarded {self.discarded}, "
-                f"cospan outliers {self.cospan_outliers})")
-        return "\n".join([head] + ["  " + e.describe() for e in self.entries()])
+                f"cospan outliers {self.cospan_outliers})" + nl + laws)
 
     def as_result(self, law_id: str) -> LawResult:
-        worst = max(e.max_residual for e in self.entries())
-        wit = next((e.witness for e in self.entries() if e.witness), None)
-        notes = "; ".join(e.note for e in self.entries() if e.note)
-        return LawResult(law_id, f"{self.square} is a jet-stable pullback",
+        worst = max(e.max_residual for e in self.entries)
+        wit = next((e.witness for e in self.entries if e.witness), None)
+        notes = "; ".join(e.note for e in self.entries if e.note)
+        return LawResult(law_id, f"{self.title} is a jet-stable pullback",
                          self.aggregate, witness=wit, max_residual=worst,
                          note=notes,
                          provenance={"depth": self.depth_checked,
@@ -263,9 +252,9 @@ def _law(law_id: str, verdict: Verdict, **kw) -> LawResult:
     return LawResult(law_id, _ANCHORS[law_id], verdict, **kw)
 
 
-def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
+def check_pullback(sq: CommutingSquare,
                    cfg: CheckConfig = DEFAULT_CONFIG) -> PullbackVerdict:
-    depth_cap = min(sq.max_depth, cfg.t_depth if t_depth is None else t_depth)
+    depth_cap = min(sq.max_depth, cfg.t_depth)
     comm = inj = rank = surj = None     # None: the law has not run yet
     search = {}
     stopped_by = None
@@ -346,15 +335,12 @@ def check_pullback(sq: CommutingSquare, t_depth: int | None = None,
 
     if search:      # the depth-0 search's outcome, on the last rank law
         rank = replace(rank, provenance={**rank.provenance, **search})
-    comm, inj, rank, surj = (
-        law or _law(law_id, Verdict.SKIPPED, note=f"not run: {stopped_by} "
-                    f"stopped the check at depth {depth}")
-        for law_id, law in zip(_ANCHORS, (comm, inj, rank, surj)))
-    agg = Verdict.reduce(e.verdict for e in (comm, inj, rank, surj))
-    return PullbackVerdict(
-        square=sq.name, commutation=comm, injectivity=inj, rank=rank,
-        surjectivity=surj, depth_checked=depth, aggregate=agg,
-        discarded=total_discard, cospan_outliers=total_outliers)
+    laws = [law or _law(law_id, Verdict.SKIPPED, note=f"not run: {stopped_by} "
+                        f"stopped the check at depth {depth}")
+            for law_id, law in zip(_ANCHORS, (comm, inj, rank, surj))]
+    return PullbackVerdict(sq.name, laws, depth_checked=depth,
+                           discarded=total_discard,
+                           cospan_outliers=total_outliers)
 
 
 def _collision(Z: np.ndarray, F: np.ndarray):
@@ -832,16 +818,15 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
 
 
 def cross_check_equivalence(spec: BundleSpec,
-                            cfg: CheckConfig = DEFAULT_CONFIG,
-                            t_depth: int | None = None) -> CheckReport:
+                            cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     """Run all four squares and assert their verdicts agree."""
     rep = CheckReport(f"{spec.name}: universality cross-check")
-    ros = check_pullback(rosicky_square(spec), t_depth, cfg)
+    ros = check_pullback(rosicky_square(spec), cfg)
     rep.add(ros.as_result("square-rosicky"))
 
     try:
         add = induce_addition(spec, cfg, universality=ros)
-        cockett = check_pullback(cockett_square(spec, add), t_depth, cfg)
+        cockett = check_pullback(cockett_square(spec, add), cfg)
         rep.add(cockett.as_result("square-cockett"))
         cockett_agg = cockett.aggregate
     except AdditionUnavailable as exc:
@@ -849,20 +834,16 @@ def cross_check_equivalence(spec: BundleSpec,
                         "cone against (T(q), zero) is a pullback"))
         cockett_agg = exc.verdict
 
-    strong = check_pullback(strong_square(spec), t_depth, cfg)
+    strong = check_pullback(strong_square(spec), cfg)
     rep.add(strong.as_result("square-strong"))
-    comb = check_pullback(combined_square(spec), t_depth, cfg)
+    comb = check_pullback(combined_square(spec), cfg)
     rep.add(comb.as_result("square-combined"))
 
     verdicts = [ros.aggregate, cockett_agg, strong.aggregate, comb.aggregate]
-    if len(set(verdicts)) == 1:
-        rep.add(LawResult(
-            "equivalence", "all four squares give one verdict",
-            Verdict.PASS_NUMERIC,
-            note=f"agreed on {verdicts[0].value}"))
-    else:
-        rep.add(LawResult(
-            "equivalence", "all four squares give one verdict",
-            Verdict.FAIL,
-            note="; ".join(v.value for v in verdicts)))
+    agreed = len(set(verdicts)) == 1
+    rep.add(LawResult(
+        "equivalence", "all four squares give one verdict",
+        Verdict.PASS_NUMERIC if agreed else Verdict.FAIL,
+        note=f"agreed on {verdicts[0].value}" if agreed
+        else "; ".join(v.value for v in verdicts)))
     return rep

@@ -199,7 +199,7 @@ def phi(db: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     the same way, on the verdict the gate went on."""
     universality = TranslationRefused.gate(
         universality, f"{db.name}: scalar recovery",
-        lambda: check_pullback(rosicky_square(db), cfg.t_depth, cfg))
+        lambda: check_pullback(rosicky_square(db), cfg))
     add = db.add if db.add is not None else induce_addition(
         db, cfg, universality=universality)
     # The action is always recomputed from the lift; a declared action on
@@ -290,7 +290,7 @@ def morphism_transport_check(mor: BundleMorphism,
     lift_v = equal_maps(compose(tgt.lam, mor.f),
                         compose(tangent_map(mor.f, 1), src.lam),
                         src.total_box, cfg)
-    lift_ok = lift_v.is_exact or lift_v.is_numeric_pass
+    lift_ok = lift_v.kind in ("equal", "numeric")
     rep.add(LawResult(
         "lift-linear", "the lifts intertwine the morphism",
         Verdict.PASS_EXACT if lift_v.kind == "equal" else

@@ -33,8 +33,7 @@ SQUARE_SUITES = ("rosicky", "cockett", "strong", "combined")
 @pytest.fixture(scope="module")
 def bump_squares():
     return cross_check_equivalence(bump_bundle(),
-                                   CheckConfig(count=60, seed=42),
-                                   t_depth=2)
+                                   CheckConfig(count=60, seed=42))
 
 
 def test_criterion_01_axiom_catalog_exact_on_dims_one_to_three():
@@ -182,7 +181,7 @@ def test_criterion_05_square_checkers_agree_pairwise(corpus, bump_squares):
             base_box=cube(1), total_box=cube(2, -40, 40),
             q=parse_map("x0", 2), xi=parse_map(f"x0, {beta}", 1),
             lam=parse_map(f"x0, {beta}, 0, x1 - {beta}", 2))
-        rep = cross_check_equivalence(spec, cfg, t_depth=2)
+        rep = cross_check_equivalence(spec, cfg)
         assert rep["equivalence"].verdict.ok, spec.name
         tally([e.verdict.ok for e in rep.entries
                if e.law_id != "equivalence"], spec.name)

@@ -75,7 +75,7 @@ def _ref_check_additive_laws(spec, add, cfg, declared=None):
 def _ref_uniqueness_probe(spec, K, box, cfg):
     rng = cfg.rng("splitting:uniqueness")
     Z = box.sample(rng, 3)
-    spread = 0.0
+    spread, short = 0.0, None   # short: the first probe with < 2 solutions
     for z in Z:
         sub = {i: con(Fraction(v)) for i, v in enumerate(z)}
         fixed = SmoothMap(K.residual.arity, tuple(
@@ -95,7 +95,15 @@ def _ref_uniqueness_probe(spec, K, box, cfg):
         if len(sols) > 1:
             stack = np.stack(sols)
             spread = max(spread, float(np.max(stack.max(0) - stack.min(0))))
+        elif short is None:
+            short = (z, len(sols))
     ok = spread <= 1e-7
+    if ok and short is not None:
+        return LawResult("uniqueness", "the retraction value is unique",
+                         Verdict.UNKNOWN, witness=(short[0].tolist(),),
+                         max_residual=spread, note=f"{short[1]} of 3 Newton "
+                         "starts converged at the witness probe, too few to "
+                         "compare")
     return LawResult("uniqueness", "the retraction value is unique",
                      Verdict.PASS_NUMERIC if ok else Verdict.FAIL,
                      max_residual=spread,
@@ -288,7 +296,7 @@ def test_preimages_match_the_nested_solve(monkeypatch, where):
     for spec, cfg in _inputs(monkeypatch, where):
         for sq in _squares(spec, cfg):
             try:
-                check_pullback(sq, None, cfg)
+                check_pullback(sq, cfg)
             except ExprError:   # the cockett square of a bundle that is
                 pass            # not universal, before its preimages
     # each implicit file's cockett square at depths 0 and 1; no corpus
@@ -304,9 +312,8 @@ def test_implicit_rows_solve_to_the_implicit_tolerance(monkeypatch, name):
     # target at seed 1, and the branch guard reads the check unknown
     spec, cfg = next((s, c) for s, c in _implicit_specs(monkeypatch, 1)
                      if s.name == name)
-    pv = check_pullback(cockett_square(spec, induce_addition(spec, cfg)),
-                        None, cfg)
-    assert pv.surjectivity.verdict is Verdict.PASS_NUMERIC
+    pv = check_pullback(cockett_square(spec, induce_addition(spec, cfg)), cfg)
+    assert pv["surjective"].verdict is Verdict.PASS_NUMERIC
     assert pv.depth_checked == 1
 
 
@@ -352,7 +359,7 @@ def test_a_preimage_on_another_branch_never_passes():
     # y^2 = x^2 is y = x from the start 1 and y = -x from -1
     sq = _root_square("x1^2 - x0^2", "x0", _ones)
     cfg = CheckConfig(count=20, seed=1, t_depth=0)
-    assert check_pullback(sq, 0, cfg).ok
+    assert check_pullback(sq, cfg).ok
     # the joint solve finds z = t on the branch y = x; the guard's leg
     # starts on the branch y = -x, or cannot start at all
     for init in (lambda X: -_ones(X), _raise_at):
@@ -396,7 +403,7 @@ def test_surjectivity_evaluates_an_implicit_leg_only_in_the_guard(
     for name in ("eval_batch", "jac_batch"):
         monkeypatch.setattr(ImplicitMap, name, spy(name))
     monkeypatch.setattr(universal, "_surjectivity", counted)
-    assert check_pullback(sq, None, cfg).ok
+    assert check_pullback(sq, cfg).ok
     assert calls == [[("eval_batch", True)]] * 2     # depths 0 and 1
 
 

@@ -154,7 +154,8 @@ def test_scale_through_lambda_closed_forms():
 
 def test_induced_addition_refuses_after_failed_universality():
     bump = bump_bundle()
-    bad = check_pullback(rosicky_square(bump), t_depth=0, cfg=CFG)
+    bad = check_pullback(rosicky_square(bump),
+                         dataclasses.replace(CFG, t_depth=0))
     assert bad.aggregate is Verdict.FAIL
     with pytest.raises(AdditionUnavailable):
         induce_addition(bump, CFG, universality=bad)

@@ -96,16 +96,24 @@ def test_forced_chain_keeps_running_after_a_failure():
     assert any(e.verdict is Verdict.FAIL for e in add_entries)
 
 
+def _with_verdict(pv, verdict, law_id="surjective"):
+    """pv with one law's verdict rewritten; on a passing square its
+    aggregate then reads verdict."""
+    return dataclasses.replace(pv, entries=[
+        dataclasses.replace(e, verdict=verdict) if e.law_id == law_id else e
+        for e in pv.entries])
+
+
 def _record_depths(monkeypatch, rosicky=None) -> dict:
-    """{square: t_depth} for every check_pullback call of the chain;
+    """{square: cfg.t_depth} for every check_pullback call of the chain;
     rosicky(pv) may rewrite the rosicky verdict."""
     depths = {}
     real = corpus.check_pullback
 
-    def recording(sq, t_depth, cfg):
+    def recording(sq, cfg):
         kind = sq.name.rsplit(":", 1)[1]
-        depths[kind] = t_depth
-        pv = real(sq, t_depth, cfg)
+        depths[kind] = cfg.t_depth
+        pv = real(sq, cfg)
         return rosicky(pv) if rosicky and kind == "rosicky" else pv
     monkeypatch.setattr(corpus, "check_pullback", recording)
     return depths
@@ -115,8 +123,8 @@ def test_cockett_and_strong_are_depth_0_checks_after_a_rosicky_pass(
         monkeypatch):
     depths = _record_depths(monkeypatch)
     reports = run_suites(trivial_bundle(1, 1), CFG)
-    assert depths == {"rosicky": None, "cockett": 0, "strong": 0,
-                      "combined": None}
+    assert depths == {"rosicky": 2, "cockett": 0, "strong": 0,
+                      "combined": 2}
     assert all(e.provenance["depth"] == 2
                for e in reports["rosicky"].entries)
     for sid in ("cockett", "strong"):
@@ -134,17 +142,15 @@ def test_cockett_and_strong_are_depth_0_checks_after_a_rosicky_pass(
                                             (Verdict.FAIL, True)])
 def test_cockett_and_strong_run_at_full_depth_unless_rosicky_passed(
         monkeypatch, verdict, force):
-    depths = _record_depths(monkeypatch, lambda pv: dataclasses.replace(
-        pv, surjectivity=dataclasses.replace(pv.surjectivity,
-                                             verdict=verdict),
-        aggregate=verdict))
+    depths = _record_depths(monkeypatch,
+                            lambda pv: _with_verdict(pv, verdict))
     # the addition is induced whatever rosicky says, so cockett runs too
     monkeypatch.setattr(corpus, "induce_addition",
                         lambda spec, cfg, universality: induce_addition(
                             spec, cfg))
     reports = run_suites(trivial_bundle(1, 1), CFG, force=force)
     assert reports["rosicky"].aggregate is verdict
-    assert depths["cockett"] is None and depths["strong"] is None
+    assert depths["cockett"] == 2 and depths["strong"] == 2
     for sid in ("cockett", "strong"):
         assert reports[sid].ok
         for e in reports[sid].entries:
@@ -159,10 +165,10 @@ def test_a_gate_reads_the_universality_verdict_it_refused(monkeypatch,
     # unknown; a refusal on a failure stays a failure
     real = corpus.check_pullback
 
-    def rewritten(sq, t_depth, cfg):
-        pv = real(sq, t_depth, cfg)
+    def rewritten(sq, cfg):
+        pv = real(sq, cfg)
         if sq.name.endswith((":rosicky", ":strong")):
-            pv = dataclasses.replace(pv, aggregate=verdict)
+            pv = _with_verdict(pv, verdict)
         return pv
     monkeypatch.setattr(corpus, "check_pullback", rewritten)
     reports = run_suites(trivial_bundle(1, 1), CFG, force=True)
@@ -180,13 +186,13 @@ def test_a_gate_reads_the_universality_verdict_it_refused(monkeypatch,
 def test_the_cross_check_reads_an_unknown_refusal_as_unknown(monkeypatch):
     real = universal.check_pullback
 
-    def rewritten(sq, t_depth, cfg):
-        pv = real(sq, t_depth, cfg)
+    def rewritten(sq, cfg):
+        pv = real(sq, cfg)
         unknown = sq.name.endswith(":rosicky")
-        return dataclasses.replace(pv, aggregate=Verdict.UNKNOWN) \
-            if unknown else pv
+        return _with_verdict(pv, Verdict.UNKNOWN) if unknown else pv
     monkeypatch.setattr(universal, "check_pullback", rewritten)
-    rep = universal.cross_check_equivalence(trivial_bundle(1, 1), CFG, 0)
+    rep = universal.cross_check_equivalence(
+        trivial_bundle(1, 1), dataclasses.replace(CFG, t_depth=0))
     got = {e.law_id: e.verdict for e in rep.entries}
     assert got["square-cockett"] is Verdict.UNKNOWN
     assert got["equivalence"] is Verdict.FAIL      # the others pass

@@ -292,6 +292,26 @@ def test_one_universality_gate():
     assert sum(texts) == 1
 
 
+def test_a_square_check_is_a_check_report():
+    # one report type: a square's aggregate comes from its four laws, and
+    # its depth from the config
+    from dataclasses import fields
+    from inspect import signature
+    from tanbun.report import CheckReport, LawResult, Verdict
+    from tanbun.universal import (
+        PullbackVerdict, check_pullback, cross_check_equivalence,
+    )
+    assert issubclass(PullbackVerdict, CheckReport)
+    assert "aggregate" not in {f.name for f in fields(PullbackVerdict)}
+    for fn in (check_pullback, cross_check_equivalence):
+        assert "t_depth" not in signature(fn).parameters, fn.__name__
+    laws = [LawResult(law_id, "", Verdict.PASS_NUMERIC)
+            for law_id in ("commutes", "injective", "rank")]
+    pv = PullbackVerdict("sq", laws + [LawResult("surjective", "",
+                                                 Verdict.FAIL)])
+    assert pv.aggregate is Verdict.FAIL and not pv.ok
+
+
 def _function_imports_of_universal(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
     return [f"{path.stem}.{fn.name}" for fn in ast.walk(tree)

@@ -77,6 +77,8 @@ def test_law_from_verdict_maps_equality_kinds():
     ne = EqVerdict(kind="not-equal", witness=(0.0,), max_residual=1.0)
     un = EqVerdict(kind="unknown", reason="solver gave up")
     assert law_from_verdict("x", "a", eq).verdict is Verdict.PASS_EXACT
+    assert law_from_verdict("x", "a", EqVerdict(kind="numeric")).verdict \
+        is Verdict.PASS_NUMERIC
     bad = law_from_verdict("x", "a", ne)
     assert bad.verdict is Verdict.FAIL and bad.witness == (0.0,)
     res = law_from_verdict("x", "a", un)

@@ -1,6 +1,7 @@
 """Splitting the vertical retraction, biproduct structure, and the
 non-example that refuses to split."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from tanbun.expr import (
 from tanbun import splitting, universal
 from tanbun.jet import ImplicitMap, tangent_map
 from tanbun.bundle import BundleSpec, Verdict, check_predifferential
+from tanbun.cli import parse_bundle_file
 from tanbun.report import CheckReport, LawResult
 from tanbun.splitting import (
     biproduct_check, chart_box, check_splitting, chi, chi_checks,
@@ -228,3 +230,22 @@ def test_a_failing_uniqueness_probe_names_its_probe():
     assert law.max_residual == pytest.approx(2.0, abs=1e-9)
     assert law.witness[0] in probes.tolist()
     assert law.note.startswith("three Newton starts per probe, spread 2")
+
+
+def test_a_probe_with_one_converged_start_reads_unknown(monkeypatch):
+    # only the first start of each probe converges, so no spread was
+    # measured: uniqueness is open, at the first probe
+    real = splitting._solve_rows
+
+    def one_start(F, J, Y):
+        ok, errors = real(F, J, Y)
+        return ok & np.tile([True, False, False], len(ok) // 3), errors
+    monkeypatch.setattr(splitting, "_solve_rows", one_start)
+    golden = Path(__file__).parent / "golden" / "cubic_lift.txt"
+    spec, _ = parse_bundle_file(golden.read_text())
+    law = check_splitting(spec, CFG)["uniqueness"]
+    probes = chart_box(spec).sample(CFG.rng("splitting:uniqueness"), 3)
+    assert law.verdict is Verdict.UNKNOWN
+    assert law.witness == (probes[0].tolist(),)
+    assert law.note == ("1 of 3 Newton starts converged at the witness "
+                        "probe, too few to compare")

@@ -1,5 +1,6 @@
 """Jet-level pullback checks for the four universality squares."""
 
+import dataclasses
 import sys
 from types import SimpleNamespace
 
@@ -27,6 +28,8 @@ from tanbun.universal import (
 )
 
 CFG = CheckConfig(count=30, seed=5)
+CFG0 = CheckConfig(count=30, seed=5, t_depth=0)
+CFG1 = CheckConfig(count=30, seed=5, t_depth=1)
 
 ENTRY_IDS = ["commutes", "injective", "rank", "surjective"]
 
@@ -56,31 +59,28 @@ def test_all_four_squares_pass_on_trivial():
     add = induce_addition(tb, CFG)
     for sq in (rosicky_square(tb), cockett_square(tb, add),
                strong_square(tb), combined_square(tb)):
-        pv = check_pullback(sq, t_depth=1, cfg=CFG)
+        pv = check_pullback(sq, CFG1)
         assert pv.ok, sq.name
 
 
 def test_rosicky_square_entries_on_conjugated():
-    pv = check_pullback(rosicky_square(conjugated_bundle()), t_depth=1,
-                        cfg=CFG)
+    pv = check_pullback(rosicky_square(conjugated_bundle()), CFG1)
     assert pv.aggregate is Verdict.PASS_NUMERIC
-    assert [e.law_id for e in pv.entries()] == ENTRY_IDS
-    assert all(e.verdict.ok for e in pv.entries())
+    assert [e.law_id for e in pv.entries] == ENTRY_IDS
+    assert all(e.verdict.ok for e in pv.entries)
     assert pv.depth_checked == 1
 
 
 def test_combined_square_caps_its_own_depth():
     # The combined cone already contains a second-order jet chart; its
     # pullback check refuses to iterate the tangent construction again.
-    pv = check_pullback(combined_square(trivial_bundle(1, 1)), t_depth=1,
-                        cfg=CFG)
+    pv = check_pullback(combined_square(trivial_bundle(1, 1)), CFG1)
     assert pv.ok
     assert pv.depth_checked == 0
 
 
 def test_verdict_wraps_into_a_law_result():
-    pv = check_pullback(rosicky_square(conjugated_bundle()), t_depth=0,
-                        cfg=CFG)
+    pv = check_pullback(rosicky_square(conjugated_bundle()), CFG0)
     law = pv.as_result("square-rosicky")
     assert law.law_id == "square-rosicky"
     assert law.verdict.ok
@@ -88,7 +88,7 @@ def test_verdict_wraps_into_a_law_result():
 
 
 def test_equivalence_cross_check_agrees_on_conjugated():
-    rep = cross_check_equivalence(conjugated_bundle(), CFG, t_depth=1)
+    rep = cross_check_equivalence(conjugated_bundle(), CFG1)
     assert rep.ok
     assert [e.law_id for e in rep.entries] == [
         "square-rosicky", "square-cockett", "square-strong",
@@ -100,10 +100,10 @@ def test_equivalence_cross_check_agrees_on_conjugated():
 
 
 def test_bump_rosicky_fails_on_rank():
-    pv = check_pullback(rosicky_square(bump_bundle()), t_depth=1,
-                        cfg=CheckConfig(count=40, seed=5))
+    pv = check_pullback(rosicky_square(bump_bundle()),
+                        CheckConfig(count=40, seed=5, t_depth=1))
     assert pv.aggregate is Verdict.FAIL
-    bad = {e.law_id: e for e in pv.entries() if e.verdict is Verdict.FAIL}
+    bad = {e.law_id: e for e in pv.entries if e.verdict is Verdict.FAIL}
     assert set(bad) == {"rank"}
     # Witness search pins the degeneracy to the fibre seam over the
     # origin of the base.
@@ -113,7 +113,7 @@ def test_bump_rosicky_fails_on_rank():
 
 def test_bump_failure_is_shared_by_all_four_squares():
     rep = cross_check_equivalence(bump_bundle(),
-                                  CheckConfig(count=40, seed=5), t_depth=1)
+                                  CheckConfig(count=40, seed=5, t_depth=1))
     verdicts = {e.law_id: e.verdict for e in rep.entries}
     for key in ("square-rosicky", "square-cockett", "square-strong",
                 "square-combined"):
@@ -133,12 +133,13 @@ def test_cockett_square_accepts_an_implicit_addition():
     assert not hasattr(add, "components")  # closed form is unavailable
     x = np.array([0.5, 1.0, 2.0, 0.5, -0.3, 0.7])
     assert np.allclose(add.eval_point(x), [0.5, 0.7, 2.1], atol=1e-7)
-    pv = check_pullback(cockett_square(shear, add), t_depth=0, cfg=cfg)
+    pv = check_pullback(cockett_square(shear, add),
+                        dataclasses.replace(cfg, t_depth=0))
     assert pv.ok
 
 
 def test_shear_rosicky_passes_at_depth_one():
-    pv = check_pullback(rosicky_square(_shear_bundle()), t_depth=1, cfg=CFG)
+    pv = check_pullback(rosicky_square(_shear_bundle()), CFG1)
     assert pv.ok
 
 
@@ -585,22 +586,22 @@ NAN_JACOBIAN = "x0, x1*exp(-exp(1000*x1))"
 
 def test_commutation_reads_unknown_on_a_nan_residual():
     sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
-    pv = check_pullback(sq, 0, CFG)
-    assert pv.commutation.verdict is Verdict.UNKNOWN
-    assert np.isnan(sq.top.eval_batch(np.array(pv.commutation.witness))).any()
+    pv = check_pullback(sq, CFG0)
+    assert pv["commutes"].verdict is Verdict.UNKNOWN
+    assert np.isnan(sq.top.eval_batch(np.array(pv["commutes"].witness))).any()
     assert pv.aggregate is Verdict.UNKNOWN
     # a finite row that refutes comes before the NaN rows
     sq = _toy_square("nan-fail", 2, "x0, x1 + exp(1000*x1) - exp(1000*x1)",
                      "x0, x1", "x0, x1", "x0, x1")
-    assert check_pullback(sq, 0, CFG).commutation.verdict is Verdict.FAIL
+    assert check_pullback(sq, CFG0)["commutes"].verdict is Verdict.FAIL
 
 
 def test_laws_after_the_one_that_stopped_the_check_read_skipped():
     sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
-    pv = check_pullback(sq, 1, CFG)
-    assert pv.commutation.verdict is Verdict.UNKNOWN
+    pv = check_pullback(sq, CFG1)
+    assert pv["commutes"].verdict is Verdict.UNKNOWN
     assert pv.depth_checked == 0        # the depth reached, not the cap
-    for law in (pv.injectivity, pv.rank, pv.surjectivity):
+    for law in (pv["injective"], pv["rank"], pv["surjective"]):
         assert law.verdict is Verdict.SKIPPED
         assert law.note == "not run: commutes stopped the check at depth 0"
         assert law.provenance == {}
@@ -608,13 +609,13 @@ def test_laws_after_the_one_that_stopped_the_check_read_skipped():
 
     # the rank search stops bump's rosicky square at depth 0 of 2; the
     # laws before it ran there and say so
-    pv = check_pullback(rosicky_square(bump_bundle()), 2, CFG)
-    assert pv.rank.verdict is Verdict.FAIL
+    pv = check_pullback(rosicky_square(bump_bundle()), CFG)
+    assert pv["rank"].verdict is Verdict.FAIL
     assert pv.depth_checked == 0
-    assert pv.injectivity.verdict is Verdict.PASS_NUMERIC
-    assert pv.injectivity.provenance["depth"] == 0
-    assert pv.surjectivity.verdict is Verdict.SKIPPED
-    assert pv.surjectivity.note == "not run: rank stopped the check at depth 0"
+    assert pv["injective"].verdict is Verdict.PASS_NUMERIC
+    assert pv["injective"].provenance["depth"] == 0
+    assert pv["surjective"].verdict is Verdict.SKIPPED
+    assert pv["surjective"].note == "not run: rank stopped the check at depth 0"
 
 
 def test_no_law_reads_pass_without_provenance(corpus):
@@ -622,7 +623,7 @@ def test_no_law_reads_pass_without_provenance(corpus):
     laws = [e for res in results.values() for rep in res.reports.values()
             for e in rep.entries]
     sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
-    laws += check_pullback(sq, 0, CFG).entries()
+    laws += check_pullback(sq, CFG0).entries
     assert [e.law_id for e in laws
             if e.verdict is Verdict.PASS_NUMERIC and not e.provenance] == []
 
