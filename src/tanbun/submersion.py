@@ -23,7 +23,7 @@ from .expr import (
 )
 from .jet import JetPoint, _lstsq_stack, pushforward, struct_map
 from .report import CheckReport, LawResult, Verdict, sampled_law
-from .universal import RANK_TOL, SEARCH_GATE, collapse_search
+from .universal import RANK_TOL, SEARCH_GATE, collapse_search, face_push
 
 __all__ = [
     "JacobianSample", "RankDeficient", "DerivativePathsDisagree",
@@ -82,26 +82,6 @@ def _min_singulars(f: SmoothMap, Z: np.ndarray) -> np.ndarray:
     return s[:, f.coarity - 1]
 
 
-def _min_singular(f: SmoothMap, z: np.ndarray) -> float:
-    return float(_min_singulars(f, z[None, :])[0])
-
-
-def _face_push(f: SmoothMap, box: Box, z: np.ndarray) -> np.ndarray:
-    """Slide the witness to box faces along directions where the smallest
-    singular value does not increase; plateaus caused by underflowing
-    builtins otherwise leave the witness at an arbitrary plateau point."""
-    lo, hi = box.lo(), box.hi()
-    cur = _min_singular(f, z)
-    for j in range(len(z)):
-        for face in (lo[j], hi[j]):
-            cand = z.copy()
-            cand[j] = face
-            val = _min_singular(f, cand)
-            if val <= cur + 1e-15:
-                z, cur = cand, val
-    return z
-
-
 def _mp_row_norm(f: SmoothMap, z: np.ndarray) -> float:
     """Derivative norm recomputed in high precision, as independent
     confirmation that a witness is a genuine collapse and not underflow."""
@@ -138,8 +118,8 @@ def is_submersion_on(f: SmoothMap, box: Box,
     elif smin[order[0]] < SEARCH_GATE * max(scale, 1.0):
         witness = _collapse_search(f, box, X[order[:4]], cfg)
     if witness is not None:
-        witness = _face_push(f, box, witness)
-        val = _min_singular(f, witness)
+        witness = face_push(_scorer(f, box), box.lo(), box.hi(), witness)
+        val = float(_min_singulars(f, witness[None])[0])
         if val < thresh:
             return LawResult(
                 "submersion", anchor, Verdict.FAIL,
@@ -156,17 +136,22 @@ def is_submersion_on(f: SmoothMap, box: Box,
         provenance=prov)
 
 
-def _collapse_search(f: SmoothMap, box: Box, seeds, cfg: CheckConfig):
+def _scorer(f: SmoothMap, box: Box):
+    """The searches' score_batch: the rows clipped to the box, each with
+    its _min_singulars value."""
     lo, hi = box.lo(), box.hi()
 
     def score_batch(Z):
         Z = np.clip(Z, lo, hi)
         return list(zip(_min_singulars(f, Z), Z))
+    return score_batch
 
+
+def _collapse_search(f: SmoothMap, box: Box, seeds, cfg: CheckConfig):
     rng = cfg.rng("submersion:search")
     pool = box.sample(rng, 40 * box.dim)
     extras = pool[np.argsort(_min_singulars(f, pool), kind="stable")[:2]]
-    return collapse_search(score_batch, list(seeds) + list(extras),
+    return collapse_search(_scorer(f, box), list(seeds) + list(extras),
                            float(np.log(1e-14)))
 
 

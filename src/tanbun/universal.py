@@ -30,14 +30,15 @@ from .bundle import (
 )
 from .report import sampled_law
 from .jet import (
-    NEWTON_TOL, ImplicitMap, _each_row, _one_matrix, _solve_rows, row_ordered,
+    ImplicitMap, _each_row, _one_matrix, _solve_rows, row_ordered,
     solve_batch, struct_map, tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
     "CommutingSquare", "PullbackVerdict", "RankDeficientCospan",
     "rosicky_square", "cockett_square", "strong_square", "combined_square",
-    "check_pullback", "collapse_search", "cross_check_equivalence",
+    "check_pullback", "collapse_search", "face_push",
+    "cross_check_equivalence",
 ]
 
 RANK_TOL = 1e-7           # singular values below this (relative) are zero
@@ -47,7 +48,7 @@ DISTINCT_TOL = 1e-6       # apex points further apart than this are distinct
 
 
 def __getattr__(name):
-    # No search calls scipy: collapse_search runs its own Nelder-Mead.
+    # No search calls scipy: collapse_search is a compass search of its own.
     # universal.minimize stays, loaded on first read, because
     # bench/tracer.py:67 wraps it and bench/test_bench.py:114 checks that
     # it is scipy's minimize.
@@ -223,13 +224,20 @@ def _sample_apex(sq: CommutingSquare, depth: int, cfg: CheckConfig,
     raw = np.hstack([base, tang])
     if sq.constraint is None:
         return raw, 0
-    g_t = tangent_map(sq.constraint, depth)
-    Zp, ok, errors = solve_batch(g_t, np.zeros((count, g_t.coarity)), raw)
-    if errors:
-        raise errors[min(errors)]
+    Zp, ok = _onto(tangent_map(sq.constraint, depth), raw)
     if not ok.any():
         raise RankDeficientCospan(f"{sq.name}: apex projection found no samples")
     return Zp[ok], count - int(ok.sum())
+
+
+def _onto(g_t, P):
+    """(Q, ok): the rows of P moved onto g_t = 0 by one solve_batch, ok
+    False where a solve fails; the error of the first row that raised is
+    raised, as a solve in row order would."""
+    Q, ok, errors = solve_batch(g_t, np.zeros((len(P), g_t.coarity)), P)
+    if errors:
+        raise errors[min(errors)]
+    return Q, ok
 
 
 def _prov(cfg, depth, extra=None):
@@ -521,79 +529,6 @@ def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     return res, outliers, info
 
 
-# scipy 1.17's Nelder-Mead constants (Nelder & Mead, Computer Journal
-# 7(4), 1965): reflection, expansion, contraction, shrink, and the steps
-# of the first simplex
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-_MAXITER, _XATOL, _FATOL = 400, 1e-12, 1e-12
-
-
-def _nelder_mead(x0):
-    """scipy 1.17's _minimize_neldermead without bounds or adaptive
-    parameters, as a generator: it yields a stack of points (the N+1
-    vertices of the first simplex, one trial point, or the N points of a
-    shrink) and is sent their values.  The numpy operations and their
-    order are scipy's, so every point is scipy's bit for bit."""
-    x0 = np.asarray(x0, dtype=float)
-    N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + _NONZDELT) * y[k]
-        else:
-            y[k] = _ZDELT
-        sim[k + 1] = y
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    fsim[:] = yield sim
-    for _ in range(2):              # scipy sorts twice before its loop
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < _MAXITER:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
-        fxr, = yield xr[None]
-        doshrink = False
-        if fxr < fsim[0]:
-            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
-            fxe, = yield xe[None]
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:        # outside contraction
-            xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
-            fxc, = yield xc[None]
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                doshrink = True
-        else:                       # inside contraction
-            xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
-            fxcc, = yield xcc[None]
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                doshrink = True
-        if doshrink:
-            sim[1:] = sim[0] + _SIGMA * (sim[1:] - sim[0])
-            fsim[1:] = yield sim[1:]
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-
 def _scored(score_batch, P) -> list:
     """score_batch(P), or, when it raises an ExprError, each row of P
     alone, a row that raises scoring as none."""
@@ -609,48 +544,71 @@ def _scored(score_batch, P) -> list:
 
 
 def collapse_search(score_batch, starts, deep: float):
-    """Nelder-Mead on log sigma from every start in lockstep, the one
-    search for a rank collapse that sampling missed.  Each step scores
-    the pending points of all live starts in one score_batch(P) call,
-    which gives a (sigma, the point the row stands for) per row of P; a
-    point None, or an ExprError for the row, scores 1e6.
+    """Compass search on log sigma from every start at once, the one
+    search for a rank collapse that sampling missed (Torczon, SIAM J.
+    Optim. 7(1), 1997).  score_batch(P) gives a (sigma, the point the row
+    stands for) per row of P; a point None, or an ExprError for the row,
+    scores 1e6 and is never the best point.
 
-    The result is that of running the starts one after another and
-    stopping at the first sigma below exp(deep): when start j first goes
-    below, every later start is dropped, and the hit of the lowest start
-    that hits wins.  With no hit, the best point seen wins, the first in
-    evaluation order within a start and the earlier start on a tie.
-    Returns None when no point scored."""
-    runs = [_nelder_mead(z0) for z0 in starts]
-    pending = {j: next(run) for j, run in enumerate(runs)}
-    best = [(np.inf, None)] * len(runs)
-    hit = None
-    while pending:
-        live = list(pending)        # in start order: starts only leave
-        scores = iter(_scored(score_batch,
-                              np.concatenate([pending[j] for j in live])))
-        for j in live:
+    Each start keeps a point x and a step h, first 0.05.  The first call
+    scores the starts; every later call scores x + h e_i and x - h e_i,
+    for each coordinate i, of every live start, in start order.  A start
+    moves to its best poll point that improves on its value, the first on
+    a tie, and otherwise halves h; it stops when h is below 1e-12 or after
+    400 polls.  It moves to the raw poll point, while the search keeps
+    the point each row stands for.
+
+    The first call that scores a sigma below exp(deep) ends the search:
+    the lowest start that hit in it wins, with its first such point.
+    With no hit, the best point seen wins, the first within a start and
+    the earlier start on a tie.  Returns None when no point scored."""
+    X = np.array(starts, dtype=float)
+    compass = np.kron(np.eye(X.shape[1]), [[1.0], [-1.0]])
+    step, value = np.full(len(X), 0.05), np.full(len(X), np.inf)
+    best = [(np.inf, None)] * len(X)
+    live, P = np.arange(len(X)), X[:, None]
+    for _ in range(401):        # the starts, then at most 400 polls
+        rows = iter(_scored(score_batch, P.reshape(-1, X.shape[1])))
+        for j, poll in zip(live, P):
             vals = []
-            for sigma, point in itertools.islice(scores, len(pending[j])):
+            for sigma, point in itertools.islice(rows, len(poll)):
                 if point is None:
                     vals.append(1e6)
                     continue
                 vals.append(float(np.log(max(sigma, 1e-300))))
+                if vals[-1] < deep:
+                    return point
                 if vals[-1] < best[j][0]:
                     best[j] = vals[-1], point
-                if vals[-1] < deep:
-                    hit = j
-                    break
-            if hit == j:
-                pending = {k: pending[k] for k in pending if k < j}
-                break
-            try:
-                pending[j] = runs[j].send(vals)
-            except StopIteration:
-                del pending[j]
-    if hit is not None:
-        return best[hit][1]
-    return min(best, key=lambda b: b[0], default=(np.inf, None))[1]
+            k = int(np.argmin(vals))
+            if vals[k] < value[j]:
+                X[j], value[j] = poll[k], vals[k]
+            else:
+                step[j] /= 2
+        live = live[step[live] >= 1e-12]
+        if not live.size:
+            break
+        P = X[live, None] + step[live, None, None] * compass
+    return min(best, key=lambda b: b[0])[1]
+
+
+def face_push(score_batch, lo, hi, z):
+    """z slid onto the faces of the box [lo, hi], one coordinate and one
+    face at a time, wherever the sigma of score_batch rises by at most
+    1e-15; the point returned is the one its row stands for.  Where an
+    underflowing builtin makes sigma flat, a search stops at an arbitrary
+    point of the plateau: this moves it to the face the plateau meets."""
+    (cur, point), = _scored(score_batch, z[None])
+    if point is None:
+        cur = np.inf
+    for j in range(len(z)):
+        for face in (lo[j], hi[j]):
+            cand = z.copy()
+            cand[j] = face
+            (sigma, point), = _scored(score_batch, cand[None])
+            if point is not None and sigma <= cur + 1e-15:
+                z, cur = point, sigma
+    return z
 
 
 def _rank_witness_search(sq, Z, info, plan, cfg):
@@ -665,21 +623,11 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
 
     def project(P):
         """(Q, ok): the rows of P clipped to the box and moved onto the
-        constraint, each as solve_least_norm would from it; a row whose
-        residual is already below the solve's tolerance is what the solve
-        returns from it, and ok is False where a solve fails."""
+        constraint, ok False where a solve fails."""
         Q = np.clip(P, box_lo, box_hi)
-        ok = np.ones(len(Q), dtype=bool)
         if g_t is None:
-            return Q, ok
-        off = np.flatnonzero(~(np.abs(g_t.eval_batch(Q)).max(axis=1)
-                               < NEWTON_TOL))
-        if off.size:
-            Q[off], ok[off], errors = solve_batch(
-                g_t, np.zeros((off.size, g_t.coarity)), Q[off])
-            if errors:
-                raise errors[min(errors)]
-        return Q, ok
+            return Q, np.ones(len(Q), dtype=bool)
+        return _onto(g_t, Q)
 
     def sigmas(P):
         return np.array([_collapse(sv)[0] for sv in plan(P)])
@@ -694,18 +642,15 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     extra = rng.uniform(box_lo, box_hi, size=(40 * apex_flat, apex_flat))
     # the extra samples, projected in one solve and scored in one stacked
     # SVD; one by one when that raises, skipping the samples that do
-    P = np.clip(extra, box_lo, box_hi)
-    if g_t is not None:
-        P, ok, errors = solve_batch(g_t, np.zeros((len(P), g_t.coarity)), P)
-        if errors:
-            raise errors[min(errors)]
-        P = P[ok]
+    P, ok = project(extra)
+    P = P[ok]
     kept, pool = _each_row(lambda rows: sigmas(P[rows]), np.arange(len(P)))
     starts = [Z[i] for i in info["seeds"]]
     starts += list(P[kept[np.argsort(pool, kind="stable")[:2]]])
     best_z = collapse_search(score_batch, starts, float(np.log(1e-10)))
     if best_z is None:
         return None
+    best_z = face_push(score_batch, box_lo, box_hi, best_z)
     try:        # the search's point, projected again as it was scored
         Q, ok = project(best_z[None])
     except ExprError:

@@ -290,12 +290,9 @@ def morphism_transport_check(mor: BundleMorphism,
     lift_v = equal_maps(compose(tgt.lam, mor.f),
                         compose(tangent_map(mor.f, 1), src.lam),
                         src.total_box, cfg)
-    lift_ok = lift_v.kind in ("equal", "numeric")
-    rep.add(LawResult(
-        "lift-linear", "the lifts intertwine the morphism",
-        Verdict.PASS_EXACT if lift_v.kind == "equal" else
-        (Verdict.PASS_NUMERIC if lift_ok else Verdict.FAIL),
-        witness=lift_v.witness, max_residual=lift_v.max_residual))
+    lift = law_from_verdict("lift-linear", "the lifts intertwine the "
+                            "morphism", lift_v)
+    rep.add(lift)
 
     s_src = src.scalar if src.scalar is not None else scale_through_lambda(src)
     s_tgt = tgt.scalar if tgt.scalar is not None else scale_through_lambda(tgt)
@@ -319,9 +316,11 @@ def morphism_transport_check(mor: BundleMorphism,
         scalar = LawResult("scalar-preserving", anchor, Verdict.UNKNOWN,
                            note=str(exc))
     rep.add(scalar)
-    scalar_ok = scalar.verdict.ok
+    lift_ok, scalar_ok = lift.verdict.ok, scalar.verdict.ok
     if scalar.verdict is Verdict.UNKNOWN:
         verdict, note = Verdict.UNKNOWN, "scalar side inconclusive"
+    elif lift.verdict is Verdict.UNKNOWN:
+        verdict, note = Verdict.UNKNOWN, "lift side inconclusive"
     else:
         verdict = Verdict.PASS_NUMERIC if lift_ok == scalar_ok \
             else Verdict.FAIL

@@ -455,6 +455,22 @@ CUBIC_LIFT = (Path(__file__).resolve().parent / "golden"
               / "cubic_lift.txt").read_text()
 
 
+def test_the_bent_lift_runs_the_witness_search_in_every_square(
+        tmp_path, capsys):
+    # the lift x1 + 10 x1^3 bends enough that every square's rank scan
+    # opens the search gate; cockett's top is an ImplicitMap, so this is
+    # the search on a Newton-defined leg, which no bench workload reaches
+    bent = CUBIC_LIFT.replace("(1/4)*x1^3", "10*x1^3")
+    got, doc = _json_run(capsys, ["check", _write(tmp_path, bent),
+                                  "--format", "json"])
+    assert got == 0
+    searches = {s["id"]: law["provenance"].get("search")
+                for s in doc["suites"] for law in s["laws"]
+                if law["law"] == "rank"}
+    assert searches == {"rosicky": "ran", "cockett": "ran", "strong": "ran",
+                        "combined": "ran"}
+
+
 def _edited(text, line):
     key = line.split(" = ")[0]
     return "\n".join(line if old.startswith(key + " = ") else old

@@ -358,3 +358,29 @@ def test_universal_stacks_no_cone_object():
     # the preimages solve each leg's residual in one loop, with no
     # namespace standing in for a map that stacks the legs
     assert "SimpleNamespace" not in (SRC / "universal.py").read_text()
+
+
+def _top_level_names(path: Path) -> set:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)} | {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_one_collapse_search_and_one_face_push():
+    # the compass search replaced a port of scipy's Nelder-Mead, and
+    # submersion's own face push and one-point score went with it
+    nelder_mead = {"_nelder_mead", "_RHO", "_CHI", "_PSI", "_SIGMA",
+                   "_NONZDELT", "_ZDELT", "_MAXITER", "_XATOL", "_FATOL"}
+    assert not nelder_mead & _top_level_names(SRC / "universal.py")
+    assert not {"_face_push", "_min_singular"} & _top_level_names(
+        SRC / "submersion.py")
+    pushes = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+              for name in _top_level_names(p) if "face_push" in name]
+    assert pushes == ["universal.face_push"]
+    # the rank law's witness search and the submersion search
+    assert sorted(_users("collapse_search")) == [
+        "submersion._collapse_search", "universal._rank_witness_search"]
+    assert sorted(_users("face_push")) == [
+        "submersion.is_submersion_on", "universal._rank_witness_search"]

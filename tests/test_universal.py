@@ -7,12 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
-from scipy.optimize import minimize as scipy_minimize
 
-from tanbun import jet, submersion, universal
+from tanbun import jet, universal
 from tanbun.expr import (
     CheckConfig, DenominatorNearZero, ExprError, SmoothMap, Var, compose,
-    cube, jac_eval_batch, parse_map, simplify_map, substitute_vars,
+    cube, parse_map, simplify_map, substitute_vars,
 )
 from tanbun.jet import (
     jac_point, solve_least_norm, tangent_map, tangent_of,
@@ -21,7 +20,6 @@ from tanbun.bundle import BundleSpec, Verdict, induce_addition
 from tanbun.corpus import (
     bump_bundle, conjugated_bundle, corpus_list, corpus_run, trivial_bundle,
 )
-from tanbun.submersion import is_submersion_on
 from tanbun.universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
     cross_check_equivalence, rosicky_square, strong_square,
@@ -641,310 +639,103 @@ def test_rank_scan_reads_unknown_where_a_jacobian_is_not_finite():
         assert res.note == f"{part} Jacobian is not finite"
 
 
-def _ref_score(sq, plan):
-    """The witness search's score as it was: project, then score through
-    _ref_restricted_svs."""
-    top_t, left_t = plan.legs
-    g_t, apex_flat = plan.g_t, plan.apex_flat
-    lo, hi = sq.apex_box.lo(), sq.apex_box.hi()
-
-    def score(z):
-        z = np.clip(z, lo, hi)
-        if g_t is not None:
-            z = solve_least_norm(g_t, np.zeros(g_t.coarity), z)
-        if z is None:
-            return None, z
-        sv = _ref_restricted_svs(top_t, left_t, g_t, z[None], apex_flat)[0]
-        return np.array([universal._collapse(sv)[0]])[0], z
-    return score
-
-
-def _ref_starts(sq, Z, info, plan, cfg):
-    """The search's starts as they were: the scan's seeds, then the two
-    lowest of the extra samples, each projected and scored alone."""
-    top_t, left_t = plan.legs
-    g_t, n = plan.g_t, plan.apex_flat
-    lo, hi = sq.apex_box.lo(), sq.apex_box.hi()
-    extra = cfg.rng(f"{sq.name}:witness").uniform(lo, hi, size=(40 * n, n))
-    pool = []
-    for p in np.clip(extra, lo, hi):
-        if g_t is not None:
-            p = solve_least_norm(g_t, np.zeros(g_t.coarity), p)
-            if p is None:
-                continue
-        try:
-            sv = _ref_restricted_svs(top_t, left_t, g_t, p[None], n)[0]
-        except ExprError:
-            continue
-        pool.append((universal._collapse(sv)[0], p))
-    order = np.argsort([sigma for sigma, _ in pool], kind="stable")
-    return [Z[i] for i in info["seeds"]] + [pool[k][1] for k in order[:2]]
-
-
-class _Hit(Exception):
-    """The reference search's stop at a score below deep."""
-
-
-def _ref_collapse_search(score, starts, deep):
-    """collapse_search as it was: scipy's Nelder-Mead from each start in
-    turn on a one-point score(z) -> (sigma, point), keeping the best
-    point seen and stopping at the first log sigma below deep."""
-    best = [np.inf, None]
-
-    def objective(z):
-        try:
-            sigma, point = score(z)
-        except ExprError:
-            point = None
-        if point is None:
-            return 1e6
-        val = float(np.log(max(sigma, 1e-300)))
-        if val < best[0]:
-            best[:] = val, point
-        if val < deep:
-            raise _Hit
-        return val
-
-    for z0 in starts:
-        try:
-            scipy_minimize(objective, z0, method="Nelder-Mead",
-                           options={"maxiter": 400, "xatol": 1e-12,
-                                    "fatol": 1e-12})
-        except _Hit:
-            break
-    return best[1]
-
-
-@pytest.mark.parametrize("seed", [42, 1])
-def test_the_witness_searches_score_as_before_bit_for_bit(seed, monkeypatch):
-    """Every corpus search starts where the old pool scoring put it,
-    gives each point it scores in a batch the old one-point score, and
-    ends, bit for bit, at the point of scipy's Nelder-Mead run from each
-    start in turn on that score."""
-    searches = {}
-    search, lockstep = universal._rank_witness_search, universal.collapse_search
-
-    def checked_search(sq, Z, info, plan, cfg):
-        def both(score_batch, starts, deep):
-            scored = []
-
-            def recorded(P):
-                out = score_batch(P)
-                scored.extend(zip(P, out))
-                return out
-            best = lockstep(recorded, starts, deep)
-            score = _ref_score(sq, plan)
-            for z, (sigma, point) in scored:
-                old_sigma, old_point = score(z)
-                assert _bits(point) == _bits(old_point)
-                assert point is None or _bits(sigma) == _bits(old_sigma)
-            old_starts = _ref_starts(sq, Z, info, plan, cfg)
-            assert list(map(_bits, starts)) == list(map(_bits, old_starts))
-            old_best = _ref_collapse_search(_ref_score(sq, plan), old_starts,
-                                            deep)
-            searches[sq.name] = _bits(best), _bits(old_best)
-            return best
-        with monkeypatch.context() as m:
-            m.setattr(universal, "collapse_search", both)
-            return search(sq, Z, info, plan, cfg)
-
-    monkeypatch.setattr(universal, "_rank_witness_search", checked_search)
-    cfg = CheckConfig(seed=seed)
-    for entry in corpus_list():
-        corpus_run(entry.name, cfg)
-    assert set(searches) == {
-        "conjugated_1_1:rosicky", "conjugated_1_1:cockett",
-        "conjugated_1_1:strong", "conjugated_1_1:combined",
-        "bump_counterexample:rosicky"}
-    for name, (new, old) in searches.items():
-        assert new is not None and new == old, name
-
-
-def test_a_search_whose_projections_fail_ends_where_the_sequential_one_did(
-        monkeypatch):
-    # bump(x0) - 1/2 is flat beside its zero set, so a Newton projection
-    # from there fails and its row scores as none
-    sq = _toy_square("flat", 2, "x0 + x1^3", "x1", "x0", "x0",
-                     constraint="bump(x0) - 1/2")
-    Z, _ = universal._sample_apex(sq, 0, CFG, 40)
-    plan = universal._RestrictedJacobian(
-        tangent_of(sq.top, 0), tangent_map(sq.left, 0),
-        tangent_map(sq.constraint, 0), 2)
-    info = {"seeds": [0, 1, 2, 3], "min_sigma": 0.0, "min_ratio": 0.0}
-    lockstep, unscored, ends = universal.collapse_search, [], []
-
-    def both(score_batch, starts, deep):
-        def counted(P):
-            out = score_batch(P)
-            unscored.extend(p for _, p in out if p is None)
-            return out
-        ends.append(lockstep(counted, starts, deep))
-        old_starts = _ref_starts(sq, Z, info, plan, CFG)
-        ends.append(_ref_collapse_search(_ref_score(sq, plan), old_starts,
-                                         deep))
-        return ends[0]
-
-    monkeypatch.setattr(universal, "collapse_search", both)
-    universal._rank_witness_search(sq, Z, info, plan, CFG)
-    assert unscored and ends[0] is not None
-    assert _bits(ends[0]) == _bits(ends[1])
-
-
-def _ref_min_singular(f, z):
-    s = np.linalg.svd(jac_eval_batch(f, z[None, :])[0], compute_uv=False)
-    return 0.0 if len(s) < f.coarity else float(s[f.coarity - 1])
-
-
-@pytest.mark.parametrize("seed", [42, 1, 7])
-def test_the_submersion_search_ends_where_the_sequential_search_did(
-        seed, monkeypatch):
-    """is_submersion_on's search gives the point of scipy's Nelder-Mead
-    run from each start in turn on a one-point score, with the extra
-    starts sorted one point at a time, bit for bit."""
-    found, started = {}, []
-    search, lockstep = submersion._collapse_search, submersion.collapse_search
-
-    def recorded(score_batch, starts, deep):
-        started.append(starts)
-        return lockstep(score_batch, starts, deep)
-
-    def checked(f, box, seeds, cfg):
-        best = search(f, box, seeds, cfg)
-        lo, hi = box.lo(), box.hi()
-        pool = box.sample(cfg.rng("submersion:search"), 40 * box.dim)
-        starts = list(seeds) + sorted(
-            pool, key=lambda z: _ref_min_singular(f, z))[:2]
-        assert list(map(_bits, started.pop())) == list(map(_bits, starts))
-
-        def score(z):
-            z = np.clip(z, lo, hi)
-            return _ref_min_singular(f, z), z
-        old = _ref_collapse_search(score, starts, float(np.log(1e-14)))
-        found[f] = _bits(best), _bits(old)
-        return best
-
-    monkeypatch.setattr(submersion, "collapse_search", recorded)
-    monkeypatch.setattr(submersion, "_collapse_search", checked)
-    bump = bump_bundle()
-    maps = ((bump.q, bump.total_box), (parse_map("x0^3", 2), cube(2)),
-            (parse_map("x0^2 + x1^2", 2), cube(2)))
-    for f, box in maps:
-        is_submersion_on(f, box, CheckConfig(seed=seed))
-    # each seed reaches the search with two or three of the maps
-    assert len(found) == {42: 2, 1: 2, 7: 3}[seed]
-    for new, old in found.values():
-        assert new is not None and new == old
-
-
-def _driven(fun, x0):
-    """Every point _nelder_mead yields, in order, each stack scored by
-    fun one point at a time; and the sizes of the stacks."""
-    run, seen, sizes = universal._nelder_mead(x0), [], []
-    try:
-        P = next(run)
-        while True:
-            seen += [p.copy() for p in P]
-            sizes.append(len(P))
-            P = run.send([fun(p) for p in P])
-    except StopIteration:
-        return seen, sizes
-
-
-def _quadratic(z):
-    return float(np.sum(np.arange(1, len(z) + 1) * (z - 0.3) ** 2))
-
-
-def _rosenbrock(z):
-    return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2
-                        + (1.0 - z[:-1]) ** 2))
-
-
-def _steps(z):
-    """Flat steps: reflections and contractions fail, so the simplex
-    shrinks."""
-    return float(np.floor(4.0 * np.sum(z ** 2)))
-
-
-def _slope(z):
-    """Unbounded below: every step expands until the iterations run out."""
-    return float(z[0])
-
-
-def _scipy_calls(fun, x0):
-    """The points scipy's Nelder-Mead scores, in order, and its result."""
-    calls = []
-
-    def recorded(z):
-        calls.append(z.copy())
-        return fun(z)
-
-    res = scipy_minimize(recorded, np.array(x0), method="Nelder-Mead",
-                         options={"maxiter": 400, "xatol": 1e-12,
-                                  "fatol": 1e-12})
-    return calls, res
-
-
-@pytest.mark.parametrize("fun", [_quadratic, _rosenbrock, _steps, _slope])
-@pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 2.0, -0.5],
-                                [0.5, -1.5, 0.0, 1.0]])
-def test_nelder_mead_makes_the_evaluations_of_scipy(fun, x0):
-    """Points, order and number as scipy's Nelder-Mead asks for them."""
-    calls, _ = _scipy_calls(fun, x0)
-    seen, sizes = _driven(fun, np.array(x0))
-    assert list(map(_bits, seen)) == list(map(_bits, calls))
-    n = len(x0)
-    assert sizes[0] == n + 1 and set(sizes[1:]) <= {1, n}
-
-
-def test_the_evaluation_cases_shrink_converge_and_run_out():
-    x0 = [0.0, 2.0, -0.5]
-    assert 3 in _driven(_steps, np.array(x0))[1][1:]
-    assert _scipy_calls(_quadratic, x0)[1].status == 0
-    assert _scipy_calls(_slope, x0)[1].status == 2      # maxiter
-
-
 def _two_basins(z):
     """A collapse at x0 = -5 and a floor of 0.01 around x0 = 5."""
     return min(abs(z[0] - 5.0) + 0.01, abs(z[0] + 5.0))
 
 
 def _batch_of(score, calls=None):
-    """A score_batch from a one-point score, noting each batch's size."""
+    """A score_batch from a one-point score, noting each batch's points."""
     def score_batch(P):
         if calls is not None:
-            calls.append(len(P))
+            calls.append(P.copy())
         return [score(p) for p in P]
     return score_batch
 
 
-def test_a_later_start_that_hits_first_loses_to_an_earlier_hit():
+def test_each_poll_scores_the_compass_of_every_live_start_in_one_call():
+    def score(z):       # no collapse: sigma 1 plus the distance to a line
+        return 1.0 + abs(z[0] + z[1] - 0.4), z
+    starts = [np.array([0.0, 0.0]), np.array([1.0, -0.3]),
+              np.array([0.3, 0.1])]
+    calls = []
+    universal.collapse_search(_batch_of(score, calls), starts, -50.0)
+    # the first call scores the starts, the second the four compass
+    # points of each, in start order, at the first step 0.05
+    assert np.array_equal(calls[0], starts)
+    compass = 0.05 * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    assert np.array_equal(calls[1], np.vstack([z + compass for z in starts]))
+    # the third start lies on the line: no poll point improves on it, so
+    # its step halves; the first moves to its first best poll point
+    assert np.array_equal(calls[2][:4], calls[1][0] + compass)
+    assert np.array_equal(calls[2][8:], starts[2] + compass / 2)
+    # every later call holds 2n points per live start; starts only leave
+    sizes = [len(P) for P in calls[1:]]
+    assert all(k % 4 == 0 for k in sizes) and sizes == sorted(sizes)[::-1]
+    assert sizes[-1] == 4
+
+
+def test_a_start_stops_below_the_smallest_step_or_after_400_polls():
+    # on a flat score no poll improves: 36 halvings take 0.05 below 1e-12
+    calls = []
+    universal.collapse_search(_batch_of(lambda z: (1.0, z), calls),
+                              [np.array([0.2])], -50.0)
+    assert len(calls) == 1 + 36
+    assert np.array_equal(calls[-1][:, 0], 0.2 + 0.05 / 2 ** 35 * np.array(
+        [1.0, -1.0]))
+    # on a slope every poll improves, until the polls run out
+    calls = []
+    best = universal.collapse_search(
+        _batch_of(lambda z: (np.exp(z[0]), z), calls), [np.array([0.0])],
+        -50.0)
+    assert len(calls) == 1 + 400 and abs(best[0] + 20.0) < 1e-9
+
+
+def test_the_first_hitting_call_ends_the_search_at_its_lowest_start():
     deep = float(np.log(1e-3))
 
     def score(z):
         return _two_basins(z), z
-    # the first start never hits, the second hits after many steps and
-    # the third at its first simplex
-    starts = [np.array([4.0]), np.array([-3.0]), np.array([-5.0 + 1e-5])]
+    # the first start never hits, the second and third both hit at their
+    # first poll, the second at its first point and the third at its
+    # second
+    starts = [np.array([4.0]), np.array([-5.05]), np.array([-4.95])]
     calls = []
     best = universal.collapse_search(_batch_of(score, calls), starts, deep)
-    old = _ref_collapse_search(score, starts, deep)
-    assert _bits(best) == _bits(old)
-    assert abs(best[0] + 5.0) < 1e-3 and best[0] != starts[2][0]
-    assert calls[0] == 6        # the three first simplices in one call
-    # with the hitting start first, its first simplex is the answer
+    assert len(calls) == 2
+    assert _bits(best) == _bits(calls[1][2])
     best = universal.collapse_search(_batch_of(score), starts[::-1], deep)
-    assert _bits(best) == _bits(starts[2])
+    assert _bits(best) == _bits(calls[1][5])
+    # a later start that hits at once wins over an earlier start that
+    # would hit later
+    starts = [np.array([-3.0]), np.array([-5.0 + 1e-5])]
+    calls = []
+    best = universal.collapse_search(_batch_of(score, calls), starts, deep)
+    assert len(calls) == 1 and _bits(best) == _bits(starts[1])
+
+
+def test_a_start_moves_on_the_poll_point_and_returns_the_scored_point():
+    # the score stands each row for its point rounded to 1/8: the search
+    # moves in raw coordinates and returns what a row stood for
+    def score(z):
+        return 1.0 + abs(z[0] - 0.3), np.round(8 * z) / 8
+    calls = []
+    best = universal.collapse_search(_batch_of(score, calls),
+                                     [np.array([0.0])], -50.0)
+    assert np.array_equal(calls[1][:, 0], [0.05, -0.05])
+    assert np.array_equal(calls[2][:, 0], [0.1, 0.0])
+    assert best[0] == 0.25
 
 
 def test_without_a_hit_the_first_best_point_of_the_earliest_start_wins():
     def score(z):
         # a flat floor of sigma 1 on |x0| <= 0.1, never below exp(deep)
         return 1.0 + max(abs(z[0]) - 0.1, 0.0), z
-    # both starts reach the floor: the second at once, the first later
-    starts = [np.array([0.7]), np.array([0.05])]
+    # both starts reach the floor: the second at once, the first at 0.08
+    # after 13 polls, and then at other points
+    starts = [np.array([0.73]), np.array([0.05])]
     best = universal.collapse_search(_batch_of(score), starts, -50.0)
-    assert _bits(best) == _bits(_ref_collapse_search(score, starts, -50.0))
-    assert abs(best[0]) <= 0.1 and best[0] != 0.05
+    assert abs(best[0] - 0.08) < 1e-12
 
 
 def test_an_expr_error_scores_only_its_row_as_none():
@@ -959,10 +750,18 @@ def test_an_expr_error_scores_only_its_row_as_none():
     scored = universal._scored(score_batch, P)
     assert scored[1] == (None, None)
     assert [s for s, _ in scored[::2]] == [5.0, 2.01]
+    # the first start climbs to the floor at 5; the second stops below
+    # the pole, which it never enters
     starts = [np.array([3.0]), np.array([0.3])]
-    deep = float(np.log(1e-3))
-    best = universal.collapse_search(score_batch, starts, deep)
-    assert _bits(best) == _bits(_ref_collapse_search(score, starts, deep))
+    best = universal.collapse_search(score_batch, starts,
+                                     float(np.log(1e-3)))
+    assert abs(best[0] - 5.0) < 1e-9
+    # a row that scores none is 1e6, which a scored poll point improves
+    # on, and is never the best point: with no scored row there is none
+    best = universal.collapse_search(score_batch, [np.array([1.97])], -50.0)
+    assert abs(best[0] - 5.0) < 1e-9
+    assert universal.collapse_search(score_batch, [np.array([1.0])],
+                                     -50.0) is None
 
 
 def test_an_error_that_is_not_an_expr_error_escapes_the_search():
@@ -970,6 +769,44 @@ def test_an_error_that_is_not_an_expr_error_escapes_the_search():
         raise np.linalg.LinAlgError("SVD did not converge")
     with pytest.raises(np.linalg.LinAlgError):
         universal.collapse_search(score_batch, [np.array([1.0])], -20.0)
+
+
+def test_face_push_moves_a_plateau_point_onto_the_face_at_its_sigma():
+    # sigma is flat at 0 for x1 >= 0.9, where an underflowing builtin
+    # would leave a search at any point; every other face raises it
+    def score(z):
+        return abs(z[0]) + max(0.9 - z[1], 0.0), z
+    calls = []
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    z = universal.face_push(_batch_of(score, calls), lo, hi,
+                            np.array([0.0, 0.95]))
+    assert z.tolist() == [0.0, 1.0] and score(z)[0] == 0.0
+    assert [len(P) for P in calls] == [1] * 5
+
+    def pole(z):        # a row that raises is not a candidate
+        if z[1] == 1.0:
+            raise DenominatorNearZero("pole")
+        return score(z)
+    z = universal.face_push(_batch_of(pole), lo, hi, np.array([0.0, 0.95]))
+    assert z.tolist() == [0.0, 0.95]
+
+
+def test_the_rank_witness_is_face_pushed_before_its_check(monkeypatch):
+    # bump's rosicky witness lies on the seam over the base origin, at
+    # the top face of the fibre box, where the search alone stops on the
+    # bump's underflow plateau short of it
+    pushed = []
+
+    def recorded(score_batch, lo, hi, z):
+        pushed.append((z, face_push(score_batch, lo, hi, z)))
+        return pushed[-1][1]
+    face_push = universal.face_push
+    monkeypatch.setattr(universal, "face_push", recorded)
+    pv = check_pullback(rosicky_square(bump_bundle()),
+                        CheckConfig(count=40, seed=5, t_depth=1))
+    (before, after), = pushed
+    (w,) = pv["rank"].witness
+    assert w == after.tolist() and after[1] == 1.0 != before[1]
 
 
 def test_apex_projection_discards_the_samples_the_loop_discards():

@@ -485,3 +485,19 @@ def test_an_all_nan_scalar_gap_fails_the_transport_check():
     agreement = rep["transport-agreement"]
     assert agreement.verdict is Verdict.UNKNOWN
     assert agreement.note == "scalar side inconclusive"
+
+
+def test_an_unknown_lift_side_reads_unknown_not_fail(monkeypatch):
+    # equal_maps could not decide the lift side: lift-linear carries its
+    # reason, and the agreement of the two sides is inconclusive
+    monkeypatch.setattr(vb_module, "equal_maps", lambda *args: expr.EqVerdict(
+        "unknown", reason="evaluation failed: demo"))
+    _, mor, _ = transport_demo_morphisms()[0]
+    rep = morphism_transport_check(mor, CFG)
+    lift = rep["lift-linear"]
+    assert lift.verdict is Verdict.UNKNOWN
+    assert lift.note == "evaluation failed: demo"
+    assert rep["scalar-preserving"].verdict.ok
+    agreement = rep["transport-agreement"]
+    assert agreement.verdict is Verdict.UNKNOWN
+    assert agreement.note == "lift side inconclusive"
