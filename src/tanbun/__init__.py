@@ -11,9 +11,9 @@ from .expr import (
 from .report import CheckReport, LawResult, Verdict
 from .jet import (
     AXIOM_CATALOG, ImplicitMap, JetPoint, NewtonDiverged, STANDARD_STRUCTS,
-    StructSet, TruncElem, apply_map, axiom_ids, check_all_axioms,
-    check_axiom, jac_point, prolong_implicit, pushforward, solve_least_norm,
-    struct_map, tangent_map, tangent_of,
+    TruncElem, apply_map, axiom_ids, check_all_axioms, check_axiom,
+    jac_point, prolong_implicit, pushforward, solve_least_norm, struct_map,
+    tangent_map, tangent_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, NotWellTyped,

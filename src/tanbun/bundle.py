@@ -130,7 +130,7 @@ def _prov(cfg: CheckConfig) -> dict:
 
 
 def well_typed_tuples(spec: BundleSpec, cfg: CheckConfig, width: int = 2,
-                      count: int | None = None, tag: str = "pairs"):
+                      tag: str = "pairs"):
     """Sample tuples of total-chart points with equal q-images.
 
     The first member is drawn from the box; the others are drawn and
@@ -138,7 +138,7 @@ def well_typed_tuples(spec: BundleSpec, cfg: CheckConfig, width: int = 2,
     Returns (list of arrays (n, total_dim), discarded count).
     """
     return fibre_matched_tuples(spec.q, spec.total_box, cfg, width=width,
-                                count=count, tag=f"{spec.name}:{tag}")
+                                tag=f"{spec.name}:{tag}")
 
 
 def fibre_matched_tuples(q: SmoothMap, total_box: Box, cfg: CheckConfig,

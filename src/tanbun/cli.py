@@ -21,7 +21,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .expr import Box, CheckConfig, ExprError, parse_map
+from .expr import (
+    Box, CheckConfig, ExprError, parse_map, _CONFIG_RULES, _config_error,
+)
 from .bundle import BundleSpec
 from .jet import check_all_axioms
 from .vb import VectorBundleSpec
@@ -187,10 +189,8 @@ def parse_bundle_file(text: str, source: str = "<input>"):
                 overrides[key] = _number(conv, raw[key])
             except ValueError as exc:
                 raise BundleFileError(f"{where(key)}: {exc}")
-    if "depth" in overrides and not 0 <= overrides["depth"] <= 2:
-        raise BundleFileError(f"{where('depth')}: depth must be 0..2")
-    for key in _SETTING_RULES:
-        bad = key in overrides and _bad_setting(key, overrides[key])
+    for field, (key, _, _) in _CONFIG_RULES.items():
+        bad = key in overrides and _config_error(field, overrides[key], key)
         if bad:
             raise BundleFileError(f"{where(key)}: {bad}")
 
@@ -350,21 +350,6 @@ def _resolve_input(target: str):
     return entry.build(), {}, digest
 
 
-# the run settings a flag, a bundle file or TANBUN_SEED can give, and the
-# rule each value must meet
-_SETTING_RULES = {
-    "samples": (lambda v: v >= 1, "must be at least 1"),
-    "seed": (lambda v: v >= 0, "must be at least 0"),
-    "tol": (lambda v: 0 < v < np.inf, "must be finite and above 0"),
-}
-
-
-def _bad_setting(key: str, value):
-    """The error for a run setting that breaks its rule, or None."""
-    ok, rule = _SETTING_RULES[key]
-    return None if ok(value) else f"{key} {rule}, got {value}"
-
-
 def _make_config(args, overrides) -> tuple:
     def pick(flag, key, default):
         if flag is not None:
@@ -381,19 +366,18 @@ def _make_config(args, overrides) -> tuple:
         except ValueError:
             raise UsageError(f"TANBUN_SEED must be an integer, got "
                              f"{env_seed!r}")
-    samples = pick(args.samples, "samples", 200)
-    tol = pick(args.tol, "tol", 1e-9)
-    seed = pick(args.seed, "seed", seed_default)
-    depth = pick(args.depth, "depth", 2)
-    for key, value in (("samples", samples), ("seed", seed), ("tol", tol)):
-        bad = _bad_setting(key, value)
+    values = {"count": pick(args.samples, "samples", 200),
+              "tol": pick(args.tol, "tol", 1e-9),
+              "seed": pick(args.seed, "seed", seed_default),
+              "t_depth": pick(args.depth, "depth", 2)}
+    for field, (key, _, _) in _CONFIG_RULES.items():
+        bad = _config_error(field, values[field], key)
         if bad:
             raise UsageError(bad)
     flag_suite = getattr(args, "suite", None)
     suite = flag_suite if flag_suite is not None \
         else overrides.get("suite", "all")
-    cfg = CheckConfig(count=samples, tol=tol, seed=seed, t_depth=depth)
-    return cfg, suite
+    return CheckConfig(**values), suite
 
 
 def run_check(target: str, args) -> tuple:

@@ -376,7 +376,7 @@ def _morphism_report(cfg) -> CheckReport:
 
 
 def _axiom_mutant_report(cfg) -> CheckReport:
-    structs = STANDARD_STRUCTS.with_override("lift", _broken_lift_formula)
+    structs = {**STANDARD_STRUCTS, "lift": _broken_lift_formula}
     return check_all_axioms((1,), structs, cfg)
 
 

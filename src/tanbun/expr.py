@@ -109,25 +109,33 @@ class Expr:
         return neg(self)
 
 
-@dataclass(frozen=True)
+def _keeps_hash(cls):
+    """A frozen dataclass whose field hash is kept in the instance dict
+    on first use (as a compound node's `_normal` and `_bound` are); none
+    is a field.  Hashing a Fraction computes a modular inverse, and every
+    memo lookup hashes every node."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+    def __hash__(self):
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = field_hash(self)
+        return h
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_keeps_hash
 class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
-        # the field hash is kept on first use, as a compound node keeps
-        # it: hashing a Fraction computes a modular inverse, and every
-        # memo lookup hashes every constant.  Its slot is made here, so
-        # that every constant's dict has its keys in one order and the
-        # dicts share them.
+        # the hash's slot is made here, so that every constant's dict has
+        # its keys in one order and the dicts share them
         self.__dict__["_hash"] = None
-
-    def __hash__(self):
-        d = self.__dict__
-        if d["_hash"] is None:
-            d["_hash"] = hash((self.value,))
-        return d["_hash"]
 
     @cached_property
     def as_float(self) -> float:
@@ -140,43 +148,29 @@ class Var(Expr):
     index: int
 
 
-def _compound(cls):
-    """A frozen dataclass whose field hash is kept in the instance dict
-    on first use, beside `_normal` and `_bound`; none is a field."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-    def __hash__(self):
-        d = self.__dict__
-        if "_hash" not in d:
-            d["_hash"] = field_hash(self)
-        return d["_hash"]
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_compound
+@_keeps_hash
 class Sum(Expr):
     terms: tuple
 
 
-@_compound
+@_keeps_hash
 class Product(Expr):
     factors: tuple
 
 
-@_compound
+@_keeps_hash
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@_compound
+@_keeps_hash
 class Quot(Expr):
     num: Expr
     den: Expr
 
 
-@_compound
+@_keeps_hash
 class Call(Expr):
     name: str
     arg: Expr
@@ -303,18 +297,25 @@ def call(name: str, arg: Expr) -> Expr:
 def normalize(e: Expr) -> Expr:
     """Idempotent structural normalization (not polynomial expansion).
     A smart constructor's output is normal and is returned as it is."""
-    if isinstance(e, (Const, Var)) or getattr(e, "_normal", False):
+    if type(e) in (Const, Var) or getattr(e, "_normal", False):
         return e
-    if isinstance(e, Sum):
-        return sum_of(e.terms)
-    if isinstance(e, Product):
-        return product_of(e.factors)
-    if isinstance(e, Pow):
-        return power(e.base, e.exponent)
-    if isinstance(e, Quot):
-        return quotient(e.num, e.den)
-    if isinstance(e, Call):
-        return call(e.name, e.arg)
+    return _rebuild(e, _kids(e))
+
+
+def _rebuild(e: Expr, kids) -> Expr:
+    """The node of e's compound kind over the children kids (as _kids
+    lists them), through the kind's smart constructor."""
+    t = type(e)
+    if t is Sum:
+        return sum_of(kids)
+    if t is Product:
+        return product_of(kids)
+    if t is Pow:
+        return power(kids[0], e.exponent)
+    if t is Quot:
+        return quotient(*kids)
+    if t is Call:
+        return call(e.name, kids[0])
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -610,10 +611,9 @@ class _Lexer:
 
 
 class _Parser:
-    def __init__(self, text: str, arity: int, names: Sequence[str] | None):
+    def __init__(self, text: str, arity: int):
         self.lex = _Lexer(text)
         self.arity = arity
-        self.names = {n: i for i, n in enumerate(names)} if names else {}
 
     def _error(self, msg, tok):
         raise ParseError(msg, tok[2][0], tok[2][1])
@@ -686,12 +686,9 @@ class _Parser:
 
     def _variable(self, tok):
         name = tok[1]
-        if name in self.names:
-            idx = self.names[name]
-        elif name.startswith("x") and name[1:].isdigit():
-            idx = int(name[1:])
-        else:
+        if not (name.startswith("x") and name[1:].isdigit()):
             self._error(f"unbound variable '{name}'", tok)
+        idx = int(name[1:])
         if idx >= self.arity:
             self._error(
                 f"variable '{name}' exceeds declared arity {self.arity}", tok
@@ -699,9 +696,9 @@ class _Parser:
         return Var(idx)
 
 
-def parse_map(text: str, arity: int, names: Sequence[str] | None = None) -> SmoothMap:
+def parse_map(text: str, arity: int) -> SmoothMap:
     """Parse DSL source into a SmoothMap; components separated by commas."""
-    comps = _Parser(text, arity, names).parse_components()
+    comps = _Parser(text, arity).parse_components()
     return SmoothMap(arity, tuple(comps))
 
 
@@ -942,22 +939,12 @@ def eval_mp(f: SmoothMap, x, dps: int = 60) -> list:
 
 def substitute_vars(e: Expr, mapping: dict) -> Expr:
     """Replace Var(i) by mapping[i] where present, leaving others alone."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return e
-    if isinstance(e, Var):
+    if t is Var:
         return mapping.get(e.index, e)
-    if isinstance(e, Sum):
-        return sum_of([substitute_vars(t, mapping) for t in e.terms])
-    if isinstance(e, Product):
-        return product_of([substitute_vars(t, mapping) for t in e.factors])
-    if isinstance(e, Pow):
-        return power(substitute_vars(e.base, mapping), e.exponent)
-    if isinstance(e, Quot):
-        return quotient(substitute_vars(e.num, mapping),
-                        substitute_vars(e.den, mapping))
-    if isinstance(e, Call):
-        return call(e.name, substitute_vars(e.arg, mapping))
-    raise TypeError(f"not an Expr: {e!r}")
+    return _rebuild(e, [substitute_vars(k, mapping) for k in _kids(e)])
 
 
 def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -1223,6 +1210,23 @@ def cube(dim: int, lo=-2, hi=2) -> Box:
     return Box(tuple((lo, hi) for _ in range(dim)))
 
 
+# the rule each CheckConfig field must meet, with the name a bundle file
+# or a flag gives the field
+_CONFIG_RULES = {
+    "t_depth": ("depth", lambda v: 0 <= v <= 2, "must be 0..2"),
+    "count": ("samples", lambda v: v >= 1, "must be at least 1"),
+    "seed": ("seed", lambda v: v >= 0, "must be at least 0"),
+    "tol": ("tol", lambda v: 0 < v < math.inf, "must be finite and above 0"),
+}
+
+
+def _config_error(field: str, value, name: str):
+    """The error for a value of a CheckConfig field that breaks the
+    field's rule, calling the field name; or None."""
+    _, ok, rule = _CONFIG_RULES[field]
+    return None if ok(value) else f"{name} {rule}, got {value}"
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Sampling configuration shared by all checkers."""
@@ -1231,6 +1235,12 @@ class CheckConfig:
     tol: float = 1e-9
     seed: int = 42
     t_depth: int = 2
+
+    def __post_init__(self):
+        for field in _CONFIG_RULES:
+            bad = _config_error(field, getattr(self, field), field)
+            if bad:
+                raise ExprError(bad)
 
     def rng(self, tag: str) -> np.random.Generator:
         digest = sum(ord(c) * 31 ** i for i, c in enumerate(tag)) % (2 ** 31)

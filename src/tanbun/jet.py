@@ -22,7 +22,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -39,7 +40,7 @@ from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
 __all__ = [
     "JetPoint", "TruncElem", "pushforward", "tangent_map", "struct_map",
-    "StructSet", "STANDARD_STRUCTS",
+    "STANDARD_STRUCTS",
     "ImplicitMap", "NewtonDiverged",
     "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
     "jac_point", "row_ordered", "solve_batch", "solve_least_norm",
@@ -277,41 +278,21 @@ def _flip_formula(k: int) -> SmoothMap:
     return projection(4 * k, idx)
 
 
-@dataclass(frozen=True)
-class StructSet:
-    """Level-0 coordinate formulas for the five structure maps; swap a
-    builder to study a deliberately broken variant."""
-
-    builders: tuple = (
-        ("proj", _proj_formula), ("zero", _zero_formula),
-        ("add", _add_formula), ("lift", _lift_formula),
-        ("flip", _flip_formula),
-    )
-
-    def build(self, kind: str, k: int) -> SmoothMap:
-        for name, fn in self.builders:
-            if name == kind:
-                return fn(k)
-        raise KeyError(f"unknown structure map kind {kind!r}")
-
-    def with_override(self, kind: str, fn: Callable[[int], SmoothMap]) -> "StructSet":
-        builders = tuple(
-            (name, fn if name == kind else old) for name, old in self.builders
-        )
-        return StructSet(builders)
+# the level-0 coordinate formula of each structure map, by kind; a copy
+# with one formula replaced studies a deliberately broken variant
+STANDARD_STRUCTS = MappingProxyType({
+    "proj": _proj_formula, "zero": _zero_formula, "add": _add_formula,
+    "lift": _lift_formula, "flip": _flip_formula,
+})
 
 
-STANDARD_STRUCTS = StructSet()
-
-
-def struct_map(kind: str, level: int, k: int,
-               structs: StructSet = STANDARD_STRUCTS) -> SmoothMap:
+def struct_map(kind: str, level: int, k: int) -> SmoothMap:
     """T^level of the structure map of the given kind at base dim k.
 
     The component of a transformation at an inner object T^i(R^k) is
     struct_map(kind, 0, k * 2**i): the level-0 formula at inflated dim.
     """
-    return tangent_map(structs.build(kind, k), level)
+    return tangent_map(STANDARD_STRUCTS[kind](k), level)
 
 
 # --------------------------------------------------------------------------
@@ -592,9 +573,9 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
     a, c, blocks = imp.arity, imp.coarity, 1 << n
     residual = _prolonged_residual(imp.residual, a, n)
 
-    def init(X, _imp=imp, _c=c, _blocks=blocks):
-        Y = np.zeros((len(X), _blocks * _c))
-        Y[:, :_c] = _imp.eval_batch(X[:, :_imp.arity])
+    def init(X):
+        Y = np.zeros((len(X), blocks * c))
+        Y[:, :c] = imp.eval_batch(X[:, :a])
         return Y
 
     return ImplicitMap(residual, blocks * a, blocks * c, init,
@@ -722,8 +703,8 @@ def _restrict(f: SmoothMap, big_arity: int, indices) -> SmoothMap:
     return compose(f, projection(big_arity, indices))
 
 
-def _ax_add_assoc(s: StructSet, k: int):
-    A = s.build("add", k)
+def _ax_add_assoc(s: Mapping, k: int):
+    A = s["add"](k)
     a4 = 4 * k
     x = list(range(k))
     u = list(range(k, 2 * k))
@@ -737,33 +718,33 @@ def _ax_add_assoc(s: StructSet, k: int):
     return compose(A, left_pre), compose(A, right_pre), a4
 
 
-def _ax_add_comm(s: StructSet, k: int):
-    A = s.build("add", k)
+def _ax_add_comm(s: Mapping, k: int):
+    A = s["add"](k)
     sw = projection(3 * k, list(range(k)) + list(range(2 * k, 3 * k))
                     + list(range(k, 2 * k)))
     return A, compose(A, sw), 3 * k
 
 
-def _ax_add_unit(s: StructSet, k: int):
-    A = s.build("add", k)
+def _ax_add_unit(s: Mapping, k: int):
+    A = s["add"](k)
     pad = smooth_map(2 * k, [Var(i) for i in range(2 * k)] + [con(0)] * k)
     return compose(A, pad), identity_map(2 * k), 2 * k
 
 
-def _ax_proj_zero(s: StructSet, k: int):
-    return compose(s.build("proj", k), s.build("zero", k)), identity_map(k), k
+def _ax_proj_zero(s: Mapping, k: int):
+    return compose(s["proj"](k), s["zero"](k)), identity_map(k), k
 
 
-def _ax_proj_add(s: StructSet, k: int):
-    P = s.build("proj", k)
-    A = s.build("add", k)
+def _ax_proj_add(s: Mapping, k: int):
+    P = s["proj"](k)
+    A = s["add"](k)
     pi0 = projection(3 * k, range(2 * k))
     return compose(P, A), compose(P, pi0), 3 * k
 
 
-def _ax_lift_add(s: StructSet, k: int):
-    L = s.build("lift", k)
-    A = s.build("add", k)
+def _ax_lift_add(s: Mapping, k: int):
+    L = s["lift"](k)
+    A = s["add"](k)
     TA = tangent_map(A, 1)
     x = [Var(i) for i in range(k)]
     u = [Var(k + i) for i in range(k)]
@@ -773,17 +754,17 @@ def _ax_lift_add(s: StructSet, k: int):
     return compose(L, A), compose(TA, pair), 3 * k
 
 
-def _ax_lift_zero(s: StructSet, k: int):
-    L = s.build("lift", k)
-    Z = s.build("zero", k)
+def _ax_lift_zero(s: Mapping, k: int):
+    L = s["lift"](k)
+    Z = s["zero"](k)
     return compose(L, Z), compose(tangent_map(Z, 1), Z), k
 
 
-def _ax_flip_add(s: StructSet, k: int):
-    C = s.build("flip", k)
-    A = s.build("add", k)
+def _ax_flip_add(s: Mapping, k: int):
+    C = s["flip"](k)
+    A = s["add"](k)
     TA = tangent_map(A, 1)
-    A_tx = s.build("add", 2 * k)
+    A_tx = s["add"](2 * k)
     x = list(range(k))
     ss = list(range(k, 2 * k))
     t = list(range(2 * k, 3 * k))
@@ -794,44 +775,44 @@ def _ax_flip_add(s: StructSet, k: int):
     return compose(C, TA), compose(A_tx, shuffle), 6 * k
 
 
-def _ax_flip_zero(s: StructSet, k: int):
-    C = s.build("flip", k)
-    Z = s.build("zero", k)
-    return compose(C, tangent_map(Z, 1)), s.build("zero", 2 * k), 2 * k
+def _ax_flip_zero(s: Mapping, k: int):
+    C = s["flip"](k)
+    Z = s["zero"](k)
+    return compose(C, tangent_map(Z, 1)), s["zero"](2 * k), 2 * k
 
 
-def _ax_flip_invol(s: StructSet, k: int):
-    C = s.build("flip", k)
+def _ax_flip_invol(s: Mapping, k: int):
+    C = s["flip"](k)
     return compose(C, C), identity_map(4 * k), 4 * k
 
 
-def _ax_flip_lift(s: StructSet, k: int):
-    C = s.build("flip", k)
-    L = s.build("lift", k)
+def _ax_flip_lift(s: Mapping, k: int):
+    C = s["flip"](k)
+    L = s["lift"](k)
     return compose(C, L), L, 2 * k
 
 
-def _ax_lift_coassoc(s: StructSet, k: int):
-    L = s.build("lift", k)
+def _ax_lift_coassoc(s: Mapping, k: int):
+    L = s["lift"](k)
     TL = tangent_map(L, 1)
-    L_tx = s.build("lift", 2 * k)
+    L_tx = s["lift"](2 * k)
     return compose(TL, L), compose(L_tx, L), 2 * k
 
 
-def _ax_flip_braid(s: StructSet, k: int):
-    TC = tangent_map(s.build("flip", k), 1)
-    C2 = s.build("flip", 2 * k)
+def _ax_flip_braid(s: Mapping, k: int):
+    TC = tangent_map(s["flip"](k), 1)
+    C2 = s["flip"](2 * k)
     lhs = compose(C2, compose(TC, C2))
     rhs = compose(TC, compose(C2, TC))
     return lhs, rhs, 8 * k
 
 
-def _ax_lift_flip_exch(s: StructSet, k: int):
-    C = s.build("flip", k)
+def _ax_lift_flip_exch(s: Mapping, k: int):
+    C = s["flip"](k)
     TC = tangent_map(C, 1)
-    TL = tangent_map(s.build("lift", k), 1)
-    L2 = s.build("lift", 2 * k)
-    C2 = s.build("flip", 2 * k)
+    TL = tangent_map(s["lift"](k), 1)
+    L2 = s["lift"](2 * k)
+    C2 = s["flip"](2 * k)
     return compose(TL, C), compose(C2, compose(TC, L2)), 4 * k
 
 
@@ -857,7 +838,7 @@ def axiom_ids() -> list:
     return [name for name, _, _ in AXIOM_CATALOG]
 
 
-def check_axiom(name: str, k: int, structs: StructSet = STANDARD_STRUCTS,
+def check_axiom(name: str, k: int, structs: Mapping = STANDARD_STRUCTS,
                 cfg: CheckConfig = DEFAULT_CONFIG) -> LawResult:
     """Check one catalog identity at base dimension k."""
     for ax_name, anchor, builder in AXIOM_CATALOG:
@@ -876,7 +857,7 @@ def check_axiom(name: str, k: int, structs: StructSet = STANDARD_STRUCTS,
 
 
 def check_all_axioms(dims: Sequence[int] = (1, 2, 3),
-                     structs: StructSet = STANDARD_STRUCTS,
+                     structs: Mapping = STANDARD_STRUCTS,
                      cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     report = CheckReport("tangent category axioms")
     for name, _, _ in AXIOM_CATALOG:

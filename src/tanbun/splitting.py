@@ -82,11 +82,7 @@ def _vertical_complement(spec: BundleSpec) -> SmoothMap:
     """The map (m, w) -> D(xi.q)|_{xi(m)} w, built symbolically."""
     d, k = spec.total_dim, spec.base_dim
     xiq = compose(spec.xi, spec.q)
-    embed = SmoothMap(
-        k + d,
-        spec.xi.components + tuple(Var(k + i) for i in range(d)),
-    )
-    pushed = compose(tangent_map(xiq, 1), embed)
+    pushed = compose(tangent_map(xiq, 1), pulled_back_tangent(spec).iota)
     return SmoothMap(k + d, pushed.components[d:])
 
 
@@ -203,10 +199,9 @@ def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
         substitute_vars(le, shift) - te
         for le, te in zip(spec.lam.components, target.components)
     )
-    xi = spec.xi
 
-    def init(Z, _xi=xi, _k=k):
-        return eval_batch(_xi, Z[:, :_k])
+    def init(Z):
+        return eval_batch(spec.xi, Z[:, :k])
 
     K = ImplicitMap(SmoothMap(k + 2 * d, resid), k + d, d, init,
                     name=f"{spec.name}:retraction")

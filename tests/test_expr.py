@@ -480,6 +480,26 @@ def test_equal_maps_refutes_on_a_finite_row_beside_nan_rows():
     assert np.isfinite(np.hstack(v.witness)).all()
 
 
+# a config the CLI refuses could report a pass on zero samples, or at a
+# NaN tolerance, and a depth outside 0..2 reached an unbound name
+@pytest.mark.parametrize("field, value, rule", [
+    ("count", 0, "must be at least 1"),
+    ("seed", -1, "must be at least 0"),
+    ("tol", float("nan"), "must be finite and above 0"),
+    ("tol", 0.0, "must be finite and above 0"),
+    ("tol", float("inf"), "must be finite and above 0"),
+    ("t_depth", -1, "must be 0..2"),
+    ("t_depth", 3, "must be 0..2"),
+])
+def test_a_config_refuses_the_settings_the_cli_refuses(field, value, rule):
+    with pytest.raises(ExprError) as exc:
+        CheckConfig(**{field: value})
+    assert str(exc.value) == f"{field} {rule}, got {value}"
+    with pytest.raises(ExprError):
+        dataclasses.replace(CFG, **{field: value})
+    CheckConfig(count=1, seed=0, tol=1e-300, t_depth=0)
+
+
 def test_the_comparison_samples_are_drawn_once_and_read_only(monkeypatch):
     expr._comparison_samples.cache_clear()
     box, cfg = cube(2), CheckConfig(count=30, seed=5)

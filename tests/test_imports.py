@@ -384,3 +384,90 @@ def test_one_collapse_search_and_one_face_push():
         "submersion._collapse_search", "universal._rank_witness_search"]
     assert sorted(_users("face_push")) == [
         "submersion.is_submersion_on", "universal._rank_witness_search"]
+
+
+def test_one_node_hash_one_rebuild_and_one_structure_table():
+    # every node kind that keeps its hash gets it from one decorator, and
+    # one rebuild serves normalize and substitute_vars
+    tree = ast.parse((SRC / "expr.py").read_text())
+    nodes = [c for c in tree.body if isinstance(c, ast.ClassDef)
+             and any(getattr(b, "id", None) == "Expr" for b in c.bases)]
+    assert len(nodes) == 7
+    assert [c.name for c in nodes for fn in c.body
+            if getattr(fn, "name", None) == "__hash__"] == []
+    assert sorted(_users("_rebuild")) == [
+        "expr.normalize", "expr.substitute_vars"]
+    # the structure maps are a read-only mapping from kind to formula
+    from tanbun.jet import STANDARD_STRUCTS
+    assert "StructSet" not in _top_level_names(SRC / "jet.py")
+    with pytest.raises(TypeError):
+        STANDARD_STRUCTS["lift"] = STANDARD_STRUCTS["zero"]
+
+
+CALLERS = [p for d in ("src/tanbun", "tests", "bench")
+           for p in sorted((SRC.parent.parent / d).glob("*.py"))]
+
+
+def _calls(tree: ast.AST) -> list:
+    """(name, positional count, keywords, spread) for every call in tree:
+    name is the called name or attribute, and spread says whether the
+    call passes *args or **kwargs.  A cls(...) call in a classmethod is
+    also a call of its class."""
+    calls = [(getattr(n.func, "id", getattr(n.func, "attr", None)), n)
+             for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    for cls in ast.walk(tree):
+        for fn in getattr(cls, "body", []) if isinstance(
+                cls, ast.ClassDef) else []:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    getattr(d, "id", None) == "classmethod"
+                    for d in fn.decorator_list):
+                calls += [(cls.name, n) for n in ast.walk(fn)
+                          if isinstance(n, ast.Call)
+                          and getattr(n.func, "id", None)
+                          == fn.args.args[0].arg]
+    return [(name, sum(not isinstance(a, ast.Starred) for a in n.args),
+             {k.arg for k in n.keywords},
+             any(isinstance(a, ast.Starred) for a in n.args)
+             or any(k.arg is None for k in n.keywords))
+            for name, n in calls]
+
+
+def unset_options() -> list:
+    """module.function(param=) for each defaulted parameter of a function
+    under src/ that no call in CALLERS sets, by keyword, by position or
+    through *args or **kwargs.  Calls are matched by name; a method's
+    positions skip self or cls, and __init__ is called by its class."""
+    calls = {}
+    for path in CALLERS:
+        for name, *call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append(call)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(fn): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = int(id(fn) in owner and not static)
+            name = owner[id(fn)] if (fn.name == "__init__"
+                                     and id(fn) in owner) else fn.name
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            opts = [(i - skip, p.arg) for i, p in enumerate(pos)
+                    if i >= len(pos) - len(a.defaults)]
+            opts += [(None, p.arg) for p, d in zip(a.kwonlyargs,
+                                                   a.kw_defaults) if d]
+            found += [f"{path.stem}.{fn.name}({arg}=)" for i, arg in opts
+                      if not any(spread or arg in kws
+                                 or (i is not None and npos > i)
+                                 for npos, kws, spread in calls.get(name, []))]
+    return found
+
+
+def test_every_option_is_set_by_some_call():
+    # a defaulted parameter that no call in src/, tests/ or bench/ sets is
+    # an option nobody uses: make it a constant or drop it
+    assert unset_options() == []

@@ -139,8 +139,7 @@ def test_broken_lift_trips_exactly_the_expected_axioms():
         vs = [Var(k + i) for i in range(k)]
         return smooth_map(2 * k, xs + [con(0)] * k + vs + vs)
 
-    rep = check_all_axioms((1,), STANDARD_STRUCTS.with_override(
-        "lift", broken), CFG)
+    rep = check_all_axioms((1,), {**STANDARD_STRUCTS, "lift": broken}, CFG)
     failed = {e.law_id for e in rep.failures()}
     assert failed == {"lift-add@k=1", "flip-lift@k=1", "lift-coassoc@k=1"}
 
