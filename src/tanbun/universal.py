@@ -45,6 +45,9 @@ RANK_TOL = 1e-7           # singular values below this (relative) are zero
 SEARCH_GATE = 0.05        # a collapse search runs below this sigma or ratio
 MATCH_TOL = 1e-8          # image agreement threshold for collision scan
 DISTINCT_TOL = 1e-6       # apex points further apart than this are distinct
+STEP_EXPAND = 2.0         # a compass step's factor after a poll improves
+STEP_MAX = 0.4            # the largest compass step
+STEP_CONTRACT = 0.125     # a compass step's factor after a poll that fails
 
 
 def __getattr__(name):
@@ -551,12 +554,14 @@ def collapse_search(score_batch, starts, deep: float):
     scores 1e6 and is never the best point.
 
     Each start keeps a point x and a step h, first 0.05.  The first call
-    scores the starts; every later call scores x + h e_i and x - h e_i,
-    for each coordinate i, of every live start, in start order.  A start
-    moves to its best poll point that improves on its value, the first on
-    a tie, and otherwise halves h; it stops when h is below 1e-12 or after
-    400 polls.  It moves to the raw poll point, while the search keeps
-    the point each row stands for.
+    scores the starts and changes no step; every later call scores
+    x + h e_i and x - h e_i, for each coordinate i, of every live start,
+    in start order.  A start moves to its best poll point that improves
+    on its value, the first on a tie, and doubles h, to at most 0.4;
+    otherwise it multiplies h by 1/8 (Kolda, Lewis & Torczon, SIAM Rev.
+    45(3), 2003, allow any such factors).  It stops when h is below 1e-12
+    or after 400 polls.  It moves to the raw poll point, while the search
+    keeps the point each row stands for.
 
     The first call that scores a sigma below exp(deep) ends the search:
     the lowest start that hit in it wins, with its first such point.
@@ -567,7 +572,7 @@ def collapse_search(score_batch, starts, deep: float):
     step, value = np.full(len(X), 0.05), np.full(len(X), np.inf)
     best = [(np.inf, None)] * len(X)
     live, P = np.arange(len(X)), X[:, None]
-    for _ in range(401):        # the starts, then at most 400 polls
+    for call in range(401):        # the starts, then at most 400 polls
         rows = iter(_scored(score_batch, P.reshape(-1, X.shape[1])))
         for j, poll in zip(live, P):
             vals = []
@@ -583,8 +588,10 @@ def collapse_search(score_batch, starts, deep: float):
             k = int(np.argmin(vals))
             if vals[k] < value[j]:
                 X[j], value[j] = poll[k], vals[k]
+                if call:        # a poll, not the starts' scores
+                    step[j] = min(step[j] * STEP_EXPAND, STEP_MAX)
             else:
-                step[j] /= 2
+                step[j] *= STEP_CONTRACT
         live = live[step[live] >= 1e-12]
         if not live.size:
             break

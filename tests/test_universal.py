@@ -17,8 +17,10 @@ from tanbun.jet import (
     jac_point, solve_least_norm, tangent_map, tangent_of,
 )
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
+from tanbun.cli import parse_bundle_file
 from tanbun.corpus import (
-    bump_bundle, conjugated_bundle, corpus_list, corpus_run, trivial_bundle,
+    bump_bundle, conjugated_bundle, corpus_list, corpus_run, run_suites,
+    trivial_bundle,
 )
 from tanbun.universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
@@ -118,6 +120,45 @@ def test_bump_failure_is_shared_by_all_four_squares():
         assert verdicts[key] is Verdict.FAIL, key
     # The squares agree with each other even though each one fails.
     assert verdicts["equivalence"].ok
+
+
+def test_bump_rosicky_fails_on_rank_at_the_seam_at_seeds_1_to_75():
+    sq = rosicky_square(bump_bundle())
+    for seed in range(1, 76):
+        pv = check_pullback(sq, CheckConfig(seed=seed))
+        failed = {e.law_id for e in pv.entries if e.verdict is Verdict.FAIL}
+        (w,) = pv["rank"].witness
+        assert failed == {"rank"}, seed
+        assert abs(w[0]) < 1e-3 and abs(w[1] - 1.0) < 1e-3, (seed, w)
+
+
+# bump's seam moved to x1 = 1 + 793/6000, on the top edge of the fibre
+# box; the sample streams are tagged by the name, seam_03
+SEAM_03 = "\n".join([
+    "name = seam_03", "base_dim = 1", "total_dim = 2", "base_box = -2..2",
+    "total_box = -2..2, -2..6793/6000",
+    "q = (1 - bump(x1 - (793/6000)))*x0 + bump(x1 - (793/6000))*x0^3",
+    "xi = x0, 0",
+    "lambda = (1 - bump(x1 - (793/6000)))*x0 + bump(x1 - (793/6000))*x0^3,"
+    " 0, 0, x1", ""])
+
+
+@pytest.mark.parametrize("seed", [12, 14, 27, 40])
+def test_the_search_finds_the_seam_collapse_when_it_always_runs(
+        monkeypatch, seed):
+    # at seed 12 every sample is far enough from a collapse that the gate
+    # skips the search, and rosicky passes; forced to run, the search
+    # finds the collapse
+    monkeypatch.setattr(universal, "SEARCH_GATE", np.inf)
+    spec, _ = parse_bundle_file(SEAM_03, source="seam_03")
+    reports = run_suites(spec, CheckConfig(seed=seed), "rosicky")
+    assert reports["pre"].aggregate.ok
+    rank = reports["rosicky"]["rank"]
+    assert {e.law_id for e in reports["rosicky"].entries
+            if e.verdict is Verdict.FAIL} == {"rank"}
+    assert rank.provenance["search"] == "ran"
+    (w,) = rank.witness
+    assert abs(w[0]) < 1e-3 and w[1] == 6793 / 6000
 
 
 # --------------------------------------------------------------------------
@@ -661,34 +702,66 @@ def test_each_poll_scores_the_compass_of_every_live_start_in_one_call():
     calls = []
     universal.collapse_search(_batch_of(score, calls), starts, -50.0)
     # the first call scores the starts, the second the four compass
-    # points of each, in start order, at the first step 0.05
+    # points of each, in start order, at the first step 0.05: scoring
+    # the starts expands no step
     assert np.array_equal(calls[0], starts)
     compass = 0.05 * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
     assert np.array_equal(calls[1], np.vstack([z + compass for z in starts]))
-    # the third start lies on the line: no poll point improves on it, so
-    # its step halves; the first moves to its first best poll point
-    assert np.array_equal(calls[2][:4], calls[1][0] + compass)
-    assert np.array_equal(calls[2][8:], starts[2] + compass / 2)
-    # every later call holds 2n points per live start; starts only leave
+    # the first two starts move to their first best poll point and double
+    # their step; the third lies on the line: no poll point improves on
+    # it, so its step shrinks to 1/8
+    assert np.array_equal(calls[2][:4], calls[1][0] + 2 * compass)
+    assert np.array_equal(calls[2][4:8], calls[1][5] + 2 * compass)
+    assert np.array_equal(calls[2][8:], starts[2] + compass / 8)
+    # every later call holds 2n points per live start; starts only leave:
+    # the third after its 12 polls, the first two together 6 polls later
     sizes = [len(P) for P in calls[1:]]
-    assert all(k % 4 == 0 for k in sizes) and sizes == sorted(sizes)[::-1]
-    assert sizes[-1] == 4
+    assert sizes == [12] * 12 + [8] * 6
 
 
 def test_a_start_stops_below_the_smallest_step_or_after_400_polls():
-    # on a flat score no poll improves: 36 halvings take 0.05 below 1e-12
+    # on a flat score no poll improves: 12 steps of 1/8 take 0.05 below
+    # 1e-12
     calls = []
     universal.collapse_search(_batch_of(lambda z: (1.0, z), calls),
                               [np.array([0.2])], -50.0)
-    assert len(calls) == 1 + 36
-    assert np.array_equal(calls[-1][:, 0], 0.2 + 0.05 / 2 ** 35 * np.array(
+    assert len(calls) == 1 + 12
+    assert np.array_equal(calls[-1][:, 0], 0.2 + 0.05 / 8 ** 11 * np.array(
         [1.0, -1.0]))
-    # on a slope every poll improves, until the polls run out
+    # on a slope every poll improves, until the polls run out; the step
+    # doubles from 0.05 after the first poll, not after the starts, and
+    # stops at 0.4, so 400 polls go down 0.05 + 0.1 + 0.2 + 397 * 0.4
     calls = []
     best = universal.collapse_search(
         _batch_of(lambda z: (np.exp(z[0]), z), calls), [np.array([0.0])],
-        -50.0)
-    assert len(calls) == 1 + 400 and abs(best[0] + 20.0) < 1e-9
+        -1000.0)
+    x = [0.0, -0.05, -0.05 - 0.1, -0.05 - 0.1 - 0.2]
+    x.append(x[-1] - 0.4)
+    steps = [0.05, 0.1, 0.2, 0.4, 0.4]
+    for P, z, h in zip(calls[1:], x, steps):
+        assert np.array_equal(P[:, 0], [z + h, z - h])
+    assert len(calls) == 1 + 400 and abs(best[0] + 159.15) < 1e-9
+
+
+def test_conjugated_searches_make_at_most_half_the_calls_of_halving(
+        monkeypatch):
+    # a search that halved its step on failure and never expanded it made
+    # 40 + 87 + 102 + 75 = 304 score_batch calls in this pass
+    cfg = CheckConfig(seed=42)
+    corpus_run("conjugated_1_1", cfg)       # warm
+    counts = []
+    search = universal.collapse_search
+
+    def counted(score_batch, starts, deep):
+        counts.append(0)
+
+        def batch(P):
+            counts[-1] += 1
+            return score_batch(P)
+        return search(batch, starts, deep)
+    monkeypatch.setattr(universal, "collapse_search", counted)
+    assert corpus_run("conjugated_1_1", cfg).expectation_met
+    assert len(counts) == 4 and sum(counts) <= 304 // 2
 
 
 def test_the_first_hitting_call_ends_the_search_at_its_lowest_start():
@@ -723,7 +796,8 @@ def test_a_start_moves_on_the_poll_point_and_returns_the_scored_point():
     best = universal.collapse_search(_batch_of(score, calls),
                                      [np.array([0.0])], -50.0)
     assert np.array_equal(calls[1][:, 0], [0.05, -0.05])
-    assert np.array_equal(calls[2][:, 0], [0.1, 0.0])
+    # from 0.05, which stood for 0.0, at the doubled step 0.1
+    assert np.array_equal(calls[2][:, 0], [0.05 + 0.1, 0.05 - 0.1])
     assert best[0] == 0.25
 
 
@@ -731,11 +805,14 @@ def test_without_a_hit_the_first_best_point_of_the_earliest_start_wins():
     def score(z):
         # a flat floor of sigma 1 on |x0| <= 0.1, never below exp(deep)
         return 1.0 + max(abs(z[0]) - 0.1, 0.0), z
-    # both starts reach the floor: the second at once, the first at 0.08
-    # after 13 polls, and then at other points
+    # both starts reach the floor: the second at once, the first at -0.02
+    # after 4 polls, at steps 0.05, 0.1, 0.2 and 0.4, and then at other
+    # points
     starts = [np.array([0.73]), np.array([0.05])]
-    best = universal.collapse_search(_batch_of(score), starts, -50.0)
-    assert abs(best[0] - 0.08) < 1e-12
+    calls = []
+    best = universal.collapse_search(_batch_of(score, calls), starts, -50.0)
+    assert calls[4][1, 0] == 0.73 - 0.05 - 0.1 - 0.2 - 0.4
+    assert abs(best[0] + 0.02) < 1e-12
 
 
 def test_an_expr_error_scores_only_its_row_as_none():
