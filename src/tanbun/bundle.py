@@ -17,9 +17,9 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, Const, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    compose, con, equal_maps, eval_batch, identity_map, normalize,
-    projection, simplify_map, smooth_map, substitute_vars, sum_of,
-    symbolic_derivative_expr,
+    compose, con, equal_maps, eval_batch, identity_map, jac_eval_batch,
+    normalize, projection, simplify_map, smooth_map, substitute_vars,
+    sum_of, symbolic_derivative_expr,
 )
 from .jet import (
     ImplicitMap, NewtonDiverged, _each_row, row_ordered, solve_batch,
@@ -339,44 +339,112 @@ def scale_through_lambda(spec: BundleSpec):
 
 
 # --------------------------------------------------------------------------
-# Additive-law verification on samples
+# Additive-law verification
+
+
+# law id -> (anchor, the sums its sampled check compares, the hypotheses
+# it follows from for a Newton-defined addition).  The root e of
+# lam(e) = lam(a) +_T lam(b) has point part xi(q(a)) by pre-3, so
+# q(e) = q(a) by pre-1; lam(xi(q(a))) is zero by pre-4, so a solves both
+# unit sums; sums with one image under (q, lam) are one point where the
+# rosicky cone map is injective, and where it is surjective the inner
+# sums of associativity have roots.
+_ADD_LAWS = {
+    "add-assoc": ("(a + b) + c = a + (b + c)", 4,
+                  ("pre-1", "pre-3", "injective", "surjective")),
+    "add-comm": ("a + b = b + a", 2, ("pre-1", "pre-3", "injective")),
+    "add-unit-r": ("a + xi(q(a)) = a", 1,
+                   ("pre-1", "pre-3", "pre-4", "injective")),
+    "add-unit-l": ("xi(q(a)) + a = a", 1,
+                   ("pre-1", "pre-3", "pre-4", "injective")),
+    "add-base": ("q(a + b) = q(a)", 1, ("pre-1", "pre-3")),
+}
 
 
 def check_additive_laws(spec: BundleSpec, add,
                         cfg: CheckConfig = DEFAULT_CONFIG,
-                        declared=None) -> CheckReport:
+                        declared=None, hypotheses=()) -> CheckReport:
     """Associativity, commutativity, both unit laws, and base
     compatibility of a candidate addition, on sampled well-typed
     tuples.  When `declared` is given it is compared against `add`.
-    """
+
+    `hypotheses`, given with add = induce_addition(spec), are reports
+    holding pre-1, pre-3, pre-4 and rosicky's injective and surjective.
+    When add is Newton-defined and they all pass, the laws are derived
+    and only a + b is solved, unless the bound exceeds tol."""
     rep = CheckReport(f"{spec.name}: fibrewise addition laws")
     (a, b, c), discarded = well_typed_tuples(spec, cfg, width=3, tag="add3")
-    zero = eval_batch(compose(spec.xi, spec.q), a)
-    # the seven sums in two calls, in the order of one call per sum
-    ab, ba, bc = _pairwise_blocks(add, [(a, b), (b, a), (b, c)])
-    ab_c, a_bc, a_zero, zero_a = _pairwise_blocks(
-        add, [(ab, c), (a, bc), (a, zero), (zero, a)])
-    checks = [
-        ("add-assoc", "(a + b) + c = a + (b + c)", ab_c, a_bc),
-        ("add-comm", "a + b = b + a", ab, ba),
-        ("add-unit-r", "a + xi(q(a)) = a", a_zero, a),
-        ("add-unit-l", "xi(q(a)) + a = a", zero_a, a),
-        ("add-base", "q(a + b) = q(a)",
-         eval_batch(spec.q, ab), eval_batch(spec.q, a)),
-    ]
     inputs = np.hstack([a, b, c])
-
-    def law(law_id, anchor, lhs, rhs, **extra):
-        rep.add(sampled_law(law_id, anchor, np.max(np.abs(lhs - rhs), axis=1),
-                            inputs, cfg.tol,
-                            {**_prov(cfg), **extra, "count": len(a)}))
-
-    for check in checks:
-        law(*check, discarded=discarded)
+    prov = {**_prov(cfg), "discarded": discarded, "count": len(a)}
+    derived = _derived_laws(spec, add, cfg.tol, a, b, hypotheses, prov)
+    if derived is not None:
+        ab, laws = derived
+        for law in laws:
+            rep.add(law)
+    else:
+        zero = eval_batch(compose(spec.xi, spec.q), a)
+        # the seven sums in two calls, in the order of one call per sum
+        ab, ba, bc = _pairwise_blocks(add, [(a, b), (b, a), (b, c)])
+        ab_c, a_bc, a_zero, zero_a = _pairwise_blocks(
+            add, [(ab, c), (a, bc), (a, zero), (zero, a)])
+        sides = [(ab_c, a_bc), (ab, ba), (a_zero, a), (zero_a, a),
+                 (eval_batch(spec.q, ab), eval_batch(spec.q, a))]
+        for (law_id, (anchor, *_)), (lhs, rhs) in zip(_ADD_LAWS.items(),
+                                                      sides):
+            rep.add(sampled_law(law_id, anchor,
+                                np.max(np.abs(lhs - rhs), axis=1), inputs,
+                                cfg.tol, dict(prov)))
     if declared is not None:
-        law("add-declared", "declared addition = induced addition",
-            ab, _pairwise(declared, a, b))
+        rep.add(sampled_law(
+            "add-declared", "declared addition = induced addition",
+            np.max(np.abs(ab - _pairwise(declared, a, b)), axis=1), inputs,
+            cfg.tol, {**_prov(cfg), "count": len(a)}))
     return rep
+
+
+def _derived_laws(spec: BundleSpec, add, tol: float, a, b, hypotheses,
+                  prov: dict):
+    """(a + b, the five laws derived from their passing hypotheses), or
+    None when the sampled check must run.  A law reads the weakest of its
+    hypotheses, which all pass, and of the a + b solve, which is numeric:
+    a numeric pass.  Its bound is first order: a sum accepted at residual
+    R lies within |R| / sigma_min(dR/de) of its root, and a sampled check
+    accepts each sum at |R|_inf < add.tol, so a law comparing k sums is
+    bounded by k times the worst such radius over the solved rows (q's
+    slope in place of k for add-base)."""
+    if not isinstance(add, ImplicitMap):
+        return None
+    passed = {e.law_id for r in hypotheses for e in r.entries
+              if e.verdict.ok}
+    if not {"pre-1", "pre-3", "pre-4", "injective", "surjective"} <= passed:
+        return None
+    ab = _pairwise(add, a, b)
+    XE = np.hstack([a, b, ab])
+    floor = add.tol * np.sqrt(add.residual.coarity)
+    try:
+        R = eval_batch(add.residual, XE)
+        J = jac_eval_batch(add.residual, XE)[:, :, add.arity:]
+        slope = np.linalg.norm(jac_eval_batch(spec.q, ab), ord=2,
+                               axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radius = np.maximum(np.linalg.norm(R, axis=1), floor) \
+                / np.linalg.svd(J, compute_uv=False)[:, -1]
+    except (ExprError, np.linalg.LinAlgError):
+        return None
+    laws = []
+    for law_id, (anchor, sums, hyps) in _ADD_LAWS.items():
+        base = law_id == "add-base"
+        bound = float(np.max((slope if base else sums) * radius))
+        if not bound <= tol:
+            return None
+        laws.append(LawResult(
+            law_id, anchor, Verdict.PASS_NUMERIC, max_residual=bound,
+            provenance={**prov, "derived_from": list(hyps)},
+            note=f"derived from {', '.join(hyps)}; max_residual is a "
+            "first-order bound from the a + b solve: "
+            f"{'|dq|' if base else sums} x worst "
+            f"max(|R|, {floor:.2g}) / sigma_min(dR/de)"))
+    return ab, laws
 
 
 def _pairwise(add, X, Y):

@@ -209,8 +209,9 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
             elif sid == "addition":
                 try:
                     add = induce_addition(spec, cfg, universality=ros)
-                    rep = check_additive_laws(spec, add, cfg,
-                                              declared=spec.add)
+                    rep = check_additive_laws(
+                        spec, add, cfg, declared=spec.add,
+                        hypotheses=(out["pre"], out["rosicky"]))
                 except AdditionUnavailable as exc:
                     rep = CheckReport(title, [exc.law(
                         "addition-available", "suite prerequisites")])

@@ -161,7 +161,7 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     rep.add(sampled_law(
         "chi-rank-trace", "idempotent fibre rank equals its trace",
         np.abs(np.trace(F, axis1=1, axis2=2) - rank), M, RANK_TOL,
-        {"samples": len(M)}))
+        {"samples": len(M), "seed": cfg.seed}))
     return rep
 
 
@@ -248,13 +248,13 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
             "retract-identity", "retraction after section is the identity",
             row_ordered(lambda X: np.max(np.abs(
                 K.eval_batch(section.eval_batch(X)) - X), axis=1), X),
-            X, tol, {"samples": len(X)}))
+            X, tol, {"samples": len(X), "seed": cfg.seed}))
         rep.add(sampled_law(
             "section-image", "section after retraction is the projector",
             row_ordered(lambda Z: np.max(np.abs(
                 section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)),
                 axis=1), Z),
-            Z, tol, {"samples": len(Z)}))
+            Z, tol, {"samples": len(Z), "seed": cfg.seed}))
 
         rep.add(_uniqueness_probe(spec, K, box, cfg))
 
@@ -287,7 +287,8 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
     spreads = [np.ptp(y[ok], axis=0).max() if ok.sum() > 1 else np.nan
                for y, ok in zip(Y.reshape(3, 3, -1), solved)]
     law = sampled_law("uniqueness", "the retraction value is unique",
-                      spreads, Z, 1e-7, {})
+                      spreads, Z, 1e-7,
+                      {"samples": len(PY), "seed": cfg.seed})
     if law.verdict is Verdict.UNKNOWN:
         n = solved[np.argmax(np.isnan(spreads))].sum()
         return replace(law, note=f"{n} of 3 Newton starts converged at the "

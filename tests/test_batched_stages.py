@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tanbun import bundle, jet, splitting, universal
+from tanbun import bundle, corpus, jet, splitting, universal
 from tanbun.bundle import (
     BundleSpec, CheckReport, _pairwise,
     check_additive_laws, induce_addition, well_typed_tuples,
@@ -98,16 +98,18 @@ def _ref_uniqueness_probe(spec, K, box, cfg):
         elif short is None:
             short = (z, len(sols))
     ok = spread <= 1e-7
+    prov = {"samples": 9, "seed": cfg.seed}     # 3 starts at 3 probes
     if ok and short is not None:
         return LawResult("uniqueness", "the retraction value is unique",
                          Verdict.UNKNOWN, witness=(short[0].tolist(),),
-                         max_residual=spread, note=f"{short[1]} of 3 Newton "
-                         "starts converged at the witness probe, too few to "
-                         "compare")
+                         max_residual=spread, provenance=prov,
+                         note=f"{short[1]} of 3 Newton starts converged at "
+                         "the witness probe, too few to compare")
     return LawResult("uniqueness", "the retraction value is unique",
                      Verdict.PASS_NUMERIC if ok else Verdict.FAIL,
-                     max_residual=spread,
-                     note=f"three Newton starts per probe, spread {spread:.3g}")
+                     max_residual=spread, provenance=prov,
+                     note=f"three Newton starts per probe, "
+                     f"spread {spread:.3g}")
 
 
 def _ref_fp_projector(right_t, bottom_t):
@@ -189,14 +191,14 @@ def _ref_retraction_laws(spec, section, K, cfg):
         "retract-identity", "retraction after section is the identity",
         row_ordered(lambda X: np.max(np.abs(
             K.eval_batch(section.eval_batch(X)) - X), axis=1), X),
-        X, tol, {"samples": len(X)})]
+        X, tol, {"samples": len(X), "seed": cfg.seed})]
     Z = box.sample(rng, max(20, cfg.count // 4))
     out.append(sampled_law(
         "section-image", "section after retraction is the projector",
         row_ordered(lambda Z: np.max(np.abs(
             section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)),
             axis=1), Z),
-        Z, tol, {"samples": len(Z)}))
+        Z, tol, {"samples": len(Z), "seed": cfg.seed}))
     return out
 
 
@@ -543,3 +545,136 @@ def test_verdicts_do_not_depend_on_the_start_of_the_addition(monkeypatch):
             want = _verdicts(run_suites(spec, cfg))
         assert got == want, spec.name
         assert new_steps < len(steps), spec.name
+
+
+# --------------------------------------------------------------------------
+# The laws of the Newton-defined addition, derived from their hypotheses
+
+CUBIC = (Path(__file__).resolve().parent / "golden" / "cubic_lift.txt")
+DERIVED = ("add-assoc", "add-comm", "add-unit-r", "add-unit-l", "add-base")
+
+
+def _cubic(lines=()):
+    """cubic_lift.txt with the lines of some keys replaced, and its
+    config at seed 42."""
+    text = CUBIC.read_text()
+    for key, value in dict(lines).items():
+        text = "\n".join(f"{key} = {value}" if ln.startswith(f"{key} =")
+                         else ln for ln in text.splitlines())
+    spec, over = parse_bundle_file(text, "cubic_lift")
+    return spec, CheckConfig(count=over["samples"], seed=42,
+                             t_depth=over["depth"])
+
+
+def _hypotheses(spec, cfg):
+    return (bundle.check_predifferential(spec, cfg),
+            check_pullback(rosicky_square(spec), cfg))
+
+
+def test_the_newton_defined_addition_derives_its_laws():
+    # every hypothesis passes, pre-1, pre-3 and pre-4 exactly; each law
+    # names its own, and the a + b solve keeps it a numeric pass
+    spec, cfg = _cubic()
+    pre, ros = _hypotheses(spec, cfg)
+    assert pre.aggregate is Verdict.PASS_EXACT and ros.ok
+    add = induce_addition(spec, cfg, universality=ros)
+    rep = check_additive_laws(spec, add, cfg, hypotheses=(pre, ros))
+    known = {e.law_id for e in pre.entries + ros.entries}
+    assert [e.law_id for e in rep.entries] == list(DERIVED)
+    for e in rep.entries:
+        hyps = e.provenance["derived_from"]
+        assert {"pre-1", "pre-3"} <= set(hyps) <= known
+        assert e.verdict is Verdict.PASS_NUMERIC, e.law_id
+        assert 0 < e.max_residual <= cfg.tol
+        assert "first-order bound" in e.note
+    assert {e.law_id for e in rep.entries
+            if "injective" in e.provenance["derived_from"]} == \
+        set(DERIVED) - {"add-base"}
+
+
+@pytest.mark.parametrize("case", ["hypothesis unknown", "bound above tol",
+                                  "closed form", "no hypotheses"])
+def test_the_derived_laws_fall_back_to_the_sampled_check(case):
+    spec, cfg = _cubic({"lambda": "x0, 0, 0, x1"} if case == "closed form"
+                       else {})
+    pre, ros = _hypotheses(spec, cfg)
+    add = induce_addition(spec, cfg, universality=ros)
+    hyps = () if case == "no hypotheses" else (pre, ros)
+    if case == "hypothesis unknown":
+        hyps = (pre, CheckReport("rosicky", [
+            e if e.law_id != "injective" else LawResult(
+                e.law_id, e.anchor, Verdict.UNKNOWN) for e in ros.entries]))
+    if case == "bound above tol":
+        add.tol = 1e-6      # sums accepted at 1e-6 are not within 1e-9
+    assert isinstance(add, ImplicitMap) == (case != "closed form")
+    got = _outcome(check_additive_laws, spec, add, cfg, None, hyps)
+    assert got == _outcome(_ref_check_additive_laws, spec, add, cfg)
+    assert "derived_from" not in got[1]
+
+
+@pytest.mark.parametrize("lam", ["x0, 0, 0, x1",
+                                 "x0, 0, 0, x1 + (1/4)*x1^3"])
+def test_a_section_off_by_1e_12_sends_the_suite_to_the_sampled_check(lam):
+    # pre-3 and pre-4 are false by the constant 1e-12, below tol, and read
+    # unknown; rosicky passes, so the addition suite runs, on samples
+    spec, cfg = _cubic({"xi": "x0, 1/1000000000000", "lambda": lam})
+    out = run_suites(spec, cfg, suite="addition")
+    assert [out["pre"][law].verdict for law in ("pre-3", "pre-4")] == \
+        [Verdict.UNKNOWN] * 2
+    assert out["rosicky"].ok
+    add = induce_addition(spec, cfg, universality=PASSED)
+    assert repr(out["addition"]) == repr(
+        _ref_check_additive_laws(spec, add, cfg, spec.add))
+
+
+@pytest.mark.parametrize("seed", [1, 23])
+def test_a_derived_bound_covers_the_gap_the_sampled_check_measures(
+        monkeypatch, seed):
+    for spec, cfg in _implicit_specs(monkeypatch, seed):
+        hyps = _hypotheses(spec, cfg)
+        add = induce_addition(spec, cfg, universality=hyps[1])
+        derived = check_additive_laws(spec, add, cfg, hypotheses=hyps)
+        sampled = _ref_check_additive_laws(spec, add, cfg)
+        for law in DERIVED:
+            assert "derived_from" in derived[law].provenance
+            assert derived[law].verdict is sampled[law].verdict
+            assert derived[law].max_residual >= sampled[law].max_residual, \
+                (spec.name, law)
+
+
+def _steps_in_the_addition_suite(monkeypatch, run):
+    """The _lstsq_stack calls made inside check_additive_laws by run(),
+    after one run to warm the caches."""
+    steps, inside = [], []
+    real = corpus.check_additive_laws
+
+    def counted(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def lstsq(*args, **kwargs):
+        if inside:
+            steps.append(True)
+        return real_lstsq(*args, **kwargs)
+
+    real_lstsq = jet._lstsq_stack
+    monkeypatch.setattr(corpus, "check_additive_laws", counted)
+    monkeypatch.setattr(jet, "_lstsq_stack", lstsq)
+    run()
+    del steps[:]
+    run()
+    return len(steps)
+
+
+def test_the_derived_laws_solve_only_a_plus_b(monkeypatch):
+    # counted, not timed: 12 steps when all seven sums were solved
+    spec, cfg = _cubic()
+    assert _steps_in_the_addition_suite(
+        monkeypatch, lambda: run_suites(spec, cfg)) == 7
+    # a given addition is checked on samples, as before
+    twisted = next(e for e in corpus_list() if e.name == "mutant_add_twisted")
+    assert _steps_in_the_addition_suite(
+        monkeypatch, lambda: twisted.runner(DEFAULT_CONFIG)) == 2

@@ -24,6 +24,7 @@ import pytest
 
 from tanbun import corpus
 from tanbun.cli import corpus_payload, main
+from tanbun.corpus import SUITE_ORDER
 from tanbun.expr import DEFAULT_CONFIG
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -98,6 +99,38 @@ def _laws(doc):
 def test_every_failure_in_a_golden_carries_a_witness(name):
     failed = [law for law in _laws(_golden(name)) if law["verdict"] == "fail"]
     assert [law["law"] for law in failed if not law["witness"]] == []
+
+
+def _reports(doc):
+    """The reports of a JSON document, each as its laws in the order they
+    ran: a check's suites are a list, a corpus entry's a dict by id."""
+    for report in doc.get("results", [doc]):
+        suites = report.get("suites", [])
+        if isinstance(suites, dict):
+            rank = {sid: i for i, sid in enumerate(SUITE_ORDER)}
+            suites = [suites[sid] for sid in sorted(
+                suites, key=lambda sid: rank.get(sid, len(rank)))]
+        yield list(_laws(report.get("laws", []))) + list(_laws(suites))
+
+
+@pytest.mark.parametrize("name", sorted(set(COMMANDS) | {"corpus_seed42"}))
+def test_every_judged_law_in_a_golden_names_its_evidence(name):
+    # a law judged on samples names its seed and how many it drew; a law
+    # derived from others names them, and they passed earlier in its report
+    bare = []
+    for laws in _reports(_golden(name)):
+        passed = set()
+        for law in laws:
+            prov, judged = law["provenance"], law["verdict"] in (
+                "pass", "fail", "unknown")
+            sampled = "seed" in prov and ("count" in prov or "samples" in prov)
+            derived = prov.get("derived_from")
+            if derived is not None and not set(derived) <= passed \
+                    or judged and not (sampled or derived):
+                bare.append(law["law"])
+            if law["verdict"] in ("pass", "pass-exact"):
+                passed.add(law["law"])
+    assert bare == []
 
 
 def _one(f, *parts):

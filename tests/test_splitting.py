@@ -226,7 +226,8 @@ def test_a_failing_uniqueness_probe_names_its_probe():
     law = splitting._uniqueness_probe(SimpleNamespace(total_dim=1), K,
                                       cube(1), CFG)
     probes = cube(1).sample(CFG.rng("splitting:uniqueness"), 3)
-    assert law.verdict is Verdict.FAIL and law.provenance == {}
+    assert law.verdict is Verdict.FAIL
+    assert law.provenance == {"samples": 9, "seed": CFG.seed}
     assert law.max_residual == pytest.approx(2.0, abs=1e-9)
     assert law.witness[0] in probes.tolist()
     assert law.note.startswith("three Newton starts per probe, spread 2")
