@@ -27,9 +27,7 @@ from .universal import (
     strong_square,
 )
 from .submersion import (
-    DerivativePathsDisagree, JacobianSample, RankDeficient,
-    check_lift_section, closure_harness, horizontal_lift,
-    is_submersion_on, jacobian, lift_section_map,
+    DerivativePathsDisagree, JacobianSample, is_submersion_on, jacobian,
 )
 from .splitting import (
     PulledBackTangent, SplittingRefused, biproduct_check, check_splitting,
@@ -37,9 +35,9 @@ from .splitting import (
     pulled_back_tangent, splitting_pair,
 )
 from .vb import (
-    ModuleLawsFailed, TranslationRefused, VectorBundleSpec,
-    check_module_laws, del_map, morphism_transport_check, phi, psi,
-    roundtrip_check, transport_demo_morphisms,
+    TranslationRefused, VectorBundleSpec, check_module_laws, del_map,
+    morphism_transport_check, phi, psi, roundtrip_check,
+    transport_demo_morphisms,
 )
 from .corpus import (
     CorpusEntry, CorpusResult, UnknownCorpusEntry, bump_bundle,

@@ -33,7 +33,7 @@ __all__ = [
     "BundleSpec", "BundleMorphism", "CheckReport", "LawResult", "Verdict",
     "AdditionUnavailable", "NotWellTyped",
     "check_predifferential", "induce_addition", "check_additive_laws",
-    "check_morphism", "vert_lambda", "lambda_base",
+    "check_morphism", "vert_lambda", "lambda_base", "scale_through_lambda",
     "well_typed_tuples", "fibre_matched_tuples", "fibre_affine_decomposition",
 ]
 

@@ -174,7 +174,9 @@ def run_suites(obj, cfg: CheckConfig = DEFAULT_CONFIG, suite: str = "all",
     it.  A failing suite makes the later ones come back as skipped,
     unless force is set, in which case they run anyway and the caller
     is expected to mark them untrusted.  After a rosicky pass, cockett
-    and strong run at depth 0 only.
+    and strong run at depth 0 only.  For a bundle that declares an
+    addition and a scalar action, the vb suite reports their module laws
+    and translates that structure only when they pass.
     """
     if suite != "all" and suite not in SUITE_ORDER:
         raise UnknownCorpusEntry(f"unknown suite {suite!r}")
@@ -236,13 +238,21 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                              biproduct_check(spec, cfg, universality=strong))
             else:  # vb
                 parts = [roundtrip_check(spec, cfg, universality=ros)]
-                prefixes = ["db."]
                 vec = vector_override if vector_override is not None \
                     else _vector_spec_of(spec)
                 if vec is not None:
-                    parts.append(roundtrip_check(vec, cfg, universality=ros))
-                    prefixes.append("vb.")
-                rep = _merge(title, *parts, prefixes=prefixes)
+                    # a vector file's module laws are its pre suite
+                    laws = module_report
+                    if laws is None:
+                        laws = check_module_laws(vec, cfg)
+                        parts.append(laws)
+                    parts.append(
+                        roundtrip_check(vec, cfg, universality=ros)
+                        if laws.ok else _suite_note(
+                            title, Verdict.SKIPPED,
+                            f"module laws read {laws.aggregate.value}, so "
+                            "the declared structure is not translated"))
+                rep = _merge(title, *parts, prefixes=["db.", "vb.", "vb."])
         except (ExprError, LinAlgError) as exc:
             rep = _suite_note(title, Verdict.UNKNOWN,
                               f"{type(exc).__name__}: {exc}")
@@ -264,7 +274,7 @@ def _run_vector(vb: VectorBundleSpec, cfg, order, force) -> dict:
                 out[sid] = _suite_note(f"{vb.name}: {sid}", Verdict.SKIPPED,
                                        "prerequisite suite 'pre' failed")
             return out
-        db = psi(vb, cfg, checked=False)
+        db = psi(vb)
     except (ExprError, LinAlgError) as exc:
         note = f"{type(exc).__name__}: {exc}"
         for sid in order[len(out):]:      # every suite not yet reported

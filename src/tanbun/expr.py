@@ -33,9 +33,9 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Sum", "Product", "Pow", "Quot", "Call",
-    "SmoothMap", "Box", "CheckConfig", "EqVerdict",
+    "SmoothMap", "Box", "CheckConfig", "DEFAULT_CONFIG", "EqVerdict",
     "ExprError", "ParseError", "DimensionMismatch", "DenominatorNearZero",
-    "parse_map", "to_source", "normalize",
+    "parse_map", "to_source", "normalize", "con", "smooth_map", "cube",
     "eval_map", "eval_batch", "eval_exact", "eval_mp",
     "compose", "identity_map", "projection", "concat_maps",
     "poly_normalize", "poly_to_expr", "simplify_map",

@@ -81,10 +81,6 @@ class CheckReport:
             raise ValueError(f"duplicate law id {entry.law_id!r}")
         self.entries.append(entry)
 
-    def extend(self, other: "CheckReport") -> None:
-        for e in other.entries:
-            self.add(e)
-
     def __getitem__(self, law_id: str) -> LawResult:
         for e in self.entries:
             if e.law_id == law_id:

@@ -1,13 +1,10 @@
-"""Submersion detection, horizontal lifts, and closure properties.
+"""Submersion detection.
 
 A chart map is a submersion where its derivative has full row rank.
 Detection samples the box and then, whenever any sample looks marginal,
 runs a descent on the smallest singular value so that an isolated rank
 drop hiding between samples is still found.  A Fail carries an explicit
 witness point; a Pass is sampling evidence only, and the report says so.
-
-The horizontal lift is fixed to the minimum-norm (pseudoinverse)
-solution, which is smooth wherever the rank is locally constant.
 """
 
 from __future__ import annotations
@@ -18,24 +15,18 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
-    SmoothMap, Var, compose, cube, equal_maps, eval_map, eval_mp,
-    jac_eval_batch, jacobian_exprs, projection, smooth_map,
+    SmoothMap, eval_mp, jac_eval_batch, jacobian_exprs,
 )
-from .jet import JetPoint, _lstsq_stack, pushforward, struct_map
-from .report import CheckReport, LawResult, Verdict, sampled_law
+from .jet import JetPoint, pushforward
+from .report import LawResult, Verdict
 from .universal import RANK_TOL, SEARCH_GATE, collapse_search, face_push
 
 __all__ = [
-    "JacobianSample", "RankDeficient", "DerivativePathsDisagree",
-    "jacobian", "is_submersion_on", "horizontal_lift", "lift_section_map",
-    "check_lift_section", "closure_harness", "RANK_TOL",
+    "JacobianSample", "DerivativePathsDisagree", "jacobian",
+    "is_submersion_on", "RANK_TOL",
 ]
 
 CROSS_CHECK_TOL = 1e-7
-
-
-class RankDeficient(ExprError):
-    pass
 
 
 class DerivativePathsDisagree(ExprError):
@@ -153,99 +144,3 @@ def _collapse_search(f: SmoothMap, box: Box, seeds, cfg: CheckConfig):
     extras = pool[np.argsort(_min_singulars(f, pool), kind="stable")[:2]]
     return collapse_search(_scorer(f, box), list(seeds) + list(extras),
                            float(np.log(1e-14)))
-
-
-def horizontal_lift(f: SmoothMap, a, v) -> np.ndarray:
-    """Minimum-norm solution w of Df|_a w = v."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    js = jacobian(f, a)
-    s = js.singular_values
-    top = float(s[0]) if s.size else 0.0
-    if len(s) < f.coarity or s[f.coarity - 1] < RANK_TOL * max(top, 1.0):
-        raise RankDeficient(f"derivative not onto at {a.tolist()}")
-    return _lstsq_stack(js.matrix[None], v[None])[1][0]
-
-
-def lift_section_map(f: SmoothMap, a, v):
-    """The induced section value h(a, v) = (a, w) in tangent-chart
-    coordinates: projection recovers a, pushforward recovers v."""
-    w = horizontal_lift(f, a, v)
-    return np.concatenate([np.asarray(a, dtype=float), w])
-
-
-def check_lift_section(f: SmoothMap, box: Box,
-                       cfg: CheckConfig = DEFAULT_CONFIG) -> LawResult:
-    """Sampled check that the lift is a section: the pushforward of
-    (a, lift(a, v)) lands on (f(a), v)."""
-    anchor = "pushforward of the lifted tangent returns the input tangent"
-    rng = cfg.rng("submersion:lift")
-    X = box.sample(rng, min(cfg.count, 100))
-    V = rng.uniform(-1.0, 1.0, (len(X), f.coarity))
-
-    def gap(a, v):
-        w = horizontal_lift(f, a, v)
-        out = pushforward(f, 1, JetPoint(1, f.arity, np.vstack([a, w])))
-        return np.max(np.abs(np.concatenate(
-            [out.blocks[1] - v, out.blocks[0] - eval_map(f, a)])))
-
-    return sampled_law("lift-section", anchor, list(map(gap, X, V)),
-                       np.hstack([X, V]), max(cfg.tol, 1e-9),
-                       {"samples": len(X), "seed": cfg.seed})
-
-
-def closure_harness(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
-    """Instantiates the closure properties of the submersion class:
-    composition, retracts in the arrow category over the identity base,
-    chart-level pullback, and the tangent projection itself."""
-    rep = CheckReport("submersion closure")
-
-    first_of_three = projection(3, range(2))
-    first_of_two = projection(2, range(1))
-    composite = compose(first_of_two, first_of_three)
-    parts_ok = (is_submersion_on(first_of_three, cube(3), cfg).verdict.ok
-                and is_submersion_on(first_of_two, cube(2), cfg).verdict.ok)
-    comp_res = is_submersion_on(composite, cube(3), cfg)
-    rep.add(LawResult(
-        "closed-compose",
-        "a composite of submersions is a submersion",
-        comp_res.verdict if parts_ok else Verdict.FAIL,
-        max_residual=comp_res.max_residual,
-        note=comp_res.note))
-
-    # retract of the plain projection along a fibre translation pair
-    section = smooth_map(2, [Var(0), Var(1) + Var(0) ** 2])
-    retraction = smooth_map(2, [Var(0), Var(1) - Var(0) ** 2])
-    round_trip = equal_maps(compose(retraction, section),
-                            smooth_map(2, [Var(0), Var(1)]), cube(2), cfg)
-    retract_map = compose(first_of_two, section)
-    ret_res = is_submersion_on(retract_map, cube(2), cfg)
-    rep.add(LawResult(
-        "closed-retract",
-        "a retract of a submersion in the arrow category is a submersion",
-        ret_res.verdict if round_trip.kind == "equal" else Verdict.FAIL,
-        max_residual=ret_res.max_residual,
-        note=f"retraction identity {round_trip.kind}; {ret_res.note}"))
-
-    # pullback of the projection along x -> x^2, realized on the chart
-    # (y, a) with embedding (y, a) -> (y^2, a)
-    embed = smooth_map(2, [Var(0) ** 2, Var(1)])
-    chart_leg = projection(2, range(1))
-    square = smooth_map(1, [Var(0) ** 2])
-    commutes = equal_maps(compose(first_of_two, embed),
-                          compose(square, chart_leg), cube(2), cfg)
-    pull_res = is_submersion_on(chart_leg, cube(2), cfg)
-    rep.add(LawResult(
-        "closed-pullback",
-        "a pullback of a submersion is a submersion",
-        pull_res.verdict if commutes.kind == "equal" else Verdict.FAIL,
-        max_residual=pull_res.max_residual,
-        note=f"chart square {commutes.kind}; {pull_res.note}"))
-
-    proj_res = is_submersion_on(struct_map("proj", 0, 2), cube(4), cfg)
-    rep.add(LawResult(
-        "display-projection",
-        "the tangent projection itself is a submersion",
-        proj_res.verdict, max_residual=proj_res.max_residual,
-        note=proj_res.note))
-    return rep

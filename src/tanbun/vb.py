@@ -18,8 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (
-    Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
-    SmoothMap, Var, compose, con, cube, equal_maps, parse_map, smooth_map,
+    Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var, compose, con, cube, equal_maps, parse_map, smooth_map,
 )
 from .jet import (
     NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
@@ -34,14 +33,10 @@ from .report import (
 from .universal import check_pullback, rosicky_square
 
 __all__ = [
-    "VectorBundleSpec", "ModuleLawsFailed", "TranslationRefused",
+    "VectorBundleSpec", "TranslationRefused",
     "del_map", "check_module_laws", "psi", "phi", "roundtrip_check",
     "morphism_transport_check", "transport_demo_morphisms",
 ]
-
-
-class ModuleLawsFailed(ExprError):
-    pass
 
 
 class TranslationRefused(Refused):
@@ -149,21 +144,15 @@ def check_module_laws(vb: VectorBundleSpec,
     return rep
 
 
-def psi(vb: VectorBundleSpec, cfg: CheckConfig = DEFAULT_CONFIG, *,
-        checked: bool = True) -> BundleSpec:
+def psi(vb: VectorBundleSpec) -> BundleSpec:
     """Bundle with the lift generated from the scalar action.
 
     The lift evaluates the tangent of the action at scalar jet (0, 1)
     and point jet (e, 0); a closed-form action gives a closed-form lift.
-    A Newton-defined action is refused with TranslationRefused.
+    A Newton-defined action is refused with TranslationRefused.  The
+    module laws are not checked here: a suite reports them
+    (check_module_laws) and translates only a structure that passes.
     """
-    if checked:
-        laws = check_module_laws(vb, cfg)
-        if not laws.ok:
-            bad = ", ".join(e.law_id for e in laws.entries
-                            if not e.verdict.ok)
-            raise ModuleLawsFailed(
-                f"{vb.name}: module laws did not pass: {bad}")
     lam = _generated_lift(vb)
     if not isinstance(lam, SmoothMap):
         raise TranslationRefused(
@@ -236,7 +225,7 @@ def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
     """Both translation round trips on the given structure."""
     rep = CheckReport(f"{obj.name}: translation round trip")
     if isinstance(obj, VectorBundleSpec):
-        db = psi(obj, cfg)
+        db = psi(obj)
         try:
             back = phi(db, cfg, universality)
         except TranslationRefused as exc:

@@ -504,11 +504,11 @@ FUZZ_TERMS = ("1/(x0 - x0)", "1/x1", "1/x0", "exp(1000*x1)", "d9bump(x0)",
               "sin(1/x0)")
 
 
-def _mutant(rng) -> str:
-    lines = CUBIC_LIFT.splitlines()
+def _mutant(rng, text=CUBIC_LIFT, keys=("q =", "xi =", "lambda =")) -> str:
+    lines = text.splitlines()
     for _ in range(rng.randint(1, 2)):
         k = rng.choice([k for k, l in enumerate(lines)
-                        if l.startswith(("q =", "xi =", "lambda ="))])
+                        if l.startswith(keys)])
         key, _, value = lines[k].partition(" = ")
         parts = value.split(", ")
         i = rng.randrange(len(parts))
@@ -549,11 +549,12 @@ def test_a_vector_bundle_whose_operations_raise_reads_unknown(tmp_path,
                for s in doc["suites"] for law in s["laws"])
 
 
-def test_mutated_bundle_files_end_in_an_exit_code(tmp_path, capsys):
-    rng = random.Random(2026)
+def _exit_codes(tmp_path, capsys, texts) -> Counter:
+    """Check each text as a file: every run ends in an exit code, with a
+    JSON report on stdout unless the file is bad."""
     codes = Counter()
-    for k in range(150):
-        path = _write(tmp_path, _mutant(rng), name=f"mutant_{k}.txt")
+    for k, text in enumerate(texts):
+        path = _write(tmp_path, text, name=f"mutant_{k}.txt")
         code = main(["check", path, "--samples", "10", "--depth", "0",
                      "--format", "json"])
         out = capsys.readouterr().out
@@ -561,4 +562,18 @@ def test_mutated_bundle_files_end_in_an_exit_code(tmp_path, capsys):
         if code < 3:
             assert json.loads(out)["aggregate"], path
         codes[code] += 1
+    return codes
+
+
+def test_mutated_bundle_files_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(2026)
+    codes = _exit_codes(tmp_path, capsys, (_mutant(rng) for _ in range(150)))
     assert codes[3] < 50   # most mutants parse
+
+
+def test_mutated_vector_files_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(2031)
+    codes = _exit_codes(tmp_path, capsys, (
+        _mutant(rng, LINE_VB, ("q =", "xi =", "add =", "scalar ="))
+        for _ in range(60)))
+    assert codes[3] < 20

@@ -10,6 +10,7 @@ bound name anywhere (code or annotation) or lists it in ``__all__``.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -471,3 +472,30 @@ def test_every_option_is_set_by_some_call():
     # a defaulted parameter that no call in src/, tests/ or bench/ sets is
     # an option nobody uses: make it a constant or drop it
     assert unset_options() == []
+
+
+def _package_imports() -> list:
+    """(module, name) for every name tanbun/__init__.py imports."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [(node.module, a.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names]
+
+
+def test_the_package_reexports_only_public_names():
+    # each module's __all__ is its public surface, so what the package
+    # re-exports is listed there; test_every_name_in_all_is_bound checks
+    # that every listed name exists
+    missing = [f"{module}.{name}" for module, name in _package_imports()
+               if name not in _exported(ast.parse(
+                   (SRC / f"{module}.py").read_text()))]
+    assert missing == []
+
+
+def test_the_deleted_submersion_api_stays_deleted():
+    # horizontal lifts, the closure harness and psi's own module-law
+    # check had no caller outside their tests
+    gone = ("closure_harness", "horizontal_lift", "lift_section_map",
+            "check_lift_section", "RankDeficient", "ModuleLawsFailed")
+    assert [f"{p.name}: {n}" for p in sorted(SRC.glob("*.py")) for n in gone
+            if re.search(rf"\b{n}\b", p.read_text())] == []

@@ -2,6 +2,8 @@
 
 import dataclasses
 import sys
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,6 +161,25 @@ def test_the_search_finds_the_seam_collapse_when_it_always_runs(
     assert rank.provenance["search"] == "ran"
     (w,) = rank.witness
     assert abs(w[0]) < 1e-3 and w[1] == 6793 / 6000
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1, 4)],
+                         ids=["half", "quarter"])
+def test_the_seam_fails_on_rank_in_some_square_at_seed_35(monkeypatch, s):
+    # rosicky's search runs here and misses the collapse at (0, 1 + s);
+    # today only the depth-0 cockett square refutes it, so the test names
+    # no square, only that some rank law fails at the seam
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import workloads
+    spec, _ = parse_bundle_file(workloads.seam_text(s, "seam"), "seam")
+    reports = run_suites(spec, CheckConfig(seed=35))
+    assert Verdict.reduce(r.aggregate for r in reports.values()) \
+        is Verdict.FAIL
+    seams = [e.witness[0][:2] for r in reports.values() for e in r.entries
+             if e.law_id == "rank" and e.verdict is Verdict.FAIL]
+    assert any(abs(w[0]) < 1e-3 and abs(w[1] - (1 + s)) < 1e-3
+               for w in seams), seams
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Translation between fibrewise-linear bundles and lift-presented
 bundles, in both directions, with its refusal gates."""
 
+import json
 from fractions import Fraction
+from inspect import signature
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,13 +19,13 @@ from tanbun.bundle import (
     BundleMorphism, BundleSpec, NotWellTyped, Verdict, check_predifferential,
     fibre_matched_tuples,
 )
-from tanbun.cli import parse_bundle_file
+from tanbun.cli import main, parse_bundle_file
 from tanbun.corpus import corpus_entry, run_suites, trivial_bundle
 from tanbun.report import CheckReport, LawResult, sampled_law
 from tanbun.vb import (
-    ModuleLawsFailed, TranslationRefused, VectorBundleSpec, _compare,
-    check_module_laws, del_map, morphism_transport_check, phi, psi,
-    roundtrip_check, transport_demo_morphisms,
+    TranslationRefused, VectorBundleSpec, _compare, check_module_laws,
+    del_map, morphism_transport_check, phi, psi, roundtrip_check,
+    transport_demo_morphisms,
 )
 
 CFG = CheckConfig(count=50, seed=42)
@@ -152,11 +154,62 @@ def test_every_failing_module_law_has_a_replayable_witness():
             assert (e.witness is None) == (e.verdict is not Verdict.FAIL)
 
 
+BROKEN_SCALAR = """\
+name = broken-scalar
+base_dim = 1
+total_dim = 2
+base_box = -2..2
+total_box = -2..2, -2..2
+q = x0
+xi = x0, 0
+lambda = x0, 0, 0, x1
+add = x0, x1 + x3
+scalar = x1, x0^2*x2
+"""
+
+
+def test_a_declared_scalar_that_breaks_the_module_laws_fails(tmp_path,
+                                                            capsys):
+    # (r + s)^2 e is not r^2 e + s^2 e: the vb suite refutes the declared
+    # action with a witness, and does not translate it
+    path = tmp_path / "broken.txt"
+    path.write_text(BROKEN_SCALAR)
+    assert main(["check", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failed = [law for s in doc["suites"] for law in s["laws"]
+              if law["verdict"] == "fail"]
+    assert [law["law"] for law in failed] == ["vb.scalar-scalar-distrib"]
+    vec = corpus._vector_spec_of(parse_bundle_file(BROKEN_SCALAR, "b")[0])
+    (inputs,) = failed[0]["witness"]
+    assert _replay(vec, "scalar-scalar-distrib", inputs) > max(doc["tol"],
+                                                               1e-9)
+    (vb_suite,) = [s for s in doc["suites"] if s["id"] == "vb"]
+    assert vb_suite["laws"][-1]["law"] == "vb.suite"
+    assert vb_suite["laws"][-1]["verdict"] == "skipped"
+
+
+def test_a_vector_file_checks_its_module_laws_once(monkeypatch):
+    # its pre suite is the module laws; the vb suite does not repeat them
+    calls = []
+
+    def counted(vb, cfg):
+        calls.append(vb.name)
+        return check_module_laws(vb, cfg)
+
+    monkeypatch.setattr(corpus, "check_module_laws", counted)
+    monkeypatch.setattr(vb_module, "check_module_laws", counted)
+    out = run_suites(_line_vb(), CFG)
+    assert calls == ["line"]
+    assert all(rep.ok for rep in out.values())
+    assert not any(e.law_id.startswith("vb.scalar-")
+                   for e in out["vb"].entries)
+
+
 def test_a_nan_gap_fails_its_module_law_with_a_witness():
     # exp(1000) overflows, so acting by one gives inf - inf in the fibre:
     # every gap of scalar-unit is NaN, so the law does not pass, reads
-    # unknown, and names its first sample, whose replay is NaN; psi's
-    # refusal names it with the other laws that did not pass
+    # unknown, and names its first sample, whose replay is NaN; a vector
+    # file reports it in pre, and its round trip does not run, even forced
     nan_at_one = VectorBundleSpec(
         name="nan", base_dim=1, total_dim=2,
         base_box=cube(1), total_box=cube(2),
@@ -173,11 +226,11 @@ def test_a_nan_gap_fails_its_module_law_with_a_witness():
         assert inputs == nan_at_one.total_box.sample(
             CFG.rng("nan:module"), 50)[0].tolist()
         assert np.isnan(_replay(nan_at_one, "scalar-unit", inputs))
-        with pytest.raises(ModuleLawsFailed) as err:
-            psi(nan_at_one, CFG)
-    bad = [e.law_id for e in laws.entries if not e.verdict.ok]
-    assert "scalar-unit" in bad
-    assert str(err.value) == f"nan: module laws did not pass: {', '.join(bad)}"
+        out = run_suites(nan_at_one, CFG, force=True)
+    assert repr(out["pre"].entries) == repr(laws.entries)
+    (gate,) = [e for e in out["vb"].entries if e.law_id.startswith("vb.")]
+    assert gate.law_id == "vb.suite" and gate.verdict is Verdict.SKIPPED
+    assert gate.note.startswith("module laws read fail")
 
 
 def _module_laws_point_by_point(vb, cfg):
@@ -244,8 +297,7 @@ def test_batched_module_laws_match_the_point_by_point_laws(monkeypatch,
         seen.append((vb, cfg))
         return check_module_laws(vb, cfg)
 
-    # psi reads its module's name, the mutant's runner the corpus's
-    monkeypatch.setattr(vb_module, "check_module_laws", record)
+    # the vb suite and the mutant's runner read the corpus's name
     monkeypatch.setattr(corpus, "check_module_laws", record)
     corpus.corpus_run_all(CheckConfig(seed=seed))
     assert sorted(vb.name for vb, _ in seen) == [
@@ -309,38 +361,31 @@ def test_module_laws_take_the_same_batches_at_any_sample_size(monkeypatch):
 
 
 def test_lift_built_from_the_scalar_action_line():
-    db = psi(_line_vb(), CFG)
+    db = psi(_line_vb())
     v = equal_maps(db.lam, parse_map("x0, 0, 0, x1", 2), cube(2), CFG)
     assert v.is_exact
 
 
 def test_lift_built_from_the_scalar_action_translated():
-    db = psi(_translated_vb(), CFG)
+    db = psi(_translated_vb())
     v = equal_maps(db.lam, parse_map("x0, x0^2, 0, x1 - x0^2", 2),
                    cube(2, -6, 6), CFG)
     assert v.is_exact
 
 
-def test_psi_refuses_a_broken_module():
-    bad = VectorBundleSpec(
-        name="broken", base_dim=1, total_dim=2,
-        base_box=cube(1), total_box=cube(2),
-        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
-        add=parse_map("x0, x1 + x3", 4),
-        scalar=parse_map("x1, x0*x2 + 1", 3))
-    with pytest.raises(ModuleLawsFailed):
-        psi(bad, CFG)
-
-
 def test_psi_unchecked_skips_the_gate():
+    # the vb suite reports the module laws and gates the round trip on
+    # them; psi only translates
     bad = VectorBundleSpec(
         name="broken", base_dim=1, total_dim=2,
         base_box=cube(1), total_box=cube(2),
         q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
         add=parse_map("x0, x1 + x3", 4),
         scalar=parse_map("x1, x0*x2 + 1", 3))
-    db = psi(bad, CFG, checked=False)
-    assert db.lam is not None
+    assert not check_module_laws(bad, CFG).ok
+    assert "checked" not in signature(psi).parameters
+    v = equal_maps(psi(bad).lam, parse_map("x0, 1, 0, x1", 2), cube(2), CFG)
+    assert v.is_exact
 
 
 def test_psi_refuses_a_newton_defined_lift(monkeypatch):
@@ -354,7 +399,7 @@ def test_psi_refuses_a_newton_defined_lift(monkeypatch):
     spec, _ = parse_bundle_file(text, name)
     cfg = CheckConfig(count=20, seed=1)
     with pytest.raises(TranslationRefused, match="Newton-defined"):
-        check_predifferential(psi(phi(spec, cfg), cfg, checked=False), cfg)
+        check_predifferential(psi(phi(spec, cfg)), cfg)
     # the round trip still compares the generated lift by sampling
     rep = roundtrip_check(spec, cfg)
     assert rep["roundtrip-lift"].verdict is Verdict.PASS_NUMERIC
