@@ -35,7 +35,7 @@ from .splitting import (
     pulled_back_tangent, splitting_pair,
 )
 from .vb import (
-    TranslationRefused, VectorBundleSpec, check_module_laws, del_map,
+    TranslationRefused, VectorBundleSpec, check_module_laws,
     morphism_transport_check, phi, psi, roundtrip_check,
     transport_demo_morphisms,
 )

@@ -26,14 +26,15 @@ from .jet import (
     struct_map, tangent_map,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, row_gaps,
+    sampled_law,
 )
 
 __all__ = [
     "BundleSpec", "BundleMorphism", "CheckReport", "LawResult", "Verdict",
     "AdditionUnavailable", "NotWellTyped",
     "check_predifferential", "induce_addition", "check_additive_laws",
-    "check_morphism", "vert_lambda", "lambda_base", "scale_through_lambda",
+    "check_morphism", "vert_lambda", "scale_through_lambda",
     "well_typed_tuples", "fibre_matched_tuples", "fibre_affine_decomposition",
 ]
 
@@ -76,11 +77,6 @@ class BundleSpec:
                 )
         if self.base_box.dim != k or self.total_box.dim != d:
             raise ExprError(f"{self.name}: box dims do not match chart dims")
-
-
-def lambda_base(spec: BundleSpec) -> SmoothMap:
-    """Point part of lam (first total_dim components)."""
-    return SmoothMap(spec.total_dim, spec.lam.components[: spec.total_dim])
 
 
 def vert_lambda(spec: BundleSpec) -> SmoothMap:
@@ -242,19 +238,15 @@ def _pinv_beta_exprs(spec: BundleSpec, decomp):
             for row in pinv]
 
 
-def induce_addition(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
-                    universality=None):
+def induce_addition(spec: BundleSpec, universality):
     """Derive the fibrewise addition from lam.
 
     The sum of a and b is the unique e with lam(e) equal to lam(a) and
     lam(b) fibre-added in the tangent chart.  Exposed on the free pair
     chart (a, b) of dimension 2*total_dim; callers feed well-typed
-    pairs.  Gated on the rosicky square (AdditionUnavailable).
+    pairs.  Gated on the rosicky square's verdict (AdditionUnavailable).
     """
-    from .universal import check_pullback, rosicky_square  # import cycle
-    AdditionUnavailable.gate(
-        universality, f"{spec.name}: addition",
-        lambda: check_pullback(rosicky_square(spec), cfg))
+    AdditionUnavailable.gate(universality, f"{spec.name}: addition")
     d, k = spec.total_dim, spec.base_dim
     decomp = fibre_affine_decomposition(spec)
     if decomp is not None:
@@ -368,7 +360,7 @@ def check_additive_laws(spec: BundleSpec, add,
     compatibility of a candidate addition, on sampled well-typed
     tuples.  When `declared` is given it is compared against `add`.
 
-    `hypotheses`, given with add = induce_addition(spec), are reports
+    `hypotheses`, given with the add induce_addition derives, are reports
     holding pre-1, pre-3, pre-4 and rosicky's injective and surjective.
     When add is Newton-defined and they all pass, the laws are derived
     and only a + b is solved, unless the bound exceeds tol."""
@@ -391,13 +383,12 @@ def check_additive_laws(spec: BundleSpec, add,
                  (eval_batch(spec.q, ab), eval_batch(spec.q, a))]
         for (law_id, (anchor, *_)), (lhs, rhs) in zip(_ADD_LAWS.items(),
                                                       sides):
-            rep.add(sampled_law(law_id, anchor,
-                                np.max(np.abs(lhs - rhs), axis=1), inputs,
+            rep.add(sampled_law(law_id, anchor, row_gaps(lhs, rhs), inputs,
                                 cfg.tol, dict(prov)))
     if declared is not None:
         rep.add(sampled_law(
             "add-declared", "declared addition = induced addition",
-            np.max(np.abs(ab - _pairwise(declared, a, b)), axis=1), inputs,
+            row_gaps(ab, _pairwise(declared, a, b)), inputs,
             cfg.tol, {**_prov(cfg), "count": len(a)}))
     return rep
 
@@ -483,9 +474,10 @@ class BundleMorphism:
             compose(self.target.q, compose(self.f, self.source.xi)))
 
 
-def check_morphism(mor: BundleMorphism, cfg: CheckConfig = DEFAULT_CONFIG,
-                   source_add=None, target_add=None) -> CheckReport:
-    """Base compatibility, lift compatibility, and sampled additivity."""
+def check_morphism(mor: BundleMorphism, cfg: CheckConfig, source_add,
+                   target_add) -> CheckReport:
+    """Base compatibility, lift compatibility, and sampled additivity
+    against the additions of the source and the target."""
     src, tgt = mor.source, mor.target
     rep = CheckReport(f"{src.name} -> {tgt.name}: morphism laws")
     f0 = mor.base_map
@@ -501,21 +493,16 @@ def check_morphism(mor: BundleMorphism, cfg: CheckConfig = DEFAULT_CONFIG,
                              provenance=_prov(cfg)))
 
     try:
-        if source_add is None:
-            source_add = induce_addition(src, cfg)
-        if target_add is None:
-            target_add = induce_addition(tgt, cfg)
         (a, b), discarded = well_typed_tuples(src, cfg, width=2, tag="mor")
         fa = eval_batch(mor.f, a)
         fb = eval_batch(mor.f, b)
         lhs = eval_batch(mor.f, _pairwise(source_add, a, b))
         rhs = _pairwise(target_add, fa, fb)
         rep.add(sampled_law("mor-add", "f(a + b) = f(a) + f(b)",
-                            np.max(np.abs(lhs - rhs), axis=1),
-                            np.hstack([a, b]), cfg.tol,
+                            row_gaps(lhs, rhs), np.hstack([a, b]), cfg.tol,
                             {**_prov(cfg), "discarded": discarded,
                              "count": len(a)}))
-    except (AdditionUnavailable, NewtonDiverged, NotWellTyped) as exc:
+    except (NewtonDiverged, NotWellTyped) as exc:
         rep.add(LawResult("mor-add", "f(a + b) = f(a) + f(b)",
                           Verdict.SKIPPED, note=str(exc)))
     return rep

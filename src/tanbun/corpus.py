@@ -210,7 +210,7 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                 rep = _merge(title, ros)
             elif sid == "addition":
                 try:
-                    add = induce_addition(spec, cfg, universality=ros)
+                    add = induce_addition(spec, ros)
                     rep = check_additive_laws(
                         spec, add, cfg, declared=spec.add,
                         hypotheses=(out["pre"], out["rosicky"]))

@@ -445,9 +445,10 @@ class ImplicitMap:
     """
 
     tol = 1e-12     # a row is solved once its residual is below this
+    max_iter = 50   # Gauss-Newton steps before the looser 1e-9 test
 
     def __init__(self, residual: SmoothMap, arity: int, coarity: int,
-                 init: Callable, name: str = "implicit", max_iter: int = 50):
+                 init: Callable, name: str = "implicit"):
         if residual.arity != arity + coarity:
             raise DimensionMismatch("residual arity must be arity + coarity")
         self.residual = residual
@@ -455,7 +456,6 @@ class ImplicitMap:
         self.coarity = coarity
         self.init = init
         self.name = name
-        self.max_iter = max_iter
         self._seen: dict = {}
 
     def _remember(self, keys, Y: np.ndarray):
@@ -579,8 +579,7 @@ def prolong_implicit(imp: ImplicitMap, n: int) -> ImplicitMap:
         return Y
 
     return ImplicitMap(residual, blocks * a, blocks * c, init,
-                       name=f"tangent^{n} of {imp.name}",
-                       max_iter=imp.max_iter)
+                       name=f"tangent^{n} of {imp.name}")
 
 
 @functools.lru_cache(maxsize=512)
@@ -622,8 +621,7 @@ def tangent_after(f, g: SmoothMap):
     if residual is None:
         return _smooth_tangent_after(f, g)
     return ImplicitMap(_residual_after(residual, g), g.arity, tf.coarity,
-                       lambda X: tf.init(g.eval_batch(X)), name=tf.name,
-                       max_iter=tf.max_iter)
+                       lambda X: tf.init(g.eval_batch(X)), name=tf.name)
 
 
 @functools.lru_cache(maxsize=512)

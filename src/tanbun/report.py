@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprError, worst_row
+from .expr import ExprError, _quiet_floats, worst_row
 
 __all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
-           "sampled_law", "Refused"]
+           "sampled_law", "row_gaps", "Refused"]
 
 
 class Verdict(enum.Enum):
@@ -112,23 +112,19 @@ class Refused(ExprError):
         self.verdict = verdict
 
     @classmethod
-    def gate(cls, universality, what: str, square):
-        """The universality verdict (a CheckReport or a Verdict) that
-        `what` goes on, if it passes; None means square(), checked here,
-        which the refusal names by its title.  Else raise cls, unknown
-        after an unknown verdict (nothing was refuted) and fail otherwise.
-        """
-        checked = ""
+    def gate(cls, universality, what: str) -> None:
+        """Let `what` go on a universality verdict (a CheckReport or a
+        Verdict) that passes; else raise cls, unknown after an unknown
+        verdict or none (its square's check raised: nothing was refuted)
+        and fail otherwise."""
         if universality is None:
-            universality = square()
-            checked = ("; no verdict was given, so the gate checked "
-                       f"{universality.title} itself")
+            raise cls(f"{what} refused, no universality verdict was given",
+                      Verdict.UNKNOWN)
         agg = getattr(universality, "aggregate", universality)
-        if agg.ok:
-            return universality
-        raise cls(f"{what} refused, universality verdict is {agg.value}"
-                  f"{checked}",
-                  Verdict.UNKNOWN if agg is Verdict.UNKNOWN else Verdict.FAIL)
+        if not agg.ok:
+            raise cls(f"{what} refused, universality verdict is {agg.value}",
+                      Verdict.UNKNOWN if agg is Verdict.UNKNOWN
+                      else Verdict.FAIL)
 
     def law(self, law_id: str, anchor: str) -> LawResult:
         """The refusal as the gate's entry in a report."""
@@ -149,6 +145,13 @@ def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
         law_id, anchor, verdict, max_residual=top, provenance=provenance,
         witness=None if row is None else (np.hstack(inputs[row]).tolist(),),
         note="residual is not a number" if verdict is Verdict.UNKNOWN else "")
+
+
+def row_gaps(lhs, rhs):
+    """max |lhs - rhs| over the last axis, the gaps sampled_law judges.
+    A gap that overflows or is NaN is judged there, not warned of."""
+    with _quiet_floats():
+        return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 def law_from_verdict(law_id: str, anchor: str, v, *,

@@ -29,11 +29,10 @@ from .bundle import (
     vert_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, row_gaps,
+    sampled_law,
 )
-from .universal import (
-    RANK_TOL, _numeric_rank, check_pullback, rosicky_square, strong_square,
-)
+from .universal import RANK_TOL, _numeric_rank
 
 __all__ = [
     "PulledBackTangent", "SplittingRefused", "pulled_back_tangent",
@@ -165,17 +164,15 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     return rep
 
 
-def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
-                   universality=None):
+def splitting_pair(spec: BundleSpec, universality):
     """The section (q, vertical lam) into the T_M(E) chart and the
     retraction K back onto E.
 
     K inverts lam on the image of the projector: closed form when the
     lift is fibre-affine with constant matrix, otherwise a Newton solve
-    of lam(e) = iota(chi(m, w)).  Gated on the rosicky square."""
-    SplittingRefused.gate(
-        universality, f"{spec.name}: splitting",
-        lambda: check_pullback(rosicky_square(spec), cfg))
+    of lam(e) = iota(chi(m, w)).  Gated on the rosicky square's
+    verdict."""
+    SplittingRefused.gate(universality, f"{spec.name}: splitting")
     d, k = spec.total_dim, spec.base_dim
     section = concat_maps(spec.q, vert_lambda(spec))
     ch = chi(spec)
@@ -208,12 +205,12 @@ def splitting_pair(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
     return section, K
 
 
-def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
-                    universality=None) -> CheckReport:
+def check_splitting(spec: BundleSpec, cfg: CheckConfig,
+                    universality) -> CheckReport:
     """Triangle identities of the retract through the T_M(E) chart."""
     rep = CheckReport(f"{spec.name}: splitting")
     try:
-        section, K = splitting_pair(spec, cfg, universality)
+        section, K = splitting_pair(spec, universality)
     except SplittingRefused as exc:
         rep.add(exc.law("splitting-gate",
                         "retract construction requires universality"))
@@ -246,14 +243,13 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
             pass
         rep.add(sampled_law(
             "retract-identity", "retraction after section is the identity",
-            row_ordered(lambda X: np.max(np.abs(
-                K.eval_batch(section.eval_batch(X)) - X), axis=1), X),
+            row_ordered(lambda X: row_gaps(
+                K.eval_batch(section.eval_batch(X)), X), X),
             X, tol, {"samples": len(X), "seed": cfg.seed}))
         rep.add(sampled_law(
             "section-image", "section after retraction is the projector",
-            row_ordered(lambda Z: np.max(np.abs(
-                section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)),
-                axis=1), Z),
+            row_ordered(lambda Z: row_gaps(
+                section.eval_batch(K.eval_batch(Z)), ch.eval_batch(Z)), Z),
             Z, tol, {"samples": len(Z), "seed": cfg.seed}))
 
         rep.add(_uniqueness_probe(spec, K, box, cfg))
@@ -297,16 +293,14 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
                    f"spread {law.max_residual:.3g}")
 
 
-def biproduct_check(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
-                    universality=None) -> CheckReport:
+def biproduct_check(spec: BundleSpec, cfg: CheckConfig,
+                    universality) -> CheckReport:
     """The four projection/injection identities on the chart (e, v) plus
     the idempotent split off by the first pair; gated on the strong
-    square."""
+    square's verdict."""
     rep = CheckReport(f"{spec.name}: biproduct")
     try:
-        SplittingRefused.gate(
-            universality, f"{spec.name}: biproduct chart",
-            lambda: check_pullback(strong_square(spec), cfg))
+        SplittingRefused.gate(universality, f"{spec.name}: biproduct chart")
     except SplittingRefused as exc:
         rep.add(exc.law("strong-gate",
                         "biproduct chart requires the strong square"))

@@ -777,7 +777,7 @@ def cross_check_equivalence(spec: BundleSpec,
     rep.add(ros.as_result("square-rosicky"))
 
     try:
-        add = induce_addition(spec, cfg, universality=ros)
+        add = induce_addition(spec, ros)
         cockett = check_pullback(cockett_square(spec, add), cfg)
         rep.add(cockett.as_result("square-cockett"))
         cockett_agg = cockett.aggregate

@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (
-    Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var, compose, con, cube, equal_maps, parse_map, smooth_map,
+    Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var,
+    compose, con, cube, equal_maps, parse_map,
 )
 from .jet import (
     NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
@@ -28,13 +29,13 @@ from .bundle import (
     induce_addition, scale_through_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, row_gaps,
+    sampled_law,
 )
-from .universal import check_pullback, rosicky_square
 
 __all__ = [
     "VectorBundleSpec", "TranslationRefused",
-    "del_map", "check_module_laws", "psi", "phi", "roundtrip_check",
+    "check_module_laws", "psi", "phi", "roundtrip_check",
     "morphism_transport_check", "transport_demo_morphisms",
 ]
 
@@ -73,11 +74,6 @@ class VectorBundleSpec:
                     f"got {f.arity} -> {f.coarity}")
 
 
-def del_map() -> SmoothMap:
-    """The unit-speed jet constructor x -> (x, 1)."""
-    return smooth_map(1, [Var(0), con(1)])
-
-
 def _scalar_box(vb) -> Box:
     return Box(((Fraction(-2), Fraction(2)),) + tuple(vb.total_box.intervals))
 
@@ -109,8 +105,7 @@ def check_module_laws(vb: VectorBundleSpec,
         cuts = np.cumsum([p.shape[1] for p in parts])[:-1]
 
         def gaps(X):
-            lhs, rhs = sides(*np.split(X, cuts, axis=1))
-            return np.max(np.abs(lhs - rhs), axis=1)
+            return row_gaps(*sides(*np.split(X, cuts, axis=1)))
 
         X = np.hstack(parts)
         rep.add(sampled_law(law_id, anchor, row_ordered(gaps, X), X, tol,
@@ -179,18 +174,14 @@ def _generated_lift(vb: VectorBundleSpec):
     return tangent_after(vb.scalar, embed)
 
 
-def phi(db: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG,
-        universality=None) -> VectorBundleSpec:
+def phi(db: BundleSpec, universality) -> VectorBundleSpec:
     """Vector bundle with the scalar action recovered from the lift.
 
-    Gated on the rosicky square; the recovered action conjugates
-    tangent-block scaling through the lift, and the addition is induced
-    the same way, on the verdict the gate went on."""
-    universality = TranslationRefused.gate(
-        universality, f"{db.name}: scalar recovery",
-        lambda: check_pullback(rosicky_square(db), cfg))
-    add = db.add if db.add is not None else induce_addition(
-        db, cfg, universality=universality)
+    Gated on the rosicky square's verdict; the recovered action
+    conjugates tangent-block scaling through the lift, and the addition
+    is induced the same way, on the same verdict."""
+    TranslationRefused.gate(universality, f"{db.name}: scalar recovery")
+    add = db.add if db.add is not None else induce_addition(db, universality)
     # The action is always recomputed from the lift; a declared action on
     # the bundle is advisory and must not short-circuit the translation.
     scalar = scale_through_lambda(db)
@@ -206,8 +197,8 @@ def _compare(law_id, anchor, f, g, box, cfg) -> LawResult:
         return law_from_verdict(law_id, anchor, equal_maps(f, g, box, cfg))
     rng = cfg.rng(f"roundtrip:{law_id}")
     X = box.sample(rng, min(cfg.count, 100))
-    gaps = row_ordered(lambda X: np.max(np.abs(
-        f.eval_batch(X) - g.eval_batch(X)), axis=1), X)
+    gaps = row_ordered(lambda X: row_gaps(f.eval_batch(X), g.eval_batch(X)),
+                       X)
     return sampled_law(law_id, anchor, gaps, X, max(cfg.tol, 1e-9),
                        {"samples": len(X), "seed": cfg.seed})
 
@@ -220,14 +211,13 @@ def _identical(law_id, anchor, a, b) -> LawResult:
                      "object was rebuilt")
 
 
-def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
-                    universality=None) -> CheckReport:
+def roundtrip_check(obj, cfg: CheckConfig, universality) -> CheckReport:
     """Both translation round trips on the given structure."""
     rep = CheckReport(f"{obj.name}: translation round trip")
     if isinstance(obj, VectorBundleSpec):
         db = psi(obj)
         try:
-            back = phi(db, cfg, universality)
+            back = phi(db, universality)
         except TranslationRefused as exc:
             rep.add(exc.law("phi-gate", "reverse translation accepts the "
                             "generated bundle"))
@@ -248,7 +238,7 @@ def roundtrip_check(obj, cfg: CheckConfig = DEFAULT_CONFIG,
 
     db = obj
     try:
-        vb = phi(db, cfg, universality)
+        vb = phi(db, universality)
     except TranslationRefused as exc:
         rep.add(exc.law("phi-gate", "translation accepts verified bundles "
                         "only"))
@@ -293,7 +283,7 @@ def morphism_transport_check(mor: BundleMorphism,
     def gap(r, a):
         lhs = apply_map(mor.f, apply_map(s_src, np.concatenate([[r], a])))
         rhs = apply_map(s_tgt, np.concatenate([[r], apply_map(mor.f, a)]))
-        return np.max(np.abs(lhs - rhs))
+        return row_gaps(lhs, rhs)
 
     anchor = "the morphism commutes with the actions"
     try:

@@ -248,7 +248,7 @@ def test_additive_laws_match_the_law_by_law_calls(monkeypatch, where):
     # (bump_counterexample and three mutants) are compared too
     specs = _inputs(monkeypatch, where)
     for spec, cfg in specs:
-        add = induce_addition(spec, cfg, universality=PASSED)
+        add = induce_addition(spec, PASSED)
         assert _outcome(check_additive_laws, spec, add, cfg, spec.add) == \
             _outcome(_ref_check_additive_laws, spec, add, cfg, spec.add), \
             spec.name
@@ -260,7 +260,7 @@ def test_retraction_stages_match_the_one_call_per_start_loops(monkeypatch,
                                                               where):
     implicit = 0
     for spec, cfg in _inputs(monkeypatch, where):
-        section, K = splitting_pair(spec, cfg, universality=PASSED)
+        section, K = splitting_pair(spec, PASSED)
         if not isinstance(K, ImplicitMap):
             continue
         implicit += 1
@@ -277,7 +277,7 @@ def _squares(spec, cfg):
     """The four squares of a bundle; cockett's addition is induced on a
     passing verdict, so that the bundles that are not universal give
     their cockett square too."""
-    add = induce_addition(spec, cfg, universality=PASSED)
+    add = induce_addition(spec, PASSED)
     return [rosicky_square(spec), cockett_square(spec, add),
             strong_square(spec), combined_square(spec)]
 
@@ -314,7 +314,8 @@ def test_implicit_rows_solve_to_the_implicit_tolerance(monkeypatch, name):
     # target at seed 1, and the branch guard reads the check unknown
     spec, cfg = next((s, c) for s, c in _implicit_specs(monkeypatch, 1)
                      if s.name == name)
-    pv = check_pullback(cockett_square(spec, induce_addition(spec, cfg)), cfg)
+    pv = check_pullback(cockett_square(spec, induce_addition(spec, PASSED)),
+                        cfg)
     assert pv["surjective"].verdict is Verdict.PASS_NUMERIC
     assert pv.depth_checked == 1
 
@@ -378,7 +379,7 @@ def test_surjectivity_evaluates_an_implicit_leg_only_in_the_guard(
     # ImplicitMap call is the guard's one eval_batch of the leg (its init
     # solves the maps it is built from, inside that call)
     spec, cfg = _implicit_specs(monkeypatch, 1)[0]
-    sq = cockett_square(spec, induce_addition(spec, cfg))
+    sq = cockett_square(spec, induce_addition(spec, PASSED))
     real, leg, calls, depth = universal._surjectivity, [], [], []
 
     def spy(name):
@@ -441,7 +442,7 @@ def test_a_failing_sum_raises_what_the_law_by_law_calls_raise(
         monkeypatch, first, second):
     spec, _ = _implicit_specs(monkeypatch, 1)[0]
     cfg = CheckConfig(count=10, seed=1, t_depth=1)
-    add = induce_addition(spec, cfg)
+    add = induce_addition(spec, PASSED)
     sums = _sums(spec, add, cfg)
     bad = {sums[first][5].tobytes(), sums[second][2].tobytes()}
     got = _outcome(check_additive_laws, spec, _Raising(add, bad), cfg)
@@ -453,7 +454,7 @@ def test_a_failing_sum_raises_what_the_law_by_law_calls_raise(
 
 def test_a_failing_retraction_raises_what_the_two_laws_raise(monkeypatch):
     spec, cfg = _implicit_specs(monkeypatch, 1)[0]
-    section, K = splitting_pair(spec, cfg, universality=PASSED)
+    section, K = splitting_pair(spec, PASSED)
     rng = cfg.rng("splitting:samples")
     X = spec.total_box.sample(rng, cfg.count)
     Z = chart_box(spec).sample(rng, 20)
@@ -479,7 +480,7 @@ def test_each_newton_stage_is_one_call(monkeypatch):
     # counted, not timed: a return to one solve per law or per start
     # fails here
     spec, cfg = _implicit_specs(monkeypatch, 1)[0]
-    add = induce_addition(spec, cfg)
+    add = induce_addition(spec, PASSED)
     adds = []
     add.eval_batch = _counting(adds, add.eval_batch)
     check_additive_laws(spec, add, cfg)
@@ -487,7 +488,7 @@ def test_each_newton_stage_is_one_call(monkeypatch):
 
     # the three probes solve K's own residual in one Newton call, and
     # build no map: K's compiled Jacobian serves every probe
-    section, K = splitting_pair(spec, cfg, universality=PASSED)
+    section, K = splitting_pair(spec, PASSED)
     splitting._uniqueness_probe(spec, K, chart_box(spec), cfg)   # compiles
     solves, one_row, maps = [], [], []
     monkeypatch.setattr(splitting, "_solve_rows",
@@ -577,7 +578,7 @@ def test_the_newton_defined_addition_derives_its_laws():
     spec, cfg = _cubic()
     pre, ros = _hypotheses(spec, cfg)
     assert pre.aggregate is Verdict.PASS_EXACT and ros.ok
-    add = induce_addition(spec, cfg, universality=ros)
+    add = induce_addition(spec, ros)
     rep = check_additive_laws(spec, add, cfg, hypotheses=(pre, ros))
     known = {e.law_id for e in pre.entries + ros.entries}
     assert [e.law_id for e in rep.entries] == list(DERIVED)
@@ -598,7 +599,7 @@ def test_the_derived_laws_fall_back_to_the_sampled_check(case):
     spec, cfg = _cubic({"lambda": "x0, 0, 0, x1"} if case == "closed form"
                        else {})
     pre, ros = _hypotheses(spec, cfg)
-    add = induce_addition(spec, cfg, universality=ros)
+    add = induce_addition(spec, ros)
     hyps = () if case == "no hypotheses" else (pre, ros)
     if case == "hypothesis unknown":
         hyps = (pre, CheckReport("rosicky", [
@@ -622,7 +623,7 @@ def test_a_section_off_by_1e_12_sends_the_suite_to_the_sampled_check(lam):
     assert [out["pre"][law].verdict for law in ("pre-3", "pre-4")] == \
         [Verdict.UNKNOWN] * 2
     assert out["rosicky"].ok
-    add = induce_addition(spec, cfg, universality=PASSED)
+    add = induce_addition(spec, PASSED)
     assert repr(out["addition"]) == repr(
         _ref_check_additive_laws(spec, add, cfg, spec.add))
 
@@ -632,7 +633,7 @@ def test_a_derived_bound_covers_the_gap_the_sampled_check_measures(
         monkeypatch, seed):
     for spec, cfg in _implicit_specs(monkeypatch, seed):
         hyps = _hypotheses(spec, cfg)
-        add = induce_addition(spec, cfg, universality=hyps[1])
+        add = induce_addition(spec, hyps[1])
         derived = check_additive_laws(spec, add, cfg, hypotheses=hyps)
         sampled = _ref_check_additive_laws(spec, add, cfg)
         for law in DERIVED:

@@ -17,12 +17,13 @@ from tanbun.bundle import (
     _implicit_fibre_op, _pairwise,
     check_additive_laws, check_morphism, check_predifferential,
     fibre_affine_decomposition, fibre_matched_tuples, induce_addition,
-    lambda_base, scale_through_lambda, vert_lambda, well_typed_tuples,
+    scale_through_lambda, vert_lambda, well_typed_tuples,
 )
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
 from tanbun.universal import check_pullback, rosicky_square
 
 CFG = CheckConfig(count=40, seed=5)
+PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
 
 
 def _with(spec, **kw):
@@ -77,12 +78,12 @@ def test_failure_report_carries_a_witness():
 
 
 def test_induced_addition_closed_form_trivial():
-    add = induce_addition(trivial_bundle(1, 1), CFG)
+    add = induce_addition(trivial_bundle(1, 1), PASSED)
     assert to_source(add) == "x0, x1 + x3"
 
 
 def test_induced_addition_closed_form_conjugated():
-    add = induce_addition(conjugated_bundle(), CFG)
+    add = induce_addition(conjugated_bundle(), PASSED)
     assert to_source(add) == "x0, x1 + x3 - x0^2"
 
 
@@ -92,7 +93,7 @@ def test_the_addition_starts_at_its_root_on_a_fibre_affine_chart(
     # sum, so Newton stops before its first step
     cb = conjugated_bundle()
     (a, b), _ = well_typed_tuples(cb, CFG, width=2)
-    want = eval_batch(induce_addition(cb, CFG), np.hstack([a, b]))
+    want = eval_batch(induce_addition(cb, PASSED), np.hstack([a, b]))
     steps = []
     monkeypatch.setattr(jet, "_lstsq_stack",
                         lambda *args: steps.append(args))
@@ -104,7 +105,7 @@ def test_the_addition_starts_at_its_root_on_a_fibre_affine_chart(
 def _old_start(imp):
     """The addition as it was started before the chart sum: at a."""
     return ImplicitMap(imp.residual, imp.arity, imp.coarity,
-                       lambda X: X[:, :imp.coarity], imp.name, imp.max_iter)
+                       lambda X: X[:, :imp.coarity], imp.name)
 
 
 def test_rows_without_a_chart_sum_start_at_a():
@@ -158,12 +159,12 @@ def test_induced_addition_refuses_after_failed_universality():
                          dataclasses.replace(CFG, t_depth=0))
     assert bad.aggregate is Verdict.FAIL
     with pytest.raises(AdditionUnavailable):
-        induce_addition(bump, CFG, universality=bad)
+        induce_addition(bump, bad)
 
 
 def test_additive_laws_pass_with_matching_declared_addition():
     cb = conjugated_bundle()
-    add = induce_addition(cb, CFG)
+    add = induce_addition(cb, PASSED)
     rep = check_additive_laws(cb, add, CFG, declared=cb.add)
     assert rep.ok
     assert "add-declared" in {e.law_id for e in rep.entries}
@@ -171,7 +172,7 @@ def test_additive_laws_pass_with_matching_declared_addition():
 
 def test_mismatched_declared_addition_is_flagged_alone():
     tb = trivial_bundle(1, 1)
-    add = induce_addition(tb, CFG)
+    add = induce_addition(tb, PASSED)
     wrong = parse_map("x0, x1 + x3 + 1", 4)
     rep = check_additive_laws(tb, add, CFG, declared=wrong)
     assert {e.law_id for e in rep.failures()} == {"add-declared"}
@@ -248,7 +249,6 @@ def test_affine_decomposition_refused_for_bump():
 
 def test_lambda_parts_recombine():
     cb = conjugated_bundle()
-    assert to_source(lambda_base(cb)) == "x0, x0^2"
     assert to_source(vert_lambda(cb)) == "0, x1 - x0^2"
 
 
@@ -258,7 +258,7 @@ def test_lambda_parts_recombine():
 
 def test_identity_morphism_passes_all_three_laws():
     cb = conjugated_bundle()
-    add = induce_addition(cb, CFG)
+    add = induce_addition(cb, PASSED)
     mor = BundleMorphism(cb, cb, parse_map("x0, x1", 2))
     rep = check_morphism(mor, CFG, source_add=add, target_add=add)
     assert rep.ok
@@ -268,7 +268,7 @@ def test_identity_morphism_passes_all_three_laws():
 
 def test_fibre_shift_morphism_fails_lift_and_addition():
     tb = trivial_bundle(1, 1)
-    add = induce_addition(tb, CFG)
+    add = induce_addition(tb, PASSED)
     mor = BundleMorphism(tb, tb, parse_map("x0, x1 + 1", 2))
     rep = check_morphism(mor, CFG, source_add=add, target_add=add)
     assert {e.law_id for e in rep.failures()} == {"mor-lift", "mor-add"}
@@ -288,8 +288,8 @@ def test_chart_change_morphism_between_presentations():
     # morphism in both directions.
     tb = trivial_bundle(1, 1)
     cb = conjugated_bundle()
-    add_t = induce_addition(tb, CFG)
-    add_c = induce_addition(cb, CFG)
+    add_t = induce_addition(tb, PASSED)
+    add_c = induce_addition(cb, PASSED)
     fwd = BundleMorphism(tb, cb, parse_map("x0, x1 + x0^2", 2))
     rep = check_morphism(fwd, CFG, source_add=add_t, target_add=add_c)
     assert rep.ok

@@ -323,6 +323,17 @@ def test_a_lift_that_is_nan_on_part_of_its_box_ends_in_a_report(tmp_path):
     assert json.loads(proc.stdout)["aggregate"] in ("fail", "unknown")
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_scalar_action_warns_of_nothing(tmp_path, capsys):
+    # exp(1000*x1) overflows on most of the box, so the gaps of the module
+    # laws are inf - inf there: sampled_law judges them, and nothing warns
+    path = _write(tmp_path, _edited(LINE_VB, "scalar = x1, x0*x2 + "
+                                    "exp(1000*x1)"))
+    code, doc = _json_run(capsys, ["check", path, "--samples", "10",
+                                   "--depth", "0", "--format", "json"])
+    assert code == 1 and doc["aggregate"] == "fail"
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 

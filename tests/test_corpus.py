@@ -146,8 +146,8 @@ def test_cockett_and_strong_run_at_full_depth_unless_rosicky_passed(
                             lambda pv: _with_verdict(pv, verdict))
     # the addition is induced whatever rosicky says, so cockett runs too
     monkeypatch.setattr(corpus, "induce_addition",
-                        lambda spec, cfg, universality: induce_addition(
-                            spec, cfg))
+                        lambda spec, universality: induce_addition(
+                            spec, Verdict.PASS_NUMERIC))
     reports = run_suites(trivial_bundle(1, 1), CFG, force=force)
     assert reports["rosicky"].aggregate is verdict
     assert depths["cockett"] == 2 and depths["strong"] == 2

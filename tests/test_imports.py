@@ -322,12 +322,23 @@ def _function_imports_of_universal(path: Path) -> list:
             and node.module == "universal"]
 
 
-def test_only_induce_addition_imports_universal_in_a_function():
-    # bundle cannot import universal at its top level, which imports
-    # bundle; every other module can
+def test_no_function_imports_universal():
+    # universal imports bundle, and nothing in bundle needs universal: a
+    # construction is handed the verdict it is gated on
     found = [f for p in sorted(SRC.glob("*.py"))
              for f in _function_imports_of_universal(p)]
-    assert found == ["bundle.induce_addition"]
+    assert found == []
+
+
+def test_only_the_suite_runners_check_a_square():
+    # corpus._run_bundle and universal.cross_check_equivalence decide
+    # which squares run; no gate runs one of its own
+    assert set(_users("check_pullback")) == {
+        "corpus._run_bundle", "universal.cross_check_equivalence"}
+    tree = ast.parse((SRC / "bundle.py").read_text())
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)
+                and n.module in ("universal", "tanbun.universal")]
 
 
 def _users(name: str) -> list:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanbun import expr, jet, universal, vb
-from tanbun.bundle import induce_addition
+from tanbun.bundle import Verdict, induce_addition
 from tanbun.cli import main, parse_bundle_file
 from tanbun.corpus import corpus_list, corpus_run
 from tanbun.expr import (
@@ -27,6 +27,7 @@ from tanbun.jet import _each_row, _gauss_newton, _lstsq_stack
 from numpy.linalg import _umath_linalg
 
 CFG = CheckConfig(count=30, seed=11)
+PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
 
 coeff_arrays = st.lists(
     st.floats(min_value=-4, max_value=4, allow_nan=False,
@@ -269,31 +270,30 @@ def _same_error(got, want):
 
 
 # (residual, arity, coarity, start or None for the parameters themselves,
-# options, rows).  y^2 = x converges quadratically at 4 and 2.25, takes
+# rows).  y^2 = x converges quadratically at 4 and 2.25, takes
 # the loose accept at the double root 0 (repeated), has no real root at
 # -1 and overflows into a non-finite step at 1e300; the no-convergence
 # row comes first but fails last.  The third residual's value has a pole
 # at x0 = 2; in the fourth only the Jacobian -1/y^2 meets the guard, at
 # the start y = 1e-7.
 IMPLICIT_CASES = (
-    ("x1^2 - x0", 1, 1, 1.0, {"max_iter": 20},
+    ("x1^2 - x0", 1, 1, 1.0,
      [[4.0], [0.0], [-1.0], [1e300], [2.25], [0.0]]),
-    ("x2^2 + x1 - x0, x1 - x2", 1, 2, 1.0, {"max_iter": 20},
+    ("x2^2 + x1 - x0, x1 - x2", 1, 2, 1.0,
      [[6.0], [-0.25], [-1.0], [1e300], [2.0]]),
-    ("x1 - 1/(x0 - 2)", 1, 1, 0.5, {}, [[3.0], [2.0], [1.0]]),
-    ("1/x1 - 2", 1, 1, None, {}, [[1.0], [1e-7], [0.3]]),
+    ("x1 - 1/(x0 - 2)", 1, 1, 0.5, [[3.0], [2.0], [1.0]]),
+    ("1/x1 - 2", 1, 1, None, [[1.0], [1e-7], [0.3]]),
 )
 
 
 def _case(k):
-    src, a, c, start, kw, rows = IMPLICIT_CASES[k]
+    src, a, c, start, rows = IMPLICIT_CASES[k]
     if start is None:
         init, point_init = (lambda X: X.copy()), (lambda x: x)
     else:
         init = lambda X: np.full((len(X), c), start)
         point_init = lambda x: np.full(c, start)
-    imp = ImplicitMap(parse_map(src, a + c), a, c, init=init, name=f"case{k}",
-                      **kw)
+    imp = ImplicitMap(parse_map(src, a + c), a, c, init=init, name=f"case{k}")
     return imp, point_init, np.array(rows, dtype=float)
 
 
@@ -445,9 +445,9 @@ def test_the_folded_cockett_top_matches_the_stage_loop(monkeypatch):
                         lambda f, g: built.append((f, g)) or tangent_after(f, g))
     for name, text in _implicit_texts(monkeypatch):
         spec, _ = parse_bundle_file(text, name)
-        sq = cockett_square(spec, induce_addition(spec, cfg))
+        sq = cockett_square(spec, induce_addition(spec, PASSED))
         add, pre = built[-1]
-        again = cockett_square(spec, induce_addition(spec, cfg))
+        again = cockett_square(spec, induce_addition(spec, PASSED))
         # one residual, by value, for both squares
         assert isinstance(sq.top, ImplicitMap) and again.top is not sq.top
         assert again.top.residual is sq.top.residual

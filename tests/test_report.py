@@ -1,14 +1,17 @@
 """Verdict lattice, report aggregation and the universality gate."""
 
 import dataclasses
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tanbun import splitting, universal, vb
+from tanbun import corpus, splitting, universal, vb
 from tanbun.bundle import induce_addition
+from tanbun.cli import main
 from tanbun.corpus import bump_bundle, trivial_bundle
-from tanbun.expr import CheckConfig, EqVerdict
+from tanbun.expr import MAX_BUMP_ORDER, CheckConfig, EqVerdict
 from tanbun.report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
@@ -122,19 +125,20 @@ def test_sampled_law_fails_at_the_first_gap_not_within_tol():
 
 # The four constructions behind a universality gate: three raise a
 # Refused, and biproduct_check reports its gate as its first entry.
+CFG = CheckConfig(count=40, seed=42)
 GATED = {
     "induce_addition": induce_addition,
     "splitting_pair": splitting.splitting_pair,
     "phi": vb.phi,
-    "biproduct_check": splitting.biproduct_check,
+    "biproduct_check": lambda spec, universality: splitting.biproduct_check(
+        spec, CFG, universality),
 }
-CFG = CheckConfig(count=40, seed=42)
 
 
 def _gate_entry(name, spec, universality):
     """The gate's entry when the construction is refused, else None."""
     try:
-        out = GATED[name](spec, CFG, universality=universality)
+        out = GATED[name](spec, universality)
     except Refused as exc:
         return exc.law("gate", "")
     if name == "biproduct_check" and out.entries[0].law_id == "strong-gate":
@@ -146,7 +150,7 @@ def _squares_checked(monkeypatch) -> list:
     """The check_pullback calls made from here on, from every module that
     calls it."""
     calls = []
-    for module in (universal, splitting, vb):
+    for module in (universal, corpus):
         real = module.check_pullback
         monkeypatch.setattr(module, "check_pullback",
                             lambda *a, _real=real: calls.append(a) or
@@ -155,26 +159,85 @@ def _squares_checked(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(GATED))
-def test_every_gate_checks_its_square_when_no_verdict_is_given(monkeypatch,
-                                                                name):
-    # bump_bundle's lift is not universal: its squares fail on rank
-    square = "strong" if name == "biproduct_check" else "rosicky"
-    entry = _gate_entry(name, bump_bundle(), None)
+def test_a_gate_given_no_verdict_refuses_as_unknown_and_checks_no_square(
+        monkeypatch, name):
+    # bump_bundle's lift is not universal: its squares fail on rank, and
+    # a gate handed that verdict refuses as fail
+    square = (universal.strong_square if name == "biproduct_check"
+              else universal.rosicky_square)(bump_bundle())
+    entry = _gate_entry(name, bump_bundle(),
+                        universal.check_pullback(square, CFG))
     assert entry is not None and entry.verdict is Verdict.FAIL
-    assert "universality verdict is fail" in entry.note
-    assert entry.note.endswith(
-        f"the gate checked bump_counterexample:{square} itself")
+    assert entry.note.endswith("universality verdict is fail")
 
-    # on a verdict that passes, the gate checks no square
     calls = _squares_checked(monkeypatch)
+    for given, note in ((None, "refused, no universality verdict was given"),
+                        (Verdict.UNKNOWN, "universality verdict is unknown")):
+        entry = _gate_entry(name, bump_bundle(), given)
+        assert entry is not None and entry.verdict is Verdict.UNKNOWN
+        assert entry.note.endswith(note)
+    # on a verdict that passes, the construction goes on
     assert _gate_entry(name, bump_bundle(), Verdict.PASS_NUMERIC) is None
     assert calls == []
 
 
 def test_phi_induces_its_addition_on_the_verdict_it_went_on(monkeypatch):
-    # with no verdict and no declared addition, phi checks rosicky once,
-    # not once more for the addition
+    # with no declared addition, phi induces one on the verdict it was
+    # handed, and checks no square
     calls = _squares_checked(monkeypatch)
+    seen = []
+    monkeypatch.setattr(vb, "induce_addition", lambda spec, universality:
+                        seen.append(universality) or
+                        induce_addition(spec, universality))
     spec = dataclasses.replace(trivial_bundle(1, 1), add=None)
-    assert _gate_entry("phi", spec, None) is None
-    assert len(calls) == 1
+    ros = CheckReport("rosicky", [_law("rank", Verdict.PASS_NUMERIC)])
+    assert vb.phi(spec, ros).add is not None
+    assert len(seen) == 1 and seen[0] is ros
+    assert calls == []
+
+
+# d12bump's derivative is past the registry, so T(lam) raises: the check
+# of every square raises, and no gate is handed a verdict
+HI_BUMP = """\
+name = hi_bump
+base_dim = 1
+total_dim = 2
+base_box = -2..2
+total_box = -2..2, -2..2
+q = x0
+xi = x0, 0
+lambda = x0, 0, 0, x1 + (1/100)*d12bump(x0)
+"""
+
+
+def test_a_square_whose_check_raises_is_checked_once(monkeypatch, tmp_path,
+                                                     capsys):
+    assert MAX_BUMP_ORDER == 12
+    calls = _squares_checked(monkeypatch)
+    path = tmp_path / "hi_bump.txt"
+    path.write_text(HI_BUMP)
+    assert main(["check", str(path), "--samples", "20",
+                 "--format", "json"]) == 2
+    counts = Counter(sq.name for sq, _ in calls)
+    assert counts["hi_bump:rosicky"] == 1 and counts["hi_bump:strong"] == 1
+    suites = {s["id"]: s for s in json.loads(capsys.readouterr().out)
+              ["suites"]}
+    raised = "ExprError: bump derivative order exceeds registry limit"
+    assert [law["note"] for law in suites["rosicky"]["laws"]] == [raised]
+    # each gate refuses as unknown and says why nothing was built; split
+    # and vb report their own laws beside the refusals
+    gates = {"addition": ["addition-available"],
+             "split": ["chi-idempotent", "chi-linear", "chi-lift-compat",
+                       "chi-rank-trace", "splitting-gate", "strong-gate"],
+             "vb": ["db.phi-gate"]}
+    for sid, law_ids in gates.items():
+        laws = suites[sid]["laws"]
+        assert [law["law"] for law in laws] == law_ids, sid
+        assert suites[sid]["aggregate"] == "unknown", sid
+        for law in laws:
+            if law["law"].endswith(("-gate", "-available")):
+                assert law["verdict"] == "unknown"
+                assert law["note"].endswith(
+                    "refused, no universality verdict was given")
+            else:
+                assert law["verdict"] in ("pass", "pass-exact")

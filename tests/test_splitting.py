@@ -24,6 +24,7 @@ from tanbun.splitting import (
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
 
 CFG = CheckConfig(count=40, seed=5)
+PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
 
 
 def _shear_bundle() -> BundleSpec:
@@ -66,17 +67,17 @@ def test_chi_checks_pass_on_conjugated():
 
 
 def test_splitting_pair_closed_forms():
-    into, back = splitting_pair(trivial_bundle(1, 1), CFG)
+    into, back = splitting_pair(trivial_bundle(1, 1), PASSED)
     assert to_source(into) == "x0, 0, x1"
     assert to_source(back) == "x0, x2"
-    into_c, back_c = splitting_pair(conjugated_bundle(), CFG)
+    into_c, back_c = splitting_pair(conjugated_bundle(), PASSED)
     assert to_source(into_c) == "x0, 0, x1 - x0^2"
     assert to_source(back_c) == "x0, x2 + x0^2 - 2*x0*x1"
 
 
 def test_splitting_pair_recovers_chi():
     cb = conjugated_bundle()
-    into, back = splitting_pair(cb, CFG)
+    into, back = splitting_pair(cb, PASSED)
     ch = chi(cb)
     x = np.array([0.7, -1.2, 0.4])
     # back then into reproduces the retraction; into then back is the
@@ -88,7 +89,7 @@ def test_splitting_pair_recovers_chi():
 
 
 def test_check_splitting_passes_exactly_on_conjugated():
-    rep = check_splitting(conjugated_bundle(), CFG)
+    rep = check_splitting(conjugated_bundle(), CFG, PASSED)
     assert [e.law_id for e in rep.entries] == [
         "retract-identity", "section-image", "uniqueness", "equalised"]
     assert rep.aggregate is Verdict.PASS_EXACT
@@ -96,15 +97,17 @@ def test_check_splitting_passes_exactly_on_conjugated():
 
 def test_quadratic_fibre_forces_the_implicit_retraction():
     shear = _shear_bundle()
-    into, back = splitting_pair(shear, CFG)
+    into, back = splitting_pair(shear, PASSED)
     assert hasattr(into, "components")
     assert not hasattr(back, "components")
-    rep = check_splitting(shear, CFG)
+    rep = check_splitting(shear, CFG, PASSED)
     assert rep.ok
 
 
 def test_bump_splitting_gates_on_universality():
-    rep = check_splitting(bump_bundle(), CFG)
+    bump = bump_bundle()
+    ros = universal.check_pullback(universal.rosicky_square(bump), CFG)
+    rep = check_splitting(bump, CFG, ros)
     assert [e.law_id for e in rep.entries] == ["splitting-gate"]
     assert rep.entries[0].verdict is Verdict.FAIL
 
@@ -114,7 +117,7 @@ def test_bump_splitting_gates_on_universality():
 
 
 def test_biproduct_identities_hold_exactly():
-    rep = biproduct_check(conjugated_bundle(), CFG)
+    rep = biproduct_check(conjugated_bundle(), CFG, PASSED)
     assert [e.law_id for e in rep.entries] == [
         "pi0-iota0", "pi1-iota0", "pi0-iota1", "pi1-iota1",
         "idempotent-split"]
@@ -122,7 +125,7 @@ def test_biproduct_identities_hold_exactly():
 
 
 def test_biproduct_identities_hold_on_trivial_rank_two():
-    rep = biproduct_check(trivial_bundle(1, 2), CFG)
+    rep = biproduct_check(trivial_bundle(1, 2), CFG, PASSED)
     assert rep.ok
 
 
@@ -182,7 +185,7 @@ def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
     # sampled triangle law, and a NaN never passes, so both read unknown
     # with their first sample as witness
     spec = conjugated_bundle()
-    section, K = splitting_pair(spec, CFG)
+    section, K = splitting_pair(spec, PASSED)
     nan = "exp(1000*(x0^2 + 1)) - exp(999*(x0^2 + 1))*exp(x0^2 + 1)"
     poison = parse_map(", ".join(
         [f"x0 + {nan}"] + [f"x{i}" for i in range(1, K.arity)]), K.arity)
@@ -194,7 +197,7 @@ def test_a_nan_gap_fails_the_sampled_splitting_laws(monkeypatch):
     monkeypatch.setattr(splitting, "_uniqueness_probe", lambda *a: LawResult(
         "uniqueness", "not probed here", Verdict.PASS_NUMERIC))
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = check_splitting(spec, CFG)
+        rep = check_splitting(spec, CFG, PASSED)
     rng = CFG.rng("splitting:samples")
     X = spec.total_box.sample(rng, CFG.count)
     Z = chart_box(spec).sample(rng, max(20, CFG.count // 4))
@@ -244,7 +247,7 @@ def test_a_probe_with_one_converged_start_reads_unknown(monkeypatch):
     monkeypatch.setattr(splitting, "_solve_rows", one_start)
     golden = Path(__file__).parent / "golden" / "cubic_lift.txt"
     spec, _ = parse_bundle_file(golden.read_text())
-    law = check_splitting(spec, CFG)["uniqueness"]
+    law = check_splitting(spec, CFG, PASSED)["uniqueness"]
     probes = chart_box(spec).sample(CFG.rng("splitting:uniqueness"), 3)
     assert law.verdict is Verdict.UNKNOWN
     assert law.witness == (probes[0].tolist(),)

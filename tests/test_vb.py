@@ -24,11 +24,13 @@ from tanbun.corpus import corpus_entry, run_suites, trivial_bundle
 from tanbun.report import CheckReport, LawResult, sampled_law
 from tanbun.vb import (
     TranslationRefused, VectorBundleSpec, _compare, check_module_laws,
-    del_map, morphism_transport_check, phi, psi, roundtrip_check,
+    morphism_transport_check, phi, psi, roundtrip_check,
     transport_demo_morphisms,
 )
+from tanbun.universal import check_pullback, rosicky_square
 
 CFG = CheckConfig(count=50, seed=42)
+PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
 
 
 def _line_vb() -> VectorBundleSpec:
@@ -72,12 +74,6 @@ def _bump_db() -> BundleSpec:
 
 # --------------------------------------------------------------------------
 # Module laws
-
-
-def test_del_map_adjoins_a_unit_slot():
-    dm = del_map()
-    assert (dm.arity, dm.coarity) == (1, 2)
-    assert np.allclose(apply_map(dm, [3.5]), [3.5, 1.0])
 
 
 def test_module_laws_pass_on_both_presentations():
@@ -399,9 +395,9 @@ def test_psi_refuses_a_newton_defined_lift(monkeypatch):
     spec, _ = parse_bundle_file(text, name)
     cfg = CheckConfig(count=20, seed=1)
     with pytest.raises(TranslationRefused, match="Newton-defined"):
-        check_predifferential(psi(phi(spec, cfg)), cfg)
+        check_predifferential(psi(phi(spec, PASSED)), cfg)
     # the round trip still compares the generated lift by sampling
-    rep = roundtrip_check(spec, cfg)
+    rep = roundtrip_check(spec, cfg, PASSED)
     assert rep["roundtrip-lift"].verdict is Verdict.PASS_NUMERIC
     assert rep.ok
 
@@ -411,21 +407,26 @@ def test_psi_refuses_a_newton_defined_lift(monkeypatch):
 
 
 def test_phi_recovers_the_scalar_action():
-    vb = phi(_translated_db(), CFG)
+    vb = phi(_translated_db(), PASSED)
     v = equal_maps(vb.scalar,
                    parse_map("x1, x0*x2 + x1^2 - x0*x1^2", 3),
                    cube(3, -6, 6), CFG)
     assert v.kind != "not-equal"
 
 
+def _failed_rosicky(db):
+    return check_pullback(rosicky_square(db), CheckConfig(count=40, seed=42))
+
+
 def test_phi_refuses_without_universality():
+    db = _bump_db()
     with pytest.raises(TranslationRefused):
-        phi(_bump_db(), CheckConfig(count=40, seed=42))
+        phi(db, _failed_rosicky(db))
 
 
 def test_roundtrip_from_vector_side():
     for vb in (_line_vb(), _translated_vb()):
-        rep = roundtrip_check(vb, CFG)
+        rep = roundtrip_check(vb, CFG, PASSED)
         assert rep.ok, vb.name
         ids = {e.law_id for e in rep.entries}
         assert "roundtrip-scalar" in ids
@@ -433,13 +434,15 @@ def test_roundtrip_from_vector_side():
 
 
 def test_roundtrip_from_lift_side():
-    rep = roundtrip_check(_translated_db(), CFG)
+    rep = roundtrip_check(_translated_db(), CFG, PASSED)
     assert rep.ok
     assert "roundtrip-lift" in {e.law_id for e in rep.entries}
 
 
 def test_roundtrip_reports_the_refusal():
-    rep = roundtrip_check(_bump_db(), CheckConfig(count=40, seed=42))
+    db = _bump_db()
+    rep = roundtrip_check(db, CheckConfig(count=40, seed=42),
+                          _failed_rosicky(db))
     assert not rep.ok
     assert any(e.verdict is Verdict.FAIL for e in rep.entries)
 
