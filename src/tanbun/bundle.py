@@ -18,16 +18,15 @@ import numpy as np
 from .expr import (
     Box, CheckConfig, Const, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
     compose, con, equal_maps, eval_batch, identity_map, jac_eval_batch,
-    normalize, projection, simplify_map, smooth_map, substitute_vars,
-    sum_of, symbolic_derivative_expr,
+    normalize, projection, row_gaps, simplify_map, smooth_map,
+    substitute_vars, sum_of, symbolic_derivative_expr,
 )
 from .jet import (
     ImplicitMap, NewtonDiverged, _each_row, row_ordered, solve_batch,
     struct_map, tangent_map,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, row_gaps,
-    sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 
 __all__ = [

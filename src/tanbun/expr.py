@@ -40,7 +40,7 @@ __all__ = [
     "compose", "identity_map", "projection", "concat_maps",
     "poly_normalize", "poly_to_expr", "simplify_map",
     "symbolic_derivative", "jacobian_exprs", "jac_eval_batch",
-    "equal_maps", "worst_row",
+    "equal_maps", "worst_row", "row_gaps",
     "bump_coeffs", "bump_coeffs_mp", "bump_batch",
     "BUILTINS", "MAX_BUMP_ORDER",
 ]
@@ -1307,15 +1307,20 @@ def worst_row(gaps, tol: float):
     return (int(np.argmax(nan)) if nan.any() else None), False, top
 
 
+def row_gaps(lhs, rhs):
+    """max |lhs - rhs| over the last axis, the gaps worst_row judges.  A
+    gap that overflows or is NaN is judged there, not warned of."""
+    with _quiet_floats():
+        return np.max(np.abs(lhs - rhs), axis=-1)
+
+
 def _sampled_compare(f, g, box, cfg, polynomial_differs):
     X = _comparison_samples(box, cfg)
     try:
         F, G = f.eval_batch(X), g.eval_batch(X)
     except ExprError as err:
         return EqVerdict("unknown", reason=f"evaluation failed: {err}")
-    with _quiet_floats():
-        resid = np.max(np.abs(F - G), axis=1)
-    row, refuted, r = worst_row(resid, cfg.tol)
+    row, refuted, r = worst_row(row_gaps(F, G), cfg.tol)
     witness = None if row is None else (X[row].copy(), F[row].copy(),
                                         G[row].copy())
     if refuted:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprError, _quiet_floats, worst_row
+from .expr import ExprError, worst_row
 
 __all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
-           "sampled_law", "row_gaps", "Refused"]
+           "sampled_law", "Refused"]
 
 
 class Verdict(enum.Enum):
@@ -145,13 +145,6 @@ def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
         law_id, anchor, verdict, max_residual=top, provenance=provenance,
         witness=None if row is None else (np.hstack(inputs[row]).tolist(),),
         note="residual is not a number" if verdict is Verdict.UNKNOWN else "")
-
-
-def row_gaps(lhs, rhs):
-    """max |lhs - rhs| over the last axis, the gaps sampled_law judges.
-    A gap that overflows or is NaN is judged there, not warned of."""
-    with _quiet_floats():
-        return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 def law_from_verdict(law_id: str, anchor: str, v, *,

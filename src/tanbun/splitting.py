@@ -21,7 +21,7 @@ from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
     compose, con, concat_maps, cube, equal_maps, eval_batch, eval_map,
     identity_map, jac_eval_batch, parse_map, projection, simplify_map,
-    smooth_map, substitute_vars,
+    row_gaps, smooth_map, substitute_vars,
 )
 from .jet import ImplicitMap, _solve_rows, row_ordered, tangent_map
 from .bundle import (
@@ -29,8 +29,7 @@ from .bundle import (
     vert_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, row_gaps,
-    sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 from .universal import RANK_TOL, _numeric_rank
 

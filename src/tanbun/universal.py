@@ -21,8 +21,8 @@ from numpy.linalg import _umath_linalg
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    _quiet_floats, compose, concat_maps, con, cube, eval_batch,
-    jac_eval_batch, projection, simplify_map, smooth_map, sum_of,
+    compose, concat_maps, con, cube, eval_batch, jac_eval_batch,
+    projection, row_gaps, simplify_map, smooth_map, sum_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
@@ -288,9 +288,7 @@ def check_pullback(sq: CommutingSquare,
         F_img = np.hstack([B_img, C_img])
 
         # (pre) commutation of the square, its residual the max over depths
-        with _quiet_floats():
-            gaps = np.max(np.abs(right_t.eval_batch(B_img)
-                                 - bottom_t.eval_batch(C_img)), axis=1)
+        gaps = row_gaps(right_t.eval_batch(B_img), bottom_t.eval_batch(C_img))
         here = sampled_law("commutes", _ANCHORS["commutes"], gaps, Z,
                            max(cfg.tol, 1e-8), _prov(cfg, depth))
         comm = replace(here, max_residual=max(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var,
-    compose, con, cube, equal_maps, parse_map,
+    compose, con, cube, equal_maps, parse_map, row_gaps,
 )
 from .jet import (
     NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
@@ -29,8 +29,7 @@ from .bundle import (
     induce_addition, scale_through_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, row_gaps,
-    sampled_law,
+    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 
 __all__ = [

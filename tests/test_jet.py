@@ -270,24 +270,25 @@ def _same_error(got, want):
 
 
 # (residual, arity, coarity, start or None for the parameters themselves,
-# rows).  y^2 = x converges quadratically at 4 and 2.25, takes
-# the loose accept at the double root 0 (repeated), has no real root at
-# -1 and overflows into a non-finite step at 1e300; the no-convergence
-# row comes first but fails last.  The third residual's value has a pole
-# at x0 = 2; in the fourth only the Jacobian -1/y^2 meets the guard, at
-# the start y = 1e-7.
+# ImplicitMap.max_iter or None for the class's, rows).  y^2 = x
+# converges quadratically at 4 and 2.25, takes the loose accept at the
+# double root 0 (repeated) after 20 steps, has no real root at -1 and
+# overflows into a non-finite step at 1e300; the no-convergence row
+# comes first but fails last.  The third residual's value has a pole at
+# x0 = 2; in the fourth only the Jacobian -1/y^2 meets the guard, at the
+# start y = 1e-7.
 IMPLICIT_CASES = (
-    ("x1^2 - x0", 1, 1, 1.0,
+    ("x1^2 - x0", 1, 1, 1.0, 20,
      [[4.0], [0.0], [-1.0], [1e300], [2.25], [0.0]]),
-    ("x2^2 + x1 - x0, x1 - x2", 1, 2, 1.0,
+    ("x2^2 + x1 - x0, x1 - x2", 1, 2, 1.0, 20,
      [[6.0], [-0.25], [-1.0], [1e300], [2.0]]),
-    ("x1 - 1/(x0 - 2)", 1, 1, 0.5, [[3.0], [2.0], [1.0]]),
-    ("1/x1 - 2", 1, 1, None, [[1.0], [1e-7], [0.3]]),
+    ("x1 - 1/(x0 - 2)", 1, 1, 0.5, None, [[3.0], [2.0], [1.0]]),
+    ("1/x1 - 2", 1, 1, None, None, [[1.0], [1e-7], [0.3]]),
 )
 
 
 def _case(k):
-    src, a, c, start, rows = IMPLICIT_CASES[k]
+    src, a, c, start, _, rows = IMPLICIT_CASES[k]
     if start is None:
         init, point_init = (lambda X: X.copy()), (lambda x: x)
     else:
@@ -308,15 +309,28 @@ def _count_solves(monkeypatch, imp) -> list:
 
 @pytest.mark.parametrize("case", range(len(IMPLICIT_CASES)))
 def test_implicit_batch_matches_the_point_loop(case, monkeypatch):
+    steps = IMPLICIT_CASES[case][4]
+    if steps is not None:
+        monkeypatch.setattr(ImplicitMap, "max_iter", steps)
     imp, point_init, X = _case(case)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = [_outcome(_old_eval_point, imp, x, point_init) for x in X]
         ok = np.array([not isinstance(r, ExprError) for r in ref])
         assert 0 < ok.sum() < len(X)
         want = next(r for r in ref if isinstance(r, ExprError))
+        left, newton = [], jet._gauss_newton
+
+        def spy(*args):     # the rows still running when steps ran out
+            out = newton(*args)
+            left.append(out[1])
+            return out
+
+        monkeypatch.setattr(jet, "_gauss_newton", spy)
         with pytest.raises(ExprError) as got:
             imp.eval_batch(X)
         _same_error(got.value, want)
+        # the shortened cases solve a row by the loose accept, no other
+        assert ok[left[0]].any() == (steps is not None)
         # the failing batch solved and remembered every other row
         solves = _count_solves(monkeypatch, imp)
         assert np.array_equal(imp.eval_batch(X[ok]),
