@@ -173,9 +173,9 @@ def fibre_matched_tuples(q: SmoothMap, total_box: Box, cfg: CheckConfig,
 def fibre_affine_decomposition(spec: BundleSpec):
     """When q is the leading-coordinate projection and the tangent part
     of lam is affine over the fibre coordinates with constant matrix,
-    return (A: list of Fraction rows, pinv_A, beta: list of Expr in the
-    base variables); otherwise None.  This is the closed-form gateway
-    for addition, scalar recovery, and the retraction.
+    return (A: rows of exact rationals, int or Fraction, pinv_A, beta:
+    list of Expr in the base variables); otherwise None.  This is the
+    closed-form gateway for addition, scalar recovery, and the retraction.
     """
     d, k = spec.total_dim, spec.base_dim
     if spec.q != projection(d, range(k)):

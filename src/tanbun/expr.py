@@ -112,8 +112,8 @@ class Expr:
 def _keeps_hash(cls):
     """A frozen dataclass whose field hash is kept in the instance dict
     on first use (as a compound node's `_normal` and `_bound` are); none
-    is a field.  Hashing a Fraction computes a modular inverse, and every
-    memo lookup hashes every node."""
+    is a field.  Every memo lookup hashes every node, and hashing a
+    non-integral constant, a Fraction, computes a modular inverse."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
     def __hash__(self):
@@ -128,11 +128,14 @@ def _keeps_hash(cls):
 
 @_keeps_hash
 class Const(Expr):
-    value: Fraction
+    value: int | Fraction   # an int exactly when the value is integral
 
     def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+        v = self.value
+        if type(v) is not int:
+            v = v if type(v) is Fraction else Fraction(v)
+            object.__setattr__(self, "value",
+                               v.numerator if v.denominator == 1 else v)
         # the hash's slot is made here, so that every constant's dict has
         # its keys in one order and the dicts share them
         self.__dict__["_hash"] = None
@@ -176,21 +179,21 @@ class Call(Expr):
     arg: Expr
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-MINUS_ONE = Const(Fraction(-1))
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)
 
 
 def _as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
+        return Const(x)
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
 def con(x) -> Const:
-    return Const(Fraction(x))
+    return Const(x)
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +285,7 @@ def quotient(num: Expr, den: Expr) -> Expr:
     if isinstance(d, Const):
         if d.value == 0:
             raise ExprError("division by the zero constant")
-        return product_of([Const(1 / d.value), n])
+        return product_of([Const(Fraction(1, d.value)), n])
     if isinstance(n, Const) and n.value == 0:
         return ZERO
     return _normal(Quot(n, d))
@@ -852,7 +855,7 @@ class _Exact:
 
     @staticmethod
     def const(c: Const) -> Fraction:
-        return c.value
+        return Fraction(c.value)
 
     @staticmethod
     def guard(*_):
@@ -979,49 +982,60 @@ def concat_maps(*maps: SmoothMap) -> SmoothMap:
 
 
 # --------------------------------------------------------------------------
-# Polynomial normal form: sparse exponent-tuple -> Fraction, graded lex.
-
-
-_UNIT = Fraction(1)     # the coefficient of a variable
+# Polynomial normal form: a sparse {exponent tuple: int} over one
+# denominator; poly_normalize hands it out as Fractions, graded lex.
 
 
 @lru_cache(maxsize=1024)
 def _poly_of(e: Expr, arity: int):
-    """Sparse polynomial of e, or None; a read-only view shared by value.
-    No coefficient is zero.  A product starts from its first factor and a
-    power from its base, not from the polynomial 1."""
+    """Polynomial of e in lowest terms, or None; shared by value.  The
+    form (den, coeffs) is worth coeffs / den: den is a positive int,
+    coeffs a read-only view of nonzero int coefficients, and gcd(den,
+    *coeffs.values()) == 1, so equal polynomials have equal forms.  A
+    product starts from its first factor and a power from its base, not
+    from the polynomial 1."""
     t = type(e)
     if t is Const:
-        acc = {} if e.value == 0 else {(0,) * arity: e.value}
+        v = e.value
+        den, acc = v.denominator, {} if v == 0 else {(0,) * arity: v.numerator}
     elif t is Var:
         key = tuple(1 if i == e.index else 0 for i in range(arity))
-        acc = {key: _UNIT}
+        den, acc = 1, {key: 1}
     elif t is Sum:
-        acc = {}
+        forms = []
         for u in e.terms:
             p = _poly_of(u, arity)
             if p is None:
                 return None
-            _poly_add(acc, p.items())
+            forms.append(p)
+        den, acc = math.lcm(*(d for d, _ in forms)), {}
+        for d, p in forms:
+            s = den // d
+            _poly_add(acc, p.items() if s == 1
+                      else ((k, v * s) for k, v in p.items()))
     elif t is Product:
-        acc = None
+        den, acc = 1, None
         for u in e.factors:
             p = _poly_of(u, arity)
             if p is None:
                 return None
-            acc = p if acc is None else _poly_mul(acc, p)
+            den, acc = p if acc is None else (den * p[0], _poly_mul(acc, p[1]))
         if acc is None:
-            acc = {(0,) * arity: _UNIT}
+            acc = {(0,) * arity: 1}
     elif t is Pow:
         base = _poly_of(e.base, arity)
         if base is None:
             return None
-        acc = base if e.exponent > 0 else {(0,) * arity: _UNIT}
-        for _ in range(e.exponent - 1):
-            acc = _poly_mul(acc, base)
+        k = e.exponent
+        den, acc = (base[0] ** k, base[1]) if k > 0 else (1, {(0,) * arity: 1})
+        for _ in range(k - 1):
+            acc = _poly_mul(acc, base[1])
     else:
         return None
-    return acc if type(acc) is MappingProxyType else MappingProxyType(acc)
+    g = math.gcd(den, *acc.values()) if den != 1 else 1
+    if g != 1:
+        den, acc = den // g, {k: v // g for k, v in acc.items()}
+    return den, acc if type(acc) is MappingProxyType else MappingProxyType(acc)
 
 
 def _poly_add(acc: dict, terms) -> None:
@@ -1051,19 +1065,22 @@ def _grlex_key(mono: tuple):
 
 
 def poly_normalize(f: SmoothMap):
-    """Canonical sparse polynomial per component, or None if any
-    component uses quotients or builtins."""
+    """Canonical sparse polynomial per component, {monomial: Fraction} in
+    graded lex order, or None if any component uses quotients or
+    builtins."""
     forms = _poly_forms(f)
     if forms is None:
         return None
-    return [dict(sorted(p.items(), key=lambda kv: _grlex_key(kv[0])))
-            for p in forms]
+    return [dict(sorted(((k, Fraction(v, den)) for k, v in p.items()),
+                        key=lambda kv: _grlex_key(kv[0])))
+            for den, p in forms]
 
 
 def _poly_forms(f: SmoothMap):
-    """The memoized polynomial of each component, unsorted, or None as
-    poly_normalize: equal per component exactly when the canonical
-    forms are, since dict equality ignores order."""
+    """The memoized polynomial form of each component, unsorted, or None
+    as poly_normalize: equal per component exactly when the canonical
+    forms are, since forms are in lowest terms and dict equality ignores
+    order."""
     out = []
     for c in f.components:
         p = _poly_of(c, f.arity)
@@ -1073,10 +1090,12 @@ def _poly_forms(f: SmoothMap):
     return out
 
 
-def poly_to_expr(p: dict, arity: int) -> Expr:
+def poly_to_expr(form, arity: int) -> Expr:
+    """The expression of a polynomial form (den, coeffs) of _poly_of."""
+    den, p = form
     terms = []
     for mono, coeff in sorted(p.items(), key=lambda kv: _grlex_key(kv[0])):
-        factors = [Const(coeff)]
+        factors = [Const(coeff if den == 1 else Fraction(coeff, den))]
         for i, m in enumerate(mono):
             if m:
                 factors.append(power(Var(i), m))

@@ -9,9 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tanbun.cli import (
-    BundleFileError, UsageError, main, parse_bundle_file,
-)
+from tanbun.cli import BundleFileError, main, parse_bundle_file
 
 LINE_DB = """\
 # a one-line demo bundle

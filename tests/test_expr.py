@@ -1,6 +1,7 @@
 """Parser, exact evaluation, canonical forms, and map comparison."""
 
 import dataclasses
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -666,16 +667,17 @@ def test_the_polynomial_memo_has_the_fresh_results(src):
         fresh = expr._poly_of.__wrapped__(_rebuilt(e), 2)
         assert (memo is None) == (fresh is None)
         if memo is not None:
-            assert list(memo.items()) == list(fresh.items())
+            assert _form_items(memo) == _form_items(fresh)
+            _assert_lowest_terms(memo)
             assert expr._poly_of(_rebuilt(e), 2) is memo
     assert expr._poly_of.cache_info().hits > 0
 
 
 def test_the_polynomial_memo_is_read_only():
     f = parse_map("x0^2 + x0*x1, x1 - 2", 2)
-    p = expr._poly_of(f.components[0], 2)
+    _, coeffs = expr._poly_of(f.components[0], 2)
     with pytest.raises(TypeError):
-        p[(0, 0)] = Fraction(1)
+        coeffs[(0, 0)] = 1
     canon = expr.poly_normalize(f)
     canon[0][(0, 0)] = Fraction(5)
     assert expr.poly_normalize(f) != canon
@@ -843,7 +845,7 @@ def _ref_product_of(factors):
 
 def _ref_poly_of(e, arity):
     if isinstance(e, Const):
-        acc = {} if e.value == 0 else {(0,) * arity: e.value}
+        acc = {} if e.value == 0 else {(0,) * arity: Fraction(e.value)}
     elif isinstance(e, Var):
         key = tuple(1 if i == e.index else 0 for i in range(arity))
         acc = {key: Fraction(1)}
@@ -906,6 +908,19 @@ def _items(polys):
     return None if polys is None else [list(p.items()) for p in polys]
 
 
+def _form_items(form):
+    """A polynomial form as its denominator and its items, in order."""
+    den, coeffs = form
+    return den, list(coeffs.items())
+
+
+def _assert_lowest_terms(form):
+    den, coeffs = form
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v != 0 for v in coeffs.values())
+    assert math.gcd(den, *coeffs.values()) == 1
+
+
 def _same_tree(got, want):
     """Equal, with the same node types and the same constant values."""
     return got == want and repr(got) == repr(want)
@@ -923,8 +938,10 @@ def _assert_polynomial_as_reference(e, arity):
     want = _ref_poly_of(e, arity)
     assert (got is None) == (want is None)
     if got is not None:
-        assert list(got.items()) == list(want.items())
-        assert all(type(v) is Fraction and v != 0 for v in got.values())
+        _assert_lowest_terms(got)
+        den, coeffs = got
+        assert [(k, Fraction(v, den)) for k, v in coeffs.items()] == \
+            list(want.items())
 
 
 @given(RAW_TREES)
@@ -1027,3 +1044,42 @@ def test_config_rng_is_tagged_and_deterministic():
     c = CFG.rng("other").random(4)
     assert np.allclose(a, b)
     assert not np.allclose(a, c)
+
+
+# --------------------------------------------------------------------------
+# Integral constants are ints; a polynomial form is int coefficients over
+# one denominator, and what the kernel hands out stays a Fraction.
+
+
+def test_an_integral_constant_holds_an_int():
+    c = Const(Fraction(6, 3))
+    assert type(c.value) is int and c.value == 2
+    twin = object.__new__(Const)        # the node holding the Fraction 2
+    object.__setattr__(twin, "value", Fraction(2))
+    assert c == twin and twin == c and hash(c) == hash(twin)
+    assert type(con(Fraction(1, 2)).value) is Fraction
+
+
+def test_a_constant_quotient_is_an_exact_fraction():
+    q = expr.quotient(con(1), con(3))
+    assert type(q) is Const
+    assert type(q.value) is Fraction and q.value == Fraction(1, 3)
+    assert parse_map("1/3", 1).components == (q,)
+    assert type(expr.quotient(con(6), con(3)).value) is int
+
+
+def test_eval_exact_returns_fractions_for_every_component():
+    got = eval_exact(parse_map("2, x0 + 1, 1/2", 1), [Fraction(1, 3)])
+    assert got == [2, Fraction(4, 3), Fraction(1, 2)]
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_poly_normalize_hands_out_fractions_in_grlex_order():
+    f = parse_map("3 + x1 - x0^2/2 + 2*x0*x1, 4", 2)
+    assert expr._poly_of(f.components[0], 2) == \
+        (2, {(0, 0): 6, (0, 1): 2, (2, 0): -1, (1, 1): 4})
+    got = expr.poly_normalize(f)
+    assert _items(got) == [
+        [((0, 0), 3), ((0, 1), 1), ((2, 0), Fraction(-1, 2)), ((1, 1), 2)],
+        [((0, 0), 4)]]
+    assert all(type(v) is Fraction for p in got for v in p.values())

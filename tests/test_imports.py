@@ -1,10 +1,11 @@
-"""Import hygiene: every top-level import in a library module is used,
+"""Import hygiene: every import in a library or test module is read,
 every name in its ``__all__`` is bound, scipy is imported in one module
 only and never loaded by a check, and every memo is bounded.
 
-A module-level import counts as used when the module refers to the
-bound name anywhere (code or annotation) or lists it in ``__all__``.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+An import, at the top level or in a function, counts as read when the
+module reads the bound name anywhere (code or annotation) or lists it in
+``__all__``.  ``__init__.py`` is exempt: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -19,11 +20,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tanbun"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> list:
     names = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names += [(a.asname or a.name.split(".")[0], node.lineno)
                       for a in node.names]
@@ -45,7 +47,8 @@ def _exported(tree: ast.Module) -> set:
 
 def unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     used |= _exported(tree)
     return [f"{path.name}:{line}: {name}"
             for name, line in _imported_names(tree) if name not in used]
@@ -53,7 +56,34 @@ def unused_imports(path: Path) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
+    # and no unused import in a function either
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.stem)
+def test_no_test_module_imports_a_name_it_never_reads(path):
+    assert unused_imports(path) == []
+
+
+def test_the_import_check_catches_each_kind_of_unread_name(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("""\
+import os
+import numpy.linalg
+from math import gcd, lcm as least
+from fractions import Fraction
+__all__ = ["gcd"]
+
+
+def f():
+    import json
+    from re import sub
+    Fraction = 1
+    return sub
+""")
+    assert unused_imports(src) == [
+        "mod.py:1: os", "mod.py:2: numpy", "mod.py:3: least",
+        "mod.py:4: Fraction", "mod.py:9: json"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

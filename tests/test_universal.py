@@ -1,7 +1,6 @@
 """Jet-level pullback checks for the four universality squares."""
 
 import dataclasses
-import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,8 +20,7 @@ from tanbun.jet import (
 from tanbun.bundle import BundleSpec, Verdict, induce_addition
 from tanbun.cli import parse_bundle_file
 from tanbun.corpus import (
-    bump_bundle, conjugated_bundle, corpus_list, corpus_run, run_suites,
-    trivial_bundle,
+    bump_bundle, conjugated_bundle, corpus_run, run_suites, trivial_bundle,
 )
 from tanbun.universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
