@@ -10,10 +10,10 @@ from .expr import (
 )
 from .report import CheckReport, LawResult, Verdict
 from .jet import (
-    AXIOM_CATALOG, ImplicitMap, JetPoint, NewtonDiverged, STANDARD_STRUCTS,
-    TruncElem, apply_map, axiom_ids, check_all_axioms, check_axiom,
-    jac_point, prolong_implicit, pushforward, solve_least_norm, struct_map,
-    tangent_map, tangent_of,
+    AXIOM_CATALOG, DerivativePathsDisagree, ImplicitMap, JetPoint,
+    NewtonDiverged, STANDARD_STRUCTS, TruncElem, apply_map, axiom_ids,
+    check_all_axioms, check_axiom, jac_point, jacobian, prolong_implicit,
+    pushforward, solve_least_norm, struct_map, tangent_map, tangent_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleMorphism, BundleSpec, NotWellTyped,
@@ -23,11 +23,8 @@ from .bundle import (
 )
 from .universal import (
     CommutingSquare, PullbackVerdict, check_pullback, cockett_square,
-    combined_square, cross_check_equivalence, rosicky_square,
-    strong_square,
-)
-from .submersion import (
-    DerivativePathsDisagree, JacobianSample, is_submersion_on, jacobian,
+    combined_square, cross_check_equivalence, is_submersion_on,
+    rosicky_square, strong_square,
 )
 from .splitting import (
     PulledBackTangent, SplittingRefused, biproduct_check, check_splitting,

@@ -1193,9 +1193,8 @@ class Box:
     intervals: tuple
 
     def __post_init__(self):
-        ivs = tuple(
-            (Fraction(lo), Fraction(hi)) for lo, hi in self.intervals
-        )
+        ivs = tuple(tuple(v if type(v) is Fraction else Fraction(v)
+                          for v in iv) for iv in self.intervals)
         for lo, hi in ivs:
             if lo > hi:
                 raise ExprError(f"empty interval [{lo}, {hi}]")

@@ -39,7 +39,8 @@ from .expr import (
 from .report import CheckReport, LawResult, Verdict, law_from_verdict
 
 __all__ = [
-    "JetPoint", "TruncElem", "pushforward", "tangent_map", "struct_map",
+    "JetPoint", "TruncElem", "pushforward", "jacobian",
+    "DerivativePathsDisagree", "tangent_map", "struct_map",
     "STANDARD_STRUCTS",
     "ImplicitMap", "NewtonDiverged",
     "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-11      # residual at which a Gauss-Newton row stops
+CROSS_CHECK_TOL = 1e-7  # relative gap at which the derivative paths disagree
 
 
 class NewtonDiverged(ExprError):
@@ -219,6 +221,30 @@ def pushforward(f: SmoothMap, n: int, jp: JetPoint) -> JetPoint:
     for j, comp in enumerate(f.components):
         out[:, j] = _evaluate(comp, env, num).coeffs
     return JetPoint(n, f.coarity, out)
+
+
+class DerivativePathsDisagree(ExprError):
+    """The jet and symbolic derivative paths disagree: an engine bug, so
+    this is never swallowed into a verdict."""
+
+
+def jacobian(f: SmoothMap, x) -> np.ndarray:
+    """Derivative at x: columns pushed through order-1 jets, then
+    cross-checked against the symbolic derivative path."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (f.arity,):
+        raise DimensionMismatch(f"point of shape {x.shape} for arity {f.arity}")
+    J = np.empty((f.coarity, f.arity))
+    for j in range(f.arity):
+        blocks = np.vstack([x, np.eye(f.arity)[j]])
+        J[:, j] = pushforward(f, 1, JetPoint(1, f.arity, blocks)).blocks[1]
+    J_sym = jac_eval_batch(f, x[None, :])[0]
+    gap = float(np.max(np.abs(J - J_sym))) if J.size else 0.0
+    if gap > CROSS_CHECK_TOL * max(1.0, float(np.max(np.abs(J_sym)))):
+        raise DerivativePathsDisagree(
+            f"jet and symbolic derivatives differ by {gap:.3g} at {x.tolist()}"
+        )
+    return J
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,10 @@ sampled injectivity, Jacobian-rank equality against the fibre-product
 tangent dimension, and Newton-recovered preimages of perturbed cone
 points.  A Fail always carries a concrete witness; Pass is sampled
 evidence, not proof.
+
+The same rank machinery decides whether a chart map is a submersion on
+a box: its derivative's smallest singular value over samples, with the
+rank law's collapse hunt run whenever a sample looks marginal.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .expr import (
-    Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    compose, concat_maps, con, cube, eval_batch, jac_eval_batch,
-    projection, row_gaps, simplify_map, smooth_map, sum_of,
+    Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
+    SmoothMap, Var, compose, concat_maps, con, cube, eval_batch, eval_mp,
+    jac_eval_batch, jacobian_exprs, projection, row_gaps, simplify_map,
+    smooth_map, sum_of,
 )
 from .bundle import (
     AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
@@ -38,7 +43,7 @@ __all__ = [
     "CommutingSquare", "PullbackVerdict", "RankDeficientCospan",
     "rosicky_square", "cockett_square", "strong_square", "combined_square",
     "check_pullback", "collapse_search", "face_push",
-    "cross_check_equivalence",
+    "cross_check_equivalence", "is_submersion_on",
 ]
 
 RANK_TOL = 1e-7           # singular values below this (relative) are zero
@@ -88,13 +93,6 @@ class PullbackVerdict(CheckReport):
 
     depth_checked: int = 0      # where the check stopped, else its cap
     discarded: int = 0
-    cospan_outliers: int = 0
-
-    def describe(self) -> str:
-        _, nl, laws = super().describe().partition("\n")
-        return (f"{self.title}: {self.aggregate.value} "
-                f"(depth {self.depth_checked}, discarded {self.discarded}, "
-                f"cospan outliers {self.cospan_outliers})" + nl + laws)
 
     def as_result(self, law_id: str) -> LawResult:
         worst = max(e.max_residual for e in self.entries)
@@ -270,7 +268,6 @@ def check_pullback(sq: CommutingSquare,
     search = {}
     stopped_by = None
     total_discard = 0
-    total_outliers = 0
 
     for depth in range(depth_cap + 1):
         top_t = tangent_of(sq.top, depth)
@@ -313,9 +310,8 @@ def check_pullback(sq: CommutingSquare,
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
         plan = _RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
-        rank, outliers, scan_info = _rank_scan(
+        rank, scan_info = _rank_scan(
             sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg)
-        total_outliers += outliers
         if scan_info is None:      # a collapse, or a Jacobian not finite
             stopped_by = "rank"
             break
@@ -348,8 +344,7 @@ def check_pullback(sq: CommutingSquare,
                         f"stopped the check at depth {depth}")
             for law_id, law in zip(_ANCHORS, (comm, inj, rank, surj))]
     return PullbackVerdict(sq.name, laws, depth_checked=depth,
-                           discarded=total_discard,
-                           cospan_outliers=total_outliers)
+                           discarded=total_discard)
 
 
 def _collision(Z: np.ndarray, F: np.ndarray):
@@ -479,14 +474,13 @@ def _collapse(sv) -> tuple:
 
 def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     """The rank law over the samples, in sample order; returns (law,
-    outliers, info), info None where the scan stopped the check."""
+    info), info None where the scan stopped the check."""
     outliers = 0
 
     def stop(verdict, i, note, ratio=0.0):
         return _law("rank", verdict, witness=(Z[i].tolist(),),
                     max_residual=ratio, note=note,
-                    provenance=_prov(cfg, depth, {"outliers": outliers})), \
-            outliers, None
+                    provenance=_prov(cfg, depth, {"outliers": outliers})), None
 
     try:
         fp_dims = _fp_tangent_dims(right_t, bottom_t, B_img, C_img)
@@ -527,7 +521,7 @@ def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     info = {"seeds": [i for _, _, i in scored[:4]],
             "min_sigma": scored[0][0] if scored else 1.0,
             "min_ratio": min_ratio}
-    return res, outliers, info
+    return res, info
 
 
 def _scored(score_batch, P) -> list:
@@ -616,6 +610,16 @@ def face_push(score_batch, lo, hi, z):
     return z
 
 
+def _hunt(score_batch, seeds, pool, pool_sigmas, lo, hi, deep: float):
+    """The collapse hunt: collapse_search from the seeds and the two pool
+    points of lowest sigma (the first on a tie), its result pushed onto
+    the faces of the box [lo, hi]; None when no point scored."""
+    starts = list(seeds) + list(
+        pool[np.argsort(pool_sigmas, kind="stable")[:2]])
+    z = collapse_search(score_batch, starts, deep)
+    return None if z is None else face_push(score_batch, lo, hi, z)
+
+
 def _rank_witness_search(sq, Z, info, plan, cfg):
     """Minimize the smallest restricted singular value to hunt for a
     rank-collapse point that sampling missed.
@@ -650,12 +654,10 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     P, ok = project(extra)
     P = P[ok]
     kept, pool = _each_row(lambda rows: sigmas(P[rows]), np.arange(len(P)))
-    starts = [Z[i] for i in info["seeds"]]
-    starts += list(P[kept[np.argsort(pool, kind="stable")[:2]]])
-    best_z = collapse_search(score_batch, starts, float(np.log(1e-10)))
+    best_z = _hunt(score_batch, [Z[i] for i in info["seeds"]], P[kept], pool,
+                   box_lo, box_hi, float(np.log(1e-10)))
     if best_z is None:
         return None
-    best_z = face_push(score_batch, box_lo, box_hi, best_z)
     try:        # the search's point, projected again as it was scored
         Q, ok = project(best_z[None])
     except ExprError:
@@ -670,6 +672,70 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
         "rank", Verdict.FAIL, witness=(best_z.tolist(),), max_residual=ratio,
         note=f"search located Jacobian collapse, ratio {ratio:.3g}",
         provenance=_prov(cfg, 0, {"via": "witness search"}))
+
+
+def is_submersion_on(f: SmoothMap, box: Box,
+                     cfg: CheckConfig = DEFAULT_CONFIG) -> LawResult:
+    """Full row rank of the derivative over the box.  A Fail carries a
+    witness point; a Pass is sampling evidence only, and says so."""
+    anchor = "derivative is onto at every point of the box"
+    if box.dim != f.arity:
+        raise DimensionMismatch("box dimension does not match map arity")
+    if f.arity < f.coarity:
+        return LawResult(
+            "submersion", anchor, Verdict.FAIL,
+            witness=(box.lo().tolist(),),
+            note="arity below coarity: no derivative is onto")
+    lo, hi = box.lo(), box.hi()
+
+    def svd(X):
+        return _svd(_umath_linalg.svd, jac_eval_batch(f, X), "d->d")
+
+    def score_batch(P):
+        Q = np.clip(P, lo, hi)
+        return list(zip(svd(Q)[:, f.coarity - 1], Q))
+
+    X = box.sample(cfg.rng("submersion"), cfg.count)
+    svals = svd(X)
+    smin = svals[:, f.coarity - 1]
+    scale = max(float(np.max(svals[:, 0])), 1e-30)
+    thresh = RANK_TOL * max(scale, 1.0)
+    prov = {"samples": len(X), "seed": cfg.seed, "scale": scale}
+
+    order = np.argsort(smin)
+    witness = None
+    if smin[order[0]] < thresh:
+        witness = face_push(score_batch, lo, hi, X[order[0]])
+    elif smin[order[0]] < SEARCH_GATE * max(scale, 1.0):
+        pool = box.sample(cfg.rng("submersion:search"), 40 * box.dim)
+        witness = _hunt(score_batch, X[order[:4]], pool,
+                        svd(pool)[:, f.coarity - 1], lo, hi,
+                        float(np.log(1e-14)))
+    if witness is not None:
+        val = float(svd(witness[None])[0, f.coarity - 1])
+        if val < thresh:
+            return LawResult(
+                "submersion", anchor, Verdict.FAIL,
+                witness=(witness.tolist(),), max_residual=val,
+                note=(f"rank drop: smallest singular value {val:.3g} "
+                      f"against box scale {scale:.3g}; high-precision "
+                      f"norm {_mp_row_norm(f, witness):.3g}"),
+                provenance=prov)
+    return LawResult(
+        "submersion", anchor, Verdict.PASS_NUMERIC,
+        max_residual=0.0,
+        note=(f"smallest sampled singular value {float(smin[order[0]]):.3g}"
+              f" at box scale {scale:.3g}; sampling evidence only"),
+        provenance=prov)
+
+
+def _mp_row_norm(f: SmoothMap, z: np.ndarray) -> float:
+    """Derivative norm recomputed in high precision, as independent
+    confirmation that a witness is a genuine collapse and not underflow."""
+    rows = jacobian_exprs(f)
+    flat = SmoothMap(f.arity, tuple(e for row in rows for e in row))
+    vals = eval_mp(flat, z, dps=40)
+    return float(max(abs(v) for v in vals)) if vals else 0.0
 
 
 def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,

@@ -14,10 +14,11 @@ from tanbun.expr import (
     CheckConfig, DEFAULT_CONFIG, cube, eval_batch, jac_eval_batch,
     parse_map,
 )
-from tanbun.jet import JetPoint, STANDARD_STRUCTS, check_all_axioms, pushforward
+from tanbun.jet import (
+    JetPoint, STANDARD_STRUCTS, check_all_axioms, jacobian, pushforward,
+)
 from tanbun.bundle import BundleSpec, Verdict
-from tanbun.submersion import is_submersion_on, jacobian
-from tanbun.universal import cross_check_equivalence
+from tanbun.universal import cross_check_equivalence, is_submersion_on
 from tanbun.vb import morphism_transport_check, transport_demo_morphisms
 from tanbun.corpus import bump_bundle, corpus_entry
 
@@ -138,7 +139,7 @@ def test_criterion_04_counterexample_end_to_end(corpus, bump_squares):
     assert sub.verdict is Verdict.FAIL
     (w,) = sub.witness
     assert abs(w[0]) <= 1e-3 and abs(w[1] - 1.0) <= 1e-3
-    J = jacobian(bump.q, np.asarray(w, dtype=float)).matrix
+    J = jacobian(bump.q, np.asarray(w, dtype=float))
     assert np.linalg.norm(J) <= 1e-10
 
     # and every universality square fails with it

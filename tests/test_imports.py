@@ -416,16 +416,16 @@ def test_one_collapse_search_and_one_face_push():
     nelder_mead = {"_nelder_mead", "_RHO", "_CHI", "_PSI", "_SIGMA",
                    "_NONZDELT", "_ZDELT", "_MAXITER", "_XATOL", "_FATOL"}
     assert not nelder_mead & _top_level_names(SRC / "universal.py")
-    assert not {"_face_push", "_min_singular"} & _top_level_names(
-        SRC / "submersion.py")
     pushes = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
               for name in _top_level_names(p) if "face_push" in name]
     assert pushes == ["universal.face_push"]
-    # the rank law's witness search and the submersion search
-    assert sorted(_users("collapse_search")) == [
-        "submersion._collapse_search", "universal._rank_witness_search"]
+    # one hunt serves the rank law's witness search and the submersion
+    # check; the submersion check pushes a sampled collapse on its own
+    assert sorted(_users("collapse_search")) == ["universal._hunt"]
+    assert sorted(_users("_hunt")) == [
+        "universal._rank_witness_search", "universal.is_submersion_on"]
     assert sorted(_users("face_push")) == [
-        "submersion.is_submersion_on", "universal._rank_witness_search"]
+        "universal._hunt", "universal.is_submersion_on"]
 
 
 def test_one_node_hash_one_rebuild_and_one_structure_table():
@@ -535,8 +535,22 @@ def test_the_package_reexports_only_public_names():
 
 def test_the_deleted_submersion_api_stays_deleted():
     # horizontal lifts, the closure harness and psi's own module-law
-    # check had no caller outside their tests
+    # check had no caller outside their tests; the submersion module
+    # folded into universal and jet, its sample type and its private
+    # scoring and search with it
     gone = ("closure_harness", "horizontal_lift", "lift_section_map",
-            "check_lift_section", "RankDeficient", "ModuleLawsFailed")
+            "check_lift_section", "RankDeficient", "ModuleLawsFailed",
+            "JacobianSample", "_scorer", "_collapse_search",
+            "_min_singulars")
+    assert not (SRC / "submersion.py").exists()
     assert [f"{p.name}: {n}" for p in sorted(SRC.glob("*.py")) for n in gone
             if re.search(rf"\b{n}\b", p.read_text())] == []
+
+
+def test_the_readme_tours_every_module_once():
+    # one row of the library tour per module of the package, so a module
+    # that is added, renamed or deleted cannot leave the table stale
+    readme = (SRC.parent.parent / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `tanbun\.(\w+)` \|", tour, flags=re.M)
+    assert sorted(rows) == [p.stem for p in MODULES]

@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tanbun.expr import Box, CheckConfig, cube, parse_map
-from tanbun.submersion import Verdict, is_submersion_on, jacobian
+from tanbun.jet import jacobian
+from tanbun.report import Verdict
+from tanbun.universal import is_submersion_on
 from tanbun.corpus import bump_bundle
 
 CFG = CheckConfig(count=60, seed=5)
@@ -15,9 +17,9 @@ CFG = CheckConfig(count=60, seed=5)
 
 
 def test_jacobian_sample_carries_singular_values():
-    js = jacobian(parse_map("x0^2 + x1^2", 2), np.array([1.0, 2.0]))
-    assert np.allclose(js.matrix, [[2.0, 4.0]])
-    assert np.allclose(js.singular_values, [np.sqrt(20.0)])
+    # the derivative matrix alone: no caller read the singular values
+    J = jacobian(parse_map("x0^2 + x1^2", 2), np.array([1.0, 2.0]))
+    assert np.allclose(J, [[2.0, 4.0]])
 
 
 @given(st.integers(min_value=-3, max_value=3),
@@ -26,8 +28,7 @@ def test_jacobian_sample_carries_singular_values():
 def test_jacobian_matches_hand_derivative(a, b):
     f = parse_map(f"{a}*x0*x1 + {b}*x1^2", 2)
     x = np.array([0.7, -1.2])
-    js = jacobian(f, x)
-    assert np.allclose(js.matrix, [[a * x[1], a * x[0] + 2 * b * x[1]]],
+    assert np.allclose(jacobian(f, x), [[a * x[1], a * x[0] + 2 * b * x[1]]],
                        atol=1e-10)
 
 
@@ -48,8 +49,34 @@ def test_bump_projection_fails_on_the_seam():
     # The derivative collapses where the blend freezes the first slot,
     # at fibre height 1 over the base origin.
     assert abs(w[0]) < 1e-3 and abs(w[1] - 1.0) < 1e-3
-    J = jacobian(bump.q, np.asarray(w, dtype=float)).matrix
+    J = jacobian(bump.q, np.asarray(w, dtype=float))
     assert np.linalg.norm(J) < 1e-6
+
+
+# Seeds at which no sample of bump's q reads below SEARCH_GATE times the
+# box scale: the collapse hunt never runs, and the seam escapes as a
+# numeric pass, the twin of the rank law's seam false pass.
+HUNT_GATED_OUT = (12, 17, 18, 19, 21, 27, 29, 30, 39, 40, 43, 44, 46, 48,
+                  51, 54, 61, 67, 70, 73, 74)
+
+
+def test_bump_projection_fails_on_the_seam_wherever_the_hunt_runs():
+    # the collapse hunt the rank law shares finds the seam from every
+    # seed at which it runs, not only from the two pinned above and in
+    # criterion 04; the seeds it is gated out of are pinned as they read
+    bump = bump_bundle()
+    for seed in range(1, 76):
+        r = is_submersion_on(bump.q, bump.total_box,
+                             CheckConfig(count=60, seed=seed))
+        if seed in HUNT_GATED_OUT:
+            assert r.verdict is Verdict.PASS_NUMERIC, seed
+            assert "sampling evidence only" in r.note
+            continue
+        assert r.verdict is Verdict.FAIL, seed
+        (w,) = r.witness
+        assert abs(w[0]) < 1e-3 and abs(w[1] - 1.0) < 1e-3, seed
+        J = jacobian(bump.q, np.asarray(w, dtype=float))
+        assert np.linalg.norm(J) <= 1e-10, seed
 
 
 def test_bump_projection_passes_away_from_the_seam():

@@ -294,7 +294,7 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
             return universal.LawResult(
                 "rank", anchor, Verdict.FAIL, witness=(Z[i].tolist(),),
                 note=(f"apex tangent dim {apex_tdim} != fibre-product "
-                      f"tangent dim {modal}"), provenance=prov), outliers, None
+                      f"tangent dim {modal}"), provenance=prov), None
         if len(s) < apex_tdim or s[0] == 0:
             sigma, ratio = 0.0, 0.0
         else:
@@ -305,7 +305,7 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                 "rank", anchor, Verdict.FAIL, witness=(Z[i].tolist(),),
                 max_residual=ratio,
                 note=f"restricted Jacobian collapse, ratio {ratio:.3g}",
-                provenance=prov), outliers, None
+                provenance=prov), None
         scored.append((sigma, ratio, i))
     scored.sort()
     min_ratio = min((r for _, r, _ in scored), default=1.0)
@@ -316,7 +316,7 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     info = {"seeds": [i for _, _, i in scored[:4]],
             "min_sigma": scored[0][0] if scored else 1.0,
             "min_ratio": min_ratio}
-    return res, outliers, info
+    return res, info
 
 
 def _ref_fp_projector(right_t, bottom_t):
@@ -615,7 +615,7 @@ def test_rank_scan_reports_the_first_collapse_in_sample_order():
     sq = _toy_square("collapse", 2, "x0, x1*bump(x0)", "x0, x1*bump(x0)",
                      "x0, x1", "x0, x1")
     _assert_phases_match(sq, 0, CFG)
-    res, _, _ = _rank_scan(*_phase_args(sq, 0, np.array(
+    res, _ = _rank_scan(*_phase_args(sq, 0, np.array(
         [[1.5, 0.3], [0.5, 0.2], [-0.5, 0.7], [-1.0, 0.1]])), CFG)
     assert res.verdict is Verdict.FAIL
     assert res.witness == ([-0.5, 0.7],)
@@ -694,7 +694,7 @@ def test_rank_scan_reads_unknown_where_a_jacobian_is_not_finite():
                          "x0, x1", "x0, x1"), "cone"),
             (_toy_square("cospan", 2, "x0, x1", "x0, x1",
                          NAN_JACOBIAN, NAN_JACOBIAN), "cospan")):
-        res, _, info = _rank_scan(*_phase_args(sq, 0, Z), CFG)
+        res, info = _rank_scan(*_phase_args(sq, 0, Z), CFG)
         assert res.verdict is Verdict.UNKNOWN and info is None
         assert res.witness == ([0.3, 0.8],)
         assert res.note == f"{part} Jacobian is not finite"
