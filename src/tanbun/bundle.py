@@ -10,16 +10,17 @@ lam is affine over the fibre coordinates, Gauss-Newton otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
     Box, CheckConfig, Const, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    compose, con, equal_maps, eval_batch, identity_map, jac_eval_batch,
-    normalize, projection, row_gaps, simplify_map, smooth_map,
-    substitute_vars, sum_of, symbolic_derivative_expr,
+    compose, con, cube, equal_maps, eval_batch, identity_map,
+    jac_eval_batch, normalize, parse_map, projection, row_gaps,
+    simplify_map, smooth_map, substitute_vars, sum_of,
+    symbolic_derivative_expr,
 )
 from .jet import (
     ImplicitMap, NewtonDiverged, _each_row, row_ordered, solve_batch,
@@ -31,15 +32,12 @@ from .report import (
 
 __all__ = [
     "BundleSpec", "BundleMorphism", "CheckReport", "LawResult", "Verdict",
-    "AdditionUnavailable", "NotWellTyped",
+    "NotWellTyped", "trivial_bundle", "tangent_bundle", "conjugated_bundle",
+    "bump_bundle",
     "check_predifferential", "induce_addition", "check_additive_laws",
     "check_morphism", "vert_lambda", "scale_through_lambda",
     "well_typed_tuples", "fibre_matched_tuples", "fibre_affine_decomposition",
 ]
-
-
-class AdditionUnavailable(Refused):
-    pass
 
 
 class NotWellTyped(ExprError):
@@ -81,6 +79,70 @@ class BundleSpec:
 def vert_lambda(spec: BundleSpec) -> SmoothMap:
     """Tangent part of lam (last total_dim components)."""
     return SmoothMap(spec.total_dim, spec.lam.components[spec.total_dim:])
+
+
+# --------------------------------------------------------------------------
+# Demo bundles
+
+
+def trivial_bundle(k: int, n: int) -> BundleSpec:
+    """Product bundle (m, a) over m with fibre dimension n."""
+    d = k + n
+    base = [Var(i) for i in range(k)]
+    fib = [Var(k + j) for j in range(n)]
+    zeros = [con(0)] * n
+    return BundleSpec(
+        name=f"trivial_{k}_{n}", base_dim=k, total_dim=d,
+        base_box=cube(k), total_box=cube(d),
+        q=smooth_map(d, base),
+        xi=smooth_map(k, [Var(i) for i in range(k)] + zeros),
+        lam=smooth_map(d, base + zeros + [con(0)] * k + fib),
+        add=smooth_map(2 * d, base + [Var(k + j) + Var(d + k + j)
+                                      for j in range(n)]),
+        scalar=smooth_map(1 + d, [Var(1 + i) for i in range(k)]
+                          + [Var(0) * Var(1 + k + j) for j in range(n)]),
+    )
+
+
+def tangent_bundle(k: int) -> BundleSpec:
+    """The tangent space of the k-dimensional chart, as a bundle over
+    it, with the canonical lift."""
+    spec = trivial_bundle(k, k)
+    return replace(spec, name=f"tangent_bundle_{k}")
+
+
+def conjugated_bundle() -> BundleSpec:
+    """Trivial line bundle transported along (m, a) -> (m, a + m^2).
+
+    The zero section is the parabola, and every structure map picks up
+    correction terms; everything stays polynomial so each law can still
+    be settled exactly.
+    """
+    return BundleSpec(
+        name="conjugated_1_1", base_dim=1, total_dim=2,
+        base_box=cube(1), total_box=cube(2, -6, 6),
+        q=parse_map("x0", 2),
+        xi=parse_map("x0, x0^2", 1),
+        lam=parse_map("x0, x0^2, 0, x1 - x0^2", 2),
+        add=parse_map("x0, x1 + x3 - x0^2", 4),
+        scalar=parse_map("x1, x0*x2 + x1^2 - x0*x1^2", 3),
+    )
+
+
+def bump_bundle() -> BundleSpec:
+    """Projection that degenerates along a seam: away from the seam it
+    is the coordinate projection, past it the cube of the coordinate,
+    and at the blend point (0, 1) the derivative vanishes."""
+    qsrc = "(1 - bump(x1))*x0 + bump(x1)*x0^3"
+    return BundleSpec(
+        name="bump_counterexample", base_dim=1, total_dim=2,
+        base_box=cube(1),
+        total_box=Box(((Fraction(-2), Fraction(2)),
+                       (Fraction(-2), Fraction(1)))),
+        q=parse_map(qsrc, 2),
+        xi=parse_map("x0, 0", 1),
+        lam=parse_map(qsrc + ", 0, 0, x1", 2),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +305,10 @@ def induce_addition(spec: BundleSpec, universality):
     The sum of a and b is the unique e with lam(e) equal to lam(a) and
     lam(b) fibre-added in the tangent chart.  Exposed on the free pair
     chart (a, b) of dimension 2*total_dim; callers feed well-typed
-    pairs.  Gated on the rosicky square's verdict (AdditionUnavailable).
+    pairs.  Gated on the rosicky square's verdict: Refused unless it
+    passes.
     """
-    AdditionUnavailable.gate(universality, f"{spec.name}: addition")
+    Refused.gate(universality, f"{spec.name}: addition")
     d, k = spec.total_dim, spec.base_dim
     decomp = fibre_affine_decomposition(spec)
     if decomp is not None:

@@ -13,19 +13,19 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from numpy.linalg import LinAlgError
 
 from .expr import (
-    Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, con,
-    cube, parse_map, smooth_map,
+    CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var, con, cube,
+    parse_map, smooth_map,
 )
 from .jet import STANDARD_STRUCTS, check_all_axioms
 from .bundle import (
-    AdditionUnavailable, BundleMorphism, BundleSpec, check_additive_laws,
-    check_morphism, check_predifferential, induce_addition,
+    BundleMorphism, BundleSpec, bump_bundle, check_additive_laws,
+    check_morphism, check_predifferential, conjugated_bundle,
+    induce_addition, tangent_bundle, trivial_bundle,
 )
 from .universal import (
     check_pullback, cockett_square, combined_square, rosicky_square,
@@ -34,7 +34,7 @@ from .universal import (
 from .splitting import biproduct_check, check_splitting, chi_checks, \
     non_idempotent_demo
 from .vb import VectorBundleSpec, check_module_laws, psi, roundtrip_check
-from .report import CheckReport, LawResult, Verdict
+from .report import CheckReport, LawResult, Refused, Verdict
 
 __all__ = [
     "CorpusEntry", "CorpusResult", "UnknownCorpusEntry", "SUITE_ORDER",
@@ -46,70 +46,6 @@ __all__ = [
 
 class UnknownCorpusEntry(ExprError):
     pass
-
-
-# --------------------------------------------------------------------------
-# Bundle builders
-
-
-def trivial_bundle(k: int, n: int) -> BundleSpec:
-    """Product bundle (m, a) over m with fibre dimension n."""
-    d = k + n
-    base = [Var(i) for i in range(k)]
-    fib = [Var(k + j) for j in range(n)]
-    zeros = [con(0)] * n
-    return BundleSpec(
-        name=f"trivial_{k}_{n}", base_dim=k, total_dim=d,
-        base_box=cube(k), total_box=cube(d),
-        q=smooth_map(d, base),
-        xi=smooth_map(k, [Var(i) for i in range(k)] + zeros),
-        lam=smooth_map(d, base + zeros + [con(0)] * k + fib),
-        add=smooth_map(2 * d, base + [Var(k + j) + Var(d + k + j)
-                                      for j in range(n)]),
-        scalar=smooth_map(1 + d, [Var(1 + i) for i in range(k)]
-                          + [Var(0) * Var(1 + k + j) for j in range(n)]),
-    )
-
-
-def tangent_bundle(k: int) -> BundleSpec:
-    """The tangent space of the k-dimensional chart, as a bundle over
-    it, with the canonical lift."""
-    spec = trivial_bundle(k, k)
-    return dataclasses.replace(spec, name=f"tangent_bundle_{k}")
-
-
-def conjugated_bundle() -> BundleSpec:
-    """Trivial line bundle transported along (m, a) -> (m, a + m^2).
-
-    The zero section is the parabola, and every structure map picks up
-    correction terms; everything stays polynomial so each law can still
-    be settled exactly.
-    """
-    return BundleSpec(
-        name="conjugated_1_1", base_dim=1, total_dim=2,
-        base_box=cube(1), total_box=cube(2, -6, 6),
-        q=parse_map("x0", 2),
-        xi=parse_map("x0, x0^2", 1),
-        lam=parse_map("x0, x0^2, 0, x1 - x0^2", 2),
-        add=parse_map("x0, x1 + x3 - x0^2", 4),
-        scalar=parse_map("x1, x0*x2 + x1^2 - x0*x1^2", 3),
-    )
-
-
-def bump_bundle() -> BundleSpec:
-    """Projection that degenerates along a seam: away from the seam it
-    is the coordinate projection, past it the cube of the coordinate,
-    and at the blend point (0, 1) the derivative vanishes."""
-    qsrc = "(1 - bump(x1))*x0 + bump(x1)*x0^3"
-    return BundleSpec(
-        name="bump_counterexample", base_dim=1, total_dim=2,
-        base_box=cube(1),
-        total_box=Box(((Fraction(-2), Fraction(2)),
-                       (Fraction(-2), Fraction(1)))),
-        q=parse_map(qsrc, 2),
-        xi=parse_map("x0, 0", 1),
-        lam=parse_map(qsrc + ", 0, 0, x1", 2),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +72,7 @@ def _after_rosicky(ros, cfg) -> tuple:
         return cfg, None
     return dataclasses.replace(cfg, t_depth=0), {
         "consistency_check": f"depth 0, after rosicky passed at depth "
-                             f"{ros.depth_checked}"}
+                             f"{cfg.t_depth}"}
 
 
 def _merge(title: str, *parts, prefixes=None, provenance=None) -> CheckReport:
@@ -214,7 +150,7 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                     rep = check_additive_laws(
                         spec, add, cfg, declared=spec.add,
                         hypotheses=(out["pre"], out["rosicky"]))
-                except AdditionUnavailable as exc:
+                except Refused as exc:
                     rep = CheckReport(title, [exc.law(
                         "addition-available", "suite prerequisites")])
             elif sid == "cockett":
@@ -309,14 +245,6 @@ class CorpusResult:
     expectation_met: bool
     reports: dict
     seconds: float
-
-    def describe(self) -> str:
-        head = (f"{self.name}: {self.aggregate.value} "
-                f"(expected {self.expected}, "
-                f"{'met' if self.expectation_met else 'NOT MET'}, "
-                f"{self.seconds:.1f}s)")
-        return "\n".join([head] + [r.describe() for r in
-                                   self.reports.values()])
 
 
 def _full_suite(build):

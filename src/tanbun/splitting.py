@@ -20,13 +20,13 @@ import numpy as np
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
     compose, con, concat_maps, cube, equal_maps, eval_batch, eval_map,
-    identity_map, jac_eval_batch, parse_map, projection, simplify_map,
-    row_gaps, smooth_map, substitute_vars,
+    identity_map, jac_eval_batch, projection, simplify_map, row_gaps,
+    smooth_map, substitute_vars,
 )
 from .jet import ImplicitMap, _solve_rows, row_ordered, tangent_map
 from .bundle import (
     BundleMorphism, BundleSpec, check_morphism, fibre_affine_decomposition,
-    vert_lambda,
+    trivial_bundle, vert_lambda,
 )
 from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
@@ -34,14 +34,10 @@ from .report import (
 from .universal import RANK_TOL, _numeric_rank
 
 __all__ = [
-    "PulledBackTangent", "SplittingRefused", "pulled_back_tangent",
+    "PulledBackTangent", "pulled_back_tangent",
     "chart_box", "chi", "lift_on_pullback", "chi_checks", "splitting_pair",
     "check_splitting", "biproduct_check", "non_idempotent_demo",
 ]
-
-
-class SplittingRefused(Refused):
-    pass
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def splitting_pair(spec: BundleSpec, universality):
     lift is fibre-affine with constant matrix, otherwise a Newton solve
     of lam(e) = iota(chi(m, w)).  Gated on the rosicky square's
     verdict."""
-    SplittingRefused.gate(universality, f"{spec.name}: splitting")
+    Refused.gate(universality, f"{spec.name}: splitting")
     d, k = spec.total_dim, spec.base_dim
     section = concat_maps(spec.q, vert_lambda(spec))
     ch = chi(spec)
@@ -210,7 +206,7 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig,
     rep = CheckReport(f"{spec.name}: splitting")
     try:
         section, K = splitting_pair(spec, universality)
-    except SplittingRefused as exc:
+    except Refused as exc:
         rep.add(exc.law("splitting-gate",
                         "retract construction requires universality"))
         return rep
@@ -299,8 +295,8 @@ def biproduct_check(spec: BundleSpec, cfg: CheckConfig,
     square's verdict."""
     rep = CheckReport(f"{spec.name}: biproduct")
     try:
-        SplittingRefused.gate(universality, f"{spec.name}: biproduct chart")
-    except SplittingRefused as exc:
+        Refused.gate(universality, f"{spec.name}: biproduct chart")
+    except Refused as exc:
         rep.add(exc.law("strong-gate",
                         "biproduct chart requires the strong square"))
         return rep
@@ -345,12 +341,7 @@ def non_idempotent_demo(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     """A fibrewise-linear endomorphism whose square differs from itself
     and whose fibre rank jumps, so no splitting chart exists."""
     rep = CheckReport("non-idempotent endomorphism")
-    trivial = BundleSpec(
-        name="line", base_dim=1, total_dim=2,
-        base_box=cube(1), total_box=cube(2),
-        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
-        lam=parse_map("x0, 0, 0, x1", 2), add=parse_map("x0, x1 + x3", 4),
-    )
+    trivial = trivial_bundle(1, 1)
     phi = smooth_map(2, [Var(0), Var(1) * Var(0)])
     mor = check_morphism(BundleMorphism(trivial, trivial, phi), cfg,
                          source_add=trivial.add, target_add=trivial.add)

@@ -11,7 +11,7 @@ evidence, not proof.
 
 The same rank machinery decides whether a chart map is a submersion on
 a box: its derivative's smallest singular value over samples, with the
-rank law's collapse hunt run whenever a sample looks marginal.
+rank law's collapse hunt run wherever no sample collapses.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ from .expr import (
     smooth_map, sum_of,
 )
 from .bundle import (
-    AdditionUnavailable, BundleSpec, CheckReport, LawResult, Verdict,
-    induce_addition, vert_lambda,
+    BundleSpec, CheckReport, LawResult, Verdict, induce_addition, vert_lambda,
 )
-from .report import sampled_law
+from .report import Refused, sampled_law
 from .jet import (
     ImplicitMap, _each_row, _one_matrix, _solve_rows, row_ordered,
     solve_batch, struct_map, tangent_after, tangent_map, tangent_of,
 )
 
 __all__ = [
-    "CommutingSquare", "PullbackVerdict", "RankDeficientCospan",
+    "CommutingSquare", "RankDeficientCospan",
     "rosicky_square", "cockett_square", "strong_square", "combined_square",
     "check_pullback", "collapse_search", "face_push",
     "cross_check_equivalence", "is_submersion_on",
@@ -84,25 +83,6 @@ class CommutingSquare:
     right: SmoothMap | ImplicitMap
     bottom: SmoothMap | ImplicitMap
     max_depth: int = 2
-
-
-@dataclass
-class PullbackVerdict(CheckReport):
-    """A square's check: its four laws, titled with the square's name, in
-    the order commutes, injective, rank, surjective."""
-
-    depth_checked: int = 0      # where the check stopped, else its cap
-    discarded: int = 0
-
-    def as_result(self, law_id: str) -> LawResult:
-        worst = max(e.max_residual for e in self.entries)
-        wit = next((e.witness for e in self.entries if e.witness), None)
-        notes = "; ".join(e.note for e in self.entries if e.note)
-        return LawResult(law_id, f"{self.title} is a jet-stable pullback",
-                         self.aggregate, witness=wit, max_residual=worst,
-                         note=notes,
-                         provenance={"depth": self.depth_checked,
-                                     "discarded": self.discarded})
 
 
 # --------------------------------------------------------------------------
@@ -262,12 +242,15 @@ def _law(law_id: str, verdict: Verdict, **kw) -> LawResult:
 
 
 def check_pullback(sq: CommutingSquare,
-                   cfg: CheckConfig = DEFAULT_CONFIG) -> PullbackVerdict:
+                   cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
+    """A square's check: its four laws, titled with the square's name, in
+    the order commutes, injective, rank, surjective.  Each law records
+    the depth it ran at; commutes runs first at every depth, so its depth
+    is where the check stopped, else its cap."""
     depth_cap = min(sq.max_depth, cfg.t_depth)
     comm = inj = rank = surj = None     # None: the law has not run yet
     search = {}
     stopped_by = None
-    total_discard = 0
 
     for depth in range(depth_cap + 1):
         top_t = tangent_of(sq.top, depth)
@@ -277,8 +260,7 @@ def check_pullback(sq: CommutingSquare,
         g_t = tangent_map(sq.constraint, depth) if sq.constraint else None
 
         count = max(20, cfg.count >> depth)
-        Z, discarded = _sample_apex(sq, depth, cfg, count)
-        total_discard += discarded
+        Z, _ = _sample_apex(sq, depth, cfg, count)
 
         B_img = top_t.eval_batch(Z)
         C_img = left_t.eval_batch(Z)
@@ -343,8 +325,7 @@ def check_pullback(sq: CommutingSquare,
     laws = [law or _law(law_id, Verdict.SKIPPED, note=f"not run: {stopped_by} "
                         f"stopped the check at depth {depth}")
             for law_id, law in zip(_ANCHORS, (comm, inj, rank, surj))]
-    return PullbackVerdict(sq.name, laws, depth_checked=depth,
-                           discarded=total_discard)
+    return CheckReport(sq.name, laws)
 
 
 def _collision(Z: np.ndarray, F: np.ndarray):
@@ -703,10 +684,9 @@ def is_submersion_on(f: SmoothMap, box: Box,
     prov = {"samples": len(X), "seed": cfg.seed, "scale": scale}
 
     order = np.argsort(smin)
-    witness = None
     if smin[order[0]] < thresh:
         witness = face_push(score_batch, lo, hi, X[order[0]])
-    elif smin[order[0]] < SEARCH_GATE * max(scale, 1.0):
+    else:
         pool = box.sample(cfg.rng("submersion:search"), 40 * box.dim)
         witness = _hunt(score_batch, X[order[:4]], pool,
                         svd(pool)[:, f.coarity - 1], lo, hi,
@@ -835,27 +815,34 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
 
 def cross_check_equivalence(spec: BundleSpec,
                             cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
-    """Run all four squares and assert their verdicts agree."""
-    rep = CheckReport(f"{spec.name}: universality cross-check")
+    """Run all four squares and assert their verdicts agree: one row per
+    square, its verdict the square's aggregate, its witness the first
+    one, its residual the largest and its depth where the check stopped."""
     ros = check_pullback(rosicky_square(spec), cfg)
-    rep.add(ros.as_result("square-rosicky"))
-
     try:
-        add = induce_addition(spec, ros)
-        cockett = check_pullback(cockett_square(spec, add), cfg)
-        rep.add(cockett.as_result("square-cockett"))
-        cockett_agg = cockett.aggregate
-    except AdditionUnavailable as exc:
-        rep.add(exc.law("square-cockett",
-                        "cone against (T(q), zero) is a pullback"))
-        cockett_agg = exc.verdict
+        cockett = check_pullback(
+            cockett_square(spec, induce_addition(spec, ros)), cfg)
+    except Refused as exc:
+        cockett = exc.law("square-cockett",
+                          "cone against (T(q), zero) is a pullback")
+    squares = {"rosicky": ros, "cockett": cockett,
+               "strong": check_pullback(strong_square(spec), cfg),
+               "combined": check_pullback(combined_square(spec), cfg)}
 
-    strong = check_pullback(strong_square(spec), cfg)
-    rep.add(strong.as_result("square-strong"))
-    comb = check_pullback(combined_square(spec), cfg)
-    rep.add(comb.as_result("square-combined"))
+    rep = CheckReport(f"{spec.name}: universality cross-check")
+    for name, sq in squares.items():
+        if isinstance(sq, LawResult):       # the refused cockett square
+            rep.add(sq)
+            continue
+        rep.add(LawResult(
+            f"square-{name}", f"{sq.title} is a jet-stable pullback",
+            sq.aggregate,
+            witness=next((e.witness for e in sq.entries if e.witness), None),
+            max_residual=max(e.max_residual for e in sq.entries),
+            note="; ".join(e.note for e in sq.entries if e.note),
+            provenance={"depth": sq["commutes"].provenance["depth"]}))
 
-    verdicts = [ros.aggregate, cockett_agg, strong.aggregate, comb.aggregate]
+    verdicts = [e.verdict for e in rep.entries]
     agreed = len(set(verdicts)) == 1
     rep.add(LawResult(
         "equivalence", "all four squares give one verdict",

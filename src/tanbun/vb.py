@@ -19,28 +19,25 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var,
-    compose, con, cube, equal_maps, parse_map, row_gaps,
+    compose, con, equal_maps, parse_map, row_gaps,
 )
 from .jet import (
     NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
 )
 from .bundle import (
-    BundleMorphism, BundleSpec, NotWellTyped, fibre_matched_tuples,
-    induce_addition, scale_through_lambda,
+    BundleMorphism, BundleSpec, NotWellTyped, conjugated_bundle,
+    fibre_matched_tuples, induce_addition, scale_through_lambda,
+    trivial_bundle,
 )
 from .report import (
     CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
 )
 
 __all__ = [
-    "VectorBundleSpec", "TranslationRefused",
+    "VectorBundleSpec",
     "check_module_laws", "psi", "phi", "roundtrip_check",
     "morphism_transport_check", "transport_demo_morphisms",
 ]
-
-
-class TranslationRefused(Refused):
-    pass
 
 
 @dataclass(frozen=True)
@@ -143,13 +140,13 @@ def psi(vb: VectorBundleSpec) -> BundleSpec:
 
     The lift evaluates the tangent of the action at scalar jet (0, 1)
     and point jet (e, 0); a closed-form action gives a closed-form lift.
-    A Newton-defined action is refused with TranslationRefused.  The
+    A Newton-defined action raises Refused.  The
     module laws are not checked here: a suite reports them
     (check_module_laws) and translates only a structure that passes.
     """
     lam = _generated_lift(vb)
     if not isinstance(lam, SmoothMap):
-        raise TranslationRefused(
+        raise Refused(
             f"{vb.name}: the generated lift is Newton-defined, and a bundle "
             "needs a lift given by formulas")
     return BundleSpec(
@@ -179,7 +176,7 @@ def phi(db: BundleSpec, universality) -> VectorBundleSpec:
     Gated on the rosicky square's verdict; the recovered action
     conjugates tangent-block scaling through the lift, and the addition
     is induced the same way, on the same verdict."""
-    TranslationRefused.gate(universality, f"{db.name}: scalar recovery")
+    Refused.gate(universality, f"{db.name}: scalar recovery")
     add = db.add if db.add is not None else induce_addition(db, universality)
     # The action is always recomputed from the lift; a declared action on
     # the bundle is advisory and must not short-circuit the translation.
@@ -217,7 +214,7 @@ def roundtrip_check(obj, cfg: CheckConfig, universality) -> CheckReport:
         db = psi(obj)
         try:
             back = phi(db, universality)
-        except TranslationRefused as exc:
+        except Refused as exc:
             rep.add(exc.law("phi-gate", "reverse translation accepts the "
                             "generated bundle"))
             return rep
@@ -238,7 +235,7 @@ def roundtrip_check(obj, cfg: CheckConfig, universality) -> CheckReport:
     db = obj
     try:
         vb = phi(db, universality)
-    except TranslationRefused as exc:
+    except Refused as exc:
         rep.add(exc.law("phi-gate", "translation accepts verified bundles "
                         "only"))
         return rep
@@ -314,18 +311,7 @@ def transport_demo_morphisms():
     """Ten morphisms exercising the transport equivalence: five
     compatible with the lifts and five not.  Returns tuples of
     (name, morphism, expected_compatible)."""
-    trivial = BundleSpec(
-        name="line", base_dim=1, total_dim=2,
-        base_box=cube(1), total_box=cube(2),
-        q=parse_map("x0", 2), xi=parse_map("x0, 0", 1),
-        lam=parse_map("x0, 0, 0, x1", 2),
-    )
-    conj = BundleSpec(
-        name="translated", base_dim=1, total_dim=2,
-        base_box=cube(1), total_box=cube(2, -6, 6),
-        q=parse_map("x0", 2), xi=parse_map("x0, x0^2", 1),
-        lam=parse_map("x0, x0^2, 0, x1 - x0^2", 2),
-    )
+    trivial, conj = trivial_bundle(1, 1), conjugated_bundle()
 
     def on(src, tgt, text):
         return BundleMorphism(src, tgt, parse_map(text, 2))

@@ -317,7 +317,7 @@ def test_implicit_rows_solve_to_the_implicit_tolerance(monkeypatch, name):
     pv = check_pullback(cockett_square(spec, induce_addition(spec, PASSED)),
                         cfg)
     assert pv["surjective"].verdict is Verdict.PASS_NUMERIC
-    assert pv.depth_checked == 1
+    assert pv["commutes"].provenance["depth"] == 1
 
 
 def _root_square(residual, right, init):

@@ -13,13 +13,13 @@ from tanbun.expr import (
 )
 from tanbun.jet import ImplicitMap, NewtonDiverged, solve_least_norm
 from tanbun.bundle import (
-    AdditionUnavailable, BundleMorphism, BundleSpec, Verdict,
-    _implicit_fibre_op, _pairwise,
+    BundleMorphism, BundleSpec, Verdict, _implicit_fibre_op, _pairwise,
     check_additive_laws, check_morphism, check_predifferential,
     fibre_affine_decomposition, fibre_matched_tuples, induce_addition,
     scale_through_lambda, vert_lambda, well_typed_tuples,
 )
 from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
+from tanbun.report import Refused
 from tanbun.universal import check_pullback, rosicky_square
 
 CFG = CheckConfig(count=40, seed=5)
@@ -158,7 +158,7 @@ def test_induced_addition_refuses_after_failed_universality():
     bad = check_pullback(rosicky_square(bump),
                          dataclasses.replace(CFG, t_depth=0))
     assert bad.aggregate is Verdict.FAIL
-    with pytest.raises(AdditionUnavailable):
+    with pytest.raises(Refused):
         induce_addition(bump, bad)
 
 

@@ -324,23 +324,29 @@ def test_one_universality_gate():
 
 
 def test_a_square_check_is_a_check_report():
-    # one report type: a square's aggregate comes from its four laws, and
-    # its depth from the config
-    from dataclasses import fields
+    # one report type and one refusal type: no class under src/ extends
+    # CheckReport, LawResult or Refused, and a square's check is a plain
+    # CheckReport whose depth comes from the config
     from inspect import signature
-    from tanbun.report import CheckReport, LawResult, Verdict
+    from tanbun.bundle import trivial_bundle
+    from tanbun.expr import CheckConfig
+    from tanbun.report import CheckReport
     from tanbun.universal import (
-        PullbackVerdict, check_pullback, cross_check_equivalence,
+        check_pullback, cross_check_equivalence, rosicky_square,
     )
-    assert issubclass(PullbackVerdict, CheckReport)
-    assert "aggregate" not in {f.name for f in fields(PullbackVerdict)}
+    found = [f"{p.stem}.{node.name}" for p in MODULES
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and {getattr(b, "id", getattr(b, "attr", None))
+                  for b in node.bases} & {"CheckReport", "LawResult",
+                                          "Refused"}]
+    assert found == []
     for fn in (check_pullback, cross_check_equivalence):
         assert "t_depth" not in signature(fn).parameters, fn.__name__
-    laws = [LawResult(law_id, "", Verdict.PASS_NUMERIC)
-            for law_id in ("commutes", "injective", "rank")]
-    pv = PullbackVerdict("sq", laws + [LawResult("surjective", "",
-                                                 Verdict.FAIL)])
-    assert pv.aggregate is Verdict.FAIL and not pv.ok
+        assert signature(fn).return_annotation == "CheckReport", fn.__name__
+    pv = check_pullback(rosicky_square(trivial_bundle(1, 1)),
+                        CheckConfig(count=20, t_depth=0))
+    assert type(pv) is CheckReport
 
 
 def _function_imports_of_universal(path: Path) -> list:

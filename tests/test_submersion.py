@@ -37,8 +37,10 @@ def test_jacobian_matches_hand_derivative(a, b):
 
 
 def test_projection_is_a_submersion_everywhere():
+    # where the collapse hunt finds nothing the pass says what it rests on
     r = is_submersion_on(parse_map("x0", 2), cube(2), CFG)
-    assert r.verdict.ok
+    assert r.verdict is Verdict.PASS_NUMERIC
+    assert "sampling evidence only" in r.note
 
 
 def test_bump_projection_fails_on_the_seam():
@@ -53,25 +55,14 @@ def test_bump_projection_fails_on_the_seam():
     assert np.linalg.norm(J) < 1e-6
 
 
-# Seeds at which no sample of bump's q reads below SEARCH_GATE times the
-# box scale: the collapse hunt never runs, and the seam escapes as a
-# numeric pass, the twin of the rank law's seam false pass.
-HUNT_GATED_OUT = (12, 17, 18, 19, 21, 27, 29, 30, 39, 40, 43, 44, 46, 48,
-                  51, 54, 61, 67, 70, 73, 74)
-
-
 def test_bump_projection_fails_on_the_seam_wherever_the_hunt_runs():
-    # the collapse hunt the rank law shares finds the seam from every
-    # seed at which it runs, not only from the two pinned above and in
-    # criterion 04; the seeds it is gated out of are pinned as they read
+    # the collapse hunt the rank law shares runs wherever no sample
+    # collapses, and finds the seam from every seed, not only from the
+    # two pinned above and in criterion 04
     bump = bump_bundle()
     for seed in range(1, 76):
         r = is_submersion_on(bump.q, bump.total_box,
                              CheckConfig(count=60, seed=seed))
-        if seed in HUNT_GATED_OUT:
-            assert r.verdict is Verdict.PASS_NUMERIC, seed
-            assert "sampling evidence only" in r.note
-            continue
         assert r.verdict is Verdict.FAIL, seed
         (w,) = r.witness
         assert abs(w[0]) < 1e-3 and abs(w[1] - 1.0) < 1e-3, seed
@@ -93,8 +84,11 @@ def test_cubic_fails_along_its_critical_line():
 
 def test_isolated_degeneracy_can_escape_sampling():
     # The only critical point of the squared norm is the origin, a set
-    # sampling will almost never hit; the result stays a numeric pass
-    # but the note is explicit that it rests on samples alone.
-    r = is_submersion_on(parse_map("x0^2 + x1^2", 2), cube(2), CFG)
-    assert r.verdict is Verdict.PASS_NUMERIC
-    assert "sampling evidence only" in r.note
+    # sampling will almost never hit; the collapse hunt, which runs
+    # wherever no sample collapses, finds it there.
+    f = parse_map("x0^2 + x1^2", 2)
+    r = is_submersion_on(f, cube(2), CFG)
+    assert r.verdict is Verdict.FAIL
+    (w,) = r.witness
+    assert np.abs(w).max() < 1e-6
+    assert np.linalg.norm(jacobian(f, np.asarray(w, dtype=float))) < 1e-6

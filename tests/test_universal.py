@@ -69,7 +69,7 @@ def test_rosicky_square_entries_on_conjugated():
     assert pv.aggregate is Verdict.PASS_NUMERIC
     assert [e.law_id for e in pv.entries] == ENTRY_IDS
     assert all(e.verdict.ok for e in pv.entries)
-    assert pv.depth_checked == 1
+    assert pv["commutes"].provenance["depth"] == 1
 
 
 def test_combined_square_caps_its_own_depth():
@@ -77,15 +77,22 @@ def test_combined_square_caps_its_own_depth():
     # pullback check refuses to iterate the tangent construction again.
     pv = check_pullback(combined_square(trivial_bundle(1, 1)), CFG1)
     assert pv.ok
-    assert pv.depth_checked == 0
+    assert pv["commutes"].provenance["depth"] == 0
 
 
 def test_verdict_wraps_into_a_law_result():
-    pv = check_pullback(rosicky_square(conjugated_bundle()), CFG0)
-    law = pv.as_result("square-rosicky")
-    assert law.law_id == "square-rosicky"
-    assert law.verdict.ok
-    assert "conjugated_1_1" in law.anchor
+    # a cross-check row is its square's own report reduced to one law:
+    # the aggregate, the first witness, the largest residual, the notes
+    # joined and the depth the commutes law reached
+    for spec, ok in ((conjugated_bundle(), True), (bump_bundle(), False)):
+        pv = check_pullback(rosicky_square(spec), CFG0)
+        law = cross_check_equivalence(spec, CFG0)["square-rosicky"]
+        assert law.verdict is pv.aggregate and law.verdict.ok is ok
+        assert law.anchor == f"{spec.name}:rosicky is a jet-stable pullback"
+        assert law.witness == (None if ok else pv["rank"].witness)
+        assert law.max_residual == max(e.max_residual for e in pv.entries)
+        assert law.note == "; ".join(e.note for e in pv.entries if e.note)
+        assert law.provenance == {"depth": 0}
 
 
 def test_equivalence_cross_check_agrees_on_conjugated():
@@ -659,7 +666,8 @@ def test_laws_after_the_one_that_stopped_the_check_read_skipped():
     sq = _toy_square("nan", 2, NAN_ABOVE, "x0, x1", "x0, x1", "x0, x1")
     pv = check_pullback(sq, CFG1)
     assert pv["commutes"].verdict is Verdict.UNKNOWN
-    assert pv.depth_checked == 0        # the depth reached, not the cap
+    # the depth reached, not the cap
+    assert pv["commutes"].provenance["depth"] == 0
     for law in (pv["injective"], pv["rank"], pv["surjective"]):
         assert law.verdict is Verdict.SKIPPED
         assert law.note == "not run: commutes stopped the check at depth 0"
@@ -670,7 +678,7 @@ def test_laws_after_the_one_that_stopped_the_check_read_skipped():
     # laws before it ran there and say so
     pv = check_pullback(rosicky_square(bump_bundle()), CFG)
     assert pv["rank"].verdict is Verdict.FAIL
-    assert pv.depth_checked == 0
+    assert pv["commutes"].provenance["depth"] == 0
     assert pv["injective"].verdict is Verdict.PASS_NUMERIC
     assert pv["injective"].provenance["depth"] == 0
     assert pv["surjective"].verdict is Verdict.SKIPPED

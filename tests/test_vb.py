@@ -21,11 +21,10 @@ from tanbun.bundle import (
 )
 from tanbun.cli import main, parse_bundle_file
 from tanbun.corpus import corpus_entry, run_suites, trivial_bundle
-from tanbun.report import CheckReport, LawResult, sampled_law
+from tanbun.report import CheckReport, LawResult, Refused, sampled_law
 from tanbun.vb import (
-    TranslationRefused, VectorBundleSpec, _compare, check_module_laws,
-    morphism_transport_check, phi, psi, roundtrip_check,
-    transport_demo_morphisms,
+    VectorBundleSpec, _compare, check_module_laws, morphism_transport_check,
+    phi, psi, roundtrip_check, transport_demo_morphisms,
 )
 from tanbun.universal import check_pullback, rosicky_square
 
@@ -394,7 +393,7 @@ def test_psi_refuses_a_newton_defined_lift(monkeypatch):
     name, text = workloads.implicit_texts(1)[0]
     spec, _ = parse_bundle_file(text, name)
     cfg = CheckConfig(count=20, seed=1)
-    with pytest.raises(TranslationRefused, match="Newton-defined"):
+    with pytest.raises(Refused, match="Newton-defined"):
         check_predifferential(psi(phi(spec, PASSED)), cfg)
     # the round trip still compares the generated lift by sampling
     rep = roundtrip_check(spec, cfg, PASSED)
@@ -420,7 +419,7 @@ def _failed_rosicky(db):
 
 def test_phi_refuses_without_universality():
     db = _bump_db()
-    with pytest.raises(TranslationRefused):
+    with pytest.raises(Refused):
         phi(db, _failed_rosicky(db))
 
 
