@@ -24,7 +24,8 @@ from .bundle import (
 )
 from .universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
-    cross_check_equivalence, is_submersion_on, rosicky_square, strong_square,
+    cross_check_equivalence, is_submersion_on, rosicky_certificate,
+    rosicky_square, strong_square,
 )
 from .splitting import (
     PulledBackTangent, biproduct_check, check_splitting, chi, chi_checks,

@@ -28,8 +28,8 @@ from .bundle import (
     induce_addition, tangent_bundle, trivial_bundle,
 )
 from .universal import (
-    check_pullback, cockett_square, combined_square, rosicky_square,
-    strong_square,
+    check_pullback, cockett_square, combined_square, rosicky_certificate,
+    rosicky_square, strong_square,
 )
 from .splitting import biproduct_check, check_splitting, chi_checks, \
     non_idempotent_demo
@@ -142,7 +142,8 @@ def _run_bundle(spec: BundleSpec, cfg, order, force,
                 rep = module_report if module_report is not None \
                     else check_predifferential(spec, cfg)
             elif sid == "rosicky":
-                ros = check_pullback(rosicky_square(spec), cfg)
+                ros = rosicky_certificate(spec, cfg) \
+                    or check_pullback(rosicky_square(spec), cfg)
                 rep = _merge(title, ros)
             elif sid == "addition":
                 try:

@@ -7,7 +7,9 @@ map from the apex into the fibre product of the cospan is bijective:
 sampled injectivity, Jacobian-rank equality against the fibre-product
 tangent dimension, and Newton-recovered preimages of perturbed cone
 points.  A Fail always carries a concrete witness; Pass is sampled
-evidence, not proof.
+evidence, not proof.  The rosicky square of a polynomial lift affine over
+the fibre is instead proved, at every depth, by rosicky_certificate: the
+cone map's explicit polynomial inverse, checked on canonical forms.
 
 The same rank machinery decides whether a chart map is a submersion on
 a box: its derivative's smallest singular value over samples, with the
@@ -25,12 +27,13 @@ from numpy.linalg import _umath_linalg
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, ExprError,
-    SmoothMap, Var, compose, concat_maps, con, cube, eval_batch, eval_mp,
-    jac_eval_batch, jacobian_exprs, projection, row_gaps, simplify_map,
-    smooth_map, sum_of,
+    SmoothMap, Var, _poly_forms, compose, concat_maps, con, cube, equal_maps,
+    eval_batch, eval_mp, identity_map, jac_eval_batch, jacobian_exprs,
+    projection, row_gaps, simplify_map, smooth_map, sum_of, to_source,
 )
 from .bundle import (
-    BundleSpec, CheckReport, LawResult, Verdict, induce_addition, vert_lambda,
+    BundleSpec, CheckReport, LawResult, Verdict, _fraction_inverse,
+    fibre_affine_decomposition, induce_addition, vert_lambda,
 )
 from .report import Refused, sampled_law
 from .jet import (
@@ -40,7 +43,8 @@ from .jet import (
 
 __all__ = [
     "CommutingSquare", "RankDeficientCospan",
-    "rosicky_square", "cockett_square", "strong_square", "combined_square",
+    "rosicky_square", "rosicky_certificate", "cockett_square",
+    "strong_square", "combined_square",
     "check_pullback", "collapse_search", "face_push",
     "cross_check_equivalence", "is_submersion_on",
 ]
@@ -119,6 +123,44 @@ def rosicky_square(spec: BundleSpec) -> CommutingSquare:
         name=f"{spec.name}:rosicky", apex_dim=d, apex_box=spec.total_box,
         constraint=None, top=spec.lam, left=spec.q, right=right,
         bottom=bottom)
+
+
+def rosicky_certificate(spec: BundleSpec,
+                        cfg: CheckConfig = DEFAULT_CONFIG):
+    """The rosicky square proved a jet-stable pullback, as a CheckReport
+    whose four laws read pass-exact, or None, and then check_pullback
+    samples it.  It is proved when q, xi and lam are polynomial, the
+    fibre_affine_decomposition (A, pinv, beta) of lam exists, its
+    vertical block A[k:] is invertible, and three identities hold on
+    canonical polynomial forms: right . top = bottom . left, u . v = id
+    and v . u = id, for the cone map u = (q, vert lam[k:]) and v(m, w) =
+    (m, A[k:]^-1 (w - beta[k:](m))).  Commutation charts the fibre
+    product by (m, w) -> ((xi(m), (0, w)), m), where the cone map is u;
+    then T^n(v) inverts T^n(u) at every depth n."""
+    if any(_poly_forms(f) is None for f in (spec.q, spec.xi, spec.lam)):
+        return None         # no builtin is differentiated or evaluated
+    decomp = fibre_affine_decomposition(spec)
+    d, k = spec.total_dim, spec.base_dim
+    inv = None if decomp is None else _fraction_inverse(decomp[0][k:])
+    if inv is None:
+        return None
+    beta = decomp[2]
+    w = [Var(k + t) - beta[k + t] for t in range(d - k)]
+    v = simplify_map(smooth_map(d, [Var(i) for i in range(k)] + [
+        sum_of([con(c) * x for c, x in zip(row, w)]) for row in inv]))
+    u = SmoothMap(d, spec.q.components + vert_lambda(spec).components[k:])
+    sq = rosicky_square(spec)
+    if any(equal_maps(f, g, sq.apex_box, cfg).kind != "equal" for f, g in (
+            (compose(sq.right, sq.top), compose(sq.bottom, sq.left)),
+            (compose(u, v), identity_map(d)),
+            (compose(v, u), identity_map(d)))):
+        return None
+    prov = {"depth": min(sq.max_depth, cfg.t_depth),
+            "certificate": "explicit polynomial inverse",
+            "inverse": to_source(v)}
+    return CheckReport(sq.name, [_law(law_id, Verdict.PASS_EXACT,
+                                      provenance=dict(prov))
+                                 for law_id in _ANCHORS])
 
 
 def cockett_square(spec: BundleSpec, add) -> CommutingSquare:
@@ -698,8 +740,8 @@ def is_submersion_on(f: SmoothMap, box: Box,
                 "submersion", anchor, Verdict.FAIL,
                 witness=(witness.tolist(),), max_residual=val,
                 note=(f"rank drop: smallest singular value {val:.3g} "
-                      f"against box scale {scale:.3g}; high-precision "
-                      f"norm {_mp_row_norm(f, witness):.3g}"),
+                      f"against box scale {scale:.3g}; at 40 digits "
+                      f"{_mp_sigma_min(f, witness):.3g}"),
                 provenance=prov)
     return LawResult(
         "submersion", anchor, Verdict.PASS_NUMERIC,
@@ -709,13 +751,19 @@ def is_submersion_on(f: SmoothMap, box: Box,
         provenance=prov)
 
 
-def _mp_row_norm(f: SmoothMap, z: np.ndarray) -> float:
-    """Derivative norm recomputed in high precision, as independent
-    confirmation that a witness is a genuine collapse and not underflow."""
+def _mp_sigma_min(f: SmoothMap, z: np.ndarray) -> float:
+    """The derivative's smallest singular value at z, recomputed at 40
+    digits, as independent confirmation that a witness is a genuine rank
+    drop and not float cancellation or underflow."""
+    import mpmath as mp
+
     rows = jacobian_exprs(f)
     flat = SmoothMap(f.arity, tuple(e for row in rows for e in row))
-    vals = eval_mp(flat, z, dps=40)
-    return float(max(abs(v) for v in vals)) if vals else 0.0
+    with mp.workdps(40):
+        J = mp.matrix(f.coarity, f.arity)
+        for n, v in enumerate(eval_mp(flat, z, dps=40)):
+            J[n // f.arity, n % f.arity] = v
+        return float(min(mp.svd_r(J, compute_uv=False)))
 
 
 def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
@@ -736,9 +784,12 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     # three Newton starts per try: the sample and two kicked copies
     targets = np.hstack([B_img[:n_try], C_img[:n_try]])
     starts = np.repeat(Z[:n_try, None], 3, axis=1)
-    for t in range(n_try):
-        targets[t] += rng.normal(0.0, 0.05, targets.shape[1])
-        starts[t, 1:] += rng.normal(0.0, 0.01, (2, Z.shape[1]))
+    # each try's draws in the order of rng.normal(0, 0.05, m) and then
+    # rng.normal(0, 0.01, (2, d)), one row of one call, bit for bit
+    m, d = targets.shape[1], Z.shape[1]
+    noise = rng.standard_normal((n_try, m + 2 * d))
+    targets += 0.0 + 0.05 * noise[:, :m]
+    starts[:, 1:] += 0.0 + 0.01 * noise[:, m:].reshape(n_try, 2, d)
     # the noisy targets moved onto the fibre product, right(b) = bottom(c)
     nb = B_img.shape[1]
     found, fp_errors = _solve_rows(

@@ -146,6 +146,22 @@ def test_check_passes_on_a_good_file(tmp_path, capsys):
     assert "pass" in out
 
 
+def test_a_fibre_affine_file_proves_rosicky_in_its_json(tmp_path, capsys):
+    # the conjugated line bundle as a user file: the cone map (m, a) ->
+    # (m, a - m^2) has the polynomial inverse (m, w + m^2)
+    path = _write(tmp_path, LINE_DB.replace("xi = x0, 0", "xi = x0, x0^2")
+                  .replace("lambda = x0, 0, 0, x1",
+                           "lambda = x0, x0^2, 0, x1 - x0^2"))
+    code = main(["check", path, "--samples", "30", "--format", "json"])
+    suites = {s["id"]: s for s in json.loads(capsys.readouterr().out)
+              ["suites"]}
+    assert code == 0
+    assert suites["rosicky"]["aggregate"] == "pass-exact"
+    for law in suites["rosicky"]["laws"]:
+        assert law["verdict"] == "pass-exact"
+        assert law["provenance"]["inverse"] == "x0, x1 + x0^2"
+
+
 def test_check_fails_on_the_counterexample(capsys):
     code = main(["check", "bump_counterexample", "--samples", "40",
                  "--suite", "rosicky"])

@@ -104,11 +104,19 @@ def _with_verdict(pv, verdict, law_id="surjective"):
         for e in pv.entries])
 
 
+def _no_certificate(monkeypatch):
+    """Let the rosicky square of every bundle go to check_pullback, where
+    a test may rewrite its verdict."""
+    monkeypatch.setattr(corpus, "rosicky_certificate", lambda spec, cfg: None)
+
+
 def _record_depths(monkeypatch, rosicky=None) -> dict:
     """{square: cfg.t_depth} for every check_pullback call of the chain;
-    rosicky(pv) may rewrite the rosicky verdict."""
+    rosicky(pv) may rewrite the rosicky verdict, which is then sampled."""
     depths = {}
     real = corpus.check_pullback
+    if rosicky:
+        _no_certificate(monkeypatch)
 
     def recording(sq, cfg):
         kind = sq.name.rsplit(":", 1)[1]
@@ -121,11 +129,14 @@ def _record_depths(monkeypatch, rosicky=None) -> dict:
 
 def test_cockett_and_strong_are_depth_0_checks_after_a_rosicky_pass(
         monkeypatch):
+    # trivial_1_1's rosicky square is proved by its certificate at depth
+    # 2, so no sampled rosicky check runs
     depths = _record_depths(monkeypatch)
     reports = run_suites(trivial_bundle(1, 1), CFG)
-    assert depths == {"rosicky": 2, "cockett": 0, "strong": 0,
-                      "combined": 2}
+    assert depths == {"cockett": 0, "strong": 0, "combined": 2}
+    assert reports["rosicky"].aggregate is Verdict.PASS_EXACT
     assert all(e.provenance["depth"] == 2
+               and e.provenance["certificate"] == "explicit polynomial inverse"
                for e in reports["rosicky"].entries)
     for sid in ("cockett", "strong"):
         assert reports[sid].ok
@@ -163,6 +174,7 @@ def test_a_gate_reads_the_universality_verdict_it_refused(monkeypatch,
                                                           verdict):
     # a refusal on an unknown verdict refutes nothing, so it reads
     # unknown; a refusal on a failure stays a failure
+    _no_certificate(monkeypatch)
     real = corpus.check_pullback
 
     def rewritten(sq, cfg):

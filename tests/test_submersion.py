@@ -82,6 +82,20 @@ def test_cubic_fails_along_its_critical_line():
     assert abs(w[0]) < 1e-3
 
 
+def test_a_rank_drop_is_confirmed_by_its_smallest_singular_value():
+    # the derivative at the witness keeps entries of size 2 while its
+    # smallest singular value is 2e-13: the note confirms the rank drop
+    # at 40 digits, not the size of the largest entry
+    r = is_submersion_on(parse_map("x0*x1, x1 + x2^3", 3), cube(3), CFG)
+    assert r.verdict is Verdict.FAIL
+    (w,) = r.witness
+    assert np.abs(jacobian(parse_map("x0*x1, x1 + x2^3", 3),
+                           np.asarray(w)).max()) == 2.0
+    assert abs(r.max_residual - 2.05e-13) < 1e-15
+    exact = float(r.note.rsplit("at 40 digits ", 1)[1])
+    assert abs(exact - r.max_residual) < 1e-3 * r.max_residual
+
+
 def test_isolated_degeneracy_can_escape_sampling():
     # The only critical point of the squared norm is the origin, a set
     # sampling will almost never hit; the collapse hunt, which runs

@@ -17,14 +17,18 @@ from tanbun.expr import (
 from tanbun.jet import (
     jac_point, solve_least_norm, tangent_map, tangent_of,
 )
-from tanbun.bundle import BundleSpec, Verdict, induce_addition
+from tanbun.bundle import (
+    BundleSpec, Verdict, fibre_affine_decomposition, induce_addition,
+)
 from tanbun.cli import parse_bundle_file
 from tanbun.corpus import (
-    bump_bundle, conjugated_bundle, corpus_run, run_suites, trivial_bundle,
+    bump_bundle, conjugated_bundle, corpus_entry, corpus_run, run_suites,
+    trivial_bundle,
 )
 from tanbun.universal import (
     CommutingSquare, check_pullback, cockett_square, combined_square,
-    cross_check_equivalence, rosicky_square, strong_square,
+    cross_check_equivalence, rosicky_certificate, rosicky_square,
+    strong_square,
 )
 
 CFG = CheckConfig(count=30, seed=5)
@@ -101,6 +105,49 @@ def test_equivalence_cross_check_agrees_on_conjugated():
     assert [e.law_id for e in rep.entries] == [
         "square-rosicky", "square-cockett", "square-strong",
         "square-combined", "equivalence"]
+
+
+# --------------------------------------------------------------------------
+# The rosicky certificate: an explicit polynomial inverse of the cone map
+
+POSITIVE = ("trivial_1_1", "trivial_2_3", "tangent_bundle_1",
+            "tangent_bundle_2", "conjugated_1_1")
+
+
+@pytest.mark.parametrize("seed", [42, 1, 23])
+@pytest.mark.parametrize("name", POSITIVE)
+def test_a_positive_entry_proves_rosicky_by_its_inverse(name, seed):
+    cfg = CheckConfig(seed=seed)
+    spec = corpus_entry(name).build()
+    ros = run_suites(spec, cfg, suite="rosicky")["rosicky"]
+    assert [(e.law_id, e.verdict) for e in ros.entries] == [
+        (law_id, Verdict.PASS_EXACT) for law_id in ENTRY_IDS]
+    inverse = "x0, x1 + x0^2" if name == "conjugated_1_1" \
+        else ", ".join(f"x{i}" for i in range(spec.total_dim))
+    for e in ros.entries:
+        assert e.provenance == {"depth": 2, "inverse": inverse,
+                                "certificate": "explicit polynomial inverse"}
+    # the sampled check agrees on the square the certificate proved
+    assert check_pullback(rosicky_square(spec), cfg).ok
+
+
+def test_no_certificate_without_an_exact_polynomial_inverse(monkeypatch):
+    assert rosicky_certificate(bump_bundle()) is None
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import workloads
+    for name, text in workloads.implicit_texts(1):   # lift not fibre-affine
+        assert rosicky_certificate(parse_bundle_file(text, name)[0]) is None
+    line = trivial_bundle(1, 1)
+    # a builtin past the registry: the certificate neither differentiates
+    # nor evaluates it, so it does not raise
+    hi_bump = parse_map("x0, 0, 0, x1 + (1/100)*d12bump(x0)", 2)
+    assert rosicky_certificate(dataclasses.replace(line, lam=hi_bump)) is None
+    # affine over the fibre with A = (1, 0) of full rank, but the vertical
+    # block A[k:] = (0) is singular
+    singular = dataclasses.replace(line, lam=parse_map("x0, 0, x1, 0", 2))
+    assert fibre_affine_decomposition(singular) is not None
+    assert rosicky_certificate(singular) is None
 
 
 # --------------------------------------------------------------------------
@@ -558,14 +605,21 @@ def test_equal_stacks_leave_the_corpus_reports_as_they_were(monkeypatch):
     def spy(A):
         seen.append(repeats(A))
         return seen[-1]
+
+    def reports():
+        # the rosicky squares of the two bundles are proved exactly in a
+        # corpus run, so their sampled checks join the oracle here
+        ros = [check_pullback(rosicky_square(corpus_entry(n).build()), cfg)
+               for n in names[:2]]
+        return _stripped(corpus_payload([corpus_run(n, cfg) for n in names],
+                                        cfg)), ros
     for mod in (jet, universal):
         monkeypatch.setattr(mod, "_one_matrix", spy)
-    fast = corpus_payload([corpus_run(n, cfg) for n in names], cfg)
+    fast = reports()
     assert sum(seen) > 50       # the entries run through equal stacks
     for mod in (jet, universal):
         monkeypatch.setattr(mod, "_one_matrix", lambda A: False)
-    slow = corpus_payload([corpus_run(n, cfg) for n in names], cfg)
-    assert _stripped(fast) == _stripped(slow)
+    assert fast == reports()
 
 
 def _toy_square(name, apex_dim, top, left, right, bottom, constraint=None):
@@ -774,7 +828,8 @@ def test_a_start_stops_below_the_smallest_step_or_after_400_polls():
 def test_conjugated_searches_make_at_most_half_the_calls_of_halving(
         monkeypatch):
     # a search that halved its step on failure and never expanded it made
-    # 40 + 87 + 102 + 75 = 304 score_batch calls in this pass
+    # 40 score_batch calls on the sampled rosicky square, and 87, 102 and
+    # 75 on the cockett, strong and combined squares of a corpus pass
     cfg = CheckConfig(seed=42)
     corpus_run("conjugated_1_1", cfg)       # warm
     counts = []
@@ -788,8 +843,11 @@ def test_conjugated_searches_make_at_most_half_the_calls_of_halving(
             return score_batch(P)
         return search(batch, starts, deep)
     monkeypatch.setattr(universal, "collapse_search", counted)
+    assert check_pullback(rosicky_square(conjugated_bundle()), cfg).ok
     assert corpus_run("conjugated_1_1", cfg).expectation_met
-    assert len(counts) == 4 and sum(counts) <= 304 // 2
+    assert len(counts) == 4
+    assert all(n <= halving // 2
+               for n, halving in zip(counts, (40, 87, 102, 75)))
 
 
 def test_the_first_hitting_call_ends_the_search_at_its_lowest_start():
