@@ -18,7 +18,7 @@ from .jet import (
 from .bundle import (
     BundleMorphism, BundleSpec, NotWellTyped, bump_bundle,
     check_additive_laws, check_morphism, check_predifferential,
-    conjugated_bundle, fibre_affine_decomposition, fibre_matched_tuples,
+    conjugated_bundle, fibre_chart, fibre_matched_tuples,
     induce_addition, scale_through_lambda, tangent_bundle, trivial_bundle,
     well_typed_tuples,
 )

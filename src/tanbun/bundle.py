@@ -4,20 +4,24 @@ A bundle here is a triple of chart maps (q, xi, lam): the projection
 q from the total chart to the base chart, its zero section xi, and
 the vertical lift lam into the tangent chart of the total space.
 Four equational laws are checked; when they hold, a fibrewise
-addition and scaling are derived from lam alone (closed form when
-lam is affine over the fibre coordinates, Gauss-Newton otherwise).
+addition and scaling are derived from lam alone.  For a polynomial lift
+affine over the fibre, fibre_chart is the exact vector-bundle chart v
+inverting the section (q, vert lam), and each closed form is v after the
+right-hand side of its defining equation; every other lift gets
+Gauss-Newton solves of those equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .expr import (
     Box, CheckConfig, Const, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    compose, con, cube, equal_maps, eval_batch, identity_map,
+    _poly_forms, compose, con, cube, equal_maps, eval_batch, identity_map,
     jac_eval_batch, normalize, parse_map, projection, row_gaps,
     simplify_map, smooth_map, substitute_vars, sum_of,
     symbolic_derivative_expr,
@@ -36,7 +40,7 @@ __all__ = [
     "bump_bundle",
     "check_predifferential", "induce_addition", "check_additive_laws",
     "check_morphism", "vert_lambda", "scale_through_lambda",
-    "well_typed_tuples", "fibre_matched_tuples", "fibre_affine_decomposition",
+    "well_typed_tuples", "fibre_matched_tuples", "fibre_chart",
 ]
 
 
@@ -232,52 +236,41 @@ def fibre_matched_tuples(q: SmoothMap, total_box: Box, cfg: CheckConfig,
 # Deriving the fibrewise algebra from lam
 
 
-def fibre_affine_decomposition(spec: BundleSpec):
-    """When q is the leading-coordinate projection and the tangent part
-    of lam is affine over the fibre coordinates with constant matrix,
-    return (A: rows of exact rationals, int or Fraction, pinv_A, beta:
-    list of Expr in the base variables); otherwise None.  This is the
-    closed-form gateway for addition, scalar recovery, and the retraction.
-    """
+@lru_cache(maxsize=64)
+def fibre_chart(spec: BundleSpec):
+    """The vector-bundle chart v(m, w) = (m, A^+ (w - beta(m))), a
+    polynomial map on the chart (m, w) of dimension base_dim + total_dim,
+    or None.  It exists when q is the leading-coordinate projection and
+    the tangent part of lam is polynomial and affine over the fibre,
+    vert lam(m, a) = A a + beta(m), with A a constant exact matrix of full
+    column rank; then A^+ A = I, so v inverts the section (q, vert lam).
+    The closed-form addition, scaling, retraction and rosicky inverse are
+    v after the right-hand sides of their defining equations."""
     d, k = spec.total_dim, spec.base_dim
-    if spec.q != projection(d, range(k)):
-        return None
     vl = vert_lambda(spec)
-    A = []
-    for comp in vl.components:
-        row = []
-        for j in range(k, d):
-            dd = normalize(symbolic_derivative_expr(comp, j))
-            if not isinstance(dd, Const):
-                return None
-            row.append(dd.value)
-        A.append(row)
-    zero_fibre = {j: con(0) for j in range(k, d)}
-    beta = [normalize(substitute_vars(c, zero_fibre)) for c in vl.components]
-    pinv = _fraction_pinv(A)
+    if spec.q != projection(d, range(k)) or _poly_forms(vl) is None:
+        return None
+    A = [[normalize(symbolic_derivative_expr(c, j)) for j in range(k, d)]
+         for c in vl.components]
+    if any(type(a) is not Const for row in A for a in row):
+        return None
+    pinv = _fraction_pinv([[a.value for a in row] for row in A])
     if pinv is None:
         return None
-    return A, pinv, beta
+    zero_fibre = {j: con(0) for j in range(k, d)}
+    w = [Var(k + i) - substitute_vars(c, zero_fibre)
+         for i, c in enumerate(vl.components)]
+    return simplify_map(smooth_map(k + d, [Var(i) for i in range(k)] + [
+        sum_of([con(c) * x for c, x in zip(row, w)]) for row in pinv]))
 
 
 def _fraction_pinv(A):
-    """(A^T A)^{-1} A^T over exact rationals; None when A^T A is singular."""
-    rows, cols = len(A), len(A[0]) if A else 0
-    if cols == 0:
-        return []
-    ata = [[sum(A[r][i] * A[r][j] for r in range(rows)) for j in range(cols)]
-           for i in range(cols)]
-    inv = _fraction_inverse(ata)
-    if inv is None:
-        return None
-    return [[sum(inv[i][t] * A[r][t] for t in range(cols)) for r in range(rows)]
-            for i in range(cols)]
-
-
-def _fraction_inverse(M):
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j))
-           for j in range(n)] for i in range(n)]
+    """(A^T A)^-1 A^T over exact rationals, by Gauss-Jordan elimination
+    on [A^T A | A^T]; None when A^T A is singular."""
+    rows, n = len(A), len(A[0])
+    aug = [[Fraction(sum(A[r][i] * A[r][j] for r in range(rows)))
+            for j in range(n)] + [Fraction(A[r][i]) for r in range(rows)]
+           for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -292,34 +285,27 @@ def _fraction_inverse(M):
     return [row[n:] for row in aug]
 
 
-def _pinv_beta_exprs(spec: BundleSpec, decomp):
-    """The fibre-chart offset pinv(A) . beta as expressions in base vars."""
-    _, pinv, beta = decomp
-    return [normalize(sum_of([con(c) * b for c, b in zip(row, beta)]))
-            for row in pinv]
-
-
 def induce_addition(spec: BundleSpec, universality):
     """Derive the fibrewise addition from lam.
 
     The sum of a and b is the unique e with lam(e) equal to lam(a) and
     lam(b) fibre-added in the tangent chart.  Exposed on the free pair
     chart (a, b) of dimension 2*total_dim; callers feed well-typed
-    pairs.  Gated on the rosicky square's verdict: Refused unless it
+    pairs.  Closed form v(a_m, vert lam(a) + vert lam(a_m, b_f)) through
+    the fibre chart, b read over a's base point; Newton-defined without
+    one.  Gated on the rosicky square's verdict: Refused unless it
     passes.
     """
     Refused.gate(universality, f"{spec.name}: addition")
+    chart = fibre_chart(spec)
+    if chart is None:
+        return _implicit_fibre_op(spec, mode="add")
     d, k = spec.total_dim, spec.base_dim
-    decomp = fibre_affine_decomposition(spec)
-    if decomp is not None:
-        offs = _pinv_beta_exprs(spec, decomp)
-        comps = [Var(i) for i in range(k)]
-        comps += [
-            sum_of([Var(k + j), Var(d + k + j), offs[j]])
-            for j in range(d - k)
-        ]
-        return simplify_map(smooth_map(2 * d, comps))
-    return _implicit_fibre_op(spec, mode="add")
+    vl = vert_lambda(spec)
+    vb = compose(vl, projection(2 * d, [*range(k), *range(d + k, 2 * d)]))
+    return simplify_map(compose(chart, smooth_map(2 * d, [
+        *map(Var, range(k)),
+        *(x + y for x, y in zip(vl.components, vb.components))])))
 
 
 def _implicit_fibre_op(spec: BundleSpec, mode: str):
@@ -374,22 +360,16 @@ def _chart_sum(zero: SmoothMap, X: np.ndarray, d: int) -> np.ndarray:
 def scale_through_lambda(spec: BundleSpec):
     """Fibre scaling derived from lam: lam(r . e) = r * tangent part.
 
-    Chart (r, e) of dimension 1 + total_dim.
+    Chart (r, e) of dimension 1 + total_dim.  Closed form v(e_m, r vert
+    lam(e)) through the fibre chart; Newton-defined without one.
     """
+    chart = fibre_chart(spec)
+    if chart is None:
+        return _implicit_fibre_op(spec, mode="scale")
     d, k = spec.total_dim, spec.base_dim
-    decomp = fibre_affine_decomposition(spec)
-    if decomp is not None:
-        shift = {i: Var(1 + i) for i in range(k)}
-        offs = [substitute_vars(o, shift)
-                for o in _pinv_beta_exprs(spec, decomp)]
-        r = Var(0)
-        comps = [Var(1 + i) for i in range(k)]
-        comps += [
-            sum_of([r * Var(1 + k + j), (r - con(1)) * offs[j]])
-            for j in range(d - k)
-        ]
-        return simplify_map(smooth_map(1 + d, comps))
-    return _implicit_fibre_op(spec, mode="scale")
+    ve = compose(vert_lambda(spec), projection(1 + d, range(1, 1 + d)))
+    return simplify_map(compose(chart, smooth_map(1 + d, [
+        *map(Var, range(1, 1 + k)), *(Var(0) * c for c in ve.components)])))
 
 
 # --------------------------------------------------------------------------

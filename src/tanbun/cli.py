@@ -15,14 +15,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .expr import (
-    Box, CheckConfig, ExprError, parse_map, _CONFIG_RULES, _config_error,
+    Box, CheckConfig, DEFAULT_CONFIG, ExprError, parse_map, _CONFIG_RULES,
+    _config_error,
 )
 from .bundle import BundleSpec
 from .jet import check_all_axioms
@@ -351,26 +352,22 @@ def _resolve_input(target: str):
 
 
 def _make_config(args, overrides) -> tuple:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in overrides:
-            return overrides[key]
-        return default
-
+    """The config of a run: each field from its flag, else from its key
+    in the file, else from DEFAULT_CONFIG (the seed from TANBUN_SEED
+    first)."""
+    defaults = asdict(DEFAULT_CONFIG)
     env_seed = os.environ.get("TANBUN_SEED")
-    seed_default = 42
     if env_seed is not None:
         try:
-            seed_default = _number(int, env_seed)
+            defaults["seed"] = _number(int, env_seed)
         except ValueError:
             raise UsageError(f"TANBUN_SEED must be an integer, got "
                              f"{env_seed!r}")
-    values = {"count": pick(args.samples, "samples", 200),
-              "tol": pick(args.tol, "tol", 1e-9),
-              "seed": pick(args.seed, "seed", seed_default),
-              "t_depth": pick(args.depth, "depth", 2)}
+    values = {}
     for field, (key, _, _) in _CONFIG_RULES.items():
+        flag = getattr(args, key)
+        values[field] = flag if flag is not None \
+            else overrides.get(key, defaults[field])
         bad = _config_error(field, values[field], key)
         if bad:
             raise UsageError(bad)
@@ -507,11 +504,13 @@ def _flag_number(conv):
 
 def _add_config_flags(p):
     p.add_argument("--samples", type=_flag_number(int), default=None,
-                   help="sample count for numeric laws (default 200)")
+                   help="sample count for numeric laws "
+                   f"(default {DEFAULT_CONFIG.count})")
     p.add_argument("--tol", type=_flag_number(float), default=None,
-                   help="numeric tolerance (default 1e-9)")
+                   help=f"numeric tolerance (default {DEFAULT_CONFIG.tol})")
     p.add_argument("--seed", type=_flag_number(int), default=None,
-                   help="RNG seed (default TANBUN_SEED or 42)")
+                   help="RNG seed (default TANBUN_SEED or "
+                   f"{DEFAULT_CONFIG.seed})")
     p.add_argument("--depth", type=_flag_number(int), choices=(0, 1, 2),
                    default=None,
                    help="tangent nesting depth for square checks")

@@ -25,7 +25,7 @@ from .expr import (
 )
 from .jet import ImplicitMap, _solve_rows, row_ordered, tangent_map
 from .bundle import (
-    BundleMorphism, BundleSpec, check_morphism, fibre_affine_decomposition,
+    BundleMorphism, BundleSpec, check_morphism, fibre_chart,
     trivial_bundle, vert_lambda,
 )
 from .report import (
@@ -163,26 +163,17 @@ def splitting_pair(spec: BundleSpec, universality):
     """The section (q, vertical lam) into the T_M(E) chart and the
     retraction K back onto E.
 
-    K inverts lam on the image of the projector: closed form when the
-    lift is fibre-affine with constant matrix, otherwise a Newton solve
-    of lam(e) = iota(chi(m, w)).  Gated on the rosicky square's
-    verdict."""
+    K inverts lam on the image of the projector: for a polynomial lift
+    with a fibre chart v (bundle.fibre_chart) it is the closed form v .
+    chi, otherwise a Newton solve of lam(e) = iota(chi(m, w)).  Gated on
+    the rosicky square's verdict."""
     Refused.gate(universality, f"{spec.name}: splitting")
     d, k = spec.total_dim, spec.base_dim
     section = concat_maps(spec.q, vert_lambda(spec))
     ch = chi(spec)
-    chi_w = ch.components[k:]
-
-    decomp = fibre_affine_decomposition(spec)
-    if decomp is not None:
-        _, pinv, beta = decomp
-        comps = list(Var(i) for i in range(k))
-        for row in pinv:
-            comps.append(sum(
-                (con(c) * (cw - be) for c, cw, be in zip(row, chi_w, beta)),
-                con(0),
-            ))
-        return section, simplify_map(SmoothMap(k + d, comps))
+    chart = fibre_chart(spec)
+    if chart is not None:
+        return section, simplify_map(compose(chart, ch))
 
     shift = {i: Var(k + d + i) for i in range(d)}
     pbt = pulled_back_tangent(spec)

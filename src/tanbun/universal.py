@@ -7,9 +7,11 @@ map from the apex into the fibre product of the cospan is bijective:
 sampled injectivity, Jacobian-rank equality against the fibre-product
 tangent dimension, and Newton-recovered preimages of perturbed cone
 points.  A Fail always carries a concrete witness; Pass is sampled
-evidence, not proof.  The rosicky square of a polynomial lift affine over
-the fibre is instead proved, at every depth, by rosicky_certificate: the
-cone map's explicit polynomial inverse, checked on canonical forms.
+evidence, not proof.  The rosicky square of a polynomial lift with a
+fibre chart v (bundle.fibre_chart) is instead proved, at every depth, by
+rosicky_certificate: the cone map's explicit polynomial inverse, v after
+the inclusion of the vertical vectors along the zero section, checked
+on canonical forms.
 
 The same rank machinery decides whether a chart map is a submersion on
 a box: its derivative's smallest singular value over samples, with the
@@ -32,8 +34,8 @@ from .expr import (
     projection, row_gaps, simplify_map, smooth_map, sum_of, to_source,
 )
 from .bundle import (
-    BundleSpec, CheckReport, LawResult, Verdict, _fraction_inverse,
-    fibre_affine_decomposition, induce_addition, vert_lambda,
+    BundleSpec, CheckReport, LawResult, Verdict, fibre_chart,
+    induce_addition, vert_lambda,
 )
 from .report import Refused, sampled_law
 from .jet import (
@@ -130,24 +132,21 @@ def rosicky_certificate(spec: BundleSpec,
     """The rosicky square proved a jet-stable pullback, as a CheckReport
     whose four laws read pass-exact, or None, and then check_pullback
     samples it.  It is proved when q, xi and lam are polynomial, the
-    fibre_affine_decomposition (A, pinv, beta) of lam exists, its
-    vertical block A[k:] is invertible, and three identities hold on
-    canonical polynomial forms: right . top = bottom . left, u . v = id
-    and v . u = id, for the cone map u = (q, vert lam[k:]) and v(m, w) =
-    (m, A[k:]^-1 (w - beta[k:](m))).  Commutation charts the fibre
-    product by (m, w) -> ((xi(m), (0, w)), m), where the cone map is u;
-    then T^n(v) inverts T^n(u) at every depth n."""
+    lift has a fibre chart v (bundle.fibre_chart), and three identities
+    hold on canonical polynomial forms: right . top = bottom . left,
+    u . v' = id and v' . u = id, for the cone map u = (q, vert lam[k:])
+    and v' = v . iota, iota(m, w') = (m, 0_k, w').
+    Commutation charts the fibre product by (m, w') -> ((xi(m), (0,
+    w')), m), where the cone map is u; then T^n(v') inverts T^n(u) at
+    every depth n."""
     if any(_poly_forms(f) is None for f in (spec.q, spec.xi, spec.lam)):
         return None         # no builtin is differentiated or evaluated
-    decomp = fibre_affine_decomposition(spec)
-    d, k = spec.total_dim, spec.base_dim
-    inv = None if decomp is None else _fraction_inverse(decomp[0][k:])
-    if inv is None:
+    chart = fibre_chart(spec)
+    if chart is None:
         return None
-    beta = decomp[2]
-    w = [Var(k + t) - beta[k + t] for t in range(d - k)]
-    v = simplify_map(smooth_map(d, [Var(i) for i in range(k)] + [
-        sum_of([con(c) * x for c, x in zip(row, w)]) for row in inv]))
+    d, k = spec.total_dim, spec.base_dim
+    v = simplify_map(compose(chart, smooth_map(d, [
+        *map(Var, range(k)), *[con(0)] * k, *map(Var, range(k, d))])))
     u = SmoothMap(d, spec.q.components + vert_lambda(spec).components[k:])
     sq = rosicky_square(spec)
     if any(equal_maps(f, g, sq.apex_box, cfg).kind != "equal" for f, g in (

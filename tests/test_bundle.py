@@ -2,25 +2,35 @@
 bundle morphisms."""
 
 import dataclasses
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tanbun import jet
 from tanbun.expr import (
-    CheckConfig, DenominatorNearZero, cube, eval_batch, eval_map,
-    parse_map, to_source,
+    CheckConfig, Const, DEFAULT_CONFIG, DenominatorNearZero, ExprError,
+    SmoothMap, Var, _poly_forms, compose, con, cube, equal_maps,
+    eval_batch, eval_map, identity_map, normalize, parse_map, projection,
+    simplify_map, smooth_map, substitute_vars, sum_of,
+    symbolic_derivative_expr, to_source,
 )
 from tanbun.jet import ImplicitMap, NewtonDiverged, solve_least_norm
 from tanbun.bundle import (
     BundleMorphism, BundleSpec, Verdict, _implicit_fibre_op, _pairwise,
     check_additive_laws, check_morphism, check_predifferential,
-    fibre_affine_decomposition, fibre_matched_tuples, induce_addition,
+    fibre_chart, fibre_matched_tuples, induce_addition,
     scale_through_lambda, vert_lambda, well_typed_tuples,
 )
-from tanbun.corpus import bump_bundle, conjugated_bundle, trivial_bundle
+from tanbun.corpus import (
+    bump_bundle, conjugated_bundle, corpus_entry, run_suites, trivial_bundle,
+)
 from tanbun.report import Refused
-from tanbun.universal import check_pullback, rosicky_square
+from tanbun.splitting import chi, splitting_pair
+from tanbun.universal import (
+    check_pullback, rosicky_certificate, rosicky_square,
+)
 
 CFG = CheckConfig(count=40, seed=5)
 PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
@@ -237,14 +247,221 @@ def test_fibre_matched_tuples_keep_the_rows_of_the_row_loop(src):
 
 
 def test_affine_decomposition_found_for_polynomial_lifts():
-    assert fibre_affine_decomposition(trivial_bundle(1, 2)) is not None
-    assert fibre_affine_decomposition(conjugated_bundle()) is not None
+    assert fibre_chart(trivial_bundle(1, 2)) is not None
+    assert fibre_chart(conjugated_bundle()) is not None
 
 
 def test_affine_decomposition_refused_for_bump():
     # The fibre of the bump projection enters through a cubic blend, so
     # no fibre-affine splitting of the lift exists.
-    assert fibre_affine_decomposition(bump_bundle()) is None
+    assert fibre_chart(bump_bundle()) is None
+
+
+# --------------------------------------------------------------------------
+# The fibre chart against the triple-based builders it replaced
+
+
+def _ref_inverse(M):
+    """M^-1 over exact rationals by Gauss-Jordan elimination, or None."""
+    n = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+           for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _ref_decomposition(spec):
+    """The (A, pinv(A), beta) triple of vert lam = A a + beta(m), from
+    which the closed forms were once built; None where it did not exist."""
+    d, k = spec.total_dim, spec.base_dim
+    if spec.q != projection(d, range(k)):
+        return None
+    A = []
+    for comp in vert_lambda(spec).components:
+        row = [normalize(symbolic_derivative_expr(comp, j))
+               for j in range(k, d)]
+        if any(not isinstance(a, Const) for a in row):
+            return None
+        A.append([a.value for a in row])
+    zero_fibre = {j: con(0) for j in range(k, d)}
+    beta = [normalize(substitute_vars(c, zero_fibre))
+            for c in vert_lambda(spec).components]
+    ata = [[sum(r[i] * r[j] for r in A) for j in range(d - k)]
+           for i in range(d - k)]
+    inv = _ref_inverse(ata)
+    if inv is None:
+        return None
+    pinv = [[sum(inv[i][t] * r[t] for t in range(d - k)) for r in A]
+            for i in range(d - k)]
+    return A, pinv, beta
+
+
+def _ref_offsets(pinv, beta):
+    return [normalize(sum_of([con(c) * b for c, b in zip(row, beta)]))
+            for row in pinv]
+
+
+def _ref_addition(spec, decomp):
+    d, k = spec.total_dim, spec.base_dim
+    offs = _ref_offsets(*decomp[1:])
+    return simplify_map(smooth_map(2 * d, [Var(i) for i in range(k)] + [
+        sum_of([Var(k + j), Var(d + k + j), offs[j]]) for j in range(d - k)]))
+
+
+def _ref_scaling(spec, decomp):
+    d, k = spec.total_dim, spec.base_dim
+    shift = {i: Var(1 + i) for i in range(k)}
+    offs = [substitute_vars(o, shift) for o in _ref_offsets(*decomp[1:])]
+    r = Var(0)
+    return simplify_map(smooth_map(1 + d, [Var(1 + i) for i in range(k)] + [
+        sum_of([r * Var(1 + k + j), (r - con(1)) * offs[j]])
+        for j in range(d - k)]))
+
+
+def _ref_retraction(spec, decomp):
+    d, k = spec.total_dim, spec.base_dim
+    _, pinv, beta = decomp
+    chi_w = chi(spec).components[k:]
+    comps = [Var(i) for i in range(k)] + [
+        sum((con(c) * (cw - be) for c, cw, be in zip(row, chi_w, beta)),
+            con(0)) for row in pinv]
+    return simplify_map(SmoothMap(k + d, comps))
+
+
+def _ref_certified_inverse(spec, decomp):
+    """The rosicky certificate's inverse as source, or None where the
+    certificate refused."""
+    d, k = spec.total_dim, spec.base_dim
+    if any(_poly_forms(f) is None for f in (spec.q, spec.xi, spec.lam)):
+        return None
+    inv = _ref_inverse(decomp[0][k:])
+    if inv is None:
+        return None
+    beta = decomp[2]
+    w = [Var(k + t) - beta[k + t] for t in range(d - k)]
+    v = simplify_map(smooth_map(d, [Var(i) for i in range(k)] + [
+        sum_of([con(c) * x for c, x in zip(row, w)]) for row in inv]))
+    u = SmoothMap(d, spec.q.components + vert_lambda(spec).components[k:])
+    sq = rosicky_square(spec)
+    if any(equal_maps(f, g, sq.apex_box, CFG).kind != "equal" for f, g in (
+            (compose(sq.right, sq.top), compose(sq.bottom, sq.left)),
+            (compose(u, v), identity_map(d)),
+            (compose(v, u), identity_map(d)))):
+        return None
+    return to_source(v)
+
+
+def _fibre_translates():
+    """The ten fibre_translate_* lifts of acceptance criterion 05."""
+    rng = np.random.default_rng(77)
+    for idx in range(10):
+        c = rng.integers(-3, 4, 3)
+        beta = f"({int(c[0])} + {int(c[1])}*x0 + {int(c[2])}*x0^2)"
+        yield BundleSpec(
+            name=f"fibre_translate_{idx}", base_dim=1, total_dim=2,
+            base_box=cube(1), total_box=cube(2, -40, 40),
+            q=parse_map("x0", 2), xi=parse_map(f"x0, {beta}", 1),
+            lam=parse_map(f"x0, {beta}, 0, x1 - {beta}", 2))
+
+
+def _chart_changes(seed: int, count: int):
+    """Lifts whose section is the chart change (m, a) -> (m, M a + b(m)):
+    M an invertible rational matrix, b quadratic in m.  One in four also
+    gets a nonzero base block in its tangent part, which breaks the
+    rosicky square's commutation."""
+    rng = random.Random(seed)
+
+    def coef():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for idx in range(count):
+        k, n = rng.choice((1, 2)), rng.choice((1, 2, 3))
+        d = k + n
+        M = None
+        while M is None or _ref_inverse(M) is None:
+            M = [[coef() for _ in range(n)] for _ in range(n)]
+        m = [Var(i) for i in range(k)]
+        quad = [con(1)] + m + [m[i] * m[j] for i in range(k)
+                               for j in range(i, k)]
+
+        def b():
+            return sum_of([con(coef()) * t for t in quad])
+
+        fibre = [sum_of([con(c) * Var(k + j) for j, c in enumerate(row)]
+                        + [b()]) for row in M]
+        base = [sum_of([con(coef()) * Var(k + j) for j in range(n)])
+                if idx % 4 == 3 else con(0) for _ in range(k)]
+        yield BundleSpec(
+            name=f"chart_change_{idx}", base_dim=k, total_dim=d,
+            base_box=cube(k), total_box=cube(d),
+            q=projection(d, range(k)), xi=smooth_map(k, m + [con(0)] * n),
+            lam=smooth_map(d, m + [con(0)] * n + base + fibre))
+
+
+def test_the_fibre_chart_gives_the_maps_of_the_triple_based_builders():
+    specs = [corpus_entry(name).build() for name in (
+        "trivial_1_1", "trivial_2_3", "tangent_bundle_1",
+        "tangent_bundle_2", "conjugated_1_1")]
+    specs += list(_fibre_translates()) + list(_chart_changes(11, 60))
+    refused = 0
+    for spec in specs:
+        decomp = _ref_decomposition(spec)
+        assert decomp is not None and fibre_chart(spec) is not None
+        assert induce_addition(spec, PASSED) == _ref_addition(spec, decomp)
+        assert scale_through_lambda(spec) == _ref_scaling(spec, decomp)
+        assert splitting_pair(spec, PASSED)[1] == \
+            _ref_retraction(spec, decomp)
+        cert = rosicky_certificate(spec, CFG)
+        inverse = None if cert is None \
+            else cert.entries[0].provenance["inverse"]
+        assert inverse == _ref_certified_inverse(spec, decomp), spec.name
+        # a nonzero base block breaks the square's commutation
+        base_block = vert_lambda(spec).components[:spec.base_dim]
+        assert (cert is None) == any(c != con(0) for c in base_block)
+        refused += cert is None
+    assert refused >= 10
+
+
+def _offset_lift(offset: str) -> BundleSpec:
+    return BundleSpec(
+        name="offset", base_dim=1, total_dim=2, base_box=cube(1),
+        total_box=cube(2), q=parse_map("x0", 2),
+        xi=parse_map(f"x0, {offset}", 1),
+        lam=parse_map(f"x0, {offset}, 0, x1 - ({offset})", 2))
+
+
+@pytest.mark.parametrize("offset", ["sin(x0)", "x0*exp(x0)/4"])
+def test_a_fibre_affine_lift_with_a_builtin_offset_is_newton_defined(offset):
+    # the chart is exact only on polynomial lifts: composing it here would
+    # leave beta - beta uncancelled in the closed forms
+    spec = _offset_lift(offset)
+    assert fibre_chart(spec) is None
+    assert isinstance(induce_addition(spec, PASSED), ImplicitMap)
+    assert isinstance(scale_through_lambda(spec), ImplicitMap)
+    assert isinstance(splitting_pair(spec, PASSED)[1], ImplicitMap)
+    reports = run_suites(spec, DEFAULT_CONFIG)
+    assert all(rep.aggregate is Verdict.PASS_NUMERIC
+               for rep in reports.values())
+    assert reports["split"]["uniqueness"].verdict is Verdict.PASS_NUMERIC
+
+
+def test_no_fibre_chart_for_a_builtin_past_the_registry():
+    # the chart neither differentiates nor evaluates d12bump, so it does
+    # not raise
+    spec = _with(trivial_bundle(1, 1),
+                 lam=parse_map("x0, 0, 0, x1 + (1/100)*d12bump(x0)", 2))
+    with pytest.raises(ExprError, match="registry"):
+        vert_lambda(spec).jacobian([0.0, 0.0])
+    assert fibre_chart(spec) is None
 
 
 def test_lambda_parts_recombine():

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from tanbun import cli
 from tanbun.cli import BundleFileError, main, parse_bundle_file
+from tanbun.expr import DEFAULT_CONFIG
 
 LINE_DB = """\
 # a one-line demo bundle
@@ -424,6 +426,14 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
                                    "--seed", "9", "--suite", "pre",
                                    "--format", "json"])
     assert doc["seed"] == 9
+
+
+def test_the_run_settings_default_to_the_default_config(monkeypatch):
+    # with no flag, no file key and no TANBUN_SEED, a run is configured
+    # by CheckConfig's own defaults
+    monkeypatch.delenv("TANBUN_SEED", raising=False)
+    args = cli._build_parser().parse_args(["check", "trivial_1_1"])
+    assert cli._make_config(args, {}) == (DEFAULT_CONFIG, "all")
 
 
 def test_force_marks_later_suites_untrusted(capsys):

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tanbun import corpus, universal
+from tanbun import bundle, corpus, universal
 from tanbun.expr import CheckConfig, eval_map
 from tanbun.bundle import Verdict, induce_addition
 from tanbun.corpus import (
@@ -241,3 +241,18 @@ def test_counterexample_expectation_is_a_recorded_failure():
     assert res.expected == "fail"
     assert res.expectation_met
     assert "rank" in res.failed_laws
+
+
+@pytest.mark.parametrize("name", NAMES[:5])
+def test_a_positive_entry_computes_its_fibre_chart_at_most_twice(
+        monkeypatch, name):
+    # once for the bundle, whose rosicky certificate, addition, scaling
+    # and retraction share it, and once for the as-lift bundle of the vb
+    # round trip
+    calls = []
+    real = bundle._fraction_pinv
+    monkeypatch.setattr(bundle, "_fraction_pinv",
+                        lambda A: calls.append(A) or real(A))
+    bundle.fibre_chart.cache_clear()
+    assert corpus_run(name, CFG).expectation_met
+    assert 1 <= len(calls) <= 2

@@ -315,6 +315,17 @@ def d(x):
     assert lines == [7, 12, 17, 25, 26, 27]
 
 
+def test_no_module_imports_a_private_name_of_bundle():
+    # the fibre chart's data stays inside bundle: the other modules reach
+    # the chart only through fibre_chart
+    found = [f"{path.name}:{node.lineno}: {a.name}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and node.module in ("bundle", "tanbun.bundle")
+             for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 def test_one_universality_gate():
     # every gate goes through report.Refused.gate, so its refusal text is
     # written once

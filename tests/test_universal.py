@@ -18,7 +18,7 @@ from tanbun.jet import (
     jac_point, solve_least_norm, tangent_map, tangent_of,
 )
 from tanbun.bundle import (
-    BundleSpec, Verdict, fibre_affine_decomposition, induce_addition,
+    BundleSpec, Verdict, fibre_chart, induce_addition,
 )
 from tanbun.cli import parse_bundle_file
 from tanbun.corpus import (
@@ -146,7 +146,7 @@ def test_no_certificate_without_an_exact_polynomial_inverse(monkeypatch):
     # affine over the fibre with A = (1, 0) of full rank, but the vertical
     # block A[k:] = (0) is singular
     singular = dataclasses.replace(line, lam=parse_map("x0, 0, x1, 0", 2))
-    assert fibre_affine_decomposition(singular) is not None
+    assert fibre_chart(singular) is not None
     assert rosicky_certificate(singular) is None
 
 
