@@ -40,7 +40,7 @@ __all__ = [
     "bump_bundle",
     "check_predifferential", "induce_addition", "check_additive_laws",
     "check_morphism", "vert_lambda", "scale_through_lambda",
-    "well_typed_tuples", "fibre_matched_tuples", "fibre_chart",
+    "fibre_matched_tuples", "fibre_chart",
 ]
 
 
@@ -178,34 +178,25 @@ def check_predifferential(spec: BundleSpec,
     for law_id, anchor, lhs, rhs, box in pairs:
         v = equal_maps(lhs, rhs, box, cfg)
         rep.add(law_from_verdict(law_id, anchor, v,
-                                 provenance=_prov(cfg)))
+                                 provenance=cfg.provenance()))
     return rep
-
-
-def _prov(cfg: CheckConfig) -> dict:
-    return {"seed": cfg.seed, "count": cfg.count, "tol": cfg.tol}
 
 
 # --------------------------------------------------------------------------
 # Sampling well-typed tuples (points sharing a base image)
 
 
-def well_typed_tuples(spec: BundleSpec, cfg: CheckConfig, width: int = 2,
-                      tag: str = "pairs"):
-    """Sample tuples of total-chart points with equal q-images.
-
-    The first member is drawn from the box; the others are drawn and
-    then projected onto the first member's fibre by Gauss-Newton.
-    Returns (list of arrays (n, total_dim), discarded count).
-    """
-    return fibre_matched_tuples(spec.q, spec.total_box, cfg, width=width,
-                                tag=f"{spec.name}:{tag}")
-
-
 def fibre_matched_tuples(q: SmoothMap, total_box: Box, cfg: CheckConfig,
                          width: int = 2, count: int | None = None,
                          tag: str = "pairs"):
-    """The sampling core of well_typed_tuples for a bare projection."""
+    """Sample tuples of total-chart points with equal q-images.
+
+    The first member is drawn from the box; the others are drawn and
+    then projected onto the first member's fibre by Gauss-Newton.  The
+    tag names the rng stream and the refusal.  Returns (list of arrays
+    (n, total_dim), discarded count): the tuples whose members were all
+    found within 0.5 of the box, and how many were not.
+    """
     n = count if count is not None else cfg.count
     rng = cfg.rng(tag)
     first = total_box.sample(rng, n)
@@ -407,9 +398,10 @@ def check_additive_laws(spec: BundleSpec, add,
     When add is Newton-defined and they all pass, the laws are derived
     and only a + b is solved, unless the bound exceeds tol."""
     rep = CheckReport(f"{spec.name}: fibrewise addition laws")
-    (a, b, c), discarded = well_typed_tuples(spec, cfg, width=3, tag="add3")
+    (a, b, c), discarded = fibre_matched_tuples(
+        spec.q, spec.total_box, cfg, width=3, tag=f"{spec.name}:add3")
     inputs = np.hstack([a, b, c])
-    prov = {**_prov(cfg), "discarded": discarded, "count": len(a)}
+    prov = cfg.provenance(discarded=discarded, count=len(a))
     derived = _derived_laws(spec, add, cfg.tol, a, b, hypotheses, prov)
     if derived is not None:
         ab, laws = derived
@@ -431,7 +423,7 @@ def check_additive_laws(spec: BundleSpec, add,
         rep.add(sampled_law(
             "add-declared", "declared addition = induced addition",
             row_gaps(ab, _pairwise(declared, a, b)), inputs,
-            cfg.tol, {**_prov(cfg), "count": len(a)}))
+            cfg.tol, cfg.provenance(count=len(a))))
     return rep
 
 
@@ -527,23 +519,24 @@ def check_morphism(mor: BundleMorphism, cfg: CheckConfig, source_add,
     v1 = equal_maps(compose(tgt.q, mor.f), compose(f0, src.q),
                     src.total_box, cfg)
     rep.add(law_from_verdict("mor-base", "q' . f = f0 . q", v1,
-                             provenance=_prov(cfg)))
+                             provenance=cfg.provenance()))
     v2 = equal_maps(compose(tgt.lam, mor.f),
                     compose(tangent_map(mor.f, 1), src.lam),
                     src.total_box, cfg)
     rep.add(law_from_verdict("mor-lift", "lam' . f = T(f) . lam", v2,
-                             provenance=_prov(cfg)))
+                             provenance=cfg.provenance()))
 
     try:
-        (a, b), discarded = well_typed_tuples(src, cfg, width=2, tag="mor")
+        (a, b), discarded = fibre_matched_tuples(
+            src.q, src.total_box, cfg, width=2, tag=f"{src.name}:mor")
         fa = eval_batch(mor.f, a)
         fb = eval_batch(mor.f, b)
         lhs = eval_batch(mor.f, _pairwise(source_add, a, b))
         rhs = _pairwise(target_add, fa, fb)
         rep.add(sampled_law("mor-add", "f(a + b) = f(a) + f(b)",
                             row_gaps(lhs, rhs), np.hstack([a, b]), cfg.tol,
-                            {**_prov(cfg), "discarded": discarded,
-                             "count": len(a)}))
+                            cfg.provenance(discarded=discarded,
+                                           count=len(a))))
     except (NewtonDiverged, NotWellTyped) as exc:
         rep.add(LawResult("mor-add", "f(a + b) = f(a) + f(b)",
                           Verdict.SKIPPED, note=str(exc)))

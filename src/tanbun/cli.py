@@ -260,12 +260,8 @@ class RunReport:
             "force": self.force,
             "aggregate": self.aggregate.value,
             "wall_clock_s": self.wall_clock_s,
-            "suites": [
-                {"id": sid, "trusted": trusted,
-                 "aggregate": rep.aggregate.value,
-                 "laws": [_law_dict(e) for e in rep.entries]}
-                for sid, trusted, rep in self.suites
-            ],
+            "suites": [{"id": sid, "trusted": trusted, **_report_dict(rep)}
+                       for sid, trusted, rep in self.suites],
         }
 
     def to_json(self) -> str:
@@ -314,6 +310,11 @@ def _law_dict(e) -> dict:
         "note": e.note,
         "provenance": _plain(e.provenance),
     }
+
+
+def _report_dict(rep) -> dict:
+    return {"aggregate": rep.aggregate.value,
+            "laws": [_law_dict(e) for e in rep.entries]}
 
 
 def _exit_code(aggregate: Verdict) -> int:
@@ -415,11 +416,8 @@ def _corpus_result_dict(res) -> dict:
         "failed_laws": list(res.failed_laws),
         "expectation_met": res.expectation_met,
         "seconds": round(res.seconds, 3),
-        "suites": {
-            sid: {"aggregate": rep.aggregate.value,
-                  "laws": [_law_dict(e) for e in rep.entries]}
-            for sid, rep in res.reports.items()
-        },
+        "suites": {sid: _report_dict(rep)
+                   for sid, rep in res.reports.items()},
     }
 
 
@@ -476,9 +474,7 @@ def _cmd_axioms(args) -> int:
     rep = check_all_axioms(dims, cfg=cfg)
     if args.format == "json":
         print(json.dumps(
-            {"schema": SCHEMA, "tool": _version(),
-             "aggregate": rep.aggregate.value,
-             "laws": [_law_dict(e) for e in rep.entries]},
+            {"schema": SCHEMA, "tool": _version(), **_report_dict(rep)},
             sort_keys=True, indent=2))
     else:
         print(rep.describe())

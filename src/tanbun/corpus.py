@@ -40,7 +40,6 @@ __all__ = [
     "CorpusEntry", "CorpusResult", "UnknownCorpusEntry", "SUITE_ORDER",
     "trivial_bundle", "tangent_bundle", "conjugated_bundle", "bump_bundle",
     "run_suites", "corpus_list", "corpus_entry", "corpus_run",
-    "corpus_run_all",
 ]
 
 
@@ -454,7 +453,3 @@ def corpus_run(name: str, cfg: CheckConfig = DEFAULT_CONFIG) -> CorpusResult:
         name=entry.name, expected=entry.expected, aggregate=aggregate,
         failed_laws=tuple(sorted(failed)), expectation_met=met,
         reports=reports, seconds=seconds)
-
-
-def corpus_run_all(cfg: CheckConfig = DEFAULT_CONFIG) -> list:
-    return [corpus_run(entry.name, cfg) for entry in corpus_list()]

@@ -36,7 +36,7 @@ __all__ = [
     "SmoothMap", "Box", "CheckConfig", "DEFAULT_CONFIG", "EqVerdict",
     "ExprError", "ParseError", "DimensionMismatch", "DenominatorNearZero",
     "parse_map", "to_source", "normalize", "con", "smooth_map", "cube",
-    "eval_map", "eval_batch", "eval_exact", "eval_mp",
+    "eval_batch", "eval_exact", "eval_mp",
     "compose", "identity_map", "projection", "concat_maps",
     "poly_normalize", "poly_to_expr", "simplify_map",
     "symbolic_derivative", "jacobian_exprs", "jac_eval_batch",
@@ -467,9 +467,6 @@ class SmoothMap:
     def coarity(self) -> int:
         return len(self.components)
 
-    def __call__(self, x):
-        return eval_map(self, x)
-
     def eval_batch(self, X) -> np.ndarray:
         return eval_batch(self, X)
 
@@ -477,7 +474,12 @@ class SmoothMap:
         return jac_eval_batch(self, X)
 
     def eval_point(self, x) -> np.ndarray:
-        return eval_map(self, x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.arity,):
+            raise DimensionMismatch(
+                f"point of shape {x.shape} fed to map of arity {self.arity}"
+            )
+        return eval_batch(self, x[None, :])[0]
 
     def jacobian(self, x) -> np.ndarray:
         return jac_eval_batch(self, np.asarray(x, dtype=float)[None, :])[0]
@@ -777,15 +779,6 @@ def to_source(f: SmoothMap) -> str:
 # Evaluation
 
 
-def _check_point(f: SmoothMap, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.arity,):
-        raise DimensionMismatch(
-            f"point of shape {x.shape} fed to map of arity {f.arity}"
-        )
-    return x
-
-
 def _evaluate(e: Expr, env, num):
     """Value of e with Var(i) bound to env[i], in the number kind `num`.
 
@@ -910,12 +903,6 @@ def eval_batch(f: SmoothMap, X) -> np.ndarray:
         for j, c in enumerate(f.components):
             out[:, j] = _evaluate(c, cols, num)
     return out
-
-
-def eval_map(f: SmoothMap, x) -> np.ndarray:
-    """Evaluate f at a single point."""
-    x = _check_point(f, x)
-    return eval_batch(f, x[None, :])[0]
 
 
 def eval_exact(f: SmoothMap, x: Sequence[Fraction]) -> list:
@@ -1120,40 +1107,38 @@ def simplify_map(f: SmoothMap) -> SmoothMap:
 def symbolic_derivative(f: SmoothMap, var: int) -> SmoothMap:
     if not (0 <= var < f.arity):
         raise DimensionMismatch(f"no variable x{var} in map of arity {f.arity}")
-    return SmoothMap(f.arity, tuple(_ddx(c, var) for c in f.components))
+    return SmoothMap(f.arity, tuple(symbolic_derivative_expr(c, var)
+                                    for c in f.components))
 
 
-def _ddx(e: Expr, var: int) -> Expr:
+def symbolic_derivative_expr(e: Expr, var: int) -> Expr:
+    """Partial derivative of a single expression."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == var else ZERO
     if isinstance(e, Sum):
-        return sum_of([_ddx(t, var) for t in e.terms])
+        return sum_of([symbolic_derivative_expr(t, var) for t in e.terms])
     if isinstance(e, Product):
         terms = []
         for i, fa in enumerate(e.factors):
-            d = _ddx(fa, var)
+            d = symbolic_derivative_expr(fa, var)
             if isinstance(d, Const) and d.value == 0:
                 continue
             terms.append(product_of([*e.factors[:i], d, *e.factors[i + 1:]]))
         return sum_of(terms)
     if isinstance(e, Pow):
-        d = _ddx(e.base, var)
+        d = symbolic_derivative_expr(e.base, var)
         return product_of([con(e.exponent), power(e.base, e.exponent - 1), d])
     if isinstance(e, Quot):
-        dn, dd = _ddx(e.num, var), _ddx(e.den, var)
+        dn = symbolic_derivative_expr(e.num, var)
+        dd = symbolic_derivative_expr(e.den, var)
         num = sum_of([product_of([dn, e.den]), neg(product_of([e.num, dd]))])
         return quotient(num, power(e.den, 2))
     if isinstance(e, Call):
         outer = _derivative_of_builtin(e.name, e.arg)
-        return product_of([outer, _ddx(e.arg, var)])
+        return product_of([outer, symbolic_derivative_expr(e.arg, var)])
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def symbolic_derivative_expr(e: Expr, var: int) -> Expr:
-    """Partial derivative of a single expression."""
-    return _ddx(e, var)
 
 
 @lru_cache(maxsize=512)
@@ -1214,15 +1199,6 @@ class Box:
         lo, hi = self.lo(), self.hi()
         return lo + (hi - lo) * rng.random((count, self.dim))
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo(), self.hi())
-
-    def contains(self, x, slack: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lo() - slack) and np.all(x <= self.hi() + slack)
-        )
-
 
 def cube(dim: int, lo=-2, hi=2) -> Box:
     return Box(tuple((lo, hi) for _ in range(dim)))
@@ -1264,6 +1240,12 @@ class CheckConfig:
         digest = sum(ord(c) * 31 ** i for i, c in enumerate(tag)) % (2 ** 31)
         return np.random.default_rng([self.seed, digest])
 
+    def provenance(self, **extra) -> dict:
+        """The sampler settings a law records, with `extra` keys added
+        or overriding them."""
+        return {"seed": self.seed, "count": self.count, "tol": self.tol,
+                **extra}
+
 
 DEFAULT_CONFIG = CheckConfig()
 
@@ -1277,10 +1259,6 @@ class EqVerdict:
     witness: tuple | None = None   # (point, lhs value, rhs value)
     max_residual: float = 0.0
     reason: str = ""
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "equal"
 
 
 def equal_maps(f, g, box: Box, cfg: CheckConfig = DEFAULT_CONFIG) -> EqVerdict:

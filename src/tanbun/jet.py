@@ -43,7 +43,7 @@ __all__ = [
     "DerivativePathsDisagree", "tangent_map", "struct_map",
     "STANDARD_STRUCTS",
     "ImplicitMap", "NewtonDiverged",
-    "apply_map", "tangent_of", "tangent_after", "prolong_implicit",
+    "tangent_of", "tangent_after", "prolong_implicit",
     "jac_point", "row_ordered", "solve_batch", "solve_least_norm",
     "AXIOM_CATALOG", "axiom_ids", "check_axiom", "check_all_axioms",
 ]
@@ -563,9 +563,6 @@ class ImplicitMap:
     def jacobian(self, x) -> np.ndarray:
         return self.jac_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def __call__(self, x):
-        return self.eval_point(x)
-
     def push(self, n: int, jp: JetPoint) -> JetPoint:
         """T^n at one jet point, lifted through the residual block by
         block: the jet-algebra reference for prolong_implicit."""
@@ -621,11 +618,6 @@ def _prolonged_residual(residual: SmoothMap, a: int, n: int) -> SmoothMap:
              for S in range(blocks) for i in range(a + c)}
     comps = tuple(substitute_vars(e, remap) for e in prol.components)
     return SmoothMap(blocks * (a + c), comps)
-
-
-def apply_map(f, x) -> np.ndarray:
-    """Evaluate a SmoothMap or an ImplicitMap at a point."""
-    return np.asarray(f.eval_point(x), dtype=float)
 
 
 def tangent_of(f, n: int):
@@ -870,9 +862,7 @@ def check_axiom(name: str, k: int, structs: Mapping = STANDARD_STRUCTS,
             lhs, rhs, arity = builder(structs, k)
             verdict = equal_maps(lhs, rhs, cube(arity), cfg)
             res = law_from_verdict(f"{name}@k={k}", anchor, verdict,
-                                   provenance={"seed": cfg.seed,
-                                               "count": cfg.count,
-                                               "tol": cfg.tol})
+                                   provenance=cfg.provenance())
             if res.verdict is Verdict.PASS_NUMERIC:
                 return replace(res, verdict=Verdict.UNKNOWN,
                                note="axioms pass on canonical equality only")

@@ -95,9 +95,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.aggregate.ok
 
-    def failures(self) -> list:
-        return [e for e in self.entries if e.verdict is Verdict.FAIL]
-
     def describe(self) -> str:
         lines = [f"== {self.title} [{self.aggregate.value}]"]
         lines += ["  " + e.describe() for e in self.entries]

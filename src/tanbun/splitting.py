@@ -12,14 +12,14 @@ endomorphism with rank jumps cannot be split the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    compose, con, concat_maps, cube, equal_maps, eval_batch, eval_map,
+    compose, con, concat_maps, cube, equal_maps, eval_batch,
     identity_map, jac_eval_batch, projection, simplify_map, row_gaps,
     smooth_map, substitute_vars,
 )
@@ -34,35 +34,17 @@ from .report import (
 from .universal import RANK_TOL, _numeric_rank
 
 __all__ = [
-    "PulledBackTangent", "pulled_back_tangent",
     "chart_box", "chi", "lift_on_pullback", "chi_checks", "splitting_pair",
     "check_splitting", "biproduct_check", "non_idempotent_demo",
 ]
 
 
-@dataclass(frozen=True)
-class PulledBackTangent:
-    """Chart for T_M(E): base point m plus a tangent block w at xi(m),
-    with the inclusion iota into T(E) coordinates and the projection to
-    the base."""
-
-    spec: BundleSpec
-    iota: SmoothMap
-    pi: SmoothMap
-
-    @property
-    def dim(self) -> int:
-        return self.spec.base_dim + self.spec.total_dim
-
-
-def pulled_back_tangent(spec: BundleSpec) -> PulledBackTangent:
+def _iota(spec: BundleSpec) -> SmoothMap:
+    """The inclusion of the T_M(E) chart, a base point m with a tangent
+    block w at xi(m), into T(E) coordinates: (m, w) -> (xi(m), w)."""
     d, k = spec.total_dim, spec.base_dim
-    iota = SmoothMap(
-        k + d,
-        spec.xi.components + tuple(Var(k + i) for i in range(d)),
-    )
-    return PulledBackTangent(spec=spec, iota=iota,
-                             pi=projection(k + d, range(k)))
+    return SmoothMap(k + d, spec.xi.components
+                     + tuple(Var(k + i) for i in range(d)))
 
 
 def chart_box(spec: BundleSpec) -> Box:
@@ -76,7 +58,7 @@ def _vertical_complement(spec: BundleSpec) -> SmoothMap:
     """The map (m, w) -> D(xi.q)|_{xi(m)} w, built symbolically."""
     d, k = spec.total_dim, spec.base_dim
     xiq = compose(spec.xi, spec.q)
-    pushed = compose(tangent_map(xiq, 1), pulled_back_tangent(spec).iota)
+    pushed = compose(tangent_map(xiq, 1), _iota(spec))
     return SmoothMap(k + d, pushed.components[d:])
 
 
@@ -176,8 +158,7 @@ def splitting_pair(spec: BundleSpec, universality):
         return section, simplify_map(compose(chart, ch))
 
     shift = {i: Var(k + d + i) for i in range(d)}
-    pbt = pulled_back_tangent(spec)
-    target = compose(pbt.iota, ch)
+    target = compose(_iota(spec), ch)
     resid = tuple(
         substitute_vars(le, shift) - te
         for le, te in zip(spec.lam.components, target.components)
@@ -340,13 +321,13 @@ def non_idempotent_demo(cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
         "morphism-laws", "the endomorphism is a linear bundle morphism",
         Verdict.PASS_NUMERIC if mor.ok else mor.aggregate,
         note="; ".join(f"{e.law_id}={e.verdict.value}" for e in mor.entries),
-        provenance={"seed": cfg.seed, "count": cfg.count, "tol": cfg.tol}))
+        provenance=cfg.provenance()))
 
     twice = compose(phi, phi)
     verdict = equal_maps(twice, phi, cube(2), cfg)
     wit_in = [2.0, 1.0]
-    wit = (wit_in, eval_map(twice, wit_in).tolist(),
-           eval_map(phi, wit_in).tolist())
+    wit = (wit_in, twice.eval_point(wit_in).tolist(),
+           phi.eval_point(wit_in).tolist())
     rep.add(LawResult(
         "not-idempotent", "the square of the endomorphism differs",
         Verdict.PASS_EXACT if verdict.kind == "not-equal" else Verdict.FAIL,

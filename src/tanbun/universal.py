@@ -262,13 +262,6 @@ def _onto(g_t, P):
     return Q, ok
 
 
-def _prov(cfg, depth, extra=None):
-    p = {"seed": cfg.seed, "count": cfg.count, "tol": cfg.tol, "depth": depth}
-    if extra:
-        p.update(extra)
-    return p
-
-
 # the equation each pullback law checks
 _ANCHORS = {
     "commutes": "right . top = bottom . left",
@@ -310,7 +303,7 @@ def check_pullback(sq: CommutingSquare,
         # (pre) commutation of the square, its residual the max over depths
         gaps = row_gaps(right_t.eval_batch(B_img), bottom_t.eval_batch(C_img))
         here = sampled_law("commutes", _ANCHORS["commutes"], gaps, Z,
-                           max(cfg.tol, 1e-8), _prov(cfg, depth))
+                           max(cfg.tol, 1e-8), cfg.provenance(depth=depth))
         comm = replace(here, max_residual=max(
             comm.max_residual if comm else 0.0, here.max_residual))
         if not comm.verdict.ok:
@@ -325,11 +318,11 @@ def check_pullback(sq: CommutingSquare,
                        witness=(Z[i].tolist(), Z[j].tolist()),
                        max_residual=float(np.max(np.abs(F_img[i] - F_img[j]))),
                        note="distinct apex points share an image",
-                       provenance=_prov(cfg, depth))
+                       provenance=cfg.provenance(depth=depth))
             stopped_by = "injective"
             break
         inj = _law("injective", Verdict.PASS_NUMERIC,
-                   provenance=_prov(cfg, depth))
+                   provenance=cfg.provenance(depth=depth))
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
         plan = _RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
@@ -502,7 +495,8 @@ def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     def stop(verdict, i, note, ratio=0.0):
         return _law("rank", verdict, witness=(Z[i].tolist(),),
                     max_residual=ratio, note=note,
-                    provenance=_prov(cfg, depth, {"outliers": outliers})), None
+                    provenance=cfg.provenance(depth=depth,
+                                              outliers=outliers)), None
 
     try:
         fp_dims = _fp_tangent_dims(right_t, bottom_t, B_img, C_img)
@@ -539,7 +533,7 @@ def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     res = _law("rank", Verdict.PASS_NUMERIC, max_residual=0.0,
                note=f"min conditioning ratio {min_ratio:.3g}" if scored
                else "no usable samples",
-               provenance=_prov(cfg, depth, {"outliers": outliers}))
+               provenance=cfg.provenance(depth=depth, outliers=outliers))
     info = {"seeds": [i for _, _, i in scored[:4]],
             "min_sigma": scored[0][0] if scored else 1.0,
             "min_ratio": min_ratio}
@@ -693,7 +687,7 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     return _law(
         "rank", Verdict.FAIL, witness=(best_z.tolist(),), max_residual=ratio,
         note=f"search located Jacobian collapse, ratio {ratio:.3g}",
-        provenance=_prov(cfg, 0, {"via": "witness search"}))
+        provenance=cfg.provenance(depth=0, via="witness search"))
 
 
 def is_submersion_on(f: SmoothMap, box: Box,
@@ -847,16 +841,16 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                         witness=(a.tolist(), b.tolist()),
                         max_residual=float(spreads[k]),
                         note="distinct preimages of one cone point",
-                        provenance=_prov(cfg, depth))
+                        provenance=cfg.provenance(depth=depth))
     stalls = n_try - int(solved.sum())
     if stalls:
         return _law("surjective", Verdict.UNKNOWN,
                     note=f"{stalls}/{n_try} preimage solves stalled"
                     + (", implicit branch mismatch" if mismatch else ""),
-                    provenance=_prov(cfg, depth, {"stalls": stalls}))
+                    provenance=cfg.provenance(depth=depth, stalls=stalls))
     return _law("surjective", Verdict.PASS_NUMERIC,
                 note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-                provenance=_prov(cfg, depth))
+                provenance=cfg.provenance(depth=depth))
 
 
 # --------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var,
     compose, con, equal_maps, parse_map, row_gaps,
 )
-from .jet import (
-    NewtonDiverged, apply_map, row_ordered, tangent_after, tangent_map,
-)
+from .jet import NewtonDiverged, row_ordered, tangent_after, tangent_map
 from .bundle import (
     BundleMorphism, BundleSpec, NotWellTyped, conjugated_bundle,
     fibre_matched_tuples, induce_addition, scale_through_lambda,
@@ -277,8 +275,8 @@ def morphism_transport_check(mor: BundleMorphism,
     R = rng.uniform(-2.0, 2.0, n)
 
     def gap(r, a):
-        lhs = apply_map(mor.f, apply_map(s_src, np.concatenate([[r], a])))
-        rhs = apply_map(s_tgt, np.concatenate([[r], apply_map(mor.f, a)]))
+        lhs = mor.f.eval_point(s_src.eval_point(np.concatenate([[r], a])))
+        rhs = s_tgt.eval_point(np.concatenate([[r], mor.f.eval_point(a)]))
         return row_gaps(lhs, rhs)
 
     anchor = "the morphism commutes with the actions"

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from tanbun.expr import DEFAULT_CONFIG
-from tanbun.corpus import corpus_run_all
+from tanbun.corpus import corpus_list, corpus_run
 
 
 @pytest.fixture(scope="session")
@@ -13,5 +13,6 @@ def corpus():
     """The whole corpus at the default config, run once per session:
     ({name: CorpusResult}, seconds taken)."""
     t0 = time.time()
-    results = {r.name: r for r in corpus_run_all(DEFAULT_CONFIG)}
+    results = {e.name: corpus_run(e.name, DEFAULT_CONFIG)
+               for e in corpus_list()}
     return results, time.time() - t0

@@ -21,7 +21,7 @@ import pytest
 from tanbun import bundle, corpus, jet, splitting, universal
 from tanbun.bundle import (
     BundleSpec, CheckReport, _pairwise,
-    check_additive_laws, induce_addition, well_typed_tuples,
+    check_additive_laws, fibre_matched_tuples, induce_addition,
 )
 from tanbun.cli import parse_bundle_file
 from tanbun.corpus import corpus_list, run_suites
@@ -44,7 +44,8 @@ PASSED = Verdict.PASS_NUMERIC       # a universality verdict that passes
 
 def _ref_check_additive_laws(spec, add, cfg, declared=None):
     rep = CheckReport(f"{spec.name}: fibrewise addition laws")
-    (a, b, c), discarded = well_typed_tuples(spec, cfg, width=3, tag="add3")
+    (a, b, c), discarded = fibre_matched_tuples(
+        spec.q, spec.total_box, cfg, width=3, tag=f"{spec.name}:add3")
     zero = eval_batch(compose(spec.xi, spec.q), a)
 
     def op(x, y):
@@ -171,16 +172,16 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                 "surjective", Verdict.FAIL, witness=(a.tolist(), b.tolist()),
                 max_residual=spread,
                 note="distinct preimages of one cone point",
-                provenance=universal._prov(cfg, depth))
+                provenance=cfg.provenance(depth=depth))
     if stalls:
         return universal._law(
             "surjective", Verdict.UNKNOWN,
             note=f"{stalls}/{n_try} preimage solves stalled",
-            provenance=universal._prov(cfg, depth, {"stalls": stalls}))
+            provenance=cfg.provenance(depth=depth, stalls=stalls))
     return universal._law(
         "surjective", Verdict.PASS_NUMERIC,
         note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-        provenance=universal._prov(cfg, depth))
+        provenance=cfg.provenance(depth=depth))
 
 
 def _ref_retraction_laws(spec, section, K, cfg):
@@ -428,7 +429,8 @@ class _Raising:
 def _sums(spec, add, cfg):
     """The pairs each of the seven sums of the additive laws adds, in the
     order the laws were written."""
-    (a, b, c), _ = well_typed_tuples(spec, cfg, width=3, tag="add3")
+    (a, b, c), _ = fibre_matched_tuples(
+        spec.q, spec.total_box, cfg, width=3, tag=f"{spec.name}:add3")
     zero = eval_batch(compose(spec.xi, spec.q), a)
     ab = add.eval_batch(np.hstack([a, b]))
     bc = add.eval_batch(np.hstack([b, c]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tanbun import bundle, corpus, universal
-from tanbun.expr import CheckConfig, eval_map
+from tanbun.expr import CheckConfig
 from tanbun.bundle import Verdict, induce_addition
 from tanbun.corpus import (
     SUITE_ORDER, UnknownCorpusEntry, bump_bundle, conjugated_bundle,
@@ -56,15 +56,15 @@ def test_tangent_builder_is_the_square_trivial_case():
 
 def test_conjugated_builder_zero_section_sits_on_the_parabola():
     cb = conjugated_bundle()
-    assert np.allclose(eval_map(cb.xi, np.array([0.5])), [0.5, 0.25])
+    assert np.allclose(cb.xi.eval_point(np.array([0.5])), [0.5, 0.25])
 
 
 def test_bump_builder_projection_blends_cubic_into_linear():
     bump = bump_bundle()
     # Fully below the seam the blend is off and the projection is linear.
-    assert np.allclose(eval_map(bump.q, np.array([1.5, -1.0])), [1.5])
+    assert np.allclose(bump.q.eval_point(np.array([1.5, -1.0])), [1.5])
     # At the top of the box it is the pure cubic.
-    assert np.allclose(eval_map(bump.q, np.array([1.5, 1.0])), [1.5 ** 3])
+    assert np.allclose(bump.q.eval_point(np.array([1.5, 1.0])), [1.5 ** 3])
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +213,8 @@ def test_the_cross_check_reads_an_unknown_refusal_as_unknown(monkeypatch):
 def test_vector_entry_uses_module_laws_as_its_gate():
     spec = corpus_entry("mutant_scalar_quadratic").build()
     reports = run_suites(spec, CFG, suite="pre")
-    assert {e.law_id for e in reports["pre"].failures()} == \
-        {"scalar-scalar-distrib"}
+    assert {e.law_id for e in reports["pre"].entries
+            if e.verdict is Verdict.FAIL} == {"scalar-scalar-distrib"}
 
 
 # --------------------------------------------------------------------------

@@ -226,10 +226,10 @@ def _is_loud(path: str) -> bool:
 def _freeze():
     """Rewrite every golden file, and print per file the JSON paths that
     moved with a count each; a moved verdict is flagged."""
-    from tanbun.corpus import corpus_run_all
+    from tanbun.corpus import corpus_list, corpus_run
     outputs = {name: _run(argv)[0] for name, (argv, _) in COMMANDS.items()}
     outputs["corpus_seed42"] = _corpus_seed42(
-        {r.name: r for r in corpus_run_all(DEFAULT_CONFIG)})
+        {e.name: corpus_run(e.name, DEFAULT_CONFIG) for e in corpus_list()})
     loud = 0
     for name, report in sorted(outputs.items()):
         path = os.path.join(GOLDEN, f"{name}.json")

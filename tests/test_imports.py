@@ -564,6 +564,30 @@ def test_the_deleted_submersion_api_stays_deleted():
             if re.search(rf"\b{n}\b", p.read_text())] == []
 
 
+def test_the_wrappers_only_tests_called_stay_deleted():
+    # each only wrapped a primary entry point: the map protocol
+    # (eval_point), symbolic_derivative_expr, fibre_matched_tuples,
+    # CheckConfig.provenance, corpus_run over corpus_list, EqVerdict.kind
+    # and CheckReport.entries
+    import tanbun
+    from tanbun import bundle, corpus, expr, jet, report, splitting, \
+        universal
+    gone = {expr: ("eval_map", "_ddx"), jet: ("apply_map",),
+            bundle: ("well_typed_tuples", "_prov"), universal: ("_prov",),
+            splitting: ("PulledBackTangent", "pulled_back_tangent"),
+            corpus: ("corpus_run_all",)}
+    assert [f"{mod.__name__}.{n}" for mod, names in gone.items()
+            for n in names if hasattr(mod, n)] == []
+    assert [n for names in gone.values() for n in names
+            if hasattr(tanbun, n)] == []
+    assert [c.__name__ for c in (expr.SmoothMap, jet.ImplicitMap)
+            if "__call__" in vars(c)] == []
+    assert [f"{c.__name__}.{n}" for c, n in (
+        (expr.Box, "clip"), (expr.Box, "contains"),
+        (expr.EqVerdict, "is_exact"), (report.CheckReport, "failures"))
+        if hasattr(c, n)] == []
+
+
 def test_the_readme_tours_every_module_once():
     # one row of the library tour per module of the package, so a module
     # that is added, renamed or deleted cannot leave the table stale

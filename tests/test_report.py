@@ -70,7 +70,8 @@ def test_lookup_and_failures():
     rep.add(_law("good", Verdict.PASS_NUMERIC))
     rep.add(_law("bad", Verdict.FAIL))
     assert rep["bad"].verdict is Verdict.FAIL
-    assert [e.law_id for e in rep.failures()] == ["bad"]
+    assert [e.law_id for e in rep.entries
+            if e.verdict is Verdict.FAIL] == ["bad"]
     with pytest.raises(KeyError):
         rep["missing"]
 

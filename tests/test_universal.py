@@ -336,7 +336,7 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     vals, counts = np.unique(fp_dims, return_counts=True)
     modal = int(vals[np.argmax(counts)])
     outliers = int(np.sum(np.asarray(fp_dims) != modal))
-    prov = universal._prov(cfg, depth, {"outliers": outliers})
+    prov = cfg.provenance(depth=depth, outliers=outliers)
     anchor = "cone Jacobian spans the fibre-product tangent"
     scored = []
     for i in range(len(Z)):
@@ -426,16 +426,16 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                 witness=(sols[0].tolist(), sols[1].tolist()),
                 max_residual=spread,
                 note="distinct preimages of one cone point",
-                provenance=universal._prov(cfg, depth))
+                provenance=cfg.provenance(depth=depth))
     if stalls:
         return universal.LawResult(
             "surjective", anchor, Verdict.UNKNOWN,
             note=f"{stalls}/{n_try} preimage solves stalled",
-            provenance=universal._prov(cfg, depth, {"stalls": stalls}))
+            provenance=cfg.provenance(depth=depth, stalls=stalls))
     return universal.LawResult(
         "surjective", anchor, Verdict.PASS_NUMERIC,
         note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-        provenance=universal._prov(cfg, depth))
+        provenance=cfg.provenance(depth=depth))
 
 
 def _outcome(fn, *args):
