@@ -21,7 +21,7 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, Const, DEFAULT_CONFIG, ExprError, SmoothMap, Var,
-    _poly_forms, compose, con, cube, equal_maps, eval_batch, identity_map,
+    _poly_forms, compose, con, cube, eval_batch, identity_map,
     jac_eval_batch, normalize, parse_map, projection, row_gaps,
     simplify_map, smooth_map, substitute_vars, sum_of,
     symbolic_derivative_expr,
@@ -31,7 +31,7 @@ from .jet import (
     struct_map, tangent_map,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, identity_law, sampled_law,
 )
 
 __all__ = [
@@ -176,9 +176,7 @@ def check_predifferential(spec: BundleSpec,
          spec.base_box),
     ]
     for law_id, anchor, lhs, rhs, box in pairs:
-        v = equal_maps(lhs, rhs, box, cfg)
-        rep.add(law_from_verdict(law_id, anchor, v,
-                                 provenance=cfg.provenance()))
+        rep.add(identity_law(law_id, anchor, lhs, rhs, box, cfg))
     return rep
 
 
@@ -401,8 +399,8 @@ def check_additive_laws(spec: BundleSpec, add,
     (a, b, c), discarded = fibre_matched_tuples(
         spec.q, spec.total_box, cfg, width=3, tag=f"{spec.name}:add3")
     inputs = np.hstack([a, b, c])
-    prov = cfg.provenance(discarded=discarded, count=len(a))
-    derived = _derived_laws(spec, add, cfg.tol, a, b, hypotheses, prov)
+    derived = _derived_laws(spec, add, cfg.tol, a, b, hypotheses,
+                            cfg.provenance(discarded=discarded, count=len(a)))
     if derived is not None:
         ab, laws = derived
         for law in laws:
@@ -418,12 +416,11 @@ def check_additive_laws(spec: BundleSpec, add,
         for (law_id, (anchor, *_)), (lhs, rhs) in zip(_ADD_LAWS.items(),
                                                       sides):
             rep.add(sampled_law(law_id, anchor, row_gaps(lhs, rhs), inputs,
-                                cfg.tol, dict(prov)))
+                                cfg.tol, cfg, discarded=discarded))
     if declared is not None:
         rep.add(sampled_law(
             "add-declared", "declared addition = induced addition",
-            row_gaps(ab, _pairwise(declared, a, b)), inputs,
-            cfg.tol, cfg.provenance(count=len(a))))
+            row_gaps(ab, _pairwise(declared, a, b)), inputs, cfg.tol, cfg))
     return rep
 
 
@@ -516,15 +513,13 @@ def check_morphism(mor: BundleMorphism, cfg: CheckConfig, source_add,
     rep = CheckReport(f"{src.name} -> {tgt.name}: morphism laws")
     f0 = mor.base_map
 
-    v1 = equal_maps(compose(tgt.q, mor.f), compose(f0, src.q),
-                    src.total_box, cfg)
-    rep.add(law_from_verdict("mor-base", "q' . f = f0 . q", v1,
-                             provenance=cfg.provenance()))
-    v2 = equal_maps(compose(tgt.lam, mor.f),
-                    compose(tangent_map(mor.f, 1), src.lam),
-                    src.total_box, cfg)
-    rep.add(law_from_verdict("mor-lift", "lam' . f = T(f) . lam", v2,
-                             provenance=cfg.provenance()))
+    rep.add(identity_law("mor-base", "q' . f = f0 . q",
+                         compose(tgt.q, mor.f), compose(f0, src.q),
+                         src.total_box, cfg))
+    rep.add(identity_law("mor-lift", "lam' . f = T(f) . lam",
+                         compose(tgt.lam, mor.f),
+                         compose(tangent_map(mor.f, 1), src.lam),
+                         src.total_box, cfg))
 
     try:
         (a, b), discarded = fibre_matched_tuples(
@@ -535,8 +530,7 @@ def check_morphism(mor: BundleMorphism, cfg: CheckConfig, source_add,
         rhs = _pairwise(target_add, fa, fb)
         rep.add(sampled_law("mor-add", "f(a + b) = f(a) + f(b)",
                             row_gaps(lhs, rhs), np.hstack([a, b]), cfg.tol,
-                            cfg.provenance(discarded=discarded,
-                                           count=len(a))))
+                            cfg, discarded=discarded))
     except (NewtonDiverged, NotWellTyped) as exc:
         rep.add(LawResult("mor-add", "f(a + b) = f(a) + f(b)",
                           Verdict.SKIPPED, note=str(exc)))

@@ -509,7 +509,8 @@ def _add_config_flags(p):
                    f"{DEFAULT_CONFIG.seed})")
     p.add_argument("--depth", type=_flag_number(int), choices=(0, 1, 2),
                    default=None,
-                   help="tangent nesting depth for square checks")
+                   help="tangent nesting depth for square checks "
+                   f"(default {DEFAULT_CONFIG.t_depth})")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

@@ -31,12 +31,12 @@ from numpy.linalg import _umath_linalg
 from .expr import (
     CheckConfig, DEFAULT_CONFIG, DENOM_GUARD, DenominatorNearZero,
     DimensionMismatch, ExprError, SmoothMap, Var, bump_coeffs, compose,
-    con, concat_maps, cube, eval_batch, equal_maps, identity_map,
+    con, concat_maps, cube, eval_batch, identity_map,
     jac_eval_batch, jacobian_exprs, product_of, projection,
     simplify_map, smooth_map, substitute_vars, sum_of, _bump_order,
     _check_batch, _evaluate, _quiet_floats,
 )
-from .report import CheckReport, LawResult, Verdict, law_from_verdict
+from .report import CheckReport, LawResult, Verdict, identity_law
 
 __all__ = [
     "JetPoint", "TruncElem", "pushforward", "jacobian",
@@ -860,9 +860,8 @@ def check_axiom(name: str, k: int, structs: Mapping = STANDARD_STRUCTS,
     for ax_name, anchor, builder in AXIOM_CATALOG:
         if ax_name == name:
             lhs, rhs, arity = builder(structs, k)
-            verdict = equal_maps(lhs, rhs, cube(arity), cfg)
-            res = law_from_verdict(f"{name}@k={k}", anchor, verdict,
-                                   provenance=cfg.provenance())
+            res = identity_law(f"{name}@k={k}", anchor, lhs, rhs,
+                               cube(arity), cfg)
             if res.verdict is Verdict.PASS_NUMERIC:
                 return replace(res, verdict=Verdict.UNKNOWN,
                                note="axioms pass on canonical equality only")

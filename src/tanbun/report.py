@@ -3,7 +3,10 @@
 A CheckReport is an ordered list of law results.  Each result carries
 the law id, a human-readable equation anchor, the verdict, an optional
 witness, the worst residual seen, and the sampler provenance, so a
-report line can be reproduced exactly.
+report line can be reproduced exactly.  The two builders here decide
+what a law records: identity_law and sampled_law record the seed, the
+samples judged (count) and the threshold judged by (tol), and a
+pass-exact identity, which sampled nothing, records nothing.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprError, worst_row
+from .expr import ExprError, equal_maps, worst_row
 
-__all__ = ["Verdict", "LawResult", "CheckReport", "law_from_verdict",
+__all__ = ["Verdict", "LawResult", "CheckReport", "identity_law",
            "sampled_law", "Refused"]
 
 
@@ -128,29 +131,35 @@ class Refused(ExprError):
         return LawResult(law_id, anchor, self.verdict, note=str(self))
 
 
-def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float,
-                provenance: dict) -> LawResult:
+def sampled_law(law_id: str, anchor: str, gaps, inputs, tol: float, cfg,
+                **extra) -> LawResult:
     """A law checked on samples, from the gap and the inputs of each,
     judged by expr.worst_row: it fails at the largest gap above tol,
     reads unknown at the first NaN gap otherwise, and passes else.  The
     witness is the judged sample's inputs, flat; max_residual is the
-    largest gap that is a number."""
+    largest gap that is a number.  It records cfg's seed, the number of
+    gaps judged as count, tol, and `extra`."""
     row, refuted, top = worst_row(gaps, tol)
     verdict = (Verdict.PASS_NUMERIC if row is None else
                Verdict.FAIL if refuted else Verdict.UNKNOWN)
     return LawResult(
-        law_id, anchor, verdict, max_residual=top, provenance=provenance,
+        law_id, anchor, verdict, max_residual=top,
+        provenance=cfg.provenance(count=len(gaps), tol=tol, **extra),
         witness=None if row is None else (np.hstack(inputs[row]).tolist(),),
         note="residual is not a number" if verdict is Verdict.UNKNOWN else "")
 
 
-def law_from_verdict(law_id: str, anchor: str, v, *,
-                     provenance=None) -> LawResult:
-    """Translate an expr.EqVerdict v into a LawResult, with its witness."""
+def identity_law(law_id: str, anchor: str, lhs, rhs, box, cfg) -> LawResult:
+    """The law lhs = rhs over box, judged by expr.equal_maps, with its
+    witness.  Equal canonical forms give pass-exact, which sampled
+    nothing and records nothing; every other verdict records cfg's
+    sampler settings, which equal_maps sampled with."""
+    v = equal_maps(lhs, rhs, box, cfg)
     verdict = {"equal": Verdict.PASS_EXACT, "numeric": Verdict.PASS_NUMERIC,
                "not-equal": Verdict.FAIL, "unknown": Verdict.UNKNOWN}[v.kind]
     return LawResult(
         law_id, anchor, verdict, witness=v.witness,
-        max_residual=v.max_residual, provenance=provenance or {},
+        max_residual=v.max_residual,
+        provenance={} if verdict is Verdict.PASS_EXACT else cfg.provenance(),
         note=v.reason if verdict is Verdict.UNKNOWN else "",
     )

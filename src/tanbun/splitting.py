@@ -29,7 +29,7 @@ from .bundle import (
     trivial_bundle, vert_lambda,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, identity_law, sampled_law,
 )
 from .universal import RANK_TOL, _numeric_rank
 
@@ -91,9 +91,9 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     ch = chi(spec)
     box = chart_box(spec)
 
-    rep.add(law_from_verdict(
+    rep.add(identity_law(
         "chi-idempotent", "the vertical projector squares to itself",
-        equal_maps(compose(ch, ch), ch, box, cfg)))
+        compose(ch, ch), ch, box, cfg))
 
     # fibrewise linearity with fixed rational weights on a doubled block
     a, b = Fraction(2, 3), Fraction(-5)
@@ -119,15 +119,14 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
             compose(chi_w, first).components,
             compose(chi_w, second).components)),
     )
-    rep.add(law_from_verdict(
+    rep.add(identity_law(
         "chi-linear", "the projector is linear on each tangent block",
-        equal_maps(lhs, rhs, wide, cfg)))
+        lhs, rhs, wide, cfg))
 
     lam_m = lift_on_pullback(spec)
-    rep.add(law_from_verdict(
+    rep.add(identity_law(
         "chi-lift-compat", "the projector commutes with the chart lift",
-        equal_maps(compose(lam_m, ch), compose(tangent_map(ch, 1), lam_m),
-                   box, cfg)))
+        compose(lam_m, ch), compose(tangent_map(ch, 1), lam_m), box, cfg))
 
     # rank of the idempotent fibre matrix equals its trace
     rng = cfg.rng("chi:rank")
@@ -136,8 +135,7 @@ def chi_checks(spec: BundleSpec, cfg: CheckConfig = DEFAULT_CONFIG
     rank = _numeric_rank(np.linalg.svd(F, compute_uv=False))
     rep.add(sampled_law(
         "chi-rank-trace", "idempotent fibre rank equals its trace",
-        np.abs(np.trace(F, axis1=1, axis2=2) - rank), M, RANK_TOL,
-        {"samples": len(M), "seed": cfg.seed}))
+        np.abs(np.trace(F, axis1=1, axis2=2) - rank), M, RANK_TOL, cfg))
     return rep
 
 
@@ -188,13 +186,12 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig,
     tol = max(cfg.tol, 1e-9)
 
     if isinstance(K, SmoothMap):
-        rep.add(law_from_verdict(
+        rep.add(identity_law(
             "retract-identity", "retraction after section is the identity",
-            equal_maps(compose(K, section), identity_map(d),
-                       spec.total_box, cfg)))
-        rep.add(law_from_verdict(
+            compose(K, section), identity_map(d), spec.total_box, cfg))
+        rep.add(identity_law(
             "section-image", "section after retraction is the projector",
-            equal_maps(compose(section, K), ch, box, cfg)))
+            compose(section, K), ch, box, cfg))
         rep.add(LawResult(
             "uniqueness", "the retraction value is unique",
             Verdict.PASS_EXACT, note="closed form"))
@@ -212,18 +209,18 @@ def check_splitting(spec: BundleSpec, cfg: CheckConfig,
             "retract-identity", "retraction after section is the identity",
             row_ordered(lambda X: row_gaps(
                 K.eval_batch(section.eval_batch(X)), X), X),
-            X, tol, {"samples": len(X), "seed": cfg.seed}))
+            X, tol, cfg))
         rep.add(sampled_law(
             "section-image", "section after retraction is the projector",
             row_ordered(lambda Z: row_gaps(
                 section.eval_batch(K.eval_batch(Z)), ch.eval_batch(Z)), Z),
-            Z, tol, {"samples": len(Z), "seed": cfg.seed}))
+            Z, tol, cfg))
 
         rep.add(_uniqueness_probe(spec, K, box, cfg))
 
-    rep.add(law_from_verdict(
+    rep.add(identity_law(
         "equalised", "the section lands in the projector's fixed points",
-        equal_maps(compose(ch, section), section, spec.total_box, cfg)))
+        compose(ch, section), section, spec.total_box, cfg))
     return rep
 
 
@@ -250,8 +247,7 @@ def _uniqueness_probe(spec: BundleSpec, K: ImplicitMap, box: Box,
     spreads = [np.ptp(y[ok], axis=0).max() if ok.sum() > 1 else np.nan
                for y, ok in zip(Y.reshape(3, 3, -1), solved)]
     law = sampled_law("uniqueness", "the retraction value is unique",
-                      spreads, Z, 1e-7,
-                      {"samples": len(PY), "seed": cfg.seed})
+                      spreads, Z, 1e-7, cfg)
     if law.verdict is Verdict.UNKNOWN:
         n = solved[np.argmax(np.isnan(spreads))].sum()
         return replace(law, note=f"{n} of 3 Newton starts converged at the "
@@ -283,29 +279,24 @@ def biproduct_check(spec: BundleSpec, cfg: CheckConfig,
     pi1 = SmoothMap(d + k, spec.q.components
                     + tuple(Var(d + i) for i in range(k)))
 
-    rep.add(law_from_verdict(
+    rep.add(identity_law(
         "pi0-iota0", "first projection after first injection is identity",
-        equal_maps(compose(pi0, iota0), identity_map(d),
-                   spec.total_box, cfg)))
-    rep.add(law_from_verdict(
+        compose(pi0, iota0), identity_map(d), spec.total_box, cfg))
+    rep.add(identity_law(
         "pi1-iota0", "second projection kills the first injection",
-        equal_maps(compose(pi1, iota0),
-                   concat_maps(spec.q, SmoothMap(d, (con(0),) * k)),
-                   spec.total_box, cfg)))
-    rep.add(law_from_verdict(
+        compose(pi1, iota0), concat_maps(spec.q, SmoothMap(d, (con(0),) * k)),
+        spec.total_box, cfg))
+    rep.add(identity_law(
         "pi0-iota1", "first projection sends second injection to the section",
-        equal_maps(compose(pi0, iota1),
-                   compose(spec.xi, projection(2 * k, range(k))),
-                   cube(2 * k), cfg)))
-    rep.add(law_from_verdict(
+        compose(pi0, iota1), compose(spec.xi, projection(2 * k, range(k))),
+        cube(2 * k), cfg))
+    rep.add(identity_law(
         "pi1-iota1", "second projection after second injection is identity",
-        equal_maps(compose(pi1, iota1), identity_map(2 * k),
-                   cube(2 * k), cfg)))
+        compose(pi1, iota1), identity_map(2 * k), cube(2 * k), cfg))
     idem = compose(iota0, pi0)
-    rep.add(law_from_verdict(
+    rep.add(identity_law(
         "idempotent-split", "the composite injection-projection squares "
-        "to itself",
-        equal_maps(compose(idem, idem), idem, box, cfg)))
+        "to itself", compose(idem, idem), idem, box, cfg))
     return rep
 
 

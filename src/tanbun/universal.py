@@ -279,7 +279,9 @@ def check_pullback(sq: CommutingSquare,
                    cfg: CheckConfig = DEFAULT_CONFIG) -> CheckReport:
     """A square's check: its four laws, titled with the square's name, in
     the order commutes, injective, rank, surjective.  Each law records
-    the depth it ran at; commutes runs first at every depth, so its depth
+    the depth it ran at, the apex samples judged there (count), those the
+    constraint dropped (discarded) and its threshold (tol); surjective
+    counts its tries.  Commutes runs first at every depth, so its depth
     is where the check stopped, else its cap."""
     depth_cap = min(sq.max_depth, cfg.t_depth)
     comm = inj = rank = surj = None     # None: the law has not run yet
@@ -293,8 +295,12 @@ def check_pullback(sq: CommutingSquare,
         bottom_t = tangent_of(sq.bottom, depth)
         g_t = tangent_map(sq.constraint, depth) if sq.constraint else None
 
-        count = max(20, cfg.count >> depth)
-        Z, _ = _sample_apex(sq, depth, cfg, count)
+        Z, discarded = _sample_apex(sq, depth, cfg,
+                                    max(20, cfg.count >> depth))
+        prov = cfg.provenance(depth=depth, count=len(Z), discarded=discarded)
+
+        def at(law):        # the law, recording what this depth judged
+            return replace(law, provenance={**prov, **law.provenance})
 
         B_img = top_t.eval_batch(Z)
         C_img = left_t.eval_batch(Z)
@@ -302,8 +308,8 @@ def check_pullback(sq: CommutingSquare,
 
         # (pre) commutation of the square, its residual the max over depths
         gaps = row_gaps(right_t.eval_batch(B_img), bottom_t.eval_batch(C_img))
-        here = sampled_law("commutes", _ANCHORS["commutes"], gaps, Z,
-                           max(cfg.tol, 1e-8), cfg.provenance(depth=depth))
+        here = at(sampled_law("commutes", _ANCHORS["commutes"], gaps, Z,
+                              max(cfg.tol, 1e-8), cfg))
         comm = replace(here, max_residual=max(
             comm.max_residual if comm else 0.0, here.max_residual))
         if not comm.verdict.ok:
@@ -318,16 +324,16 @@ def check_pullback(sq: CommutingSquare,
                        witness=(Z[i].tolist(), Z[j].tolist()),
                        max_residual=float(np.max(np.abs(F_img[i] - F_img[j]))),
                        note="distinct apex points share an image",
-                       provenance=cfg.provenance(depth=depth))
+                       provenance={**prov, "tol": MATCH_TOL})
             stopped_by = "injective"
             break
         inj = _law("injective", Verdict.PASS_NUMERIC,
-                   provenance=cfg.provenance(depth=depth))
+                   provenance={**prov, "tol": MATCH_TOL})
 
         # (b) infinitesimal bijectivity: rank vs fibre-product tangent dim
         plan = _RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
-        rank, scan_info = _rank_scan(
-            sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg)
+        rank, scan_info = _rank_scan(Z, B_img, C_img, right_t, bottom_t, plan)
+        rank = at(rank)
         if scan_info is None:      # a collapse, or a Jacobian not finite
             stopped_by = "rank"
             break
@@ -343,13 +349,13 @@ def check_pullback(sq: CommutingSquare,
             search = {"search": "ran"}
             found = _rank_witness_search(sq, Z, scan_info, plan, cfg)
             if found is not None:
-                rank = found
+                rank = at(found)
                 stopped_by = "rank"
                 break
 
         # (c) surjectivity: Newton preimages of perturbed cone points
-        surj = _surjectivity(sq, depth, Z, B_img, C_img,
-                             top_t, left_t, right_t, bottom_t, g_t, cfg)
+        surj = at(_surjectivity(sq, depth, Z, B_img, C_img,
+                                top_t, left_t, right_t, bottom_t, g_t, cfg))
         if surj.verdict in (Verdict.FAIL, Verdict.UNKNOWN):
             stopped_by = "surjective"
             break
@@ -487,16 +493,16 @@ def _collapse(sv) -> tuple:
     return float(s[k - 1]), float(s[k - 1] / s[0])
 
 
-def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
+def _rank_scan(Z, B_img, C_img, right_t, bottom_t, plan):
     """The rank law over the samples, in sample order; returns (law,
-    info), info None where the scan stopped the check."""
+    info), info None where the scan stopped the check.  The law records
+    its threshold and the samples whose cospan was not transversal."""
     outliers = 0
 
     def stop(verdict, i, note, ratio=0.0):
         return _law("rank", verdict, witness=(Z[i].tolist(),),
                     max_residual=ratio, note=note,
-                    provenance=cfg.provenance(depth=depth,
-                                              outliers=outliers)), None
+                    provenance={"tol": RANK_TOL, "outliers": outliers}), None
 
     try:
         fp_dims = _fp_tangent_dims(right_t, bottom_t, B_img, C_img)
@@ -533,7 +539,7 @@ def _rank_scan(sq, depth, Z, B_img, C_img, right_t, bottom_t, plan, cfg):
     res = _law("rank", Verdict.PASS_NUMERIC, max_residual=0.0,
                note=f"min conditioning ratio {min_ratio:.3g}" if scored
                else "no usable samples",
-               provenance=cfg.provenance(depth=depth, outliers=outliers))
+               provenance={"tol": RANK_TOL, "outliers": outliers})
     info = {"seeds": [i for _, _, i in scored[:4]],
             "min_sigma": scored[0][0] if scored else 1.0,
             "min_ratio": min_ratio}
@@ -687,7 +693,7 @@ def _rank_witness_search(sq, Z, info, plan, cfg):
     return _law(
         "rank", Verdict.FAIL, witness=(best_z.tolist(),), max_residual=ratio,
         note=f"search located Jacobian collapse, ratio {ratio:.3g}",
-        provenance=cfg.provenance(depth=0, via="witness search"))
+        provenance={"tol": RANK_TOL, "via": "witness search"})
 
 
 def is_submersion_on(f: SmoothMap, box: Box,
@@ -716,7 +722,7 @@ def is_submersion_on(f: SmoothMap, box: Box,
     smin = svals[:, f.coarity - 1]
     scale = max(float(np.max(svals[:, 0])), 1e-30)
     thresh = RANK_TOL * max(scale, 1.0)
-    prov = {"samples": len(X), "seed": cfg.seed, "scale": scale}
+    prov = cfg.provenance(count=len(X), tol=thresh, scale=scale)
 
     order = np.argsort(smin)
     if smin[order[0]] < thresh:
@@ -774,6 +780,7 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     that it puts 1e-10 or more off t, or cannot evaluate, is a stall."""
     rng = cfg.rng(f"{sq.name}:surj:{depth}")
     n_try = min(len(Z), max(10, (cfg.count >> depth) // 2))
+    prov = {"count": n_try, "tol": 1e-7}    # what the law itself judged
     # three Newton starts per try: the sample and two kicked copies
     targets = np.hstack([B_img[:n_try], C_img[:n_try]])
     starts = np.repeat(Z[:n_try, None], 3, axis=1)
@@ -841,16 +848,16 @@ def _surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                         witness=(a.tolist(), b.tolist()),
                         max_residual=float(spreads[k]),
                         note="distinct preimages of one cone point",
-                        provenance=cfg.provenance(depth=depth))
+                        provenance=prov)
     stalls = n_try - int(solved.sum())
     if stalls:
         return _law("surjective", Verdict.UNKNOWN,
                     note=f"{stalls}/{n_try} preimage solves stalled"
                     + (", implicit branch mismatch" if mismatch else ""),
-                    provenance=cfg.provenance(depth=depth, stalls=stalls))
+                    provenance={**prov, "stalls": stalls})
     return _law("surjective", Verdict.PASS_NUMERIC,
                 note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-                provenance=cfg.provenance(depth=depth))
+                provenance=prov)
 
 
 # --------------------------------------------------------------------------

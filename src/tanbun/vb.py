@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import (
     Box, CheckConfig, DEFAULT_CONFIG, DimensionMismatch, SmoothMap, Var,
-    compose, con, equal_maps, parse_map, row_gaps,
+    compose, con, parse_map, row_gaps,
 )
 from .jet import NewtonDiverged, row_ordered, tangent_after, tangent_map
 from .bundle import (
@@ -28,7 +28,7 @@ from .bundle import (
     trivial_bundle,
 )
 from .report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, identity_law, sampled_law,
 )
 
 __all__ = [
@@ -103,7 +103,7 @@ def check_module_laws(vb: VectorBundleSpec,
 
         X = np.hstack(parts)
         rep.add(sampled_law(law_id, anchor, row_ordered(gaps, X), X, tol,
-                            {"samples": n, "seed": cfg.seed}))
+                            cfg))
 
     law("scalar-unit", "acting by one changes nothing",
         [A], lambda a: (act(1.0, a), a))
@@ -188,13 +188,12 @@ def phi(db: BundleSpec, universality) -> VectorBundleSpec:
 
 def _compare(law_id, anchor, f, g, box, cfg) -> LawResult:
     if isinstance(f, SmoothMap) and isinstance(g, SmoothMap):
-        return law_from_verdict(law_id, anchor, equal_maps(f, g, box, cfg))
+        return identity_law(law_id, anchor, f, g, box, cfg)
     rng = cfg.rng(f"roundtrip:{law_id}")
     X = box.sample(rng, min(cfg.count, 100))
     gaps = row_ordered(lambda X: row_gaps(f.eval_batch(X), g.eval_batch(X)),
                        X)
-    return sampled_law(law_id, anchor, gaps, X, max(cfg.tol, 1e-9),
-                       {"samples": len(X), "seed": cfg.seed})
+    return sampled_law(law_id, anchor, gaps, X, max(cfg.tol, 1e-9), cfg)
 
 
 def _identical(law_id, anchor, a, b) -> LawResult:
@@ -260,11 +259,10 @@ def morphism_transport_check(mor: BundleMorphism,
     passes exactly when they match."""
     rep = CheckReport("morphism transport")
     src, tgt = mor.source, mor.target
-    lift_v = equal_maps(compose(tgt.lam, mor.f),
+    lift = identity_law("lift-linear", "the lifts intertwine the morphism",
+                        compose(tgt.lam, mor.f),
                         compose(tangent_map(mor.f, 1), src.lam),
                         src.total_box, cfg)
-    lift = law_from_verdict("lift-linear", "the lifts intertwine the "
-                            "morphism", lift_v)
     rep.add(lift)
 
     s_src = src.scalar if src.scalar is not None else scale_through_lambda(src)
@@ -283,8 +281,7 @@ def morphism_transport_check(mor: BundleMorphism,
     try:
         scalar = sampled_law(
             "scalar-preserving", anchor, list(map(gap, R, X)),
-            np.column_stack([R, X]), max(cfg.tol, 1e-9),
-            {"samples": n, "seed": cfg.seed})
+            np.column_stack([R, X]), max(cfg.tol, 1e-9), cfg)
     except NewtonDiverged as exc:
         scalar = LawResult("scalar-preserving", anchor, Verdict.UNKNOWN,
                            note=str(exc))

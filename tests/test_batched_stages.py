@@ -64,12 +64,10 @@ def _ref_check_additive_laws(spec, add, cfg, declared=None):
         checks.append(("add-declared", "declared addition = induced addition",
                        ab, _pairwise(declared, a, b)))
     for law_id, anchor, lhs, rhs in checks:
-        prov = {"seed": cfg.seed, "count": len(a), "tol": cfg.tol}
-        if law_id != "add-declared":
-            prov["discarded"] = discarded
+        extra = {} if law_id == "add-declared" else {"discarded": discarded}
         rep.add(sampled_law(law_id, anchor,
                             np.max(np.abs(lhs - rhs), axis=1),
-                            np.hstack([a, b, c]), cfg.tol, prov))
+                            np.hstack([a, b, c]), cfg.tol, cfg, **extra))
     return rep
 
 
@@ -99,7 +97,7 @@ def _ref_uniqueness_probe(spec, K, box, cfg):
         elif short is None:
             short = (z, len(sols))
     ok = spread <= 1e-7
-    prov = {"samples": 9, "seed": cfg.seed}     # 3 starts at 3 probes
+    prov = cfg.provenance(count=3, tol=1e-7)    # 3 probes, 3 starts each
     if ok and short is not None:
         return LawResult("uniqueness", "the retraction value is unique",
                          Verdict.UNKNOWN, witness=(short[0].tolist(),),
@@ -172,16 +170,16 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                 "surjective", Verdict.FAIL, witness=(a.tolist(), b.tolist()),
                 max_residual=spread,
                 note="distinct preimages of one cone point",
-                provenance=cfg.provenance(depth=depth))
+                provenance={"count": n_try, "tol": 1e-7})
     if stalls:
         return universal._law(
             "surjective", Verdict.UNKNOWN,
             note=f"{stalls}/{n_try} preimage solves stalled",
-            provenance=cfg.provenance(depth=depth, stalls=stalls))
+            provenance={"count": n_try, "tol": 1e-7, "stalls": stalls})
     return universal._law(
         "surjective", Verdict.PASS_NUMERIC,
         note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-        provenance=cfg.provenance(depth=depth))
+        provenance={"count": n_try, "tol": 1e-7})
 
 
 def _ref_retraction_laws(spec, section, K, cfg):
@@ -192,14 +190,14 @@ def _ref_retraction_laws(spec, section, K, cfg):
         "retract-identity", "retraction after section is the identity",
         row_ordered(lambda X: np.max(np.abs(
             K.eval_batch(section.eval_batch(X)) - X), axis=1), X),
-        X, tol, {"samples": len(X), "seed": cfg.seed})]
+        X, tol, cfg)]
     Z = box.sample(rng, max(20, cfg.count // 4))
     out.append(sampled_law(
         "section-image", "section after retraction is the projector",
         row_ordered(lambda Z: np.max(np.abs(
             section.eval_batch(K.eval_batch(Z)) - ch.eval_batch(Z)),
             axis=1), Z),
-        Z, tol, {"samples": len(Z), "seed": cfg.seed}))
+        Z, tol, cfg))
     return out
 
 

@@ -21,7 +21,7 @@ from tanbun.bundle import check_predifferential
 from tanbun.cli import parse_bundle_file
 from tanbun.corpus import corpus_list, corpus_run
 from tanbun.jet import JetPoint, check_all_axioms, pushforward
-from tanbun.report import Verdict, law_from_verdict
+from tanbun.report import Verdict, identity_law
 
 CFG = CheckConfig(count=40, seed=7)
 
@@ -470,9 +470,11 @@ def test_equal_maps_never_counts_a_nan_as_agreement():
     point, lhs, rhs = v.witness
     assert point.tolist() == first.tolist() and np.isnan(lhs[0]) \
         and rhs[0] == first[0]
-    res = law_from_verdict("x", "a", v)
+    res = identity_law("x", "a", f, parse_map("x0", 1), cube(1),
+                       CheckConfig())
     assert res.verdict is Verdict.UNKNOWN and "NaN" in res.note
-    assert res.witness is v.witness
+    assert res.note == v.reason and res.witness[0].tolist() == first.tolist()
+    assert res.provenance == CheckConfig().provenance()
 
 
 def test_equal_maps_refutes_on_a_finite_row_beside_nan_rows():

@@ -113,24 +113,61 @@ def _reports(doc):
         yield list(_laws(report.get("laws", []))) + list(_laws(suites))
 
 
+SAMPLER = {"seed", "count", "tol"}
+
+
 @pytest.mark.parametrize("name", sorted(set(COMMANDS) | {"corpus_seed42"}))
 def test_every_judged_law_in_a_golden_names_its_evidence(name):
-    # a law judged on samples names its seed and how many it drew; a law
-    # derived from others names them, and they passed earlier in its report
+    # a law judged on samples names its seed, how many samples it judged
+    # and the threshold it judged them by; a law derived from others names
+    # them, and they passed earlier in its report; an exact pass sampled
+    # nothing and names no sampler setting
     bare = []
     for laws in _reports(_golden(name)):
         passed = set()
         for law in laws:
             prov, judged = law["provenance"], law["verdict"] in (
                 "pass", "fail", "unknown")
-            sampled = "seed" in prov and ("count" in prov or "samples" in prov)
             derived = prov.get("derived_from")
             if derived is not None and not set(derived) <= passed \
-                    or judged and not (sampled or derived):
+                    or judged and not (SAMPLER <= prov.keys() or derived) \
+                    or law["verdict"] == "pass-exact" and SAMPLER & prov.keys() \
+                    or "samples" in prov:
                 bare.append(law["law"])
             if law["verdict"] in ("pass", "pass-exact"):
                 passed.add(law["law"])
     assert bare == []
+
+
+def _suite_laws(doc, suite):
+    return {law["law"]: law for law in next(
+        s for s in doc["suites"] if s["id"] == suite)["laws"]}
+
+
+def test_a_law_records_the_samples_and_the_threshold_it_was_judged_by():
+    cubic = os.path.join(GOLDEN, "cubic_lift.txt")
+    doc, _ = _run(["check", cubic, "--samples", "200", "--depth", "2"])
+    ros = _suite_laws(doc, "rosicky")
+    # at depth 2 the apex draws 200 >> 2 samples and tries half of them
+    assert {law: (ros[law]["provenance"]["depth"],
+                  ros[law]["provenance"]["count"],
+                  ros[law]["provenance"]["tol"]) for law in ros} == {
+        "commutes": (2, 50, 1e-8), "injective": (2, 50, 1e-8),
+        "rank": (2, 50, 1e-7), "surjective": (2, 25, 1e-7)}
+    assert {law["provenance"]["discarded"] for law in ros.values()} == {0}
+    # three probes, each judged by the spread of its Newton starts
+    prov = _suite_laws(doc, "split")["uniqueness"]["provenance"]
+    assert (prov["count"], prov["tol"]) == (3, 1e-7)
+
+    # below 20 samples a square still draws 20 at depth 0, and says so
+    doc, _ = _run(["check", cubic, "--samples", "5", "--depth", "2"])
+    at_depth_0 = [law for s in doc["suites"] for law in s["laws"]
+                  if s["id"] in ("cockett", "strong", "combined")]
+    assert len(at_depth_0) == 12
+    assert [(law["provenance"]["depth"], law["provenance"]["count"])
+            for law in at_depth_0] == [
+        (0, 10) if law["law"] == "surjective" else (0, 20)
+        for law in at_depth_0]
 
 
 def _one(f, *parts):

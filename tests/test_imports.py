@@ -388,9 +388,10 @@ def test_only_the_suite_runners_check_a_square():
                 and n.module in ("universal", "tanbun.universal")]
 
 
-def _users(name: str) -> list:
+def _users(name: str, fields=("id", "attr")) -> list:
     """module.function for every reference to `name` under src/, by the
-    innermost function around it (<module> outside any)."""
+    innermost function around it (<module> outside any); with fields
+    ("value",), for every string constant `name`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -400,7 +401,7 @@ def _users(name: str) -> list:
                 owner.update((id(n), fn.name) for n in ast.walk(fn))
         found += [f"{path.stem}.{owner.get(id(n), '<module>')}"
                   for n in ast.walk(tree)
-                  if getattr(n, "id", getattr(n, "attr", None)) == name]
+                  if any(getattr(n, f, None) == name for f in fields)]
     return found
 
 
@@ -411,6 +412,23 @@ def test_one_rule_judges_every_sampled_law():
         "expr._sampled_compare", "report.sampled_law"]
     assert all("_law_from_arrays" not in p.read_text()
                for p in SRC.glob("*.py"))
+
+
+def test_one_provenance_rule():
+    # report decides what a law records: identity_law is the one law that
+    # compares two maps, and no module names a law's sample count its own
+    # way; "samples" names the count only in a bundle file, a flag and a
+    # report header
+    from tanbun import report
+    assert not hasattr(report, "law_from_verdict")
+    assert sorted(u for u in _users("equal_maps")
+                  if not u.startswith("expr.")) == [
+        "report.identity_law", "splitting.non_idempotent_demo",
+        "universal.rosicky_certificate"]
+    assert sorted(set(_users("samples", ("value",)))) == [
+        "cli.<module>", "cli.corpus_payload", "cli.parse_bundle_file",
+        "cli.to_dict", "expr.<module>"]
+    assert _users("samples", ("arg",)) == ["cli.run_check"]
 
 
 def test_universal_stacks_no_cone_object():

@@ -11,9 +11,9 @@ from tanbun import corpus, splitting, universal, vb
 from tanbun.bundle import induce_addition
 from tanbun.cli import main
 from tanbun.corpus import bump_bundle, trivial_bundle
-from tanbun.expr import MAX_BUMP_ORDER, CheckConfig, EqVerdict
+from tanbun.expr import MAX_BUMP_ORDER, CheckConfig, cube, parse_map
 from tanbun.report import (
-    CheckReport, LawResult, Refused, Verdict, law_from_verdict, sampled_law,
+    CheckReport, LawResult, Refused, Verdict, identity_law, sampled_law,
 )
 
 
@@ -76,17 +76,27 @@ def test_lookup_and_failures():
         rep["missing"]
 
 
-def test_law_from_verdict_maps_equality_kinds():
-    eq = EqVerdict(kind="equal")
-    ne = EqVerdict(kind="not-equal", witness=(0.0,), max_residual=1.0)
-    un = EqVerdict(kind="unknown", reason="solver gave up")
-    assert law_from_verdict("x", "a", eq).verdict is Verdict.PASS_EXACT
-    assert law_from_verdict("x", "a", EqVerdict(kind="numeric")).verdict \
-        is Verdict.PASS_NUMERIC
-    bad = law_from_verdict("x", "a", ne)
-    assert bad.verdict is Verdict.FAIL and bad.witness == (0.0,)
-    res = law_from_verdict("x", "a", un)
-    assert res.verdict is Verdict.UNKNOWN and "solver" in res.note
+def test_identity_law_maps_equality_kinds():
+    # one pair of maps per kind of equal_maps; only the exact pass, which
+    # sampled nothing, records no sampler settings
+    cfg = CheckConfig(count=30, seed=5)
+
+    def law(lhs, rhs):
+        return identity_law("x", "a", parse_map(lhs, 1), parse_map(rhs, 1),
+                            cube(1), cfg)
+
+    eq = law("(x0 + 1)^2", "x0^2 + 2*x0 + 1")
+    assert eq.verdict is Verdict.PASS_EXACT and eq.provenance == {}
+    num = law("sin(x0)^2", "1 - cos(x0)^2")
+    assert num.verdict is Verdict.PASS_NUMERIC and num.note == ""
+    bad = law("x0^2", "x0^2 + x0^4")
+    assert bad.verdict is Verdict.FAIL and bad.max_residual > cfg.tol
+    x, lhs, rhs = bad.witness
+    assert lhs[0] == x[0] ** 2 and rhs[0] == x[0] ** 2 + x[0] ** 4
+    res = law("x0", "x0 + 1/1000000000000")
+    assert res.verdict is Verdict.UNKNOWN and "canonical forms" in res.note
+    for judged in (num, bad, res):
+        assert judged.provenance == {"seed": 5, "count": 30, "tol": 1e-9}
 
 
 def test_describe_mentions_every_law():
@@ -103,24 +113,26 @@ def test_sampled_law_fails_at_the_first_gap_not_within_tol():
     # gap reads unknown.  The witness is the judged sample's inputs, flat,
     # and max_residual the largest gap that is a number.
     inputs = [(0.5, [1.0, 2.0]), (1.5, [3.0, 4.0]), (2.5, [5.0, 6.0])]
-    ok = sampled_law("a", "", [0.0, 1e-12, 0.0], inputs, 1e-9, {"n": 3})
+    cfg = CheckConfig(seed=7)
+    ok = sampled_law("a", "", [0.0, 1e-12, 0.0], inputs, 1e-9, cfg, n=3)
     assert ok.verdict is Verdict.PASS_NUMERIC and ok.witness is None
-    assert ok.max_residual == 1e-12 and ok.provenance == {"n": 3}
+    assert ok.max_residual == 1e-12 and ok.provenance == {
+        "seed": 7, "count": 3, "tol": 1e-9, "n": 3}
     for gaps, worst in (([1.0, np.nan, 2.0], 2), ([3.0, 2.0, np.nan], 0),
                         ([np.inf, 1.0, 0.0], 0)):
-        res = sampled_law("a", "", gaps, inputs, 1e-9, {})
+        res = sampled_law("a", "", gaps, inputs, 1e-9, cfg)
         assert res.verdict is Verdict.FAIL and res.note == ""
         assert res.max_residual == gaps[worst]
         assert res.witness == (np.hstack(inputs[worst]).tolist(),)
     # a NaN gap never passes: it reads unknown and names its sample
     for gaps, first, top in (([0.0, np.nan, 1e-12], 1, 1e-12),
                              ([np.nan] * 3, 0, 0.0)):
-        res = sampled_law("a", "", gaps, inputs, 1e-9, {})
+        res = sampled_law("a", "", gaps, inputs, 1e-9, cfg)
         assert res.verdict is Verdict.UNKNOWN
         assert res.note == "residual is not a number"
         assert res.max_residual == top
         assert res.witness == (np.hstack(inputs[first]).tolist(),)
-    empty = sampled_law("a", "", [], [], 1e-9, {})
+    empty = sampled_law("a", "", [], [], 1e-9, cfg)
     assert empty.verdict is Verdict.PASS_NUMERIC and empty.max_residual == 0.0
 
 

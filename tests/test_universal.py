@@ -336,7 +336,7 @@ def _ref_rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
     vals, counts = np.unique(fp_dims, return_counts=True)
     modal = int(vals[np.argmax(counts)])
     outliers = int(np.sum(np.asarray(fp_dims) != modal))
-    prov = cfg.provenance(depth=depth, outliers=outliers)
+    prov = {"tol": universal.RANK_TOL, "outliers": outliers}
     anchor = "cone Jacobian spans the fibre-product tangent"
     scored = []
     for i in range(len(Z)):
@@ -426,16 +426,16 @@ def _ref_surjectivity(sq, depth, Z, B_img, C_img, top_t, left_t, right_t,
                 witness=(sols[0].tolist(), sols[1].tolist()),
                 max_residual=spread,
                 note="distinct preimages of one cone point",
-                provenance=cfg.provenance(depth=depth))
+                provenance={"count": n_try, "tol": 1e-7})
     if stalls:
         return universal.LawResult(
             "surjective", anchor, Verdict.UNKNOWN,
             note=f"{stalls}/{n_try} preimage solves stalled",
-            provenance=cfg.provenance(depth=depth, stalls=stalls))
+            provenance={"count": n_try, "tol": 1e-7, "stalls": stalls})
     return universal.LawResult(
         "surjective", anchor, Verdict.PASS_NUMERIC,
         note=f"{n_try}/{n_try} preimages recovered from 3 starts each",
-        provenance=cfg.provenance(depth=depth))
+        provenance={"count": n_try, "tol": 1e-7})
 
 
 def _outcome(fn, *args):
@@ -458,8 +458,7 @@ def _rank_scan(sq, depth, Z, B_img, C_img, top_t, left_t, right_t, bottom_t,
                g_t, cfg):
     """universal._rank_scan through the plan check_pullback builds."""
     plan = universal._RestrictedJacobian(top_t, left_t, g_t, Z.shape[1])
-    return universal._rank_scan(sq, depth, Z, B_img, C_img, right_t,
-                                bottom_t, plan, cfg)
+    return universal._rank_scan(Z, B_img, C_img, right_t, bottom_t, plan)
 
 
 def _assert_phases_match(sq, depth, cfg, Z=None):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tanbun import corpus, expr, vb as vb_module
+from tanbun import corpus, expr, report, vb as vb_module
 from tanbun.expr import (
     Box, CheckConfig, DenominatorNearZero, cube, equal_maps, parse_map,
 )
@@ -252,8 +252,7 @@ def _module_laws_point_by_point(vb, cfg):
 
     def law(law_id, anchor, cases):
         rep.add(sampled_law(law_id, anchor, [g for _, g in cases],
-                            [x for x, _ in cases], tol,
-                            {"samples": n, "seed": cfg.seed}))
+                            [x for x, _ in cases], tol, cfg))
 
     law("scalar-unit", "acting by one changes nothing",
         [((a,), gap(act(1.0, a), a)) for a in A])
@@ -540,7 +539,7 @@ def test_an_all_nan_scalar_gap_fails_the_transport_check():
 def test_an_unknown_lift_side_reads_unknown_not_fail(monkeypatch):
     # equal_maps could not decide the lift side: lift-linear carries its
     # reason, and the agreement of the two sides is inconclusive
-    monkeypatch.setattr(vb_module, "equal_maps", lambda *args: expr.EqVerdict(
+    monkeypatch.setattr(report, "equal_maps", lambda *args: expr.EqVerdict(
         "unknown", reason="evaluation failed: demo"))
     _, mor, _ = transport_demo_morphisms()[0]
     rep = morphism_transport_check(mor, CFG)
